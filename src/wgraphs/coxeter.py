@@ -11,7 +11,8 @@ if none exists the word is reduced and the closure contains every reduced
 word of the element.  For finite groups a full multiplication table is
 built once by breadth-first search and cached; for infinite groups every
 enumerating operation takes an explicit ``max_length`` cutoff and returns
-the ball of that radius.
+the ball of that radius.  Bruhat order is read from bitset lower ideals of
+the element table, each built on its element's first query.
 
 Generator indices are 0-based internally.  A Coxeter matrix entry of 0
 encodes an infinite bond order.
@@ -147,7 +148,9 @@ class _ElementTable:
 
     ``words`` is sorted by (length, word) and the index of a word in it is
     the element's id.  ``rmult[s][i]`` is the id of w*s (None if outside
-    the enumerated ball), similarly ``lmult`` for s*w.
+    the enumerated ball), similarly ``lmult`` for s*w.  ``ideals[i]`` is
+    the Bruhat lower ideal of element i as a bitset over ids, or None until
+    :meth:`ideal` first builds it.
     """
 
     def __init__(self, system: "CoxeterSystem", max_length: Optional[int]):
@@ -160,6 +163,8 @@ class _ElementTable:
         self.inverse: List[int] = []
         self.complete = False  # True iff the ball is the whole group
         self._build()
+        self.ideals: List[Optional[int]] = [None] * len(self.words)
+        self.ideals[0] = 1
 
     def _add(self, word: Word) -> int:
         ident = len(self.words)
@@ -213,6 +218,31 @@ class _ElementTable:
             ]
             for s in range(rank)
         ]
+
+    def ideal(self, ident: int) -> int:
+        """Bitset of the ids below element ``ident`` in the Bruhat order.
+
+        With s the first letter of z's canonical word (a left descent),
+        I(z) = I(sz) u s.I(sz).  Every element of s.I(sz) is no longer than
+        z, so a ball containing z contains the whole ideal.
+        """
+        ideals = self.ideals
+        chain = []
+        while ideals[ident] is None:
+            chain.append(ident)
+            ident = self.lmult[self.words[ident][0]][ident]
+        bits = ideals[ident]
+        for z in reversed(chain):
+            left = self.lmult[self.words[z][0]]
+            shifted = 0
+            rest = bits
+            while rest:
+                low = rest & -rest
+                shifted |= 1 << left[low.bit_length() - 1]
+                rest ^= low
+            bits |= shifted
+            ideals[z] = bits
+        return bits
 
 
 class CoxeterSystem:
@@ -506,29 +536,12 @@ class CoxeterSystem:
         """Whether x <= z in the Bruhat-Chevalley order."""
         self._check_same(x.system)
         self._check_same(z.system)
-        memo = self._cache.setdefault("bruhat", {})
-        return self._bruhat_leq_words(x.word, z.word, memo)
-
-    def _bruhat_leq_words(self, x: Word, z: Word, memo: dict) -> bool:
-        if len(x) > len(z):
+        # a ball of radius l(z) holds z's whole lower ideal
+        table = self._table(None if self.is_finite else len(z.word))
+        xi = table.index.get(x.word)
+        if xi is None:
             return False
-        if not x:
-            return True
-        if x == z:
-            return True
-        key = (x, z)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        s = z[0]  # a left descent of z (canonical words start with one)
-        sz = self._normalize_word(z[1:])
-        sx = self._normalize_word((s,) + x)
-        if len(sx) < len(x):
-            result = self._bruhat_leq_words(sx, sz, memo)
-        else:
-            result = self._bruhat_leq_words(x, sz, memo)
-        memo[key] = result
-        return result
+        return bool(table.ideal(table.index[z.word]) >> xi & 1)
 
     # -- enumeration -------------------------------------------------------
 

@@ -138,6 +138,7 @@ class PMuTable:
                 )
         # the four-case recurrence, for every pair of representatives
         c_mats = _c_matrices(self.module)
+        mu_lists = _mu_lists(self.mu)
         for s in sorted(self.ambient):
             vs = LaurentPoly.v(system.weight(s))
             vs_inv = LaurentPoly.v(-system.weight(s))
@@ -154,22 +155,30 @@ class PMuTable:
                         lhs = c_mats[cx.conj] @ pxz
                     else:
                         lhs = self.p_at(sx, z) - pxz.scale(vs_inv)
-                    if cz.tag == DEODHAR_PLUS:
-                        rhs = self.p_at(x, sz)
-                        for y in self.reps:
-                            if y != z and leq(x, y) and leq(y, z):
-                                rhs = rhs + self.p_at(x, y) @ self.mu_at(y, z, s)
-                    elif cz.tag == DEODHAR_ZERO:
-                        rhs = pxz @ c_mats[cz.conj]
-                        for y in self.reps:
-                            if y != z and leq(x, y) and leq(y, z):
-                                rhs = rhs + self.p_at(x, y) @ self.mu_at(y, z, s)
-                    else:
+                    if cz.tag == DEODHAR_MINUS:
                         rhs = -pxz.scale(vs + vs_inv)
+                    else:
+                        if cz.tag == DEODHAR_PLUS:
+                            rhs = self.p_at(x, sz)
+                        else:
+                            rhs = pxz @ c_mats[cz.conj]
+                        for y, mu_y in mu_lists.get((z, s), ()):
+                            if leq(x, y):
+                                rhs = rhs + self.p_at(x, y) @ mu_y
                     report.require(
                         lhs == rhs, f"recurrence fails at (x={x}, z={z}, s={s+1})"
                     )
         return report
+
+
+def _mu_lists(
+    mu: Dict[Tuple[Element, Element, int], LMat]
+) -> Dict[Tuple[Element, int], List[Tuple[Element, LMat]]]:
+    """The stored mu-blocks grouped by (z, s) as lists of (y, mu(y, z, s))."""
+    out: Dict[Tuple[Element, int], List[Tuple[Element, LMat]]] = {}
+    for (y, z, s), mat in mu.items():
+        out.setdefault((z, s), []).append((y, mat))
+    return out
 
 
 def _c_matrices(module: OmegaModule) -> Dict[int, LMat]:
@@ -215,12 +224,13 @@ def p_mu_table(
     identity = LMat.identity(rank)
     zero = LMat.zeros(rank)
     c_mats = _c_matrices(module)
-    below: Dict[Element, List[Element]] = {}
+    # (z, s) -> [(y, mu(y, z, s))] over the nonzero blocks only: the sums
+    # over x <= y < z skip every y whose mu-block is zero
+    mu_lists: Dict[Tuple[Element, int], List[Tuple[Element, LMat]]] = {}
     gens_sorted = sorted(ambient)
 
     for zi, z in enumerate(reps):
         below_z = [y for y in reps[: zi + 1] if leq(y, z)]
-        below[z] = below_z
         table.p[(z, z)] = identity
         if len(below_z) == 1:
             continue
@@ -232,7 +242,7 @@ def p_mu_table(
         tz = system.mult(t_elt, z)
         vt = LaurentPoly.v(system.weight(t))
         vt_inv = LaurentPoly.v(-system.weight(t))
-        below_tz = below[tz]
+        mu_tz = mu_lists.get((tz, t), ())
         for x in reversed(below_z[:-1]):
             cx = table.deodhar(t, x)
             if cx.tag == DEODHAR_PLUS:
@@ -240,11 +250,9 @@ def p_mu_table(
                 value = -(table.p_at(tx, z).scale(vt))
             else:
                 correction = zero
-                for y in below_tz:
-                    if y != tz and leq(x, y):
-                        mu_y = table.mu.get((y, tz, t))
-                        if mu_y is not None:
-                            correction = correction + table.p_at(x, y) @ mu_y
+                for y, mu_y in mu_tz:
+                    if leq(x, y):
+                        correction = correction + table.p_at(x, y) @ mu_y
                 if cx.tag == DEODHAR_ZERO:
                     value = c_mats[cx.conj] @ table.p_at(x, tz) - correction
                 else:
@@ -280,11 +288,9 @@ def p_mu_table(
                     else:
                         r_term = pxz @ c_mats[cz.conj] + pxz.scale(vs_inv)
                 alpha = -r_term
-                for y in below_z:
-                    if y != x and y != z and leq(x, y):
-                        mu_y = table.mu.get((y, z, s))
-                        if mu_y is not None:
-                            alpha = alpha - table.p_at(x, y) @ mu_y
+                for y, mu_y in mu_lists.get((z, s), ()):
+                    if leq(x, y):
+                        alpha = alpha - table.p_at(x, y) @ mu_y
                 neg, const, _ = alpha.split()
                 value = neg + const + neg.bar()
                 if not value.is_bar_symmetric():
@@ -304,6 +310,7 @@ def p_mu_table(
                     )
                 if not value.is_zero():
                     table.mu[(x, z, s)] = value
+                    mu_lists.setdefault((z, s), []).append((x, value))
     return table
 
 

@@ -150,12 +150,49 @@ class TestBruhat:
         assert a2.bruhat_leq(s, t * s)
         assert not a2.bruhat_leq(s * t, t * s)
 
-    @pytest.mark.parametrize("name", ["a2", "a3", "b2"])
+    @pytest.mark.parametrize("name", ["a2", "a3", "b2", "b3", "i2_5"])
     def test_subword_characterisation(self, systems, name):
         system = systems[name]
         for x in system.elements():
             for z in system.elements():
                 assert system.bruhat_leq(x, z) == bruhat_leq_subword(system, x, z)
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [((1, 0), (0, 1)), ((1, 3, 3), (3, 1, 3), (3, 3, 1))],
+        ids=["infinite_dihedral", "affine_a2"],
+    )
+    def test_subword_characterisation_infinite_ball(self, matrix):
+        system = CoxeterSystem(matrix)
+        ball = system.elements(max_length=4)
+        for x in ball:
+            for z in ball:
+                assert system.bruhat_leq(x, z) == bruhat_leq_subword(system, x, z)
+
+    def test_fresh_system_without_table(self, systems):
+        # every query starts on a system that has enumerated nothing yet
+        b2 = systems["b2"]
+        for x in b2.elements():
+            for z in b2.elements():
+                fresh = CoxeterSystem(b2.matrix)
+                assert fresh._table_if_built() is None
+                got = fresh.bruhat_leq(fresh.element(x.word), fresh.element(z.word))
+                assert got == bruhat_leq_subword(b2, x, z)
+
+    def test_infinite_ball_grows_for_longer_z(self):
+        system = CoxeterSystem(((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+        small = system.elements(max_length=3)
+        xs = [system.element(x.word) for x in CoxeterSystem(system.matrix).elements(max_length=6)]
+        z3 = system.element((0, 1, 2))
+        z5 = system.element((0, 1, 2, 0, 1))
+        assert (z3.length, z5.length) == (3, 5)
+        before = [system.bruhat_leq(x, z3) for x in small]
+        assert system._table_if_built().max_length == 3
+        for x in xs:
+            assert system.bruhat_leq(x, z5) == bruhat_leq_subword(system, x, z5)
+        assert system._table_if_built().max_length == 5
+        assert before == [system.bruhat_leq(x, z3) for x in small]
+        assert before == [bruhat_leq_subword(system, x, z3) for x in small]
 
 
 class TestCosets:
