@@ -73,8 +73,11 @@ def _iota_expand_words(system: CoxeterSystem, zword, memo) -> Dict[tuple, Lauren
         elif not coeff.is_zero():
             out[word] = coeff
 
+    table = system._table_if_built()
     for word, coeff in rest.items():
-        sword = system._normalize_word((s,) + word)
+        i = None if table is None else table.index.get(word)
+        si = None if i is None else table.lmult[s][i]
+        sword = system._normalize_word((s,) + word) if si is None else table.words[si]
         if len(sword) > len(word):
             # T_s T_w = T_sw; then subtract delta T_w from the bar factor
             add(sword, coeff)

@@ -5,14 +5,17 @@ weight per generator.  Group elements are :class:`Element` values carrying
 their canonical reduced word (ShortLex-minimal among all reduced words),
 so equality of elements is equality of words.
 
-The word problem is solved by Tits rewriting: delete adjacent equal
-letters, and search the braid-move closure of a word for a new deletion;
-if none exists the word is reduced and the closure contains every reduced
-word of the element.  For finite groups a full multiplication table is
-built once by breadth-first search and cached; for infinite groups every
-enumerating operation takes an explicit ``max_length`` cutoff and returns
-the ball of that radius.  Bruhat order is read from bitset lower ideals of
-the element table, each built on its element's first query.
+Enumeration builds an element table once and caches it: the whole group
+if it is finite, else the ball of an explicit ``max_length`` radius.  The
+table is built one length at a time from the exact images of the simple
+roots in Tits' geometric representation, which is faithful, so no word
+is rewritten (see :class:`_ElementTable`).  Products, inverses and
+descents of elements in the table are table lookups.  A word that leaves
+the table is normalised by Tits rewriting: delete adjacent equal letters,
+and search the braid-move closure of the word for a new deletion; if none
+exists the word is reduced and the closure contains every reduced word of
+the element.  Bruhat order is read from bitset lower ideals of the
+element table, each built on its element's first query.
 
 Generator indices are 0-based internally.  A Coxeter matrix entry of 0
 encodes an infinite bond order.
@@ -27,6 +30,7 @@ True
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import (
@@ -143,14 +147,141 @@ class DeodharClass:
             raise ValueError("conj must be given iff tag == 'zero'")
 
 
+class _Roots:
+    """Roots of Tits' geometric representation, interned as integer ids.
+
+    With M the lcm of the finite bond orders above 2 and zeta a primitive
+    2M-th root of unity, every root has coordinates in Z[zeta] in the basis
+    of simple roots.  A coordinate is stored as its integer coefficient
+    vector in the basis 1, zeta, ..., zeta^(d-1) (d = deg Phi_2M), i.e.
+    reduced modulo the cyclotomic polynomial, so equal roots have equal
+    tuples.  The simple reflection s changes only coordinate s:
+    v_s <- -v_s + sum_{t != s} 2cos(pi/m(s,t)) v_t, where
+    2cos(pi/m) = zeta^(M/m) + zeta^(-M/m) and an infinite bond gives
+    2 = zeta^0 + zeta^0.
+
+    ``images[s]`` maps a root id to the id of its image under s; it is
+    filled on demand by :meth:`reflect`.  The simple roots are ids 0..n-1.
+    """
+
+    def __init__(self, system: "CoxeterSystem"):
+        n = system.rank
+        orders = {m for row in system.matrix for m in row if m > 2}
+        half = 1
+        for m in orders:
+            half = half * m // math.gcd(half, m)
+        powers = _zeta_powers(2 * half)
+        d = self.d = len(powers[0])
+        self.bonds: List[List[Tuple[int, List[Tuple[int, ...]]]]] = []
+        for s in range(n):
+            bonds = []
+            for t in range(n):
+                m = system.matrix[s][t]
+                if t == s or m == 2:
+                    continue
+                a = 0 if m == INFINITE else half // m  # 2cos(pi/m) = zeta^a + zeta^-a
+                columns = [  # columns[j] = zeta^j * 2cos(pi/m)
+                    tuple(x + y for x, y in zip(powers[(j + a) % (2 * half)],
+                                                powers[(j - a) % (2 * half)]))
+                    for j in range(d)
+                ]
+                bonds.append((t, columns))
+            self.bonds.append(bonds)
+        self.roots: List[Tuple[int, ...]] = []
+        self.ids: dict = {}
+        self.images: List[dict] = [{} for _ in range(n)]
+        for s in range(n):
+            self._intern(tuple(1 if k == s * d else 0 for k in range(n * d)))
+
+    def _intern(self, root: Tuple[int, ...]) -> int:
+        ident = self.ids.get(root)
+        if ident is None:
+            ident = self.ids[root] = len(self.roots)
+            self.roots.append(root)
+        return ident
+
+    def reflect(self, s: int, r: int) -> int:
+        """Id of s(root r), recorded in ``images[s]`` both ways."""
+        d = self.d
+        root = self.roots[r]
+        lo = s * d
+        out = [-x for x in root[lo:lo + d]]
+        for t, columns in self.bonds[s]:
+            for j, c in enumerate(root[t * d:t * d + d]):
+                if c:
+                    for k, x in enumerate(columns[j]):
+                        out[k] += c * x
+        image = self._intern(root[:lo] + tuple(out) + root[lo + d:])
+        self.images[s][r] = image
+        self.images[s][image] = r
+        return image
+
+
+def _zeta_powers(order: int) -> List[Tuple[int, ...]]:
+    """zeta^k for k < order, zeta a primitive order-th root of unity.
+
+    Each power is its coefficient vector modulo the cyclotomic polynomial
+    Phi_order (monic, so the remainder is unique).
+    """
+    phi = _cyclotomic(order)
+    d = len(phi) - 1
+    power = [1] + [0] * (d - 1)
+    out = []
+    for _ in range(order):
+        out.append(tuple(power))
+        top = power[-1]  # times zeta: shift up, then zeta^d = -(phi[0] + ... )
+        power = [0] + power[:-1]
+        if top:
+            power = [x - top * c for x, c in zip(power, phi)]
+    return out
+
+
+def _cyclotomic(n: int) -> List[int]:
+    """Coefficients of Phi_n, constant term first: x^n - 1 over the Phi_e, e | n, e < n."""
+    phis: dict = {}
+    for e in range(1, n + 1):
+        if n % e:
+            continue
+        poly = [-1] + [0] * (e - 1) + [1]
+        for f, phi in phis.items():
+            if e % f == 0:
+                poly = _divide_monic(poly, phi)
+        phis[e] = poly
+    return phis[n]
+
+
+def _divide_monic(num: List[int], den: List[int]) -> List[int]:
+    """Exact quotient of integer polynomials, ``den`` monic (constant term first)."""
+    num = list(num)
+    shift = len(num) - len(den)
+    quot = [0] * (shift + 1)
+    for i in range(shift, -1, -1):
+        c = quot[i] = num[i + len(den) - 1]
+        if c:
+            for j, x in enumerate(den):
+                num[i + j] -= c * x
+    if any(num):
+        raise AssertionError("inexact cyclotomic division; this is a bug")
+    return quot
+
+
 class _ElementTable:
-    """BFS-built element/multiplication table for a ball in the group.
+    """Element/multiplication table for the whole group or a ball in it.
 
     ``words`` is sorted by (length, word) and the index of a word in it is
     the element's id.  ``rmult[s][i]`` is the id of w*s (None if outside
     the enumerated ball), similarly ``lmult`` for s*w.  ``ideals[i]`` is
     the Bruhat lower ideal of element i as a bitset over ids, or None until
     :meth:`ideal` first builds it.
+
+    The table is built one length at a time, without rewriting words.  An
+    element w is keyed by the root ids of w(alpha_1), ..., w(alpha_n) (see
+    :class:`_Roots`); Tits' representation is faithful, so the key
+    determines w, and the key of s*w is the image of w's key under the
+    reflection s.  The elements of length k+1 are the new keys s*v with v
+    of length k.  The canonical word of such an element u is the least
+    ``(s,) + words[v]`` over its factorisations u = s*v, because the
+    ShortLex-minimal reduced word starts with the least left descent.
     """
 
     def __init__(self, system: "CoxeterSystem", max_length: Optional[int]):
@@ -173,50 +304,56 @@ class _ElementTable:
         return ident
 
     def _build(self) -> None:
-        system = self.system
-        rank = system.rank
-        rmult: dict = {}
+        rank = self.system.rank
+        roots = _Roots(self.system)  # dropped when the build returns
+        words = self.words
+        lmult: List[List[Optional[int]]] = [[None] for _ in range(rank)]
         self._add(())
+        keys = {0: tuple(range(rank))}  # root-id keys of the current layer
         layer = [0]
         while layer:
-            if self.max_length is not None and len(self.words[layer[0]]) >= self.max_length:
+            if self.max_length is not None and len(words[layer[0]]) >= self.max_length:
                 break
-            candidates: dict = {}
-            for ident in layer:
-                word = self.words[ident]
+            found: dict = {}  # key -> [least word, key, [(s, v), ...]]
+            for v in layer:
+                key = keys[v]
                 for s in range(rank):
-                    if (ident, s) in rmult:
-                        continue
-                    longer = system._normalize_word(word + (s,))
-                    if len(longer) <= len(word):
-                        raise AssertionError("shorter product should already be recorded")
-                    candidates.setdefault(longer, []).append((ident, s))
-            next_layer = []
-            for word in sorted(candidates):
+                    if lmult[s][v] is not None:
+                        continue  # s*v is shorter, recorded when v was found
+                    image = roots.images[s]
+                    longer = tuple([image[r] if r in image else roots.reflect(s, r) for r in key])
+                    word = (s,) + words[v]
+                    entry = found.get(longer)
+                    if entry is None:
+                        found[longer] = [word, longer, [(s, v)]]
+                    else:
+                        if word < entry[0]:
+                            entry[0] = word
+                        entry[2].append((s, v))
+            keys = {}
+            layer = []
+            for word, key, parents in sorted(found.values()):
                 new_id = self._add(word)
-                next_layer.append(new_id)
-                for parent, s in candidates[word]:
-                    rmult[(parent, s)] = new_id
-                    rmult[(new_id, s)] = parent
-            layer = next_layer
+                keys[new_id] = key
+                layer.append(new_id)
+                for row in lmult:
+                    row.append(None)
+                for s, v in parents:
+                    lmult[s][v] = new_id
+                    lmult[s][new_id] = v
         self.complete = not layer  # BFS exhausted the group
-        n = len(self.words)
-        self.rmult = [[rmult.get((i, s)) for i in range(n)] for s in range(rank)]
-        # inverse by walking the reversed word from the identity
+        self.lmult = lmult
+        # w^-1 = s_k ... s_1 for w = s_1 ... s_k, and w*s = (s*w^-1)^-1
         self.inverse = []
-        for word in self.words:
+        for word in words:
             ident = 0
-            for s in reversed(word):
-                ident = self.rmult[s][ident]
+            for s in word:
+                ident = lmult[s][ident]
             self.inverse.append(ident)
-        self.lmult = [
-            [
-                None
-                if self.rmult[s][self.inverse[i]] is None
-                else self.inverse[self.rmult[s][self.inverse[i]]]
-                for i in range(n)
-            ]
-            for s in range(rank)
+        inverse = self.inverse
+        self.rmult = [
+            [None if row[inverse[i]] is None else inverse[row[inverse[i]]] for i in range(len(words))]
+            for row in lmult
         ]
 
     def ideal(self, ident: int) -> int:
@@ -431,9 +568,11 @@ class CoxeterSystem:
 
     def element(self, word: Sequence[int]) -> Element:
         """The element of the given (not necessarily reduced) word."""
+        word = tuple(word)
         for s in word:
             self._check_generator(s)
-        return Element(self._normalize_word(tuple(word)), self)
+        found = self._read_table((), word)
+        return Element(self._normalize_word(word) if found is None else found, self)
 
     def _check_generator(self, s: int) -> None:
         if not isinstance(s, int) or not 0 <= s < self.rank:
@@ -441,6 +580,24 @@ class CoxeterSystem:
 
     def _table_if_built(self) -> Optional[_ElementTable]:
         return self._cache.get("table")
+
+    def _read_table(self, start: Word, word: Sequence[int]) -> Optional[Word]:
+        """Canonical word of start*word from the built table.
+
+        None if no table is built or the walk leaves it; callers then fall
+        back to :meth:`_normalize_word`.
+        """
+        table = self._table_if_built()
+        if table is None:
+            return None
+        ident = table.index.get(start)
+        if ident is None:
+            return None
+        for s in word:
+            ident = table.rmult[s][ident]
+            if ident is None:
+                return None
+        return table.words[ident]
 
     def _table(self, max_length: Optional[int] = None) -> _ElementTable:
         """The cached element table: full group if finite, else a ball."""
@@ -462,22 +619,15 @@ class CoxeterSystem:
     def mult(self, x: Element, y: Element) -> Element:
         self._check_same(x.system)
         self._check_same(y.system)
-        table = self._table_if_built()
-        if table is not None:
-            ident = table.index.get(x.word)
-            if ident is not None:
-                for s in y.word:
-                    nxt = table.rmult[s][ident]
-                    if nxt is None:
-                        ident = None
-                        break
-                    ident = nxt
-                if ident is not None:
-                    return Element(table.words[ident], self)
-        return Element(self._normalize_word(x.word + y.word), self)
+        found = self._read_table(x.word, y.word)
+        return Element(self._normalize_word(x.word + y.word) if found is None else found, self)
 
     def inverse(self, x: Element) -> Element:
         self._check_same(x.system)
+        table = self._table_if_built()
+        ident = None if table is None else table.index.get(x.word)
+        if ident is not None:
+            return Element(table.words[table.inverse[ident]], self)
         return Element(self._normalize_word(tuple(reversed(x.word))), self)
 
     def length(self, x: Element) -> int:
@@ -486,48 +636,26 @@ class CoxeterSystem:
 
     def left_descents(self, x: Element) -> FrozenSet[int]:
         self._check_same(x.system)
-        table = self._table_if_built()
-        if table is not None:
-            ident = table.index.get(x.word)
-            if ident is not None:
-                out = set()
-                usable = True
-                for s in range(self.rank):
-                    j = table.lmult[s][ident]
-                    if j is None:
-                        usable = False
-                        break
-                    if len(table.words[j]) < len(x.word):
-                        out.add(s)
-                if usable:
-                    return frozenset(out)
-        return frozenset(
-            s
-            for s in range(self.rank)
-            if len(self._normalize_word((s,) + x.word)) < len(x.word)
-        )
+        return self._descents(x, left=True)
 
     def right_descents(self, x: Element) -> FrozenSet[int]:
         self._check_same(x.system)
+        return self._descents(x, left=False)
+
+    def _descents(self, x: Element, left: bool) -> FrozenSet[int]:
         table = self._table_if_built()
-        if table is not None:
-            ident = table.index.get(x.word)
-            if ident is not None:
-                out = set()
-                usable = True
-                for s in range(self.rank):
-                    j = table.rmult[s][ident]
-                    if j is None:
-                        usable = False
-                        break
-                    if len(table.words[j]) < len(x.word):
-                        out.add(s)
-                if usable:
-                    return frozenset(out)
+        ident = None if table is None else table.index.get(x.word)
+        if ident is not None:
+            # ids grow with length, and a ball holds every shorter neighbour
+            # of its elements, so a neighbour missing from the table is longer
+            rows = table.lmult if left else table.rmult
+            return frozenset(
+                s for s, row in enumerate(rows) if row[ident] is not None and row[ident] < ident
+            )
         return frozenset(
             s
             for s in range(self.rank)
-            if len(self._normalize_word(x.word + (s,))) < len(x.word)
+            if len(self._normalize_word((s,) + x.word if left else x.word + (s,))) < len(x.word)
         )
 
     # -- Bruhat order -----------------------------------------------------

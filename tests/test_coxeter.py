@@ -12,6 +12,21 @@ from wgraphs.coxeter import (
 from oracles import bruhat_leq_subword, enumerate_model, eval_word, model_for
 
 
+def _path(*labels):
+    """Coxeter matrix of a path diagram with the given bond labels."""
+    n = len(labels) + 1
+    matrix = [[1 if s == t else 2 for t in range(n)] for s in range(n)]
+    for s, m in enumerate(labels):
+        matrix[s][s + 1] = matrix[s + 1][s] = m
+    return matrix
+
+
+def _d(n):
+    matrix = _path(*([3] * (n - 2) + [2]))
+    matrix[n - 3][n - 1] = matrix[n - 1][n - 3] = 3
+    return matrix
+
+
 class TestNewSystem:
     def test_rank_one(self):
         system = CoxeterSystem(((1,),), (1,))
@@ -67,6 +82,125 @@ class TestNormalize:
     def test_out_of_range(self, systems):
         with pytest.raises(ValueError):
             systems["a2"].element((2,))
+
+
+class TestRootEnumeration:
+    """The root-image element table against Tits rewriting, entry by entry."""
+
+    @pytest.mark.parametrize(
+        "matrix, weights, radius, size",
+        [
+            (_path(3, 3), None, None, 24),
+            (_path(4, 3), None, None, 48),
+            (_path(5, 3), None, None, 120),
+            (_d(4), None, None, 192),
+            (_path(5), None, None, 10),
+            (_path(8), (1, 3), None, 16),
+            (_path(0), None, 6, 13),
+            (((1, 3, 3), (3, 1, 3), (3, 3, 1)), None, 5, 46),
+            (_path(5, 4), None, 6, 66),
+        ],
+        ids=["a3", "b3", "h3", "d4", "i2_5", "i2_8_13", "affine_a1", "affine_a2", "hyperbolic_5_4"],
+    )
+    def test_table_against_rewriting(self, matrix, weights, radius, size):
+        system = CoxeterSystem(matrix, weights)
+        table = system._table(radius)
+        words = table.words
+        assert len(words) == size and table.complete == (radius is None)
+        assert [(len(w), w) for w in words] == sorted((len(w), w) for w in words)
+        assert all(table.index[w] == i for i, w in enumerate(words))
+        for i, word in enumerate(words):
+            assert words[table.inverse[i]] == system._normalize_word(tuple(reversed(word)))
+            for s in range(system.rank):
+                for got, expected in (
+                    (table.rmult[s][i], system._normalize_word(word + (s,))),
+                    (table.lmult[s][i], system._normalize_word((s,) + word)),
+                ):
+                    if got is None:
+                        assert radius is not None and len(expected) > radius
+                    else:
+                        assert words[got] == expected
+
+    @pytest.mark.parametrize(
+        "matrix, order, longest",
+        [
+            (_path(3, 3, 3, 3), 720, 15),
+            (_d(5), 1920, 20),
+            (_path(4, 3, 3, 3), 3840, 25),
+            (_path(3, 4, 3), 1152, 24),
+            (_path(5, 3, 3), 14400, 60),
+        ],
+        ids=["a5", "d5", "b5", "f4", "h4"],
+    )
+    def test_group_order_and_longest_length(self, matrix, order, longest):
+        system = CoxeterSystem(matrix)
+        table = system._table()
+        assert table.complete and len(table.words) == order
+        assert [len(w) for w in table.words].count(longest) == 1
+        assert len(table.words[-1]) == longest
+        for row in table.rmult + table.lmult:
+            assert all(row[row[i]] == i != row[i] for i in range(order))
+
+
+class TestTitsFallback:
+    """Words that miss the element table are normalised by Tits rewriting."""
+
+    WORDS = [(0, 0), (1, 0, 1), (0, 1, 2, 1, 0, 2), (2, 1, 0, 1, 2, 1), (0, 1, 2, 0, 1, 2, 0)]
+
+    def _counting(self, monkeypatch):
+        calls = []
+        original = CoxeterSystem._normalize_word
+
+        def counted(system, word):
+            calls.append(word)
+            return original(system, word)
+
+        monkeypatch.setattr(CoxeterSystem, "_normalize_word", counted)
+        return calls
+
+    def _queries(self, system):
+        out = []
+        for before, word in zip(self.WORDS[-1:] + self.WORDS, self.WORDS):
+            x, y = system.element(word), system.element(before)
+            out.append((x.word, system.inverse(x).word, system.mult(x, y).word,
+                        system.mult(y, x).word))
+        return out
+
+    def test_fresh_system_without_table(self, monkeypatch):
+        built = CoxeterSystem(_path(3, 3))
+        built.elements()
+        calls = self._counting(monkeypatch)
+        from_table = self._queries(built)
+        assert calls == []
+        fresh = CoxeterSystem(_path(3, 3))
+        assert self._queries(fresh) == from_table
+        assert calls and fresh._table_if_built() is None
+
+    def test_infinite_words_leave_the_ball(self, monkeypatch):
+        matrix = ((1, 3, 3), (3, 1, 3), (3, 3, 1))
+        large = CoxeterSystem(matrix)
+        large.elements(max_length=14)  # holds every product of two WORDS
+        small = CoxeterSystem(matrix)
+        small.elements(max_length=3)
+        calls = self._counting(monkeypatch)
+        from_table = self._queries(large)
+        assert calls == []
+        assert self._queries(small) == from_table
+        assert any(len(word) > 3 for word in calls)
+        assert small._table_if_built().max_length == 3
+
+    def test_descents_on_the_ball_boundary(self, monkeypatch):
+        # a neighbour missing from the ball is longer: no rewriting needed
+        system = CoxeterSystem(((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+        ball = system.elements(max_length=3)
+        expected = [
+            {s for s in range(3) if len(system._normalize_word(side(s, x.word))) < x.length}
+            for x in ball
+            for side in (lambda s, w: (s,) + w, lambda s, w: w + (s,))
+        ]
+        calls = self._counting(monkeypatch)
+        got = [d for x in ball for d in (x.left_descents(), x.right_descents())]
+        assert got == expected and calls == []
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "b3", "i2_5"])
