@@ -73,11 +73,8 @@ def _iota_expand_words(system: CoxeterSystem, zword, memo) -> Dict[tuple, Lauren
         elif not coeff.is_zero():
             out[word] = coeff
 
-    table = system._table_if_built()
     for word, coeff in rest.items():
-        i = None if table is None else table.index.get(word)
-        si = None if i is None else table.lmult[s][i]
-        sword = system._normalize_word((s,) + word) if si is None else table.words[si]
+        sword = system._product(word, (s,), left=True)
         if len(sword) > len(word):
             # T_s T_w = T_sw; then subtract delta T_w from the bar factor
             add(sword, coeff)
@@ -93,28 +90,15 @@ def _iota_expand_words(system: CoxeterSystem, zword, memo) -> Dict[tuple, Lauren
 
 
 @dataclass
-class RhoTable:
-    """Blockwise bar-involution data r_{x,z} on coset representatives.
+class BlockTable:
+    """Laurent-matrix blocks indexed by pairs of coset representatives.
 
-    ``entries[(x, z)]`` is the Laurent matrix by which the involution's
-    (x, z) block acts on the underlying module; it is zero unless x <= z
-    and the diagonal blocks are identities.
+    :func:`rho_table` fills it with the bar-involution data r_{x,z}: the
+    matrix by which the involution's (x, z) block acts on the underlying
+    module, zero unless x <= z, with identity diagonal blocks.
+    :func:`pi_recursion` fills it with the canonicalising base change
+    pi_{x,z}, strictly positive above the diagonal.
     """
-
-    system: CoxeterSystem
-    gens: FrozenSet[int]
-    ambient: FrozenSet[int]
-    module: OmegaModule
-    reps: Tuple[Element, ...]
-    entries: Dict[Tuple[Element, Element], LMat]
-
-    def at(self, x: Element, z: Element) -> LMat:
-        return self.entries.get((x, z), LMat.zeros(self.module.rank))
-
-
-@dataclass
-class PiTable:
-    """The canonicalising base change: strictly positive above the diagonal."""
 
     system: CoxeterSystem
     gens: FrozenSet[int]
@@ -132,7 +116,7 @@ def rho_table(
     module: OmegaModule,
     ambient: Optional[Iterable[int]] = None,
     max_length: Optional[int] = None,
-) -> RhoTable:
+) -> BlockTable:
     """Assemble r_{x,z} = sum_u R_{xu,z} T_u for x, z coset reps, u in W_J.
 
     R are the T-basis coefficients from :func:`iota_expand`; T_u acts on
@@ -160,10 +144,10 @@ def rho_table(
         diag = entries.get((z, z))
         if diag != LMat.identity(module.rank):
             raise AssertionError(f"diagonal block r_({z},{z}) is not the identity")
-    return RhoTable(system, J, ambient, module, tuple(reps), entries)
+    return BlockTable(system, J, ambient, module, tuple(reps), entries)
 
 
-def check_rho(rho: RhoTable) -> Report:
+def check_rho(rho: BlockTable) -> Report:
     """The composition identity: sum_{x<=y<=z} r_{xy} bar(r_{yz}) = delta_{xz}."""
     report = Report("rho composition identity")
     reps = rho.reps
@@ -233,7 +217,7 @@ def canonicalise_shadow(
     return pi
 
 
-def pi_recursion(rho: RhoTable, *, check: bool = True) -> PiTable:
+def pi_recursion(rho: BlockTable, *, check: bool = True) -> BlockTable:
     """Run the triangular recursion on Hecke rho data.
 
     With ``check=True`` the composition identity of ``rho`` is verified
@@ -250,4 +234,4 @@ def pi_recursion(rho: RhoTable, *, check: bool = True) -> PiTable:
         rho.at,
         rho.module.rank,
     )
-    return PiTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, entries)
+    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, entries)

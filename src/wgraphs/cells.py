@@ -30,13 +30,6 @@ class CellPartition:
     blocks: Tuple[FrozenSet[int], ...]
     order: FrozenSet[Tuple[int, int]]
 
-    def block_of(self, vertex: int) -> int:
-        for i, block in enumerate(self.blocks):
-            if vertex in block:
-                return i
-        raise KeyError(vertex)
-
-
 def action_arcs(module: OmegaModule) -> Dict[int, Set[int]]:
     """arcs[y] = set of x hit by some edge operator applied to y."""
     arcs: Dict[int, Set[int]] = {i: set() for i in range(module.rank)}

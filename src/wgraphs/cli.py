@@ -215,8 +215,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_table)
     p_table.add_argument("--out", help="output JSON path (default stdout)")
     p_table.add_argument("--flag", help="intermediate flag subsets, e.g. '1;1,2'")
-    p_table.add_argument("--jobs", type=int, default=hy.default_jobs(),
-                         help="worker count for --flag (default $HY_JOBS or 1)")
+    p_table.add_argument("--jobs", type=int, default=1,
+                         help="worker count for --flag (default 1)")
     p_table.add_argument("--max-length", type=int, default=None,
                          help="length cutoff for infinite groups")
     p_table.set_defaults(func=cmd_table)

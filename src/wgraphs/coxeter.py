@@ -5,17 +5,15 @@ weight per generator.  Group elements are :class:`Element` values carrying
 their canonical reduced word (ShortLex-minimal among all reduced words),
 so equality of elements is equality of words.
 
-Enumeration builds an element table once and caches it: the whole group
-if it is finite, else the ball of an explicit ``max_length`` radius.  The
-table is built one length at a time from the exact images of the simple
-roots in Tits' geometric representation, which is faithful, so no word
-is rewritten (see :class:`_ElementTable`).  Products, inverses and
-descents of elements in the table are table lookups.  A word that leaves
-the table is normalised by Tits rewriting: delete adjacent equal letters,
-and search the braid-move closure of the word for a new deletion; if none
-exists the word is reduced and the closure contains every reduced word of
-the element.  Bruhat order is read from bitset lower ideals of the
-element table, each built on its element's first query.
+Every word query reads one cached element table: the ball of some
+radius, or the whole group (finite groups only).  The table is built one
+length at a time from the exact images of the simple roots in Tits'
+geometric representation, which is faithful, so no word is rewritten
+(see :class:`_ElementTable`).  Canonical words, products, inverses and
+descents are walks through the table.  A walk that steps out of the ball
+regrows it to the radius the rest of the walk can reach: the current
+length plus the letters left.  Bruhat order is read from bitset lower
+ideals of the element table, each built on its element's first query.
 
 Generator indices are 0-based internally.  A Coxeter matrix entry of 0
 encodes an infinite bond order.
@@ -391,8 +389,8 @@ class CoxeterSystem:
     weight function on the group).
 
     Systems are immutable after construction; the internal enumeration
-    caches are built once on demand and only read afterwards, so a system
-    and its elements may be shared freely across workers.
+    caches grow on demand and never change an answer, so a system and its
+    elements may be shared freely across worker processes.
     """
 
     __slots__ = ("matrix", "weights", "_cache")
@@ -500,62 +498,6 @@ class CoxeterSystem:
             comps.append(sorted(comp))
         return comps
 
-    # -- the word problem -------------------------------------------------
-
-    def _normalize_word(self, word: Sequence[int]) -> Word:
-        """Canonical (ShortLex-minimal reduced) form of a word, by Tits rewriting."""
-        current = tuple(word)
-        while True:
-            deleted = _delete_adjacent_pair(current)
-            if deleted is not None:
-                current = deleted
-                continue
-            closure = self._braid_closure(current)
-            if isinstance(closure, tuple):  # found a deletion inside the closure
-                current = closure
-                continue
-            return min(closure)
-
-    def _braid_closure(self, word: Word):
-        """BFS over braid moves.
-
-        Returns either the full closure (a set: the word is reduced) or a
-        strictly shorter word obtained by deleting an adjacent equal pair
-        found along the way.
-        """
-        seen = {word}
-        queue = deque([word])
-        while queue:
-            w = queue.popleft()
-            for neighbour in self._braid_neighbours(w):
-                if neighbour in seen:
-                    continue
-                deleted = _delete_adjacent_pair(neighbour)
-                if deleted is not None:
-                    return deleted
-                seen.add(neighbour)
-                queue.append(neighbour)
-        return seen
-
-    def _braid_neighbours(self, word: Word):
-        n = len(word)
-        matrix = self.matrix
-        for i in range(n - 1):
-            s, t = word[i], word[i + 1]
-            if s == t:
-                continue
-            m = matrix[s][t]
-            if m == INFINITE or i + m > n:
-                continue
-            ok = True
-            for j in range(m):
-                if word[i + j] != (s if j % 2 == 0 else t):
-                    ok = False
-                    break
-            if ok:
-                replacement = tuple(t if j % 2 == 0 else s for j in range(m))
-                yield word[:i] + replacement + word[i + m:]
-
     # -- element construction and arithmetic ------------------------------
 
     @property
@@ -571,64 +513,68 @@ class CoxeterSystem:
         word = tuple(word)
         for s in word:
             self._check_generator(s)
-        found = self._read_table((), word)
-        return Element(self._normalize_word(word) if found is None else found, self)
+        return Element(self._product((), word), self)
 
     def _check_generator(self, s: int) -> None:
         if not isinstance(s, int) or not 0 <= s < self.rank:
             raise ValueError(f"generator index out of range: {s!r}")
 
-    def _table_if_built(self) -> Optional[_ElementTable]:
-        return self._cache.get("table")
+    def _table(self, radius: Optional[int] = None) -> _ElementTable:
+        """The cached element table, rebuilt if it misses the ball of this radius.
 
-    def _read_table(self, start: Word, word: Sequence[int]) -> Optional[Word]:
-        """Canonical word of start*word from the built table.
-
-        None if no table is built or the walk leaves it; callers then fall
-        back to :meth:`_normalize_word`.
+        ``None`` asks for the whole group.
         """
-        table = self._table_if_built()
-        if table is None:
-            return None
-        ident = table.index.get(start)
-        if ident is None:
-            return None
-        for s in word:
-            ident = table.rmult[s][ident]
-            if ident is None:
-                return None
-        return table.words[ident]
-
-    def _table(self, max_length: Optional[int] = None) -> _ElementTable:
-        """The cached element table: full group if finite, else a ball."""
         table = self._cache.get("table")
         if table is not None and (
-            table.complete
-            or (max_length is not None and table.max_length is not None
-                and table.max_length >= max_length)
+            table.complete or (radius is not None and radius <= table.max_length)
         ):
             return table
-        if max_length is None and not self.is_finite:
+        if radius is None and not self.is_finite:
             raise EnumerationError(
                 "the group is infinite: enumeration requires an explicit max_length"
             )
-        table = _ElementTable(self, max_length if not self.is_finite else None)
-        self._cache["table"] = table
+        table = self._cache["table"] = _ElementTable(self, radius)
         return table
+
+    def _walk(
+        self, start: Word, letters: Sequence[int], left: bool = False
+    ) -> Tuple[_ElementTable, int]:
+        """The table and the id of start*letters, for a canonical word start.
+
+        With ``left`` each letter multiplies on the left in turn, which gives
+        letters[::-1]*start.  A step out of the ball regrows it to the
+        current length plus the letters left, a radius the rest of the walk
+        cannot pass.  Ids follow (length, word), so they survive regrowth.
+        """
+        table = self._cache.get("table")
+        ident = None if table is None else table.index.get(start)
+        if ident is None:
+            table = self._table(len(start) + len(letters))
+            ident = table.index[start]
+        rows = table.lmult if left else table.rmult
+        for done, s in enumerate(letters):
+            step = rows[s][ident]
+            if step is None:
+                table = self._table(len(table.words[ident]) + len(letters) - done)
+                rows = table.lmult if left else table.rmult
+                step = rows[s][ident]
+            ident = step
+        return table, ident
+
+    def _product(self, start: Word, letters: Sequence[int], left: bool = False) -> Word:
+        """Canonical word of start*letters (of letters[::-1]*start with ``left``)."""
+        table, ident = self._walk(start, letters, left)
+        return table.words[ident]
 
     def mult(self, x: Element, y: Element) -> Element:
         self._check_same(x.system)
         self._check_same(y.system)
-        found = self._read_table(x.word, y.word)
-        return Element(self._normalize_word(x.word + y.word) if found is None else found, self)
+        return Element(self._product(x.word, y.word), self)
 
     def inverse(self, x: Element) -> Element:
         self._check_same(x.system)
-        table = self._table_if_built()
-        ident = None if table is None else table.index.get(x.word)
-        if ident is not None:
-            return Element(table.words[table.inverse[ident]], self)
-        return Element(self._normalize_word(tuple(reversed(x.word))), self)
+        table, ident = self._walk(x.word, ())
+        return Element(table.words[table.inverse[ident]], self)
 
     def length(self, x: Element) -> int:
         self._check_same(x.system)
@@ -643,19 +589,12 @@ class CoxeterSystem:
         return self._descents(x, left=False)
 
     def _descents(self, x: Element, left: bool) -> FrozenSet[int]:
-        table = self._table_if_built()
-        ident = None if table is None else table.index.get(x.word)
-        if ident is not None:
-            # ids grow with length, and a ball holds every shorter neighbour
-            # of its elements, so a neighbour missing from the table is longer
-            rows = table.lmult if left else table.rmult
-            return frozenset(
-                s for s, row in enumerate(rows) if row[ident] is not None and row[ident] < ident
-            )
+        # ids grow with length, and a ball holds every shorter neighbour of
+        # its elements, so a neighbour missing from the table is longer
+        table, ident = self._walk(x.word, ())
+        rows = table.lmult if left else table.rmult
         return frozenset(
-            s
-            for s in range(self.rank)
-            if len(self._normalize_word((s,) + x.word if left else x.word + (s,))) < len(x.word)
+            s for s, row in enumerate(rows) if row[ident] is not None and row[ident] < ident
         )
 
     # -- Bruhat order -----------------------------------------------------
@@ -665,7 +604,7 @@ class CoxeterSystem:
         self._check_same(x.system)
         self._check_same(z.system)
         # a ball of radius l(z) holds z's whole lower ideal
-        table = self._table(None if self.is_finite else len(z.word))
+        table = self._table(len(z.word))
         xi = table.index.get(x.word)
         if xi is None:
             return False
@@ -802,13 +741,6 @@ class CoxeterSystem:
 
     def __repr__(self) -> str:
         return f"CoxeterSystem(matrix={self.matrix!r}, weights={self.weights!r})"
-
-
-def _delete_adjacent_pair(word: Word) -> Optional[Word]:
-    for i in range(len(word) - 1):
-        if word[i] == word[i + 1]:
-            return word[:i] + word[i + 2:]
-    return None
 
 
 def _component_is_finite(system: CoxeterSystem, comp: List[int]) -> bool:

@@ -33,7 +33,6 @@ computes mu-data along a flag of subgroups with independently computable
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
@@ -957,12 +956,3 @@ def e_fix_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
     expected = tuple(1 if i == 0 else 0 for i in range(n))
     report.require(column == expected, "E_J does not fix the generating vector")
     return report
-
-
-def default_jobs() -> int:
-    """Worker count from the HY_JOBS environment variable (default 1)."""
-    raw = os.environ.get("HY_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1

@@ -86,19 +86,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
-    def is_one(self) -> bool:
-        return self._coeffs == {0: 1}
-
-    def min_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no support")
-        return min(self._coeffs)
-
-    def max_exp(self) -> int:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no support")
-        return max(self._coeffs)
-
     # -- ring structure -----------------------------------------------
 
     def __add__(self, other) -> "LaurentPoly":
@@ -199,9 +186,6 @@ class LaurentPoly:
     def neg_part(self) -> "LaurentPoly":
         return self.split()[0]
 
-    def zero_part(self) -> "LaurentPoly":
-        return LaurentPoly({0: self._coeffs.get(0, 0)})
-
     def pos_part(self) -> "LaurentPoly":
         return self.split()[2]
 
@@ -230,9 +214,6 @@ class LaurentPoly:
             text += f" {sign} {body}"
         return text
 
-
-ZERO = LaurentPoly.zero()
-ONE = LaurentPoly.one()
 
 
 def v(exponent: int = 1, coeff: Scalar = 1) -> LaurentPoly:

@@ -40,10 +40,6 @@ def imat_is_zero(a: IMat) -> bool:
     return all(all(x == 0 for x in row) for row in a)
 
 
-def imat_add(a: IMat, b: IMat) -> IMat:
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
 def imat_mul(a: IMat, b: IMat) -> IMat:
     n, k = len(a), len(b)
     m = len(b[0]) if k else 0
@@ -130,9 +126,6 @@ class LMat:
     def __getitem__(self, key) -> LaurentPoly:
         i, j = key
         return self.rows[i][j]
-
-    def column(self, j: int) -> Tuple[LaurentPoly, ...]:
-        return tuple(row[j] for row in self.rows)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LMat":
         out = LMat.__new__(LMat)

@@ -18,9 +18,6 @@ class Report:
     def ok(self) -> bool:
         return not self.failures
 
-    def count(self, n: int = 1) -> None:
-        self.checks += n
-
     def fail(self, message: str) -> None:
         self.failures.append(message)
 

@@ -1,15 +1,17 @@
 """Independent oracles for the test suite.
 
 Everything here is deliberately computed WITHOUT the package's recursion
-machinery: concrete matrix/permutation models for the small groups, a
-brute-force subword test for the Bruhat order, the textbook two-step
-Kazhdan-Lusztig recursion (R-polynomials, then P-polynomials, in the
-variable q), and a span-closure construction of cells.
+machinery: concrete matrix/permutation models for the small groups, Tits
+rewriting for the word problem, a brute-force subword test for the Bruhat
+order, the textbook two-step Kazhdan-Lusztig recursion (R-polynomials,
+then P-polynomials, in the variable q), and a span-closure construction of
+cells.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from typing import Callable, Dict, Iterable, List, Tuple
 
 # -- model groups --------------------------------------------------------------
@@ -110,6 +112,72 @@ def eval_word(word: Iterable[int], generators: List, mult: Callable, identity):
     return out
 
 
+# -- the word problem by Tits rewriting ------------------------------------------
+
+
+def normalize_word(system, word: Iterable[int]) -> tuple:
+    """Canonical (ShortLex-minimal reduced) form of a word, by Tits rewriting.
+
+    Delete adjacent equal letters, and search the braid-move closure of the
+    word for a new deletion; if none exists the word is reduced and the
+    closure holds every reduced word of the element.  Only the Coxeter
+    matrix of ``system`` is read.
+    """
+    current = tuple(word)
+    while True:
+        deleted = _delete_adjacent_pair(current)
+        if deleted is not None:
+            current = deleted
+            continue
+        closure = _braid_closure(system.matrix, current)
+        if isinstance(closure, tuple):  # found a deletion inside the closure
+            current = closure
+            continue
+        return min(closure)
+
+
+def _braid_closure(matrix, word: tuple):
+    """The braid-move closure of ``word`` (a set), or a shorter word found in it."""
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        w = queue.popleft()
+        for neighbour in _braid_neighbours(matrix, w):
+            if neighbour in seen:
+                continue
+            deleted = _delete_adjacent_pair(neighbour)
+            if deleted is not None:
+                return deleted
+            seen.add(neighbour)
+            queue.append(neighbour)
+    return seen
+
+
+def _braid_neighbours(matrix, word: tuple):
+    n = len(word)
+    for i in range(n - 1):
+        s, t = word[i], word[i + 1]
+        if s == t:
+            continue
+        m = matrix[s][t]
+        if m == 0 or i + m > n:  # 0 encodes an infinite bond
+            continue
+        ok = True
+        for j in range(2, m):
+            if word[i + j] != (s if j % 2 == 0 else t):
+                ok = False
+                break
+        if ok:
+            yield word[:i] + tuple(t if j % 2 == 0 else s for j in range(m)) + word[i + m:]
+
+
+def _delete_adjacent_pair(word: tuple):
+    for i in range(len(word) - 1):
+        if word[i] == word[i + 1]:
+            return word[:i] + word[i + 2:]
+    return None
+
+
 # -- Bruhat order by brute force -------------------------------------------------
 
 
@@ -120,7 +188,7 @@ def bruhat_leq_subword(system, x, z) -> bool:
     zw = z.word
     for positions in itertools.combinations(range(len(zw)), x.length):
         candidate = tuple(zw[i] for i in positions)
-        if system._normalize_word(candidate) == x.word:
+        if normalize_word(system, candidate) == x.word:
             return True
     return False
 

@@ -1,13 +1,13 @@
 import pytest
 
 from wgraphs.canon import (
+    BlockTable,
     CanonicalisationError,
     canonicalise_shadow,
     check_rho,
     iota_expand,
     pi_recursion,
     rho_table,
-    RhoTable,
 )
 from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat
@@ -169,7 +169,7 @@ class TestPiRecursion:
                 key: mat for key, mat in rho.entries.items()
                 if key[0] in ideal and key[1] in ideal
             }
-            sub_rho = RhoTable(a2, rho.gens, rho.ambient, module, tuple(ideal), sub_entries)
+            sub_rho = BlockTable(a2, rho.gens, rho.ambient, module, tuple(ideal), sub_entries)
             sub_pi = pi_recursion(sub_rho)
             expected = {
                 key: mat for key, mat in full.entries.items()
@@ -184,7 +184,7 @@ class TestPiRecursion:
         broken = dict(rho.entries)
         s = a2.generator(0)
         broken[(a2.identity, s)] = LMat([[v(1)]])  # not antisymmetric
-        bad = RhoTable(a2, rho.gens, rho.ambient, module, rho.reps, broken)
+        bad = BlockTable(a2, rho.gens, rho.ambient, module, rho.reps, broken)
         with pytest.raises(CanonicalisationError):
             pi_recursion(bad)
 

@@ -47,14 +47,6 @@ class TestTable:
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
-    def test_hy_jobs_env(self, monkeypatch):
-        from wgraphs.hy import default_jobs
-
-        monkeypatch.setenv("HY_JOBS", "3")
-        assert default_jobs() == 3
-        monkeypatch.setenv("HY_JOBS", "junk")
-        assert default_jobs() == 1
-
     def test_stdout_default(self, capsys, a2_path):
         assert run(["table", "--system", a2_path, "--module", "regular"]) == 0
         data = json.loads(capsys.readouterr().out)

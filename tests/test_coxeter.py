@@ -9,7 +9,7 @@ from wgraphs.coxeter import (
     MixedSystemsError,
 )
 
-from oracles import bruhat_leq_subword, enumerate_model, eval_word, model_for
+from oracles import bruhat_leq_subword, enumerate_model, eval_word, model_for, normalize_word
 
 
 def _path(*labels):
@@ -19,6 +19,22 @@ def _path(*labels):
     for s, m in enumerate(labels):
         matrix[s][s + 1] = matrix[s + 1][s] = m
     return matrix
+
+
+AFFINE_A2 = ((1, 3, 3), (3, 1, 3), (3, 3, 1))
+
+
+def _radius(system):
+    """Radius of the system's cached element table."""
+    return system._cache["table"].max_length
+
+
+def _descents_by_rewriting(system, word):
+    """(left, right) descent sets of a reduced word, from Tits rewriting."""
+    return tuple(
+        {s for s in range(system.rank) if len(normalize_word(system, side(s, word))) < len(word)}
+        for side in (lambda s, w: (s,) + w, lambda s, w: w + (s,))
+    )
 
 
 def _d(n):
@@ -85,7 +101,7 @@ class TestNormalize:
 
 
 class TestRootEnumeration:
-    """The root-image element table against Tits rewriting, entry by entry."""
+    """The root-image element table against the Tits rewriting oracle, entry by entry."""
 
     @pytest.mark.parametrize(
         "matrix, weights, radius, size",
@@ -110,11 +126,11 @@ class TestRootEnumeration:
         assert [(len(w), w) for w in words] == sorted((len(w), w) for w in words)
         assert all(table.index[w] == i for i, w in enumerate(words))
         for i, word in enumerate(words):
-            assert words[table.inverse[i]] == system._normalize_word(tuple(reversed(word)))
+            assert words[table.inverse[i]] == normalize_word(system, tuple(reversed(word)))
             for s in range(system.rank):
                 for got, expected in (
-                    (table.rmult[s][i], system._normalize_word(word + (s,))),
-                    (table.lmult[s][i], system._normalize_word((s,) + word)),
+                    (table.rmult[s][i], normalize_word(system, word + (s,))),
+                    (table.lmult[s][i], normalize_word(system, (s,) + word)),
                 ):
                     if got is None:
                         assert radius is not None and len(expected) > radius
@@ -142,21 +158,15 @@ class TestRootEnumeration:
             assert all(row[row[i]] == i != row[i] for i in range(order))
 
 
-class TestTitsFallback:
-    """Words that miss the element table are normalised by Tits rewriting."""
+class TestBallGrowth:
+    """Word queries grow the element table on demand and match Tits rewriting.
+
+    A walk that steps out of the ball regrows it to the current length plus
+    the letters left; the same words come from a fresh system, from a small
+    ball that grows and from a large ball.
+    """
 
     WORDS = [(0, 0), (1, 0, 1), (0, 1, 2, 1, 0, 2), (2, 1, 0, 1, 2, 1), (0, 1, 2, 0, 1, 2, 0)]
-
-    def _counting(self, monkeypatch):
-        calls = []
-        original = CoxeterSystem._normalize_word
-
-        def counted(system, word):
-            calls.append(word)
-            return original(system, word)
-
-        monkeypatch.setattr(CoxeterSystem, "_normalize_word", counted)
-        return calls
 
     def _queries(self, system):
         out = []
@@ -166,41 +176,90 @@ class TestTitsFallback:
                         system.mult(y, x).word))
         return out
 
-    def test_fresh_system_without_table(self, monkeypatch):
+    def _rewritten(self, system):
+        out = []
+        for before, word in zip(self.WORDS[-1:] + self.WORDS, self.WORDS):
+            x, y = normalize_word(system, word), normalize_word(system, before)
+            out.append((x, normalize_word(system, x[::-1]), normalize_word(system, x + y),
+                        normalize_word(system, y + x)))
+        return out
+
+    def test_fresh_system(self):
         built = CoxeterSystem(_path(3, 3))
         built.elements()
-        calls = self._counting(monkeypatch)
-        from_table = self._queries(built)
-        assert calls == []
         fresh = CoxeterSystem(_path(3, 3))
-        assert self._queries(fresh) == from_table
-        assert calls and fresh._table_if_built() is None
+        assert self._queries(fresh) == self._queries(built) == self._rewritten(built)
 
-    def test_infinite_words_leave_the_ball(self, monkeypatch):
-        matrix = ((1, 3, 3), (3, 1, 3), (3, 3, 1))
-        large = CoxeterSystem(matrix)
+    def test_small_ball_grows(self):
+        large = CoxeterSystem(AFFINE_A2)
         large.elements(max_length=14)  # holds every product of two WORDS
-        small = CoxeterSystem(matrix)
+        small = CoxeterSystem(AFFINE_A2)
         small.elements(max_length=3)
-        calls = self._counting(monkeypatch)
-        from_table = self._queries(large)
-        assert calls == []
-        assert self._queries(small) == from_table
-        assert any(len(word) > 3 for word in calls)
-        assert small._table_if_built().max_length == 3
+        assert self._queries(small) == self._queries(large) == self._rewritten(large)
+        assert _radius(large) == 14 and 3 < _radius(small) <= 14
 
-    def test_descents_on_the_ball_boundary(self, monkeypatch):
-        # a neighbour missing from the ball is longer: no rewriting needed
-        system = CoxeterSystem(((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+    def test_growth_radius(self):
+        fresh = CoxeterSystem(AFFINE_A2)
+        assert fresh.element((0, 1, 0, 2)).word == (0, 1, 0, 2) and _radius(fresh) == 4
+        system = CoxeterSystem(AFFINE_A2)
+        system.elements(max_length=3)
+        x, y = system.element((0, 1, 2)), system.element((0, 1))
+        assert _radius(system) == 3
+        # the walk leaves the ball at length 3 with two letters left
+        assert system.mult(x, y).word == normalize_word(system, (0, 1, 2, 0, 1))
+        assert _radius(system) == 5
+
+    def test_descents_on_the_ball_boundary(self):
+        # a neighbour missing from the ball is longer: the ball need not grow
+        system = CoxeterSystem(AFFINE_A2)
         ball = system.elements(max_length=3)
-        expected = [
-            {s for s in range(3) if len(system._normalize_word(side(s, x.word))) < x.length}
-            for x in ball
-            for side in (lambda s, w: (s,) + w, lambda s, w: w + (s,))
-        ]
-        calls = self._counting(monkeypatch)
-        got = [d for x in ball for d in (x.left_descents(), x.right_descents())]
-        assert got == expected and calls == []
+        expected = [_descents_by_rewriting(system, x.word) for x in ball]
+        assert [(x.left_descents(), x.right_descents()) for x in ball] == expected
+        assert _radius(system) == 3
+
+    def test_e8_without_whole_group(self):
+        # E8 has 696,729,600 elements; its ball of radius 8 has 9,866
+        matrix = [[1 if s == t else 2 for t in range(8)] for s in range(8)]
+        for s, t in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:  # Bourbaki
+            matrix[s][t] = matrix[t][s] = 3
+        system = CoxeterSystem(matrix)
+        assert len(CoxeterSystem(matrix).elements(max_length=8)) == 9866
+        word = (0, 2, 3, 1, 4, 3, 5, 6)
+        w = system.element(word)
+        assert w.word == normalize_word(system, word) and w.length == 8
+        assert system.inverse(w).word == normalize_word(system, word[::-1])
+        assert (w.left_descents(), w.right_descents()) == _descents_by_rewriting(system, w.word)
+        J = frozenset(range(8)) - w.right_descents()
+        for s in range(8):
+            sw = normalize_word(system, (s,) + w.word)
+            assert system.mult(system.generator(s), w).word == sw
+            # Deodhar: sw < w, or sw = wt with t in J, or sw is a coset rep
+            conj = [t for t in sorted(J) if normalize_word(system, w.word + (t,)) == sw]
+            expected = "minus" if len(sw) < w.length else "zero" if conj else "plus"
+            got = system.deodhar_class(J, s, w)
+            assert (got.tag, got.conj) == (expected, conj[0] if conj else None)
+        below = {normalize_word(system, sub) for k in range(9)
+                 for sub in itertools.combinations(w.word, k)}
+        pairs = {normalize_word(system, pair) for pair in itertools.product(range(8), repeat=2)}
+        for xw in sorted(below | pairs):
+            x = system.element(xw)
+            assert system.bruhat_leq(x, w) == bruhat_leq_subword(system, x, w) == (xw in below)
+        table = system._cache["table"]
+        assert not table.complete and len(table.words) < 10 ** 5
+
+    def test_deodhar_on_the_ball_edge(self):
+        small, large = CoxeterSystem(AFFINE_A2), CoxeterSystem(AFFINE_A2)
+        ball = small.elements(max_length=8)
+        large.elements(max_length=12)
+        subsets = [frozenset(J) for k in range(4) for J in itertools.combinations(range(3), k)]
+        for x in ball:
+            y = large.element(x.word)
+            for J in subsets:
+                if x.right_descents() & J:
+                    continue
+                for s in range(3):
+                    assert small.deodhar_class(J, s, x) == large.deodhar_class(J, s, y)
+        assert _radius(small) == 9 and _radius(large) == 12
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "b3", "i2_5"])
@@ -309,22 +368,26 @@ class TestBruhat:
         for x in b2.elements():
             for z in b2.elements():
                 fresh = CoxeterSystem(b2.matrix)
-                assert fresh._table_if_built() is None
+                assert "table" not in fresh._cache
                 got = fresh.bruhat_leq(fresh.element(x.word), fresh.element(z.word))
                 assert got == bruhat_leq_subword(b2, x, z)
 
     def test_infinite_ball_grows_for_longer_z(self):
-        system = CoxeterSystem(((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+        system = CoxeterSystem(AFFINE_A2)
         small = system.elements(max_length=3)
-        xs = [system.element(x.word) for x in CoxeterSystem(system.matrix).elements(max_length=6)]
+        # elements of an equal system leave this system's table alone
+        other = CoxeterSystem(AFFINE_A2)
+        xs = other.elements(max_length=6)
         z3 = system.element((0, 1, 2))
-        z5 = system.element((0, 1, 2, 0, 1))
+        z5 = other.element((0, 1, 2, 0, 1))
         assert (z3.length, z5.length) == (3, 5)
         before = [system.bruhat_leq(x, z3) for x in small]
-        assert system._table_if_built().max_length == 3
+        assert _radius(system) == 3
         for x in xs:
             assert system.bruhat_leq(x, z5) == bruhat_leq_subword(system, x, z5)
-        assert system._table_if_built().max_length == 5
+        assert _radius(system) == 5
+        # a walk to z5 stays inside the grown ball
+        assert system.element(z5.word) == z5 and _radius(system) == 5
         assert before == [system.bruhat_leq(x, z3) for x in small]
         assert before == [bruhat_leq_subword(system, x, z3) for x in small]
 
