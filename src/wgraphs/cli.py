@@ -2,7 +2,7 @@
 
 Subcommands
     table    compute the p/mu table (or, with --flag, the mu-table via the
-             staged algorithm) and write it as JSON
+             flag algorithm) and write it as JSON
     induce   compute the induced W-graph and write JSON and/or DOT
     cells    partition a W-graph into left cells
     verify   run one of the exact check suites; exit 0 iff it passes
@@ -14,9 +14,9 @@ and ending at the full generator set.  Modules are the builtin names
 ``sign``, ``trivial`` or ``regular`` (the rank-1 module over the empty
 subset), or a path to a module/W-graph JSON file.
 
-Outputs are byte-stable: rerunning a command with the same inputs (and
-any worker count) writes identical files.  Exit codes: 0 success, 1 a
-verification failed, 2 usage or input errors.
+Outputs are byte-stable: rerunning a command with the same inputs writes
+identical files.  Exit codes: 0 success, 1 a verification failed, 2 usage
+or input errors.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def cmd_table(args) -> int:
             for chunk in text.split(";"):
                 levels.append(parse_gens(system, chunk, "--flag"))
         levels.append(system.generator_set)
-        mu = hy.mu_inductive(levels, module, jobs=args.jobs)
+        mu = hy.mu_inductive(levels, module)
         payload = formats.mu_to_json(system, J, mu)
     else:
         table = hy.p_mu_table(J, module, max_length=args.max_length)
@@ -215,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_table)
     p_table.add_argument("--out", help="output JSON path (default stdout)")
     p_table.add_argument("--flag", help="intermediate flag subsets, e.g. '1;1,2'")
-    p_table.add_argument("--jobs", type=int, default=1,
-                         help="worker count for --flag (default 1)")
     p_table.add_argument("--max-length", type=int, default=None,
                          help="length cutoff for infinite groups")
     p_table.set_defaults(func=cmd_table)

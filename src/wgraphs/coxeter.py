@@ -389,8 +389,7 @@ class CoxeterSystem:
     weight function on the group).
 
     Systems are immutable after construction; the internal enumeration
-    caches grow on demand and never change an answer, so a system and its
-    elements may be shared freely across worker processes.
+    caches grow on demand and never change an answer.
     """
 
     __slots__ = ("matrix", "weights", "_cache")
@@ -542,20 +541,23 @@ class CoxeterSystem:
         """The table and the id of start*letters, for a canonical word start.
 
         With ``left`` each letter multiplies on the left in turn, which gives
-        letters[::-1]*start.  A step out of the ball regrows it to the
-        current length plus the letters left, a radius the rest of the walk
-        cannot pass.  Ids follow (length, word), so they survive regrowth.
+        letters[::-1]*start.  A step out of the ball at length c with k
+        letters left regrows it to radius c + min(k, max(1, c)): at most
+        doubling, so a word that cancels does not build the ball its letter
+        count would reach.  Ids follow (length, word), so they survive
+        regrowth.
         """
         table = self._cache.get("table")
         ident = None if table is None else table.index.get(start)
         if ident is None:
-            table = self._table(len(start) + len(letters))
+            table = self._table(len(start))
             ident = table.index[start]
         rows = table.lmult if left else table.rmult
         for done, s in enumerate(letters):
             step = rows[s][ident]
             if step is None:
-                table = self._table(len(table.words[ident]) + len(letters) - done)
+                c, k = len(table.words[ident]), len(letters) - done
+                table = self._table(c + min(k, max(1, c)))
                 rows = table.lmult if left else table.rmult
                 step = rows[s][ident]
             ident = step

@@ -324,18 +324,9 @@ def table_to_json(table) -> dict:
             for key, gammas in table.mu.items()
         }
         return {"J": gens_to_json(table.gens), "p": p_part, "mu": mu_part}
-    p_part = {
-        f"{x}|{z}": lmat_to_json(mat) for (x, z), mat in table.p.items()
-    }
-    mu_part = {}
-    for (x, z, s), mat in table.mu.items():
-        entry = {}
-        for g in range(table.system.weight(s)):
-            coeffs = mat.coeff(g)
-            if any(any(row) for row in coeffs):
-                entry[str(g)] = imat_to_json(coeffs)
-        mu_part[f"{x}|{z}|{s + 1}"] = entry
-    return {"J": gens_to_json(table.gens), "p": p_part, "mu": mu_part}
+    out = mu_to_json(table.system, table.gens, table.mu)
+    out["p"] = {f"{x}|{z}": lmat_to_json(mat) for (x, z), mat in table.p.items()}
+    return out
 
 
 def mu_to_json(system: CoxeterSystem, gens: FrozenSet[int], mu: Mapping) -> dict:

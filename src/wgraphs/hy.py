@@ -27,13 +27,12 @@ pairs of canonical words, so results are deterministic.
 :func:`transitivity_check`, :func:`mackey_check` and
 :func:`mu_factorize_check` verify the structural identities relating
 inductions along chains of parabolic subgroups, and :func:`mu_inductive`
-computes mu-data along a flag of subgroups with independently computable
-(and therefore parallelisable) stages.
+computes mu-data along a flag of subgroups, one level at a time, by
+inducing transitively.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -48,7 +47,7 @@ from .coxeter import (
 from .laurent import LaurentPoly
 from .matrix import LMat
 from .report import Report
-from .wgraph import OmegaModule, conjugate_module
+from .wgraph import OmegaModule
 
 
 class RecursionInvariantError(RuntimeError):
@@ -591,7 +590,7 @@ def mackey_check(
                 )
 
         # subquotient at exactly d vs induction of the conjugated module
-        conj = conjugate_module(d, module, K)
+        conj = module.conjugate(d, K)
         inner_table = p_mu_table(conj.gens, conj, ambient=K)
         compare = induce(conj.gens, conj, inner_table)
         direct_index = {w: i for i, w in enumerate(reps)}
@@ -621,31 +620,6 @@ def mackey_check(
                     f"subquotient at d={d}: X_({s+1},{g}) mismatch",
                 )
     return report
-
-
-def mackey_head_start(
-    d: Element,
-    K: Iterable[int],
-    J: Iterable[int],
-    inner_table: PMuTable,
-) -> Dict[Tuple[Element, Element, int], LMat]:
-    """Predict mu-entries for pairs of the form (yd, wd) from inner data.
-
-    ``inner_table`` must be computed over the subset K n dJd^-1 inside
-    W_K on the conjugated module; its mu-matrices transported along
-    (y, w) -> (yd, wd) agree with the corresponding entries of the direct
-    table, and may be used to seed the main recursion.  Pairs not of this
-    shape are left unassigned.
-    """
-    system = inner_table.system
-    K = system._subset(K)
-    J = system._subset(J)
-    out: Dict[Tuple[Element, Element, int], LMat] = {}
-    for (y, w, s), mat in inner_table.mu.items():
-        yd = system.mult(y, d)
-        wd = system.mult(w, d)
-        out[(yd, wd, s)] = mat
-    return out
 
 
 # -- the mu factorization corollary ---------------------------------------------
@@ -725,52 +699,6 @@ def mu_factorize_check(
 # -- the flag algorithm -----------------------------------------------------------
 
 
-def _level_mu_data(
-    matrix: tuple,
-    weights: tuple,
-    j_set: tuple,
-    k_prev: tuple,
-    k_cur: tuple,
-    module_data: tuple,
-) -> dict:
-    """Worker payload: mu-table of one flag level, as plain picklable data.
-
-    Builds the induction of the base module up to the previous flag level
-    from scratch (so levels are independent of each other) and then runs
-    the direct recursion from the previous to the current level on it.
-    """
-    system = CoxeterSystem(matrix, weights)
-    gens, rank, e_data, x_data = module_data
-    module = OmegaModule(
-        system,
-        frozenset(gens),
-        rank,
-        {s: m for s, m in e_data},
-        {key: m for key, m in x_data},
-    )
-    j_set = frozenset(j_set)
-    k_prev = frozenset(k_prev)
-    k_cur = frozenset(k_cur)
-    if k_prev == j_set:
-        inner = module
-    else:
-        inner_table = p_mu_table(j_set, module, ambient=k_prev)
-        inner = induce(j_set, module, inner_table)
-    level = p_mu_table(k_prev, inner, ambient=k_cur)
-    return {
-        (x.word, z.word, s): mat.rows for (x, z, s), mat in level.mu.items()
-    }
-
-
-def _module_plain_data(module: OmegaModule) -> tuple:
-    return (
-        tuple(sorted(module.gens)),
-        module.rank,
-        tuple(sorted(module.e.items())),
-        tuple(sorted(module.x.items())),
-    )
-
-
 def mu_inductive(
     flag: Sequence[Iterable[int]],
     module: OmegaModule,
@@ -778,14 +706,17 @@ def mu_inductive(
 ) -> Dict[Tuple[Element, Element, int], LMat]:
     """Compute all mu-blocks for (J, S) along a flag J = K_0 < ... < K_n = S.
 
-    Stage one computes, independently per level i, the mu-table from
-    K_{i-1} to K_i acting on the induction of the module up to K_{i-1}
-    (with ``jobs`` > 1 these run in worker processes).  Stage two stitches
-    the levels together: an entry at (uv, xy) is zero unless the W_K-parts
-    satisfy u <= x, is an inner entry (for the conjugated generator) when
-    u = x, and is a block of the level matrix when u < x.  The output is
-    identical to the mu-part of :func:`p_mu_table` and independent of
-    ``jobs``.
+    Level i runs the direct recursion from K_{i-1} to K_i once, on the
+    module induced from J up to K_{i-1}, and stitches its blocks with the
+    mu-blocks of J inside K_{i-1}: an entry at (uv, xy) is zero unless the
+    W_K-parts satisfy u <= x, is an inner entry (for the conjugated
+    generator) when u = x, and is a block of the level matrix when u < x.
+    Induction is transitive, so the module for the next level is induced
+    from the stitched blocks and no level recomputes a lower table.  The
+    output is identical to the mu-part of :func:`p_mu_table`.
+
+    ``jobs`` has no effect; it is accepted for existing callers and goes
+    with the next change to the benchmark.
     """
     system = module.system
     levels = [system._subset(k) for k in flag]
@@ -799,55 +730,16 @@ def mu_inductive(
         if not lower < upper:
             raise ValueError("flag subsets must strictly increase")
     J = levels[0]
-    n_levels = len(levels) - 1
-
-    payloads = [
-        (
-            system.matrix,
-            system.weights,
-            tuple(sorted(J)),
-            tuple(sorted(levels[i - 1])),
-            tuple(sorted(levels[i])),
-            _module_plain_data(module),
-        )
-        for i in range(1, n_levels + 1)
-    ]
-    if jobs > 1 and n_levels > 1:
-        workers = min(jobs, n_levels)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=_fork_context()) as pool:
-            raw_levels = list(pool.map(_level_mu_data, *zip(*payloads)))
-    else:
-        raw_levels = [_level_mu_data(*payload) for payload in payloads]
-
-    level_mu: List[Dict[Tuple[Element, Element, int], LMat]] = []
-    for raw in raw_levels:
-        level_mu.append(
-            {
-                (Element(xw, system), Element(zw, system), s): LMat(rows)
-                for (xw, zw, s), rows in raw.items()
-            }
-        )
-
     r = module.rank
     merged: Dict[Tuple[Element, Element, int], LMat] = {}
-    inner_reps: List[Element] = [system.identity]
-    for i in range(1, n_levels + 1):
-        k_prev, k_cur = levels[i - 1], levels[i]
+    inner, inner_reps = module, [system.identity]
+    for k_prev, k_cur in zip(levels, levels[1:]):
+        level = p_mu_table(k_prev, inner, ambient=k_cur)
         cur_reps = system.min_coset_reps(
             J, K=k_cur if k_cur != system.generator_set else None
         )
         inner_index = {w: pos for pos, w in enumerate(inner_reps)}
         new_mu: Dict[Tuple[Element, Element, int], LMat] = {}
-        dclass_cache: Dict[Tuple[int, Element], DeodharClass] = {}
-
-        def dclass(s: int, w: Element) -> DeodharClass:
-            key = (s, w)
-            got = dclass_cache.get(key)
-            if got is None:
-                got = system.deodhar_class(k_prev, s, w)
-                dclass_cache[key] = got
-            return got
-
         for z in cur_reps:
             x, y = system.factorize(J, k_prev, z)
             yi = inner_index[y]
@@ -857,12 +749,12 @@ def mu_inductive(
                 u, v = system.factorize(J, k_prev, w)
                 for s in sorted(k_cur):
                     if u == x:
-                        cls = dclass(s, x)
+                        cls = level.deodhar(s, x)
                         if cls.tag != DEODHAR_ZERO:
                             continue
                         value = merged.get((v, y, cls.conj))
                     elif u.bruhat_lt(x):
-                        outer = level_mu[i - 1].get((u, x, s))
+                        outer = level.mu.get((u, x, s))
                         if outer is None:
                             continue
                         vi = inner_index[v]
@@ -876,17 +768,11 @@ def mu_inductive(
                     if value is not None:
                         new_mu[(w, z, s)] = value
         merged = new_mu
+        if k_cur != system.generator_set:
+            stitched = PMuTable(system, J, k_cur, module, tuple(cur_reps), {}, merged)
+            inner = induce(J, module, stitched)
         inner_reps = cur_reps
     return merged
-
-
-def _fork_context():
-    import multiprocessing
-
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return multiprocessing.get_context()
 
 
 # -- cross-checks used by the CLI -------------------------------------------------

@@ -137,18 +137,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "LaurentPoly":
-        if n < 0:
-            raise ValueError("negative powers are not defined for general polynomials")
-        result = LaurentPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = LaurentPoly.const(other)
@@ -182,12 +170,6 @@ class LaurentPoly:
         for g, c in self._coeffs.items():
             (neg if g < 0 else pos if g > 0 else zero)[g] = c
         return LaurentPoly(neg), LaurentPoly(zero), LaurentPoly(pos)
-
-    def neg_part(self) -> "LaurentPoly":
-        return self.split()[0]
-
-    def pos_part(self) -> "LaurentPoly":
-        return self.split()[2]
 
     # -- display --------------------------------------------------------
 

@@ -383,16 +383,3 @@ def validate(module: OmegaModule) -> Report:
             )
     return report
 
-
-def restrict_check(module: OmegaModule, J: Iterable[int]) -> OmegaModule:
-    """Restrict to the generators in J and re-validate the sub-data."""
-    restricted = module.restrict(J)
-    report = validate(restricted)
-    if not report.ok:
-        raise ValueError(f"restriction is not a valid module:\n{report}")
-    return restricted
-
-
-def conjugate_module(d: Element, module: OmegaModule, K: Iterable[int]) -> OmegaModule:
-    """Relabel the action along conjugation by a double-coset representative."""
-    return module.conjugate(d, K)

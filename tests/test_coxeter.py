@@ -161,9 +161,9 @@ class TestRootEnumeration:
 class TestBallGrowth:
     """Word queries grow the element table on demand and match Tits rewriting.
 
-    A walk that steps out of the ball regrows it to the current length plus
-    the letters left; the same words come from a fresh system, from a small
-    ball that grows and from a large ball.
+    A walk that steps out of the ball at length c with k letters left
+    regrows it to radius c + min(k, max(1, c)); the same words come from a
+    fresh system, from a small ball that grows and from a large ball.
     """
 
     WORDS = [(0, 0), (1, 0, 1), (0, 1, 2, 1, 0, 2), (2, 1, 0, 1, 2, 1), (0, 1, 2, 0, 1, 2, 0)]
@@ -208,6 +208,13 @@ class TestBallGrowth:
         # the walk leaves the ball at length 3 with two letters left
         assert system.mult(x, y).word == normalize_word(system, (0, 1, 2, 0, 1))
         assert _radius(system) == 5
+
+    def test_cancelling_words_stay_small(self):
+        # (s s)^n is the identity: the ball must not grow with the word
+        for matrix, n in ((_path(5, 4), 12), (AFFINE_A2, 30)):
+            fresh = CoxeterSystem(matrix)
+            assert fresh.element((0, 0) * n).is_identity()
+            assert _radius(fresh) <= 2
 
     def test_descents_on_the_ball_boundary(self):
         # a neighbour missing from the ball is longer: the ball need not grow

@@ -7,7 +7,6 @@ from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, imat_mul
 from wgraphs.wgraph import (
     OmegaModule,
-    conjugate_module,
     sign_module,
     to_wgraph,
     trivial_module,
@@ -19,7 +18,6 @@ from wgraphs.hy import (
     e_fix_check,
     induce,
     mackey_check,
-    mackey_head_start,
     mu_factorize_check,
     mu_inductive,
     oracle_check,
@@ -257,13 +255,23 @@ class TestMackey:
         assert report.ok, str(report)
 
 
+def transport(system, d, inner):
+    """The mu-blocks of ``inner`` moved along (y, w) -> (yd, wd)."""
+    return {
+        (system.mult(y, d), system.mult(w, d), s): mat
+        for (y, w, s), mat in inner.mu.items()
+    }
+
+
 class TestMackeyHeadStart:
+    """Inner mu-blocks over K n dJd^-1, transported along (y, w) -> (yd, wd),
+    are entries of the direct table."""
+
     def test_identity_coset(self, systems):
         a2 = systems["a2"]
         module = sign_module(a2, {0})
         table = p_mu_table({0}, module)
-        predicted = mackey_head_start(a2.identity, a2.generator_set, {0}, table)
-        assert predicted == dict(table.mu)
+        assert transport(a2, a2.identity, table) == dict(table.mu)
 
     def test_nontrivial_cosets_a3(self, systems):
         a3 = systems["a3"]
@@ -272,9 +280,9 @@ class TestMackeyHeadStart:
         direct = p_mu_table(J, module)
         nontrivial = 0
         for d in a3.double_coset_reps(K, J):
-            conj = conjugate_module(d, module, K)
+            conj = module.conjugate(d, K)
             inner = p_mu_table(conj.gens, conj, ambient=K)
-            predicted = mackey_head_start(d, K, J, inner)
+            predicted = transport(a3, d, inner)
             for key, mat in predicted.items():
                 assert direct.mu_at(*key) == mat
             if predicted and not d.is_identity():
@@ -286,15 +294,17 @@ class TestMackeyHeadStart:
         a3 = systems["a3"]
         K, J = frozenset({1, 2}), frozenset({0})
         module = sign_module(a3, J)
+        direct = p_mu_table(J, module)
         d = a3.element((0, 1))
-        conj = conjugate_module(d, module, K)
+        conj = module.conjugate(d, K)
         inner = p_mu_table(conj.gens, conj, ambient=K)
-        predicted = mackey_head_start(d, K, J, inner)
+        predicted = transport(a3, d, inner)
         assert predicted
-        for (x, z, _) in predicted:
+        for (x, z, s), mat in predicted.items():
             w1, a1 = a3.double_coset_decompose(K, J, x)
             w2, a2 = a3.double_coset_decompose(K, J, z)
             assert a1 == d and a2 == d
+            assert direct.mu_at(x, z, s) == mat
 
 
 class TestMuFactorize:
@@ -312,6 +322,28 @@ class TestMuFactorize:
         assert report.ok, str(report)
 
 
+@pytest.fixture()
+def table_calls(monkeypatch):
+    """Record (J, ambient, system) of every p_mu_table call made by the flag
+    loop, and every CoxeterSystem built meanwhile."""
+    import wgraphs.hy as hy
+
+    calls, built = [], []
+    real_table, real_init = hy.p_mu_table, CoxeterSystem.__init__
+
+    def counting_table(J, module, ambient=None, **kwargs):
+        calls.append((frozenset(J), frozenset(ambient), module.system))
+        return real_table(J, module, ambient, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(hy, "p_mu_table", counting_table)
+    monkeypatch.setattr(CoxeterSystem, "__init__", counting_init)
+    return calls, built
+
+
 class TestMuInductive:
     def test_degenerate_flag(self, systems):
         a2 = systems["a2"]
@@ -325,27 +357,50 @@ class TestMuInductive:
         [
             ("a3", [frozenset(), frozenset({0}), frozenset({0, 1}), frozenset({0, 1, 2})]),
             ("b2", [frozenset(), frozenset({0}), frozenset({0, 1})]),
+            ("b2_unequal", [frozenset(), frozenset({1}), frozenset({0, 1})]),
+            ("b3", [frozenset({1}), frozenset({0, 1}), frozenset({0, 1, 2})]),
         ],
     )
     def test_matches_direct(self, systems, name, flag):
-        module = trivial_module(systems[name], frozenset())
-        direct = p_mu_table(frozenset(), module)
+        """Trivial module at J = {}, sign module at a nonempty J."""
+        system = systems[name]
+        builder = sign_module if flag[0] else trivial_module
+        module = builder(system, flag[0])
+        direct = p_mu_table(flag[0], module)
         flagged = mu_inductive(flag, module)
         assert flagged == direct.mu
 
     def test_from_nonempty_j(self, systems):
         a3 = systems["a3"]
         j = frozenset({0})
-        module = sign_module(a3, j)
-        direct = p_mu_table(j, module)
-        flagged = mu_inductive([j, frozenset({0, 1}), a3.generator_set], module)
-        assert flagged == direct.mu
+        flag = [j, frozenset({0, 1}), a3.generator_set]
+        summed = OmegaModule(a3, j, 2, {0: ((1, 0), (0, 0))}, {})  # sign + trivial
+        for module in (sign_module(a3, j), summed):
+            direct = p_mu_table(j, module)
+            assert mu_inductive(flag, module) == direct.mu
 
-    def test_jobs_do_not_change_output(self, systems):
+    def test_one_table_per_level(self, systems, table_calls):
+        b3 = systems["b3"]
+        module = sign_module(b3, {1})
+        flag = [frozenset({1}), frozenset({0, 1}), b3.generator_set]
+        mu_inductive(flag, module)
+        calls, built = table_calls
+        assert calls == [(lower, upper, b3) for lower, upper in zip(flag, flag[1:])]
+        assert all(system is b3 for _, _, system in calls)
+        assert built == []
+
+    def test_jobs_do_not_change_output(self, systems, table_calls):
+        """``jobs`` is accepted and ignored: same blocks, same tables."""
         a3 = systems["a3"]
         module = trivial_module(a3, frozenset())
         flag = [frozenset(), frozenset({0}), frozenset({0, 1}), a3.generator_set]
-        assert mu_inductive(flag, module, jobs=1) == mu_inductive(flag, module, jobs=4)
+        calls, built = table_calls
+        serial = mu_inductive(flag, module, jobs=1)
+        serial_calls = list(calls)
+        calls.clear()
+        assert mu_inductive(flag, module, jobs=4) == serial
+        assert calls == serial_calls and len(calls) == 3
+        assert built == []
 
     def test_bad_flags_rejected(self, systems):
         a2 = systems["a2"]

@@ -5,8 +5,6 @@ from wgraphs.matrix import LMat
 from wgraphs.wgraph import (
     OmegaModule,
     WGraph,
-    conjugate_module,
-    restrict_check,
     sign_module,
     to_module,
     to_wgraph,
@@ -146,7 +144,7 @@ class TestConjugateRestrict:
     def test_identity_conjugation(self, systems):
         a2 = systems["a2"]
         module = sign_module(a2, {0})
-        conj = conjugate_module(a2.identity, module, {0})
+        conj = module.conjugate(a2.identity, {0})
         assert conj == module
 
     def test_cross_conjugation(self, systems):
@@ -154,7 +152,7 @@ class TestConjugateRestrict:
         # d = st maps t back into J = {s}: d^-1 t d = s
         d = a2.element((0, 1))
         module = sign_module(a2, {0})
-        conj = conjugate_module(d, module, {1})
+        conj = module.conjugate(d, {1})
         assert conj.gens == frozenset({1})
         assert conj.e_mat(1) == ((1,),)
         assert validate(conj).ok
@@ -162,19 +160,22 @@ class TestConjugateRestrict:
     def test_conjugate_of_sign_is_sign(self, systems):
         a2 = systems["a2"]
         d = a2.element((0, 1))
-        conj = conjugate_module(d, sign_module(a2, {0}), {1})
+        conj = sign_module(a2, {0}).conjugate(d, {1})
         assert conj == sign_module(a2, {1})
 
     def test_restrict_kl_graph(self, systems):
         module, _ = kl_module(systems["a2"])
-        restricted = restrict_check(module, {0})
+        restricted = module.restrict({0})
         assert restricted.rank == 6 and restricted.gens == frozenset({0})
         assert validate(restricted).ok
+        assert restricted.e_mat(0) == module.e_mat(0)
+        assert restricted.x == {key: mat for key, mat in module.x.items() if key[0] == 0}
 
     def test_restrict_to_empty(self, systems):
         module, _ = kl_module(systems["a2"])
-        bare = restrict_check(module, frozenset())
+        bare = module.restrict(frozenset())
         assert bare.rank == module.rank and bare.gens == frozenset()
+        assert validate(bare).ok and not bare.x
 
     def test_restrict_to_everything_is_identity(self, systems):
         module, _ = kl_module(systems["a2"])
