@@ -164,7 +164,13 @@ def load_poly(path: str) -> LaurentPoly:
 
 
 def lmat_to_json(mat: LMat) -> list:
-    return [[poly_to_json(entry) for entry in row] for row in mat.rows]
+    out: list = [[{} for _ in range(mat.ncols)] for _ in range(mat.nrows)]
+    for g in mat.exponents():
+        for row, coeffs in zip(out, mat.blocks[g]):
+            for entry, c in zip(row, coeffs):
+                if c:
+                    entry[str(g)] = c
+    return out
 
 
 def lmat_from_json(data, path: str) -> LMat:
@@ -333,12 +339,9 @@ def mu_to_json(system: CoxeterSystem, gens: FrozenSet[int], mu: Mapping) -> dict
     """Serialise a bare mu-family keyed by (x, z, s)."""
     mu_part = {}
     for (x, z, s), mat in mu.items():
-        entry = {}
-        for g in range(system.weight(s)):
-            coeffs = mat.coeff(g)
-            if any(any(row) for row in coeffs):
-                entry[str(g)] = imat_to_json(coeffs)
-        mu_part[f"{x}|{z}|{s + 1}"] = entry
+        mu_part[f"{x}|{z}|{s + 1}"] = {
+            str(g): imat_to_json(coeffs) for g, coeffs in mat.blocks.items() if g >= 0
+        }
     return {"J": gens_to_json(gens), "mu": mu_part}
 
 

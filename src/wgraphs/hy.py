@@ -86,9 +86,6 @@ class PMuTable:
             self._dclass[key] = cached
         return cached
 
-    def rep_index(self) -> Dict[Element, int]:
-        return {w: i for i, w in enumerate(self.reps)}
-
     # -- invariants ---------------------------------------------------------
 
     def check_invariants(self) -> Report:
@@ -101,10 +98,8 @@ class PMuTable:
             if x == z:
                 report.require(mat == identity, f"p({x},{z}) is not the identity")
             else:
-                neg, zero, _ = mat.split()
                 report.require(
-                    neg.is_zero() and zero.is_zero(),
-                    f"p({x},{z}) has non-positive support",
+                    all(g > 0 for g in mat.blocks), f"p({x},{z}) has non-positive support"
                 )
         for (x, z, s) in self.mu:
             cz, cx = self.deodhar(s, z), self.deodhar(s, x)
@@ -124,13 +119,13 @@ class PMuTable:
             )
             cx = self.deodhar(s, x)
             if cx.tag == DEODHAR_ZERO:
-                e_mat = LMat.from_imat(self.module.e_mat(cx.conj))
+                e_mat = LMat.from_coeffs(mat.shape, {0: self.module.e_mat(cx.conj)})
                 report.require(
                     e_mat @ mat == mat, f"E-fixing fails for mu({x},{z},s={s+1})"
                 )
             cz = self.deodhar(s, z)
             if cz.tag == DEODHAR_ZERO:
-                e_mat = LMat.from_imat(self.module.e_mat(cz.conj))
+                e_mat = LMat.from_coeffs(mat.shape, {0: self.module.e_mat(cz.conj)})
                 report.require(
                     (mat @ e_mat).is_zero(), f"E-killing fails for mu({x},{z},s={s+1})"
                 )
@@ -381,9 +376,9 @@ def induce(
                 mu = table.mu.get((x, z, s))
                 if mu is not None:
                     xi = index[x]
-                    for g in range(ls):
-                        coeffs = mu.coeff(g)
-                        put_block(x_mats[g], xi, zi, coeffs)
+                    for g, coeffs in mu.blocks.items():
+                        if g >= 0:
+                            put_block(x_mats[g], xi, zi, coeffs)
         e_out[s] = tuple(tuple(row) for row in e_mat)
         for g, mat in x_mats.items():
             x_out[(s, g)] = tuple(tuple(row) for row in mat)
@@ -739,14 +734,15 @@ def mu_inductive(
             J, K=k_cur if k_cur != system.generator_set else None
         )
         inner_index = {w: pos for pos, w in enumerate(inner_reps)}
+        parts = {w: system.factorize(J, k_prev, w) for w in cur_reps}
         new_mu: Dict[Tuple[Element, Element, int], LMat] = {}
         for z in cur_reps:
-            x, y = system.factorize(J, k_prev, z)
+            x, y = parts[z]
             yi = inner_index[y]
             for w in cur_reps:
                 if not w.bruhat_lt(z):
                     continue
-                u, v = system.factorize(J, k_prev, w)
+                u, v = parts[w]
                 for s in sorted(k_cur):
                     if u == x:
                         cls = level.deodhar(s, x)
@@ -819,7 +815,6 @@ def e_fix_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
     outside J must fix the basis vector at the identity representative
     exactly.
     """
-    from .matrix import imat_identity, imat_mul
     from .wgraph import sign_module
 
     J = system._subset(J)
@@ -828,17 +823,12 @@ def e_fix_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
     table = p_mu_table(J, module)
     induced = induce(J, module, table)
     n = induced.rank
-    product = imat_identity(n)
+    identity = LMat.identity(n)
+    product = identity
     for s in sorted(system.generator_set):
-        e_s = induced.e_mat(s)
-        if s in J:
-            factor = e_s
-        else:
-            factor = tuple(
-                tuple((1 if i == j else 0) - e_s[i][j] for j in range(n)) for i in range(n)
-            )
-        product = imat_mul(product, factor)
-    column = tuple(product[i][0] for i in range(n))
+        e_s = LMat.from_coeffs((n, n), {0: induced.e_mat(s)})
+        product = product @ (e_s if s in J else identity - e_s)
+    column = tuple(row[0] for row in product.coeff(0))
     expected = tuple(1 if i == 0 else 0 for i in range(n))
     report.require(column == expected, "E_J does not fix the generating vector")
     return report

@@ -145,6 +145,9 @@ class LaurentPoly:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
+        # a constant hashes like the scalar it equals
+        if not self._coeffs.keys() - {0}:
+            return hash(self._coeffs.get(0, 0))
         return hash(frozenset(self._coeffs.items()))
 
     def __bool__(self) -> bool:

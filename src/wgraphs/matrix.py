@@ -1,20 +1,23 @@
-"""Small dense matrices over exact rings.
+"""Small dense matrices over exact rings, and Laurent matrices by exponent.
 
-Two flavours are used throughout the package:
-
-* plain "k-matrices": tuples of tuples of base-ring scalars (the stored
-  edge/idempotent data of a module),
-* :class:`LMat`, matrices over :class:`~wgraphs.laurent.LaurentPoly`
-  (everything the recursions actually multiply).
-
-Ranks stay at desk scale (a few dozen), so the implementation favours
-clarity over asymptotics; products skip zero entries since the matrices
-coming out of W-graphs are sparse.
+An ``IMat`` is a tuple of row tuples of exact scalars (Python ints): the
+stored idempotent and edge data of a module.  A Laurent matrix
+:class:`LMat` is the sum ``sum_g v^g A_g`` stored as its shape and the
+dict ``{g: A_g}`` of IMat coefficient blocks, with no all-zero block.
+The operations the recursions need are then operations on keys: the bar
+involution negates them, the support split partitions them, ``coeff(g)``
+looks one up and scaling by a monomial shifts them.  Sums merge blocks
+exponent by exponent, and products multiply integer blocks for every pair
+of exponents, skipping zero entries since the matrices coming out of
+W-graphs are sparse.  1x1 products, the whole of every regular and
+Kazhdan-Lusztig table, are plain polynomial products on ``{g: c}``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Tuple
+from itertools import repeat
+from operator import add, neg, sub
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .laurent import LaurentPoly
 
@@ -37,203 +40,214 @@ def imat_identity(n: int) -> IMat:
 
 
 def imat_is_zero(a: IMat) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
+    return not any(map(any, a))
 
 
 def imat_mul(a: IMat, b: IMat) -> IMat:
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        for t in range(k):
-            x = row[t]
-            if x == 0:
-                continue
-            brow = b[t]
-            orow = out[i]
-            for j in range(m):
-                y = brow[j]
-                if y != 0:
-                    orow[j] += x * y
-    return tuple(tuple(r) for r in out)
+    acc = [[0] * (len(b[0]) if b else 0) for _ in a]
+    _mul_into(acc, _sparse_rows(a), _sparse_rows(b))
+    return imat(acc)
+
+
+def _sparse_rows(a: IMat) -> list:
+    """The nonzero entries ``(j, a[i][j])`` of each row i."""
+    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+
+
+def _negated(a: IMat) -> IMat:
+    return tuple(map(tuple, map(map, repeat(neg), a)))
+
+
+def _mul_into(acc: list, a_rows: list, b_rows: list) -> None:
+    """Add the product of two matrices, given by their sparse rows, to ``acc``."""
+    for orow, arow in zip(acc, a_rows):
+        for t, x in arow:
+            for j, y in b_rows[t]:
+                orow[j] += x * y
 
 
 # -- Laurent matrices -----------------------------------------------------
 
 class LMat:
-    """An immutable matrix with :class:`LaurentPoly` entries."""
+    """An immutable Laurent matrix: ``shape`` and the blocks ``{exponent: IMat}``.
 
-    __slots__ = ("rows",)
+    No exponent maps to an all-zero block, so equal matrices have equal
+    block dicts and the zero matrix has none.
+    """
+
+    __slots__ = ("shape", "blocks")
 
     def __init__(self, rows: Iterable[Iterable]):
-        self.rows: Tuple[Tuple[LaurentPoly, ...], ...] = tuple(
-            tuple(LaurentPoly.coerce(x) for x in row) for row in rows
-        )
-        widths = {len(r) for r in self.rows}
-        if len(widths) > 1:
+        """Convert rows of :class:`LaurentPoly` (or scalar) entries."""
+        rows = [[LaurentPoly.coerce(x) for x in row] for row in rows]
+        if len({len(r) for r in rows}) > 1:
             raise ValueError("ragged matrix")
+        self.shape: Tuple[int, int] = (len(rows), len(rows[0]) if rows else 0)
+        exps = sorted({g for row in rows for x in row for g in x.support()})
+        self.blocks: Dict[int, IMat] = {
+            g: tuple(tuple(x.coeff(g) for x in row) for row in rows) for g in exps
+        }
 
     # -- constructors --
 
     @classmethod
-    def zeros(cls, n: int, m: int | None = None) -> "LMat":
-        m = n if m is None else m
-        z = LaurentPoly.zero()
+    def _new(cls, shape: Tuple[int, int], blocks: Dict[int, IMat]) -> "LMat":
         out = cls.__new__(cls)
-        out.rows = tuple((z,) * m for _ in range(n))
+        out.shape = shape
+        out.blocks = blocks
         return out
+
+    @classmethod
+    def from_coeffs(cls, shape: Tuple[int, int], coeffs: Mapping[int, IMat]) -> "LMat":
+        """The matrix ``sum_g v^g coeffs[g]``; all-zero blocks are dropped."""
+        return cls._new(
+            tuple(shape), {g: imat(b) for g, b in coeffs.items() if not imat_is_zero(b)}
+        )
+
+    @classmethod
+    def zeros(cls, n: int, m: int | None = None) -> "LMat":
+        return cls._new((n, n if m is None else m), {})
 
     @classmethod
     def identity(cls, n: int) -> "LMat":
-        one = LaurentPoly.one()
-        z = LaurentPoly.zero()
-        out = cls.__new__(cls)
-        out.rows = tuple(tuple(one if i == j else z for j in range(n)) for i in range(n))
-        return out
-
-    @classmethod
-    def from_imat(cls, a: IMat) -> "LMat":
-        return cls(a)
+        return cls._new((n, n), {0: imat_identity(n)} if n else {})
 
     @classmethod
     def from_blocks(cls, grid: Sequence[Sequence["LMat"]]) -> "LMat":
         """Assemble a block matrix; every block in a row/column strip must agree in size."""
-        rows = []
+        widths = [block.ncols for block in grid[0]] if grid else []
         for strip in grid:
-            height = strip[0].nrows
-            for i in range(height):
-                row: list = []
-                for block in strip:
-                    if block.nrows != height:
-                        raise ValueError("inconsistent block heights")
-                    row.extend(block.rows[i])
-                rows.append(tuple(row))
-        out = cls.__new__(cls)
-        out.rows = tuple(rows)
-        return out
+            if [b.ncols for b in strip] != widths or len({b.nrows for b in strip}) > 1:
+                raise ValueError("inconsistent block sizes")
+        exps = sorted({g for strip in grid for block in strip for g in block.blocks})
+        blocks = {
+            g: tuple(tuple(x for block in strip for x in block.coeff(g)[i])
+                     for strip in grid for i in range(strip[0].nrows))
+            for g in exps
+        }
+        return cls._new((sum(strip[0].nrows for strip in grid), sum(widths)), blocks)
 
     # -- shape / access --
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return self.shape[0]
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return self.shape[1]
 
     def __getitem__(self, key) -> LaurentPoly:
         i, j = key
-        return self.rows[i][j]
+        return LaurentPoly({g: b[i][j] for g, b in self.blocks.items()})
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LMat":
-        out = LMat.__new__(LMat)
-        out.rows = tuple(tuple(self.rows[i][j] for j in col_idx) for i in row_idx)
-        return out
+        row_idx, col_idx = tuple(row_idx), tuple(col_idx)
+        return LMat.from_coeffs((len(row_idx), len(col_idx)), {
+            g: tuple(tuple(b[i][j] for j in col_idx) for i in row_idx)
+            for g, b in self.blocks.items()
+        })
 
     # -- arithmetic --
 
+    def _merge(self, other: "LMat", op) -> "LMat":
+        if self.shape != other.shape:
+            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        blocks = dict(self.blocks)
+        for g, b in other.blocks.items():
+            a = blocks.get(g)
+            if a is None:
+                blocks[g] = b if op is add else _negated(b)
+                continue
+            c = tuple(map(tuple, map(map, repeat(op), a, b)))
+            if any(map(any, c)):
+                blocks[g] = c
+            else:
+                del blocks[g]
+        return LMat._new(self.shape, blocks)
+
     def __add__(self, other: "LMat") -> "LMat":
-        self._check_same_shape(other)
-        out = LMat.__new__(LMat)
-        out.rows = tuple(
-            tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-        return out
+        return self._merge(other, add)
 
     def __sub__(self, other: "LMat") -> "LMat":
-        self._check_same_shape(other)
-        out = LMat.__new__(LMat)
-        out.rows = tuple(
-            tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows)
-        )
-        return out
+        return self._merge(other, sub)
 
     def __neg__(self) -> "LMat":
-        out = LMat.__new__(LMat)
-        out.rows = tuple(tuple(-a for a in row) for row in self.rows)
-        return out
+        return LMat._new(self.shape, {g: _negated(b) for g, b in self.blocks.items()})
 
     def __matmul__(self, other: "LMat") -> "LMat":
-        if self.ncols != other.nrows:
+        (n, k), (k2, m) = self.shape, other.shape
+        if k != k2:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        n, k, m = self.nrows, self.ncols, other.ncols
-        zero = LaurentPoly.zero()
-        out = [[zero] * m for _ in range(n)]
-        for i in range(n):
-            row = self.rows[i]
-            orow = out[i]
-            for t in range(k):
-                x = row[t]
-                if x.is_zero():
-                    continue
-                brow = other.rows[t]
-                for j in range(m):
-                    y = brow[j]
-                    if not y.is_zero():
-                        orow[j] = orow[j] + x * y
-        res = LMat.__new__(LMat)
-        res.rows = tuple(tuple(r) for r in out)
-        return res
+        if n == k == m == 1:  # a product of two Laurent polynomials
+            coeffs: Dict[int, int] = {}
+            for g1, a in self.blocks.items():
+                x = a[0][0]
+                for g2, b in other.blocks.items():
+                    g = g1 + g2
+                    coeffs[g] = coeffs.get(g, 0) + x * b[0][0]
+            return LMat._new((1, 1), {g: ((c,),) for g, c in coeffs.items() if c})
+        b_rows = [(g, _sparse_rows(b)) for g, b in other.blocks.items()]
+        acc: Dict[int, list] = {}
+        for g1, a in self.blocks.items():
+            a_rows = _sparse_rows(a)
+            for g2, rows in b_rows:
+                out = acc.get(g1 + g2)
+                if out is None:
+                    out = acc[g1 + g2] = [[0] * m for _ in range(n)]
+                _mul_into(out, a_rows, rows)
+        return LMat.from_coeffs((n, m), acc)
 
     def scale(self, factor) -> "LMat":
-        f = LaurentPoly.coerce(factor)
-        out = LMat.__new__(LMat)
-        out.rows = tuple(tuple(f * a for a in row) for row in self.rows)
-        return out
+        coeffs = LaurentPoly.coerce(factor).coeffs
+        if len(coeffs) == 1:  # a monomial c v^h shifts the keys by h
+            (h, c), = coeffs.items()
+            return LMat._new(self.shape, {
+                g + h: b if c == 1 else tuple(tuple(c * x for x in row) for row in b)
+                for g, b in self.blocks.items()
+            })
+        n = self.nrows
+        scalar = {h: tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
+                  for h, c in coeffs.items()}
+        return LMat._new((n, n), scalar) @ self
 
-    # -- Laurent structure, entrywise --
+    # -- Laurent structure, by exponent --
 
     def bar(self) -> "LMat":
-        out = LMat.__new__(LMat)
-        out.rows = tuple(tuple(a.bar() for a in row) for row in self.rows)
-        return out
+        return LMat._new(self.shape, {-g: b for g, b in self.blocks.items()})
 
     def split(self) -> Tuple["LMat", "LMat", "LMat"]:
-        neg = [[None] * self.ncols for _ in range(self.nrows)]
-        zer = [[None] * self.ncols for _ in range(self.nrows)]
-        pos = [[None] * self.ncols for _ in range(self.nrows)]
-        for i, row in enumerate(self.rows):
-            for j, a in enumerate(row):
-                neg[i][j], zer[i][j], pos[i][j] = a.split()
-        return LMat(neg), LMat(zer), LMat(pos)
+        """The (negative, constant, positive) exponent parts; they sum to the matrix."""
+        parts: Tuple[dict, dict, dict] = ({}, {}, {})
+        for g, b in self.blocks.items():
+            parts[(g > 0) - (g < 0) + 1][g] = b
+        return tuple(LMat._new(self.shape, part) for part in parts)
 
     def coeff(self, exponent: int) -> IMat:
         """The k-matrix of coefficients of ``v^exponent``."""
-        return tuple(tuple(a.coeff(exponent) for a in row) for row in self.rows)
+        block = self.blocks.get(exponent)
+        return imat_zero(*self.shape) if block is None else block
 
     def exponents(self) -> tuple:
-        exps = set()
-        for row in self.rows:
-            for a in row:
-                exps.update(a.support())
-        return tuple(sorted(exps))
+        return tuple(sorted(self.blocks))
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
+        return not self.blocks
 
     def is_bar_symmetric(self) -> bool:
-        return all(a.is_bar_symmetric() for row in self.rows for a in row)
+        return all(self.blocks.get(-g) == b for g, b in self.blocks.items())
 
     # -- misc --
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        return (self.nrows, self.ncols)
-
-    def _check_same_shape(self, other: "LMat") -> None:
-        if self.shape != other.shape:
-            raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LMat):
             return NotImplemented
-        return self.rows == other.rows
+        return self.shape == other.shape and self.blocks == other.blocks
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.shape, frozenset(self.blocks.items())))
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(a) for a in row) for row in self.rows)
+        n, m = self.shape
+        body = "; ".join(", ".join(str(self[i, j]) for j in range(m)) for i in range(n))
         return f"LMat[{body}]"

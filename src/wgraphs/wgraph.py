@@ -22,7 +22,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from .coxeter import CoxeterSystem, Element
-from .laurent import LaurentPoly
 from .matrix import IMat, LMat, imat, imat_is_zero, imat_mul, imat_zero
 from .report import Report
 
@@ -83,27 +82,12 @@ class OmegaModule:
     def e_mat(self, s: int) -> IMat:
         if s not in self.gens:
             raise ValueError(f"generator {s+1} not in J")
-        return self.e.get(s, imat_zero(self.rank))
+        return self.e.get(s) or imat_zero(self.rank)
 
     def x_mat(self, s: int, gamma: int) -> IMat:
         if s not in self.gens:
             raise ValueError(f"generator {s+1} not in J")
-        return self.x.get((s, abs(gamma)), imat_zero(self.rank))
-
-    def x_poly_mat(self, s: int) -> LMat:
-        """The Laurent matrix sum_g v^g X_{s,g} over -L(s) < g < L(s)."""
-        rows = [[LaurentPoly.zero()] * self.rank for _ in range(self.rank)]
-        for g in range(self.system.weight(s)):
-            mat = self.x.get((s, g))
-            if mat is None:
-                continue
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    c = mat[i][j]
-                    if c:
-                        term = LaurentPoly({g: c} if g == 0 else {g: c, -g: c})
-                        rows[i][j] = rows[i][j] + term
-        return LMat(rows)
+        return self.x.get((s, abs(gamma))) or imat_zero(self.rank)
 
     def iota_t(self, s: int) -> LMat:
         """The Laurent matrix of the Hecke generator T_s acting on the module."""
@@ -111,13 +95,17 @@ class OmegaModule:
         if cached is not None:
             return cached
         ls = self.system.weight(s)
-        e_mat = LMat.from_imat(self.e_mat(s))
-        one = LMat.identity(self.rank)
-        result = (
-            e_mat.scale(LaurentPoly.v(-ls, -1))
-            + (one - e_mat).scale(LaurentPoly.v(ls))
-            + self.x_poly_mat(s)
-        )
+        e_mat = self.e_mat(s)
+        coeffs = {
+            -ls: tuple(tuple(-c for c in row) for row in e_mat),
+            ls: tuple(tuple(int(i == j) - c for j, c in enumerate(row))
+                      for i, row in enumerate(e_mat)),
+        }
+        for g in range(ls):
+            mat = self.x.get((s, g))
+            if mat is not None:
+                coeffs[g] = coeffs[-g] = mat
+        result = LMat.from_coeffs((self.rank, self.rank), coeffs)
         self._cache[("iota_t", s)] = result
         return result
 

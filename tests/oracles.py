@@ -334,3 +334,75 @@ def closure_cells(module) -> List[frozenset]:
         blocks.append(frozenset(block))
         seen |= block
     return sorted(blocks, key=min)
+
+
+# -- entrywise Laurent matrices ------------------------------------------------------
+#
+# A reference for wgraphs.matrix.LMat: a matrix is a tuple of rows of
+# LaurentPoly entries and every operation acts entry by entry.
+
+
+def ent_add(a, b):
+    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+
+def ent_neg(a):
+    return tuple(tuple(-x for x in row) for row in a)
+
+
+def ent_sub(a, b):
+    return ent_add(a, ent_neg(b))
+
+
+def ent_matmul(a, b, zero):
+    out = []
+    for row in a:
+        out_row = []
+        for j in range(len(b[0])):
+            total = zero
+            for t, x in enumerate(row):
+                total = total + x * b[t][j]
+            out_row.append(total)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+def ent_scale(a, factor):
+    return tuple(tuple(factor * x for x in row) for row in a)
+
+
+def ent_bar(a):
+    return tuple(tuple(x.bar() for x in row) for row in a)
+
+
+def ent_split(a):
+    parts = [[[None] * len(row) for row in a] for _ in range(3)]
+    for i, row in enumerate(a):
+        for j, x in enumerate(row):
+            for part, value in zip(parts, x.split()):
+                part[i][j] = value
+    return tuple(tuple(tuple(r) for r in part) for part in parts)
+
+
+def ent_coeff(a, g):
+    return tuple(tuple(x.coeff(g) for x in row) for row in a)
+
+
+def ent_exponents(a):
+    return tuple(sorted({g for row in a for x in row for g in x.support()}))
+
+
+def ent_submatrix(a, rows, cols):
+    return tuple(tuple(a[i][j] for j in cols) for i in rows)
+
+
+def ent_from_blocks(grid):
+    out = []
+    for strip in grid:
+        for i in range(len(strip[0])):
+            out.append(tuple(x for block in strip for x in block[i]))
+    return tuple(out)
+
+
+def ent_is_bar_symmetric(a):
+    return all(x.is_bar_symmetric() for row in a for x in row)

@@ -9,9 +9,41 @@ from wgraphs.cells import (
     kl_graph,
     span_is_stable,
 )
+from wgraphs.coxeter import CoxeterSystem
 from wgraphs.wgraph import OmegaModule, sign_module
 
 from oracles import closure_cells
+
+
+def coxeter_matrix(rank, bonds):
+    """The Coxeter matrix with m(s, t) from ``bonds`` ({(s, t): m}) and 2 elsewhere."""
+    matrix = [[1 if s == t else 2 for t in range(rank)] for s in range(rank)]
+    for (s, t), m in bonds.items():
+        matrix[s][t] = matrix[t][s] = m
+    return matrix
+
+
+class TestKnownCellCounts:
+    """Left cells of the regular W-graph: type A_n has one per involution of S_(n+1)."""
+
+    @pytest.mark.parametrize(
+        "rank,bonds,count",
+        [
+            (3, {(0, 1): 3, (1, 2): 3}, 10),  # A3
+            (4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}, 26),  # A4
+            (3, {(0, 1): 5, (1, 2): 3}, 22),  # H3
+            (4, {(0, 1): 3, (1, 2): 3, (1, 3): 3}, 36),  # D4
+        ],
+        ids=["a3", "a4", "h3", "d4"],
+    )
+    def test_left_cell_count(self, rank, bonds, count):
+        graph = kl_graph(CoxeterSystem(coxeter_matrix(rank, bonds)))[0]
+        assert len(cell_partition(graph).blocks) == count
+
+    @pytest.mark.parametrize("n,count", [(4, 10), (5, 26)])
+    def test_type_a_counts_are_involutions(self, n, count):
+        perms = itertools.permutations(range(n))
+        assert sum(1 for p in perms if all(p[p[i]] == i for i in range(n))) == count
 
 
 class TestCellPartition:

@@ -389,6 +389,30 @@ class TestMuInductive:
         assert all(system is b3 for _, _, system in calls)
         assert built == []
 
+    def test_one_factorization_per_rep(self, systems, monkeypatch):
+        """Each level factorizes each of its representatives exactly once."""
+        a3 = systems["a3"]
+        module = trivial_module(a3, frozenset())
+        flag = [frozenset(), frozenset({0}), frozenset({0, 1}), a3.generator_set]
+        seen = []
+        real = CoxeterSystem.factorize
+
+        def counting(self, J, K, w):
+            seen.append((frozenset(J), frozenset(K), w))
+            return real(self, J, K, w)
+
+        monkeypatch.setattr(CoxeterSystem, "factorize", counting)
+        flagged = mu_inductive(flag, module)
+        monkeypatch.undo()
+        expected = [
+            (flag[0], lower, w)
+            for lower, upper in zip(flag, flag[1:])
+            for w in a3.min_coset_reps(flag[0], K=upper)
+        ]
+        assert sorted(seen, key=repr) == sorted(expected, key=repr)
+        assert len(set(seen)) == len(seen)
+        assert flagged == p_mu_table(flag[0], module).mu
+
     def test_jobs_do_not_change_output(self, systems, table_calls):
         """``jobs`` is accepted and ignored: same blocks, same tables."""
         a3 = systems["a3"]

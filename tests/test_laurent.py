@@ -98,3 +98,15 @@ class TestSplit:
         pos = f.split()[2]
         if not pos.is_zero():
             assert pos.bar() != pos
+
+
+class TestHash:
+    def test_constant_hashes_like_its_scalar(self):
+        two = LaurentPoly.const(2)
+        assert two == 2 and hash(two) == hash(2)
+        assert {two: 1}.get(2) == 1 and {2: 1}.get(two) == 1
+        assert LaurentPoly.zero() == 0 and hash(LaurentPoly.zero()) == hash(0)
+
+    @given(polys, polys)
+    def test_equal_polys_hash_equal(self, f, g):
+        assert hash((f + g) - g) == hash(f)
