@@ -108,7 +108,8 @@ class BlockTable:
     entries: Dict[Tuple[Element, Element], LMat]
 
     def at(self, x: Element, z: Element) -> LMat:
-        return self.entries.get((x, z), LMat.zeros(self.module.rank))
+        mat = self.entries.get((x, z))
+        return LMat.zeros(self.module.rank) if mat is None else mat
 
 
 def rho_table(
@@ -217,17 +218,16 @@ def canonicalise_shadow(
     return pi
 
 
-def pi_recursion(rho: BlockTable, *, check: bool = True) -> BlockTable:
+def pi_recursion(rho: BlockTable) -> BlockTable:
     """Run the triangular recursion on Hecke rho data.
 
-    With ``check=True`` the composition identity of ``rho`` is verified
-    first (a failed identity signals an upstream bug, and the recursion
-    would produce garbage from such input).
+    The composition identity of ``rho`` is verified first (a failed
+    identity signals an upstream bug, and the recursion would produce
+    garbage from such input).
     """
-    if check:
-        report = check_rho(rho)
-        if not report.ok:
-            raise CanonicalisationError(str(report))
+    report = check_rho(rho)
+    if not report.ok:
+        raise CanonicalisationError(str(report))
     entries = canonicalise_shadow(
         rho.reps,
         rho.system.bruhat_leq,

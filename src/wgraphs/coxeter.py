@@ -107,9 +107,6 @@ class Element:
         self.system._check_same(other.system)
         return (len(self.word), self.word) < (len(other.word), other.word)
 
-    def __le__(self, other: "Element") -> bool:
-        return self == other or self < other
-
     def __hash__(self):
         return hash(self.word)
 
@@ -578,10 +575,6 @@ class CoxeterSystem:
         table, ident = self._walk(x.word, ())
         return Element(table.words[table.inverse[ident]], self)
 
-    def length(self, x: Element) -> int:
-        self._check_same(x.system)
-        return len(x.word)
-
     def left_descents(self, x: Element) -> FrozenSet[int]:
         self._check_same(x.system)
         return self._descents(x, left=True)
@@ -697,22 +690,7 @@ class CoxeterSystem:
         K = self._subset(K)
         if not J <= K:
             raise ValueError("factorize requires J to be contained in K")
-        self._check_same(w.system)
-        if self.right_descents(w) & J:
-            raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
-        x = w
-        suffix: List[int] = []
-        while True:
-            descents = self.right_descents(x) & K
-            if not descents:
-                break
-            u = min(descents)
-            x = self.mult(x, self.generator(u))
-            suffix.append(u)
-        y = self.element(tuple(reversed(suffix)))
-        if x.length + y.length != w.length or self.mult(x, y) != w:
-            raise AssertionError("coset factorization failed; this is a bug")
-        return x, y
+        return self._peel(J, K, w, left=False)
 
     def double_coset_decompose(
         self, K: Iterable[int], J: Iterable[int], x: Element
@@ -722,24 +700,32 @@ class CoxeterSystem:
         Then w lies in W_K, is a minimal coset representative for the
         conjugated subset K n aJa^-1 inside W_K, and l(wa) = l(w) + l(a).
         """
-        K = self._subset(K)
-        J = self._subset(J)
-        self._check_same(x.system)
-        if self.right_descents(x) & J:
-            raise ValueError(f"{x} is not a minimal coset representative for J={sorted(J)}")
-        a = x
-        prefix: List[int] = []
+        return self._peel(self._subset(J), self._subset(K), x, left=True)
+
+    def _peel(
+        self, J: FrozenSet[int], K: FrozenSet[int], w: Element, left: bool
+    ) -> Tuple[Element, Element]:
+        """Strip the least left (or right) descent in K from w until none is
+        left; return (stripped part, rest) for left, (rest, stripped part)
+        for right, so that the product of the pair is w."""
+        self._check_same(w.system)
+        if self.right_descents(w) & J:
+            raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
+        rest = w
+        letters: List[int] = []
         while True:
-            descents = self.left_descents(a) & K
+            descents = (self.left_descents(rest) if left else self.right_descents(rest)) & K
             if not descents:
                 break
             s = min(descents)
-            a = self.mult(self.generator(s), a)
-            prefix.append(s)
-        w = self.element(tuple(prefix))
-        if w.length + a.length != x.length or self.mult(w, a) != x:
-            raise AssertionError("double coset decomposition failed; this is a bug")
-        return w, a
+            step = self.generator(s)
+            rest = self.mult(step, rest) if left else self.mult(rest, step)
+            letters.append(s)
+        peeled = self.element(tuple(letters if left else reversed(letters)))
+        head, tail = (peeled, rest) if left else (rest, peeled)
+        if head.length + tail.length != w.length or self.mult(head, tail) != w:
+            raise AssertionError("coset factorization failed; this is a bug")
+        return head, tail
 
     def __repr__(self) -> str:
         return f"CoxeterSystem(matrix={self.matrix!r}, weights={self.weights!r})"

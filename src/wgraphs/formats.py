@@ -12,19 +12,16 @@ Conventions, shared with the CLI:
 * group elements are words of 1-based generator digits ("121"), the
   identity is "e"; ranks above 9 switch to dash-separated form;
 * a Laurent polynomial is a {exponent: coefficient} object with string
-  exponents, e.g. {"-1": 1, "0": -2, "3": 1}; a standalone polynomial
-  file wraps it as {"coeffs": {...}}.
+  exponents, e.g. {"-1": 1, "0": -2, "3": 1}.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .cells import CellPartition
-from .coxeter import CoxeterSystem, Element
-from .laurent import LaurentPoly
+from .coxeter import CoxeterSystem
 from .matrix import IMat, LMat, imat
 from .wgraph import OmegaModule, WGraph
 
@@ -61,24 +58,7 @@ def save_text(path: str, text: str) -> None:
         handle.write(text)
 
 
-# -- elements ------------------------------------------------------------------
-
-
-def element_to_str(x: Element) -> str:
-    return str(x)
-
-
-def element_from_str(system: CoxeterSystem, text: str, path: str = "element") -> Element:
-    if text == "e":
-        return system.identity
-    parts = text.split("-") if "-" in text else list(text)
-    word = []
-    for token in parts:
-        _expect(token.isdigit() and int(token) >= 1, path, f"bad generator token {token!r}")
-        index = int(token) - 1
-        _expect(index < system.rank, path, f"generator {token} exceeds the rank")
-        word.append(index)
-    return system.element(tuple(word))
+# -- generator subsets ---------------------------------------------------------
 
 
 def gens_to_json(gens: FrozenSet[int]) -> List[int]:
@@ -130,37 +110,7 @@ def load_system(path: str) -> CoxeterSystem:
     return system_from_json(load_json(path), path)
 
 
-def save_system(path: str, system: CoxeterSystem) -> None:
-    save_text(path, dumps(system_to_json(system)))
-
-
-# -- Laurent polynomials -----------------------------------------------------------
-
-
-def poly_to_json(poly: LaurentPoly) -> Dict[str, int]:
-    return {str(g): c for g, c in poly.items()}
-
-
-def poly_from_json(data, path: str) -> LaurentPoly:
-    _expect(isinstance(data, dict), path, "expected an {exponent: coefficient} object")
-    coeffs = {}
-    for key, value in data.items():
-        try:
-            exponent = int(key)
-        except ValueError:
-            raise SchemaError(f"{path}.{key}", "exponent keys must be integers") from None
-        coeffs[exponent] = _as_int(value, f"{path}.{key}")
-    return LaurentPoly(coeffs)
-
-
-def save_poly(path: str, poly: LaurentPoly) -> None:
-    save_text(path, dumps({"coeffs": poly_to_json(poly)}))
-
-
-def load_poly(path: str) -> LaurentPoly:
-    data = load_json(path)
-    _expect(isinstance(data, dict) and "coeffs" in data, path, "expected {\"coeffs\": {...}}")
-    return poly_from_json(data["coeffs"], f"{path}.coeffs")
+# -- Laurent matrices --------------------------------------------------------------
 
 
 def lmat_to_json(mat: LMat) -> list:
@@ -171,15 +121,6 @@ def lmat_to_json(mat: LMat) -> list:
                 if c:
                     entry[str(g)] = c
     return out
-
-
-def lmat_from_json(data, path: str) -> LMat:
-    _expect(isinstance(data, list) and data, path, "expected a nonempty matrix")
-    rows = []
-    for i, row in enumerate(data):
-        _expect(isinstance(row, list), f"{path}[{i}]", "expected a row")
-        rows.append([poly_from_json(cell, f"{path}[{i}][{j}]") for j, cell in enumerate(row)])
-    return LMat(rows)
 
 
 def imat_to_json(mat: IMat) -> list:
@@ -312,24 +253,8 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 # -- p/mu tables ---------------------------------------------------------------------------
 
 
-@dataclass
-class TableData:
-    """A deserialised table: plain keys, exact values."""
-
-    gens: FrozenSet[int]
-    p: Dict[str, LMat]
-    mu: Dict[str, Dict[int, IMat]]
-
-
 def table_to_json(table) -> dict:
-    """Accepts a PMuTable or a TableData."""
-    if isinstance(table, TableData):
-        p_part = {key: lmat_to_json(mat) for key, mat in table.p.items()}
-        mu_part = {
-            key: {str(g): imat_to_json(mat) for g, mat in gammas.items()}
-            for key, gammas in table.mu.items()
-        }
-        return {"J": gens_to_json(table.gens), "p": p_part, "mu": mu_part}
+    """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`."""
     out = mu_to_json(table.system, table.gens, table.mu)
     out["p"] = {f"{x}|{z}": lmat_to_json(mat) for (x, z), mat in table.p.items()}
     return out
@@ -343,50 +268,6 @@ def mu_to_json(system: CoxeterSystem, gens: FrozenSet[int], mu: Mapping) -> dict
             str(g): imat_to_json(coeffs) for g, coeffs in mat.blocks.items() if g >= 0
         }
     return {"J": gens_to_json(gens), "mu": mu_part}
-
-
-def block_table_to_json(entries: Mapping) -> dict:
-    """Serialise any (x, z) -> Laurent-matrix family (rho/pi tables)."""
-    return {f"{x}|{z}": lmat_to_json(mat) for (x, z), mat in entries.items()}
-
-
-def block_table_from_json(system: CoxeterSystem, data, path: str = "blocks") -> dict:
-    _expect(isinstance(data, dict), path, "expected an object")
-    out = {}
-    for key, mat in data.items():
-        _expect(key.count("|") == 1, f"{path}.{key}", "keys must look like 'x|z'")
-        xs, zs = key.split("|")
-        x = element_from_str(system, xs, f"{path}.{key}")
-        z = element_from_str(system, zs, f"{path}.{key}")
-        out[(x, z)] = lmat_from_json(mat, f"{path}.{key}")
-    return out
-
-
-def table_from_json(system: CoxeterSystem, data, path: str = "table") -> TableData:
-    _expect(isinstance(data, dict), path, "expected an object")
-    gens = gens_from_json(system, data.get("J", []), f"{path}.J")
-    p_raw = data.get("p", {})
-    _expect(isinstance(p_raw, dict), f"{path}.p", "expected an object")
-    p = {}
-    for key, mat in p_raw.items():
-        _expect(key.count("|") == 1, f"{path}.p.{key}", "keys must look like 'x|z'")
-        p[key] = lmat_from_json(mat, f"{path}.p.{key}")
-    mu_raw = data.get("mu", {})
-    _expect(isinstance(mu_raw, dict), f"{path}.mu", "expected an object")
-    mu: Dict[str, Dict[int, IMat]] = {}
-    for key, gammas in mu_raw.items():
-        _expect(key.count("|") == 2, f"{path}.mu.{key}", "keys must look like 'x|z|s'")
-        _expect(isinstance(gammas, dict), f"{path}.mu.{key}", "expected an object")
-        entry = {}
-        for gkey, mat in gammas.items():
-            try:
-                gamma = int(gkey)
-            except ValueError:
-                raise SchemaError(f"{path}.mu.{key}.{gkey}",
-                                  "exponent keys must be integers") from None
-            entry[gamma] = imat_from_json(mat, f"{path}.mu.{key}.{gkey}")
-        mu[key] = entry
-    return TableData(gens, p, mu)
 
 
 # -- cells ------------------------------------------------------------------------------------

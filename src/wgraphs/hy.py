@@ -28,7 +28,10 @@ pairs of canonical words, so results are deterministic.
 :func:`mu_factorize_check` verify the structural identities relating
 inductions along chains of parabolic subgroups, and :func:`mu_inductive`
 computes mu-data along a flag of subgroups, one level at a time, by
-inducing transitively.
+inducing transitively.  The rule by which mu-blocks of J <= S factor
+through J <= K and K <= S lives in one place, :func:`_factor_mu`: the flag
+algorithm builds each level from it, and :func:`mu_factorize_check`
+compares every direct entry against it.
 """
 
 from __future__ import annotations
@@ -73,10 +76,12 @@ class PMuTable:
     _dclass: dict = field(default_factory=dict, repr=False)
 
     def p_at(self, x: Element, z: Element) -> LMat:
-        return self.p.get((x, z), LMat.zeros(self.module.rank))
+        mat = self.p.get((x, z))
+        return LMat.zeros(self.module.rank) if mat is None else mat
 
     def mu_at(self, x: Element, z: Element, s: int) -> LMat:
-        return self.mu.get((x, z, s), LMat.zeros(self.module.rank))
+        mat = self.mu.get((x, z, s))
+        return LMat.zeros(self.module.rank) if mat is None else mat
 
     def deodhar(self, s: int, w: Element) -> DeodharClass:
         key = (s, w.word)
@@ -268,7 +273,6 @@ def p_mu_table(
                 cx = table.deodhar(s, x)
                 if cx.tag == DEODHAR_PLUS:
                     continue
-                vs = LaurentPoly.v(system.weight(s))
                 vs_inv = LaurentPoly.v(-system.weight(s))
                 if cz.tag == DEODHAR_PLUS:
                     if cx.tag == DEODHAR_ZERO:
@@ -341,6 +345,9 @@ def induce(
                 if row[j]:
                     trow[bj * r + j] += row[j]
 
+    mu_by_gen: Dict[int, List[Tuple[int, int, LMat]]] = {}
+    for (x, z, s), mu in table.mu.items():
+        mu_by_gen.setdefault(s, []).append((index[x], index[z], mu))
     e_out: Dict[int, tuple] = {}
     x_out: Dict[Tuple[int, int], tuple] = {}
     for s in sorted(ambient):
@@ -372,13 +379,10 @@ def induce(
                     )
                 for i in range(r):
                     x_mats[0][szi * r + i][zi * r + i] += 1
-            for x in table.reps:
-                mu = table.mu.get((x, z, s))
-                if mu is not None:
-                    xi = index[x]
-                    for g, coeffs in mu.blocks.items():
-                        if g >= 0:
-                            put_block(x_mats[g], xi, zi, coeffs)
+        for xi, zi, mu in mu_by_gen.get(s, ()):
+            for g, coeffs in mu.blocks.items():
+                if g >= 0:
+                    put_block(x_mats[g], xi, zi, coeffs)
         e_out[s] = tuple(tuple(row) for row in e_mat)
         for g, mat in x_mats.items():
             x_out[(s, g)] = tuple(tuple(row) for row in mat)
@@ -505,26 +509,33 @@ def transitivity_check(
     if not report.ok:
         return report
 
-    n = nested.rank
-    for s in sorted(ambient):
-        nested_e = nested.e_mat(s)
-        direct_e = direct.e_mat(s)
-        ok = all(
-            nested_e[i][j] == direct_e[perm[i]][perm[j]]
-            for i in range(n)
-            for j in range(n)
-        )
-        report.require(ok, f"E_{s+1} differs between nested and direct induction")
-        for g in range(system.weight(s)):
-            nested_x = nested.x_mat(s, g)
-            direct_x = direct.x_mat(s, g)
-            ok = all(
-                nested_x[i][j] == direct_x[perm[i]][perm[j]]
-                for i in range(n)
-                for j in range(n)
-            )
-            report.require(ok, f"X_({s+1},{g}) differs between nested and direct induction")
+    _compare_action(
+        report, nested, direct, perm, ambient, "{} differs between nested and direct induction"
+    )
     return report
+
+
+def _compare_action(
+    report: Report,
+    small: OmegaModule,
+    big: OmegaModule,
+    idx: Sequence[int],
+    gens: Iterable[int],
+    message: str,
+) -> None:
+    """Require E_s and X_(s,g) of ``small`` to equal those of ``big`` on rows
+    and columns ``idx``, one check per matrix; ``message`` names the
+    matrix at its ``{}``."""
+    n = len(idx)
+    for s in sorted(gens):
+        names = [(f"E_{s+1}", small.e_mat(s), big.e_mat(s))]
+        names.extend(
+            (f"X_({s+1},{g})", small.x_mat(s, g), big.x_mat(s, g))
+            for g in range(small.system.weight(s))
+        )
+        for name, lhs, rhs in names:
+            same = all(lhs[i][j] == rhs[idx[i]][idx[j]] for i in range(n) for j in range(n))
+            report.require(same, message.format(name))
 
 
 # -- Mackey filtration ----------------------------------------------------------
@@ -599,25 +610,70 @@ def mackey_check(
             slice_idx.extend(pos * r + b for b in range(r))
         if not report.ok:
             return report
-        for s in sorted(K):
-            sub_e = tuple(
-                tuple(induced.e_mat(s)[i][j] for j in slice_idx) for i in slice_idx
-            )
-            report.require(
-                sub_e == compare.e_mat(s),
-                f"subquotient at d={d}: E_{s+1} mismatch",
-            )
-            for g in range(system.weight(s)):
-                big = induced.x_mat(s, g)
-                sub_x = tuple(tuple(big[i][j] for j in slice_idx) for i in slice_idx)
-                report.require(
-                    sub_x == compare.x_mat(s, g),
-                    f"subquotient at d={d}: X_({s+1},{g}) mismatch",
-                )
+        _compare_action(
+            report, compare, induced, slice_idx, K, f"subquotient at d={d}: {{}} mismatch"
+        )
     return report
 
 
 # -- the mu factorization corollary ---------------------------------------------
+
+
+def _factor_mu(
+    J: FrozenSet[int],
+    K: FrozenSet[int],
+    reps: Sequence[Element],
+    inner_reps: Sequence[Element],
+    inner_mu: Dict[Tuple[Element, Element, int], LMat],
+    level: PMuTable,
+) -> Dict[Tuple[Element, Element, int], LMat]:
+    """The nonzero mu-blocks of J inside ``level.ambient``, factored through K.
+
+    ``inner_mu`` holds the mu-blocks of J inside K on the representatives
+    ``inner_reps``, and ``level`` is the table of K on the module induced
+    from them.  Every representative in ``reps`` factors as uv with u in
+    D_K and v in D_J^K.  The block at (uv, xy, s) is
+
+    * for u = x: the inner block at (v, y) for the conjugated generator
+      when s is a zero-class for x, else 0;
+    * for u < x: the (v, y) sub-block of the level's mu(u, x, s);
+    * otherwise 0.
+
+    Both nonzero cases are scattered from the stored blocks, so a level
+    sub-block that is nonzero where uv is not below xy shows up as an
+    entry the direct table does not have.
+    """
+    system = level.system
+    r = level.module.rank // len(inner_reps)
+    uv = {system.factorize(J, K, w): w for w in reps}
+    inner_by_gen: Dict[int, List[Tuple[Element, Element, LMat]]] = {}
+    for (v, y, t), mat in inner_mu.items():
+        inner_by_gen.setdefault(t, []).append((v, y, mat))
+    gens = sorted(level.ambient)
+    out: Dict[Tuple[Element, Element, int], LMat] = {}
+    for x in level.reps:
+        for s in gens:
+            cls = level.deodhar(s, x)
+            if cls.tag == DEODHAR_ZERO:
+                for v, y, mat in inner_by_gen.get(cls.conj, ()):
+                    out[(uv[x, v], uv[x, y], s)] = mat
+    for (u, x, s), mat in level.mu.items():
+        spots = {
+            (i // r, j // r)
+            for block in mat.blocks.values()
+            for i, row in enumerate(block)
+            for j, c in enumerate(row)
+            if c
+        }
+        for vi, yi in spots:
+            out[(uv[u, inner_reps[vi]], uv[x, inner_reps[yi]], s)] = LMat.from_coeffs(
+                (r, r),
+                {
+                    g: tuple(row[yi * r : yi * r + r] for row in block[vi * r : vi * r + r])
+                    for g, block in mat.blocks.items()
+                },
+            )
+    return out
 
 
 def mu_factorize_check(
@@ -630,14 +686,9 @@ def mu_factorize_check(
     """Factor mu over S through mu over K acting on the inner induction.
 
     ``table_ks`` must be computed on the module induced from (J, M) up to
-    K (the module ``table_jk`` describes).  For representatives u, x of
-    W_K-cosets and v, y of W_J-cosets inside W_K:
-
-    * u = x: the entry at (xv, xy) equals the inner entry at (v, y) for
-      the conjugated generator when s is a zero-class for x, else 0;
-    * u < x: the entries at (uv, xy) for all v assemble the action of the
-      outer mu-block on the inner basis vector at y;
-    * otherwise every such entry vanishes.
+    K (the module ``table_jk`` describes).  Every entry of ``table_js``
+    must equal the entry :func:`_factor_mu` assembles from ``table_jk``
+    and ``table_ks``: one check per (w, z, s).
     """
     system = table_js.system
     J = system._subset(J)
@@ -646,48 +697,16 @@ def mu_factorize_check(
     r = table_js.module.rank
     if table_ks.module.rank != len(table_jk.reps) * r:
         raise ValueError("table_ks is not computed on the induced module of table_jk")
-    inner_index = {w: i for i, w in enumerate(table_jk.reps)}
-    for x in table_ks.reps:
-        for y in table_jk.reps:
-            xy = system.mult(x, y)
-            yi = inner_index[y]
-            for s in sorted(table_js.ambient):
-                for u in table_ks.reps:
-                    mu_outer = table_ks.mu.get((u, x, s))
-                    if u == x:
-                        cls = table_ks.deodhar(s, x)
-                        for v in table_jk.reps:
-                            target = table_js.mu_at(system.mult(x, v), xy, s)
-                            if cls.tag == DEODHAR_ZERO:
-                                expected = table_jk.mu_at(v, y, cls.conj)
-                            else:
-                                expected = LMat.zeros(r)
-                            report.require(
-                                target == expected,
-                                f"u=x case fails at (x={x}, v={v}, y={y}, s={s+1})",
-                            )
-                    elif u.bruhat_lt(x):
-                        for v in table_jk.reps:
-                            target = table_js.mu_at(system.mult(u, v), xy, s)
-                            vi = inner_index[v]
-                            if mu_outer is None:
-                                expected = LMat.zeros(r)
-                            else:
-                                expected = mu_outer.submatrix(
-                                    range(vi * r, vi * r + r),
-                                    range(yi * r, yi * r + r),
-                                )
-                            report.require(
-                                target == expected,
-                                f"u<x case fails at (u={u}, x={x}, v={v}, y={y}, s={s+1})",
-                            )
-                    else:
-                        for v in table_jk.reps:
-                            target = table_js.mu.get((system.mult(u, v), xy, s))
-                            report.require(
-                                target is None or target.is_zero(),
-                                f"entry should vanish at (u={u}, x={x}, v={v}, y={y}, s={s+1})",
-                            )
+    factored = _factor_mu(J, K, table_js.reps, table_jk.reps, table_jk.mu, table_ks)
+    zero = LMat.zeros(r)
+    gens = sorted(table_js.ambient)
+    for z in table_js.reps:
+        for w in table_js.reps:
+            for s in gens:
+                report.require(
+                    table_js.mu_at(w, z, s) == factored.get((w, z, s), zero),
+                    f"mu({w},{z},s={s+1}) does not factor through K",
+                )
     return report
 
 
@@ -702,13 +721,12 @@ def mu_inductive(
     """Compute all mu-blocks for (J, S) along a flag J = K_0 < ... < K_n = S.
 
     Level i runs the direct recursion from K_{i-1} to K_i once, on the
-    module induced from J up to K_{i-1}, and stitches its blocks with the
-    mu-blocks of J inside K_{i-1}: an entry at (uv, xy) is zero unless the
-    W_K-parts satisfy u <= x, is an inner entry (for the conjugated
-    generator) when u = x, and is a block of the level matrix when u < x.
-    Induction is transitive, so the module for the next level is induced
-    from the stitched blocks and no level recomputes a lower table.  The
-    output is identical to the mu-part of :func:`p_mu_table`.
+    module induced from J up to K_{i-1}, and :func:`_factor_mu` scatters
+    its blocks and the mu-blocks of J inside K_{i-1} onto the
+    representatives of J inside K_i.  Induction is transitive, so the
+    module for the next level is induced from the factored blocks and no
+    level recomputes a lower table.  The output is identical to the
+    mu-part of :func:`p_mu_table`.
 
     ``jobs`` has no effect; it is accepted for existing callers and goes
     with the next change to the benchmark.
@@ -725,7 +743,6 @@ def mu_inductive(
         if not lower < upper:
             raise ValueError("flag subsets must strictly increase")
     J = levels[0]
-    r = module.rank
     merged: Dict[Tuple[Element, Element, int], LMat] = {}
     inner, inner_reps = module, [system.identity]
     for k_prev, k_cur in zip(levels, levels[1:]):
@@ -733,37 +750,7 @@ def mu_inductive(
         cur_reps = system.min_coset_reps(
             J, K=k_cur if k_cur != system.generator_set else None
         )
-        inner_index = {w: pos for pos, w in enumerate(inner_reps)}
-        parts = {w: system.factorize(J, k_prev, w) for w in cur_reps}
-        new_mu: Dict[Tuple[Element, Element, int], LMat] = {}
-        for z in cur_reps:
-            x, y = parts[z]
-            yi = inner_index[y]
-            for w in cur_reps:
-                if not w.bruhat_lt(z):
-                    continue
-                u, v = parts[w]
-                for s in sorted(k_cur):
-                    if u == x:
-                        cls = level.deodhar(s, x)
-                        if cls.tag != DEODHAR_ZERO:
-                            continue
-                        value = merged.get((v, y, cls.conj))
-                    elif u.bruhat_lt(x):
-                        outer = level.mu.get((u, x, s))
-                        if outer is None:
-                            continue
-                        vi = inner_index[v]
-                        value = outer.submatrix(
-                            range(vi * r, vi * r + r), range(yi * r, yi * r + r)
-                        )
-                        if value.is_zero():
-                            value = None
-                    else:
-                        continue
-                    if value is not None:
-                        new_mu[(w, z, s)] = value
-        merged = new_mu
+        merged = _factor_mu(J, k_prev, cur_reps, inner_reps, merged, level)
         if k_cur != system.generator_set:
             stitched = PMuTable(system, J, k_cur, module, tuple(cur_reps), {}, merged)
             inner = induce(J, module, stitched)

@@ -141,13 +141,6 @@ class LMat:
         i, j = key
         return LaurentPoly({g: b[i][j] for g, b in self.blocks.items()})
 
-    def submatrix(self, row_idx: Sequence[int], col_idx: Sequence[int]) -> "LMat":
-        row_idx, col_idx = tuple(row_idx), tuple(col_idx)
-        return LMat.from_coeffs((len(row_idx), len(col_idx)), {
-            g: tuple(tuple(b[i][j] for j in col_idx) for i in row_idx)
-            for g, b in self.blocks.items()
-        })
-
     # -- arithmetic --
 
     def _merge(self, other: "LMat", op) -> "LMat":

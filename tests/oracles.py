@@ -392,10 +392,6 @@ def ent_exponents(a):
     return tuple(sorted({g for row in a for x in row for g in x.support()}))
 
 
-def ent_submatrix(a, rows, cols):
-    return tuple(tuple(a[i][j] for j in cols) for i in rows)
-
-
 def ent_from_blocks(grid):
     out = []
     for strip in grid:

@@ -556,6 +556,18 @@ class TestDoubleCosets:
             assert w.length + a.length == x.length
             assert set(w.word) <= K
 
+    def test_factorize_rejects_bad_input(self, systems):
+        a2 = systems["a2"]
+        with pytest.raises(ValueError):
+            a2.factorize({0, 1}, {0}, a2.identity)  # J not inside K
+        with pytest.raises(ValueError):
+            a2.factorize({0}, {0, 1}, a2.element((0,)))  # not in D_J
+
+    def test_double_coset_decompose_rejects_non_minimal(self, systems):
+        a3 = systems["a3"]
+        with pytest.raises(ValueError):
+            a3.double_coset_decompose({1, 2}, {0}, a3.element((1, 0)))
+
 
 class TestInfinite:
     def test_requires_cutoff(self):

@@ -224,6 +224,12 @@ class TestTransitivity:
         report = transitivity_check({0}, {0, 1}, summed)
         assert report.ok, str(report)
 
+    @pytest.mark.parametrize("k", [{0}, {0, 1}])
+    def test_check_count_a3(self, systems, k):
+        """One check per E_s and per X_(s,g)."""
+        report = transitivity_check({0}, k, sign_module(systems["a3"], {0}))
+        assert report.ok and report.checks == 7, str(report)
+
 
 class TestMackey:
     def test_k_full_single_coset(self, systems):
@@ -253,6 +259,11 @@ class TestMackey:
         module = sign_module(systems["a3"], {0})
         report = mackey_check({0}, {1, 2}, module)
         assert report.ok, str(report)
+
+    @pytest.mark.parametrize("k,checks", [({0}, 28), ({1, 2}, 24), ({0, 1}, 24)])
+    def test_check_count_a3(self, systems, k, checks):
+        report = mackey_check({0}, k, sign_module(systems["a3"], {0}))
+        assert report.ok and report.checks == checks, str(report)
 
 
 def transport(system, d, inner):
@@ -320,6 +331,33 @@ class TestMuFactorize:
         table_ks = p_mu_table(k, inner)
         report = mu_factorize_check(j, k, table_js, table_jk, table_ks)
         assert report.ok, str(report)
+
+    @staticmethod
+    def a3_tables(systems):
+        a3 = systems["a3"]
+        j, k = frozenset({0}), frozenset({0, 1})
+        module = sign_module(a3, j)
+        table_js = p_mu_table(j, module)
+        table_jk = p_mu_table(j, module, ambient=k)
+        table_ks = p_mu_table(k, induce(j, module, table_jk))
+        return j, k, table_js, table_jk, table_ks
+
+    def test_one_check_per_triple(self, systems):
+        j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
+        report = mu_factorize_check(j, k, table_js, table_jk, table_ks)
+        assert report.ok, str(report)
+        assert report.checks == len(table_js.reps) ** 2 * len(table_js.ambient) == 432
+
+    def test_missing_direct_entry_fails(self, systems):
+        j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
+        del table_js.mu[next(iter(table_js.mu))]
+        assert not mu_factorize_check(j, k, table_js, table_jk, table_ks).ok
+
+    def test_doubled_level_entry_fails(self, systems):
+        j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
+        key = next(iter(table_ks.mu))
+        table_ks.mu[key] = table_ks.mu[key] + table_ks.mu[key]
+        assert not mu_factorize_check(j, k, table_js, table_jk, table_ks).ok
 
 
 @pytest.fixture()

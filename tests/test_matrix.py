@@ -19,7 +19,6 @@ from oracles import (
     ent_scale,
     ent_split,
     ent_sub,
-    ent_submatrix,
 )
 
 # small supports and coefficients, so that sums and products cancel often
@@ -185,13 +184,6 @@ class TestLaurentStructure:
         mat = LMat(a)
         assert mat.is_bar_symmetric() == ent_is_bar_symmetric(a)
         assert (mat + mat.bar()).is_bar_symmetric()
-
-    @fewer
-    @given(grids(), st.data())
-    def test_submatrix(self, a, data):
-        rows = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=3))
-        cols = data.draw(st.lists(st.integers(0, len(a[0]) - 1), min_size=1, max_size=3))
-        check(LMat(a).submatrix(rows, cols), ent_submatrix(a, rows, cols))
 
     @fewer
     @given(st.data())
