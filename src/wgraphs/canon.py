@@ -130,8 +130,7 @@ def rho_table(
     ambient = system.generator_set if ambient is None else system._subset(ambient)
     if not J <= ambient:
         raise ValueError("J must be contained in the ambient subset")
-    reps = system.min_coset_reps(J, K=ambient if ambient != system.generator_set else None,
-                                 max_length=max_length)
+    reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
     entries: Dict[Tuple[Element, Element], LMat] = {}
     for z in reps:
         blocks: Dict[Element, LMat] = {}

@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .coxeter import CoxeterSystem, Element
 from .report import Report
-from .wgraph import OmegaModule, trivial_module
+from .wgraph import OmegaModule, edges, trivial_module
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,9 @@ class CellPartition:
 def action_arcs(module: OmegaModule) -> Dict[int, Set[int]]:
     """arcs[y] = set of x hit by some edge operator applied to y."""
     arcs: Dict[int, Set[int]] = {i: set() for i in range(module.rank)}
-    for (_, _), mat in module.x.items():
-        for i in range(module.rank):
-            row = mat[i]
-            for j in range(module.rank):
-                if row[j] != 0 and i != j:
-                    arcs[j].add(i)
+    for (_, i, j), _ in edges(module):
+        if i != j:
+            arcs[j].add(i)
     return arcs
 
 

@@ -55,14 +55,22 @@ def resolve_module(system: CoxeterSystem, spec: str, J: frozenset) -> wgraph.Ome
         return wgraph.trivial_module(system, frozenset())
     data = formats.load_json(spec)
     if isinstance(data, dict) and "vertices" in data:
-        graph = formats.wgraph_from_json(system, data, spec)
-        module = wgraph.to_module(graph)
+        module = formats.wgraph_from_json(system, data, spec).module
     else:
         module = formats.module_from_json(system, data, spec)
     if module.gens != J:
         raise SchemaError(spec, f"module is over J={formats.gens_to_json(module.gens)}, "
                                 f"but -J selects {formats.gens_to_json(J)}")
     return module
+
+
+def _vertex_names(table: hy.PMuTable, module: wgraph.OmegaModule) -> List[str]:
+    """Induced basis names: "rep", or "rep|b" when the module has rank above 1."""
+    return [
+        f"{rep}|{b}" if module.rank > 1 else str(rep)
+        for rep in table.reps
+        for b in range(module.rank)
+    ]
 
 
 def _print_report(report: Report) -> int:
@@ -99,13 +107,7 @@ def cmd_induce(args) -> int:
     J = parse_gens(system, args.J, "-J")
     module = resolve_module(system, args.module, J)
     table = hy.p_mu_table(J, module)
-    induced = hy.induce(J, module, table)
-    names = [
-        f"{rep}|{b}" if module.rank > 1 else str(rep)
-        for rep in table.reps
-        for b in range(module.rank)
-    ]
-    graph = wgraph.to_wgraph(induced, names)
+    graph = wgraph.to_wgraph(hy.induce(J, module, table), _vertex_names(table, module))
     if args.out:
         formats.save_text(args.out, formats.dumps(formats.wgraph_to_json(graph)))
     if args.dot:
@@ -119,18 +121,13 @@ def cmd_cells(args) -> int:
     system = formats.load_system(args.system)
     if args.wgraph:
         graph = formats.wgraph_from_json(system, formats.load_json(args.wgraph), args.wgraph)
-        module = wgraph.to_module(graph)
-        names = list(graph.vertices)
+        module, names = graph.module, graph.vertices
     else:
         J = parse_gens(system, args.J, "-J")
         inner = resolve_module(system, args.module, J)
         table = hy.p_mu_table(J, inner)
         module = hy.induce(J, inner, table)
-        names = [
-            f"{rep}|{b}" if inner.rank > 1 else str(rep)
-            for rep in table.reps
-            for b in range(inner.rank)
-        ]
+        names = _vertex_names(table, inner)
     partition = cells.cell_partition(module)
     payload = formats.cells_to_json(partition, names)
     text = formats.dumps(payload)
@@ -139,8 +136,7 @@ def cmd_cells(args) -> int:
     else:
         sys.stdout.write(text)
     if args.dot:
-        graph_for_dot = wgraph.to_wgraph(module, names)
-        formats.save_text(args.dot, formats.cells_to_dot(partition, names, graph_for_dot))
+        formats.save_text(args.dot, formats.cells_to_dot(partition, names, module))
     return 0
 
 
@@ -151,9 +147,7 @@ def cmd_verify(args) -> int:
     if check == "axioms":
         if args.wgraph:
             graph = formats.wgraph_from_json(system, formats.load_json(args.wgraph), args.wgraph)
-            module = wgraph.to_module(graph)
-            report = wgraph.validate(module)
-            report.merge(graph.support_condition_report())
+            report = wgraph.validate(graph.module)
         else:
             module = resolve_module(system, args.module, J)
             table = hy.p_mu_table(J, module)

@@ -635,10 +635,13 @@ class CoxeterSystem:
         """Minimal-length representatives of the cosets x W_J (inside W_K).
 
         These are the x with l(xu) > l(x) for every u in J, sorted by
-        (length, word).
+        (length, word).  K = None and K = S both mean the whole group.
         """
         J = self._subset(J)
-        pool = self.elements(max_length) if K is None else self.parabolic_elements(K, max_length)
+        if K is None or self._subset(K) == self.generator_set:
+            pool = self.elements(max_length)
+        else:
+            pool = self.parabolic_elements(K, max_length)
         return [x for x in pool if not (self.right_descents(x) & J)]
 
     def deodhar_class(self, J: Iterable[int], s: int, w: Element) -> DeodharClass:

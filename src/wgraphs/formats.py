@@ -12,7 +12,10 @@ Conventions, shared with the CLI:
 * group elements are words of 1-based generator digits ("121"), the
   identity is "e"; ranks above 9 switch to dash-separated form;
 * a Laurent polynomial is a {exponent: coefficient} object with string
-  exponents, e.g. {"-1": 1, "0": -2, "3": 1}.
+  exponents, e.g. {"-1": 1, "0": -2, "3": 1};
+* a W-graph file lists vertices, their labels and weighted edges; it is
+  read straight into an :class:`~wgraphs.wgraph.OmegaModule` with diagonal
+  idempotents, and written from one by :func:`wgraphs.wgraph.edges`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 from .cells import CellPartition
 from .coxeter import CoxeterSystem
 from .matrix import IMat, LMat, imat
-from .wgraph import OmegaModule, WGraph
+from .wgraph import OmegaModule, WGraph, edges, to_wgraph
 
 
 class SchemaError(ValueError):
@@ -190,40 +193,44 @@ def _gen_key(system: CoxeterSystem, key: str, path: str) -> int:
 
 
 def wgraph_to_json(graph: WGraph) -> dict:
-    edges = []
-    for s in sorted(graph.edges):
-        for (i, j) in sorted(graph.edges[s]):
-            weights = graph.edges[s][(i, j)]
-            edges.append(
-                {
-                    "s": s + 1,
-                    "from": graph.vertices[j],
-                    "to": graph.vertices[i],
-                    "weights": {str(g): c for g, c in sorted(weights.items())},
-                }
-            )
+    module, names = graph.module, graph.vertices
     return {
-        "J": gens_to_json(graph.gens),
-        "vertices": list(graph.vertices),
-        "labels": [gens_to_json(lab) for lab in graph.labels],
-        "edges": edges,
+        "J": gens_to_json(module.gens),
+        "vertices": list(names),
+        "labels": [gens_to_json(module.vertex_label(i)) for i in range(module.rank)],
+        "edges": [
+            {
+                "s": s + 1,
+                "from": names[j],
+                "to": names[i],
+                "weights": {str(g): c for g, c in weights.items()},
+            }
+            for (s, i, j), weights in edges(module)
+        ],
     }
 
 
 def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGraph:
+    """Load a W-graph; weights at -g fold onto g and zero weights are dropped."""
     _expect(isinstance(data, dict), path, "expected an object")
     gens = gens_from_json(system, data.get("J", []), f"{path}.J")
     vertices = data.get("vertices")
     _expect(isinstance(vertices, list) and vertices, f"{path}.vertices",
             "expected a nonempty list")
     names = [str(v) for v in vertices]
+    n = len(names)
     position = {name: i for i, name in enumerate(names)}
     labels_raw = data.get("labels")
-    _expect(isinstance(labels_raw, list) and len(labels_raw) == len(names),
+    _expect(isinstance(labels_raw, list) and len(labels_raw) == n,
             f"{path}.labels", "expected one label list per vertex")
-    labels = [gens_from_json(system, lab, f"{path}.labels[{i}]")
-              for i, lab in enumerate(labels_raw)]
-    edges: Dict[int, Dict[Tuple[int, int], Dict[int, int]]] = {}
+    e = {s: [[0] * n for _ in range(n)] for s in gens}
+    for i, lab in enumerate(labels_raw):
+        label = gens_from_json(system, lab, f"{path}.labels[{i}]")
+        _expect(label <= gens, f"{path}.labels[{i}]", "label outside J")
+        for s in label:
+            e[s][i][i] = 1
+    # a later edge with the same (s, from, to) replaces an earlier one
+    weights_at: Dict[Tuple[int, int, int], Dict[int, int]] = {}
     raw_edges = data.get("edges", [])
     _expect(isinstance(raw_edges, list), f"{path}.edges", "expected a list")
     for k, edge in enumerate(raw_edges):
@@ -231,6 +238,7 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
         _expect(isinstance(edge, dict), epath, "expected an object")
         s = _as_int(edge.get("s"), f"{epath}.s") - 1
         _expect(0 <= s < system.rank, f"{epath}.s", "generator out of range")
+        _expect(s in gens, f"{epath}.s", "generator outside J")
         src = edge.get("from")
         dst = edge.get("to")
         _expect(src in position, f"{epath}.from", f"unknown vertex {src!r}")
@@ -246,8 +254,19 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
                 raise SchemaError(f"{epath}.weights.{gkey}",
                                   "exponent keys must be integers") from None
             weights[gamma] = _as_int(c, f"{epath}.weights.{gkey}")
-        edges.setdefault(s, {})[(position[dst], position[src])] = weights
-    return WGraph(system, gens, names, labels, edges)
+        weights_at[(s, position[dst], position[src])] = weights
+    x: Dict[Tuple[int, int], List[List[int]]] = {}
+    for (s, i, j), weights in weights_at.items():
+        for gamma, c in weights.items():
+            if c:
+                mat = x.setdefault((s, abs(gamma)), [[0] * n for _ in range(n)])
+                if mat[i][j] not in (0, c):
+                    raise ValueError(
+                        f"conflicting weights for +{abs(gamma)} and -{abs(gamma)} "
+                        f"on the s={s + 1} edge {names[j]} -> {names[i]}"
+                    )
+                mat[i][j] = c
+    return to_wgraph(OmegaModule(system, gens, n, e, x), names)
 
 
 # -- p/mu tables ---------------------------------------------------------------------------
@@ -284,22 +303,21 @@ def cells_to_json(partition: CellPartition, names: List[str]) -> dict:
 
 
 def wgraph_to_dot(graph: WGraph) -> str:
+    module, names = graph.module, graph.vertices
     lines = ["digraph wgraph {"]
-    for i, name in enumerate(graph.vertices):
-        label_set = ",".join(str(s + 1) for s in sorted(graph.labels[i]))
+    for i, name in enumerate(names):
+        label_set = ",".join(str(s + 1) for s in sorted(module.vertex_label(i)))
         lines.append(f'  "{name}" [label="{name}\\n{{{label_set}}}"];')
-    for s in sorted(graph.edges):
-        for (i, j) in sorted(graph.edges[s]):
-            weights = graph.edges[s][(i, j)]
-            text = ",".join(f"{g}:{c}" for g, c in sorted(weights.items()))
-            lines.append(
-                f'  "{graph.vertices[j]}" -> "{graph.vertices[i]}" [label="s{s + 1} {text}"];'
-            )
+    for (s, i, j), weights in edges(module):
+        text = ",".join(f"{g}:{c}" for g, c in weights.items())
+        lines.append(f'  "{names[j]}" -> "{names[i]}" [label="s{s + 1} {text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def cells_to_dot(partition: CellPartition, names: List[str], graph: Optional[WGraph] = None) -> str:
+def cells_to_dot(
+    partition: CellPartition, names: List[str], module: Optional[OmegaModule] = None
+) -> str:
     lines = ["digraph cells {", "  compound=true;"]
     for b, block in enumerate(partition.blocks):
         lines.append(f"  subgraph cluster_{b} {{")
@@ -307,9 +325,8 @@ def cells_to_dot(partition: CellPartition, names: List[str], graph: Optional[WGr
         for i in sorted(block):
             lines.append(f'    "{names[i]}";')
         lines.append("  }")
-    if graph is not None:
-        for s in sorted(graph.edges):
-            for (i, j) in sorted(graph.edges[s]):
-                lines.append(f'  "{names[j]}" -> "{names[i]}" [label="s{s + 1}"];')
+    if module is not None:
+        for (s, i, j), _ in edges(module):
+            lines.append(f'  "{names[j]}" -> "{names[i]}" [label="s{s + 1}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -213,9 +213,7 @@ def p_mu_table(
         raise ValueError("J must be contained in the ambient subset")
     if descent_choice not in ("min", "max"):
         raise ValueError("descent_choice must be 'min' or 'max'")
-    reps = system.min_coset_reps(
-        J, K=ambient if ambient != system.generator_set else None, max_length=max_length
-    )
+    reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
     table = PMuTable(system, J, ambient, module, tuple(reps), {}, {})
     leq = system.bruhat_leq
     rank = module.rank
@@ -290,16 +288,6 @@ def p_mu_table(
                         alpha = alpha - table.p_at(x, y) @ mu_y
                 neg, const, _ = alpha.split()
                 value = neg + const + neg.bar()
-                if not value.is_bar_symmetric():
-                    raise RecursionInvariantError(
-                        f"mu({x},{z},s={s+1}) is not bar-symmetric"
-                    )
-                residual = value - alpha
-                res_neg, res_const, _ = residual.split()
-                if not (res_neg.is_zero() and res_const.is_zero()):
-                    raise RecursionInvariantError(
-                        f"mu({x},{z},s={s+1}) leaves a non-positive residual"
-                    )
                 ls = system.weight(s)
                 if any(not (-ls < g < ls) for g in value.exponents()):
                     raise RecursionInvariantError(
@@ -747,9 +735,7 @@ def mu_inductive(
     inner, inner_reps = module, [system.identity]
     for k_prev, k_cur in zip(levels, levels[1:]):
         level = p_mu_table(k_prev, inner, ambient=k_cur)
-        cur_reps = system.min_coset_reps(
-            J, K=k_cur if k_cur != system.generator_set else None
-        )
+        cur_reps = system.min_coset_reps(J, K=k_cur)
         merged = _factor_mu(J, k_prev, cur_reps, inner_reps, merged, level)
         if k_cur != system.generator_set:
             stitched = PMuTable(system, J, k_cur, module, tuple(cur_reps), {}, merged)

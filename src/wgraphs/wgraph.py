@@ -13,13 +13,18 @@ and the braid relations for the Laurent matrices
     T(s) = -v_s^-1 E_s + v_s (1 - E_s) + sum_g v^g X_{s,g},
 
 where v_s = v^L(s).  :func:`validate` checks all of this by exact matrix
-arithmetic.  A :class:`WGraph` is the same data with all ``E_s`` diagonal
-0/1 matrices, presented as a vertex-labelled edge-weighted graph.
+arithmetic.  A :class:`WGraph` is such a module whose ``E_s`` are all
+diagonal 0/1 matrices, with a name for each basis vector: vertex i has
+the label {s : E_s[i][i] = 1} and an s-edge of weight c v^g from j to i
+where ``X_{s,g}[i][j] = c``.  On diagonal idempotents the relations
+``E_s X_{s,g} = X_{s,g}`` and ``X_{s,g} E_s = 0`` are the label condition:
+an s-edge leaves a vertex without s in its label and enters one with it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .coxeter import CoxeterSystem, Element
 from .matrix import IMat, LMat, imat, imat_is_zero, imat_mul, imat_zero
@@ -190,114 +195,20 @@ class OmegaModule:
         return f"OmegaModule(J={sorted(s + 1 for s in self.gens)}, rank={self.rank})"
 
 
+@dataclass(frozen=True)
 class WGraph:
-    """A vertex-labelled, edge-weighted graph presentation of a module.
+    """A module with diagonal 0/1 idempotents and one name per basis vector.
 
-    ``edges[s][(i, j)]`` is the map gamma -> weight of the s-edge from
-    vertex j into vertex i (i.e. vertex i occurs in the expansion of the
-    edge operator applied to vertex j).
+    Vertex i carries the label {s : E_s[i][i] = 1}; :func:`edges` lists
+    the edges.  Build one with :func:`to_wgraph`.
     """
 
-    __slots__ = ("system", "gens", "vertices", "labels", "edges")
-
-    def __init__(
-        self,
-        system: CoxeterSystem,
-        gens: Iterable[int],
-        vertices: Iterable[str],
-        labels: Iterable[Iterable[int]],
-        edges: Mapping[int, Mapping[Tuple[int, int], Mapping[int, int]]],
-    ):
-        self.system = system
-        self.gens = system._subset(gens)
-        self.vertices = tuple(str(v) for v in vertices)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError("vertex names must be distinct")
-        self.labels = tuple(system._subset(lab) for lab in labels)
-        if len(self.labels) != len(self.vertices):
-            raise ValueError("one label set per vertex required")
-        for lab in self.labels:
-            if not lab <= self.gens:
-                raise ValueError("vertex labels must be subsets of J")
-        edge_data: Dict[int, Dict[Tuple[int, int], Dict[int, int]]] = {}
-        n = len(self.vertices)
-        for s, mat in edges.items():
-            if s not in self.gens:
-                raise ValueError(f"edge family for generator {s+1} outside J")
-            clean: Dict[Tuple[int, int], Dict[int, int]] = {}
-            for (i, j), weights in mat.items():
-                if not (0 <= i < n and 0 <= j < n):
-                    raise ValueError("edge endpoint out of range")
-                w = {int(g): c for g, c in weights.items() if c != 0}
-                for g in w:
-                    if abs(g) >= system.weight(s):
-                        raise ValueError("edge weight exponent out of range")
-                if w:
-                    clean[(i, j)] = w
-            if clean:
-                edge_data[s] = clean
-        self.edges = edge_data
-
-    @property
-    def rank(self) -> int:
-        return len(self.vertices)
-
-    def support_condition_report(self) -> Report:
-        """Edges must go from a vertex without s in its label into one with it."""
-        report = Report("wgraph support condition")
-        for s, mat in self.edges.items():
-            for (i, j), _ in mat.items():
-                report.require(
-                    s in self.labels[i] and s not in self.labels[j],
-                    f"edge {self.vertices[j]} -> {self.vertices[i]} for s={s+1} "
-                    f"violates the label condition",
-                )
-        return report
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, WGraph):
-            return NotImplemented
-        return (
-            self.system == other.system
-            and self.gens == other.gens
-            and self.vertices == other.vertices
-            and self.labels == other.labels
-            and self.edges == other.edges
-        )
-
-    def __repr__(self) -> str:
-        n_edges = sum(len(mat) for mat in self.edges.values())
-        return f"WGraph({self.rank} vertices, {n_edges} edges)"
-
-
-# -- conversions ------------------------------------------------------------
-
-
-def to_module(graph: WGraph) -> OmegaModule:
-    """The matrix module defined by a W-graph (idempotents become diagonal)."""
-    n = graph.rank
-    e = {}
-    for s in graph.gens:
-        e[s] = tuple(
-            tuple(1 if (i == j and s in graph.labels[i]) else 0 for j in range(n))
-            for i in range(n)
-        )
-    x: Dict[Tuple[int, int], list] = {}
-    for s, mat in graph.edges.items():
-        for (i, j), weights in mat.items():
-            for g, c in weights.items():
-                key = (s, abs(g))
-                if key not in x:
-                    x[key] = [[0] * n for _ in range(n)]
-                if x[key][i][j] == 0:
-                    x[key][i][j] = c
-                elif x[key][i][j] != c:
-                    raise ValueError("conflicting weights for +g and -g on the same edge")
-    return OmegaModule(graph.system, graph.gens, n, e, {k: imat(m) for k, m in x.items()})
+    module: OmegaModule
+    vertices: Tuple[str, ...]
 
 
 def to_wgraph(module: OmegaModule, vertices: Optional[Iterable[str]] = None) -> WGraph:
-    """Present a module with diagonal idempotents as a W-graph."""
+    """Name the basis vectors of a module with diagonal idempotents."""
     if not module.has_diagonal_idempotents():
         raise ValueError("module idempotents are not diagonal 0/1 matrices")
     n = module.rank
@@ -306,15 +217,24 @@ def to_wgraph(module: OmegaModule, vertices: Optional[Iterable[str]] = None) -> 
     )
     if len(names) != n:
         raise ValueError("need one vertex name per basis element")
-    labels = [module.vertex_label(i) for i in range(n)]
-    edges: Dict[int, Dict[Tuple[int, int], Dict[int, int]]] = {}
-    for (s, g), mat in module.x.items():
-        out = edges.setdefault(s, {})
-        for i in range(n):
-            for j in range(n):
-                if mat[i][j]:
-                    out.setdefault((i, j), {})[g] = mat[i][j]
-    return WGraph(module.system, module.gens, names, labels, edges)
+    if len(set(names)) != len(names):
+        raise ValueError("vertex names must be distinct")
+    return WGraph(module, names)
+
+
+def edges(module: OmegaModule) -> List[Tuple[Tuple[int, int, int], Dict[int, int]]]:
+    """The edges ((s, i, j), {g: c}), sorted, with g >= 0 and c != 0.
+
+    Vertex i occurs with coefficient c in the image of vertex j under the
+    weight-g edge operator of s, i.e. ``X_{s,g}[i][j] = c``.
+    """
+    out: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+    for (s, g), mat in sorted(module.x.items()):
+        for i, row in enumerate(mat):
+            for j, c in enumerate(row):
+                if c:
+                    out.setdefault((s, i, j), {})[g] = c
+    return sorted(out.items())
 
 
 # -- builtin rank-1 modules ---------------------------------------------------

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from wgraphs.cli import main
+from wgraphs.cli import main, resolve_module
+from wgraphs.formats import load_system
 
 from oracles import bruhat_leq_subword
 
@@ -91,6 +92,17 @@ class TestCells:
                     "--out", str(tmp_path / "c.json")]) == 0
         assert "cluster_3" in dot.read_text()
 
+    def test_wgraph_dot_matches_induced(self, tmp_path, a2_path):
+        graph_file = tmp_path / "kl.json"
+        run(["induce", "--system", a2_path, "--module", "regular", "--out", str(graph_file)])
+        from_file, direct = tmp_path / "file.dot", tmp_path / "direct.dot"
+        assert run(["cells", "--system", a2_path, "--wgraph", str(graph_file),
+                    "--dot", str(from_file), "--out", str(tmp_path / "c1.json")]) == 0
+        assert run(["cells", "--system", a2_path, "--dot", str(direct),
+                    "--out", str(tmp_path / "c2.json")]) == 0
+        assert from_file.read_text() == direct.read_text()
+        assert from_file.read_text().count("->") == 8
+
 
 class TestVerify:
     @pytest.mark.parametrize(
@@ -113,6 +125,16 @@ class TestVerify:
         b2 = str(system_dir / "b2.json")
         assert run(["verify", "--system", b2, "--check", "oracle", "-J", "1",
                     "--module", "sign"]) == 0
+
+    def test_wgraph_axioms_one_check_per_relation(self, tmp_path, a2_path, capsys):
+        # regular A2: 2 idempotence + 2 x (E X, X E) + commutation + braid = 8 checks,
+        # none per edge: validate covers the label condition
+        graph_file = tmp_path / "kl.json"
+        run(["induce", "--system", a2_path, "--module", "regular", "--out", str(graph_file)])
+        capsys.readouterr()
+        assert run(["verify", "--system", a2_path, "--check", "axioms",
+                    "--wgraph", str(graph_file)]) == 0
+        assert "ok [8 checks]" in capsys.readouterr().out
 
     def test_failing_check_exits_one(self, tmp_path, a2_path, capsys):
         bad = {
@@ -197,3 +219,64 @@ class TestModuleFiles:
                     "--module", str(graph_file), "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         assert list(data["p"]) == ["e|e"]
+
+
+def _graph_file(tmp_path, name, **changes):
+    """A two-vertex W-graph file on B2 with L = (1, 2), with fields replaced."""
+    data = {
+        "J": [1, 2],
+        "vertices": ["a", "b"],
+        "labels": [[2], []],
+        "edges": [{"s": 2, "from": "b", "to": "a", "weights": {"1": 3}}],
+    }
+    data.update(changes)
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def _edges(*weights):
+    return [{"s": 2, "from": "b", "to": "a", "weights": w} for w in weights]
+
+
+_BAD_GRAPHS = {
+    "duplicate-vertex": {"vertices": ["a", "a"]},
+    "label-outside-j": {"J": [2], "labels": [[1], []]},
+    "edge-outside-j": {"J": [2], "edges": [{"s": 1, "from": "b", "to": "a",
+                                             "weights": {"0": 1}}]},
+    "exponent-out-of-range": {"edges": _edges({"-2": 1})},
+    "conflicting-signs": {"edges": _edges({"1": 3, "-1": 4})},
+}
+
+
+class TestWGraphFiles:
+    @pytest.fixture()
+    def b2u_path(self, system_dir):
+        return str(system_dir / "b2_unequal.json")
+
+    def load(self, b2u_path, tmp_path, name, **changes):
+        system = load_system(b2u_path)
+        return resolve_module(system, _graph_file(tmp_path, name, **changes), frozenset({0, 1}))
+
+    @pytest.mark.parametrize("bad", sorted(_BAD_GRAPHS))
+    @pytest.mark.parametrize("command", [
+        ["cells", "--wgraph"],
+        ["verify", "--check", "axioms", "--wgraph"],
+        ["table", "-J", "1,2", "--module"],
+    ])
+    def test_bad_file_exits_two(self, tmp_path, b2u_path, bad, command, capsys):
+        path = _graph_file(tmp_path, bad, **_BAD_GRAPHS[bad])
+        assert run([command[0], "--system", b2u_path] + command[1:] + [path]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_negative_exponent_folds(self, tmp_path, b2u_path):
+        plus = self.load(b2u_path, tmp_path, "plus")
+        assert plus.x == {(1, 1): ((0, 3), (0, 0))}
+        assert self.load(b2u_path, tmp_path, "minus", edges=_edges({"-1": 3})) == plus
+        assert self.load(b2u_path, tmp_path, "both", edges=_edges({"1": 3, "-1": 3})) == plus
+
+    def test_zero_weight_dropped(self, tmp_path, b2u_path):
+        plus = self.load(b2u_path, tmp_path, "plus")
+        assert self.load(b2u_path, tmp_path, "zero", edges=_edges({"1": 3, "0": 0})) == plus
+        zero_edge = _edges({"1": 3}) + [{"s": 2, "from": "a", "to": "b", "weights": {"0": 0}}]
+        assert self.load(b2u_path, tmp_path, "zero-edge", edges=zero_edge) == plus

@@ -415,6 +415,15 @@ class TestCosets:
         a2 = systems["a2"]
         assert len(a2.min_coset_reps(frozenset())) == 6
 
+    def test_full_k_is_whole_group(self, systems):
+        a3 = systems["a3"]
+        for J in (frozenset(), {0}, {0, 2}):
+            assert a3.min_coset_reps(J, K=a3.generator_set) == a3.min_coset_reps(J)
+        affine = CoxeterSystem(((1, 3, 3), (3, 1, 3), (3, 3, 1)))
+        assert affine.min_coset_reps({0}, K={0, 1, 2}, max_length=4) == (
+            affine.min_coset_reps({0}, max_length=4)
+        )
+
     def test_sorted_by_shortlex(self, systems):
         for name in ("a3", "b2"):
             system = systems[name]

@@ -113,5 +113,5 @@ class TestCellsFormat:
         graph, elements = kl_graph(systems["a1"])
         partition = cell_partition(graph)
         names = [str(w) for w in elements]
-        dot = formats.cells_to_dot(partition, names, to_wgraph(graph, names))
+        dot = formats.cells_to_dot(partition, names, graph)
         assert "cluster_0" in dot and dot.endswith("}\n")

@@ -4,9 +4,8 @@ from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat
 from wgraphs.wgraph import (
     OmegaModule,
-    WGraph,
+    edges,
     sign_module,
-    to_module,
     to_wgraph,
     trivial_module,
     validate,
@@ -56,33 +55,53 @@ class TestConversions:
         module, table = kl_module(systems["a2"])
         names = [str(w) for w in table.reps]
         graph = to_wgraph(module, names)
-        assert graph.support_condition_report().ok
-        assert to_module(graph) == module
-        assert to_wgraph(to_module(graph), names) == graph
+        assert graph.module == module and graph.vertices == tuple(names)
+        listed = edges(module)
+        assert listed == sorted(listed)
+        assert {(s, g, i, j): c for (s, i, j), weights in listed for g, c in weights.items()} == {
+            (s, g, i, j): c
+            for (s, g), mat in module.x.items()
+            for i, row in enumerate(mat)
+            for j, c in enumerate(row)
+            if c
+        }
+        # the label condition: an s-edge leaves a vertex without s and enters one with it
+        for (s, i, j), _ in listed:
+            assert s in module.vertex_label(i) and s not in module.vertex_label(j)
 
     def test_sign_module_graph(self, systems):
-        graph = to_wgraph(sign_module(systems["a2"], {0, 1}), ["m0"])
-        assert graph.labels == (frozenset({0, 1}),)
-        assert graph.edges == {}
+        module = sign_module(systems["a2"], {0, 1})
+        assert to_wgraph(module, ["m0"]).vertices == ("m0",)
+        assert module.vertex_label(0) == frozenset({0, 1})
+        assert edges(module) == []
 
     def test_trivial_module_graph(self, systems):
-        graph = to_wgraph(trivial_module(systems["a2"], {0, 1}), ["m0"])
-        assert graph.labels == (frozenset(),)
+        module = trivial_module(systems["a2"], {0, 1})
+        assert to_wgraph(module, ["m0"]).module == module
+        assert module.vertex_label(0) == frozenset()
 
     def test_to_wgraph_needs_diagonal(self, systems):
         module = OmegaModule(systems["a2"], {0}, 2, {0: ((0, 1), (1, 0))}, {})
         with pytest.raises(ValueError):
             to_wgraph(module)
 
+    def test_to_wgraph_needs_one_distinct_name_per_vertex(self, systems):
+        module = trivial_module(systems["a2"], {0, 1}).restrict({0})
+        with pytest.raises(ValueError):
+            to_wgraph(module, ["a", "b"])
+        module, _ = kl_module(systems["a1"])
+        with pytest.raises(ValueError, match="distinct"):
+            to_wgraph(module, ["a", "a"])
+
     def test_support_condition_violation_reported(self, systems):
-        graph = WGraph(
-            systems["a2"],
-            {0, 1},
-            ["a", "b"],
-            [{0}, {0}],
-            {0: {(0, 1): {0: 1}}},  # edge into a vertex whose source also has s
+        # an s-edge out of a vertex whose label contains s: X E_s != 0
+        module = OmegaModule(
+            systems["a2"], {0, 1}, 2,
+            {0: ((1, 0), (0, 1)), 1: ((0, 0), (0, 0))},
+            {(0, 0): ((0, 1), (0, 0))},
         )
-        assert not graph.support_condition_report().ok
+        report = validate(module)
+        assert not report.ok and "X_(1,0) E_1 != 0" in report.failures
 
 
 class TestHeckeMatrices:
