@@ -12,16 +12,19 @@ by the standard correction recursion: at each step the partial sum
 ``alpha`` is antisymmetric under bar, so its positive part is forced.
 
 The engine :func:`canonicalise_shadow` is written against a bare poset
-plus block maps; :func:`rho_table` / :func:`pi_recursion` instantiate it
-with Hecke data.  This path never touches the p/mu recursion in
-:mod:`wgraphs.hy`, which is what makes the two usable as cross-checks of
-each other.
+plus block maps, which it asks once per pair before running on positions
+with the order as bitsets; :func:`rho_table` / :func:`pi_recursion`
+instantiate it with Hecke data, and :func:`check_rho` and
+:func:`pi_recursion` read the Bruhat order of the representatives from
+:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  This path never
+touches the p/mu recursion in :mod:`wgraphs.hy`, which is what makes the
+two usable as cross-checks of each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import CoxeterSystem, Element
 from .laurent import LaurentPoly
@@ -153,18 +156,26 @@ def check_rho(rho: BlockTable) -> Report:
     reps = rho.reps
     rank = rho.module.rank
     identity = LMat.identity(rank)
-    for zi, z in enumerate(reps):
-        below = [y for y in reps[: zi + 1] if rho.system.bruhat_leq(y, z)]
-        for x in below:
-            total = LMat.zeros(rank)
-            for y in below:
-                if rho.system.bruhat_leq(x, y):
-                    term = rho.entries.get((x, y))
-                    upper = rho.entries.get((y, z))
-                    if term is not None and upper is not None:
-                        total = total + term @ upper.bar()
-            expected = identity if x == z else LMat.zeros(rank)
-            report.require(total == expected, f"composition fails at ({x},{z})")
+    zero = LMat.zeros(rank)
+    bits = rho.system.bruhat_ideals(reps)
+    index = {x: i for i, x in enumerate(reps)}
+    names = [str(x) for x in reps]
+    rows: List[Dict[int, LMat]] = [{} for _ in reps]  # rows[x][y] = r_{xy}, x <= y
+    for (x, y), mat in rho.entries.items():
+        if bits[index[y]] >> index[x] & 1:
+            rows[index[x]][index[y]] = mat
+    for zi, below in enumerate(bits):
+        upper_bars = {y: row[zi].bar() for y, row in enumerate(rows) if zi in row}
+        for xi in range(zi + 1):
+            if below >> xi & 1:
+                total = zero
+                for y, term in rows[xi].items():
+                    if y in upper_bars:
+                        total = total + term @ upper_bars[y]
+                expected = identity if xi == zi else zero
+                report.require(
+                    total == expected, f"composition fails at ({names[xi]},{names[zi]})"
+                )
     return report
 
 
@@ -184,36 +195,54 @@ def canonicalise_shadow(
     :class:`CanonicalisationError` if the correction terms fail to be
     antisymmetric or the fixed-point equation has a nonzero residual
     (either means ``rho_at`` does not describe an involution).
+
+    ``leq`` and ``rho_at`` are asked once per pair of positions j <= i;
+    the recursion itself runs on positions, with the order as bitsets.
     """
     items = list(items)
     identity = LMat.identity(rank)
+    zero = LMat.zeros(rank)
+    ideals = []  # bit j of ideals[i]: items[j] <= items[i], for j <= i
+    rows: List[Dict[int, LMat]] = [{} for _ in items]  # rows[x][y] = rho_{xy} != 0, x <= y
+    for i, z in enumerate(items):
+        bits = 0
+        for j in range(i + 1):
+            if leq(items[j], z):
+                bits |= 1 << j
+                mat = rho_at(items[j], z)
+                if not mat.is_zero():
+                    rows[j][i] = mat
+        ideals.append(bits)
     pi: Dict[Tuple[Hashable, Hashable], LMat] = {}
     for zi, z in enumerate(items):
-        below = [y for y in items[: zi + 1] if leq(y, z)]
+        below_bits = ideals[zi]
+        below = [y for y in range(zi + 1) if below_bits >> y & 1]
         pi[(z, z)] = identity
-        for x in reversed(below[:-1]):
-            alpha = LMat.zeros(rank)
-            for y in below:
-                if y != x and leq(x, y):
-                    piy = pi.get((y, z))
-                    if piy is not None:
-                        alpha = alpha + rho_at(x, y) @ piy.bar()
+        col = {zi: identity}  # col[y] = bar(pi_{yz})
+        alphas = {}  # alphas[x] = sum_{x<y<=z} rho_{xy} bar(pi_{yz})
+        for x in reversed(below):
+            alpha = zero
+            for y, mat in rows[x].items():
+                if y != x and below_bits >> y & 1:
+                    alpha = alpha + mat @ col[y]
+            alphas[x] = alpha
+            if x == zi:
+                continue
             if alpha != -alpha.bar():
                 raise CanonicalisationError(
-                    f"correction term at ({x},{z}) is not antisymmetric"
+                    f"correction term at ({items[x]},{z}) is not antisymmetric"
                 )
             _, _, pos = alpha.split()
-            pi[(x, z)] = pos  # possibly zero; stored for every pair x <= z
-        # fixed-point residual: pi_{xz} = sum_{x<=y<=z} rho_{xy} bar(pi_{yz})
+            pi[(items[x], z)] = pos  # possibly zero; stored for every pair x <= z
+            col[x] = pos.bar()
+        # fixed-point residual: pi_{xz} = sum_{x<=y<=z} rho_{xy} bar(pi_{yz}),
+        # the alpha of the correction step plus the diagonal term
         for x in below:
-            total = LMat.zeros(rank)
-            for y in below:
-                if leq(x, y):
-                    piy = pi.get((y, z))
-                    if piy is not None:
-                        total = total + rho_at(x, y) @ piy.bar()
-            if total != pi.get((x, z), LMat.zeros(rank)):
-                raise CanonicalisationError(f"fixed-point residual nonzero at ({x},{z})")
+            total = alphas[x] + rows[x].get(x, zero) @ col[x]
+            if total != pi[(items[x], z)]:
+                raise CanonicalisationError(
+                    f"fixed-point residual nonzero at ({items[x]},{z})"
+                )
     return pi
 
 
@@ -222,14 +251,17 @@ def pi_recursion(rho: BlockTable) -> BlockTable:
 
     The composition identity of ``rho`` is verified first (a failed
     identity signals an upstream bug, and the recursion would produce
-    garbage from such input).
+    garbage from such input).  The engine reads the Bruhat order from
+    position bitsets of the representatives.
     """
     report = check_rho(rho)
     if not report.ok:
         raise CanonicalisationError(str(report))
+    bits = rho.system.bruhat_ideals(rho.reps)
+    index = {x: i for i, x in enumerate(rho.reps)}
     entries = canonicalise_shadow(
         rho.reps,
-        rho.system.bruhat_leq,
+        lambda x, z: bool(bits[index[z]] >> index[x] & 1),
         rho.at,
         rho.module.rank,
     )

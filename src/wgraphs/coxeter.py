@@ -90,12 +90,6 @@ class Element:
     def right_descents(self) -> FrozenSet[int]:
         return self.system.right_descents(self)
 
-    def bruhat_leq(self, other: "Element") -> bool:
-        return self.system.bruhat_leq(self, other)
-
-    def bruhat_lt(self, other: "Element") -> bool:
-        return self.word != other.word and self.system.bruhat_leq(self, other)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Element):
             return NotImplemented
@@ -604,6 +598,35 @@ class CoxeterSystem:
         if xi is None:
             return False
         return bool(table.ideal(table.index[z.word]) >> xi & 1)
+
+    def bruhat_ideals(self, elements: Sequence[Element]) -> List[int]:
+        """Bruhat order on a list sorted by (length, word), as position bitsets.
+
+        Bit j of the i-th bitset is set iff elements[j] <= elements[i].  An
+        element is below only elements at least as long, so only j <= i
+        are tested, against the element table's ideal of elements[i].
+        """
+        if not elements:
+            return []
+        for x in elements:
+            self._check_same(x.system)
+        # a ball of radius l(z) holds z's whole lower ideal
+        table = self._table(len(elements[-1].word))
+        ids = [table.index[x.word] for x in elements]
+        if any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("elements must be sorted by (length, word) without repeats")
+        out = []
+        for i, ident in enumerate(ids):
+            ideal = table.ideal(ident)
+            if ident == i:  # elements[:i + 1] are ids 0..i: positions are ids
+                out.append(ideal)
+                continue
+            bits = 0
+            for j in range(i + 1):
+                if ideal >> ids[j] & 1:
+                    bits |= 1 << j
+            out.append(bits)
+        return out
 
     # -- enumeration -------------------------------------------------------
 

@@ -211,7 +211,11 @@ def wgraph_to_json(graph: WGraph) -> dict:
 
 
 def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGraph:
-    """Load a W-graph; weights at -g fold onto g and zero weights are dropped."""
+    """Load a W-graph; weights at -g fold onto g and zero weights are dropped.
+
+    Every exponent must lie in (-L(s), L(s)), zero weights included, and
+    each (s, from, to) may carry one edge.
+    """
     _expect(isinstance(data, dict), path, "expected an object")
     gens = gens_from_json(system, data.get("J", []), f"{path}.J")
     vertices = data.get("vertices")
@@ -229,7 +233,7 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
         _expect(label <= gens, f"{path}.labels[{i}]", "label outside J")
         for s in label:
             e[s][i][i] = 1
-    # a later edge with the same (s, from, to) replaces an earlier one
+    # each (s, from, to) may be given once, so edge k is the k-th key
     weights_at: Dict[Tuple[int, int, int], Dict[int, int]] = {}
     raw_edges = data.get("edges", [])
     _expect(isinstance(raw_edges, list), f"{path}.edges", "expected a list")
@@ -246,6 +250,12 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
         weights_raw = edge.get("weights")
         _expect(isinstance(weights_raw, dict) and weights_raw, f"{epath}.weights",
                 "expected a nonempty object")
+        key = (s, position[dst], position[src])
+        if key in weights_at:
+            first = list(weights_at).index(key)
+            raise SchemaError(epath, f"duplicate s={s + 1} edge {src!r} -> {dst!r} "
+                                     f"(first given at {path}.edges[{first}])")
+        ls = system.weight(s)
         weights = {}
         for gkey, c in weights_raw.items():
             try:
@@ -253,8 +263,11 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
             except ValueError:
                 raise SchemaError(f"{epath}.weights.{gkey}",
                                   "exponent keys must be integers") from None
+            if not -ls < gamma < ls:
+                raise SchemaError(f"{epath}.weights.{gkey}",
+                                  f"exponent outside (-{ls}, {ls}) for generator {s + 1}")
             weights[gamma] = _as_int(c, f"{epath}.weights.{gkey}")
-        weights_at[(s, position[dst], position[src])] = weights
+        weights_at[key] = weights
     x: Dict[Tuple[int, int], List[List[int]]] = {}
     for (s, i, j), weights in weights_at.items():
         for gamma, c in weights.items():
@@ -275,7 +288,8 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 def table_to_json(table) -> dict:
     """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`."""
     out = mu_to_json(table.system, table.gens, table.mu)
-    out["p"] = {f"{x}|{z}": lmat_to_json(mat) for (x, z), mat in table.p.items()}
+    names = {x: str(x) for x in table.reps}
+    out["p"] = {f"{names[x]}|{names[z]}": lmat_to_json(mat) for (x, z), mat in table.p.items()}
     return out
 
 

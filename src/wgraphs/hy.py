@@ -20,8 +20,12 @@ mu^s_{x,z} are computed here by the direct recursion:
 All values are stored as exact Laurent matrices acting on M (elements of
 the parabolic W-graph algebra are never represented abstractly; the
 recursion only ever multiplies by matrices it already has).  The
-recursion follows the well-founded order "z up, then x down", memoised by
-pairs of canonical words, so results are deterministic.
+recursion follows the well-founded order "z up, then x down" over the
+positions of the representatives in their (length, word) listing, so
+results are deterministic.  Deodhar classes and the positions of s*x are
+read from arrays built once per (s, x), and x <= y is a bit test against
+:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`; group elements are
+only the keys under which the blocks are stored.
 
 :func:`induce` assembles the induced module from a finished table;
 :func:`transitivity_check`, :func:`mackey_check` and
@@ -73,43 +77,65 @@ class PMuTable:
     reps: Tuple[Element, ...]
     p: Dict[Tuple[Element, Element], LMat]
     mu: Dict[Tuple[Element, Element, int], LMat]
-    _dclass: dict = field(default_factory=dict, repr=False)
-
-    def p_at(self, x: Element, z: Element) -> LMat:
-        mat = self.p.get((x, z))
-        return LMat.zeros(self.module.rank) if mat is None else mat
+    _array_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     def mu_at(self, x: Element, z: Element, s: int) -> LMat:
         mat = self.mu.get((x, z, s))
         return LMat.zeros(self.module.rank) if mat is None else mat
 
+    def _arrays(self) -> tuple:
+        """(index, classes, shifted): the position of each representative x
+        and, for each ambient s, the lists of the Deodhar class of s on x and
+        of the position of s*x (None in the zero case or outside the
+        representatives).  Built on first use, with one Deodhar query and at
+        most one product per (s, x).
+        """
+        if self._array_cache is None:
+            system, reps = self.system, self.reps
+            index = {x: i for i, x in enumerate(reps)}
+            classes = {s: [system.deodhar_class(self.gens, s, x) for x in reps]
+                       for s in sorted(self.ambient)}
+            shifted = {
+                s: [None if c.tag == DEODHAR_ZERO else index.get(system.mult(system.generator(s), x))
+                    for c, x in zip(row, reps)]
+                for s, row in classes.items()
+            }
+            self._array_cache = (index, classes, shifted)
+        return self._array_cache
+
     def deodhar(self, s: int, w: Element) -> DeodharClass:
-        key = (s, w.word)
-        cached = self._dclass.get(key)
-        if cached is None:
-            cached = self.system.deodhar_class(self.gens, s, w)
-            self._dclass[key] = cached
-        return cached
+        """The Deodhar class of s in the ambient set on the representative w."""
+        index, classes, _ = self._arrays()
+        return classes[s][index[w]]
 
     # -- invariants ---------------------------------------------------------
 
     def check_invariants(self) -> Report:
         """All structural identities of the table, checked exactly."""
         report = Report("p/mu table invariants")
-        system = self.system
+        system, reps = self.system, self.reps
         identity = LMat.identity(self.module.rank)
-        leq = system.bruhat_leq
+        zero = LMat.zeros(self.module.rank)
+        index, classes, shifted = self._arrays()
+        bits = system.bruhat_ideals(reps)
+        # by position: cols[z][x] = p(x, z), mu_lists[z][s] = [(y, mu(y, z, s))]
+        cols: list = [{} for _ in reps]
+        mu_lists: list = [{} for _ in reps]
         for (x, z), mat in self.p.items():
+            cols[index[z]][index[x]] = mat
             if x == z:
                 report.require(mat == identity, f"p({x},{z}) is not the identity")
             else:
                 report.require(
                     all(g > 0 for g in mat.blocks), f"p({x},{z}) has non-positive support"
                 )
-        for (x, z, s) in self.mu:
+        for (x, z, s), mat in self.mu.items():
+            xi, zi = index[x], index[z]
+            mu_lists[zi].setdefault(s, []).append((xi, mat))
             cz, cx = self.deodhar(s, z), self.deodhar(s, x)
             report.require(
-                x.bruhat_lt(z)
+                xi != zi
+                and bits[zi] >> xi & 1
                 and cz.tag in (DEODHAR_PLUS, DEODHAR_ZERO)
                 and cx.tag in (DEODHAR_ZERO, DEODHAR_MINUS),
                 f"mu({x},{z},s={s+1}) stored outside its support condition",
@@ -136,47 +162,36 @@ class PMuTable:
                 )
         # the four-case recurrence, for every pair of representatives
         c_mats = _c_matrices(self.module)
-        mu_lists = _mu_lists(self.mu)
+        names = [str(x) for x in reps]
         for s in sorted(self.ambient):
             vs = LaurentPoly.v(system.weight(s))
             vs_inv = LaurentPoly.v(-system.weight(s))
-            for z in self.reps:
-                cz = self.deodhar(s, z)
-                sz = system.mult(system.generator(s), z)
-                for x in self.reps:
-                    cx = self.deodhar(s, x)
-                    sx = system.mult(system.generator(s), x)
-                    pxz = self.p_at(x, z)
+            row, up = classes[s], shifted[s]
+            for zi, cz in enumerate(row):
+                pz, sz, mu_z = cols[zi], up[zi], mu_lists[zi].get(s, ())
+                for xi, cx in enumerate(row):
+                    pxz = pz.get(xi, zero)
                     if cx.tag == DEODHAR_PLUS:
-                        lhs = self.p_at(sx, z) - pxz.scale(vs)
+                        lhs = pz.get(up[xi], zero) - pxz.scale(vs)
                     elif cx.tag == DEODHAR_ZERO:
                         lhs = c_mats[cx.conj] @ pxz
                     else:
-                        lhs = self.p_at(sx, z) - pxz.scale(vs_inv)
+                        lhs = pz.get(up[xi], zero) - pxz.scale(vs_inv)
                     if cz.tag == DEODHAR_MINUS:
                         rhs = -pxz.scale(vs + vs_inv)
                     else:
                         if cz.tag == DEODHAR_PLUS:
-                            rhs = self.p_at(x, sz)
+                            rhs = zero if sz is None else cols[sz].get(xi, zero)
                         else:
                             rhs = pxz @ c_mats[cz.conj]
-                        for y, mu_y in mu_lists.get((z, s), ()):
-                            if leq(x, y):
-                                rhs = rhs + self.p_at(x, y) @ mu_y
+                        for y, mu_y in mu_z:
+                            if bits[y] >> xi & 1:
+                                rhs = rhs + cols[y].get(xi, zero) @ mu_y
                     report.require(
-                        lhs == rhs, f"recurrence fails at (x={x}, z={z}, s={s+1})"
+                        lhs == rhs,
+                        f"recurrence fails at (x={names[xi]}, z={names[zi]}, s={s+1})",
                     )
         return report
-
-
-def _mu_lists(
-    mu: Dict[Tuple[Element, Element, int], LMat]
-) -> Dict[Tuple[Element, int], List[Tuple[Element, LMat]]]:
-    """The stored mu-blocks grouped by (z, s) as lists of (y, mu(y, z, s))."""
-    out: Dict[Tuple[Element, int], List[Tuple[Element, LMat]]] = {}
-    for (y, z, s), mat in mu.items():
-        out.setdefault((z, s), []).append((y, mat))
-    return out
 
 
 def _c_matrices(module: OmegaModule) -> Dict[int, LMat]:
@@ -215,60 +230,65 @@ def p_mu_table(
         raise ValueError("descent_choice must be 'min' or 'max'")
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
     table = PMuTable(system, J, ambient, module, tuple(reps), {}, {})
-    leq = system.bruhat_leq
+    _, classes, shifted = table._arrays()
+    bits = system.bruhat_ideals(reps)
     rank = module.rank
     identity = LMat.identity(rank)
     zero = LMat.zeros(rank)
     c_mats = _c_matrices(module)
-    # (z, s) -> [(y, mu(y, z, s))] over the nonzero blocks only: the sums
-    # over x <= y < z skip every y whose mu-block is zero
-    mu_lists: Dict[Tuple[Element, int], List[Tuple[Element, LMat]]] = {}
-    gens_sorted = sorted(ambient)
+    # by position: cols[z][x] = p(x, z) for x <= z, else None; mu_lists[z][s]
+    # = [(y, mu(y, z, s))] over the nonzero blocks only, so the sums over
+    # x <= y < z skip every y whose mu-block is zero
+    cols: list = []
+    mu_lists: list = []
 
     for zi, z in enumerate(reps):
-        below_z = [y for y in reps[: zi + 1] if leq(y, z)]
-        table.p[(z, z)] = identity
+        below_z = [y for y in range(zi + 1) if bits[zi] >> y & 1]
+        pz = [None] * (zi + 1)
+        pz[zi] = table.p[(z, z)] = identity
+        cols.append(pz)
+        mu_z: Dict[int, list] = {}
+        mu_lists.append(mu_z)
         if len(below_z) == 1:
             continue
-        if descent_choice == "min":
-            t = z.word[0]  # canonical words start with the smallest left descent
-        else:
-            t = max(system.left_descents(z))
-        t_elt = system.generator(t)
-        tz = system.mult(t_elt, z)
+        # the left descents of z are its minus-classes; the least one is the
+        # first letter of z's canonical word
+        descents = [s for s in sorted(ambient) if classes[s][zi].tag == DEODHAR_MINUS]
+        t = descents[0] if descent_choice == "min" else descents[-1]
+        tz = shifted[t][zi]
+        p_tz, row_t, up_t = cols[tz], classes[t], shifted[t]
         vt = LaurentPoly.v(system.weight(t))
         vt_inv = LaurentPoly.v(-system.weight(t))
-        mu_tz = mu_lists.get((tz, t), ())
+        mu_tz = mu_lists[tz].get(t, ())
+        # tz < z and x < z, so by the lifting property tx <= z and x <= tz
+        # when tx > x (plus and zero classes), and tx <= tz when tx < x
+        # (minus): only p(x, tz) in the minus case may be absent
         for x in reversed(below_z[:-1]):
-            cx = table.deodhar(t, x)
+            cx = row_t[x]
             if cx.tag == DEODHAR_PLUS:
-                tx = system.mult(t_elt, x)
-                value = -(table.p_at(tx, z).scale(vt))
+                value = -(pz[up_t[x]].scale(vt))
             else:
                 correction = zero
                 for y, mu_y in mu_tz:
-                    if leq(x, y):
-                        correction = correction + table.p_at(x, y) @ mu_y
+                    if bits[y] >> x & 1:
+                        correction = correction + cols[y][x] @ mu_y
                 if cx.tag == DEODHAR_ZERO:
-                    value = c_mats[cx.conj] @ table.p_at(x, tz) - correction
+                    value = c_mats[cx.conj] @ p_tz[x] - correction
                 else:
-                    tx = system.mult(t_elt, x)
                     value = (
-                        table.p_at(tx, tz)
-                        - table.p_at(x, tz).scale(vt_inv)
+                        p_tz[up_t[x]]
+                        - (p_tz[x].scale(vt_inv) if bits[tz] >> x & 1 else zero)
                         - correction
                     )
-            table.p[(x, z)] = value
+            pz[x] = table.p[(reps[x], z)] = value
 
         # mu-step: x ascending or descending does not matter for p, but the
         # recursion needs mu(y, z, s) for y above x first, so keep descending.
+        steps = [(s, row, row[zi]) for s, row in classes.items() if row[zi].tag != DEODHAR_MINUS]
         for x in reversed(below_z[:-1]):
-            pxz = table.p[(x, z)]
-            for s in gens_sorted:
-                cz = table.deodhar(s, z)
-                if cz.tag == DEODHAR_MINUS:
-                    continue
-                cx = table.deodhar(s, x)
+            pxz = pz[x]
+            for s, row, cz in steps:
+                cx = row[x]
                 if cx.tag == DEODHAR_PLUS:
                     continue
                 vs_inv = LaurentPoly.v(-system.weight(s))
@@ -283,19 +303,19 @@ def p_mu_table(
                     else:
                         r_term = pxz @ c_mats[cz.conj] + pxz.scale(vs_inv)
                 alpha = -r_term
-                for y, mu_y in mu_lists.get((z, s), ()):
-                    if leq(x, y):
-                        alpha = alpha - table.p_at(x, y) @ mu_y
+                for y, mu_y in mu_z.get(s, ()):
+                    if bits[y] >> x & 1:
+                        alpha = alpha - cols[y][x] @ mu_y
                 neg, const, _ = alpha.split()
                 value = neg + const + neg.bar()
                 ls = system.weight(s)
                 if any(not (-ls < g < ls) for g in value.exponents()):
                     raise RecursionInvariantError(
-                        f"mu({x},{z},s={s+1}) has exponents outside (-{ls},{ls})"
+                        f"mu({reps[x]},{z},s={s+1}) has exponents outside (-{ls},{ls})"
                     )
                 if not value.is_zero():
-                    table.mu[(x, z, s)] = value
-                    mu_lists.setdefault((z, s), []).append((x, value))
+                    table.mu[(reps[x], z, s)] = value
+                    mu_z.setdefault(s, []).append((x, value))
     return table
 
 
@@ -322,7 +342,7 @@ def induce(
     reps = table.reps
     r = module.rank
     n = len(reps) * r
-    index = {w: i for i, w in enumerate(reps)}
+    index, classes, shifted = table._arrays()
     ambient = table.ambient
 
     def put_block(target, bi, bj, mat) -> None:
@@ -342,8 +362,7 @@ def induce(
         ls = system.weight(s)
         e_mat = [[0] * n for _ in range(n)]
         x_mats = {g: [[0] * n for _ in range(n)] for g in range(ls)}
-        for zi, z in enumerate(reps):
-            cls = table.deodhar(s, z)
+        for zi, cls in enumerate(classes[s]):
             if cls.tag == DEODHAR_MINUS:
                 for i in range(r):
                     e_mat[zi * r + i][zi * r + i] = 1
@@ -358,9 +377,9 @@ def induce(
                     if inner is not None:
                         put_block(x_mats[g], zi, zi, inner)
             else:  # plus: idempotent block is zero; carry to the longer rep
-                sz = system.mult(system.generator(s), z)
-                szi = index.get(sz)
+                szi = shifted[s][zi]
                 if szi is None:
+                    sz = system.mult(system.generator(s), reps[zi])
                     raise ValueError(
                         f"carry target {sz} is not among the representatives; "
                         "the enumeration must cover the whole group"
@@ -688,12 +707,13 @@ def mu_factorize_check(
     factored = _factor_mu(J, K, table_js.reps, table_jk.reps, table_jk.mu, table_ks)
     zero = LMat.zeros(r)
     gens = sorted(table_js.ambient)
+    names = {w: str(w) for w in table_js.reps}
     for z in table_js.reps:
         for w in table_js.reps:
             for s in gens:
                 report.require(
                     table_js.mu_at(w, z, s) == factored.get((w, z, s), zero),
-                    f"mu({w},{z},s={s+1}) does not factor through K",
+                    f"mu({names[w]},{names[z]},s={s+1}) does not factor through K",
                 )
     return report
 

@@ -281,9 +281,9 @@ def validate(module: OmegaModule) -> Report:
             m = module.system.order(s, t)
             if m == 0:
                 continue  # infinite bond: no braid relation
-            left = LMat.identity(module.rank)
-            right = LMat.identity(module.rank)
-            for j in range(m):
+            left = module.iota_t(s)
+            right = module.iota_t(t)
+            for j in range(1, m):
                 left = left @ module.iota_t(s if j % 2 == 0 else t)
                 right = right @ module.iota_t(t if j % 2 == 0 else s)
             report.require(

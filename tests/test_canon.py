@@ -217,3 +217,19 @@ class TestGenericEngine:
                 lambda x, y: rho.get((x, y), LMat.zeros(1)),
                 1,
             )
+
+    def test_residual_catches_non_identity_diagonal(self):
+        # rho(a, a) = 2 I: no correction term is wrong, only the residual
+        # pi(a, a) = rho(a, a) bar(pi(a, a)) can catch it
+        rho = {
+            ("a", "a"): LMat.identity(1).scale(2),
+            ("b", "b"): LMat.identity(1),
+            ("a", "b"): LMat([[LaurentPoly({1: 1, -1: -1})]]),
+        }
+        with pytest.raises(CanonicalisationError, match="fixed-point residual"):
+            canonicalise_shadow(
+                ["a", "b"],
+                lambda x, y: x == y or (x, y) == ("a", "b"),
+                lambda x, y: rho.get((x, y), LMat.zeros(1)),
+                1,
+            )

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from wgraphs.cli import main, resolve_module
-from wgraphs.formats import load_system
+from wgraphs.formats import SchemaError, load_json, load_system, wgraph_from_json
 
 from oracles import bruhat_leq_subword
 
@@ -246,6 +246,9 @@ _BAD_GRAPHS = {
                                              "weights": {"0": 1}}]},
     "exponent-out-of-range": {"edges": _edges({"-2": 1})},
     "conflicting-signs": {"edges": _edges({"1": 3, "-1": 4})},
+    "duplicate-edge": {"edges": _edges({"1": 3}, {"1": 4})},
+    "zero-weight-out-of-range": {"edges": _edges({"1": 3}) + [
+        {"s": 1, "from": "b", "to": "a", "weights": {"5": 0}}]},
 }
 
 
@@ -268,6 +271,18 @@ class TestWGraphFiles:
         path = _graph_file(tmp_path, bad, **_BAD_GRAPHS[bad])
         assert run([command[0], "--system", b2u_path] + command[1:] + [path]) == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad,where", [
+        ("duplicate-edge", "wgraph.edges[1]: duplicate s=2 edge 'b' -> 'a' "
+                           "(first given at wgraph.edges[0])"),
+        ("zero-weight-out-of-range", "wgraph.edges[1].weights.5: exponent outside (-1, 1)"),
+    ])
+    def test_bad_edge_named(self, tmp_path, b2u_path, bad, where):
+        system = load_system(b2u_path)
+        data = load_json(_graph_file(tmp_path, bad, **_BAD_GRAPHS[bad]))
+        with pytest.raises(SchemaError) as err:
+            wgraph_from_json(system, data)
+        assert str(err.value).startswith(where)
 
     def test_negative_exponent_folds(self, tmp_path, b2u_path):
         plus = self.load(b2u_path, tmp_path, "plus")

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +9,16 @@ from wgraphs.coxeter import (
     InvalidSystemError,
     MixedSystemsError,
 )
+from wgraphs.formats import load_system
 
 from oracles import bruhat_leq_subword, enumerate_model, eval_word, model_for, normalize_word
+
+_ROOT = Path(__file__).resolve().parent.parent
+SYSTEM_FILES = sorted(
+    str(p.relative_to(_ROOT))
+    for folder in ("systems", "perfbench/systems")
+    for p in (_ROOT / folder).glob("*.json")
+)
 
 
 def _path(*labels):
@@ -368,6 +377,29 @@ class TestBruhat:
         for x in ball:
             for z in ball:
                 assert system.bruhat_leq(x, z) == bruhat_leq_subword(system, x, z)
+
+    @pytest.mark.parametrize("path", SYSTEM_FILES)
+    def test_bruhat_ideals_match_pairwise(self, path):
+        # every J of every system file; infinite groups as the ball of radius 8
+        system = load_system(str(_ROOT / path))
+        radius = None if system.is_finite else 8
+        for size in range(system.rank + 1):
+            for J in itertools.combinations(range(system.rank), size):
+                reps = system.min_coset_reps(J, max_length=radius)
+                bits = system.bruhat_ideals(reps)
+                assert len(bits) == len(reps)
+                for i, z in enumerate(reps):
+                    assert bits[i] >> (i + 1) == 0
+                    for j in range(i + 1):
+                        assert bool(bits[i] >> j & 1) == system.bruhat_leq(reps[j], z)
+
+    def test_bruhat_ideals_need_sorted_input(self, systems):
+        a2 = systems["a2"]
+        assert a2.bruhat_ideals([]) == []
+        with pytest.raises(ValueError):
+            a2.bruhat_ideals(a2.elements()[::-1])
+        with pytest.raises(ValueError):
+            a2.bruhat_ideals([a2.identity, a2.identity])
 
     def test_fresh_system_without_table(self, systems):
         # every query starts on a system that has enumerated nothing yet

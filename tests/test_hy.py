@@ -558,3 +558,50 @@ class TestClassicalComparison:
         # S3 has only trivial KL polynomials; the two bar-directions agree,
         # but the exponent direction is already pinned down.
         assert winners and all(name.startswith("v^(lz-lx)") for name in winners)
+
+
+class TestIndexKernel:
+    """Both triangular routes run on representative positions: no per-pair
+    Bruhat, Deodhar or product query reaches the Coxeter system."""
+
+    @pytest.fixture()
+    def counts(self, monkeypatch):
+        counts = dict.fromkeys(("bruhat_leq", "deodhar_class", "mult"), 0)
+        for name in counts:
+            original = getattr(CoxeterSystem, name)
+
+            def counted(self, *args, _original=original, _name=name, **kwargs):
+                counts[_name] += 1
+                return _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(CoxeterSystem, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("j,make", [(frozenset(), trivial_module),
+                                        (frozenset({0}), sign_module)])
+    def test_no_per_pair_queries(self, systems, counts, j, make):
+        from wgraphs.canon import check_rho, pi_recursion, rho_table
+
+        system = systems["b3"]
+        module = make(system, j)
+        table = p_mu_table(j, module)
+        reps, gens = len(table.reps), system.rank
+        assert len(table.p) > 3 * reps * gens  # the pairs outnumber the bounds below
+        # one Deodhar query and at most two products per (s, x)
+        assert counts["bruhat_leq"] == 0
+        assert counts["deodhar_class"] <= reps * gens
+        assert counts["mult"] <= 2 * reps * gens
+        # a table built without the recursion builds its arrays once
+        fresh = PMuTable(system, table.gens, table.ambient, module, table.reps,
+                         table.p, table.mu)
+        counts.update(dict.fromkeys(counts, 0))
+        assert fresh.check_invariants().ok
+        assert counts["bruhat_leq"] == 0
+        assert counts["deodhar_class"] <= reps * gens
+        assert counts["mult"] <= 2 * reps * gens
+        rho = rho_table(j, module)
+        counts.update(dict.fromkeys(counts, 0))
+        assert check_rho(rho).ok
+        pi = pi_recursion(rho)
+        assert counts == {"bruhat_leq": 0, "deodhar_class": 0, "mult": 0}
+        assert pi.entries == table.p
