@@ -1,9 +1,16 @@
 """JSON and DOT serialisation for systems, modules, W-graphs and tables.
 
 All writers emit deterministic bytes (sorted keys, two-space indent, one
-trailing newline), so identical inputs produce identical files.  Schema
-errors raise :class:`SchemaError` with the JSON path of the offending
-value; syntax errors keep the line/column information of the decoder.
+trailing newline), so identical inputs produce identical files.
+:func:`dumps` writes exactly what ``json.dumps(obj, indent=2,
+sort_keys=True)`` gives, in one pass over the document with the stdlib's C
+string escaper (the stdlib falls back to its pure-Python encoder whenever
+an indent is given), and renders a container that occurs twice at the
+same depth once.  :func:`table_to_json` hands equal p-blocks one shared
+value, so a table with few distinct blocks is built and written once per
+block.  Schema errors raise :class:`SchemaError` with the JSON path of
+the offending value; syntax errors keep the line/column information of
+the decoder.
 
 Conventions, shared with the CLI:
 
@@ -21,6 +28,7 @@ Conventions, shared with the CLI:
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .cells import CellPartition
@@ -47,8 +55,64 @@ def _as_int(value, path: str) -> int:
     return value
 
 
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
 def dumps(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    Takes str-keyed dicts, lists, tuples, str, int, bool and None; any other
+    value (a float included) or key raises :class:`TypeError`.  A container
+    reached twice at the same depth, such as a p-block shared by
+    :func:`table_to_json`, is rendered once.
+    """
+    parts: List[str] = []
+    _write(obj, "\n", parts, {})
+    parts.append("\n")
+    return "".join(parts)
+
+
+def _write(value, newline: str, parts: List[str], seen: dict) -> None:
+    """Append the pieces of ``value`` at the indent ``newline`` to ``parts``.
+
+    ``seen`` maps (id, indent) of each container written so far to the
+    span of ``parts`` that holds its text.
+    """
+    kind = type(value)
+    if kind is str:
+        parts.append(_encode_str(value))
+    elif kind is int:
+        parts.append(int.__repr__(value))
+    elif value is None or kind is bool:
+        parts.append(_CONSTANTS[value])
+    elif kind is dict or kind is list or kind is tuple:
+        if not value:
+            parts.append("{}" if kind is dict else "[]")
+            return
+        key = (id(value), newline)
+        span = seen.get(key)
+        if span is not None:
+            parts += parts[span[0]:span[1]]
+            return
+        start = len(parts)
+        inner = newline + "  "
+        lead = ("{" if kind is dict else "[") + inner
+        separator = "," + inner
+        if kind is dict:
+            for name, item in sorted(value.items()):  # a key that is no str raises here
+                parts.append(lead + _encode_str(name) + ": ")
+                _write(item, inner, parts, seen)
+                lead = separator
+            parts.append(newline + "}")
+        else:
+            for item in value:
+                parts.append(lead)
+                _write(item, inner, parts, seen)
+                lead = separator
+            parts.append(newline + "]")
+        seen[key] = (start, len(parts))
+    else:
+        raise TypeError(f"cannot write {kind.__name__} as JSON")
 
 
 def load_json(path: str):
@@ -286,10 +350,21 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 
 
 def table_to_json(table) -> dict:
-    """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`."""
+    """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`.
+
+    Equal p-blocks share one :func:`lmat_to_json` value, which :func:`dumps`
+    renders once; the document is read-only by convention.
+    """
     out = mu_to_json(table.system, table.gens, table.mu)
     names = {x: str(x) for x in table.reps}
-    out["p"] = {f"{names[x]}|{names[z]}": lmat_to_json(mat) for (x, z), mat in table.p.items()}
+    shared: Dict[LMat, list] = {}
+    p_part = {}
+    for (x, z), mat in table.p.items():
+        value = shared.get(mat)
+        if value is None:
+            value = shared[mat] = lmat_to_json(mat)
+        p_part[f"{names[x]}|{names[z]}"] = value
+    out["p"] = p_part
     return out
 
 

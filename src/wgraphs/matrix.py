@@ -15,7 +15,7 @@ Kazhdan-Lusztig table, are plain polynomial products on ``{g: c}``.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add, neg, sub
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
@@ -120,11 +120,17 @@ class LMat:
             if [b.ncols for b in strip] != widths or len({b.nrows for b in strip}) > 1:
                 raise ValueError("inconsistent block sizes")
         exps = sorted({g for strip in grid for block in strip for g in block.blocks})
-        blocks = {
-            g: tuple(tuple(x for block in strip for x in block.coeff(g)[i])
-                     for strip in grid for i in range(strip[0].nrows))
-            for g in exps
-        }
+        zero_rows = [(0,) * w for w in widths]  # one row of each missing sub-block
+        blocks = {}
+        for g in exps:
+            rows = []
+            for strip in grid:
+                parts = [block.blocks.get(g) for block in strip]
+                for i in range(strip[0].nrows):
+                    rows.append(tuple(chain.from_iterable(
+                        zero if part is None else part[i] for part, zero in zip(parts, zero_rows)
+                    )))
+            blocks[g] = tuple(rows)
         return cls._new((sum(strip[0].nrows for strip in grid), sum(widths)), blocks)
 
     # -- shape / access --

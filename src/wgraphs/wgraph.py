@@ -24,6 +24,7 @@ an s-edge leaves a vertex without s in its label and enters one with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .coxeter import CoxeterSystem, Element
@@ -132,14 +133,9 @@ class OmegaModule:
 
     def has_diagonal_idempotents(self) -> bool:
         for s in self.gens:
-            mat = self.e_mat(s)
-            for i in range(self.rank):
-                for j in range(self.rank):
-                    if i == j:
-                        if mat[i][j] not in (0, 1):
-                            return False
-                    elif mat[i][j] != 0:
-                        return False
+            for i, row in enumerate(self.e_mat(s)):
+                if row[i] not in (0, 1) or any(row[:i]) or any(row[i + 1:]):
+                    return False
         return True
 
     def vertex_label(self, i: int) -> FrozenSet[int]:
@@ -229,11 +225,11 @@ def edges(module: OmegaModule) -> List[Tuple[Tuple[int, int, int], Dict[int, int
     weight-g edge operator of s, i.e. ``X_{s,g}[i][j] = c``.
     """
     out: Dict[Tuple[int, int, int], Dict[int, int]] = {}
+    columns = range(module.rank)
     for (s, g), mat in sorted(module.x.items()):
         for i, row in enumerate(mat):
-            for j, c in enumerate(row):
-                if c:
-                    out.setdefault((s, i, j), {})[g] = c
+            for j in compress(columns, row):
+                out.setdefault((s, i, j), {})[g] = row[j]
     return sorted(out.items())
 
 

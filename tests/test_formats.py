@@ -1,13 +1,83 @@
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wgraphs import formats
 from wgraphs.cells import cell_partition, kl_graph
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import SchemaError
-from wgraphs.hy import induce, p_mu_table
+from wgraphs.hy import induce, mu_inductive, p_mu_table
 from wgraphs.wgraph import sign_module, to_wgraph, trivial_module
+
+_ROOT = Path(__file__).resolve().parent.parent
+SYSTEM_FILES = sorted(
+    str(p.relative_to(_ROOT))
+    for folder in ("systems", "perfbench/systems")
+    for p in (_ROOT / folder).glob("*.json")
+)
+
+
+def stdlib_dumps(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_text = st.text(st.sampled_from('"\\/\b\n\t\x00\x1f\x7f a\u00e9\u2028\U0001f600') | st.characters(),
+                max_size=6)
+_scalars = (st.none() | st.booleans() | st.integers() | _text
+            | st.sampled_from([10**40, -(10**40), -1, 0]))
+_trees = st.recursive(
+    _scalars,
+    lambda children: (st.lists(children, max_size=4) | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_text, children, max_size=4)),
+    max_leaves=25,
+)
+
+
+class TestWriter:
+    @given(_trees, st.lists(_trees, max_size=3))
+    def test_matches_stdlib(self, tree, shared):
+        # one list object twice at the same depth and once at another depth
+        doc = {"tree": tree, "twice": [shared, shared], "deeper": {"once": [shared]}}
+        assert formats.dumps(doc) == stdlib_dumps(doc)
+        assert formats.dumps(tree) == stdlib_dumps(tree)
+
+    @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "x"}, {"a": {(1,): 2}}, {1, 2}])
+    def test_rejects_other_types(self, value):
+        with pytest.raises(TypeError):
+            formats.dumps(value)
+
+
+def _documents(path: str) -> dict:
+    """A document of every output kind for the system in ``path``."""
+    system = formats.load_system(str(_ROOT / path))
+    S = system.generator_set
+    ball = p_mu_table(frozenset(), trivial_module(system, frozenset()), max_length=4)
+    if system.is_finite:  # the sign module of a maximal parabolic, induced to W
+        J = S - {0}
+        table = p_mu_table(J, sign_module(system, J))
+        module = induce(J, table.module, table)
+        names = [str(w) for w in table.reps]
+        mu = formats.mu_to_json(system, J, mu_inductive([J, S], table.module))
+    else:  # the sign module of W, and the mu-blocks of the ball
+        module, names = sign_module(system, S), ["e"]
+        mu = formats.mu_to_json(system, frozenset(), ball.mu)
+    return {
+        "system": formats.system_to_json(system),
+        "module": formats.module_to_json(module),
+        "table": formats.table_to_json(ball),
+        "wgraph": formats.wgraph_to_json(to_wgraph(module, names)),
+        "cells": formats.cells_to_json(cell_partition(module), names),
+        "mu": mu,
+    }
+
+
+@pytest.mark.parametrize("path", SYSTEM_FILES)
+def test_every_output_matches_stdlib(path):
+    for kind, doc in _documents(path).items():
+        assert formats.dumps(doc) == stdlib_dumps(doc), kind
 
 
 class TestSystemFormat:
@@ -89,6 +159,12 @@ class TestWGraphFormat:
 
 
 class TestTableFormat:
+    def test_shares_equal_blocks(self, systems):
+        table = p_mu_table(frozenset(), trivial_module(systems["a3"], frozenset()))
+        p_part = formats.table_to_json(table)["p"]
+        assert p_part == {f"{x}|{z}": formats.lmat_to_json(mat) for (x, z), mat in table.p.items()}
+        assert len({id(value) for value in p_part.values()}) == len(set(table.p.values()))
+
     def test_mu_only_payload(self, systems):
         from wgraphs.hy import mu_inductive, p_mu_table as direct_table
 

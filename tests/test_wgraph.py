@@ -85,6 +85,10 @@ class TestConversions:
         with pytest.raises(ValueError):
             to_wgraph(module)
 
+    @pytest.mark.parametrize("e", [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 0))])
+    def test_has_diagonal_idempotents_rejects(self, systems, e):
+        assert not OmegaModule(systems["a2"], {0}, 2, {0: e}, {}).has_diagonal_idempotents()
+
     def test_to_wgraph_needs_one_distinct_name_per_vertex(self, systems):
         module = trivial_module(systems["a2"], {0, 1}).restrict({0})
         with pytest.raises(ValueError):
