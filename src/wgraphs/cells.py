@@ -147,8 +147,7 @@ def span_is_stable(module: OmegaModule, vertices: Set[int]) -> bool:
         mats.extend(module.x_mat(s, g) for g in range(module.system.weight(s)))
         for mat in mats:
             for i in outside:
-                row = mat[i]
-                if any(row[j] != 0 for j in vertices):
+                if any(j in vertices for j, _ in mat[i]):
                     return False
     return True
 

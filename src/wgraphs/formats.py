@@ -33,7 +33,7 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from .cells import CellPartition
 from .coxeter import CoxeterSystem
-from .matrix import IMat, LMat, imat
+from .matrix import IMat, LMat
 from .wgraph import OmegaModule, WGraph, edges, to_wgraph
 
 
@@ -183,34 +183,38 @@ def load_system(path: str) -> CoxeterSystem:
 def lmat_to_json(mat: LMat) -> list:
     out: list = [[{} for _ in range(mat.ncols)] for _ in range(mat.nrows)]
     for g in mat.exponents():
+        key = str(g)
         for row, coeffs in zip(out, mat.blocks[g]):
-            for entry, c in zip(row, coeffs):
-                if c:
-                    entry[str(g)] = c
+            for j, c in coeffs:
+                row[j][key] = c
     return out
 
 
-def imat_to_json(mat: IMat) -> list:
-    return [list(row) for row in mat]
+def imat_to_json(mat: IMat, ncols: int) -> list:
+    """Dense rows: the file form of a matrix that keeps only its nonzero entries."""
+    return [[entries.get(j, 0) for j in range(ncols)] for entries in map(dict, mat)]
 
 
-def imat_from_json(data, path: str) -> IMat:
+def imat_from_json(data, path: str, ncols: int) -> IMat:
     _expect(isinstance(data, list) and data, path, "expected a nonempty matrix")
     rows = []
     for i, row in enumerate(data):
-        _expect(isinstance(row, list), f"{path}[{i}]", "expected a row")
-        rows.append(tuple(_as_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)))
-    return imat(rows)
+        _expect(isinstance(row, list) and len(row) == ncols, f"{path}[{i}]",
+                f"expected a row of {ncols} entries")
+        values = [_as_int(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)]
+        rows.append(tuple((j, c) for j, c in enumerate(values) if c))
+    return tuple(rows)
 
 
 # -- modules -------------------------------------------------------------------------
 
 
 def module_to_json(module: OmegaModule) -> dict:
-    e_part = {str(s + 1): imat_to_json(module.e_mat(s)) for s in sorted(module.gens)}
+    n = module.rank
+    e_part = {str(s + 1): imat_to_json(module.e_mat(s), n) for s in sorted(module.gens)}
     x_part: Dict[str, Dict[str, list]] = {}
     for (s, g), mat in sorted(module.x.items()):
-        x_part.setdefault(str(s + 1), {})[str(g)] = imat_to_json(mat)
+        x_part.setdefault(str(s + 1), {})[str(g)] = imat_to_json(mat, n)
     return {
         "J": gens_to_json(module.gens),
         "rank": module.rank,
@@ -228,7 +232,7 @@ def module_from_json(system: CoxeterSystem, data, path: str = "module") -> Omega
     e = {}
     for key, mat in e_data.items():
         s = _gen_key(system, key, f"{path}.E.{key}")
-        e[s] = imat_from_json(mat, f"{path}.E.{key}")
+        e[s] = imat_from_json(mat, f"{path}.E.{key}", rank)
     x_data = data.get("X", {})
     _expect(isinstance(x_data, dict), f"{path}.X", "expected an object")
     x = {}
@@ -240,7 +244,7 @@ def module_from_json(system: CoxeterSystem, data, path: str = "module") -> Omega
                 gamma = int(gkey)
             except ValueError:
                 raise SchemaError(f"{path}.X.{key}.{gkey}", "exponent keys must be integers") from None
-            x[(s, gamma)] = imat_from_json(mat, f"{path}.X.{key}.{gkey}")
+            x[(s, gamma)] = imat_from_json(mat, f"{path}.X.{key}.{gkey}", rank)
     return OmegaModule(system, gens, rank, e, x)
 
 
@@ -291,12 +295,12 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
     labels_raw = data.get("labels")
     _expect(isinstance(labels_raw, list) and len(labels_raw) == n,
             f"{path}.labels", "expected one label list per vertex")
-    e = {s: [[0] * n for _ in range(n)] for s in gens}
+    e = {s: [()] * n for s in gens}
     for i, lab in enumerate(labels_raw):
         label = gens_from_json(system, lab, f"{path}.labels[{i}]")
         _expect(label <= gens, f"{path}.labels[{i}]", "label outside J")
         for s in label:
-            e[s][i][i] = 1
+            e[s][i] = ((i, 1),)
     # each (s, from, to) may be given once, so edge k is the k-th key
     weights_at: Dict[Tuple[int, int, int], Dict[int, int]] = {}
     raw_edges = data.get("edges", [])
@@ -332,17 +336,19 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
                                   f"exponent outside (-{ls}, {ls}) for generator {s + 1}")
             weights[gamma] = _as_int(c, f"{epath}.weights.{gkey}")
         weights_at[key] = weights
-    x: Dict[Tuple[int, int], List[List[int]]] = {}
-    for (s, i, j), weights in weights_at.items():
+    x: Dict[Tuple[int, int], List[list]] = {}
+    for (s, i, j), weights in sorted(weights_at.items()):  # so each row's columns increase
         for gamma, c in weights.items():
             if c:
-                mat = x.setdefault((s, abs(gamma)), [[0] * n for _ in range(n)])
-                if mat[i][j] not in (0, c):
+                g = abs(gamma)
+                row = (x.get((s, g)) or x.setdefault((s, g), [[] for _ in range(n)]))[i]
+                if not row or row[-1][0] != j:
+                    row.append((j, c))
+                elif row[-1][1] != c:
                     raise ValueError(
-                        f"conflicting weights for +{abs(gamma)} and -{abs(gamma)} "
+                        f"conflicting weights for +{g} and -{g} "
                         f"on the s={s + 1} edge {names[j]} -> {names[i]}"
                     )
-                mat[i][j] = c
     return to_wgraph(OmegaModule(system, gens, n, e, x), names)
 
 
@@ -373,7 +379,7 @@ def mu_to_json(system: CoxeterSystem, gens: FrozenSet[int], mu: Mapping) -> dict
     mu_part = {}
     for (x, z, s), mat in mu.items():
         mu_part[f"{x}|{z}|{s + 1}"] = {
-            str(g): imat_to_json(coeffs) for g, coeffs in mat.blocks.items() if g >= 0
+            str(g): imat_to_json(coeffs, mat.ncols) for g, coeffs in mat.blocks.items() if g >= 0
         }
     return {"J": gens_to_json(gens), "mu": mu_part}
 

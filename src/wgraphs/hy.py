@@ -52,7 +52,7 @@ from .coxeter import (
     Element,
 )
 from .laurent import LaurentPoly
-from .matrix import LMat
+from .matrix import LMat, imat_identity
 from .report import Report
 from .wgraph import OmegaModule
 
@@ -178,7 +178,7 @@ class PMuTable:
                     else:
                         lhs = pz.get(up[xi], zero) - pxz.scale(vs_inv)
                     if cz.tag == DEODHAR_MINUS:
-                        rhs = -pxz.scale(vs + vs_inv)
+                        rhs = pxz.scale(-(vs + vs_inv))
                     else:
                         if cz.tag == DEODHAR_PLUS:
                             rhs = zero if sz is None else cols[sz].get(xi, zero)
@@ -257,7 +257,7 @@ def p_mu_table(
         t = descents[0] if descent_choice == "min" else descents[-1]
         tz = shifted[t][zi]
         p_tz, row_t, up_t = cols[tz], classes[t], shifted[t]
-        vt = LaurentPoly.v(system.weight(t))
+        minus_vt = LaurentPoly.v(system.weight(t), -1)
         vt_inv = LaurentPoly.v(-system.weight(t))
         mu_tz = mu_lists[tz].get(t, ())
         # tz < z and x < z, so by the lifting property tx <= z and x <= tz
@@ -266,7 +266,7 @@ def p_mu_table(
         for x in reversed(below_z[:-1]):
             cx = row_t[x]
             if cx.tag == DEODHAR_PLUS:
-                value = -(pz[up_t[x]].scale(vt))
+                value = pz[up_t[x]].scale(minus_vt)
             else:
                 correction = zero
                 for y, mu_y in mu_tz:
@@ -284,25 +284,21 @@ def p_mu_table(
 
         # mu-step: x ascending or descending does not matter for p, but the
         # recursion needs mu(y, z, s) for y above x first, so keep descending.
-        steps = [(s, row, row[zi]) for s, row in classes.items() if row[zi].tag != DEODHAR_MINUS]
+        # alpha starts as -R, built by subtraction rather than negated.
+        steps = [(s, row, row[zi], LaurentPoly.v(-system.weight(s), -1))
+                 for s, row in classes.items() if row[zi].tag != DEODHAR_MINUS]
         for x in reversed(below_z[:-1]):
             pxz = pz[x]
-            for s, row, cz in steps:
+            for s, row, cz, minus_vs_inv in steps:
                 cx = row[x]
                 if cx.tag == DEODHAR_PLUS:
                     continue
-                vs_inv = LaurentPoly.v(-system.weight(s))
-                if cz.tag == DEODHAR_PLUS:
-                    if cx.tag == DEODHAR_ZERO:
-                        r_term = -(c_mats[cx.conj] @ pxz)
-                    else:
-                        r_term = pxz.scale(vs_inv)
+                if cx.tag == DEODHAR_ZERO:
+                    alpha = c_mats[cx.conj] @ pxz
                 else:
-                    if cx.tag == DEODHAR_ZERO:
-                        r_term = pxz @ c_mats[cz.conj] - c_mats[cx.conj] @ pxz
-                    else:
-                        r_term = pxz @ c_mats[cz.conj] + pxz.scale(vs_inv)
-                alpha = -r_term
+                    alpha = pxz.scale(minus_vs_inv)
+                if cz.tag == DEODHAR_ZERO:
+                    alpha = alpha - pxz @ c_mats[cz.conj]
                 for y, mu_y in mu_z.get(s, ()):
                     if bits[y] >> x & 1:
                         alpha = alpha - cols[y][x] @ mu_y
@@ -346,32 +342,34 @@ def induce(
     ambient = table.ambient
 
     def put_block(target, bi, bj, mat) -> None:
-        for i in range(r):
-            row = mat[i]
-            trow = target[bi * r + i]
-            for j in range(r):
-                if row[j]:
-                    trow[bj * r + j] += row[j]
+        """Add ``mat`` at block (bi, bj) of ``target``, one {column: value} per row."""
+        for i, row in enumerate(mat, bi * r):
+            trow = target[i]
+            for j, c in row:
+                j += bj * r
+                trow[j] = trow.get(j, 0) + c
 
     mu_by_gen: Dict[int, List[Tuple[int, int, LMat]]] = {}
     for (x, z, s), mu in table.mu.items():
         mu_by_gen.setdefault(s, []).append((index[x], index[z], mu))
+    carry = imat_identity(r)
     e_out: Dict[int, tuple] = {}
     x_out: Dict[Tuple[int, int], tuple] = {}
     for s in sorted(ambient):
         ls = system.weight(s)
-        e_mat = [[0] * n for _ in range(n)]
-        x_mats = {g: [[0] * n for _ in range(n)] for g in range(ls)}
+        e_rows = [()] * n  # each row comes from the one diagonal block it lies in
+        x_mats = {g: [{} for _ in range(n)] for g in range(ls)}
         for zi, cls in enumerate(classes[s]):
             if cls.tag == DEODHAR_MINUS:
-                for i in range(r):
-                    e_mat[zi * r + i][zi * r + i] = 1
+                for i in range(zi * r, zi * r + r):
+                    e_rows[i] = ((i, 1),)
                 continue
             if cls.tag == DEODHAR_ZERO:
                 conj = cls.conj
                 if system.weight(conj) != ls:
                     raise AssertionError("conjugate generators carry different weights")
-                put_block(e_mat, zi, zi, module.e_mat(conj))
+                for i, row in enumerate(module.e_mat(conj), zi * r):
+                    e_rows[i] = tuple([(j + zi * r, c) for j, c in row])
                 for g in range(ls):
                     inner = module.x.get((conj, g))
                     if inner is not None:
@@ -384,15 +382,14 @@ def induce(
                         f"carry target {sz} is not among the representatives; "
                         "the enumeration must cover the whole group"
                     )
-                for i in range(r):
-                    x_mats[0][szi * r + i][zi * r + i] += 1
+                put_block(x_mats[0], szi, zi, carry)
         for xi, zi, mu in mu_by_gen.get(s, ()):
             for g, coeffs in mu.blocks.items():
                 if g >= 0:
                     put_block(x_mats[g], xi, zi, coeffs)
-        e_out[s] = tuple(tuple(row) for row in e_mat)
-        for g, mat in x_mats.items():
-            x_out[(s, g)] = tuple(tuple(row) for row in mat)
+        e_out[s] = tuple(e_rows)
+        for g, rows in x_mats.items():
+            x_out[(s, g)] = tuple(tuple([e for e in sorted(row.items()) if e[1]]) for row in rows)
     return OmegaModule(system, ambient, n, e_out, x_out)
 
 
@@ -406,12 +403,12 @@ def canonical_matrix(J: Iterable[int], module: OmegaModule, table: PMuTable) -> 
     J = system._subset(J)
     if J != table.gens or module != table.module:
         raise ValueError("table was computed for different (J, module) data")
-    zero = LMat.zeros(module.rank)
-    grid = [
-        [table.p.get((y, z), zero) for z in table.reps]
-        for y in table.reps
-    ]
-    return LMat.from_blocks(grid)
+    index, _, _ = table._arrays()
+    r = module.rank
+    n = len(table.reps) * r
+    return LMat.from_blocks(
+        (n, n), ((index[y] * r, index[z] * r, mat) for (y, z), mat in table.p.items())
+    )
 
 
 def hecke_t_on_induced(table: PMuTable, s: int) -> LMat:
@@ -421,22 +418,22 @@ def hecke_t_on_induced(table: PMuTable, s: int) -> LMat:
     reps = table.reps
     r = module.rank
     index = {w: i for i, w in enumerate(reps)}
-    blocks = [[LMat.zeros(r) for _ in reps] for _ in reps]
+    placed = []  # (row offset, column offset, block) of the nonzero blocks
     identity = LMat.identity(r)
     vs = system.weight(s)
     for xi, x in enumerate(reps):
         cls = table.deodhar(s, x)
         if cls.tag == DEODHAR_ZERO:
-            blocks[xi][xi] = module.iota_t(cls.conj)
+            placed.append((xi * r, xi * r, module.iota_t(cls.conj)))
             continue
         sx = system.mult(system.generator(s), x)
         sxi = index.get(sx)
         if sxi is None:
             raise ValueError(f"product {sx} is not among the representatives")
-        blocks[sxi][xi] = identity
+        placed.append((sxi * r, xi * r, identity))
         if cls.tag == DEODHAR_MINUS:
-            blocks[xi][xi] = identity.scale(LaurentPoly({vs: 1, -vs: -1}))
-    return LMat.from_blocks(blocks)
+            placed.append((xi * r, xi * r, identity.scale(LaurentPoly({vs: 1, -vs: -1}))))
+    return LMat.from_blocks((len(reps) * r,) * 2, placed)
 
 
 def verify_h_linearity(
@@ -533,7 +530,9 @@ def _compare_action(
     """Require E_s and X_(s,g) of ``small`` to equal those of ``big`` on rows
     and columns ``idx``, one check per matrix; ``message`` names the
     matrix at its ``{}``."""
-    n = len(idx)
+    at: Dict[int, List[int]] = {}  # column of big -> the columns of small it is
+    for j, big_j in enumerate(idx):
+        at.setdefault(big_j, []).append(j)
     for s in sorted(gens):
         names = [(f"E_{s+1}", small.e_mat(s), big.e_mat(s))]
         names.extend(
@@ -541,7 +540,8 @@ def _compare_action(
             for g in range(small.system.weight(s))
         )
         for name, lhs, rhs in names:
-            same = all(lhs[i][j] == rhs[idx[i]][idx[j]] for i in range(n) for j in range(n))
+            same = all(row == tuple(sorted((j, c) for b, c in rhs[i] for j in at.get(b, ())))
+                       for row, i in zip(lhs, idx))
             report.require(same, message.format(name))
 
 
@@ -592,11 +592,11 @@ def mackey_check(
             mats = [induced.e_mat(s)]
             mats.extend(induced.x_mat(s, g) for g in range(system.weight(s)))
             for mat in mats:
-                stable = all(
-                    mat[i][j] == 0
-                    for j in members
-                    for i in range(induced.rank)
+                stable = not any(
+                    j in members
+                    for i, row in enumerate(mat)
                     if i not in members
+                    for j, _ in row
                 )
                 report.require(
                     stable, f"span up to d={d} is not stable under generator {s+1}"
@@ -665,20 +665,16 @@ def _factor_mu(
                 for v, y, mat in inner_by_gen.get(cls.conj, ()):
                     out[(uv[x, v], uv[x, y], s)] = mat
     for (u, x, s), mat in level.mu.items():
-        spots = {
-            (i // r, j // r)
-            for block in mat.blocks.values()
-            for i, row in enumerate(block)
-            for j, c in enumerate(row)
-            if c
-        }
-        for vi, yi in spots:
+        # spots[(vi, yi)][g] = the rows of the (vi, yi) sub-block of mat's v^g block
+        spots: Dict[Tuple[int, int], Dict[int, list]] = {}
+        for g, block in mat.blocks.items():
+            for i, row in enumerate(block):
+                for j, c in row:
+                    by_exp = spots.setdefault((i // r, j // r), {})
+                    by_exp.setdefault(g, [[] for _ in range(r)])[i % r].append((j % r, c))
+        for (vi, yi), by_exp in spots.items():
             out[(uv[u, inner_reps[vi]], uv[x, inner_reps[yi]], s)] = LMat.from_coeffs(
-                (r, r),
-                {
-                    g: tuple(row[yi * r : yi * r + r] for row in block[vi * r : vi * r + r])
-                    for g, block in mat.blocks.items()
-                },
+                (r, r), {g: tuple(map(tuple, rows)) for g, rows in by_exp.items()}
             )
     return out
 
@@ -821,7 +817,7 @@ def e_fix_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
     for s in sorted(system.generator_set):
         e_s = LMat.from_coeffs((n, n), {0: induced.e_mat(s)})
         product = product @ (e_s if s in J else identity - e_s)
-    column = tuple(row[0] for row in product.coeff(0))
-    expected = tuple(1 if i == 0 else 0 for i in range(n))
-    report.require(column == expected, "E_J does not fix the generating vector")
+    # the nonzero entries (i, c) of column 0; columns are sorted, so each is first in its row
+    column = [(i, row[0][1]) for i, row in enumerate(product.coeff(0)) if row and row[0][0] == 0]
+    report.require(column == [(0, 1)], "E_J does not fix the generating vector")
     return report

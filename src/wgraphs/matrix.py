@@ -1,69 +1,102 @@
-"""Small dense matrices over exact rings, and Laurent matrices by exponent.
+"""Sparse integer matrices, and Laurent matrices by exponent.
 
-An ``IMat`` is a tuple of row tuples of exact scalars (Python ints): the
-stored idempotent and edge data of a module.  A Laurent matrix
-:class:`LMat` is the sum ``sum_g v^g A_g`` stored as its shape and the
-dict ``{g: A_g}`` of IMat coefficient blocks, with no all-zero block.
-The operations the recursions need are then operations on keys: the bar
-involution negates them, the support split partitions them, ``coeff(g)``
-looks one up and scaling by a monomial shifts them.  Sums merge blocks
-exponent by exponent, and products multiply integer blocks for every pair
-of exponents, skipping zero entries since the matrices coming out of
-W-graphs are sparse.  1x1 products, the whole of every regular and
-Kazhdan-Lusztig table, are plain polynomial products on ``{g: c}``.
+An ``IMat`` is a tuple of rows, each a tuple of ``(column, value)`` pairs
+with strictly increasing columns and no zero value (the edge data of a
+W-graph has about one nonzero per row).  The form is canonical, so equal
+matrices are equal tuples; the shape is carried by the module or LMat.
+A Laurent matrix :class:`LMat` is the sum ``sum_g v^g A_g`` stored as its
+shape and the dict ``{g: A_g}`` of IMat blocks, with no all-zero block.
+The bar involution negates the keys, the support split partitions them,
+``coeff(g)`` looks one up and scaling by a monomial shifts them.  Sums
+merge blocks row by row and products multiply stored rows for every pair
+of exponents, so only nonzero entries are touched.  1x1 matrices, the
+whole of every regular table, are coefficient arithmetic on ``{g: c}``,
+and their blocks come from one table keyed by c: equal ones are one object.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
-from operator import add, neg, sub
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from itertools import repeat
+from operator import add, sub
+from typing import Dict, Iterable, Mapping, Tuple
 
 from .laurent import LaurentPoly
 
-IMat = Tuple[Tuple[int, ...], ...]  # k-matrix (scalar entries)
+IMat = Tuple[Tuple[Tuple[int, int], ...], ...]  # rows of (column, value) pairs
+
+
+class _Units(dict):
+    """The 1x1 blocks ``(((0, c),),)``, one per coefficient c."""
+
+    def __missing__(self, c) -> IMat:
+        block = self[c] = (((0, c),),)
+        return block
+
+
+_UNITS = _Units()
 
 
 # -- k-matrix helpers -----------------------------------------------------
 
-def imat(rows: Iterable[Iterable[int]]) -> IMat:
-    return tuple(tuple(row) for row in rows)
+def imat(rows: Iterable[Iterable[Tuple[int, int]]], shape: Tuple[int, int]) -> IMat:
+    """The matrix with these rows of ``(column, value)`` pairs; ``ValueError``
+    unless there are ``shape[0]`` rows, each row's columns strictly increase
+    in ``range(shape[1])`` and no value is zero."""
+    nrows, ncols = shape
+    try:
+        out = tuple(tuple((j, c) for j, c in row) for row in rows)
+    except TypeError:
+        raise ValueError("a sparse row holds (column, value) pairs") from None
+    if len(out) != nrows:
+        raise ValueError(f"matrix has {len(out)} rows, not {nrows}")
+    for i, row in enumerate(out):
+        cols = [j for j, _ in row]
+        if not all(type(j) is int and 0 <= j < ncols for j in cols) or cols != sorted(set(cols)):
+            raise ValueError(f"row {i} needs strictly increasing columns in 0..{ncols - 1}")
+        if not all(c for _, c in row):
+            raise ValueError(f"row {i} holds an explicit zero")
+    return out
 
 
-def imat_zero(n: int, m: int | None = None) -> IMat:
-    m = n if m is None else m
-    return tuple((0,) * m for _ in range(n))
+def imat_zero(n: int) -> IMat:
+    return ((),) * n
 
 
 def imat_identity(n: int) -> IMat:
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def imat_is_zero(a: IMat) -> bool:
-    return not any(map(any, a))
+    return tuple(((i, 1),) for i in range(n))
 
 
 def imat_mul(a: IMat, b: IMat) -> IMat:
-    acc = [[0] * (len(b[0]) if b else 0) for _ in a]
-    _mul_into(acc, _sparse_rows(a), _sparse_rows(b))
-    return imat(acc)
+    acc = [{} for _ in a]
+    _mul_into(acc, a, b)
+    return tuple(map(_row, acc))
 
 
-def _sparse_rows(a: IMat) -> list:
-    """The nonzero entries ``(j, a[i][j])`` of each row i."""
-    return [[(j, x) for j, x in enumerate(row) if x] for row in a]
+def _row(acc: dict) -> tuple:
+    """The sparse row of a ``{column: value}`` accumulator."""
+    return tuple([e for e in sorted(acc.items()) if e[1]])
 
 
-def _negated(a: IMat) -> IMat:
-    return tuple(map(tuple, map(map, repeat(neg), a)))
+def _scaled(a: IMat, c) -> IMat:
+    return tuple(tuple([(j, c * x) for j, x in row]) for row in a)
 
 
-def _mul_into(acc: list, a_rows: list, b_rows: list) -> None:
-    """Add the product of two matrices, given by their sparse rows, to ``acc``."""
-    for orow, arow in zip(acc, a_rows):
+def _mul_into(acc: list, a: IMat, b: IMat) -> None:
+    """Add the product of two matrices to ``acc``, one ``{column: value}`` per row."""
+    for orow, arow in zip(acc, a):
         for t, x in arow:
-            for j, y in b_rows[t]:
-                orow[j] += x * y
+            for j, y in b[t]:
+                orow[j] = orow.get(j, 0) + x * y
+
+
+def _merge_rows(ra: tuple, rb: tuple, op) -> tuple:
+    """The entrywise ``op`` (add or sub) of two sparse rows."""
+    if not rb or not ra:
+        return ra or (rb if op is add else tuple([(j, -y) for j, y in rb]))
+    acc = dict(ra)
+    for j, y in rb:
+        acc[j] = op(acc.get(j, 0), y)
+    return _row(acc)
 
 
 # -- Laurent matrices -----------------------------------------------------
@@ -84,9 +117,9 @@ class LMat:
             raise ValueError("ragged matrix")
         self.shape: Tuple[int, int] = (len(rows), len(rows[0]) if rows else 0)
         exps = sorted({g for row in rows for x in row for g in x.support()})
-        self.blocks: Dict[int, IMat] = {
-            g: tuple(tuple(x.coeff(g) for x in row) for row in rows) for g in exps
-        }
+        self.blocks: Dict[int, IMat] = _shared(self.shape, {g: tuple(
+            tuple((j, x.coeff(g)) for j, x in enumerate(row) if x.coeff(g)) for row in rows
+        ) for g in exps})
 
     # -- constructors --
 
@@ -100,9 +133,8 @@ class LMat:
     @classmethod
     def from_coeffs(cls, shape: Tuple[int, int], coeffs: Mapping[int, IMat]) -> "LMat":
         """The matrix ``sum_g v^g coeffs[g]``; all-zero blocks are dropped."""
-        return cls._new(
-            tuple(shape), {g: imat(b) for g, b in coeffs.items() if not imat_is_zero(b)}
-        )
+        shape = tuple(shape)
+        return cls._new(shape, _shared(shape, {g: b for g, b in coeffs.items() if any(b)}))
 
     @classmethod
     def zeros(cls, n: int, m: int | None = None) -> "LMat":
@@ -110,28 +142,27 @@ class LMat:
 
     @classmethod
     def identity(cls, n: int) -> "LMat":
-        return cls._new((n, n), {0: imat_identity(n)} if n else {})
+        return cls.from_coeffs((n, n), {0: imat_identity(n)})
 
     @classmethod
-    def from_blocks(cls, grid: Sequence[Sequence["LMat"]]) -> "LMat":
-        """Assemble a block matrix; every block in a row/column strip must agree in size."""
-        widths = [block.ncols for block in grid[0]] if grid else []
-        for strip in grid:
-            if [b.ncols for b in strip] != widths or len({b.nrows for b in strip}) > 1:
-                raise ValueError("inconsistent block sizes")
-        exps = sorted({g for strip in grid for block in strip for g in block.blocks})
-        zero_rows = [(0,) * w for w in widths]  # one row of each missing sub-block
-        blocks = {}
-        for g in exps:
-            rows = []
-            for strip in grid:
-                parts = [block.blocks.get(g) for block in strip]
-                for i in range(strip[0].nrows):
-                    rows.append(tuple(chain.from_iterable(
-                        zero if part is None else part[i] for part, zero in zip(parts, zero_rows)
-                    )))
-            blocks[g] = tuple(rows)
-        return cls._new((sum(strip[0].nrows for strip in grid), sum(widths)), blocks)
+    def from_blocks(cls, shape: Tuple[int, int], placed: Iterable[tuple]) -> "LMat":
+        """The matrix that holds each ``(top, left, block)`` with its upper left
+        corner at (top, left) and is zero elsewhere; blocks must not overlap.
+        Stored rows are shifted by ``left``; absent blocks cost nothing."""
+        n, m = shape
+        acc: Dict[int, list] = {}  # the rows of each exponent, as lists of pairs
+        for top, left, block in placed:
+            if min(top, left) < 0 or top + block.nrows > n or left + block.ncols > m:
+                raise ValueError(f"a {block.nrows}x{block.ncols} block at ({top}, {left}) "
+                                 f"does not fit a {n}x{m} matrix")
+            for g, b in block.blocks.items():
+                rows = acc.get(g)
+                if rows is None:
+                    rows = acc[g] = [[] for _ in range(n)]
+                for i, row in enumerate(b, top):
+                    rows[i].extend([(j + left, c) for j, c in row])
+        return cls.from_coeffs(shape, {g: tuple(tuple(sorted(r)) for r in rows)
+                                       for g, rows in acc.items()})
 
     # -- shape / access --
 
@@ -145,21 +176,27 @@ class LMat:
 
     def __getitem__(self, key) -> LaurentPoly:
         i, j = key
-        return LaurentPoly({g: b[i][j] for g, b in self.blocks.items()})
+        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
+            raise IndexError(f"entry {key} outside a {self.nrows}x{self.ncols} matrix")
+        return LaurentPoly({g: c for g, b in self.blocks.items() for col, c in b[i] if col == j})
 
     # -- arithmetic --
 
     def _merge(self, other: "LMat", op) -> "LMat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        unit = self.shape == (1, 1)
         blocks = dict(self.blocks)
         for g, b in other.blocks.items():
             a = blocks.get(g)
-            if a is None:
-                blocks[g] = b if op is add else _negated(b)
-                continue
-            c = tuple(map(tuple, map(map, repeat(op), a, b)))
-            if any(map(any, c)):
+            if unit:  # coefficient arithmetic
+                c = op(a[0][0][1] if a else 0, b[0][0][1])
+                c = _UNITS[c] if c else ()
+            elif a is None:
+                c = b if op is add else _scaled(b, -1)
+            else:
+                c = tuple(map(_merge_rows, a, b, repeat(op)))
+            if any(c):
                 blocks[g] = c
             else:
                 del blocks[g]
@@ -172,43 +209,42 @@ class LMat:
         return self._merge(other, sub)
 
     def __neg__(self) -> "LMat":
-        return LMat._new(self.shape, {g: _negated(b) for g, b in self.blocks.items()})
+        return self.scale(-1)
 
     def __matmul__(self, other: "LMat") -> "LMat":
         (n, k), (k2, m) = self.shape, other.shape
         if k != k2:
             raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
         if n == k == m == 1:  # a product of two Laurent polynomials
+            terms = [(g2, b[0][0][1]) for g2, b in other.blocks.items()]
             coeffs: Dict[int, int] = {}
             for g1, a in self.blocks.items():
-                x = a[0][0]
-                for g2, b in other.blocks.items():
-                    g = g1 + g2
-                    coeffs[g] = coeffs.get(g, 0) + x * b[0][0]
-            return LMat._new((1, 1), {g: ((c,),) for g, c in coeffs.items() if c})
-        b_rows = [(g, _sparse_rows(b)) for g, b in other.blocks.items()]
+                x = a[0][0][1]
+                for g2, y in terms:
+                    coeffs[g1 + g2] = coeffs.get(g1 + g2, 0) + x * y
+            return LMat._new((1, 1), {g: _UNITS[c] for g, c in coeffs.items() if c})
         acc: Dict[int, list] = {}
         for g1, a in self.blocks.items():
-            a_rows = _sparse_rows(a)
-            for g2, rows in b_rows:
+            for g2, b in other.blocks.items():
                 out = acc.get(g1 + g2)
                 if out is None:
-                    out = acc[g1 + g2] = [[0] * m for _ in range(n)]
-                _mul_into(out, a_rows, rows)
-        return LMat.from_coeffs((n, m), acc)
+                    out = acc[g1 + g2] = [{} for _ in range(n)]
+                _mul_into(out, a, b)
+        return LMat.from_coeffs((n, m), {g: tuple(map(_row, rows)) for g, rows in acc.items()})
 
     def scale(self, factor) -> "LMat":
         coeffs = LaurentPoly.coerce(factor).coeffs
         if len(coeffs) == 1:  # a monomial c v^h shifts the keys by h
             (h, c), = coeffs.items()
-            return LMat._new(self.shape, {
-                g + h: b if c == 1 else tuple(tuple(c * x for x in row) for row in b)
-                for g, b in self.blocks.items()
-            })
+            blocks = self.blocks.items()
+            if c == 1:
+                return LMat._new(self.shape, {g + h: b for g, b in blocks})
+            if self.shape == (1, 1):  # coefficient arithmetic
+                return LMat._new((1, 1), {g + h: _UNITS[c * b[0][0][1]] for g, b in blocks})
+            return LMat._new(self.shape, {g + h: _scaled(b, c) for g, b in blocks})
         n = self.nrows
-        scalar = {h: tuple(tuple(c if i == j else 0 for j in range(n)) for i in range(n))
-                  for h, c in coeffs.items()}
-        return LMat._new((n, n), scalar) @ self
+        return LMat.from_coeffs((n, n), {h: tuple(((i, c),) for i in range(n))
+                                         for h, c in coeffs.items()}) @ self
 
     # -- Laurent structure, by exponent --
 
@@ -225,7 +261,7 @@ class LMat:
     def coeff(self, exponent: int) -> IMat:
         """The k-matrix of coefficients of ``v^exponent``."""
         block = self.blocks.get(exponent)
-        return imat_zero(*self.shape) if block is None else block
+        return imat_zero(self.nrows) if block is None else block
 
     def exponents(self) -> tuple:
         return tuple(sorted(self.blocks))
@@ -250,3 +286,8 @@ class LMat:
         n, m = self.shape
         body = "; ".join(", ".join(str(self[i, j]) for j in range(m)) for i in range(n))
         return f"LMat[{body}]"
+
+
+def _shared(shape: Tuple[int, int], blocks: Dict[int, IMat]) -> Dict[int, IMat]:
+    """``blocks`` with each 1x1 block taken from the shared table."""
+    return {g: _UNITS[b[0][0][1]] for g, b in blocks.items()} if shape == (1, 1) else blocks

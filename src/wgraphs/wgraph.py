@@ -3,7 +3,9 @@
 An :class:`OmegaModule` over the generator subset J stores, for each s in
 J, an idempotent k-matrix ``E_s`` and edge-weight k-matrices ``X_{s,g}``
 for the exponents 0 <= g < L(s) (the weight-(-g) matrix equals the
-weight-g one and is not stored separately).  The defining relations are
+weight-g one and is not stored separately).  All of them are sparse
+:data:`~wgraphs.matrix.IMat` rows of ``(column, value)`` pairs, so a
+module costs its nonzero entries, not rank^2.  The defining relations are
 
 * ``E_s^2 = E_s``, ``E_s E_t = E_t E_s``,
 * ``E_s X_{s,g} = X_{s,g}``, ``X_{s,g} E_s = 0``,
@@ -12,11 +14,12 @@ and the braid relations for the Laurent matrices
 
     T(s) = -v_s^-1 E_s + v_s (1 - E_s) + sum_g v^g X_{s,g},
 
-where v_s = v^L(s).  :func:`validate` checks all of this by exact matrix
-arithmetic.  A :class:`WGraph` is such a module whose ``E_s`` are all
-diagonal 0/1 matrices, with a name for each basis vector: vertex i has
-the label {s : E_s[i][i] = 1} and an s-edge of weight c v^g from j to i
-where ``X_{s,g}[i][j] = c``.  On diagonal idempotents the relations
+where v_s = v^L(s).  :func:`validate` checks all of this by exact
+arithmetic on the stored rows.  A :class:`WGraph` is such a module whose
+``E_s`` are all diagonal 0/1 matrices, with a name for each basis vector:
+vertex i has the label {s : E_s[i][i] = 1} and an s-edge of weight c v^g
+from j to i where row i of ``X_{s,g}`` holds ``(j, c)``.  On diagonal
+idempotents the relations
 ``E_s X_{s,g} = X_{s,g}`` and ``X_{s,g} E_s = 0`` are the label condition:
 an s-edge leaves a vertex without s in its label and enters one with it.
 """
@@ -24,11 +27,11 @@ an s-edge leaves a vertex without s in its label and enters one with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .coxeter import CoxeterSystem, Element
-from .matrix import IMat, LMat, imat, imat_is_zero, imat_mul, imat_zero
+from .laurent import LaurentPoly
+from .matrix import IMat, LMat, imat, imat_mul, imat_zero
 from .report import Report
 
 
@@ -36,7 +39,8 @@ class OmegaModule:
     """A finite-rank matrix module for the W-graph algebra of (W_J, L).
 
     Immutable after construction.  ``e`` maps s -> k-matrix; ``x`` maps
-    (s, g) with g >= 0 -> k-matrix (zero matrices may be omitted).
+    (s, g) with g >= 0 -> k-matrix (zero matrices may be omitted).  Each
+    k-matrix is ``rank`` sparse rows, checked by :func:`~wgraphs.matrix.imat`.
     """
 
     __slots__ = ("system", "gens", "rank", "e", "x", "_cache")
@@ -58,7 +62,7 @@ class OmegaModule:
         for s, mat in e.items():
             if s not in self.gens:
                 raise ValueError(f"idempotent for generator {s+1} outside J")
-            e_data[s] = self._checked(imat(mat))
+            e_data[s] = imat(mat, (self.rank, self.rank))
         self.e = e_data
         x_data: Dict[Tuple[int, int], IMat] = {}
         for (s, g), mat in x.items():
@@ -69,19 +73,14 @@ class OmegaModule:
                 raise ValueError(
                     f"edge exponent {g} out of range for generator {s+1} (weight {system.weight(s)})"
                 )
-            mat = self._checked(imat(mat))
+            mat = imat(mat, (self.rank, self.rank))
             previous = x_data.get((s, g))
             if previous is not None and previous != mat:
                 raise ValueError(f"conflicting matrices for X_({s+1},{g}) and X_({s+1},{-g})")
-            if not imat_is_zero(mat):
+            if any(mat):
                 x_data[(s, g)] = mat
         self.x = x_data
         self._cache: dict = {}
-
-    def _checked(self, mat: IMat) -> IMat:
-        if len(mat) != self.rank or any(len(row) != self.rank for row in mat):
-            raise ValueError(f"matrix is not {self.rank}x{self.rank}")
-        return mat
 
     # -- data access ------------------------------------------------------
 
@@ -101,17 +100,11 @@ class OmegaModule:
         if cached is not None:
             return cached
         ls = self.system.weight(s)
-        e_mat = self.e_mat(s)
-        coeffs = {
-            -ls: tuple(tuple(-c for c in row) for row in e_mat),
-            ls: tuple(tuple(int(i == j) - c for j, c in enumerate(row))
-                      for i, row in enumerate(e_mat)),
-        }
-        for g in range(ls):
-            mat = self.x.get((s, g))
-            if mat is not None:
-                coeffs[g] = coeffs[-g] = mat
-        result = LMat.from_coeffs((self.rank, self.rank), coeffs)
+        shape = (self.rank, self.rank)
+        e_s = LMat.from_coeffs(shape, {0: self.e_mat(s)})
+        x_s = {k: mat for g in range(ls) for k in (g, -g) if (mat := self.x.get((s, g)))}
+        result = ((LMat.identity(self.rank) - e_s).scale(LaurentPoly.v(ls))
+                  + e_s.scale(LaurentPoly.v(-ls, -1)) + LMat.from_coeffs(shape, x_s))
         self._cache[("iota_t", s)] = result
         return result
 
@@ -134,12 +127,12 @@ class OmegaModule:
     def has_diagonal_idempotents(self) -> bool:
         for s in self.gens:
             for i, row in enumerate(self.e_mat(s)):
-                if row[i] not in (0, 1) or any(row[:i]) or any(row[i + 1:]):
+                if row and row != ((i, 1),):
                     return False
         return True
 
     def vertex_label(self, i: int) -> FrozenSet[int]:
-        return frozenset(s for s in self.gens if self.e_mat(s)[i][i] == 1)
+        return frozenset(s for s in self.gens if (i, 1) in self.e_mat(s)[i])
 
     def conjugate(self, d: Element, K: Iterable[int]) -> "OmegaModule":
         """The module over the subset K n dJd^-1, with s acting as d^-1 s d did.
@@ -222,14 +215,13 @@ def edges(module: OmegaModule) -> List[Tuple[Tuple[int, int, int], Dict[int, int
     """The edges ((s, i, j), {g: c}), sorted, with g >= 0 and c != 0.
 
     Vertex i occurs with coefficient c in the image of vertex j under the
-    weight-g edge operator of s, i.e. ``X_{s,g}[i][j] = c``.
+    weight-g edge operator of s, i.e. row i of ``X_{s,g}`` holds ``(j, c)``.
     """
     out: Dict[Tuple[int, int, int], Dict[int, int]] = {}
-    columns = range(module.rank)
     for (s, g), mat in sorted(module.x.items()):
         for i, row in enumerate(mat):
-            for j in compress(columns, row):
-                out.setdefault((s, i, j), {})[g] = row[j]
+            for j, c in row:
+                out.setdefault((s, i, j), {})[g] = c
     return sorted(out.items())
 
 
@@ -239,13 +231,13 @@ def edges(module: OmegaModule) -> List[Tuple[Tuple[int, int, int], Dict[int, int
 def sign_module(system: CoxeterSystem, gens: Iterable[int]) -> OmegaModule:
     """Rank 1, every idempotent acts as 1; T_s acts as -v_s^-1."""
     gens = system._subset(gens)
-    return OmegaModule(system, gens, 1, {s: ((1,),) for s in gens}, {})
+    return OmegaModule(system, gens, 1, {s: (((0, 1),),) for s in gens}, {})
 
 
 def trivial_module(system: CoxeterSystem, gens: Iterable[int]) -> OmegaModule:
     """Rank 1, every idempotent acts as 0; T_s acts as v_s."""
     gens = system._subset(gens)
-    return OmegaModule(system, gens, 1, {s: ((0,),) for s in gens}, {})
+    return OmegaModule(system, gens, 1, {s: ((),) for s in gens}, {})
 
 
 # -- validation ---------------------------------------------------------------
@@ -266,7 +258,7 @@ def validate(module: OmegaModule) -> Report:
                 imat_mul(e_s, x_sg) == x_sg, f"E_{s+1} X_({s+1},{g}) != X_({s+1},{g})"
             )
             report.require(
-                imat_is_zero(imat_mul(x_sg, e_s)), f"X_({s+1},{g}) E_{s+1} != 0"
+                not any(imat_mul(x_sg, e_s)), f"X_({s+1},{g}) E_{s+1} != 0"
             )
     for i, s in enumerate(gens):
         for t in gens[i + 1:]:

@@ -312,7 +312,7 @@ class KLOracle:
 def closure_cells(module) -> List[frozenset]:
     """Cells via span closure of singletons under the edge action."""
     n = module.rank
-    mats = [mat for (_, _), mat in module.x.items()]
+    mats = [dense(mat, n) for mat in module.x.values()]
     down: List[set] = []
     for start in range(n):
         reached = {start}
@@ -392,13 +392,42 @@ def ent_exponents(a):
     return tuple(sorted({g for row in a for x in row for g in x.support()}))
 
 
-def ent_from_blocks(grid):
-    out = []
-    for strip in grid:
-        for i in range(len(strip[0])):
-            out.append(tuple(x for block in strip for x in block[i]))
-    return tuple(out)
+def ent_from_blocks(shape, placed, zero):
+    """The matrix of ``shape`` with each (top, left, block) pasted in, else ``zero``."""
+    out = [[zero] * shape[1] for _ in range(shape[0])]
+    for top, left, block in placed:
+        for i, row in enumerate(block):
+            out[top + i][left:left + len(row)] = row
+    return tuple(map(tuple, out))
 
 
 def ent_is_bar_symmetric(a):
     return all(x.is_bar_symmetric() for row in a for x in row)
+
+
+# -- dense integer matrices ----------------------------------------------------------
+#
+# A reference for the sparse integer matrices of wgraphs.matrix (rows of
+# (column, value) pairs): a dense matrix is a tuple of row tuples of ints.
+
+
+def dense(mat, ncols):
+    """The dense rows of a sparse matrix with ``ncols`` columns."""
+    out = []
+    for row in mat:
+        full = [0] * ncols
+        for j, c in row:
+            full[j] = c
+        out.append(tuple(full))
+    return tuple(out)
+
+
+def sparse(rows):
+    """The (column, value) rows of a dense matrix."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
+
+
+def dense_mul(a, b, ncols):
+    return tuple(
+        tuple(sum(x * b[t][j] for t, x in enumerate(row)) for j in range(ncols)) for row in a
+    )

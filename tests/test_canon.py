@@ -108,12 +108,13 @@ class TestPiRecursion:
         module = trivial_module(a2, frozenset())
         rho = rho_table(frozenset(), module)
         pi = pi_recursion(rho)
-        zero = LMat.zeros(1)
+        pos = {x: i for i, x in enumerate(rho.reps)}
+        n = len(pos)
         r_block = LMat.from_blocks(
-            [[rho.entries.get((x, z), zero) for z in rho.reps] for x in rho.reps]
+            (n, n), [(pos[x], pos[z], mat) for (x, z), mat in rho.entries.items()]
         )
         c_block = LMat.from_blocks(
-            [[pi.entries.get((x, z), zero) for z in pi.reps] for x in pi.reps]
+            (n, n), [(pos[x], pos[z], mat) for (x, z), mat in pi.entries.items()]
         )
         assert r_block @ c_block.bar() == c_block
 

@@ -12,7 +12,7 @@ from wgraphs.cells import (
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.wgraph import OmegaModule, sign_module
 
-from oracles import closure_cells
+from oracles import closure_cells, sparse
 
 
 def coxeter_matrix(rank, bonds):
@@ -68,7 +68,7 @@ class TestCellPartition:
         }
 
     def test_requires_diagonal(self, systems):
-        module = OmegaModule(systems["a2"], {0}, 2, {0: ((0, 1), (1, 0))}, {})
+        module = OmegaModule(systems["a2"], {0}, 2, {0: sparse(((0, 1), (1, 0)))}, {})
         with pytest.raises(ValueError):
             cell_partition(module)
 

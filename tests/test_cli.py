@@ -5,7 +5,7 @@ import pytest
 from wgraphs.cli import main, resolve_module
 from wgraphs.formats import SchemaError, load_json, load_system, wgraph_from_json
 
-from oracles import bruhat_leq_subword
+from oracles import bruhat_leq_subword, sparse
 
 
 @pytest.fixture()
@@ -286,7 +286,7 @@ class TestWGraphFiles:
 
     def test_negative_exponent_folds(self, tmp_path, b2u_path):
         plus = self.load(b2u_path, tmp_path, "plus")
-        assert plus.x == {(1, 1): ((0, 3), (0, 0))}
+        assert plus.x == {(1, 1): sparse(((0, 3), (0, 0)))}
         assert self.load(b2u_path, tmp_path, "minus", edges=_edges({"-1": 3})) == plus
         assert self.load(b2u_path, tmp_path, "both", edges=_edges({"1": 3, "-1": 3})) == plus
 

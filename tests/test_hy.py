@@ -26,7 +26,7 @@ from wgraphs.hy import (
     verify_h_linearity,
 )
 
-from oracles import KLOracle, eval_word, sym_group_generators, compose_perms
+from oracles import KLOracle, compose_perms, dense, eval_word, sparse, sym_group_generators
 
 
 class TestPValues:
@@ -125,7 +125,7 @@ class TestInduce:
             for s in range(2):
                 sz = a2.mult(a2.generator(s), z)
                 if sz.length > z.length:
-                    assert induced.x_mat(s, 0)[index[sz]][zi] == 1
+                    assert dense(induced.x_mat(s, 0), induced.rank)[index[sz]][zi] == 1
 
 
 class TestCanonicalMatrix:
@@ -179,14 +179,14 @@ class TestFunctoriality:
         induced = induce({0}, module, table)
         # multiplication by 2 on every block commutes with everything
         n = induced.rank
-        doubled = tuple(tuple(2 * x for x in row) for row in induced.e_mat(0))
-        assert doubled == imat_mul(induced.e_mat(0), ((2, 0, 0), (0, 2, 0), (0, 0, 2)))
+        doubled = sparse(tuple(2 * x for x in row) for row in dense(induced.e_mat(0), n))
+        assert doubled == imat_mul(induced.e_mat(0), sparse(((2, 0, 0), (0, 2, 0), (0, 0, 2))))
 
     def test_projection_map_commutes(self, systems):
         """The projection (sign + trivial) -> sign induces a module map."""
         a2 = systems["a2"]
         j = frozenset({0})
-        summed = OmegaModule(a2, j, 2, {0: ((1, 0), (0, 0))}, {})
+        summed = OmegaModule(a2, j, 2, {0: sparse(((1, 0), (0, 0)))}, {})
         sign = sign_module(a2, j)
         t_sum = p_mu_table(j, summed)
         t_sign = p_mu_table(j, sign)
@@ -196,7 +196,7 @@ class TestFunctoriality:
         phi = [[0] * (2 * len(reps)) for _ in range(len(reps))]
         for i in range(len(reps)):
             phi[i][2 * i] = 1
-        phi = tuple(tuple(row) for row in phi)
+        phi = sparse(phi)
         for s in range(2):
             assert imat_mul(phi, ind_sum.e_mat(s)) == imat_mul(ind_sign.e_mat(s), phi)
             for g in range(a2.weight(s)):
@@ -220,7 +220,7 @@ class TestTransitivity:
 
     def test_higher_rank_module(self, systems):
         a2 = systems["a2"]
-        summed = OmegaModule(a2, {0}, 2, {0: ((1, 0), (0, 0))}, {})
+        summed = OmegaModule(a2, {0}, 2, {0: sparse(((1, 0), (0, 0)))}, {})
         report = transitivity_check({0}, {0, 1}, summed)
         assert report.ok, str(report)
 
@@ -251,7 +251,7 @@ class TestMackey:
 
     def test_higher_rank_module(self, systems):
         a2 = systems["a2"]
-        summed = OmegaModule(a2, {0}, 2, {0: ((1, 0), (0, 0))}, {})
+        summed = OmegaModule(a2, {0}, 2, {0: sparse(((1, 0), (0, 0)))}, {})
         report = mackey_check({0}, {0}, summed)
         assert report.ok, str(report)
 
@@ -412,7 +412,7 @@ class TestMuInductive:
         a3 = systems["a3"]
         j = frozenset({0})
         flag = [j, frozenset({0, 1}), a3.generator_set]
-        summed = OmegaModule(a3, j, 2, {0: ((1, 0), (0, 0))}, {})  # sign + trivial
+        summed = OmegaModule(a3, j, 2, {0: sparse(((1, 0), (0, 0)))}, {})  # sign + trivial
         for module in (sign_module(a3, j), summed):
             direct = p_mu_table(j, module)
             assert mu_inductive(flag, module) == direct.mu
@@ -558,6 +558,36 @@ class TestClassicalComparison:
         # S3 has only trivial KL polynomials; the two bar-directions agree,
         # but the exponent direction is already pinned down.
         assert winners and all(name.startswith("v^(lz-lx)") for name in winners)
+
+
+A4 = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1))
+
+
+class TestSparseStorage:
+    def test_no_negation_in_recursion(self, systems, monkeypatch):
+        calls = []
+        negate = LMat.__neg__
+        monkeypatch.setattr(LMat, "__neg__", lambda self: calls.append(1) or negate(self))
+        p_mu_table(frozenset(), trivial_module(systems["b3"], frozenset()))
+        assert calls == []
+
+    def test_equal_unit_blocks_are_shared(self):
+        a4 = CoxeterSystem(A4)
+        table = p_mu_table(frozenset(), trivial_module(a4, frozenset()))
+        first = {}
+        blocks = [b for mats in (table.p, table.mu) for mat in mats.values()
+                  for b in mat.blocks.values()]
+        assert len(blocks) > 4000 and all(first.setdefault(b, b) is b for b in blocks)
+
+    def test_induced_module_stores_its_nonzeros(self):
+        """Regular A4: 664 nonzero entries in 8 matrices of size 120x120."""
+        a4 = CoxeterSystem(A4)
+        module = trivial_module(a4, frozenset())
+        induced = induce(frozenset(), module, p_mu_table(frozenset(), module))
+        mats = [*induced.e.values(), *induced.x.values()]
+        stored = sum(len(row) for mat in mats for row in mat)
+        nonzero = sum(1 for mat in mats for row in dense(mat, induced.rank) for c in row if c)
+        assert (induced.rank, len(mats), stored, nonzero) == (120, 8, 664, 664)
 
 
 class TestIndexKernel:

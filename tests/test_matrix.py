@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wgraphs.laurent import LaurentPoly, v
-from wgraphs.matrix import LMat, imat_is_zero, imat_zero
+from wgraphs.matrix import LMat, imat, imat_identity, imat_mul, imat_zero
 
 from oracles import (
+    dense,
+    dense_mul,
     ent_add,
     ent_bar,
     ent_coeff,
@@ -19,6 +21,7 @@ from oracles import (
     ent_scale,
     ent_split,
     ent_sub,
+    sparse,
 )
 
 # small supports and coefficients, so that sums and products cancel often
@@ -61,12 +64,16 @@ def entries(mat):
 
 
 def check(mat, ref):
-    """``mat`` has the reference's shape and entries, and no all-zero block."""
+    """``mat`` has the reference's shape and entries, and every block is a
+    nonzero matrix in canonical sparse form (equal 1x1 blocks are one object)."""
     assert mat.shape == (len(ref), len(ref[0]))
     assert entries(mat) == ref
-    assert all(not imat_is_zero(b) for b in mat.blocks.values())
+    for b in mat.blocks.values():
+        assert any(b) and len(b) == mat.nrows and b == sparse(dense(b, mat.ncols))
     rebuilt = LMat(ref)
     assert mat == rebuilt and hash(mat) == hash(rebuilt)
+    if mat.shape == (1, 1):
+        assert all(b is rebuilt.blocks[g] for g, b in mat.blocks.items())
 
 
 class TestConverter:
@@ -85,8 +92,8 @@ class TestConverter:
             LMat([[1, 2], [3]])
 
     def test_from_coeffs_drops_zero_blocks(self):
-        mat = LMat.from_coeffs((2, 2), {-1: ((0, 0), (0, 0)), 2: ((0, 1), (0, 0))})
-        assert mat.blocks == {2: ((0, 1), (0, 0))}
+        mat = LMat.from_coeffs((2, 2), {-1: sparse(((0, 0), (0, 0))), 2: sparse(((0, 1), (0, 0)))})
+        assert mat.blocks == {2: sparse(((0, 1), (0, 0)))}
         assert mat == LMat([[0, v(2)], [0, 0]])
 
 
@@ -124,7 +131,7 @@ class TestArithmetic:
 
     def test_unit_product_collects_terms(self):
         product = LMat([[v(1) + 1]]) @ LMat([[v(1) - 1]])
-        assert product == LMat([[v(2) - 1]]) and product.blocks == {0: ((-1,),), 2: ((1,),)}
+        assert product == LMat([[v(2) - 1]]) and product.blocks == {0: sparse(((-1,),)), 2: sparse(((1,),))}
 
     @fewer
     @given(grids(), polys)
@@ -175,8 +182,8 @@ class TestLaurentStructure:
         mat = LMat(a)
         assert mat.exponents() == ent_exponents(a)
         for g in range(-4, 5):
-            assert mat.coeff(g) == ent_coeff(a, g)
-        assert mat.coeff(99) == imat_zero(len(a), len(a[0]))
+            assert dense(mat.coeff(g), mat.ncols) == ent_coeff(a, g)
+        assert mat.coeff(99) == imat_zero(len(a))
 
     @fewer
     @given(grids())
@@ -188,12 +195,74 @@ class TestLaurentStructure:
     @fewer
     @given(st.data())
     def test_from_blocks(self, data):
+        """A grid of blocks, some of them left out, given in any order."""
         heights = data.draw(st.lists(sizes, min_size=1, max_size=3))
         widths = data.draw(st.lists(sizes, min_size=1, max_size=3))
-        blocks = [[data.draw(grids(h, w)) for w in widths] for h in heights]
-        assembled = LMat.from_blocks([[LMat(b) for b in strip] for strip in blocks])
-        check(assembled, ent_from_blocks(blocks))
+        placed = data.draw(st.permutations([
+            (sum(heights[:a]), sum(widths[:b]), data.draw(grids(h, w)))
+            for a, h in enumerate(heights)
+            for b, w in enumerate(widths)
+            if data.draw(st.booleans())
+        ]))
+        shape = (sum(heights), sum(widths))
+        assembled = LMat.from_blocks(shape, [(i, j, LMat(b)) for i, j, b in placed])
+        check(assembled, ent_from_blocks(shape, placed, LaurentPoly.zero()))
 
     def test_from_blocks_sizes_checked(self):
-        with pytest.raises(ValueError):
-            LMat.from_blocks([[LMat.zeros(1), LMat.zeros(1)], [LMat.zeros(1), LMat.zeros(2)]])
+        for top, left in [(1, 0), (0, 1), (-1, 0)]:
+            with pytest.raises(ValueError):
+                LMat.from_blocks((2, 2), [(top, left, LMat.zeros(2))])
+
+
+# shapes 1x1 to 4x4, with a third of the rows zero
+dims = st.integers(min_value=1, max_value=4)
+
+
+@st.composite
+def sparse_grids(draw, n, m):
+    zero_row = (LaurentPoly.zero(),) * m
+    return tuple(zero_row if draw(st.integers(0, 2)) == 0 else draw(st.tuples(*[polys] * m))
+                 for _ in range(n))
+
+
+class TestSparseForm:
+    """Every operation on the sparse rows against the dense references."""
+
+    @settings(max_examples=200)
+    @given(st.data())
+    def test_every_operation(self, data):
+        # 1x1 (coefficient arithmetic on shared blocks) half of the time
+        n, k, m = (1, 1, 1) if data.draw(st.booleans()) else (data.draw(dims) for _ in "nkm")
+        a, b = data.draw(sparse_grids(n, k)), data.draw(sparse_grids(n, k))
+        c = data.draw(sparse_grids(k, m))
+        la, lb, lc = LMat(a), LMat(b), LMat(c)
+        check(la, a)
+        check(la + lb, ent_add(a, b))
+        check(la - lb, ent_sub(a, b))
+        check(-la, ent_neg(a))
+        check(la @ lc, ent_matmul(a, c, LaurentPoly.zero()))
+        g, coeff = data.draw(st.integers(-3, 3)), data.draw(st.integers(-2, 2))
+        check(la.scale(v(g, coeff)), ent_scale(a, v(g, coeff)))
+        f = data.draw(polys)
+        check(la.scale(f), ent_scale(a, f))
+        check(la.bar(), ent_bar(a))
+        for part, ref in zip(la.split(), ent_split(a)):
+            check(part, ref)
+        for g in range(-4, 5):
+            assert dense(la.coeff(g), k) == ent_coeff(a, g)
+        assert all(la[i, j] == a[i][j] for i in range(n) for j in range(k))
+        with pytest.raises(IndexError):
+            la[n, 0]
+        assert (la == lb) == (a == b) and (la + lb) - lb == la
+        assert hash(la + lb) == hash(lb + la)
+        # b to the right of a and c below both, leaving the rest of the grid
+        # empty; the blocks come in any order
+        shape = (n + k, 2 * k + m)
+        placed = data.draw(st.permutations([(0, 0, a), (0, k, b), (n, 2 * k, c)]))
+        check(LMat.from_blocks(shape, [(i, j, LMat(x)) for i, j, x in placed]),
+              ent_from_blocks(shape, placed, LaurentPoly.zero()))
+        # the integer blocks themselves
+        ia, ic = la.coeff(0), lc.coeff(0)
+        assert imat(ia, (n, k)) == ia and imat(imat_zero(n), (n, k)) == imat_zero(n)
+        assert dense(imat_mul(ia, ic), m) == dense_mul(dense(ia, k), dense(ic, m), m)
+        assert imat_mul(ia, imat_identity(k)) == ia == imat_mul(imat_identity(n), ia)

@@ -12,6 +12,8 @@ from wgraphs.wgraph import (
 )
 from wgraphs.hy import induce, p_mu_table
 
+from oracles import dense, sparse
+
 
 def kl_module(system):
     module = trivial_module(system, frozenset())
@@ -21,11 +23,11 @@ def kl_module(system):
 
 class TestValidate:
     def test_trivial_rank_one(self, systems):
-        module = OmegaModule(systems["a2"], {0, 1}, 1, {0: ((1,),), 1: ((1,),)}, {})
+        module = OmegaModule(systems["a2"], {0, 1}, 1, {0: sparse(((1,),)), 1: sparse(((1,),))}, {})
         assert validate(module).ok
 
     def test_non_idempotent(self, systems):
-        module = OmegaModule(systems["a2"], {0}, 1, {0: ((2,),)}, {})
+        module = OmegaModule(systems["a2"], {0}, 1, {0: sparse(((2,),))}, {})
         report = validate(module)
         assert not report.ok and "E_1^2" in report.failures[0]
 
@@ -37,17 +39,33 @@ class TestValidate:
         # a rank-1 "module" with idempotents 1, 0 for the two generators of A2:
         # both defining products differ (one side acts by -v^-1 * v), so the
         # braid relation must fail.
-        module = OmegaModule(systems["a2"], {0, 1}, 1, {0: ((1,),), 1: ((0,),)}, {})
+        module = OmegaModule(systems["a2"], {0, 1}, 1, {0: sparse(((1,),)), 1: sparse(((0,),))}, {})
         report = validate(module)
         assert not report.ok and any("braid" in f for f in report.failures)
 
     def test_dimension_mismatch(self, systems):
         with pytest.raises(ValueError):
-            OmegaModule(systems["a2"], {0}, 2, {0: ((1,),)}, {})
+            OmegaModule(systems["a2"], {0}, 2, {0: sparse(((1,),))}, {})
 
     def test_x_exponent_range(self, systems):
         with pytest.raises(ValueError):
-            OmegaModule(systems["a2"], {0}, 1, {0: ((1,),)}, {(0, 1): ((1,),)})
+            OmegaModule(systems["a2"], {0}, 1, {0: sparse(((1,),))}, {(0, 1): sparse(((1,),))})
+
+    @pytest.mark.parametrize("mat", [
+        (((0, 1),),),  # one row for rank 2
+        (((0, 1),), (), ()),  # three rows
+        (((2, 1),), ()),  # column outside 0..1
+        (((-1, 1),), ()),
+        (((1, 1), (0, 1)), ()),  # unsorted columns
+        (((0, 1), (0, 1)), ()),  # repeated column
+        (((0, 0),), ()),  # explicit zero
+        ((1, 0), (0, 0)),  # dense rows
+    ])
+    def test_sparse_input_checked(self, systems, mat):
+        with pytest.raises(ValueError):
+            OmegaModule(systems["a2"], {0}, 2, {0: mat}, {})
+        with pytest.raises(ValueError):
+            OmegaModule(systems["a2"], {0}, 2, {}, {(0, 0): mat})
 
 
 class TestConversions:
@@ -61,7 +79,7 @@ class TestConversions:
         assert {(s, g, i, j): c for (s, i, j), weights in listed for g, c in weights.items()} == {
             (s, g, i, j): c
             for (s, g), mat in module.x.items()
-            for i, row in enumerate(mat)
+            for i, row in enumerate(dense(mat, module.rank))
             for j, c in enumerate(row)
             if c
         }
@@ -81,13 +99,13 @@ class TestConversions:
         assert module.vertex_label(0) == frozenset()
 
     def test_to_wgraph_needs_diagonal(self, systems):
-        module = OmegaModule(systems["a2"], {0}, 2, {0: ((0, 1), (1, 0))}, {})
+        module = OmegaModule(systems["a2"], {0}, 2, {0: sparse(((0, 1), (1, 0)))}, {})
         with pytest.raises(ValueError):
             to_wgraph(module)
 
     @pytest.mark.parametrize("e", [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 0))])
     def test_has_diagonal_idempotents_rejects(self, systems, e):
-        assert not OmegaModule(systems["a2"], {0}, 2, {0: e}, {}).has_diagonal_idempotents()
+        assert not OmegaModule(systems["a2"], {0}, 2, {0: sparse(e)}, {}).has_diagonal_idempotents()
 
     def test_to_wgraph_needs_one_distinct_name_per_vertex(self, systems):
         module = trivial_module(systems["a2"], {0, 1}).restrict({0})
@@ -101,8 +119,8 @@ class TestConversions:
         # an s-edge out of a vertex whose label contains s: X E_s != 0
         module = OmegaModule(
             systems["a2"], {0, 1}, 2,
-            {0: ((1, 0), (0, 1)), 1: ((0, 0), (0, 0))},
-            {(0, 0): ((0, 1), (0, 0))},
+            {0: sparse(((1, 0), (0, 1))), 1: sparse(((0, 0), (0, 0)))},
+            {(0, 0): sparse(((0, 1), (0, 0)))},
         )
         report = validate(module)
         assert not report.ok and "X_(1,0) E_1 != 0" in report.failures
@@ -153,7 +171,7 @@ class TestHeckeMatrices:
         n = module.rank
         for s in range(systems[name].rank):
             t_mat = module.iota_t(s)
-            e_mat = module.e_mat(s)
+            e_mat = dense(module.e_mat(s), n)
             for j in range(n):
                 eigen = all(
                     t_mat[i, j] == (v(-systems[name].weight(s), -1) if i == j else LaurentPoly.zero())
@@ -177,7 +195,7 @@ class TestConjugateRestrict:
         module = sign_module(a2, {0})
         conj = module.conjugate(d, {1})
         assert conj.gens == frozenset({1})
-        assert conj.e_mat(1) == ((1,),)
+        assert dense(conj.e_mat(1), 1) == ((1,),)
         assert validate(conj).ok
 
     def test_conjugate_of_sign_is_sign(self, systems):
