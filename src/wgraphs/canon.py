@@ -24,11 +24,12 @@ two usable as cross-checks of each other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import CoxeterSystem, Element
 from .laurent import LaurentPoly
-from .matrix import LMat
+from .matrix import LMat, _dot
 from .report import Report
 from .wgraph import OmegaModule
 
@@ -112,7 +113,12 @@ class BlockTable:
 
     def at(self, x: Element, z: Element) -> LMat:
         mat = self.entries.get((x, z))
-        return LMat.zeros(self.module.rank) if mat is None else mat
+        return self.zero if mat is None else mat
+
+    @cached_property
+    def zero(self) -> LMat:
+        """The block of every absent pair, one object per table."""
+        return LMat.zeros(self.module.rank)
 
 
 def rho_table(
@@ -135,12 +141,13 @@ def rho_table(
         raise ValueError("J must be contained in the ambient subset")
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
     entries: Dict[Tuple[Element, Element], LMat] = {}
+    zero = LMat.zeros(module.rank)
     for z in reps:
         blocks: Dict[Element, LMat] = {}
         for w, coeff in iota_expand(z).items():
             x, u = system.factorize(frozenset(), J, w)
             acted = module.hecke_matrix(u).scale(coeff)
-            blocks[x] = blocks.get(x, LMat.zeros(module.rank)) + acted
+            blocks[x] = blocks.get(x, zero) + acted
         for x, mat in blocks.items():
             if not mat.is_zero():
                 entries[(x, z)] = mat
@@ -155,6 +162,7 @@ def check_rho(rho: BlockTable) -> Report:
     report = Report("rho composition identity")
     reps = rho.reps
     rank = rho.module.rank
+    shape = (rank, rank)
     identity = LMat.identity(rank)
     zero = LMat.zeros(rank)
     bits = rho.system.bruhat_ideals(reps)
@@ -168,10 +176,8 @@ def check_rho(rho: BlockTable) -> Report:
         upper_bars = {y: row[zi].bar() for y, row in enumerate(rows) if zi in row}
         for xi in range(zi + 1):
             if below >> xi & 1:
-                total = zero
-                for y, term in rows[xi].items():
-                    if y in upper_bars:
-                        total = total + term @ upper_bars[y]
+                total = _dot(shape, [(term, upper_bars[y])
+                                     for y, term in rows[xi].items() if y in upper_bars])
                 expected = identity if xi == zi else zero
                 report.require(
                     total == expected, f"composition fails at ({names[xi]},{names[zi]})"
@@ -200,8 +206,8 @@ def canonicalise_shadow(
     the recursion itself runs on positions, with the order as bitsets.
     """
     items = list(items)
+    shape = (rank, rank)
     identity = LMat.identity(rank)
-    zero = LMat.zeros(rank)
     ideals = []  # bit j of ideals[i]: items[j] <= items[i], for j <= i
     rows: List[Dict[int, LMat]] = [{} for _ in items]  # rows[x][y] = rho_{xy} != 0, x <= y
     for i, z in enumerate(items):
@@ -221,14 +227,12 @@ def canonicalise_shadow(
         col = {zi: identity}  # col[y] = bar(pi_{yz})
         alphas = {}  # alphas[x] = sum_{x<y<=z} rho_{xy} bar(pi_{yz})
         for x in reversed(below):
-            alpha = zero
-            for y, mat in rows[x].items():
-                if y != x and below_bits >> y & 1:
-                    alpha = alpha + mat @ col[y]
+            alpha = _dot(shape, [(mat, col[y]) for y, mat in rows[x].items()
+                                 if y != x and below_bits >> y & 1])
             alphas[x] = alpha
             if x == zi:
                 continue
-            if alpha != -alpha.bar():
+            if not alpha.is_bar_antisymmetric():
                 raise CanonicalisationError(
                     f"correction term at ({items[x]},{z}) is not antisymmetric"
                 )
@@ -238,7 +242,9 @@ def canonicalise_shadow(
         # fixed-point residual: pi_{xz} = sum_{x<=y<=z} rho_{xy} bar(pi_{yz}),
         # the alpha of the correction step plus the diagonal term
         for x in below:
-            total = alphas[x] + rows[x].get(x, zero) @ col[x]
+            total = alphas[x]
+            if x in rows[x]:
+                total = total + _dot(shape, [(rows[x][x], col[x])])
             if total != pi[(items[x], z)]:
                 raise CanonicalisationError(
                     f"fixed-point residual nonzero at ({items[x]},{z})"

@@ -52,7 +52,7 @@ from .coxeter import (
     Element,
 )
 from .laurent import LaurentPoly
-from .matrix import LMat, imat_identity
+from .matrix import LMat, _dot, imat_identity
 from .report import Report
 from .wgraph import OmegaModule
 
@@ -114,6 +114,7 @@ class PMuTable:
         """All structural identities of the table, checked exactly."""
         report = Report("p/mu table invariants")
         system, reps = self.system, self.reps
+        shape = (self.module.rank,) * 2
         identity = LMat.identity(self.module.rank)
         zero = LMat.zeros(self.module.rank)
         index, classes, shifted = self._arrays()
@@ -166,6 +167,7 @@ class PMuTable:
         for s in sorted(self.ambient):
             vs = LaurentPoly.v(system.weight(s))
             vs_inv = LaurentPoly.v(-system.weight(s))
+            minus_vs_sum = -(vs + vs_inv)
             row, up = classes[s], shifted[s]
             for zi, cz in enumerate(row):
                 pz, sz, mu_z = cols[zi], up[zi], mu_lists[zi].get(s, ())
@@ -178,15 +180,16 @@ class PMuTable:
                     else:
                         lhs = pz.get(up[xi], zero) - pxz.scale(vs_inv)
                     if cz.tag == DEODHAR_MINUS:
-                        rhs = pxz.scale(-(vs + vs_inv))
+                        rhs = pxz.scale(minus_vs_sum)
                     else:
-                        if cz.tag == DEODHAR_PLUS:
-                            rhs = zero if sz is None else cols[sz].get(xi, zero)
+                        terms = [(cols[y].get(xi, zero), mu_y)
+                                 for y, mu_y in mu_z if bits[y] >> xi & 1]
+                        if cz.tag == DEODHAR_ZERO:
+                            rhs = _dot(shape, [(pxz, c_mats[cz.conj]), *terms])
                         else:
-                            rhs = pxz @ c_mats[cz.conj]
-                        for y, mu_y in mu_z:
-                            if bits[y] >> xi & 1:
-                                rhs = rhs + cols[y].get(xi, zero) @ mu_y
+                            rhs = zero if sz is None else cols[sz].get(xi, zero)
+                            if terms:
+                                rhs = rhs + _dot(shape, terms)
                     report.require(
                         lhs == rhs,
                         f"recurrence fails at (x={names[xi]}, z={names[zi]}, s={s+1})",
@@ -233,8 +236,8 @@ def p_mu_table(
     _, classes, shifted = table._arrays()
     bits = system.bruhat_ideals(reps)
     rank = module.rank
+    shape = (rank, rank)
     identity = LMat.identity(rank)
-    zero = LMat.zeros(rank)
     c_mats = _c_matrices(module)
     # by position: cols[z][x] = p(x, z) for x <= z, else None; mu_lists[z][s]
     # = [(y, mu(y, z, s))] over the nonzero blocks only, so the sums over
@@ -268,18 +271,15 @@ def p_mu_table(
             if cx.tag == DEODHAR_PLUS:
                 value = pz[up_t[x]].scale(minus_vt)
             else:
-                correction = zero
-                for y, mu_y in mu_tz:
-                    if bits[y] >> x & 1:
-                        correction = correction + cols[y][x] @ mu_y
                 if cx.tag == DEODHAR_ZERO:
-                    value = c_mats[cx.conj] @ p_tz[x] - correction
+                    value = c_mats[cx.conj] @ p_tz[x]
+                elif bits[tz] >> x & 1:
+                    value = p_tz[up_t[x]] - p_tz[x].scale(vt_inv)
                 else:
-                    value = (
-                        p_tz[up_t[x]]
-                        - (p_tz[x].scale(vt_inv) if bits[tz] >> x & 1 else zero)
-                        - correction
-                    )
+                    value = p_tz[up_t[x]]
+                terms = [(cols[y][x], mu_y) for y, mu_y in mu_tz if bits[y] >> x & 1]
+                if terms:
+                    value = value - _dot(shape, terms)
             pz[x] = table.p[(reps[x], z)] = value
 
         # mu-step: x ascending or descending does not matter for p, but the
@@ -297,13 +297,14 @@ def p_mu_table(
                     alpha = c_mats[cx.conj] @ pxz
                 else:
                     alpha = pxz.scale(minus_vs_inv)
+                terms = [(cols[y][x], mu_y) for y, mu_y in mu_z.get(s, ()) if bits[y] >> x & 1]
                 if cz.tag == DEODHAR_ZERO:
-                    alpha = alpha - pxz @ c_mats[cz.conj]
-                for y, mu_y in mu_z.get(s, ()):
-                    if bits[y] >> x & 1:
-                        alpha = alpha - cols[y][x] @ mu_y
-                neg, const, _ = alpha.split()
-                value = neg + const + neg.bar()
+                    terms.append((pxz, c_mats[cz.conj]))
+                if terms:
+                    alpha = alpha - _dot(shape, terms)
+                # the bar-symmetric matrix with alpha's non-positive part
+                low = {g: b for g, b in alpha.blocks.items() if g <= 0}
+                value = LMat.from_coeffs(shape, {**low, **{-g: b for g, b in low.items() if g}})
                 ls = system.weight(s)
                 if any(not (-ls < g < ls) for g in value.exponents()):
                     raise RecursionInvariantError(

@@ -8,10 +8,19 @@ A Laurent matrix :class:`LMat` is the sum ``sum_g v^g A_g`` stored as its
 shape and the dict ``{g: A_g}`` of IMat blocks, with no all-zero block.
 The bar involution negates the keys, the support split partitions them,
 ``coeff(g)`` looks one up and scaling by a monomial shifts them.  Sums
-merge blocks row by row and products multiply stored rows for every pair
-of exponents, so only nonzero entries are touched.  1x1 matrices, the
-whole of every regular table, are coefficient arithmetic on ``{g: c}``,
-and their blocks come from one table keyed by c: equal ones are one object.
+merge blocks row by row, so only nonzero entries are touched.  1x1
+matrices, the whole of every regular table, are coefficient arithmetic on
+``{g: c}``, and their blocks come from one table keyed by c: equal ones
+are one object.
+
+Products have one kernel, ``_dot(shape, pairs)``: the sum of ``a @ b``
+over the pairs, every product added into one accumulator and one LMat
+built at the end.  The accumulator is ``{exponent: coefficient}`` for 1x1
+factors and otherwise ``{exponent: {row: {column: value}}}`` over the rows
+some term touches, filled by multiplying stored rows for every pair of
+exponents.  ``a @ b`` is ``_dot`` of one pair; the triangular sums of the
+p/mu recursion and the canonicalisation oracle call it once per sum, not
+once per term.
 """
 
 from __future__ import annotations
@@ -67,9 +76,9 @@ def imat_identity(n: int) -> IMat:
 
 
 def imat_mul(a: IMat, b: IMat) -> IMat:
-    acc = [{} for _ in a]
+    acc: dict = {}
     _mul_into(acc, a, b)
-    return tuple(map(_row, acc))
+    return _block(acc, len(a))
 
 
 def _row(acc: dict) -> tuple:
@@ -77,16 +86,38 @@ def _row(acc: dict) -> tuple:
     return tuple([e for e in sorted(acc.items()) if e[1]])
 
 
+def _block(acc: dict, n: int) -> IMat:
+    """The n-row matrix of a ``{row: {column: value}}`` accumulator; absent
+    rows are zero."""
+    rows = [()] * n
+    for i, r in acc.items():
+        rows[i] = _row(r)
+    return tuple(rows)
+
+
 def _scaled(a: IMat, c) -> IMat:
     return tuple(tuple([(j, c * x) for j, x in row]) for row in a)
 
 
-def _mul_into(acc: list, a: IMat, b: IMat) -> None:
-    """Add the product of two matrices to ``acc``, one ``{column: value}`` per row."""
-    for orow, arow in zip(acc, a):
-        for t, x in arow:
-            for j, y in b[t]:
-                orow[j] = orow.get(j, 0) + x * y
+def _mul_into(acc: dict, a: IMat, b: IMat) -> None:
+    """Add the product of two matrices to ``acc``, ``{row: {column: value}}``
+    over the rows of ``a`` that hold an entry."""
+    for i, arow in enumerate(a):
+        if arow:
+            orow = acc.get(i)
+            if orow is None:
+                orow = acc[i] = {}
+            for t, x in arow:
+                for j, y in b[t]:
+                    orow[j] = orow.get(j, 0) + x * y
+
+
+def _negated(a: IMat, b) -> bool:
+    """Whether ``b`` is the matrix ``-a`` (False if ``b`` is None)."""
+    return b is not None and all(
+        len(ra) == len(rb) and all(j == k and x == -y for (j, x), (k, y) in zip(ra, rb))
+        for ra, rb in zip(a, b)
+    )
 
 
 def _merge_rows(ra: tuple, rb: tuple, op) -> tuple:
@@ -212,25 +243,7 @@ class LMat:
         return self.scale(-1)
 
     def __matmul__(self, other: "LMat") -> "LMat":
-        (n, k), (k2, m) = self.shape, other.shape
-        if k != k2:
-            raise ValueError(f"shape mismatch: {self.shape} @ {other.shape}")
-        if n == k == m == 1:  # a product of two Laurent polynomials
-            terms = [(g2, b[0][0][1]) for g2, b in other.blocks.items()]
-            coeffs: Dict[int, int] = {}
-            for g1, a in self.blocks.items():
-                x = a[0][0][1]
-                for g2, y in terms:
-                    coeffs[g1 + g2] = coeffs.get(g1 + g2, 0) + x * y
-            return LMat._new((1, 1), {g: _UNITS[c] for g, c in coeffs.items() if c})
-        acc: Dict[int, list] = {}
-        for g1, a in self.blocks.items():
-            for g2, b in other.blocks.items():
-                out = acc.get(g1 + g2)
-                if out is None:
-                    out = acc[g1 + g2] = [{} for _ in range(n)]
-                _mul_into(out, a, b)
-        return LMat.from_coeffs((n, m), {g: tuple(map(_row, rows)) for g, rows in acc.items()})
+        return _dot((self.shape[0], other.shape[1]), [(self, other)])
 
     def scale(self, factor) -> "LMat":
         coeffs = LaurentPoly.coerce(factor).coeffs
@@ -272,6 +285,11 @@ class LMat:
     def is_bar_symmetric(self) -> bool:
         return all(self.blocks.get(-g) == b for g, b in self.blocks.items())
 
+    def is_bar_antisymmetric(self) -> bool:
+        """``self == -self.bar()``, read off the blocks without building either."""
+        blocks = self.blocks
+        return all(_negated(b, blocks.get(-g)) for g, b in blocks.items())
+
     # -- misc --
 
     def __eq__(self, other) -> bool:
@@ -291,3 +309,35 @@ class LMat:
 def _shared(shape: Tuple[int, int], blocks: Dict[int, IMat]) -> Dict[int, IMat]:
     """``blocks`` with each 1x1 block taken from the shared table."""
     return {g: _UNITS[b[0][0][1]] for g, b in blocks.items()} if shape == (1, 1) else blocks
+
+
+def _dot(shape: Tuple[int, int], pairs: Iterable[Tuple[LMat, LMat]]) -> LMat:
+    """The n x m matrix ``sum a @ b`` over the pairs, built once from one
+    accumulator; ``ValueError`` unless every a is n x k and every b k x m."""
+    n, m = shape
+    unit = n == m == 1
+    coeffs: Dict[int, int] = {}  # the 1x1 products, by exponent
+    acc: Dict[int, dict] = {}  # every other product, by exponent
+    for a, b in pairs:
+        (na, k), (kb, mb) = a.shape, b.shape
+        if k != kb or na != n or mb != m:
+            raise ValueError(f"shape mismatch: {a.shape} @ {b.shape} in a {n}x{m} sum")
+        if unit and k == 1:  # a product of two Laurent polynomials
+            terms = [(g2, y[0][0][1]) for g2, y in b.blocks.items()]
+            for g1, x in a.blocks.items():
+                c = x[0][0][1]
+                for g2, d in terms:
+                    coeffs[g1 + g2] = coeffs.get(g1 + g2, 0) + c * d
+            continue
+        for g1, x in a.blocks.items():
+            for g2, y in b.blocks.items():
+                rows = acc.get(g1 + g2)
+                if rows is None:
+                    rows = acc[g1 + g2] = {}
+                _mul_into(rows, x, y)
+    if unit:  # row-by-column products join the coefficients
+        for g, rows in acc.items():
+            coeffs[g] = coeffs.get(g, 0) + sum(rows.get(0, {}).values())
+        return LMat._new((1, 1), {g: _UNITS[c] for g, c in coeffs.items() if c})
+    blocks = {g: _block(rows, n) for g, rows in acc.items()}
+    return LMat._new((n, m), {g: b for g, b in blocks.items() if any(b)})

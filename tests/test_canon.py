@@ -68,6 +68,13 @@ class TestRhoTable:
                 expected = expansion.get(x, LaurentPoly.zero())
                 assert rho.at(x, z) == LMat([[expected]])
 
+    def test_absent_pairs_share_one_zero(self, systems):
+        a2 = systems["a2"]
+        rho = rho_table(frozenset(), trivial_module(a2, frozenset()))
+        top = rho.reps[-1]
+        zeros = [rho.at(top, x) for x in rho.reps[:-1]]
+        assert zeros[0] == LMat.zeros(1) and all(z is zeros[0] for z in zeros)
+
     def test_a1_value(self):
         from wgraphs.coxeter import CoxeterSystem
 

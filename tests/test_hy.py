@@ -571,6 +571,37 @@ class TestSparseStorage:
         p_mu_table(frozenset(), trivial_module(systems["b3"], frozenset()))
         assert calls == []
 
+    def test_sums_of_products_are_fused(self, systems, monkeypatch):
+        """Regular B3: each sum of products is one kernel call, so the
+        recursion and the oracle apply no ``@`` and at most one ``+`` or
+        ``-`` per stored pair, not one per term."""
+        from wgraphs.canon import canonicalise_shadow, check_rho, rho_table
+
+        calls = dict.fromkeys(("__matmul__", "__add__", "__sub__"), 0)
+        for name in calls:
+            def counted(self, other, _original=getattr(LMat, name), _name=name):
+                calls[_name] += 1
+                return _original(self, other)
+
+            monkeypatch.setattr(LMat, name, counted)
+
+        def run(thunk):
+            calls.update(dict.fromkeys(calls, 0))
+            return thunk(), calls["__matmul__"], calls["__add__"] + calls["__sub__"]
+
+        system = systems["b3"]
+        module = trivial_module(system, frozenset())
+        table, products, sums = run(lambda: p_mu_table(frozenset(), module))
+        assert (len(table.p), products) == (847, 0) and sums <= len(table.p)
+        rho = rho_table(frozenset(), module)
+        report, products, sums = run(lambda: check_rho(rho))
+        assert report.ok and products == 0 and sums <= len(rho.entries)
+        bits = system.bruhat_ideals(rho.reps)
+        index = {x: i for i, x in enumerate(rho.reps)}
+        pi, products, sums = run(lambda: canonicalise_shadow(
+            rho.reps, lambda x, z: bool(bits[index[z]] >> index[x] & 1), rho.at, 1))
+        assert pi == table.p and products == 0 and sums <= len(pi)
+
     def test_equal_unit_blocks_are_shared(self):
         a4 = CoxeterSystem(A4)
         table = p_mu_table(frozenset(), trivial_module(a4, frozenset()))

@@ -1,11 +1,11 @@
 """LMat against the entrywise Laurent-matrix reference in ``oracles``."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgraphs.laurent import LaurentPoly, v
-from wgraphs.matrix import LMat, imat, imat_identity, imat_mul, imat_zero
+from wgraphs.matrix import _UNITS, LMat, _dot, imat, imat_identity, imat_mul, imat_zero
 
 from oracles import (
     dense,
@@ -266,3 +266,42 @@ class TestSparseForm:
         assert imat(ia, (n, k)) == ia and imat(imat_zero(n), (n, k)) == imat_zero(n)
         assert dense(imat_mul(ia, ic), m) == dense_mul(dense(ia, k), dense(ic, m), m)
         assert imat_mul(ia, imat_identity(k)) == ia == imat_mul(imat_identity(n), ia)
+
+
+class TestDot:
+    """The fused kernel against the folded ``+``/``@`` and entrywise references."""
+
+    @settings(max_examples=100)
+    @given(st.data())
+    def test_sum_of_products(self, data):
+        # 1x1 products (coefficient arithmetic) half of the time, else up to
+        # 4x3 times 3x4 with the inner size drawn per pair
+        unit = data.draw(st.booleans())
+        n, m = (1, 1) if unit else (data.draw(st.integers(1, 4)) for _ in "nm")
+        pairs, ref = [], (((LaurentPoly.zero(),) * m),) * n
+        for _ in range(data.draw(st.integers(0, 5))):
+            k = 1 if unit else data.draw(sizes)
+            a, b = data.draw(sparse_grids(n, k)), data.draw(sparse_grids(k, m))
+            pairs.append((LMat(a), LMat(b)))
+            ref = ent_add(ref, ent_matmul(a, b, LaurentPoly.zero()))
+        total = _dot((n, m), pairs)
+        check(total, ref)
+        folded = LMat.zeros(n, m)
+        for a, b in pairs:
+            folded = folded + a @ b
+        assert total == folded
+        if unit:
+            assert all(b is _UNITS[b[0][0][1]] for b in total.blocks.values())
+        k = data.draw(sizes)
+        for bad in ((LMat.zeros(n, k), LMat.zeros(k + 1, m)),
+                    (LMat.zeros(n + 1, k), LMat.zeros(k, m))):
+            with pytest.raises(ValueError):
+                _dot((n, m), [*pairs, bad])
+
+    @fewer
+    @given(grids())
+    @example(((v(1) - v(-1), v(-1)),))  # the v^-1 row is longer than the v row
+    def test_is_bar_antisymmetric(self, a):
+        x = LMat(a)
+        for y in (x, x - x.bar(), x + x.bar()):
+            assert y.is_bar_antisymmetric() == (y == -y.bar())
