@@ -1,9 +1,12 @@
 """Triangular canonicalisation: the independent oracle for p-data.
 
 This module computes, for coset representatives x <= z, the matrices by
-which the bar involution acts blockwise on an induced module (``rho``,
-assembled from the T-basis expansion of the bar involution, i.e. from
-R-polynomial data), and then solves the triangular fixed-point problem
+which the involution iota(T_z (x) m) = bar(T_z) (x) m acts blockwise on an
+induced module (``rho``).  They are built one column at a time by the
+one-letter recursion iota(T_z (x) m) = T_s^-1 iota(T_sz (x) m), s the
+first letter of z, with T_s acting on the representatives of D_J by
+Deodhar's trichotomy, read from arrays built once per (s, x); nothing is
+expanded over W.  It then solves the triangular fixed-point problem
 
     pi_{xz} = sum_{x <= y <= z} rho_{xy} o bar(pi_{yz}),
     pi_{zz} = id,  pi_{xz} strictly positive for x < z
@@ -28,66 +31,13 @@ from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import CoxeterSystem, Element
-from .laurent import LaurentPoly
 from .matrix import LMat, _dot
 from .report import Report
-from .wgraph import OmegaModule
+from .wgraph import OmegaModule, hecke_t_column
 
 
 class CanonicalisationError(RuntimeError):
     """The input block maps do not come from an involution."""
-
-
-# -- T-basis expansion of the bar involution ---------------------------------
-
-
-def iota_expand(z: Element) -> Dict[Element, LaurentPoly]:
-    """Coefficients of the bar image of T_z in the T-basis.
-
-    The bar involution sends T_s to T_s^-1 = T_s - (v_s - v_s^-1); the
-    image of T_z is the product of the images along any reduced word,
-    expanded exactly.  The coefficient of T_z itself is 1 and all other
-    contributions sit strictly below z in the Bruhat order.
-    """
-    system = z.system
-    memo = system._cache.setdefault("iota_expand", {})
-    return {Element(w, system): c for w, c in _iota_expand_words(system, z.word, memo).items()}
-
-
-def _iota_expand_words(system: CoxeterSystem, zword, memo) -> Dict[tuple, LaurentPoly]:
-    cached = memo.get(zword)
-    if cached is not None:
-        return cached
-    if not zword:
-        result = {(): LaurentPoly.one()}
-        memo[zword] = result
-        return result
-    s = zword[0]
-    rest = _iota_expand_words(system, zword[1:], memo)
-    delta = LaurentPoly({system.weight(s): 1, -system.weight(s): -1})  # v_s - v_s^-1
-    out: Dict[tuple, LaurentPoly] = {}
-
-    def add(word, coeff):
-        if word in out:
-            total = out[word] + coeff
-            if total.is_zero():
-                del out[word]
-            else:
-                out[word] = total
-        elif not coeff.is_zero():
-            out[word] = coeff
-
-    for word, coeff in rest.items():
-        sword = system._product(word, (s,), left=True)
-        if len(sword) > len(word):
-            # T_s T_w = T_sw; then subtract delta T_w from the bar factor
-            add(sword, coeff)
-            add(word, -(delta * coeff))
-        else:
-            # T_s T_w = T_sw + delta T_w; the delta terms cancel
-            add(sword, coeff)
-    memo[zword] = out
-    return out
 
 
 # -- rho: blockwise action of the involution ---------------------------------
@@ -127,10 +77,15 @@ def rho_table(
     ambient: Optional[Iterable[int]] = None,
     max_length: Optional[int] = None,
 ) -> BlockTable:
-    """Assemble r_{x,z} = sum_u R_{xu,z} T_u for x, z coset reps, u in W_J.
+    """The blocks r_{x,z} of the involution iota(T_z (x) m) = sum_x T_x (x) r_{x,z} m.
 
-    R are the T-basis coefficients from :func:`iota_expand`; T_u acts on
-    the module through its Hecke matrices.
+    Column by column over the representatives in (length, word) order:
+    r_{.,1} is the identity, and for z != 1 with first letter s,
+    iota(T_z (x) m) = T_s^-1 iota(T_sz (x) m), so the column at z is
+    T_s^-1 = T_s - (v_s - v_s^-1) applied to the column at s*z by
+    :func:`~wgraphs.wgraph.hecke_t_column`.  Deodhar classes and the
+    positions of s*x come from
+    :meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`.
     """
     system = module.system
     J = system._subset(J)
@@ -140,20 +95,25 @@ def rho_table(
     if not J <= ambient:
         raise ValueError("J must be contained in the ambient subset")
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
+    _, classes, shifted = system.position_arrays(J, ambient, reps)
+    identity = LMat.identity(module.rank)
     entries: Dict[Tuple[Element, Element], LMat] = {}
-    zero = LMat.zeros(module.rank)
-    for z in reps:
-        blocks: Dict[Element, LMat] = {}
-        for w, coeff in iota_expand(z).items():
-            x, u = system.factorize(frozenset(), J, w)
-            acted = module.hecke_matrix(u).scale(coeff)
-            blocks[x] = blocks.get(x, zero) + acted
-        for x, mat in blocks.items():
-            if not mat.is_zero():
-                entries[(x, z)] = mat
-        diag = entries.get((z, z))
-        if diag != LMat.identity(module.rank):
+    cols: List[Dict[int, LMat]] = []  # cols[z][x] = r_{x,z}, by position
+    for zi, z in enumerate(reps):
+        if z.word:
+            s = z.word[0]
+            szi = shifted[s][zi]
+            if szi is None:
+                sz = system.mult(system.generator(s), z)
+                raise ValueError(f"{sz} = s*z for z = {z} is not among the representatives")
+            col = hecke_t_column(module, s, classes[s], shifted[s], cols[szi], inverse=True)
+        else:
+            col = {zi: identity}
+        if col.get(zi) != identity:
             raise AssertionError(f"diagonal block r_({z},{z}) is not the identity")
+        cols.append(col)
+        for xi in sorted(col):
+            entries[(reps[xi], z)] = col[xi]
     return BlockTable(system, J, ambient, module, tuple(reps), entries)
 
 

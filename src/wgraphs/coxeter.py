@@ -684,6 +684,25 @@ class CoxeterSystem:
             raise AssertionError("Deodhar's lemma violated; this is a bug")
         return DeodharClass(DEODHAR_ZERO, conj=t_elt.word[0])
 
+    def position_arrays(self, J: Iterable[int], gens: Iterable[int],
+                        reps: Sequence[Element]) -> tuple:
+        """(index, classes, shifted) for a listing ``reps`` of representatives of D_J.
+
+        ``index`` maps each representative to its position; for each s in
+        ``gens``, ``classes[s]`` lists the Deodhar class of s on each
+        representative and ``shifted[s]`` the position of s*x (None in the
+        zero case or outside the listing).  One Deodhar query and at most
+        one product per (s, x).
+        """
+        index = {x: i for i, x in enumerate(reps)}
+        classes = {s: [self.deodhar_class(J, s, x) for x in reps] for s in sorted(gens)}
+        shifted = {
+            s: [None if c.tag == DEODHAR_ZERO else index.get(self.mult(self.generator(s), x))
+                for c, x in zip(row, reps)]
+            for s, row in classes.items()
+        }
+        return index, classes, shifted
+
     def conjugate_generator(self, s: int, d: Element) -> Optional[int]:
         """The index t with d^-1 s d = t, if that conjugate is a generator."""
         self._check_generator(s)

@@ -54,7 +54,7 @@ from .coxeter import (
 from .laurent import LaurentPoly
 from .matrix import LMat, _dot, imat_identity
 from .report import Report
-from .wgraph import OmegaModule
+from .wgraph import OmegaModule, hecke_t_column
 
 
 class RecursionInvariantError(RuntimeError):
@@ -87,20 +87,11 @@ class PMuTable:
         """(index, classes, shifted): the position of each representative x
         and, for each ambient s, the lists of the Deodhar class of s on x and
         of the position of s*x (None in the zero case or outside the
-        representatives).  Built on first use, with one Deodhar query and at
-        most one product per (s, x).
+        representatives).  Built on first use by
+        :meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`.
         """
         if self._array_cache is None:
-            system, reps = self.system, self.reps
-            index = {x: i for i, x in enumerate(reps)}
-            classes = {s: [system.deodhar_class(self.gens, s, x) for x in reps]
-                       for s in sorted(self.ambient)}
-            shifted = {
-                s: [None if c.tag == DEODHAR_ZERO else index.get(system.mult(system.generator(s), x))
-                    for c, x in zip(row, reps)]
-                for s, row in classes.items()
-            }
-            self._array_cache = (index, classes, shifted)
+            self._array_cache = self.system.position_arrays(self.gens, self.ambient, self.reps)
         return self._array_cache
 
     def deodhar(self, s: int, w: Element) -> DeodharClass:
@@ -413,28 +404,16 @@ def canonical_matrix(J: Iterable[int], module: OmegaModule, table: PMuTable) -> 
 
 
 def hecke_t_on_induced(table: PMuTable, s: int) -> LMat:
-    """The matrix of T_s on the induced Hecke module in the tensor basis."""
-    system = table.system
-    module = table.module
-    reps = table.reps
-    r = module.rank
-    index = {w: i for i, w in enumerate(reps)}
-    placed = []  # (row offset, column offset, block) of the nonzero blocks
+    """The matrix of T_s on the induced Hecke module in the tensor basis:
+    column x is :func:`~wgraphs.wgraph.hecke_t_column` of T_x (x) 1."""
+    r = table.module.rank
+    _, classes, shifted = table._arrays()
     identity = LMat.identity(r)
-    vs = system.weight(s)
-    for xi, x in enumerate(reps):
-        cls = table.deodhar(s, x)
-        if cls.tag == DEODHAR_ZERO:
-            placed.append((xi * r, xi * r, module.iota_t(cls.conj)))
-            continue
-        sx = system.mult(system.generator(s), x)
-        sxi = index.get(sx)
-        if sxi is None:
-            raise ValueError(f"product {sx} is not among the representatives")
-        placed.append((sxi * r, xi * r, identity))
-        if cls.tag == DEODHAR_MINUS:
-            placed.append((xi * r, xi * r, identity.scale(LaurentPoly({vs: 1, -vs: -1}))))
-    return LMat.from_blocks((len(reps) * r,) * 2, placed)
+    placed = [(yi * r, xi * r, block)
+              for xi in range(len(table.reps))
+              for yi, block in hecke_t_column(table.module, s, classes[s], shifted[s],
+                                              {xi: identity}).items()]
+    return LMat.from_blocks((len(table.reps) * r,) * 2, placed)
 
 
 def verify_h_linearity(
@@ -771,9 +750,12 @@ def oracle_check(
 ) -> Report:
     """Entrywise equality of the direct p-table with the triangular oracle.
 
-    The oracle route expands the bar involution in the T-basis and runs
-    the generic positive-part recursion; it shares no code with the p/mu
-    recursion beyond the module's Hecke matrices.
+    The oracle route builds the involution's blocks by the one-letter
+    recursion on D_J (:func:`~wgraphs.canon.rho_table`) and runs the generic
+    positive-part recursion; it shares no code with the p/mu recursion
+    beyond the position arrays and the action of T_s on the induced module
+    (:func:`~wgraphs.wgraph.hecke_t_column`), which
+    :func:`hecke_t_on_induced` uses too.
     """
     from .canon import pi_recursion, rho_table  # local import: keep the paths separate
 

@@ -7,7 +7,8 @@ matrices are equal tuples; the shape is carried by the module or LMat.
 A Laurent matrix :class:`LMat` is the sum ``sum_g v^g A_g`` stored as its
 shape and the dict ``{g: A_g}`` of IMat blocks, with no all-zero block.
 The bar involution negates the keys, the support split partitions them,
-``coeff(g)`` looks one up and scaling by a monomial shifts them.  Sums
+``coeff(g)`` looks one up and scaling by a monomial shifts them (by a
+wider factor, it adds the shifted copies that land on one key).  Sums
 merge blocks row by row, so only nonzero entries are touched.  1x1
 matrices, the whole of every regular table, are coefficient arithmetic on
 ``{g: c}``, and their blocks come from one table keyed by c: equal ones
@@ -255,9 +256,34 @@ class LMat:
             if self.shape == (1, 1):  # coefficient arithmetic
                 return LMat._new((1, 1), {g + h: _UNITS[c * b[0][0][1]] for g, b in blocks})
             return LMat._new(self.shape, {g + h: _scaled(b, c) for g, b in blocks})
-        n = self.nrows
-        return LMat.from_coeffs((n, n), {h: tuple(((i, c),) for i in range(n))
-                                         for h, c in coeffs.items()}) @ self
+        if self.shape == (1, 1):  # a product of two Laurent polynomials
+            acc: Dict[int, int] = {}
+            for g, b in self.blocks.items():
+                x = b[0][0][1]
+                for h, c in coeffs.items():
+                    acc[g + h] = acc.get(g + h, 0) + c * x
+            return LMat._new((1, 1), {g: _UNITS[c] for g, c in acc.items() if c})
+        terms: Dict[int, list] = {}  # the shifted blocks c A_g landing on g + h
+        for g, b in self.blocks.items():
+            for h, c in coeffs.items():
+                terms.setdefault(g + h, []).append((c, b))
+        blocks = {}
+        for g, parts in terms.items():
+            if len(parts) == 1:
+                c, b = parts[0]
+                block = b if c == 1 else _scaled(b, c)
+            else:
+                rows: Dict[int, dict] = {}
+                for c, b in parts:
+                    for i, row in enumerate(b):
+                        if row:
+                            out = rows.setdefault(i, {})
+                            for j, x in row:
+                                out[j] = out.get(j, 0) + c * x
+                block = _block(rows, self.nrows)
+            if any(block):
+                blocks[g] = block
+        return LMat._new(self.shape, blocks)
 
     # -- Laurent structure, by exponent --
 

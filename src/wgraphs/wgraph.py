@@ -27,11 +27,11 @@ an s-edge leaves a vertex without s in its label and enters one with it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from .coxeter import CoxeterSystem, Element
+from .coxeter import DEODHAR_MINUS, DEODHAR_ZERO, CoxeterSystem, DeodharClass, Element
 from .laurent import LaurentPoly
-from .matrix import IMat, LMat, imat, imat_mul, imat_zero
+from .matrix import IMat, LMat, _dot, imat, imat_mul, imat_zero
 from .report import Report
 
 
@@ -94,32 +94,23 @@ class OmegaModule:
             raise ValueError(f"generator {s+1} not in J")
         return self.x.get((s, abs(gamma))) or imat_zero(self.rank)
 
-    def iota_t(self, s: int) -> LMat:
-        """The Laurent matrix of the Hecke generator T_s acting on the module."""
-        cached = self._cache.get(("iota_t", s))
+    def iota_t(self, s: int, inverse: bool = False) -> LMat:
+        """The Laurent matrix of the Hecke generator T_s acting on the module,
+        or with ``inverse`` of T_s^-1 = T_s - (v_s - v_s^-1)."""
+        cached = self._cache.get(("iota_t", s, inverse))
         if cached is not None:
             return cached
         ls = self.system.weight(s)
-        shape = (self.rank, self.rank)
-        e_s = LMat.from_coeffs(shape, {0: self.e_mat(s)})
-        x_s = {k: mat for g in range(ls) for k in (g, -g) if (mat := self.x.get((s, g)))}
-        result = ((LMat.identity(self.rank) - e_s).scale(LaurentPoly.v(ls))
-                  + e_s.scale(LaurentPoly.v(-ls, -1)) + LMat.from_coeffs(shape, x_s))
-        self._cache[("iota_t", s)] = result
-        return result
-
-    def hecke_matrix(self, w: Element) -> LMat:
-        """The action of T_w, for w in the parabolic subgroup W_J."""
-        self.system._check_same(w.system)
-        if not set(w.word) <= self.gens:
-            raise ValueError(f"{w} is not in the parabolic subgroup for J={sorted(self.gens)}")
-        cached = self._cache.get(("hecke", w.word))
-        if cached is not None:
-            return cached
-        result = LMat.identity(self.rank)
-        for s in w.word:
-            result = result @ self.iota_t(s)
-        self._cache[("hecke", w.word)] = result
+        identity = LMat.identity(self.rank)
+        if inverse:
+            result = self.iota_t(s) - identity.scale(LaurentPoly({ls: 1, -ls: -1}))
+        else:
+            shape = (self.rank, self.rank)
+            e_s = LMat.from_coeffs(shape, {0: self.e_mat(s)})
+            x_s = {k: mat for g in range(ls) for k in (g, -g) if (mat := self.x.get((s, g)))}
+            result = ((identity - e_s).scale(LaurentPoly.v(ls))
+                      + e_s.scale(LaurentPoly.v(-ls, -1)) + LMat.from_coeffs(shape, x_s))
+        self._cache[("iota_t", s, inverse)] = result
         return result
 
     # -- structure ---------------------------------------------------------
@@ -223,6 +214,54 @@ def edges(module: OmegaModule) -> List[Tuple[Tuple[int, int, int], Dict[int, int
             for j, c in row:
                 out.setdefault((s, i, j), {})[g] = c
     return sorted(out.items())
+
+
+# -- the induced Hecke module -------------------------------------------------
+
+
+def hecke_t_column(
+    module: OmegaModule,
+    s: int,
+    classes: Sequence[DeodharClass],
+    shifted: Sequence[Optional[int]],
+    column: Mapping[int, LMat],
+    inverse: bool = False,
+) -> Dict[int, LMat]:
+    """T_s, or T_s^-1 with ``inverse``, on the vector sum_x T_x (x) column[x].
+
+    The induced module H (x)_{H_J} M has the basis T_x (x) m, for x in a
+    listing of representatives of D_J and m in ``module``; ``classes`` and
+    ``shifted`` are the Deodhar classes of s on them and the positions of
+    s*x (:meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`), and
+    ``column`` maps positions to blocks acting on M.  By Deodhar's
+    trichotomy, with delta = v_s - v_s^-1 and T_s^-1 = T_s - delta,
+
+    * plus:  T_s (T_x (x) m) = T_sx (x) m,
+    * minus: T_s (T_x (x) m) = T_sx (x) m + delta T_x (x) m,
+    * zero:  T_s (T_x (x) m) = T_x (x) T_t m, t the conjugate generator.
+
+    Returns the image, by position, without zero blocks.
+    """
+    ls = module.system.weight(s)
+    # the diagonal factor: delta for T_s (minus), -delta for T_s^-1 (plus)
+    diagonal = LaurentPoly({-ls: 1, ls: -1} if inverse else {ls: 1, -ls: -1})
+    shape = (module.rank, module.rank)
+    out: Dict[int, LMat] = {}
+    for x in sorted(column):
+        block = column[x]
+        cls = classes[x]
+        if cls.tag == DEODHAR_ZERO:
+            out[x] = _dot(shape, [(module.iota_t(cls.conj, inverse), block)])
+            continue
+        sx = shifted[x]
+        if sx is None:
+            raise ValueError(f"s*x for s={s + 1} and the representative at position {x} "
+                             "is not among the representatives")
+        out[sx] = out[sx] + block if sx in out else block
+        if (cls.tag == DEODHAR_MINUS) != inverse:  # minus under T_s, plus under T_s^-1
+            term = block.scale(diagonal)
+            out[x] = out[x] + term if x in out else term
+    return {x: mat for x, mat in out.items() if not mat.is_zero()}
 
 
 # -- builtin rank-1 modules ---------------------------------------------------

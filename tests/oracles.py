@@ -3,8 +3,10 @@
 Everything here is deliberately computed WITHOUT the package's recursion
 machinery: concrete matrix/permutation models for the small groups, Tits
 rewriting for the word problem, a brute-force subword test for the Bruhat
-order, the textbook two-step Kazhdan-Lusztig recursion (R-polynomials,
-then P-polynomials, in the variable q), and a span-closure construction of
+order, the bar involution expanded in the T-basis over the whole group
+(the reference for the one-letter recursion of ``wgraphs.canon.rho_table``),
+the textbook two-step Kazhdan-Lusztig recursion (R-polynomials, then
+P-polynomials, in the variable q), and a span-closure construction of
 cells.
 """
 
@@ -13,6 +15,9 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Tuple
+
+from wgraphs.laurent import LaurentPoly
+from wgraphs.matrix import LMat
 
 # -- model groups --------------------------------------------------------------
 
@@ -191,6 +196,84 @@ def bruhat_leq_subword(system, x, z) -> bool:
         if normalize_word(system, candidate) == x.word:
             return True
     return False
+
+
+# -- the bar involution by T-basis expansion over W ---------------------------------
+
+
+def iota_expand(z, memo=None) -> dict:
+    """Coefficients of bar(T_z) in the T-basis of the whole Hecke algebra.
+
+    bar(T_s) = T_s^-1 = T_s - (v_s - v_s^-1), and bar(T_z) is the product
+    of these along a reduced word, expanded exactly over [1, z] in W.
+    ``memo`` maps elements to their finished expansions.
+    """
+    system = z.system
+    memo = {} if memo is None else memo
+    cached = memo.get(z)
+    if cached is not None:
+        return cached
+    if not z.word:
+        out = {z: LaurentPoly.one()}
+    else:
+        gen = system.generator(z.word[0])
+        ls = system.weight(z.word[0])
+        delta = LaurentPoly({ls: 1, -ls: -1})
+        out = {}
+
+        def add(w, coeff):
+            total = out.get(w, LaurentPoly.zero()) + coeff
+            if total.is_zero():
+                out.pop(w, None)
+            else:
+                out[w] = total
+
+        for w, coeff in iota_expand(system.mult(gen, z), memo).items():
+            sw = system.mult(gen, w)
+            add(sw, coeff)  # T_s T_w = T_sw (+ delta T_w if sw < w)
+            if sw.length > w.length:
+                add(w, -(delta * coeff))  # else the delta terms cancel
+    memo[z] = out
+    return out
+
+
+def hecke_matrix(module, w):
+    """T_w on the module, for w in the parabolic subgroup W_J: the matrices
+    ``iota_t`` of the letters of a reduced word, multiplied in order."""
+    if not set(w.word) <= module.gens:
+        raise ValueError(f"{w} is not in the parabolic subgroup for J={sorted(module.gens)}")
+    out = LMat.identity(module.rank)
+    for s in w.word:
+        out = out @ module.iota_t(s)
+    return out
+
+
+def rho_expanded(J, module, ambient=None, max_length=None, memo=None) -> dict:
+    """The nonzero blocks r_{x,z} = sum_u R_{xu,z} T_u, x and z representatives
+    of D_J, from :func:`iota_expand` over W: each term R_{w,z} T_w is split as
+    w = x u with u in W_J and T_u acts on the module by :func:`hecke_matrix`.
+    Calls on one system may share a ``memo`` dict: it keeps the expansions
+    and, per J, the splittings, neither of which depends on the module."""
+    system = module.system
+    J = frozenset(J)
+    reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
+    memo = {} if memo is None else memo
+    expansions = memo.setdefault("iota", {})
+    splits = memo.setdefault(J, {})
+    hecke: dict = {}
+    entries = {}
+    for z in reps:
+        blocks: dict = {}
+        for w, coeff in iota_expand(z, expansions).items():
+            if w not in splits:
+                splits[w] = system.factorize(frozenset(), J, w)
+            x, u = splits[w]
+            if u not in hecke:
+                hecke[u] = hecke_matrix(module, u)
+            acted = hecke[u].scale(coeff)
+            blocks[x] = blocks[x] + acted if x in blocks else acted
+        entries.update(((x, z), mat) for x, mat in blocks.items() if not mat.is_zero())
+    return entries
 
 
 # -- classical Kazhdan-Lusztig polynomials (variable q) ----------------------------

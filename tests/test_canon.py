@@ -1,3 +1,6 @@
+import itertools
+from pathlib import Path
+
 import pytest
 
 from wgraphs.canon import (
@@ -5,13 +8,19 @@ from wgraphs.canon import (
     CanonicalisationError,
     canonicalise_shadow,
     check_rho,
-    iota_expand,
     pi_recursion,
     rho_table,
 )
+from wgraphs.coxeter import DEODHAR_ZERO, CoxeterSystem
+from wgraphs.formats import load_system
+from wgraphs.hy import induce, p_mu_table
 from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat
 from wgraphs.wgraph import sign_module, trivial_module
+
+from oracles import iota_expand, rho_expanded
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestIotaExpand:
@@ -87,6 +96,73 @@ class TestRhoTable:
     def test_composition_identity(self, systems, name, j):
         module = sign_module(systems[name], j)
         assert check_rho(rho_table(j, module)).ok
+
+
+def _subsets(gens):
+    return [frozenset(c) for k in range(len(gens) + 1) for c in itertools.combinations(gens, k)]
+
+
+class TestRhoRecursion:
+    """The one-letter recursion on D_J against the T-basis expansion over W,
+    block for block."""
+
+    @pytest.mark.parametrize("path", [
+        *(f"systems/{name}.json" for name in ("a1", "a1_weighted", "a2", "a3", "affine_a1",
+                                               "b2", "b2_unequal", "b3", "i2_5")),
+        *(f"perfbench/systems/{name}.json" for name in ("a4", "h3", "b3_211", "i2_8_13")),
+    ])
+    def test_every_subset(self, path):
+        system = load_system(str(_ROOT / path))
+        max_length = None if system.is_finite else 6
+        memo: dict = {}
+        for j in _subsets(range(system.rank)):
+            for make in (sign_module, trivial_module):
+                module = make(system, j)
+                rho = rho_table(j, module, max_length=max_length)
+                assert rho.entries == rho_expanded(j, module, max_length=max_length, memo=memo)
+
+    @pytest.mark.parametrize("name", ["d4", "b4"])
+    def test_maximal_parabolics(self, name):
+        system = load_system(str(_ROOT / f"perfbench/systems/{name}.json"))
+        memo: dict = {}
+        for s in range(system.rank):
+            j = system.generator_set - {s}
+            for make in (sign_module, trivial_module):
+                module = make(system, j)
+                assert rho_table(j, module).entries == rho_expanded(j, module, memo=memo)
+
+    def test_induced_module_with_zero_classes(self):
+        """A4, the sign module of J = {1} induced to K = {1,2,3} (rank 12)."""
+        a4 = load_system(str(_ROOT / "perfbench/systems/a4.json"))
+        inner = sign_module(a4, {0})
+        k = frozenset({0, 1, 2})
+        module = induce({0}, inner, p_mu_table({0}, inner, k))
+        rho = rho_table(k, module)
+        assert module.rank == 12 and len(rho.reps) == 5
+        assert any(a4.deodhar_class(k, s, x).tag == DEODHAR_ZERO
+                   for x in rho.reps for s in range(4))
+        assert rho.entries == rho_expanded(k, module)
+
+    @pytest.mark.parametrize("max_length", [6, 8])
+    def test_affine_a2_ball(self, max_length):
+        system = load_system(str(_ROOT / "perfbench/systems/affine_a2.json"))
+        module = trivial_module(system, frozenset())
+        rho = rho_table(frozenset(), module, max_length=max_length)
+        assert rho.entries == rho_expanded(frozenset(), module, max_length=max_length)
+
+    def test_ambient_subset(self, systems):
+        b3 = systems["b3"]
+        module = sign_module(b3, {0})
+        rho = rho_table({0}, module, ambient={0, 1})
+        assert rho.entries == rho_expanded({0}, module, ambient={0, 1})
+
+    def test_missing_shorter_rep_rejected(self, systems, monkeypatch):
+        """A listing without s*z cannot feed the column at z."""
+        real = CoxeterSystem.min_coset_reps
+        monkeypatch.setattr(CoxeterSystem, "min_coset_reps", lambda self, *args, **kwargs: [
+            x for x in real(self, *args, **kwargs) if x.length != 1])
+        with pytest.raises(ValueError, match="not among the representatives"):
+            rho_table(frozenset(), trivial_module(systems["a2"], frozenset()))
 
 
 class TestPiRecursion:

@@ -574,7 +574,8 @@ class TestSparseStorage:
     def test_sums_of_products_are_fused(self, systems, monkeypatch):
         """Regular B3: each sum of products is one kernel call, so the
         recursion and the oracle apply no ``@`` and at most one ``+`` or
-        ``-`` per stored pair, not one per term."""
+        ``-`` per stored pair, not one per term; so does the rho recursion,
+        also with the zero classes of B3 over J = {1}."""
         from wgraphs.canon import canonicalise_shadow, check_rho, rho_table
 
         calls = dict.fromkeys(("__matmul__", "__add__", "__sub__"), 0)
@@ -593,6 +594,11 @@ class TestSparseStorage:
         module = trivial_module(system, frozenset())
         table, products, sums = run(lambda: p_mu_table(frozenset(), module))
         assert (len(table.p), products) == (847, 0) and sums <= len(table.p)
+        for j, make in ((frozenset(), trivial_module), (frozenset({0}), sign_module)):
+            # the column recursion: one + or - per block, products only in
+            # zero classes, each one kernel call
+            rho, products, sums = run(lambda: rho_table(j, make(system, j)))
+            assert products == 0 and sums <= len(rho.entries)
         rho = rho_table(frozenset(), module)
         report, products, sums = run(lambda: check_rho(rho))
         assert report.ok and products == 0 and sums <= len(rho.entries)
@@ -627,7 +633,7 @@ class TestIndexKernel:
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        counts = dict.fromkeys(("bruhat_leq", "deodhar_class", "mult"), 0)
+        counts = dict.fromkeys(("bruhat_leq", "deodhar_class", "mult", "factorize"), 0)
         for name in counts:
             original = getattr(CoxeterSystem, name)
 
@@ -660,9 +666,14 @@ class TestIndexKernel:
         assert counts["bruhat_leq"] == 0
         assert counts["deodhar_class"] <= reps * gens
         assert counts["mult"] <= 2 * reps * gens
+        # the rho recursion reads the same arrays: no per-term splitting
+        counts.update(dict.fromkeys(counts, 0))
         rho = rho_table(j, module)
+        assert counts["bruhat_leq"] == counts["factorize"] == 0
+        assert counts["deodhar_class"] <= reps * gens
+        assert counts["mult"] <= 2 * reps * gens
         counts.update(dict.fromkeys(counts, 0))
         assert check_rho(rho).ok
         pi = pi_recursion(rho)
-        assert counts == {"bruhat_leq": 0, "deodhar_class": 0, "mult": 0}
+        assert counts == {"bruhat_leq": 0, "deodhar_class": 0, "mult": 0, "factorize": 0}
         assert pi.entries == table.p

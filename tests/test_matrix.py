@@ -145,6 +145,22 @@ class TestArithmetic:
         check(LMat(a).scale(c), ent_scale(a, LaurentPoly.const(c)))
 
     @fewer
+    @given(grids(), polys)
+    @example(((LaurentPoly({0: 1, 2: 1}),),), LaurentPoly({0: 1, -2: -1}))  # 1x1, v^0 cancels
+    @example(((v(0), v(2)), (v(2), v(0))), LaurentPoly({1: 1, -1: -1}))  # n x n
+    @example(((v(0), v(2)), (v(2), v(0))), LaurentPoly({0: 1, 2: -1}))  # v^2 block cancels
+    @example(((v(1),),), LaurentPoly.zero())
+    @example(((LaurentPoly.zero(),) * 2,) * 2, LaurentPoly({1: 1, -1: 1}))
+    def test_scale_is_product_by_scalar_matrix(self, a, f):
+        """Scaling by any factor is the product by the scalar matrix f * 1."""
+        mat = LMat(a)
+        n = mat.nrows
+        scalar = LMat.from_coeffs((n, n), {h: tuple(((i, c),) for i in range(n))
+                                           for h, c in f.coeffs.items()})
+        assert mat.scale(f) == scalar @ mat
+        check(mat.scale(f), ent_scale(a, f))
+
+    @fewer
     @given(same_shape(), same_shape())
     def test_equal_by_different_routes(self, ab, cd):
         a, b = ab
