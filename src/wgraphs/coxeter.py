@@ -671,18 +671,27 @@ class CoxeterSystem:
         """Deodhar's trichotomy for left multiplication of a coset rep by s."""
         J = self._subset(J)
         self._check_generator(s)
-        self._check_same(w.system)
-        if self.right_descents(w) & J:
-            raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
+        self._check_reps(J, (w,))
+        return self._deodhar_step(J, s, w)[0]
+
+    def _check_reps(self, J: FrozenSet[int], reps: Iterable[Element]) -> None:
+        for w in reps:
+            self._check_same(w.system)
+            if self.right_descents(w) & J:
+                raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
+
+    def _deodhar_step(self, J: FrozenSet[int], s: int, w: Element) -> Tuple[DeodharClass, Element]:
+        """(Deodhar class of s on w, s*w) for a checked subset J and rep w: one
+        product, and one more in the zero case to name the conjugate."""
         sw = self.mult(self.generator(s), w)
         if sw.length < w.length:
-            return DeodharClass(DEODHAR_MINUS)
+            return DeodharClass(DEODHAR_MINUS), sw
         if not (self.right_descents(sw) & J):
-            return DeodharClass(DEODHAR_PLUS)
+            return DeodharClass(DEODHAR_PLUS), sw
         t_elt = self.mult(self.inverse(w), sw)
         if t_elt.length != 1 or t_elt.word[0] not in J:
             raise AssertionError("Deodhar's lemma violated; this is a bug")
-        return DeodharClass(DEODHAR_ZERO, conj=t_elt.word[0])
+        return DeodharClass(DEODHAR_ZERO, conj=t_elt.word[0]), sw
 
     def position_arrays(self, J: Iterable[int], gens: Iterable[int],
                         reps: Sequence[Element]) -> tuple:
@@ -691,16 +700,17 @@ class CoxeterSystem:
         ``index`` maps each representative to its position; for each s in
         ``gens``, ``classes[s]`` lists the Deodhar class of s on each
         representative and ``shifted[s]`` the position of s*x (None in the
-        zero case or outside the listing).  One Deodhar query and at most
-        one product per (s, x).
+        zero case or outside the listing).  J and ``reps`` are checked once;
+        each (s, x) costs one product, and a zero-class one a second.
         """
+        J = self._subset(J)
+        self._check_reps(J, reps)
         index = {x: i for i, x in enumerate(reps)}
-        classes = {s: [self.deodhar_class(J, s, x) for x in reps] for s in sorted(gens)}
-        shifted = {
-            s: [None if c.tag == DEODHAR_ZERO else index.get(self.mult(self.generator(s), x))
-                for c, x in zip(row, reps)]
-            for s, row in classes.items()
-        }
+        classes, shifted = {}, {}
+        for s in sorted(self._subset(gens)):
+            steps = [self._deodhar_step(J, s, x) for x in reps]
+            classes[s] = [c for c, _ in steps]
+            shifted[s] = [None if c.tag == DEODHAR_ZERO else index.get(sx) for c, sx in steps]
         return index, classes, shifted
 
     def conjugate_generator(self, s: int, d: Element) -> Optional[int]:

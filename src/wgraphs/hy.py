@@ -15,7 +15,9 @@ mu^s_{x,z} are computed here by the direct recursion:
 
 * mu^s_{x,z} is the bar-symmetric completion of the non-positive part of
   ``-R - sum_{x<y<z} p_{x,y} mu^s_{y,z}`` with R the four-case correction
-  term; its exponents are confined to (-L(s), L(s)).
+  term; its exponents are confined to (-L(s), L(s)).  Only exponents <= 0
+  of that sum are formed: its products stop at exponent 0, and the minus
+  class keeps the blocks of p_{x,z} up to L(s).
 
 All values are stored as exact Laurent matrices acting on M (elements of
 the parabolic W-graph algebra are never represented abstractly; the
@@ -228,7 +230,7 @@ def p_mu_table(
     bits = system.bruhat_ideals(reps)
     rank = module.rank
     shape = (rank, rank)
-    identity = LMat.identity(rank)
+    identity, zero = LMat.identity(rank), LMat.zeros(rank)
     c_mats = _c_matrices(module)
     # by position: cols[z][x] = p(x, z) for x <= z, else None; mu_lists[z][s]
     # = [(y, mu(y, z, s))] over the nonzero blocks only, so the sums over
@@ -275,35 +277,37 @@ def p_mu_table(
 
         # mu-step: x ascending or descending does not matter for p, but the
         # recursion needs mu(y, z, s) for y above x first, so keep descending.
+        # mu reads only alpha's exponents <= 0, and only those are formed;
         # alpha starts as -R, built by subtraction rather than negated.
-        steps = [(s, row, row[zi], LaurentPoly.v(-system.weight(s), -1))
+        steps = [(s, row, row[zi], system.weight(s), LaurentPoly.v(-system.weight(s), -1))
                  for s, row in classes.items() if row[zi].tag != DEODHAR_MINUS]
         for x in reversed(below_z[:-1]):
             pxz = pz[x]
-            for s, row, cz, minus_vs_inv in steps:
+            for s, row, cz, ls, minus_vs_inv in steps:
                 cx = row[x]
                 if cx.tag == DEODHAR_PLUS:
                     continue
                 if cx.tag == DEODHAR_ZERO:
-                    alpha = c_mats[cx.conj] @ pxz
-                else:
-                    alpha = pxz.scale(minus_vs_inv)
+                    alpha = _dot(shape, [(c_mats[cx.conj], pxz)], 0)
+                else:  # -v_s^-1 p(x, z) reaches exponent 0 only from p's blocks g <= L(s)
+                    kept = {g: b for g, b in pxz.blocks.items() if g <= ls}
+                    alpha = LMat._new(shape, kept).scale(minus_vs_inv) if kept else zero
                 terms = [(cols[y][x], mu_y) for y, mu_y in mu_z.get(s, ()) if bits[y] >> x & 1]
                 if cz.tag == DEODHAR_ZERO:
                     terms.append((pxz, c_mats[cz.conj]))
                 if terms:
-                    alpha = alpha - _dot(shape, terms)
-                # the bar-symmetric matrix with alpha's non-positive part
-                low = {g: b for g, b in alpha.blocks.items() if g <= 0}
+                    alpha = alpha - _dot(shape, terms, 0)
+                low = alpha.blocks
+                if not low:
+                    continue
+                # the bar-symmetric matrix with alpha's blocks, all at exponents <= 0
                 value = LMat.from_coeffs(shape, {**low, **{-g: b for g, b in low.items() if g}})
-                ls = system.weight(s)
                 if any(not (-ls < g < ls) for g in value.exponents()):
                     raise RecursionInvariantError(
                         f"mu({reps[x]},{z},s={s+1}) has exponents outside (-{ls},{ls})"
                     )
-                if not value.is_zero():
-                    table.mu[(reps[x], z, s)] = value
-                    mu_z.setdefault(s, []).append((x, value))
+                table.mu[(reps[x], z, s)] = value
+                mu_z.setdefault(s, []).append((x, value))
     return table
 
 

@@ -21,13 +21,16 @@ factors and otherwise ``{exponent: {row: {column: value}}}`` over the rows
 some term touches, filled by multiplying stored rows for every pair of
 exponents.  ``a @ b`` is ``_dot`` of one pair; the triangular sums of the
 p/mu recursion and the canonicalisation oracle call it once per sum, not
-once per term.
+once per term.  A private bound ``top`` skips every pair of blocks whose
+exponents add up to more, so the mu-step forms only the exponents <= 0
+it reads.
 """
 
 from __future__ import annotations
 
 from itertools import repeat
 from operator import add, sub
+from sys import maxsize
 from typing import Dict, Iterable, Mapping, Tuple
 
 from .laurent import LaurentPoly
@@ -217,6 +220,8 @@ class LMat:
     def _merge(self, other: "LMat", op) -> "LMat":
         if self.shape != other.shape:
             raise ValueError(f"shape mismatch: {self.shape} vs {other.shape}")
+        if not other.blocks:
+            return self
         unit = self.shape == (1, 1)
         blocks = dict(self.blocks)
         for g, b in other.blocks.items():
@@ -337,9 +342,12 @@ def _shared(shape: Tuple[int, int], blocks: Dict[int, IMat]) -> Dict[int, IMat]:
     return {g: _UNITS[b[0][0][1]] for g, b in blocks.items()} if shape == (1, 1) else blocks
 
 
-def _dot(shape: Tuple[int, int], pairs: Iterable[Tuple[LMat, LMat]]) -> LMat:
+def _dot(shape: Tuple[int, int], pairs: Iterable[Tuple[LMat, LMat]],
+         top: int = maxsize) -> LMat:
     """The n x m matrix ``sum a @ b`` over the pairs, built once from one
-    accumulator; ``ValueError`` unless every a is n x k and every b k x m."""
+    accumulator; ``ValueError`` unless every a is n x k and every b k x m.
+    Only the exponents up to ``top`` are formed: every pair of blocks whose
+    exponents add up to more is skipped."""
     n, m = shape
     unit = n == m == 1
     coeffs: Dict[int, int] = {}  # the 1x1 products, by exponent
@@ -351,12 +359,15 @@ def _dot(shape: Tuple[int, int], pairs: Iterable[Tuple[LMat, LMat]]) -> LMat:
         if unit and k == 1:  # a product of two Laurent polynomials
             terms = [(g2, y[0][0][1]) for g2, y in b.blocks.items()]
             for g1, x in a.blocks.items():
-                c = x[0][0][1]
+                c, room = x[0][0][1], top - g1
                 for g2, d in terms:
-                    coeffs[g1 + g2] = coeffs.get(g1 + g2, 0) + c * d
+                    if g2 <= room:
+                        coeffs[g1 + g2] = coeffs.get(g1 + g2, 0) + c * d
             continue
         for g1, x in a.blocks.items():
             for g2, y in b.blocks.items():
+                if g1 + g2 > top:
+                    continue
                 rows = acc.get(g1 + g2)
                 if rows is None:
                     rows = acc[g1 + g2] = {}

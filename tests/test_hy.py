@@ -1,8 +1,10 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
 from wgraphs.coxeter import CoxeterSystem
+from wgraphs.formats import load_system
 from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, imat_mul
 from wgraphs.wgraph import (
@@ -633,7 +635,8 @@ class TestIndexKernel:
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        counts = dict.fromkeys(("bruhat_leq", "deodhar_class", "mult", "factorize"), 0)
+        counts = dict.fromkeys(("bruhat_leq", "deodhar_class", "_deodhar_step", "mult",
+                                "factorize"), 0)
         for name in counts:
             original = getattr(CoxeterSystem, name)
 
@@ -653,27 +656,95 @@ class TestIndexKernel:
         module = make(system, j)
         table = p_mu_table(j, module)
         reps, gens = len(table.reps), system.rank
+        zeros = sum(c.tag == "zero" for row in table._arrays()[1].values() for c in row)
         assert len(table.p) > 3 * reps * gens  # the pairs outnumber the bounds below
-        # one Deodhar query and at most two products per (s, x)
-        assert counts["bruhat_leq"] == 0
-        assert counts["deodhar_class"] <= reps * gens
-        assert counts["mult"] <= 2 * reps * gens
+        assert (zeros == 0) == (not j)
+
+        def one_step_per_s_and_x():
+            """One Deodhar step per (s, x): it forms s*x once, and in the zero
+            case one more product names the conjugate generator."""
+            assert counts["bruhat_leq"] == 0
+            assert counts["deodhar_class"] == 0
+            assert counts["_deodhar_step"] <= reps * gens
+            assert counts["mult"] <= reps * gens + zeros
+            if not j:
+                assert counts["mult"] == counts["_deodhar_step"] == reps * gens
+            counts.update(dict.fromkeys(counts, 0))
+
+        one_step_per_s_and_x()
         # a table built without the recursion builds its arrays once
         fresh = PMuTable(system, table.gens, table.ambient, module, table.reps,
                          table.p, table.mu)
-        counts.update(dict.fromkeys(counts, 0))
         assert fresh.check_invariants().ok
-        assert counts["bruhat_leq"] == 0
-        assert counts["deodhar_class"] <= reps * gens
-        assert counts["mult"] <= 2 * reps * gens
+        one_step_per_s_and_x()
         # the rho recursion reads the same arrays: no per-term splitting
-        counts.update(dict.fromkeys(counts, 0))
         rho = rho_table(j, module)
-        assert counts["bruhat_leq"] == counts["factorize"] == 0
-        assert counts["deodhar_class"] <= reps * gens
-        assert counts["mult"] <= 2 * reps * gens
-        counts.update(dict.fromkeys(counts, 0))
+        assert counts["factorize"] == 0
+        one_step_per_s_and_x()
         assert check_rho(rho).ok
         pi = pi_recursion(rho)
-        assert counts == {"bruhat_leq": 0, "deodhar_class": 0, "mult": 0, "factorize": 0}
+        assert not any(counts.values())
         assert pi.entries == table.p
+
+
+class TestMuWindow:
+    """mu reads only the exponents <= 0 of the mu-step's alpha, and only those
+    are formed."""
+
+    @pytest.mark.parametrize("path", ["systems/b2_unequal.json",
+                                      "perfbench/systems/b3_211.json",
+                                      "perfbench/systems/i2_8_13.json"])
+    def test_unequal_parameters(self, path):
+        """p.mu terms reach the window here: 1, 36 and 5 of them in the
+        regular tables of these systems."""
+        system = load_system(str(Path(__file__).resolve().parent.parent / path))
+        gens = range(system.rank)
+        for j in [frozenset(c) for k in range(system.rank + 1)
+                  for c in itertools.combinations(gens, k)]:
+            for make in (sign_module, trivial_module):
+                module = make(system, j)
+                low = p_mu_table(j, module, descent_choice="min")
+                high = p_mu_table(j, module, descent_choice="max")
+                assert low.p == high.p and low.mu == high.mu
+                assert low.check_invariants().ok
+                assert validate(induce(j, module, low)).ok
+
+    def test_regular_a4_forms_no_mu_step_product(self, monkeypatch):
+        """Equal parameters: p(x, y) has only exponents > 0 and mu is constant,
+        so no p.mu term reaches the window and the mu-step multiplies nothing."""
+        import wgraphs.hy as hy
+
+        products = [0]
+
+        class Counted(int):
+            def __mul__(self, other):
+                products[0] += 1
+                return int(self) * int(other)
+
+            __rmul__ = __mul__
+
+        def counted(m):
+            return LMat._new(m.shape, {g: tuple(tuple((j, Counted(c)) for j, c in row)
+                                                for row in b) for g, b in m.blocks.items()})
+
+        original = hy._dot
+        calls = []  # (window, products formed, products of the whole sum, value)
+
+        def dot(shape, pairs, *top):
+            pairs = [(counted(a), counted(b)) for a, b in pairs]
+            counts = []
+            for args in ((), top):
+                products[0] = 0
+                value = original(shape, pairs, *args)
+                counts.append(products[0])
+            calls.append((top, counts[1], counts[0], value))
+            return value
+
+        monkeypatch.setattr(hy, "_dot", dot)
+        a4 = CoxeterSystem(A4)
+        table = p_mu_table(frozenset(), trivial_module(a4, frozenset()))
+        assert len(table.mu) == 184
+        mu_step = [call for call in calls if call[0]]
+        assert len(mu_step) == 1324 and all(top == (0,) for top, *_ in mu_step)
+        assert all(formed == 0 and value.is_zero() for _, formed, _, value in mu_step)
+        assert sum(whole for _, _, whole, _ in mu_step) == 1894  # formed at full width

@@ -314,6 +314,31 @@ class TestDot:
             with pytest.raises(ValueError):
                 _dot((n, m), [*pairs, bad])
 
+    @pytest.mark.parametrize("top", [-2, 0, 1])
+    @fewer
+    @given(st.data())
+    def test_window(self, top, data):
+        """``_dot(shape, pairs, top)`` is the full sum without its blocks above top."""
+        unit = data.draw(st.booleans())
+        n, m = (1, 1) if unit else (data.draw(st.integers(1, 4)) for _ in "nm")
+        pairs, ref = [], (((LaurentPoly.zero(),) * m),) * n
+        for _ in range(data.draw(st.integers(0, 4))):
+            k = 1 if unit else data.draw(sizes)
+            a, b = data.draw(sparse_grids(n, k)), data.draw(sparse_grids(k, m))
+            pairs.append((LMat(a), LMat(b)))
+            ref = ent_add(ref, ent_matmul(a, b, LaurentPoly.zero()))
+        full = LMat(ref).blocks
+        got = _dot((n, m), pairs, top)
+        assert got == LMat.from_coeffs((n, m), {g: b for g, b in full.items() if g <= top})
+        assert _dot((n, m), [], top) == LMat.zeros(n, m)
+        if unit:
+            assert all(b is _UNITS[b[0][0][1]] for b in got.blocks.values())
+        k = data.draw(sizes)
+        for bad in ((LMat.zeros(n, k), LMat.zeros(k + 1, m)),
+                    (LMat.zeros(n + 1, k), LMat.zeros(k, m))):
+            with pytest.raises(ValueError):
+                _dot((n, m), [*pairs, bad], top)
+
     @fewer
     @given(grids())
     @example(((v(1) - v(-1), v(-1)),))  # the v^-1 row is longer than the v row
