@@ -43,6 +43,8 @@ compares every direct entry against it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from sys import maxsize
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import (
@@ -83,7 +85,12 @@ class PMuTable:
 
     def mu_at(self, x: Element, z: Element, s: int) -> LMat:
         mat = self.mu.get((x, z, s))
-        return LMat.zeros(self.module.rank) if mat is None else mat
+        return self.zero if mat is None else mat
+
+    @cached_property
+    def zero(self) -> LMat:
+        """The block of every absent triple, one object per table."""
+        return LMat.zeros(self.module.rank)
 
     def _arrays(self) -> tuple:
         """(index, classes, shifted): the position of each representative x
@@ -234,9 +241,11 @@ def p_mu_table(
     c_mats = _c_matrices(module)
     # by position: cols[z][x] = p(x, z) for x <= z, else None; mu_lists[z][s]
     # = [(y, mu(y, z, s))] over the nonzero blocks only, so the sums over
-    # x <= y < z skip every y whose mu-block is zero
+    # x <= y < z skip every y whose mu-block is zero; low_p[y] = the least
+    # exponent of p(x, y) over x < y (maxsize if there is none)
     cols: list = []
     mu_lists: list = []
+    low_p: list = []
 
     for zi, z in enumerate(reps):
         below_z = [y for y in range(zi + 1) if bits[zi] >> y & 1]
@@ -246,6 +255,7 @@ def p_mu_table(
         mu_z: Dict[int, list] = {}
         mu_lists.append(mu_z)
         if len(below_z) == 1:
+            low_p.append(maxsize)
             continue
         # the left descents of z are its minus-classes; the least one is the
         # first letter of z's canonical word
@@ -274,11 +284,16 @@ def p_mu_table(
                 if terms:
                     value = value - _dot(shape, terms)
             pz[x] = table.p[(reps[x], z)] = value
+        low_p.append(min([min(pz[x].blocks) for x in below_z[:-1] if pz[x].blocks],
+                         default=maxsize))
 
         # mu-step: x ascending or descending does not matter for p, but the
         # recursion needs mu(y, z, s) for y above x first, so keep descending.
         # mu reads only alpha's exponents <= 0, and only those are formed;
-        # alpha starts as -R, built by subtraction rather than negated.
+        # alpha starts as -R, built by subtraction rather than negated.  A
+        # term p(x, y) mu(y, z, s) reaches exponent 0 only if low_p[y] plus
+        # the least exponent of mu(y, z, s) is <= 0; window[s] lists those.
+        window: Dict[int, list] = {}
         steps = [(s, row, row[zi], system.weight(s), LaurentPoly.v(-system.weight(s), -1))
                  for s, row in classes.items() if row[zi].tag != DEODHAR_MINUS]
         for x in reversed(below_z[:-1]):
@@ -292,7 +307,7 @@ def p_mu_table(
                 else:  # -v_s^-1 p(x, z) reaches exponent 0 only from p's blocks g <= L(s)
                     kept = {g: b for g, b in pxz.blocks.items() if g <= ls}
                     alpha = LMat._new(shape, kept).scale(minus_vs_inv) if kept else zero
-                terms = [(cols[y][x], mu_y) for y, mu_y in mu_z.get(s, ()) if bits[y] >> x & 1]
+                terms = [(cols[y][x], mu_y) for y, mu_y in window.get(s, ()) if bits[y] >> x & 1]
                 if cz.tag == DEODHAR_ZERO:
                     terms.append((pxz, c_mats[cz.conj]))
                 if terms:
@@ -308,6 +323,8 @@ def p_mu_table(
                     )
                 table.mu[(reps[x], z, s)] = value
                 mu_z.setdefault(s, []).append((x, value))
+                if low_p[x] + min(value.blocks) <= 0:
+                    window.setdefault(s, []).append((x, value))
     return table
 
 
@@ -685,16 +702,17 @@ def mu_factorize_check(
     if table_ks.module.rank != len(table_jk.reps) * r:
         raise ValueError("table_ks is not computed on the induced module of table_jk")
     factored = _factor_mu(J, K, table_js.reps, table_jk.reps, table_jk.mu, table_ks)
-    zero = LMat.zeros(r)
-    gens = sorted(table_js.ambient)
-    names = {w: str(w) for w in table_js.reps}
-    for z in table_js.reps:
-        for w in table_js.reps:
-            for s in gens:
-                report.require(
-                    table_js.mu_at(w, z, s) == factored.get((w, z, s), zero),
-                    f"mu({names[w]},{names[z]},s={s+1}) does not factor through K",
-                )
+    reps, ambient = table_js.reps, table_js.ambient
+    index = {w: i for i, w in enumerate(reps)}
+    # both sides by position (z, w, s), the order of the checks
+    direct, assembled = ({(index[z], index[w], s): mat for (w, z, s), mat in mu.items()
+                          if s in ambient} for mu in (table_js.mu, factored))
+    # one check per (w, z, s); a triple stored on neither side is zero on both
+    report.checks += len(reps) ** 2 * len(ambient)
+    zero = table_js.zero
+    for zi, wi, s in sorted(direct.keys() | assembled.keys()):
+        if direct.get((zi, wi, s), zero) != assembled.get((zi, wi, s), zero):
+            report.fail(f"mu({reps[wi]},{reps[zi]},s={s+1}) does not factor through K")
     return report
 
 
@@ -766,20 +784,22 @@ def oracle_check(
     table = p_mu_table(J, module, ambient)
     pi = pi_recursion(rho_table(J, module, ambient))
     report = Report("oracle equivalence (direct recursion vs triangular oracle)")
-    keys = set(table.p) | set(pi.entries)
-    for key in sorted(keys, key=lambda k: (k[1], k[0])):
-        direct_val = table.p.get(key)
-        oracle_val = pi.entries.get(key)
+    reps = table.reps
+    index = {x: i for i, x in enumerate(reps)}
+    # both sides by position (z, x), the order of the checks
+    direct, oracle = ({(index[z], index[x]): mat for (x, z), mat in entries.items()}
+                      for entries in (table.p, pi.entries))
+    for zi, xi in sorted(direct.keys() | oracle.keys()):
+        direct_val, oracle_val = direct.get((zi, xi)), oracle.get((zi, xi))
+        report.checks += 1
         if direct_val is None:
-            report.require(
-                oracle_val.is_zero(), f"oracle has extra nonzero entry at {key}"
-            )
+            if not oracle_val.is_zero():
+                report.fail(f"oracle has extra nonzero entry at {(reps[xi], reps[zi])}")
         elif oracle_val is None:
-            report.require(
-                direct_val.is_zero(), f"direct table has extra nonzero entry at {key}"
-            )
-        else:
-            report.require(direct_val == oracle_val, f"p-blocks differ at {key}")
+            if not direct_val.is_zero():
+                report.fail(f"direct table has extra nonzero entry at {(reps[xi], reps[zi])}")
+        elif direct_val != oracle_val:
+            report.fail(f"p-blocks differ at {(reps[xi], reps[zi])}")
     return report
 
 

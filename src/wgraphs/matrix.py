@@ -24,6 +24,14 @@ p/mu recursion and the canonicalisation oracle call it once per sum, not
 once per term.  A private bound ``top`` skips every pair of blocks whose
 exponents add up to more, so the mu-step forms only the exponents <= 0
 it reads.
+
+An identity between Laurent matrices with small coefficients can be
+checked as one product of integers (Kronecker substitution): ``_evaluate``
+gives the integer matrix of ``v^shift mat`` at ``v = 2^bits``, and a
+Laurent matrix whose exponents are >= -shift and whose coefficients are
+below ``2^bits`` in absolute value is zero exactly when that value is.
+``_abs_row_sums`` gives the row sums of absolute coefficients from which a
+caller bounds the coefficients of a product and so derives ``bits``.
 """
 
 from __future__ import annotations
@@ -378,3 +386,47 @@ def _dot(shape: Tuple[int, int], pairs: Iterable[Tuple[LMat, LMat]],
         return LMat._new((1, 1), {g: _UNITS[c] for g, c in coeffs.items() if c})
     blocks = {g: _block(rows, n) for g, rows in acc.items()}
     return LMat._new((n, m), {g: b for g, b in blocks.items() if any(b)})
+
+
+# -- Kronecker substitution -------------------------------------------------
+
+def _abs_row_sums(mat: LMat) -> list:
+    """The sum of the absolute coefficients of each row, over every exponent."""
+    if mat.shape == (1, 1):
+        return [sum([abs(b[0][0][1]) for b in mat.blocks.values()])]
+    sums = [0] * mat.nrows
+    for b in mat.blocks.values():
+        for i, row in enumerate(b):
+            if row:
+                sums[i] += sum([abs(c) for _, c in row])
+    return sums
+
+
+def _evaluate(mat: LMat, bits: int, shift: int) -> IMat:
+    """The integer matrix of ``v^shift mat`` at ``v = 2^bits``; ``ValueError``
+    (a negative shift count) unless ``bits * (g + shift) >= 0`` for every
+    exponent g.  Since bar(f)(v) = f(1/v), ``v^E bar(mat)`` at ``v = 2^B``
+    is ``_evaluate(mat, -B, -E)``.
+
+    The value decides the matrix where its coefficients are small.  Lemma:
+    let D have exponents >= -k and coefficients |c| < 2^B; if
+    ``D(2^B) 2^(Bk) = 0`` then D = 0.  Proof: otherwise let g be the least
+    exponent of some nonzero entry, with coefficient c there.  Every other
+    term of ``(v^k D)(2^B)`` in that entry is a multiple of
+    ``2^(B(g+k+1))``, so modulo that number the entry is
+    ``(c mod 2^B) 2^(B(g+k))``, which is not 0 because 0 < |c| < 2^B.
+    """
+    if mat.shape == (1, 1):
+        value = sum([b[0][0][1] << bits * (g + shift) for g, b in mat.blocks.items()])
+        return (((0, value),),) if value else ((),)
+    rows: Dict[int, dict] = {}
+    for g, b in mat.blocks.items():
+        e = bits * (g + shift)
+        for i, row in enumerate(b):
+            if row:
+                acc = rows.get(i)
+                if acc is None:
+                    acc = rows[i] = {}
+                for j, c in row:
+                    acc[j] = acc.get(j, 0) + (c << e)
+    return _block(rows, mat.nrows)

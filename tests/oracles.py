@@ -5,6 +5,8 @@ machinery: concrete matrix/permutation models for the small groups, Tits
 rewriting for the word problem, a brute-force subword test for the Bruhat
 order, the bar involution expanded in the T-basis over the whole group
 (the reference for the one-letter recursion of ``wgraphs.canon.rho_table``),
+the composition identity of the involution's blocks summed as Laurent
+matrices pair by pair (the reference for ``wgraphs.canon.check_rho``),
 the textbook two-step Kazhdan-Lusztig recursion (R-polynomials, then
 P-polynomials, in the variable q), and a span-closure construction of
 cells.
@@ -17,7 +19,8 @@ from collections import deque
 from typing import Callable, Dict, Iterable, List, Tuple
 
 from wgraphs.laurent import LaurentPoly
-from wgraphs.matrix import LMat
+from wgraphs.matrix import LMat, _dot
+from wgraphs.report import Report
 
 # -- model groups --------------------------------------------------------------
 
@@ -274,6 +277,36 @@ def rho_expanded(J, module, ambient=None, max_length=None, memo=None) -> dict:
             blocks[x] = blocks[x] + acted if x in blocks else acted
         entries.update(((x, z), mat) for x, mat in blocks.items() if not mat.is_zero())
     return entries
+
+
+def check_rho_entrywise(rho) -> Report:
+    """The composition identity sum_{x<=y<=z} r_{xy} bar(r_{yz}) = delta_{xz}
+    of a :class:`~wgraphs.canon.BlockTable`, one Laurent-matrix sum per pair
+    x <= z: the reference for the integer product of ``canon.check_rho``."""
+    report = Report("rho composition identity")
+    reps = rho.reps
+    rank = rho.module.rank
+    shape = (rank, rank)
+    identity = LMat.identity(rank)
+    zero = LMat.zeros(rank)
+    bits = rho.system.bruhat_ideals(reps)
+    index = {x: i for i, x in enumerate(reps)}
+    names = [str(x) for x in reps]
+    rows: List[Dict[int, LMat]] = [{} for _ in reps]  # rows[x][y] = r_{xy}, x <= y
+    for (x, y), mat in rho.entries.items():
+        if bits[index[y]] >> index[x] & 1:
+            rows[index[x]][index[y]] = mat
+    for zi, below in enumerate(bits):
+        upper_bars = {y: row[zi].bar() for y, row in enumerate(rows) if zi in row}
+        for xi in range(zi + 1):
+            if below >> xi & 1:
+                total = _dot(shape, [(term, upper_bars[y])
+                                     for y, term in rows[xi].items() if y in upper_bars])
+                expected = identity if xi == zi else zero
+                report.require(
+                    total == expected, f"composition fails at ({names[xi]},{names[zi]})"
+                )
+    return report
 
 
 # -- classical Kazhdan-Lusztig polynomials (variable q) ----------------------------

@@ -1,4 +1,5 @@
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -15,10 +16,10 @@ from wgraphs.coxeter import DEODHAR_ZERO, CoxeterSystem
 from wgraphs.formats import load_system
 from wgraphs.hy import induce, p_mu_table
 from wgraphs.laurent import LaurentPoly, v
-from wgraphs.matrix import LMat
+from wgraphs.matrix import LMat, _evaluate
 from wgraphs.wgraph import sign_module, trivial_module
 
-from oracles import iota_expand, rho_expanded
+from oracles import check_rho_entrywise, iota_expand, rho_expanded
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -96,6 +97,101 @@ class TestRhoTable:
     def test_composition_identity(self, systems, name, j):
         module = sign_module(systems[name], j)
         assert check_rho(rho_table(j, module)).ok
+
+
+def _rho_of(case):
+    """The involution blocks of one test system, by name."""
+    if case == "b3_211":
+        system = load_system(str(_ROOT / "perfbench/systems/b3_211.json"))
+        return rho_table(frozenset(), trivial_module(system, frozenset()))
+    if case == "a4-J1-sign":
+        system = load_system(str(_ROOT / "perfbench/systems/a4.json"))
+        return rho_table({0}, sign_module(system, {0}))
+    if case == "b2_unequal":
+        system = load_system(str(_ROOT / "systems/b2_unequal.json"))
+        return rho_table(frozenset(), trivial_module(system, frozenset()))
+    if case == "a4-induced-rank-12":  # zero classes, rank 12
+        system = load_system(str(_ROOT / "perfbench/systems/a4.json"))
+        inner = sign_module(system, {0})
+        k = frozenset({0, 1, 2})
+        return rho_table(k, induce({0}, inner, p_mu_table({0}, inner, k)))
+    system = load_system(str(_ROOT / "perfbench/systems/affine_a2.json"))
+    return rho_table(frozenset(), trivial_module(system, frozenset()), max_length=6)
+
+
+def _bumped(rho, x, y, i, j, g, c):
+    """``rho`` with c v^g added at entry (i, j) of the block at (x, y)."""
+    r = rho.module.rank
+    rows = tuple(((j, c),) if k == i else () for k in range(r))
+    entries = dict(rho.entries)
+    entries[(x, y)] = rho.at(x, y) + LMat.from_coeffs((r, r), {g: rows})
+    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, entries)
+
+
+class TestCheckRhoProduct:
+    """The integer product of ``check_rho`` decides every pair exactly as the
+    entrywise Laurent sums of the reference do: same outcome, same count,
+    same failures in the same order."""
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-J1-sign", "b2_unequal",
+                                      "a4-induced-rank-12", "affine-a2-ball-6"])
+    def test_matches_entrywise_reference(self, case):
+        rho = _rho_of(case)
+        rng = random.Random(case)
+        reps, r = rho.reps, rho.module.rank
+        top = max(abs(g) for mat in rho.entries.values() for g in mat.blocks)
+        below = [key for key in rho.entries if key[0] != key[1]]
+
+        def spot():
+            return rng.randrange(r), rng.randrange(r)
+
+        tables = [rho]
+        for c in (1, -1):  # one seeded entry anywhere, stored or not, comparable or not
+            x, y = rng.choice(reps), rng.choice(reps)
+            tables.append(_bumped(rho, x, y, *spot(), rng.randint(-top, top), c))
+        tables.append(_bumped(rho, *rng.choice(below), *spot(), top + 2, 1))  # beyond E
+        for c in (2 ** 80, -2 ** 80):
+            tables.append(_bumped(rho, *rng.choice(below), *spot(), rng.randint(-top, top), c))
+        z = rng.choice(reps)
+        tables.append(_bumped(rho, z, z, *spot(), 0, 1))  # a non-identity diagonal block
+        outcomes = []
+        for table in tables:
+            report, reference = check_rho(table), check_rho_entrywise(table)
+            assert (report.ok, report.checks, report.failures) == \
+                (reference.ok, reference.checks, reference.failures)
+            outcomes.append(report.ok)
+        assert outcomes[0] and not all(outcomes)
+
+    def test_no_laurent_arithmetic(self, monkeypatch):
+        """No Laurent-matrix product, sum or fused kernel call: only the
+        evaluation of each block and one integer product."""
+        import wgraphs.canon as canon
+
+        rho = _rho_of("a4-induced-rank-12")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Laurent-matrix arithmetic in check_rho")
+
+        for name in ("__matmul__", "__add__", "__sub__", "__neg__", "scale"):
+            monkeypatch.setattr(LMat, name, refuse)
+        monkeypatch.setattr(canon, "_dot", refuse)
+        report = check_rho(rho)
+        assert report.ok and report.checks == 15
+
+    @pytest.mark.parametrize("base", [3, 8, 64])
+    def test_defect_that_vanishes_at_a_fixed_base(self, base):
+        """A1 with r_(e,s) = f = 2^(b+1) v - (2^(2b) + 1): the defect at (e, s)
+        is f + bar(f), a nonzero polynomial whose value at v = 2^b is 0, so
+        only a width taken from the coefficients tells it from zero."""
+        a1 = CoxeterSystem(((1,),))
+        rho = rho_table(frozenset(), trivial_module(a1, frozenset()))
+        e, s = rho.reps
+        f = LMat([[LaurentPoly({1: 2 ** (base + 1), 0: -(2 ** (2 * base) + 1)})]])
+        assert _evaluate(f + f.bar(), base, 1) == ((),)
+        entries = {**rho.entries, (e, s): f}
+        bad = BlockTable(a1, rho.gens, rho.ambient, rho.module, rho.reps, entries)
+        report = check_rho(bad)
+        assert report.failures == check_rho_entrywise(bad).failures == ["composition fails at (e,1)"]
 
 
 def _subsets(gens):

@@ -83,6 +83,35 @@ class TestPValues:
         module = sign_module(systems["b2_unequal"], {0})
         assert oracle_check({0}, module).ok
 
+    def test_oracle_failure_messages(self, systems, monkeypatch):
+        """A changed, a deleted and an added direct p-block fail with the
+        check's messages in (z, x) order; an added zero block is one more
+        passing check."""
+        import wgraphs.hy as hy
+
+        module = trivial_module(systems["b2"], frozenset())
+        real = hy.p_mu_table
+        reps = real(frozenset(), module).reps
+        changed, deleted = (reps[0], reps[3]), (reps[1], reps[7])
+        added, added_zero = (reps[2], reps[1]), (reps[3], reps[2])  # x not below z
+
+        def corrupted(*args, **kwargs):
+            table = real(*args, **kwargs)
+            table.p[changed] = table.p[changed] + LMat.identity(1)
+            del table.p[deleted]
+            table.p[added] = LMat.identity(1)
+            table.p[added_zero] = LMat.zeros(1)
+            return table
+
+        monkeypatch.setattr(hy, "p_mu_table", corrupted)
+        report = oracle_check(frozenset(), module)
+        assert report.checks == 33 + 2
+        order = {x: i for i, x in enumerate(reps)}
+        messages = {changed: "p-blocks differ", deleted: "oracle has extra nonzero entry",
+                    added: "direct table has extra nonzero entry"}
+        bad = sorted(messages, key=lambda key: (order[key[1]], order[key[0]]))
+        assert report.failures == [f"{messages[key]} at {key}" for key in bad]
+
 
 class TestInduce:
     def test_full_j_is_identity(self, systems):
@@ -354,6 +383,23 @@ class TestMuFactorize:
         j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
         del table_js.mu[next(iter(table_js.mu))]
         assert not mu_factorize_check(j, k, table_js, table_jk, table_ks).ok
+
+    def test_failure_messages(self, systems):
+        """A changed, a deleted and an added direct entry fail with the check's
+        messages in (z, w, s) order, among the same 432 checks."""
+        j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
+        reps = table_js.reps
+        changed, deleted = list(table_js.mu)[:2]
+        added = (reps[3], reps[3], 1)  # mu is never stored on the diagonal
+        table_js.mu[changed] = table_js.mu[changed] + table_js.mu[changed]
+        del table_js.mu[deleted]
+        table_js.mu[added] = LMat.identity(1)
+        order = {w: i for i, w in enumerate(reps)}
+        bad = sorted([changed, deleted, added], key=lambda t: (order[t[1]], order[t[0]], t[2]))
+        report = mu_factorize_check(j, k, table_js, table_jk, table_ks)
+        assert report.checks == 432
+        assert report.failures == [f"mu({w},{z},s={s+1}) does not factor through K"
+                                   for w, z, s in bad]
 
     def test_doubled_level_entry_fails(self, systems):
         j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
@@ -711,40 +757,19 @@ class TestMuWindow:
 
     def test_regular_a4_forms_no_mu_step_product(self, monkeypatch):
         """Equal parameters: p(x, y) has only exponents > 0 and mu is constant,
-        so no p.mu term reaches the window and the mu-step multiplies nothing."""
+        so no p.mu term reaches the window and the mu-step forms no windowed
+        sum at all."""
         import wgraphs.hy as hy
 
-        products = [0]
-
-        class Counted(int):
-            def __mul__(self, other):
-                products[0] += 1
-                return int(self) * int(other)
-
-            __rmul__ = __mul__
-
-        def counted(m):
-            return LMat._new(m.shape, {g: tuple(tuple((j, Counted(c)) for j, c in row)
-                                                for row in b) for g, b in m.blocks.items()})
-
         original = hy._dot
-        calls = []  # (window, products formed, products of the whole sum, value)
+        windows = []  # the bound of every call, () for a full sum
 
         def dot(shape, pairs, *top):
-            pairs = [(counted(a), counted(b)) for a, b in pairs]
-            counts = []
-            for args in ((), top):
-                products[0] = 0
-                value = original(shape, pairs, *args)
-                counts.append(products[0])
-            calls.append((top, counts[1], counts[0], value))
-            return value
+            windows.append(top)
+            return original(shape, pairs, *top)
 
         monkeypatch.setattr(hy, "_dot", dot)
         a4 = CoxeterSystem(A4)
         table = p_mu_table(frozenset(), trivial_module(a4, frozenset()))
         assert len(table.mu) == 184
-        mu_step = [call for call in calls if call[0]]
-        assert len(mu_step) == 1324 and all(top == (0,) for top, *_ in mu_step)
-        assert all(formed == 0 and value.is_zero() for _, formed, _, value in mu_step)
-        assert sum(whole for _, _, whole, _ in mu_step) == 1894  # formed at full width
+        assert windows and not any(windows)  # the p-step's full sums only

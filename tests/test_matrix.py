@@ -5,7 +5,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgraphs.laurent import LaurentPoly, v
-from wgraphs.matrix import _UNITS, LMat, _dot, imat, imat_identity, imat_mul, imat_zero
+from wgraphs.matrix import (
+    _UNITS,
+    LMat,
+    _abs_row_sums,
+    _dot,
+    _evaluate,
+    imat,
+    imat_identity,
+    imat_mul,
+    imat_zero,
+)
 
 from oracles import (
     dense,
@@ -346,3 +356,40 @@ class TestDot:
         x = LMat(a)
         for y in (x, x - x.bar(), x + x.bar()):
             assert y.is_bar_antisymmetric() == (y == -y.bar())
+
+
+class TestEvaluate:
+    """Kronecker substitution: the integer matrix of v^shift mat at v = 2^bits."""
+
+    @fewer
+    @given(st.data())
+    def test_against_entrywise_values(self, data):
+        n, m = data.draw(sizes), data.draw(sizes)
+        rows = data.draw(grid(n, m))
+        mat = LMat(rows)
+        bits = data.draw(st.integers(1, 8))
+        # every exponent is in -3..3, so v^3 makes each value an integer
+        expect = tuple(tuple(sum(c << bits * (g + 3) for g, c in x.coeffs.items()) for x in row)
+                       for row in rows)
+        assert dense(_evaluate(mat, bits, 3), m) == expect
+        # v^E bar(mat) at 2^B is v^-E mat at 2^-B
+        assert _evaluate(mat, -bits, -3) == _evaluate(mat.bar(), bits, 3)
+        assert _abs_row_sums(mat) == [sum(abs(c) for x in row for c in x.coeffs.values())
+                                      for row in rows]
+
+    def test_separates_a_difference_below_two_to_the_bits(self):
+        """Two matrices that differ by 2^B - 1 in one coefficient have distinct
+        values at 2^B; a difference of 2^B is where the bound stops."""
+        bits = 5
+        a = LMat([[v(-1) + 3, 0], [v(2), -v(1)]])
+        for g in (-1, 0, 2):
+            b = a + LMat([[0, v(g, 2 ** bits - 1)], [0, 0]])
+            assert _evaluate(a, bits, 1) != _evaluate(b, bits, 1)
+        # 2^B v^0 and v^1 take the same value: the coefficients must stay below 2^B
+        assert _evaluate(LMat([[v(0, 2 ** bits)]]), bits, 0) == _evaluate(LMat([[v(1)]]), bits, 0)
+
+    def test_negative_exponent_left_over(self):
+        with pytest.raises(ValueError):
+            _evaluate(LMat([[v(-2)]]), 4, 1)
+        with pytest.raises(ValueError):
+            _evaluate(LMat([[v(-2), 0], [0, 1]]), 4, 1)
