@@ -5,7 +5,7 @@ which the involution iota(T_z (x) m) = bar(T_z) (x) m acts blockwise on an
 induced module (``rho``).  They are built one column at a time by the
 one-letter recursion iota(T_z (x) m) = T_s^-1 iota(T_sz (x) m), s the
 first letter of z, with T_s acting on the representatives of D_J by
-Deodhar's trichotomy, read from arrays built once per (s, x); nothing is
+Deodhar's trichotomy, read from the coset table of D_J; nothing is
 expanded over W.  It then solves the triangular fixed-point problem
 
     pi_{xz} = sum_{x <= y <= z} rho_{xy} o bar(pi_{yz}),
@@ -108,11 +108,8 @@ def rho_table(
     for zi, z in enumerate(reps):
         if z.word:
             s = z.word[0]
-            szi = shifted[s][zi]
-            if szi is None:
-                sz = system.mult(system.generator(s), z)
-                raise ValueError(f"{sz} = s*z for z = {z} is not among the representatives")
-            col = hecke_t_column(module, s, classes[s], shifted[s], cols[szi], inverse=True)
+            col = hecke_t_column(module, s, classes[s], shifted[s], cols[shifted[s][zi]],
+                                 inverse=True)
         else:
             col = {zi: identity}
         if col.get(zi) != identity:
@@ -143,7 +140,7 @@ def check_rho(rho: BlockTable) -> Report:
     report = Report("rho composition identity")
     reps = rho.reps
     r = rho.module.rank
-    bits = rho.system.bruhat_ideals(reps)
+    bits = rho.system.bruhat_ideals(reps, rho.gens, rho.ambient)
     index = {x: i for i, x in enumerate(reps)}
     size = len(reps) * r
     placed = []  # (x, y, r_{xy}) by position, x <= y
@@ -259,7 +256,7 @@ def pi_recursion(rho: BlockTable) -> BlockTable:
     report = check_rho(rho)
     if not report.ok:
         raise CanonicalisationError(str(report))
-    bits = rho.system.bruhat_ideals(rho.reps)
+    bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
     index = {x: i for i, x in enumerate(rho.reps)}
     entries = canonicalise_shadow(
         rho.reps,

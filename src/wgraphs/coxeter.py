@@ -15,6 +15,12 @@ regrows it to the radius the rest of the walk can reach: the current
 length plus the letters left.  Bruhat order is read from bitset lower
 ideals of the element table, each built on its element's first query.
 
+Coset queries read a table of the minimal coset representatives D_J
+inside W_K, built the same way over the generators of K and memoised per
+(J, K); Deodhar's zero class s*x = x*t is read from the root images, so
+parabolic induction never enumerates W.  The table of J = {} and K = S is
+the element table itself.
+
 Generator indices are 0-based internally.  A Coxeter matrix entry of 0
 encodes an infinite bond order.
 
@@ -136,6 +142,10 @@ class DeodharClass:
             raise ValueError("conj must be given iff tag == 'zero'")
 
 
+_PLUS = DeodharClass(DEODHAR_PLUS)
+_MINUS = DeodharClass(DEODHAR_MINUS)
+
+
 class _Roots:
     """Roots of Tits' geometric representation, interned as integer ids.
 
@@ -255,33 +265,46 @@ def _divide_monic(num: List[int], den: List[int]) -> List[int]:
 
 
 class _ElementTable:
-    """Element/multiplication table for the whole group or a ball in it.
+    """Minimal coset representatives D_J inside W_K, as a table.
 
-    ``words`` is sorted by (length, word) and the index of a word in it is
-    the element's id.  ``rmult[s][i]`` is the id of w*s (None if outside
-    the enumerated ball), similarly ``lmult`` for s*w.  ``ideals[i]`` is
-    the Bruhat lower ideal of element i as a bitset over ids, or None until
-    :meth:`ideal` first builds it.
+    The table of J = {} and K = S is the *element table*: the whole group,
+    or the ball of some radius in it.  ``words`` lists D_J n W_K sorted by
+    (length, word), and the index of a word in it is its position.  For s
+    in K, ``lmult[s][i]`` is the position of s*x for x = words[i], or None
+    if s*x leaves D_J or the enumerated ball; the rows of generators
+    outside K are None.  s*x leaves D_J exactly when s*x = x*t for a t in
+    J, and then ``conj[s]`` maps i to the Deodhar class (zero, t).
+    ``ideals[i]`` is the Bruhat lower ideal of x inside D_J as a bitset
+    over positions, or None until :meth:`ideal` first builds it.  Only the
+    element table has ``rmult[s][i]`` (the position of x*s, or None) and
+    ``inverse``.
 
-    The table is built one length at a time, without rewriting words.  An
-    element w is keyed by the root ids of w(alpha_1), ..., w(alpha_n) (see
-    :class:`_Roots`); Tits' representation is faithful, so the key
-    determines w, and the key of s*w is the image of w's key under the
-    reflection s.  The elements of length k+1 are the new keys s*v with v
-    of length k.  The canonical word of such an element u is the least
-    ``(s,) + words[v]`` over its factorisations u = s*v, because the
-    ShortLex-minimal reduced word starts with the least left descent.
+    The table is built one length at a time over s in K, without rewriting
+    words.  An element x is keyed by the root ids of x(alpha_1), ...,
+    x(alpha_n) (see :class:`_Roots`); Tits' representation is faithful, so
+    the key determines x, and the key of s*x is the image of x's key under
+    the reflection s.  By Deodhar's lemma, s*x for x in D_J is shorter
+    (minus, an earlier layer), or a new element of D_J (plus), or x*t for
+    some t in J (zero).  The zero case holds exactly when
+    x(alpha_t) = alpha_s: x^-1 s x = t says x(alpha_t) = +-alpha_s, and x
+    in D_J has x(alpha_t) > 0.  So the zero class and its conjugate t are
+    read from the key, without a product.  The elements of length k+1 are
+    the new keys s*v with v of length k.  The canonical word of such an
+    element u is the least ``(s,) + words[v]`` over its factorisations
+    u = s*v, because the ShortLex-minimal reduced word starts with the
+    least left descent.  s*u lies in D_J n W_K for every left descent s of
+    u, so these are the element table's words.
     """
 
-    def __init__(self, system: "CoxeterSystem", max_length: Optional[int]):
+    def __init__(self, system: "CoxeterSystem", max_length: Optional[int],
+                 J: FrozenSet[int] = frozenset(), K: Optional[FrozenSet[int]] = None):
         self.system = system
         self.max_length = max_length
+        self.J = J
+        self.K = system.generator_set if K is None else K
         self.words: List[Word] = []
         self.index: dict = {}
-        self.rmult: List[List[Optional[int]]] = []
-        self.lmult: List[List[Optional[int]]] = []
-        self.inverse: List[int] = []
-        self.complete = False  # True iff the ball is the whole group
+        self.complete = False  # True iff the ball is all of D_J n W_K
         self._build()
         self.ideals: List[Optional[int]] = [None] * len(self.words)
         self.ideals[0] = 1
@@ -294,21 +317,30 @@ class _ElementTable:
 
     def _build(self) -> None:
         rank = self.system.rank
-        roots = _Roots(self.system)  # dropped when the build returns
+        gens = sorted(self.K)
+        J = sorted(self.J)
+        roots = _Roots(self.system)  # dropped when the build returns, with the keys
         words = self.words
-        lmult: List[List[Optional[int]]] = [[None] for _ in range(rank)]
+        lmult: List = [[None] if s in self.K else None for s in range(rank)]
+        conj: List[dict] = [{} for _ in range(rank)]
+        zero = {t: DeodharClass(DEODHAR_ZERO, conj=t) for t in J}
         self._add(())
         keys = {0: tuple(range(rank))}  # root-id keys of the current layer
         layer = [0]
         while layer:
-            if self.max_length is not None and len(words[layer[0]]) >= self.max_length:
-                break
+            edge = self.max_length is not None and len(words[layer[0]]) >= self.max_length
             found: dict = {}  # key -> [least word, key, [(s, v), ...]]
             for v in layer:
                 key = keys[v]
-                for s in range(rank):
+                simple = {key[t]: t for t in J}  # the simple roots alpha_s = v(alpha_t)
+                for s in gens:
                     if lmult[s][v] is not None:
                         continue  # s*v is shorter, recorded when v was found
+                    if s in simple:
+                        conj[s][v] = zero[simple[s]]
+                        continue
+                    if edge:
+                        continue
                     image = roots.images[s]
                     longer = tuple([image[r] if r in image else roots.reflect(s, r) for r in key])
                     word = (s,) + words[v]
@@ -319,20 +351,24 @@ class _ElementTable:
                         if word < entry[0]:
                             entry[0] = word
                         entry[2].append((s, v))
+            if edge:
+                break
             keys = {}
             layer = []
             for word, key, parents in sorted(found.values()):
                 new_id = self._add(word)
                 keys[new_id] = key
                 layer.append(new_id)
-                for row in lmult:
-                    row.append(None)
+                for s in gens:
+                    lmult[s].append(None)
                 for s, v in parents:
                     lmult[s][v] = new_id
                     lmult[s][new_id] = v
-        self.complete = not layer  # BFS exhausted the group
-        self.lmult = lmult
-        # w^-1 = s_k ... s_1 for w = s_1 ... s_k, and w*s = (s*w^-1)^-1
+        self.complete = not layer  # BFS exhausted D_J n W_K
+        self.lmult, self.conj = lmult, conj
+        if J or len(gens) < rank:
+            return
+        # the element table: w^-1 = s_k ... s_1 for w = s_1 ... s_k, and w*s = (s*w^-1)^-1
         self.inverse = []
         for word in words:
             ident = 0
@@ -345,12 +381,21 @@ class _ElementTable:
             for row in lmult
         ]
 
+    def deodhar(self, s: int, i: int) -> DeodharClass:
+        """The Deodhar class of s in K on the element at position i."""
+        zero = self.conj[s].get(i)
+        if zero is not None:
+            return zero
+        j = self.lmult[s][i]
+        return _MINUS if j is not None and j < i else _PLUS
+
     def ideal(self, ident: int) -> int:
-        """Bitset of the ids below element ``ident`` in the Bruhat order.
+        """Bitset of the positions below element ``ident`` in the Bruhat order.
 
         With s the first letter of z's canonical word (a left descent),
-        I(z) = I(sz) u s.I(sz).  Every element of s.I(sz) is no longer than
-        z, so a ball containing z contains the whole ideal.
+        I(z) = I(sz) u s.I(sz), where the images s*y outside D_J (the zero
+        class) are left out.  Every element of s.I(sz) is no longer than z,
+        so a ball containing z contains the whole ideal.
         """
         ideals = self.ideals
         chain = []
@@ -364,7 +409,9 @@ class _ElementTable:
             rest = bits
             while rest:
                 low = rest & -rest
-                shifted |= 1 << left[low.bit_length() - 1]
+                image = left[low.bit_length() - 1]
+                if image is not None:
+                    shifted |= 1 << image
                 rest ^= low
             bits |= shifted
             ideals[z] = bits
@@ -509,12 +556,18 @@ class CoxeterSystem:
         if not isinstance(s, int) or not 0 <= s < self.rank:
             raise ValueError(f"generator index out of range: {s!r}")
 
-    def _table(self, radius: Optional[int] = None) -> _ElementTable:
-        """The cached element table, rebuilt if it misses the ball of this radius.
+    def _table(self, radius: Optional[int] = None, J: FrozenSet[int] = frozenset(),
+               K: Optional[FrozenSet[int]] = None) -> _ElementTable:
+        """The cached table of D_J inside W_K, rebuilt if it misses the ball of
+        this radius.
 
-        ``None`` asks for the whole group.
+        ``None`` asks for the whole subgroup; K = None means S.  The table of
+        J = {} and K = S is the element table, cached under ``"table"``.
         """
-        table = self._cache.get("table")
+        K = self.generator_set if K is None else K
+        J = J & K  # D_J n W_K = D_(J n K) n W_K
+        key = "table" if not J and K == self.generator_set else ("table", J, K)
+        table = self._cache.get(key)
         if table is not None and (
             table.complete or (radius is not None and radius <= table.max_length)
         ):
@@ -523,7 +576,7 @@ class CoxeterSystem:
             raise EnumerationError(
                 "the group is infinite: enumeration requires an explicit max_length"
             )
-        table = self._cache["table"] = _ElementTable(self, radius)
+        table = self._cache[key] = _ElementTable(self, radius, J, K)
         return table
 
     def _walk(
@@ -599,26 +652,32 @@ class CoxeterSystem:
             return False
         return bool(table.ideal(table.index[z.word]) >> xi & 1)
 
-    def bruhat_ideals(self, elements: Sequence[Element]) -> List[int]:
-        """Bruhat order on a list sorted by (length, word), as position bitsets.
+    def bruhat_ideals(self, elements: Sequence[Element], J: Iterable[int] = (),
+                      K: Optional[Iterable[int]] = None) -> List[int]:
+        """Bruhat order on a list of D_J n W_K sorted by (length, word), as
+        position bitsets.
 
         Bit j of the i-th bitset is set iff elements[j] <= elements[i].  An
         element is below only elements at least as long, so only j <= i
-        are tested, against the element table's ideal of elements[i].
+        are tested, against the ideal of elements[i] in the table of D_J
+        inside W_K; for the listing of that table (:meth:`min_coset_reps`)
+        the ideals are the table's bitsets as they stand.
         """
         if not elements:
             return []
         for x in elements:
             self._check_same(x.system)
         # a ball of radius l(z) holds z's whole lower ideal
-        table = self._table(len(elements[-1].word))
-        ids = [table.index[x.word] for x in elements]
-        if any(a >= b for a, b in zip(ids, ids[1:])):
-            raise ValueError("elements must be sorted by (length, word) without repeats")
+        table = self._table(len(elements[-1].word), self._subset(J),
+                            None if K is None else self._subset(K))
+        ids = [table.index.get(x.word, -1) for x in elements]
+        if ids[0] < 0 or any(a >= b for a, b in zip(ids, ids[1:])):
+            raise ValueError("elements must lie in D_J and be sorted by (length, word) "
+                             "without repeats")
         out = []
         for i, ident in enumerate(ids):
             ideal = table.ideal(ident)
-            if ident == i:  # elements[:i + 1] are ids 0..i: positions are ids
+            if ident == i:  # elements[:i + 1] are positions 0..i of the table
                 out.append(ideal)
                 continue
             bits = 0
@@ -640,8 +699,7 @@ class CoxeterSystem:
 
     def parabolic_elements(self, K: Iterable[int], max_length: Optional[int] = None) -> List[Element]:
         """Elements of the standard parabolic subgroup generated by K."""
-        K = self._subset(K)
-        return [x for x in self.elements(max_length) if set(x.word) <= K]
+        return self.min_coset_reps((), K, max_length)
 
     def _subset(self, J: Iterable[int]) -> FrozenSet[int]:
         J = frozenset(J)
@@ -658,60 +716,57 @@ class CoxeterSystem:
         """Minimal-length representatives of the cosets x W_J (inside W_K).
 
         These are the x with l(xu) > l(x) for every u in J, sorted by
-        (length, word).  K = None and K = S both mean the whole group.
+        (length, word): the listing of the table of D_J inside W_K, which
+        never enumerates W_K.  K = None and K = S both mean the whole group.
         """
-        J = self._subset(J)
-        if K is None or self._subset(K) == self.generator_set:
-            pool = self.elements(max_length)
-        else:
-            pool = self.parabolic_elements(K, max_length)
-        return [x for x in pool if not (self.right_descents(x) & J)]
+        table = self._table(max_length, self._subset(J), None if K is None else self._subset(K))
+        words = table.words
+        if max_length is not None:
+            words = [w for w in words if len(w) <= max_length]
+        return [Element(w, self) for w in words]
 
     def deodhar_class(self, J: Iterable[int], s: int, w: Element) -> DeodharClass:
-        """Deodhar's trichotomy for left multiplication of a coset rep by s."""
+        """Deodhar's trichotomy for left multiplication of a coset rep by s.
+
+        Read from the table of D_J, grown to the ball that holds s*w.
+        """
         J = self._subset(J)
         self._check_generator(s)
-        self._check_reps(J, (w,))
-        return self._deodhar_step(J, s, w)[0]
-
-    def _check_reps(self, J: FrozenSet[int], reps: Iterable[Element]) -> None:
-        for w in reps:
-            self._check_same(w.system)
-            if self.right_descents(w) & J:
-                raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
-
-    def _deodhar_step(self, J: FrozenSet[int], s: int, w: Element) -> Tuple[DeodharClass, Element]:
-        """(Deodhar class of s on w, s*w) for a checked subset J and rep w: one
-        product, and one more in the zero case to name the conjugate."""
-        sw = self.mult(self.generator(s), w)
-        if sw.length < w.length:
-            return DeodharClass(DEODHAR_MINUS), sw
-        if not (self.right_descents(sw) & J):
-            return DeodharClass(DEODHAR_PLUS), sw
-        t_elt = self.mult(self.inverse(w), sw)
-        if t_elt.length != 1 or t_elt.word[0] not in J:
-            raise AssertionError("Deodhar's lemma violated; this is a bug")
-        return DeodharClass(DEODHAR_ZERO, conj=t_elt.word[0]), sw
+        self._check_same(w.system)
+        table = self._table(len(w.word) + 1, J)
+        i = table.index.get(w.word)
+        if i is None:
+            raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
+        return table.deodhar(s, i)
 
     def position_arrays(self, J: Iterable[int], gens: Iterable[int],
                         reps: Sequence[Element]) -> tuple:
-        """(index, classes, shifted) for a listing ``reps`` of representatives of D_J.
+        """(index, classes, shifted) for the listing ``reps`` of D_J inside W_gens.
 
-        ``index`` maps each representative to its position; for each s in
-        ``gens``, ``classes[s]`` lists the Deodhar class of s on each
-        representative and ``shifted[s]`` the position of s*x (None in the
-        zero case or outside the listing).  J and ``reps`` are checked once;
-        each (s, x) costs one product, and a zero-class one a second.
+        ``reps`` must be :meth:`min_coset_reps` of (J, gens), for the whole
+        subgroup or a ball; otherwise ValueError.  ``index`` maps each
+        representative to its position; for each s in ``gens``,
+        ``classes[s]`` lists the Deodhar class of s on each representative
+        and ``shifted[s]`` the position of s*x (None in the zero case or
+        outside the listing).  All are read from the memoised coset table,
+        without a product.
         """
-        J = self._subset(J)
-        self._check_reps(J, reps)
-        index = {x: i for i, x in enumerate(reps)}
+        K = self._subset(gens)
+        for x in reps:
+            self._check_same(x.system)
+        radius = len(reps[-1].word) if reps else 0
+        table = self._table(radius, self._subset(J), K)
+        n = len(reps)
+        listing = [w for w in table.words[:n + 1] if len(w) <= radius]
+        if [x.word for x in reps] != listing:
+            missing = sorted(set(listing) - {x.word for x in reps})
+            raise ValueError(f"{Element(missing[0], self)} is not among the representatives"
+                             if missing else "reps are not D_J in (length, word) order")
         classes, shifted = {}, {}
-        for s in sorted(self._subset(gens)):
-            steps = [self._deodhar_step(J, s, x) for x in reps]
-            classes[s] = [c for c, _ in steps]
-            shifted[s] = [None if c.tag == DEODHAR_ZERO else index.get(sx) for c, sx in steps]
-        return index, classes, shifted
+        for s in sorted(K):
+            classes[s] = [table.deodhar(s, i) for i in range(n)]
+            shifted[s] = [None if j is None or j >= n else j for j in table.lmult[s][:n]]
+        return {x: i for i, x in enumerate(reps)}, classes, shifted
 
     def conjugate_generator(self, s: int, d: Element) -> Optional[int]:
         """The index t with d^-1 s d = t, if that conjugate is a generator."""

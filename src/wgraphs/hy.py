@@ -25,9 +25,10 @@ recursion only ever multiplies by matrices it already has).  The
 recursion follows the well-founded order "z up, then x down" over the
 positions of the representatives in their (length, word) listing, so
 results are deterministic.  Deodhar classes and the positions of s*x are
-read from arrays built once per (s, x), and x <= y is a bit test against
+read from the coset table of (J, ambient), and x <= y is a bit test against
 :meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`; group elements are
-only the keys under which the blocks are stored.
+only the keys under which the blocks are stored, and the recursion never
+enumerates W.
 
 :func:`induce` assembles the induced module from a finished table;
 :func:`transitivity_check`, :func:`mackey_check` and
@@ -118,7 +119,7 @@ class PMuTable:
         identity = LMat.identity(self.module.rank)
         zero = LMat.zeros(self.module.rank)
         index, classes, shifted = self._arrays()
-        bits = system.bruhat_ideals(reps)
+        bits = system.bruhat_ideals(reps, self.gens, self.ambient)
         # by position: cols[z][x] = p(x, z), mu_lists[z][s] = [(y, mu(y, z, s))]
         cols: list = [{} for _ in reps]
         mu_lists: list = [{} for _ in reps]
@@ -234,7 +235,7 @@ def p_mu_table(
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
     table = PMuTable(system, J, ambient, module, tuple(reps), {}, {})
     _, classes, shifted = table._arrays()
-    bits = system.bruhat_ideals(reps)
+    bits = system.bruhat_ideals(reps, J, ambient)
     rank = module.rank
     shape = (rank, rank)
     identity, zero = LMat.identity(rank), LMat.zeros(rank)

@@ -380,18 +380,22 @@ class TestBruhat:
 
     @pytest.mark.parametrize("path", SYSTEM_FILES)
     def test_bruhat_ideals_match_pairwise(self, path):
-        # every J of every system file; infinite groups as the ball of radius 8
+        # every J inside K = S and inside every maximal K of every system file;
+        # infinite groups as the ball of radius 8
         system = load_system(str(_ROOT / path))
         radius = None if system.is_finite else 8
+        full = system.generator_set
         for size in range(system.rank + 1):
-            for J in itertools.combinations(range(system.rank), size):
-                reps = system.min_coset_reps(J, max_length=radius)
-                bits = system.bruhat_ideals(reps)
-                assert len(bits) == len(reps)
-                for i, z in enumerate(reps):
-                    assert bits[i] >> (i + 1) == 0
-                    for j in range(i + 1):
-                        assert bool(bits[i] >> j & 1) == system.bruhat_leq(reps[j], z)
+            for J in map(frozenset, itertools.combinations(range(system.rank), size)):
+                for K in [full] + [full - {u} for u in sorted(full - J)]:
+                    reps = system.min_coset_reps(J, K, radius)
+                    bits = system.bruhat_ideals(reps, J, K)
+                    assert bits == system.bruhat_ideals(reps)  # as a list of elements of W
+                    assert len(bits) == len(reps)
+                    for i, z in enumerate(reps):
+                        assert bits[i] >> (i + 1) == 0
+                        for j in range(i + 1):
+                            assert bool(bits[i] >> j & 1) == system.bruhat_leq(reps[j], z)
 
     def test_bruhat_ideals_need_sorted_input(self, systems):
         a2 = systems["a2"]
@@ -474,6 +478,78 @@ class TestCosets:
                     for x in system.min_coset_reps(J):
                         for u in system.parabolic_elements(J):
                             assert system.mult(x, u).length == x.length + u.length
+
+
+class TestCosetTable:
+    """The table of D_J inside W_K against the element table filtered by right
+    descents: the same words, Deodhar classes and positions of s*x (its
+    Bruhat order is checked in ``TestBruhat``)."""
+
+    @staticmethod
+    def _reference(table, J, K, radius):
+        """(words, classes, shifted) of D_J inside W_K up to ``radius``, from an
+        element table that also holds every s*x."""
+        rows, lefts = table.rmult, table.lmult
+        ids = [i for i, w in enumerate(table.words)
+               if (radius is None or len(w) <= radius) and set(w) <= K
+               and not any(rows[t][i] is not None and rows[t][i] < i for t in J)]
+        position = {ident: pos for pos, ident in enumerate(ids)}
+        classes, shifted = {}, {}
+        for s in sorted(K):
+            classes[s], shifted[s] = [], []
+            for i in ids:
+                sx = lefts[s][i]
+                conj = [t for t in J if rows[t][i] == sx]
+                tag = "minus" if sx < i else "zero" if conj else "plus"
+                classes[s].append((tag, conj[0] if conj else None))
+                shifted[s].append(None if conj else position.get(sx))
+        return [table.words[i] for i in ids], classes, shifted
+
+    @pytest.mark.parametrize("path", SYSTEM_FILES)
+    def test_against_filtered_element_table(self, path):
+        # every J inside K = S and inside every maximal K; infinite groups as
+        # the ball of radius 8, read from an element table of radius 9
+        system = load_system(str(_ROOT / path))
+        radius = None if system.is_finite else 8
+        elements = system._table(None if radius is None else radius + 1)
+        full = system.generator_set
+        for size in range(system.rank + 1):
+            for J in map(frozenset, itertools.combinations(range(system.rank), size)):
+                for K in [full] + [full - {u} for u in sorted(full - J)]:
+                    reps = system.min_coset_reps(J, K, radius)
+                    words, classes, shifted = self._reference(elements, J, K, radius)
+                    assert [x.word for x in reps] == words
+                    index, got_classes, got_shifted = system.position_arrays(J, K, reps)
+                    assert index == {x: i for i, x in enumerate(reps)}
+                    assert got_shifted == shifted
+                    assert {s: [(c.tag, c.conj) for c in row]
+                            for s, row in got_classes.items()} == classes
+
+    def test_position_arrays_need_the_listing(self, systems):
+        b3 = systems["b3"]
+        reps = b3.min_coset_reps({0})
+        for bad in (reps[:2] + reps[3:], reps[::-1], reps + [b3.element((0,))]):
+            with pytest.raises(ValueError):
+                b3.position_arrays({0}, b3.generator_set, bad)
+        with pytest.raises(ValueError, match="2 is not among"):
+            b3.position_arrays({0}, b3.generator_set, reps[:1] + reps[2:])
+        with pytest.raises(ValueError):
+            b3.bruhat_ideals(reps, {1})
+
+    def test_e8_over_e7_without_the_group(self):
+        matrix = [[1 if s == t else 2 for t in range(8)] for s in range(8)]
+        for s, t in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:  # Bourbaki
+            matrix[s][t] = matrix[t][s] = 3
+        system = CoxeterSystem(matrix)
+        J = frozenset(range(7))
+        reps = system.min_coset_reps(J)
+        assert len(reps) == 240 and reps[-1].length == 57
+        _, classes, shifted = system.position_arrays(J, system.generator_set, reps)
+        # the longest representative: every s is a left descent or a zero class
+        assert all(row[-1].tag != "plus" for row in classes.values())
+        for row in shifted.values():  # s*(s*x) = x outside the zero class
+            assert all(up is None or row[up] == i for i, up in enumerate(row))
+        assert "table" not in system._cache
 
 
 class TestDeodhar:

@@ -676,13 +676,16 @@ class TestSparseStorage:
 
 
 class TestIndexKernel:
-    """Both triangular routes run on representative positions: no per-pair
-    Bruhat, Deodhar or product query reaches the Coxeter system."""
+    """Both triangular routes run on representative positions, read from the
+    coset table: no product, descent or Bruhat query reaches the Coxeter
+    system, and the table of (J, ambient) is built once."""
+
+    QUERIES = ("bruhat_leq", "deodhar_class", "mult", "left_descents", "right_descents",
+               "factorize")
 
     @pytest.fixture()
     def counts(self, monkeypatch):
-        counts = dict.fromkeys(("bruhat_leq", "deodhar_class", "_deodhar_step", "mult",
-                                "factorize"), 0)
+        counts = dict.fromkeys(self.QUERIES, 0)
         for name in counts:
             original = getattr(CoxeterSystem, name)
 
@@ -693,44 +696,80 @@ class TestIndexKernel:
             monkeypatch.setattr(CoxeterSystem, name, counted)
         return counts
 
-    @pytest.mark.parametrize("j,make", [(frozenset(), trivial_module),
-                                        (frozenset({0}), sign_module)])
-    def test_no_per_pair_queries(self, systems, counts, j, make):
+    @pytest.fixture()
+    def builds(self, monkeypatch):
+        """The (J, K) of every table of D_J inside W_K that is built."""
+        from wgraphs import coxeter
+
+        builds = []
+        real = coxeter._ElementTable.__init__
+
+        def counted(self, system, max_length, J=frozenset(), K=None):
+            builds.append((J, system.generator_set if K is None else K))
+            real(self, system, max_length, J, K)
+
+        monkeypatch.setattr(coxeter._ElementTable, "__init__", counted)
+        return builds
+
+    @staticmethod
+    def _steps(system, j, module):
+        """Run p_mu_table, a fresh table's check_invariants, rho_table,
+        check_rho and pi_recursion in turn, yielding the name of each."""
         from wgraphs.canon import check_rho, pi_recursion, rho_table
 
-        system = systems["b3"]
-        module = make(system, j)
         table = p_mu_table(j, module)
-        reps, gens = len(table.reps), system.rank
-        zeros = sum(c.tag == "zero" for row in table._arrays()[1].values() for c in row)
-        assert len(table.p) > 3 * reps * gens  # the pairs outnumber the bounds below
-        assert (zeros == 0) == (not j)
-
-        def one_step_per_s_and_x():
-            """One Deodhar step per (s, x): it forms s*x once, and in the zero
-            case one more product names the conjugate generator."""
-            assert counts["bruhat_leq"] == 0
-            assert counts["deodhar_class"] == 0
-            assert counts["_deodhar_step"] <= reps * gens
-            assert counts["mult"] <= reps * gens + zeros
-            if not j:
-                assert counts["mult"] == counts["_deodhar_step"] == reps * gens
-            counts.update(dict.fromkeys(counts, 0))
-
-        one_step_per_s_and_x()
-        # a table built without the recursion builds its arrays once
+        yield "p_mu_table"
+        # a table built without the recursion builds its arrays on first use
         fresh = PMuTable(system, table.gens, table.ambient, module, table.reps,
                          table.p, table.mu)
         assert fresh.check_invariants().ok
-        one_step_per_s_and_x()
-        # the rho recursion reads the same arrays: no per-term splitting
+        yield "check_invariants"
         rho = rho_table(j, module)
-        assert counts["factorize"] == 0
-        one_step_per_s_and_x()
+        yield "rho_table"
         assert check_rho(rho).ok
-        pi = pi_recursion(rho)
-        assert not any(counts.values())
-        assert pi.entries == table.p
+        yield "check_rho"
+        assert pi_recursion(rho).entries == table.p
+        yield "pi_recursion"
+
+    @pytest.mark.parametrize("j,make", [(frozenset(), trivial_module),
+                                        (frozenset({0}), sign_module)])
+    def test_no_per_pair_queries(self, systems, counts, j, make):
+        system = systems["b3"]
+        module = make(system, j)
+        for step in self._steps(system, j, module):
+            assert not any(counts.values()), (step, counts)
+        table = p_mu_table(j, module)
+        assert len(table.p) > 3 * len(table.reps) * system.rank  # many pairs to query
+        zeros = sum(c.tag == "zero" for row in table._arrays()[1].values() for c in row)
+        assert (zeros == 0) == (not j)
+
+    @pytest.mark.parametrize("name,j,make", [("b3", frozenset(), trivial_module),
+                                             ("a4", frozenset({0}), sign_module)])
+    def test_one_table_per_subset(self, systems, builds, name, j, make):
+        """Regular B3 and A4 over J = {1} with the sign module, on fresh systems."""
+        system = CoxeterSystem(A4 if name == "a4" else systems[name].matrix)
+        module = make(system, j)
+        for _ in self._steps(system, j, module):
+            pass
+        assert builds == [(j, system.generator_set)]
+
+
+class TestNoWholeGroup:
+    def test_e7_over_e6_sign(self):
+        """E7 has 2,903,040 elements; the induction from E6 reads only the
+        coset table of its 56 representatives."""
+        matrix = [[1 if s == t else 2 for t in range(7)] for s in range(7)]
+        for s, t in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 3)]:  # Bourbaki
+            matrix[s][t] = matrix[t][s] = 3
+        system = CoxeterSystem(matrix)
+        J = frozenset(range(6))
+        module = sign_module(system, J)
+        table = p_mu_table(J, module)
+        assert len(table.reps) == 56
+        assert validate(induce(J, module, table)).ok
+        report = oracle_check(J, module)
+        assert report.ok and report.checks == 1463
+        assert "table" not in system._cache
 
 
 class TestMuWindow:
