@@ -7,6 +7,9 @@ order, the bar involution expanded in the T-basis over the whole group
 (the reference for the one-letter recursion of ``wgraphs.canon.rho_table``),
 the composition identity of the involution's blocks summed as Laurent
 matrices pair by pair (the reference for ``wgraphs.canon.check_rho``),
+the four-case p/mu recurrence evaluated one (x, z, s) triple at a time
+(the reference for the intertwining defect that
+``wgraphs.hy.PMuTable.check_invariants`` reads its recurrence verdicts from),
 the textbook two-step Kazhdan-Lusztig recursion (R-polynomials, then
 P-polynomials, in the variable q), and a span-closure construction of
 cells.
@@ -18,6 +21,7 @@ import itertools
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Tuple
 
+from wgraphs.coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO
 from wgraphs.laurent import LaurentPoly
 from wgraphs.matrix import LMat, _dot
 from wgraphs.report import Report
@@ -305,6 +309,61 @@ def check_rho_entrywise(rho) -> Report:
                 expected = identity if xi == zi else zero
                 report.require(
                     total == expected, f"composition fails at ({names[xi]},{names[zi]})"
+                )
+    return report
+
+
+def check_invariants_fourcase(table) -> Report:
+    """The four-case recurrence of a :class:`~wgraphs.hy.PMuTable`, one
+    Laurent-matrix comparison per (x, z, s) in (s, z, x) order: C_s applied
+    to the column of P at z through the Deodhar class of s on x (left side)
+    must equal the column of P times C_s on the induced W-graph module
+    (right side).  Sums over y read only the p(x, y) with x <= y."""
+    report = Report("four-case recurrence")
+    system, reps, module = table.system, table.reps, table.module
+    shape = (module.rank,) * 2
+    zero = LMat.zeros(module.rank)
+    index, classes, shifted = table._arrays()
+    bits = system.bruhat_ideals(reps, table.gens, table.ambient)
+    c_mats = {u: module.iota_t(u) - LMat.identity(module.rank).scale(
+        LaurentPoly.v(system.weight(u))) for u in module.gens}
+    # by position: cols[z][x] = p(x, z), mu_lists[z][s] = [(y, mu(y, z, s))]
+    cols: list = [{} for _ in reps]
+    mu_lists: list = [{} for _ in reps]
+    for (x, z), mat in table.p.items():
+        cols[index[z]][index[x]] = mat
+    for (x, z, s), mat in table.mu.items():
+        mu_lists[index[z]].setdefault(s, []).append((index[x], mat))
+    names = [str(x) for x in reps]
+    for s in sorted(table.ambient):
+        vs = LaurentPoly.v(system.weight(s))
+        vs_inv = LaurentPoly.v(-system.weight(s))
+        minus_vs_sum = -(vs + vs_inv)
+        row, up = classes[s], shifted[s]
+        for zi, cz in enumerate(row):
+            pz, sz, mu_z = cols[zi], up[zi], mu_lists[zi].get(s, ())
+            for xi, cx in enumerate(row):
+                pxz = pz.get(xi, zero)
+                if cx.tag == DEODHAR_PLUS:
+                    lhs = pz.get(up[xi], zero) - pxz.scale(vs)
+                elif cx.tag == DEODHAR_ZERO:
+                    lhs = c_mats[cx.conj] @ pxz
+                else:
+                    lhs = pz.get(up[xi], zero) - pxz.scale(vs_inv)
+                if cz.tag == DEODHAR_MINUS:
+                    rhs = pxz.scale(minus_vs_sum)
+                else:
+                    terms = [(cols[y].get(xi, zero), mu_y)
+                             for y, mu_y in mu_z if bits[y] >> xi & 1]
+                    if cz.tag == DEODHAR_ZERO:
+                        rhs = _dot(shape, [(pxz, c_mats[cz.conj]), *terms])
+                    else:
+                        rhs = zero if sz is None else cols[sz].get(xi, zero)
+                        if terms:
+                            rhs = rhs + _dot(shape, terms)
+                report.require(
+                    lhs == rhs,
+                    f"recurrence fails at (x={names[xi]}, z={names[zi]}, s={s+1})",
                 )
     return report
 

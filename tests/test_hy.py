@@ -28,7 +28,17 @@ from wgraphs.hy import (
     verify_h_linearity,
 )
 
-from oracles import KLOracle, compose_perms, dense, eval_word, sparse, sym_group_generators
+from oracles import (
+    KLOracle,
+    check_invariants_fourcase,
+    compose_perms,
+    dense,
+    eval_word,
+    sparse,
+    sym_group_generators,
+)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestPValues:
@@ -200,6 +210,132 @@ class TestHLinearity:
         system = systems[name]
         report = verify_h_linearity(j, builder(system, j))
         assert report.ok, str(report)
+
+
+class TestIntertwiningDefect:
+    """The recurrence verdicts of check_invariants and the per-generator
+    verdicts of verify_h_linearity come from one intertwining defect; the
+    four-case loop of ``oracles.check_invariants_fourcase`` is the reference."""
+
+    CASES = [("perfbench/systems/b3_211.json", frozenset(), trivial_module),
+             ("perfbench/systems/a4.json", frozenset({0}), sign_module),
+             ("systems/b2_unequal.json", frozenset(), trivial_module)]
+
+    @staticmethod
+    def _clean(path, j, make):
+        system = load_system(str(ROOT / path))
+        module = make(system, j)
+        return module, p_mu_table(j, module)
+
+    @staticmethod
+    def _corrupted(table):
+        """(name, x of the changed block, table) for a changed, a deleted and an
+        added p-block, the last at x not below z, and a changed mu-block."""
+        reps = table.reps
+        index = {x: i for i, x in enumerate(reps)}
+        bits = table.system.bruhat_ideals(reps, table.gens, table.ambient)
+        off = sorted((k for k in table.p if k[0] != k[1]),
+                     key=lambda k: (index[k[1]], index[k[0]]))
+        one = LMat.identity(table.module.rank)
+        stray = (reps[-1], reps[1])  # the longest representative is below no other
+        assert not bits[1] >> len(reps) - 1 & 1
+        mu_key = next(k for k in sorted(table.mu, key=lambda k: (k[2], index[k[1]], index[k[0]]))
+                      if table.deodhar(k[2], k[0]).tag == "minus"
+                      and table.deodhar(k[2], k[1]).tag == "plus")
+        changed, deleted = off[len(off) // 2], off[len(off) // 3]
+        out = []
+        for name, key in [("changed", changed), ("deleted", deleted), ("added", stray),
+                          ("mu", mu_key)]:
+            copy = PMuTable(table.system, table.gens, table.ambient, table.module, reps,
+                            dict(table.p), dict(table.mu))
+            if name == "changed":
+                copy.p[key] = copy.p[key] + one.scale(v(1))
+            elif name == "deleted":
+                del copy.p[key]
+            elif name == "added":
+                copy.p[key] = one.scale(v(1))
+            else:  # in range, bar-symmetric, away from the zero classes
+                copy.mu[key] = copy.mu[key] + one
+            out.append((name, str(key[0]), copy))
+        return out
+
+    @pytest.mark.parametrize("path,j,make", CASES)
+    def test_clean(self, path, j, make):
+        module, table = self._clean(path, j, make)
+        reference = check_invariants_fourcase(table)
+        assert reference.ok and reference.checks == len(table.reps) ** 2 * len(table.ambient)
+        report = table.check_invariants()
+        assert report.ok and report.checks > reference.checks
+        assert verify_h_linearity(j, module, table).ok
+
+    @pytest.mark.parametrize("path,j,make", CASES)
+    def test_corruptions(self, path, j, make):
+        module, table = self._clean(path, j, make)
+        for name, x, copy in self._corrupted(table):
+            report = copy.check_invariants()
+            assert not report.ok, name
+            found = [m for m in report.failures if m.startswith("recurrence fails")]
+            assert found == report.failures, name  # the structural checks pass
+            reference = check_invariants_fourcase(copy).failures
+            assert reference
+            rest = iter(found)
+            assert all(m in rest for m in reference), name  # in the reference's order
+            if name == "added":
+                # the reference's sums over y skip p(x, y) with x not below y
+                assert all(m.startswith(f"recurrence fails at (x={x},")
+                           for m in found if m not in reference)
+            else:
+                assert found == reference, name
+            gens = sorted({int(m.rsplit("s=", 1)[1][:-1]) - 1 for m in found})
+            assert {int(m.rsplit("s=", 1)[1][:-1]) - 1 for m in reference} <= set(gens)
+            h_lin = verify_h_linearity(j, module, copy)
+            assert h_lin.checks == len(table.ambient)
+            assert h_lin.failures == [f"c(C_{s+1} . ) != C_{s+1} c( . )" for s in gens], name
+
+    def test_induce_stays_under_the_check(self, monkeypatch):
+        """A carry entry of the induced module flipped from 1 to -1 fails
+        verify_h_linearity at that generator."""
+        import wgraphs.hy as hy
+
+        module, table = self._clean(*self.CASES[0])
+        s = min(table.ambient)
+        _, classes, shifted = table._arrays()
+        assert classes[s][0].tag == "plus"
+        real = hy.induce
+
+        def flipped(*args):
+            induced = real(*args)
+            x = dict(induced.x)
+            rows = list(x[(s, 0)])
+            rows[shifted[s][0]] = tuple((j, -c if j == 0 else c)
+                                        for j, c in rows[shifted[s][0]])
+            x[(s, 0)] = tuple(rows)
+            return OmegaModule(induced.system, induced.gens, induced.rank, induced.e, x)
+
+        monkeypatch.setattr(hy, "induce", flipped)
+        report = verify_h_linearity(frozenset(), module, table)
+        assert report.failures == [f"c(C_{s+1} . ) != C_{s+1} c( . )"]
+
+    def test_mu_exponent_out_of_range(self, systems):
+        """induce refuses a mu-block with an exponent outside (-L(s), L(s))."""
+        module = trivial_module(systems["a2"], frozenset())
+        table = p_mu_table(frozenset(), module)
+        x, z, s = key = sorted(table.mu)[0]
+        table.mu[key] = LMat([[v(1) + v(-1)]])
+        with pytest.raises(ValueError, match=rf"mu\({x},{z},s={s+1}\) has exponents "
+                                             r"outside \(-1,1\)"):
+            induce(frozenset(), module, table)
+        report = table.check_invariants()  # the range check comes first; no recurrence
+        assert report.failures == [f"mu({x},{z},s={s+1}) has exponents outside (-1,1)"]
+
+    def test_ball_raises(self):
+        """On a ball of an infinite group s*x can leave the ball, so the
+        induced module and with it the recurrence are not defined there."""
+        system = load_system(str(ROOT / "systems/affine_a1.json"))
+        module = trivial_module(system, frozenset())
+        table = p_mu_table(frozenset(), module, max_length=4)
+        with pytest.raises(ValueError, match="carry target 12121 is not among the representatives"):
+            table.check_invariants()
 
 
 class TestFunctoriality:
