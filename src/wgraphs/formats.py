@@ -5,12 +5,12 @@ trailing newline), so identical inputs produce identical files.
 :func:`dumps` writes exactly what ``json.dumps(obj, indent=2,
 sort_keys=True)`` gives, in one pass over the document with the stdlib's C
 string escaper (the stdlib falls back to its pure-Python encoder whenever
-an indent is given), and renders a container that occurs twice at the
-same depth once.  :func:`table_to_json` hands equal p-blocks one shared
-value, so a table with few distinct blocks is built and written once per
-block.  Schema errors raise :class:`SchemaError` with the JSON path of
-the offending value; syntax errors keep the line/column information of
-the decoder.
+an indent is given), and joins a container that recurs at the same depth
+into one string on its second use.  :func:`table_to_json` hands equal
+p-blocks one shared value, so a table with few distinct blocks is built
+and written once per block.  Schema errors raise :class:`SchemaError`
+with the JSON path of the offending value; syntax errors keep the
+line/column information of the decoder.
 
 Conventions, shared with the CLI:
 
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from .cells import CellPartition
 from .coxeter import CoxeterSystem
@@ -76,7 +76,8 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
     """Append the pieces of ``value`` at the indent ``newline`` to ``parts``.
 
     ``seen`` maps (id, indent) of each container written so far to the
-    span of ``parts`` that holds its text.
+    span of ``parts`` that holds its text, or, once it is written a second
+    time, to that text joined into one string.
     """
     kind = type(value)
     if kind is str:
@@ -90,9 +91,11 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
             parts.append("{}" if kind is dict else "[]")
             return
         key = (id(value), newline)
-        span = seen.get(key)
-        if span is not None:
-            parts += parts[span[0]:span[1]]
+        done = seen.get(key)
+        if done is not None:
+            if type(done) is tuple:  # the second use: join the span of the first
+                done = seen[key] = "".join(parts[done[0]:done[1]])
+            parts.append(done)
             return
         start = len(parts)
         inner = newline + "  "
@@ -356,32 +359,32 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 
 
 def table_to_json(table) -> dict:
-    """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`.
-
-    Equal p-blocks share one :func:`lmat_to_json` value, which :func:`dumps`
-    renders once; the document is read-only by convention.
-    """
-    out = mu_to_json(table.system, table.gens, table.mu)
-    names = {x: str(x) for x in table.reps}
+    """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`, read
+    by position.  Equal p-blocks share one :func:`lmat_to_json` value, which
+    :func:`dumps` renders once; the document is read-only by convention."""
+    names = [str(x) for x in table.reps]
+    out = _mu_json(table.gens, (((names[xi], names[zi], s), mat)
+                                for (xi, zi, s), mat in table.mu_pos.items()))
     shared: Dict[LMat, list] = {}
     p_part = {}
-    for (x, z), mat in table.p.items():
+    for (xi, zi), mat in table.p_items():
         value = shared.get(mat)
         if value is None:
             value = shared[mat] = lmat_to_json(mat)
-        p_part[f"{names[x]}|{names[z]}"] = value
+        p_part[f"{names[xi]}|{names[zi]}"] = value
     out["p"] = p_part
     return out
 
 
 def mu_to_json(system: CoxeterSystem, gens: FrozenSet[int], mu: Mapping) -> dict:
     """Serialise a bare mu-family keyed by (x, z, s)."""
-    mu_part = {}
-    for (x, z, s), mat in mu.items():
-        mu_part[f"{x}|{z}|{s + 1}"] = {
-            str(g): imat_to_json(coeffs, mat.ncols) for g, coeffs in mat.blocks.items() if g >= 0
-        }
-    return {"J": gens_to_json(gens), "mu": mu_part}
+    return _mu_json(gens, mu.items())
+
+
+def _mu_json(gens: FrozenSet[int], items: Iterable) -> dict:
+    return {"J": gens_to_json(gens), "mu": {
+        f"{x}|{z}|{s + 1}": {str(g): imat_to_json(b, mat.ncols) for g, b in mat.blocks.items()
+                             if g >= 0} for (x, z, s), mat in items}}
 
 
 # -- cells ------------------------------------------------------------------------------------

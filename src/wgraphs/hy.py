@@ -26,9 +26,10 @@ recursion follows the well-founded order "z up, then x down" over the
 positions of the representatives in their (length, word) listing, so
 results are deterministic.  Deodhar classes and the positions of s*x are
 read from the coset table of (J, ambient), and x <= y is a bit test against
-:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`; group elements are
-only the keys under which the blocks are stored, and the recursion never
-enumerates W.
+:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  The table keeps the
+recursion's own columns, keyed by position like every consumer here; group
+elements key only the read-only views ``p`` and ``mu`` and name entries in
+messages and files.  The recursion never enumerates W.
 
 :func:`induce` assembles the induced module from a finished table;
 :func:`transitivity_check`, :func:`mackey_check` and
@@ -46,19 +47,13 @@ per s from it and :meth:`PMuTable.check_invariants` one per (x, z, s).
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from functools import cached_property
 from sys import maxsize
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from .coxeter import (
-    DEODHAR_MINUS,
-    DEODHAR_PLUS,
-    DEODHAR_ZERO,
-    CoxeterSystem,
-    DeodharClass,
-    Element,
-)
+from .coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO, CoxeterSystem, Element
 from .laurent import LaurentPoly
 from .matrix import LMat, _dot, imat_identity
 from .report import Report
@@ -69,13 +64,56 @@ class RecursionInvariantError(RuntimeError):
     """A computed table entry violated one of the structural invariants."""
 
 
+class _Blocks(Mapping):
+    """A read-only view, keyed by (x, z) or (x, z, s) with x and z
+    representatives, of blocks a :class:`PMuTable` stores by position:
+    ``items`` yields (position key, block) and ``lookup`` gives the block at
+    a position key, or None.  Only a lookup hashes group elements; iterating
+    the view, its items or its values reads the storage in place."""
+
+    def __init__(self, table: "PMuTable", items: Callable[[], Iterator], lookup: Callable):
+        self._table, self._items, self._lookup = table, items, lookup
+
+    def __getitem__(self, key):
+        index = self._table._arrays()[0]
+        mat = self._lookup((index[key[0]], index[key[1]]) + key[2:])
+        if mat is None:
+            raise KeyError(key)
+        return mat
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._items())
+
+    def items(self) -> ItemsView:
+        return _PairsView(self)
+
+    def values(self) -> ValuesView:
+        return _BlocksView(self)
+
+
+class _PairsView(ItemsView):
+    def __iter__(self):
+        reps, items = self._mapping._table.reps, self._mapping._items()
+        return (((reps[k[0]], reps[k[1]]) + k[2:], mat) for k, mat in items)
+
+
+class _BlocksView(ValuesView):
+    def __iter__(self):
+        return (mat for _, mat in self._mapping.items())
+
+
 @dataclass
 class PMuTable:
-    """The computed p- and mu-blocks for (J, M) inside an ambient subset.
+    """The computed p- and mu-blocks for (J, M) inside an ambient subset,
+    stored by the positions of the representatives in ``reps``.
 
-    ``p[(x, z)]`` is stored for every pair of coset representatives with
-    x <= z; ``mu[(x, z, s)]`` only where it may be nonzero (x < z, s not a
-    plus-class for x nor a minus-class for z).
+    ``p_cols[z][x]`` is p(x, z) for every x <= z, and None for the other
+    x < len(p_cols[z]); ``mu_pos[(x, z, s)]`` is stored only where it may
+    be nonzero (x < z, s not a plus-class for x nor a minus-class for z).
+    ``p`` and ``mu`` are read-only views of both keyed by group elements.
     """
 
     system: CoxeterSystem
@@ -83,13 +121,28 @@ class PMuTable:
     ambient: FrozenSet[int]
     module: OmegaModule
     reps: Tuple[Element, ...]
-    p: Dict[Tuple[Element, Element], LMat]
-    mu: Dict[Tuple[Element, Element, int], LMat]
+    p_cols: List[List[Optional[LMat]]]
+    mu_pos: Dict[Tuple[int, int, int], LMat]
     _array_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    def mu_at(self, x: Element, z: Element, s: int) -> LMat:
-        mat = self.mu.get((x, z, s))
-        return self.zero if mat is None else mat
+    @property
+    def p(self) -> Mapping[Tuple[Element, Element], LMat]:
+        return _Blocks(self, self.p_items, self._p_at)
+
+    @property
+    def mu(self) -> Mapping[Tuple[Element, Element, int], LMat]:
+        return _Blocks(self, self.mu_pos.items, self.mu_pos.get)
+
+    def p_items(self) -> Iterator[Tuple[Tuple[int, int], LMat]]:
+        """((x, z), p(x, z)) by position, z up and x down (the diagonal first)."""
+        for zi, col in enumerate(self.p_cols):
+            for xi in range(len(col) - 1, -1, -1):
+                if col[xi] is not None:
+                    yield (xi, zi), col[xi]
+
+    def _p_at(self, key: Tuple[int, int]) -> Optional[LMat]:
+        col = self.p_cols[key[1]]
+        return col[key[0]] if key[0] < len(col) else None
 
     @cached_property
     def zero(self) -> LMat:
@@ -107,66 +160,53 @@ class PMuTable:
             self._array_cache = self.system.position_arrays(self.gens, self.ambient, self.reps)
         return self._array_cache
 
-    def deodhar(self, s: int, w: Element) -> DeodharClass:
-        """The Deodhar class of s in the ambient set on the representative w."""
-        index, classes, _ = self._arrays()
-        return classes[s][index[w]]
-
     # -- invariants ---------------------------------------------------------
 
     def check_invariants(self) -> Report:
         """All structural identities of the table, checked exactly.
 
         The support, symmetry, range and E-conditions are checked block by
-        block.  If they all hold, the recurrence is checked for every
-        (x, z, s): it holds at (x, z, s) exactly when block (x, z) of the
-        intertwining defect of s vanishes (:func:`_defects`), so each
-        nonzero defect block is one failure, in (s, z, x) order.  A table
-        on a ball of an infinite group raises the ``ValueError`` of
-        :func:`induce`, since some s*x lies outside the ball.
+        block, and a message is formatted only on failure.  If they all
+        hold, the recurrence is checked for every (x, z, s): it holds at
+        (x, z, s) exactly when block (x, z) of the intertwining defect of s
+        vanishes (:func:`_defects`), so each nonzero defect block is one
+        failure, in (s, z, x) order.  A table on a ball of an infinite group
+        raises the ``ValueError`` of :func:`induce`, since some s*x lies
+        outside the ball.
         """
         report = Report("p/mu table invariants")
         system, reps = self.system, self.reps
         identity = LMat.identity(self.module.rank)
-        index, _, _ = self._arrays()
+        _, classes, _ = self._arrays()
         bits = system.bruhat_ideals(reps, self.gens, self.ambient)
-        for (x, z), mat in self.p.items():
-            if x == z:
-                report.require(mat == identity, f"p({x},{z}) is not the identity")
-            else:
-                report.require(
-                    all(g > 0 for g in mat.blocks), f"p({x},{z}) has non-positive support"
-                )
-        for (x, z, s), mat in self.mu.items():
-            xi, zi = index[x], index[z]
-            cz, cx = self.deodhar(s, z), self.deodhar(s, x)
-            report.require(
-                xi != zi
-                and bits[zi] >> xi & 1
-                and cz.tag in (DEODHAR_PLUS, DEODHAR_ZERO)
-                and cx.tag in (DEODHAR_ZERO, DEODHAR_MINUS),
-                f"mu({x},{z},s={s+1}) stored outside its support condition",
-            )
-        for (x, z, s), mat in self.mu.items():
-            report.require(mat.is_bar_symmetric(), f"mu({x},{z},s={s+1}) not bar-symmetric")
+        for (xi, zi), mat in self.p_items():
+            report.checks += 1
+            if not (mat == identity if xi == zi else all(g > 0 for g in mat.blocks)):
+                report.fail(f"p({reps[xi]},{reps[zi]}) " + (
+                    "is not the identity" if xi == zi else "has non-positive support"))
+        for xi, zi, s in self.mu_pos:
+            report.checks += 1
+            if not (xi != zi and bits[zi] >> xi & 1
+                    and classes[s][zi].tag in (DEODHAR_PLUS, DEODHAR_ZERO)
+                    and classes[s][xi].tag in (DEODHAR_ZERO, DEODHAR_MINUS)):
+                report.fail(f"mu({reps[xi]},{reps[zi]},s={s+1}) stored outside its "
+                            "support condition")
+        for (xi, zi, s), mat in self.mu_pos.items():
             ls = system.weight(s)
-            exps = mat.exponents()
-            report.require(
-                all(-ls < g < ls for g in exps),
-                f"mu({x},{z},s={s+1}) has exponents outside (-{ls},{ls})",
-            )
-            cx = self.deodhar(s, x)
+            cx, cz = classes[s][xi], classes[s][zi]
+            checks = [(mat.is_bar_symmetric(), "{} not bar-symmetric"),
+                      (all(-ls < g < ls for g in mat.blocks),
+                       "{} has exponents outside (-{ls},{ls})")]
             if cx.tag == DEODHAR_ZERO:
                 e_mat = LMat.from_coeffs(mat.shape, {0: self.module.e_mat(cx.conj)})
-                report.require(
-                    e_mat @ mat == mat, f"E-fixing fails for mu({x},{z},s={s+1})"
-                )
-            cz = self.deodhar(s, z)
+                checks.append((e_mat @ mat == mat, "E-fixing fails for {}"))
             if cz.tag == DEODHAR_ZERO:
                 e_mat = LMat.from_coeffs(mat.shape, {0: self.module.e_mat(cz.conj)})
-                report.require(
-                    (mat @ e_mat).is_zero(), f"E-killing fails for mu({x},{z},s={s+1})"
-                )
+                checks.append(((mat @ e_mat).is_zero(), "E-killing fails for {}"))
+            report.checks += len(checks)
+            for ok, message in checks:
+                if not ok:
+                    report.fail(message.format(f"mu({reps[xi]},{reps[zi]},s={s+1})", ls=ls))
         # the recurrence: induce needs the conditions above to build the module
         if report.ok:
             report.checks += len(reps) ** 2 * len(self.ambient)
@@ -211,25 +251,25 @@ def p_mu_table(
     if descent_choice not in ("min", "max"):
         raise ValueError("descent_choice must be 'min' or 'max'")
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
-    table = PMuTable(system, J, ambient, module, tuple(reps), {}, {})
+    table = PMuTable(system, J, ambient, module, tuple(reps), [], {})
     _, classes, shifted = table._arrays()
     bits = system.bruhat_ideals(reps, J, ambient)
     rank = module.rank
     shape = (rank, rank)
     identity, zero = LMat.identity(rank), LMat.zeros(rank)
     c_mats = _c_matrices(module)
-    # by position: cols[z][x] = p(x, z) for x <= z, else None; mu_lists[z][s]
-    # = [(y, mu(y, z, s))] over the nonzero blocks only, so the sums over
-    # x <= y < z skip every y whose mu-block is zero; low_p[y] = the least
-    # exponent of p(x, y) over x < y (maxsize if there is none)
-    cols: list = []
+    # the table's own storage: cols[z][x] = p(x, z) for x <= z, else None;
+    # mu_lists[z][s] = [(y, mu(y, z, s))] over the nonzero blocks only, so the
+    # sums over x <= y < z skip every y whose mu-block is zero; low_p[y] = the
+    # least exponent of p(x, y) over x < y (maxsize if there is none)
+    cols, mu_pos = table.p_cols, table.mu_pos
     mu_lists: list = []
     low_p: list = []
 
     for zi, z in enumerate(reps):
         below_z = [y for y in range(zi + 1) if bits[zi] >> y & 1]
         pz = [None] * (zi + 1)
-        pz[zi] = table.p[(z, z)] = identity
+        pz[zi] = identity
         cols.append(pz)
         mu_z: Dict[int, list] = {}
         mu_lists.append(mu_z)
@@ -262,7 +302,7 @@ def p_mu_table(
                 terms = [(cols[y][x], mu_y) for y, mu_y in mu_tz if bits[y] >> x & 1]
                 if terms:
                     value = value - _dot(shape, terms)
-            pz[x] = table.p[(reps[x], z)] = value
+            pz[x] = value
         low_p.append(min([min(pz[x].blocks) for x in below_z[:-1] if pz[x].blocks],
                          default=maxsize))
 
@@ -300,7 +340,7 @@ def p_mu_table(
                     raise RecursionInvariantError(
                         f"mu({reps[x]},{z},s={s+1}) has exponents outside (-{ls},{ls})"
                     )
-                table.mu[(reps[x], z, s)] = value
+                mu_pos[(x, zi, s)] = value
                 mu_z.setdefault(s, []).append((x, value))
                 if low_p[x] + min(value.blocks) <= 0:
                     window.setdefault(s, []).append((x, value))
@@ -330,7 +370,7 @@ def induce(
     reps = table.reps
     r = module.rank
     n = len(reps) * r
-    index, classes, shifted = table._arrays()
+    _, classes, shifted = table._arrays()
     ambient = table.ambient
 
     def put_block(target, bi, bj, mat) -> None:
@@ -342,8 +382,8 @@ def induce(
                 trow[j] = trow.get(j, 0) + c
 
     mu_by_gen: Dict[int, List[Tuple[int, int, LMat]]] = {}
-    for (x, z, s), mu in table.mu.items():
-        mu_by_gen.setdefault(s, []).append((index[x], index[z], mu))
+    for (xi, zi, s), mu in table.mu_pos.items():
+        mu_by_gen.setdefault(s, []).append((xi, zi, mu))
     carry = imat_identity(r)
     e_out: Dict[int, tuple] = {}
     x_out: Dict[Tuple[int, int], tuple] = {}
@@ -398,12 +438,9 @@ def canonical_matrix(J: Iterable[int], module: OmegaModule, table: PMuTable) -> 
     J = system._subset(J)
     if J != table.gens or module != table.module:
         raise ValueError("table was computed for different (J, module) data")
-    index, _, _ = table._arrays()
     r = module.rank
     n = len(table.reps) * r
-    return LMat.from_blocks(
-        (n, n), ((index[y] * r, index[z] * r, mat) for (y, z), mat in table.p.items())
-    )
+    return LMat.from_blocks((n, n), ((yi * r, zi * r, mat) for (yi, zi), mat in table.p_items()))
 
 
 def hecke_t_on_induced(table: PMuTable, s: int) -> LMat:
@@ -491,7 +528,7 @@ def transitivity_check(
     direct = induce(J, module, table_js)
 
     r = module.rank
-    direct_index = {w: i for i, w in enumerate(table_js.reps)}
+    direct_index = table_js._arrays()[0]
     perm: List[int] = []
     seen = set()
     for w in table_ks.reps:
@@ -603,7 +640,7 @@ def mackey_check(
         conj = module.conjugate(d, K)
         inner_table = p_mu_table(conj.gens, conj, ambient=K)
         compare = induce(conj.gens, conj, inner_table)
-        direct_index = {w: i for i, w in enumerate(reps)}
+        direct_index = table._arrays()[0]
         slice_idx: List[int] = []
         for w in inner_table.reps:
             wd = system.mult(w, d)
@@ -623,17 +660,13 @@ def mackey_check(
 # -- the mu factorization corollary ---------------------------------------------
 
 
-def _factor_mu(
-    J: FrozenSet[int],
-    K: FrozenSet[int],
-    reps: Sequence[Element],
-    inner_reps: Sequence[Element],
-    inner_mu: Dict[Tuple[Element, Element, int], LMat],
-    level: PMuTable,
-) -> Dict[Tuple[Element, Element, int], LMat]:
-    """The nonzero mu-blocks of J inside ``level.ambient``, factored through K.
+def _factor_mu(J: FrozenSet[int], K: FrozenSet[int], reps: Sequence[Element],
+               inner_reps: Sequence[Element], inner_mu: Dict[Tuple[int, int, int], LMat],
+               level: PMuTable) -> Dict[Tuple[int, int, int], LMat]:
+    """The nonzero mu-blocks of J inside ``level.ambient``, factored through K,
+    by position in ``reps``.
 
-    ``inner_mu`` holds the mu-blocks of J inside K on the representatives
+    ``inner_mu`` holds the mu-blocks of J inside K by position in
     ``inner_reps``, and ``level`` is the table of K on the module induced
     from them.  Every representative in ``reps`` factors as uv with u in
     D_K and v in D_J^K.  The block at (uv, xy, s) is
@@ -649,28 +682,31 @@ def _factor_mu(
     """
     system = level.system
     r = level.module.rank // len(inner_reps)
-    uv = {system.factorize(J, K, w): w for w in reps}
-    inner_by_gen: Dict[int, List[Tuple[Element, Element, LMat]]] = {}
+    level_index, classes, _ = level._arrays()
+    inner_index = {v: i for i, v in enumerate(inner_reps)}
+    uv = [[None] * len(inner_reps) for _ in level.reps]  # uv[u][v] = the position of uv
+    for w_pos, w in enumerate(reps):
+        u, v = system.factorize(J, K, w)
+        uv[level_index[u]][inner_index[v]] = w_pos
+    inner_by_gen: Dict[int, List[Tuple[int, int, LMat]]] = {}
     for (v, y, t), mat in inner_mu.items():
         inner_by_gen.setdefault(t, []).append((v, y, mat))
-    gens = sorted(level.ambient)
-    out: Dict[Tuple[Element, Element, int], LMat] = {}
-    for x in level.reps:
-        for s in gens:
-            cls = level.deodhar(s, x)
-            if cls.tag == DEODHAR_ZERO:
-                for v, y, mat in inner_by_gen.get(cls.conj, ()):
-                    out[(uv[x, v], uv[x, y], s)] = mat
-    for (u, x, s), mat in level.mu.items():
-        # spots[(vi, yi)][g] = the rows of the (vi, yi) sub-block of mat's v^g block
+    out: Dict[Tuple[int, int, int], LMat] = {}
+    for x in range(len(level.reps)):
+        for s, row in classes.items():
+            if row[x].tag == DEODHAR_ZERO:
+                for v, y, mat in inner_by_gen.get(row[x].conj, ()):
+                    out[(uv[x][v], uv[x][y], s)] = mat
+    for (u, x, s), mat in level.mu_pos.items():
+        # spots[(v, y)][g] = the rows of the (v, y) sub-block of mat's v^g block
         spots: Dict[Tuple[int, int], Dict[int, list]] = {}
         for g, block in mat.blocks.items():
             for i, row in enumerate(block):
                 for j, c in row:
                     by_exp = spots.setdefault((i // r, j // r), {})
                     by_exp.setdefault(g, [[] for _ in range(r)])[i % r].append((j % r, c))
-        for (vi, yi), by_exp in spots.items():
-            out[(uv[u, inner_reps[vi]], uv[x, inner_reps[yi]], s)] = LMat.from_coeffs(
+        for (v, y), by_exp in spots.items():
+            out[(uv[u][v], uv[x][y], s)] = LMat.from_coeffs(
                 (r, r), {g: tuple(map(tuple, rows)) for g, rows in by_exp.items()}
             )
     return out
@@ -697,12 +733,11 @@ def mu_factorize_check(
     r = table_js.module.rank
     if table_ks.module.rank != len(table_jk.reps) * r:
         raise ValueError("table_ks is not computed on the induced module of table_jk")
-    factored = _factor_mu(J, K, table_js.reps, table_jk.reps, table_jk.mu, table_ks)
+    factored = _factor_mu(J, K, table_js.reps, table_jk.reps, table_jk.mu_pos, table_ks)
     reps, ambient = table_js.reps, table_js.ambient
-    index = {w: i for i, w in enumerate(reps)}
     # both sides by position (z, w, s), the order of the checks
-    direct, assembled = ({(index[z], index[w], s): mat for (w, z, s), mat in mu.items()
-                          if s in ambient} for mu in (table_js.mu, factored))
+    direct, assembled = ({(zi, wi, s): mat for (wi, zi, s), mat in mu.items() if s in ambient}
+                         for mu in (table_js.mu_pos, factored))
     # one check per (w, z, s); a triple stored on neither side is zero on both
     report.checks += len(reps) ** 2 * len(ambient)
     zero = table_js.zero
@@ -715,11 +750,8 @@ def mu_factorize_check(
 # -- the flag algorithm -----------------------------------------------------------
 
 
-def mu_inductive(
-    flag: Sequence[Iterable[int]],
-    module: OmegaModule,
-    jobs: int = 1,
-) -> Dict[Tuple[Element, Element, int], LMat]:
+def mu_inductive(flag: Sequence[Iterable[int]], module: OmegaModule,
+                 jobs: int = 1) -> Dict[Tuple[Element, Element, int], LMat]:
     """Compute all mu-blocks for (J, S) along a flag J = K_0 < ... < K_n = S.
 
     Level i runs the direct recursion from K_{i-1} to K_i once, on the
@@ -727,8 +759,8 @@ def mu_inductive(
     its blocks and the mu-blocks of J inside K_{i-1} onto the
     representatives of J inside K_i.  Induction is transitive, so the
     module for the next level is induced from the factored blocks and no
-    level recomputes a lower table.  The output is identical to the
-    mu-part of :func:`p_mu_table`.
+    level recomputes a lower table; each level's blocks stay keyed by
+    position.  The output equals the mu-part of :func:`p_mu_table`.
 
     ``jobs`` has no effect; it is accepted for existing callers and goes
     with the next change to the benchmark.
@@ -745,17 +777,17 @@ def mu_inductive(
         if not lower < upper:
             raise ValueError("flag subsets must strictly increase")
     J = levels[0]
-    merged: Dict[Tuple[Element, Element, int], LMat] = {}
+    merged: Dict[Tuple[int, int, int], LMat] = {}
     inner, inner_reps = module, [system.identity]
     for k_prev, k_cur in zip(levels, levels[1:]):
         level = p_mu_table(k_prev, inner, ambient=k_cur)
         cur_reps = system.min_coset_reps(J, K=k_cur)
         merged = _factor_mu(J, k_prev, cur_reps, inner_reps, merged, level)
         if k_cur != system.generator_set:
-            stitched = PMuTable(system, J, k_cur, module, tuple(cur_reps), {}, merged)
+            stitched = PMuTable(system, J, k_cur, module, tuple(cur_reps), [], merged)
             inner = induce(J, module, stitched)
         inner_reps = cur_reps
-    return merged
+    return {(inner_reps[x], inner_reps[z], s): mat for (x, z, s), mat in merged.items()}
 
 
 # -- cross-checks used by the CLI -------------------------------------------------
@@ -781,10 +813,10 @@ def oracle_check(
     pi = pi_recursion(rho_table(J, module, ambient))
     report = Report("oracle equivalence (direct recursion vs triangular oracle)")
     reps = table.reps
-    index = {x: i for i, x in enumerate(reps)}
+    index, _, _ = table._arrays()
     # both sides by position (z, x), the order of the checks
-    direct, oracle = ({(index[z], index[x]): mat for (x, z), mat in entries.items()}
-                      for entries in (table.p, pi.entries))
+    direct = {(zi, xi): mat for (xi, zi), mat in table.p_items()}
+    oracle = {(index[z], index[x]): mat for (x, z), mat in pi.entries.items()}
     for zi, xi in sorted(direct.keys() | oracle.keys()):
         direct_val, oracle_val = direct.get((zi, xi)), oracle.get((zi, xi))
         report.checks += 1

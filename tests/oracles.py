@@ -323,17 +323,17 @@ def check_invariants_fourcase(table) -> Report:
     system, reps, module = table.system, table.reps, table.module
     shape = (module.rank,) * 2
     zero = LMat.zeros(module.rank)
-    index, classes, shifted = table._arrays()
+    _, classes, shifted = table._arrays()
     bits = system.bruhat_ideals(reps, table.gens, table.ambient)
     c_mats = {u: module.iota_t(u) - LMat.identity(module.rank).scale(
         LaurentPoly.v(system.weight(u))) for u in module.gens}
     # by position: cols[z][x] = p(x, z), mu_lists[z][s] = [(y, mu(y, z, s))]
     cols: list = [{} for _ in reps]
     mu_lists: list = [{} for _ in reps]
-    for (x, z), mat in table.p.items():
-        cols[index[z]][index[x]] = mat
-    for (x, z, s), mat in table.mu.items():
-        mu_lists[index[z]].setdefault(s, []).append((index[x], mat))
+    for (xi, zi), mat in table.p_items():
+        cols[zi][xi] = mat
+    for (xi, zi, s), mat in table.mu_pos.items():
+        mu_lists[zi].setdefault(s, []).append((xi, mat))
     names = [str(x) for x in reps]
     for s in sorted(table.ambient):
         vs = LaurentPoly.v(system.weight(s))

@@ -33,6 +33,13 @@ def _path(*labels):
 AFFINE_A2 = ((1, 3, 3), (3, 1, 3), (3, 3, 1))
 
 
+def _e8_matrix():
+    matrix = [[1 if s == t else 2 for t in range(8)] for s in range(8)]
+    for s, t in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:  # Bourbaki
+        matrix[s][t] = matrix[t][s] = 3
+    return matrix
+
+
 def _radius(system):
     """Radius of the system's cached element table."""
     return system._cache["table"].max_length
@@ -235,9 +242,7 @@ class TestBallGrowth:
 
     def test_e8_without_whole_group(self):
         # E8 has 696,729,600 elements; its ball of radius 8 has 9,866
-        matrix = [[1 if s == t else 2 for t in range(8)] for s in range(8)]
-        for s, t in [(0, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (1, 3)]:  # Bourbaki
-            matrix[s][t] = matrix[t][s] = 3
+        matrix = _e8_matrix()
         system = CoxeterSystem(matrix)
         assert len(CoxeterSystem(matrix).elements(max_length=8)) == 9866
         word = (0, 2, 3, 1, 4, 3, 5, 6)
@@ -262,6 +267,16 @@ class TestBallGrowth:
             assert system.bruhat_leq(x, w) == bruhat_leq_subword(system, x, w) == (xw in below)
         table = system._cache["table"]
         assert not table.complete and len(table.words) < 10 ** 5
+
+    def test_e8_deodhar_grows_the_ball_by_one_length(self):
+        # s*w for w on the edge of the ball of radius 8 needs radius 9, and no
+        # more: the ball grows exponentially, so a larger radius costs far more
+        system = CoxeterSystem(_e8_matrix())
+        w = system.elements(max_length=8)[-1]
+        assert w.length == 8
+        for s in range(8):
+            system.deodhar_class((), s, w)
+        assert _radius(system) == 9
 
     def test_deodhar_on_the_ball_edge(self):
         small, large = CoxeterSystem(AFFINE_A2), CoxeterSystem(AFFINE_A2)

@@ -44,6 +44,15 @@ class TestWriter:
         assert formats.dumps(doc) == stdlib_dumps(doc)
         assert formats.dumps(tree) == stdlib_dumps(tree)
 
+    @given(_trees, st.integers(3, 6))
+    def test_many_uses_and_nested_sharing(self, tree, times):
+        # a container used ``times`` times at one depth, and a shared container
+        # inside a shared container, each also reached at a second depth
+        inner = [tree, {"same": tree}]
+        outer = {"a": inner, "b": inner, "c": [inner] * times}
+        doc = {"row": [outer] * times, "pair": {"x": outer, "y": outer}, "inner": [inner] * times}
+        assert formats.dumps(doc) == stdlib_dumps(doc)
+
     @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "x"}, {"a": {(1,): 2}}, {1, 2}])
     def test_rejects_other_types(self, value):
         with pytest.raises(TypeError):

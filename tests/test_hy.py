@@ -41,6 +41,15 @@ from oracles import (
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def put_p(table, key, mat):
+    """Store p(x, z) by position (x, z), also where x is not below z; None
+    deletes it."""
+    xi, zi = key
+    col = table.p_cols[zi]
+    col.extend([None] * (xi + 1 - len(col)))
+    col[xi] = mat
+
+
 class TestPValues:
     def test_diagonal_is_identity(self, systems):
         table = p_mu_table(frozenset(), trivial_module(systems["b2"], frozenset()))
@@ -102,25 +111,123 @@ class TestPValues:
         module = trivial_module(systems["b2"], frozenset())
         real = hy.p_mu_table
         reps = real(frozenset(), module).reps
-        changed, deleted = (reps[0], reps[3]), (reps[1], reps[7])
-        added, added_zero = (reps[2], reps[1]), (reps[3], reps[2])  # x not below z
+        # (x, z) by position
+        changed, deleted = (0, 3), (1, 7)
+        added, added_zero = (2, 1), (3, 2)  # x not below z
 
         def corrupted(*args, **kwargs):
             table = real(*args, **kwargs)
-            table.p[changed] = table.p[changed] + LMat.identity(1)
-            del table.p[deleted]
-            table.p[added] = LMat.identity(1)
-            table.p[added_zero] = LMat.zeros(1)
+            put_p(table, changed, table.p_cols[3][0] + LMat.identity(1))
+            put_p(table, deleted, None)
+            put_p(table, added, LMat.identity(1))
+            put_p(table, added_zero, LMat.zeros(1))
             return table
 
         monkeypatch.setattr(hy, "p_mu_table", corrupted)
         report = oracle_check(frozenset(), module)
         assert report.checks == 33 + 2
-        order = {x: i for i, x in enumerate(reps)}
         messages = {changed: "p-blocks differ", deleted: "oracle has extra nonzero entry",
                     added: "direct table has extra nonzero entry"}
-        bad = sorted(messages, key=lambda key: (order[key[1]], order[key[0]]))
-        assert report.failures == [f"{messages[key]} at {key}" for key in bad]
+        bad = sorted(messages, key=lambda key: (key[1], key[0]))
+        assert report.failures == [f"{messages[x, z]} at {(reps[x], reps[z])}" for x, z in bad]
+
+
+class TestBlockViews:
+    """p and mu are read-only views, keyed by group elements, of the blocks
+    the table stores by position."""
+
+    @staticmethod
+    def _element_dicts(table):
+        """The Element-keyed dicts the recursion used to fill: p(x, z) for z
+        up, the diagonal first and then x down; mu in the order found."""
+        reps = table.reps
+        p = {(reps[x], reps[z]): col[x] for z, col in enumerate(table.p_cols)
+             for x in range(z, -1, -1) if col[x] is not None}
+        mu = {(reps[x], reps[z], s): mat for (x, z, s), mat in table.mu_pos.items()}
+        return p, mu
+
+    @pytest.mark.parametrize("name,j,make", [("b3", frozenset(), trivial_module),
+                                             ("b3", frozenset({0}), sign_module),
+                                             ("b2_unequal", frozenset({1}), trivial_module)])
+    def test_views_equal_the_element_dicts(self, systems, name, j, make):
+        from wgraphs.canon import pi_recursion, rho_table
+
+        module = make(systems[name], j)
+        table = p_mu_table(j, module)
+        p, mu = self._element_dicts(table)
+        pi = pi_recursion(rho_table(j, module))
+        assert pi.entries == p == table.p and table.p == pi.entries  # the oracle's pairs
+        assert dict(mu_inductive([j, systems[name].generator_set], module)) == mu
+        for view, want in ((table.p, p), (table.mu, mu)):
+            assert view == want and len(view) == len(want) and list(view) == list(want)
+            assert list(view.items()) == list(want.items())
+            assert list(view.values()) == list(want.values())
+            assert all(view[key] is mat and key in view for key, mat in want.items())
+        # what the benchmark's recorder reads
+        zero = LMat.zeros(module.rank)
+        keys = set(table.p) | set(pi.entries)
+        assert all(table.p.get(k, zero) == pi.entries.get(k, zero) for k in keys)
+        top, outside = table.reps[-1], systems[name].generator(min(j)) if j else None
+        assert table.p.get((top, table.reps[0])) is None  # x not below z
+        assert table.mu.get((top, top, 0)) is None
+        if outside is not None:  # not a representative
+            assert (outside, top) not in table.p and table.p.get((outside, top)) is None
+
+    def test_views_are_read_only(self, systems):
+        table = p_mu_table(frozenset(), trivial_module(systems["a2"], frozenset()))
+        for view in (table.p, table.mu):
+            key = next(iter(view))
+            with pytest.raises(TypeError):
+                view[key] = table.zero
+            with pytest.raises(TypeError):
+                del view[key]
+        assert self._element_dicts(table) == (dict(table.p), dict(table.mu))
+
+    def test_views_iterate_without_hashing(self, systems, monkeypatch):
+        """Iterating a view, its items or its values, and taking its length,
+        read the position storage: only a lookup hashes group elements."""
+        from wgraphs.coxeter import Element
+
+        table = p_mu_table(frozenset(), trivial_module(systems["b3"], frozenset()))
+        want = self._element_dicts(table)
+        calls = []
+        real = Element.__hash__
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(Element, "__hash__", counted)
+        for view, expected in zip((table.p, table.mu), want):
+            assert len(view) == len(expected) and len(view.items()) == len(expected)
+            assert list(view) == list(expected)
+            assert list(view.items()) == list(expected.items())
+            assert list(view.values()) == list(expected.values())
+        assert not calls
+        key = next(iter(want[0]))
+        assert table.p[key] is want[0][key] and (key, want[0][key]) in table.p.items() and calls
+
+    def test_table_writer_hashes_no_element(self, monkeypatch):
+        """Regular D4: the recursion, induce and the table writer hash group
+        elements only to index the representatives once."""
+        from wgraphs.coxeter import Element
+        from wgraphs.formats import dumps, table_to_json
+
+        system = load_system(str(ROOT / "perfbench/systems/d4.json"))
+        module = trivial_module(system, frozenset())
+        calls = []
+        real = Element.__hash__
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(Element, "__hash__", counted)
+        table = p_mu_table(frozenset(), module)
+        induce(frozenset(), module, table)
+        text = dumps(table_to_json(table))
+        assert len(calls) <= len(table.reps) == 192
+        assert text.count("|") == 9817 + 2 * len(table.mu_pos)
 
 
 class TestInduce:
@@ -232,31 +339,31 @@ class TestIntertwiningDefect:
         """(name, x of the changed block, table) for a changed, a deleted and an
         added p-block, the last at x not below z, and a changed mu-block."""
         reps = table.reps
-        index = {x: i for i, x in enumerate(reps)}
+        _, classes, _ = table._arrays()
         bits = table.system.bruhat_ideals(reps, table.gens, table.ambient)
-        off = sorted((k for k in table.p if k[0] != k[1]),
-                     key=lambda k: (index[k[1]], index[k[0]]))
+        # keys by position, (x, z) and (x, z, s)
+        off = sorted((k for k, _ in table.p_items() if k[0] != k[1]), key=lambda k: (k[1], k[0]))
         one = LMat.identity(table.module.rank)
-        stray = (reps[-1], reps[1])  # the longest representative is below no other
+        stray = (len(reps) - 1, 1)  # the longest representative is below no other
         assert not bits[1] >> len(reps) - 1 & 1
-        mu_key = next(k for k in sorted(table.mu, key=lambda k: (k[2], index[k[1]], index[k[0]]))
-                      if table.deodhar(k[2], k[0]).tag == "minus"
-                      and table.deodhar(k[2], k[1]).tag == "plus")
+        mu_key = next(k for k in sorted(table.mu_pos, key=lambda k: (k[2], k[1], k[0]))
+                      if classes[k[2]][k[0]].tag == "minus"
+                      and classes[k[2]][k[1]].tag == "plus")
         changed, deleted = off[len(off) // 2], off[len(off) // 3]
         out = []
         for name, key in [("changed", changed), ("deleted", deleted), ("added", stray),
                           ("mu", mu_key)]:
             copy = PMuTable(table.system, table.gens, table.ambient, table.module, reps,
-                            dict(table.p), dict(table.mu))
+                            [list(col) for col in table.p_cols], dict(table.mu_pos))
             if name == "changed":
-                copy.p[key] = copy.p[key] + one.scale(v(1))
+                put_p(copy, key, copy.p_cols[key[1]][key[0]] + one.scale(v(1)))
             elif name == "deleted":
-                del copy.p[key]
+                put_p(copy, key, None)
             elif name == "added":
-                copy.p[key] = one.scale(v(1))
+                put_p(copy, key, one.scale(v(1)))
             else:  # in range, bar-symmetric, away from the zero classes
-                copy.mu[key] = copy.mu[key] + one
-            out.append((name, str(key[0]), copy))
+                copy.mu_pos[key] = copy.mu_pos[key] + one
+            out.append((name, str(reps[key[0]]), copy))
         return out
 
     @pytest.mark.parametrize("path,j,make", CASES)
@@ -320,8 +427,9 @@ class TestIntertwiningDefect:
         """induce refuses a mu-block with an exponent outside (-L(s), L(s))."""
         module = trivial_module(systems["a2"], frozenset())
         table = p_mu_table(frozenset(), module)
-        x, z, s = key = sorted(table.mu)[0]
-        table.mu[key] = LMat([[v(1) + v(-1)]])
+        xi, zi, s = key = sorted(table.mu_pos)[0]
+        x, z = table.reps[xi], table.reps[zi]
+        table.mu_pos[key] = LMat([[v(1) + v(-1)]])
         with pytest.raises(ValueError, match=rf"mu\({x},{z},s={s+1}\) has exponents "
                                              r"outside \(-1,1\)"):
             induce(frozenset(), module, table)
@@ -462,7 +570,7 @@ class TestMackeyHeadStart:
             inner = p_mu_table(conj.gens, conj, ambient=K)
             predicted = transport(a3, d, inner)
             for key, mat in predicted.items():
-                assert direct.mu_at(*key) == mat
+                assert direct.mu.get(key, direct.zero) == mat
             if predicted and not d.is_identity():
                 nontrivial += 1
         assert nontrivial  # the transported entries actually exercised something
@@ -482,7 +590,7 @@ class TestMackeyHeadStart:
             w1, a1 = a3.double_coset_decompose(K, J, x)
             w2, a2 = a3.double_coset_decompose(K, J, z)
             assert a1 == d and a2 == d
-            assert direct.mu_at(x, z, s) == mat
+            assert direct.mu.get((x, z, s), direct.zero) == mat
 
 
 class TestMuFactorize:
@@ -517,30 +625,29 @@ class TestMuFactorize:
 
     def test_missing_direct_entry_fails(self, systems):
         j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
-        del table_js.mu[next(iter(table_js.mu))]
+        del table_js.mu_pos[next(iter(table_js.mu_pos))]
         assert not mu_factorize_check(j, k, table_js, table_jk, table_ks).ok
 
     def test_failure_messages(self, systems):
         """A changed, a deleted and an added direct entry fail with the check's
         messages in (z, w, s) order, among the same 432 checks."""
         j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
-        reps = table_js.reps
-        changed, deleted = list(table_js.mu)[:2]
-        added = (reps[3], reps[3], 1)  # mu is never stored on the diagonal
-        table_js.mu[changed] = table_js.mu[changed] + table_js.mu[changed]
-        del table_js.mu[deleted]
-        table_js.mu[added] = LMat.identity(1)
-        order = {w: i for i, w in enumerate(reps)}
-        bad = sorted([changed, deleted, added], key=lambda t: (order[t[1]], order[t[0]], t[2]))
+        reps, mu = table_js.reps, table_js.mu_pos
+        changed, deleted = list(mu)[:2]  # (w, z, s) by position
+        added = (3, 3, 1)  # mu is never stored on the diagonal
+        mu[changed] = mu[changed] + mu[changed]
+        del mu[deleted]
+        mu[added] = LMat.identity(1)
+        bad = sorted([changed, deleted, added], key=lambda t: (t[1], t[0], t[2]))
         report = mu_factorize_check(j, k, table_js, table_jk, table_ks)
         assert report.checks == 432
-        assert report.failures == [f"mu({w},{z},s={s+1}) does not factor through K"
+        assert report.failures == [f"mu({reps[w]},{reps[z]},s={s+1}) does not factor through K"
                                    for w, z, s in bad]
 
     def test_doubled_level_entry_fails(self, systems):
         j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
-        key = next(iter(table_ks.mu))
-        table_ks.mu[key] = table_ks.mu[key] + table_ks.mu[key]
+        key = next(iter(table_ks.mu_pos))
+        table_ks.mu_pos[key] = table_ks.mu_pos[key] + table_ks.mu_pos[key]
         assert not mu_factorize_check(j, k, table_js, table_jk, table_ks).ok
 
 
@@ -857,7 +964,7 @@ class TestIndexKernel:
         yield "p_mu_table"
         # a table built without the recursion builds its arrays on first use
         fresh = PMuTable(system, table.gens, table.ambient, module, table.reps,
-                         table.p, table.mu)
+                         table.p_cols, table.mu_pos)
         assert fresh.check_invariants().ok
         yield "check_invariants"
         rho = rho_table(j, module)
