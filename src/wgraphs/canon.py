@@ -15,11 +15,15 @@ by the standard correction recursion: at each step the partial sum
 ``alpha`` is antisymmetric under bar, so its positive part is forced.
 
 The engine :func:`canonicalise_shadow` is written against a bare poset
-plus block maps, which it asks once per pair before running on positions
-with the order as bitsets; :func:`rho_table` / :func:`pi_recursion`
-instantiate it with Hecke data, and :func:`check_rho` and
-:func:`pi_recursion` read the Bruhat order of the representatives from
-:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  :func:`check_rho`
+given by position, with the order as bitsets and the blocks as columns;
+:func:`rho_table` / :func:`pi_recursion` instantiate it with Hecke data,
+and :func:`check_rho` and :func:`pi_recursion` read the Bruhat order of
+the representatives from
+:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  Both routes store
+their blocks in one :class:`~wgraphs.wgraph.BlockTable`, by the positions
+of the representatives: rho, pi and the direct recursion's p alike, so the
+oracle stores, solves and compares without hashing a group element, and
+one read-only view keys each table by group elements.  :func:`check_rho`
 verifies that the blocks compose to the identity by Kronecker substitution
 (:func:`~wgraphs.matrix._evaluate`): every block is evaluated once at
 v = 2^B, with B = (N^2 + 1).bit_length() for N the largest row sum of
@@ -32,14 +36,11 @@ two usable as cross-checks of each other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
-from .coxeter import CoxeterSystem, Element
 from .matrix import LMat, _abs_row_sums, _dot, _evaluate, _mul_into
 from .report import Report
-from .wgraph import OmegaModule, hecke_t_column
+from .wgraph import BlockTable, OmegaModule, hecke_t_column
 
 
 class CanonicalisationError(RuntimeError):
@@ -47,34 +48,6 @@ class CanonicalisationError(RuntimeError):
 
 
 # -- rho: blockwise action of the involution ---------------------------------
-
-
-@dataclass
-class BlockTable:
-    """Laurent-matrix blocks indexed by pairs of coset representatives.
-
-    :func:`rho_table` fills it with the bar-involution data r_{x,z}: the
-    matrix by which the involution's (x, z) block acts on the underlying
-    module, zero unless x <= z, with identity diagonal blocks.
-    :func:`pi_recursion` fills it with the canonicalising base change
-    pi_{x,z}, strictly positive above the diagonal.
-    """
-
-    system: CoxeterSystem
-    gens: FrozenSet[int]
-    ambient: FrozenSet[int]
-    module: OmegaModule
-    reps: Tuple[Element, ...]
-    entries: Dict[Tuple[Element, Element], LMat]
-
-    def at(self, x: Element, z: Element) -> LMat:
-        mat = self.entries.get((x, z))
-        return self.zero if mat is None else mat
-
-    @cached_property
-    def zero(self) -> LMat:
-        """The block of every absent pair, one object per table."""
-        return LMat.zeros(self.module.rank)
 
 
 def rho_table(
@@ -101,23 +74,20 @@ def rho_table(
     if not J <= ambient:
         raise ValueError("J must be contained in the ambient subset")
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
-    _, classes, shifted = system.position_arrays(J, ambient, reps)
+    classes, shifted = system.position_arrays(J, ambient, reps)
     identity = LMat.identity(module.rank)
-    entries: Dict[Tuple[Element, Element], LMat] = {}
-    cols: List[Dict[int, LMat]] = []  # cols[z][x] = r_{x,z}, by position
+    cols: List[List[Optional[LMat]]] = []  # cols[z][x] = r_{x,z}
     for zi, z in enumerate(reps):
         if z.word:
             s = z.word[0]
             col = hecke_t_column(module, s, classes[s], shifted[s], cols[shifted[s][zi]],
                                  inverse=True)
         else:
-            col = {zi: identity}
-        if col.get(zi) != identity:
+            col = [identity]
+        if col[zi] != identity:
             raise AssertionError(f"diagonal block r_({z},{z}) is not the identity")
         cols.append(col)
-        for xi in sorted(col):
-            entries[(reps[xi], z)] = col[xi]
-    return BlockTable(system, J, ambient, module, tuple(reps), entries)
+    return BlockTable(system, J, ambient, module, tuple(reps), cols)
 
 
 def check_rho(rho: BlockTable) -> Report:
@@ -141,16 +111,15 @@ def check_rho(rho: BlockTable) -> Report:
     reps = rho.reps
     r = rho.module.rank
     bits = rho.system.bruhat_ideals(reps, rho.gens, rho.ambient)
-    index = {x: i for i, x in enumerate(reps)}
     size = len(reps) * r
     placed = []  # (x, y, r_{xy}) by position, x <= y
     sums = [0] * size  # the rows of R, each summed in absolute value
-    for (x, y), mat in rho.entries.items():
-        xi, yi = index[x], index[y]
-        if bits[yi] >> xi & 1:
-            placed.append((xi, yi, mat))
-            for i, s in enumerate(_abs_row_sums(mat), xi * r):
-                sums[i] += s
+    for yi, col in enumerate(rho.cols):
+        for xi, mat in enumerate(col):
+            if mat is not None and bits[yi] >> xi & 1:
+                placed.append((xi, yi, mat))
+                for i, s in enumerate(_abs_row_sums(mat), xi * r):
+                    sums[i] += s
     shift = max((abs(g) for _, _, mat in placed for g in mat.blocks), default=0)
     width = (max(sums, default=0) ** 2 + 1).bit_length()
     upper: List[list] = [[] for _ in range(size)]  # v^E R at 2^B
@@ -183,40 +152,35 @@ def check_rho(rho: BlockTable) -> Report:
 
 def canonicalise_shadow(
     items: Sequence[Hashable],
-    leq: Callable[[Hashable, Hashable], bool],
-    rho_at: Callable[[Hashable, Hashable], LMat],
+    ideals: Sequence[int],
+    cols: Sequence[Sequence[Optional[LMat]]],
     rank: int,
-) -> Dict[Tuple[Hashable, Hashable], LMat]:
+) -> List[List[Optional[LMat]]]:
     """Solve the triangular fixed-point problem over an abstract poset.
 
-    ``items`` must list the poset in some linear extension.  Returns the
-    complete family of blocks pi_{xz} for x <= z.  Raises
-    :class:`CanonicalisationError` if the correction terms fail to be
-    antisymmetric or the fixed-point equation has a nonzero residual
-    (either means ``rho_at`` does not describe an involution).
-
-    ``leq`` and ``rho_at`` are asked once per pair of positions j <= i;
-    the recursion itself runs on positions, with the order as bitsets.
+    The poset is given by position: ``items`` lists it in some linear
+    extension, bit j of ``ideals[i]`` is set iff items[j] <= items[i], and
+    ``cols[z][x]`` is rho_{xz}, None where it is zero (blocks at x not
+    below z are not read).  Returns the columns of the solution:
+    ``pi[z][x]`` is pi_{xz} for every x <= z, possibly zero, and None
+    elsewhere.  Raises :class:`CanonicalisationError` if the correction
+    terms fail to be antisymmetric or the fixed-point equation has a
+    nonzero residual (either means ``cols`` does not describe an
+    involution); ``items`` only name the pair in its message.
     """
-    items = list(items)
     shape = (rank, rank)
     identity = LMat.identity(rank)
-    ideals = []  # bit j of ideals[i]: items[j] <= items[i], for j <= i
-    rows: List[Dict[int, LMat]] = [{} for _ in items]  # rows[x][y] = rho_{xy} != 0, x <= y
-    for i, z in enumerate(items):
-        bits = 0
-        for j in range(i + 1):
-            if leq(items[j], z):
-                bits |= 1 << j
-                mat = rho_at(items[j], z)
-                if not mat.is_zero():
-                    rows[j][i] = mat
-        ideals.append(bits)
-    pi: Dict[Tuple[Hashable, Hashable], LMat] = {}
-    for zi, z in enumerate(items):
-        below_bits = ideals[zi]
+    rows: List[Dict[int, LMat]] = [{} for _ in ideals]  # rows[x][y] = rho_{xy} != 0, x <= y
+    for yi, col in enumerate(cols):
+        for xi, mat in enumerate(col):
+            if mat is not None and ideals[yi] >> xi & 1 and not mat.is_zero():
+                rows[xi][yi] = mat
+    pi: List[List[Optional[LMat]]] = []
+    for zi, below_bits in enumerate(ideals):
         below = [y for y in range(zi + 1) if below_bits >> y & 1]
-        pi[(z, z)] = identity
+        pz: List[Optional[LMat]] = [None] * (zi + 1)
+        pz[zi] = identity
+        pi.append(pz)
         col = {zi: identity}  # col[y] = bar(pi_{yz})
         alphas = {}  # alphas[x] = sum_{x<y<=z} rho_{xy} bar(pi_{yz})
         for x in reversed(below):
@@ -227,10 +191,10 @@ def canonicalise_shadow(
                 continue
             if not alpha.is_bar_antisymmetric():
                 raise CanonicalisationError(
-                    f"correction term at ({items[x]},{z}) is not antisymmetric"
+                    f"correction term at ({items[x]},{items[zi]}) is not antisymmetric"
                 )
             _, _, pos = alpha.split()
-            pi[(items[x], z)] = pos  # possibly zero; stored for every pair x <= z
+            pz[x] = pos
             col[x] = pos.bar()
         # fixed-point residual: pi_{xz} = sum_{x<=y<=z} rho_{xy} bar(pi_{yz}),
         # the alpha of the correction step plus the diagonal term
@@ -238,9 +202,9 @@ def canonicalise_shadow(
             total = alphas[x]
             if x in rows[x]:
                 total = total + _dot(shape, [(rows[x][x], col[x])])
-            if total != pi[(items[x], z)]:
+            if total != pz[x]:
                 raise CanonicalisationError(
-                    f"fixed-point residual nonzero at ({items[x]},{z})"
+                    f"fixed-point residual nonzero at ({items[x]},{items[zi]})"
                 )
     return pi
 
@@ -251,17 +215,12 @@ def pi_recursion(rho: BlockTable) -> BlockTable:
     The composition identity of ``rho`` is verified first (a failed
     identity signals an upstream bug, and the recursion would produce
     garbage from such input).  The engine reads the Bruhat order from
-    position bitsets of the representatives.
+    position bitsets of the representatives and the blocks from rho's
+    columns, and the result is stored by the same positions.
     """
     report = check_rho(rho)
     if not report.ok:
         raise CanonicalisationError(str(report))
     bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
-    index = {x: i for i, x in enumerate(rho.reps)}
-    entries = canonicalise_shadow(
-        rho.reps,
-        lambda x, z: bool(bits[index[z]] >> index[x] & 1),
-        rho.at,
-        rho.module.rank,
-    )
-    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, entries)
+    cols = canonicalise_shadow(rho.reps, bits, rho.cols, rho.module.rank)
+    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols)

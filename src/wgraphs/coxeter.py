@@ -741,11 +741,10 @@ class CoxeterSystem:
 
     def position_arrays(self, J: Iterable[int], gens: Iterable[int],
                         reps: Sequence[Element]) -> tuple:
-        """(index, classes, shifted) for the listing ``reps`` of D_J inside W_gens.
+        """(classes, shifted) for the listing ``reps`` of D_J inside W_gens.
 
         ``reps`` must be :meth:`min_coset_reps` of (J, gens), for the whole
-        subgroup or a ball; otherwise ValueError.  ``index`` maps each
-        representative to its position; for each s in ``gens``,
+        subgroup or a ball; otherwise ValueError.  For each s in ``gens``,
         ``classes[s]`` lists the Deodhar class of s on each representative
         and ``shifted[s]`` the position of s*x (None in the zero case or
         outside the listing).  All are read from the memoised coset table,
@@ -766,7 +765,7 @@ class CoxeterSystem:
         for s in sorted(K):
             classes[s] = [table.deodhar(s, i) for i in range(n)]
             shifted[s] = [None if j is None or j >= n else j for j in table.lmult[s][:n]]
-        return {x: i for i, x in enumerate(reps)}, classes, shifted
+        return classes, shifted
 
     def conjugate_generator(self, s: int, d: Element) -> Optional[int]:
         """The index t with d^-1 s d = t, if that conjugate is a generator."""

@@ -361,16 +361,18 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 def table_to_json(table) -> dict:
     """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`, read
     by position.  Equal p-blocks share one :func:`lmat_to_json` value, which
-    :func:`dumps` renders once; the document is read-only by convention."""
+    :func:`dumps` renders once; the document is read-only by convention.
+    Blocks are matched by their (exponent, rows) items, plain tuples."""
     names = [str(x) for x in table.reps]
     out = _mu_json(table.gens, (((names[xi], names[zi], s), mat)
                                 for (xi, zi, s), mat in table.mu_pos.items()))
-    shared: Dict[LMat, list] = {}
+    shared: Dict[tuple, list] = {}
     p_part = {}
-    for (xi, zi), mat in table.p_items():
-        value = shared.get(mat)
+    for (xi, zi), mat in table.pos_items():
+        key = tuple(mat.blocks.items())
+        value = shared.get(key)
         if value is None:
-            value = shared[mat] = lmat_to_json(mat)
+            value = shared[key] = lmat_to_json(mat)
         p_part[f"{names[xi]}|{names[zi]}"] = value
     out["p"] = p_part
     return out

@@ -27,9 +27,11 @@ positions of the representatives in their (length, word) listing, so
 results are deterministic.  Deodhar classes and the positions of s*x are
 read from the coset table of (J, ambient), and x <= y is a bit test against
 :meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  The table keeps the
-recursion's own columns, keyed by position like every consumer here; group
-elements key only the read-only views ``p`` and ``mu`` and name entries in
-messages and files.  The recursion never enumerates W.
+recursion's own columns in the :class:`~wgraphs.wgraph.BlockTable` that
+the oracle of :mod:`wgraphs.canon` fills too, keyed by position like every
+consumer here; group elements key only the read-only views ``p`` and
+``mu`` and name entries in messages and files.  The recursion never
+enumerates W.
 
 :func:`induce` assembles the induced module from a finished table;
 :func:`transitivity_check`, :func:`mackey_check` and
@@ -47,114 +49,47 @@ per s from it and :meth:`PMuTable.check_invariants` one per (x, z, s).
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from functools import cached_property
 from sys import maxsize
-from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO, CoxeterSystem, Element
 from .laurent import LaurentPoly
 from .matrix import LMat, _dot, imat_identity
 from .report import Report
-from .wgraph import OmegaModule, hecke_t_column
+from .wgraph import BlockTable, BlockView, OmegaModule, hecke_t_column
 
 
 class RecursionInvariantError(RuntimeError):
     """A computed table entry violated one of the structural invariants."""
 
 
-class _Blocks(Mapping):
-    """A read-only view, keyed by (x, z) or (x, z, s) with x and z
-    representatives, of blocks a :class:`PMuTable` stores by position:
-    ``items`` yields (position key, block) and ``lookup`` gives the block at
-    a position key, or None.  Only a lookup hashes group elements; iterating
-    the view, its items or its values reads the storage in place."""
-
-    def __init__(self, table: "PMuTable", items: Callable[[], Iterator], lookup: Callable):
-        self._table, self._items, self._lookup = table, items, lookup
-
-    def __getitem__(self, key):
-        index = self._table._arrays()[0]
-        mat = self._lookup((index[key[0]], index[key[1]]) + key[2:])
-        if mat is None:
-            raise KeyError(key)
-        return mat
-
-    def __iter__(self):
-        return (key for key, _ in self.items())
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self._items())
-
-    def items(self) -> ItemsView:
-        return _PairsView(self)
-
-    def values(self) -> ValuesView:
-        return _BlocksView(self)
-
-
-class _PairsView(ItemsView):
-    def __iter__(self):
-        reps, items = self._mapping._table.reps, self._mapping._items()
-        return (((reps[k[0]], reps[k[1]]) + k[2:], mat) for k, mat in items)
-
-
-class _BlocksView(ValuesView):
-    def __iter__(self):
-        return (mat for _, mat in self._mapping.items())
-
-
 @dataclass
-class PMuTable:
+class PMuTable(BlockTable):
     """The computed p- and mu-blocks for (J, M) inside an ambient subset,
     stored by the positions of the representatives in ``reps``.
 
-    ``p_cols[z][x]`` is p(x, z) for every x <= z, and None for the other
-    x < len(p_cols[z]); ``mu_pos[(x, z, s)]`` is stored only where it may
+    ``cols[z][x]`` is p(x, z) for every x <= z, and None for the other
+    x < len(cols[z]); ``mu_pos[(x, z, s)]`` is stored only where it may
     be nonzero (x < z, s not a plus-class for x nor a minus-class for z).
     ``p`` and ``mu`` are read-only views of both keyed by group elements.
     """
 
-    system: CoxeterSystem
-    gens: FrozenSet[int]
-    ambient: FrozenSet[int]
-    module: OmegaModule
-    reps: Tuple[Element, ...]
-    p_cols: List[List[Optional[LMat]]]
     mu_pos: Dict[Tuple[int, int, int], LMat]
     _array_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
 
-    @property
-    def p(self) -> Mapping[Tuple[Element, Element], LMat]:
-        return _Blocks(self, self.p_items, self._p_at)
+    p = BlockTable.entries  # the p-blocks, keyed by (x, z)
 
     @property
     def mu(self) -> Mapping[Tuple[Element, Element, int], LMat]:
-        return _Blocks(self, self.mu_pos.items, self.mu_pos.get)
-
-    def p_items(self) -> Iterator[Tuple[Tuple[int, int], LMat]]:
-        """((x, z), p(x, z)) by position, z up and x down (the diagonal first)."""
-        for zi, col in enumerate(self.p_cols):
-            for xi in range(len(col) - 1, -1, -1):
-                if col[xi] is not None:
-                    yield (xi, zi), col[xi]
-
-    def _p_at(self, key: Tuple[int, int]) -> Optional[LMat]:
-        col = self.p_cols[key[1]]
-        return col[key[0]] if key[0] < len(col) else None
-
-    @cached_property
-    def zero(self) -> LMat:
-        """The block of every absent triple, one object per table."""
-        return LMat.zeros(self.module.rank)
+        return BlockView(self, self.mu_pos.items, self.mu_pos.get)
 
     def _arrays(self) -> tuple:
-        """(index, classes, shifted): the position of each representative x
-        and, for each ambient s, the lists of the Deodhar class of s on x and
-        of the position of s*x (None in the zero case or outside the
-        representatives).  Built on first use by
-        :meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`.
+        """(classes, shifted): for each ambient s, the lists of the Deodhar
+        class of s on each representative and of the position of s*x (None
+        in the zero case or outside the representatives).  Built on first
+        use by :meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`.
         """
         if self._array_cache is None:
             self._array_cache = self.system.position_arrays(self.gens, self.ambient, self.reps)
@@ -177,9 +112,9 @@ class PMuTable:
         report = Report("p/mu table invariants")
         system, reps = self.system, self.reps
         identity = LMat.identity(self.module.rank)
-        _, classes, _ = self._arrays()
+        classes, _ = self._arrays()
         bits = system.bruhat_ideals(reps, self.gens, self.ambient)
-        for (xi, zi), mat in self.p_items():
+        for (xi, zi), mat in self.pos_items():
             report.checks += 1
             if not (mat == identity if xi == zi else all(g > 0 for g in mat.blocks)):
                 report.fail(f"p({reps[xi]},{reps[zi]}) " + (
@@ -252,7 +187,7 @@ def p_mu_table(
         raise ValueError("descent_choice must be 'min' or 'max'")
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
     table = PMuTable(system, J, ambient, module, tuple(reps), [], {})
-    _, classes, shifted = table._arrays()
+    classes, shifted = table._arrays()
     bits = system.bruhat_ideals(reps, J, ambient)
     rank = module.rank
     shape = (rank, rank)
@@ -262,7 +197,7 @@ def p_mu_table(
     # mu_lists[z][s] = [(y, mu(y, z, s))] over the nonzero blocks only, so the
     # sums over x <= y < z skip every y whose mu-block is zero; low_p[y] = the
     # least exponent of p(x, y) over x < y (maxsize if there is none)
-    cols, mu_pos = table.p_cols, table.mu_pos
+    cols, mu_pos = table.cols, table.mu_pos
     mu_lists: list = []
     low_p: list = []
 
@@ -370,7 +305,7 @@ def induce(
     reps = table.reps
     r = module.rank
     n = len(reps) * r
-    _, classes, shifted = table._arrays()
+    classes, shifted = table._arrays()
     ambient = table.ambient
 
     def put_block(target, bi, bj, mat) -> None:
@@ -440,19 +375,20 @@ def canonical_matrix(J: Iterable[int], module: OmegaModule, table: PMuTable) -> 
         raise ValueError("table was computed for different (J, module) data")
     r = module.rank
     n = len(table.reps) * r
-    return LMat.from_blocks((n, n), ((yi * r, zi * r, mat) for (yi, zi), mat in table.p_items()))
+    return LMat.from_blocks((n, n), ((yi * r, zi * r, mat) for (yi, zi), mat in table.pos_items()))
 
 
 def hecke_t_on_induced(table: PMuTable, s: int) -> LMat:
     """The matrix of T_s on the induced Hecke module in the tensor basis:
     column x is :func:`~wgraphs.wgraph.hecke_t_column` of T_x (x) 1."""
     r = table.module.rank
-    _, classes, shifted = table._arrays()
+    classes, shifted = table._arrays()
     identity = LMat.identity(r)
     placed = [(yi * r, xi * r, block)
               for xi in range(len(table.reps))
-              for yi, block in hecke_t_column(table.module, s, classes[s], shifted[s],
-                                              {xi: identity}).items()]
+              for yi, block in enumerate(hecke_t_column(table.module, s, classes[s], shifted[s],
+                                                        [None] * xi + [identity]))
+              if block is not None]
     return LMat.from_blocks((len(table.reps) * r,) * 2, placed)
 
 
@@ -528,13 +464,12 @@ def transitivity_check(
     direct = induce(J, module, table_js)
 
     r = module.rank
-    direct_index = table_js._arrays()[0]
     perm: List[int] = []
     seen = set()
     for w in table_ks.reps:
         for z in table_jk.reps:
             wz = system.mult(w, z)
-            pos = direct_index.get(wz)
+            pos = table_js.index.get(wz)
             if pos is None or wz.length != w.length + z.length:
                 report.fail(f"({w},{z}) does not map to a representative length-additively")
                 continue
@@ -640,11 +575,10 @@ def mackey_check(
         conj = module.conjugate(d, K)
         inner_table = p_mu_table(conj.gens, conj, ambient=K)
         compare = induce(conj.gens, conj, inner_table)
-        direct_index = table._arrays()[0]
         slice_idx: List[int] = []
         for w in inner_table.reps:
             wd = system.mult(w, d)
-            pos = direct_index.get(wd)
+            pos = table.index.get(wd)
             if pos is None or part.get(wd) != d:
                 report.fail(f"{w}*{d} is not a representative with part exactly d")
                 continue
@@ -682,12 +616,12 @@ def _factor_mu(J: FrozenSet[int], K: FrozenSet[int], reps: Sequence[Element],
     """
     system = level.system
     r = level.module.rank // len(inner_reps)
-    level_index, classes, _ = level._arrays()
+    classes, _ = level._arrays()
     inner_index = {v: i for i, v in enumerate(inner_reps)}
     uv = [[None] * len(inner_reps) for _ in level.reps]  # uv[u][v] = the position of uv
     for w_pos, w in enumerate(reps):
         u, v = system.factorize(J, K, w)
-        uv[level_index[u]][inner_index[v]] = w_pos
+        uv[level.index[u]][inner_index[v]] = w_pos
     inner_by_gen: Dict[int, List[Tuple[int, int, LMat]]] = {}
     for (v, y, t), mat in inner_mu.items():
         inner_by_gen.setdefault(t, []).append((v, y, mat))
@@ -803,9 +737,12 @@ def oracle_check(
     The oracle route builds the involution's blocks by the one-letter
     recursion on D_J (:func:`~wgraphs.canon.rho_table`) and runs the generic
     positive-part recursion; it shares no code with the p/mu recursion
-    beyond the position arrays and the action of T_s on the induced module
-    (:func:`~wgraphs.wgraph.hecke_t_column`), which
-    :func:`hecke_t_on_induced` uses too.
+    beyond the position arrays, the block table
+    (:class:`~wgraphs.wgraph.BlockTable`) and the action of T_s on the
+    induced module (:func:`~wgraphs.wgraph.hecke_t_column`), which
+    :func:`hecke_t_on_induced` uses too.  Both tables are stored by the
+    same positions, so their columns are compared directly: one check per
+    (x, z) stored on either side, in (z, x) order.
     """
     from .canon import pi_recursion, rho_table  # local import: keep the paths separate
 
@@ -813,21 +750,20 @@ def oracle_check(
     pi = pi_recursion(rho_table(J, module, ambient))
     report = Report("oracle equivalence (direct recursion vs triangular oracle)")
     reps = table.reps
-    index, _, _ = table._arrays()
-    # both sides by position (z, x), the order of the checks
-    direct = {(zi, xi): mat for (xi, zi), mat in table.p_items()}
-    oracle = {(index[z], index[x]): mat for (x, z), mat in pi.entries.items()}
-    for zi, xi in sorted(direct.keys() | oracle.keys()):
-        direct_val, oracle_val = direct.get((zi, xi)), oracle.get((zi, xi))
-        report.checks += 1
-        if direct_val is None:
-            if not oracle_val.is_zero():
-                report.fail(f"oracle has extra nonzero entry at {(reps[xi], reps[zi])}")
-        elif oracle_val is None:
-            if not direct_val.is_zero():
-                report.fail(f"direct table has extra nonzero entry at {(reps[xi], reps[zi])}")
-        elif direct_val != oracle_val:
-            report.fail(f"p-blocks differ at {(reps[xi], reps[zi])}")
+    for zi, (direct, oracle) in enumerate(zip(table.cols, pi.cols)):
+        for xi in range(max(len(direct), len(oracle))):
+            direct_val, oracle_val = table._at((xi, zi)), pi._at((xi, zi))
+            if direct_val is None and oracle_val is None:
+                continue
+            report.checks += 1
+            if direct_val is None:
+                if not oracle_val.is_zero():
+                    report.fail(f"oracle has extra nonzero entry at {(reps[xi], reps[zi])}")
+            elif oracle_val is None:
+                if not direct_val.is_zero():
+                    report.fail(f"direct table has extra nonzero entry at {(reps[xi], reps[zi])}")
+            elif direct_val != oracle_val:
+                report.fail(f"p-blocks differ at {(reps[xi], reps[zi])}")
     return report
 
 

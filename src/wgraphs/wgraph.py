@@ -22,12 +22,18 @@ from j to i where row i of ``X_{s,g}`` holds ``(j, c)``.  On diagonal
 idempotents the relations
 ``E_s X_{s,g} = X_{s,g}`` and ``X_{s,g} E_s = 0`` are the label condition:
 an s-edge leaves a vertex without s in its label and enters one with it.
+
+On the induced Hecke module, :func:`hecke_t_column` applies T_s, and a
+:class:`BlockTable` holds the blocks of a base change by the positions of
+the coset representatives, for the direct recursion and the oracle alike.
 """
 
 from __future__ import annotations
 
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .coxeter import DEODHAR_MINUS, DEODHAR_ZERO, CoxeterSystem, DeodharClass, Element
 from .laurent import LaurentPoly
@@ -224,31 +230,34 @@ def hecke_t_column(
     s: int,
     classes: Sequence[DeodharClass],
     shifted: Sequence[Optional[int]],
-    column: Mapping[int, LMat],
+    column: Sequence[Optional[LMat]],
     inverse: bool = False,
-) -> Dict[int, LMat]:
+) -> List[Optional[LMat]]:
     """T_s, or T_s^-1 with ``inverse``, on the vector sum_x T_x (x) column[x].
 
     The induced module H (x)_{H_J} M has the basis T_x (x) m, for x in a
     listing of representatives of D_J and m in ``module``; ``classes`` and
     ``shifted`` are the Deodhar classes of s on them and the positions of
     s*x (:meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`), and
-    ``column`` maps positions to blocks acting on M.  By Deodhar's
-    trichotomy, with delta = v_s - v_s^-1 and T_s^-1 = T_s - delta,
+    ``column`` lists blocks acting on M by position, None for a zero block,
+    as a :class:`BlockTable` column does.  By Deodhar's trichotomy, with
+    delta = v_s - v_s^-1 and T_s^-1 = T_s - delta,
 
     * plus:  T_s (T_x (x) m) = T_sx (x) m,
     * minus: T_s (T_x (x) m) = T_sx (x) m + delta T_x (x) m,
     * zero:  T_s (T_x (x) m) = T_x (x) T_t m, t the conjugate generator.
 
-    Returns the image, by position, without zero blocks.
+    Returns the image as a column over all the representatives, None where
+    its block is zero.
     """
     ls = module.system.weight(s)
     # the diagonal factor: delta for T_s (minus), -delta for T_s^-1 (plus)
     diagonal = LaurentPoly({-ls: 1, ls: -1} if inverse else {ls: 1, -ls: -1})
     shape = (module.rank, module.rank)
-    out: Dict[int, LMat] = {}
-    for x in sorted(column):
-        block = column[x]
+    out: List[Optional[LMat]] = [None] * len(classes)
+    for x, block in enumerate(column):
+        if block is None:
+            continue
         cls = classes[x]
         if cls.tag == DEODHAR_ZERO:
             out[x] = _dot(shape, [(module.iota_t(cls.conj, inverse), block)])
@@ -257,11 +266,101 @@ def hecke_t_column(
         if sx is None:
             raise ValueError(f"s*x for s={s + 1} and the representative at position {x} "
                              "is not among the representatives")
-        out[sx] = out[sx] + block if sx in out else block
+        out[sx] = block if out[sx] is None else out[sx] + block
         if (cls.tag == DEODHAR_MINUS) != inverse:  # minus under T_s, plus under T_s^-1
             term = block.scale(diagonal)
-            out[x] = out[x] + term if x in out else term
-    return {x: mat for x, mat in out.items() if not mat.is_zero()}
+            out[x] = term if out[x] is None else out[x] + term
+    return [None if mat is None or mat.is_zero() else mat for mat in out]
+
+
+class BlockView(Mapping):
+    """A read-only view, keyed by (x, z) or (x, z, s) with x and z
+    representatives, of blocks a :class:`BlockTable` stores by position:
+    ``items`` yields (position key, block) and ``lookup`` gives the block at
+    a position key, or None.  Only a lookup hashes group elements; iterating
+    the view, its items or its values reads the storage in place."""
+
+    def __init__(self, table: "BlockTable", items: Callable[[], Iterator], lookup: Callable):
+        self._table, self._items, self._lookup = table, items, lookup
+
+    def __getitem__(self, key):
+        index = self._table.index
+        mat = self._lookup((index[key[0]], index[key[1]]) + key[2:])
+        if mat is None:
+            raise KeyError(key)
+        return mat
+
+    def __iter__(self):
+        return (key for key, _ in self.items())
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self._items())
+
+    def items(self) -> ItemsView:
+        return _PairsView(self)
+
+    def values(self) -> ValuesView:
+        return _BlocksView(self)
+
+
+class _PairsView(ItemsView):
+    def __iter__(self):
+        reps, items = self._mapping._table.reps, self._mapping._items()
+        return (((reps[k[0]], reps[k[1]]) + k[2:], mat) for k, mat in items)
+
+
+class _BlocksView(ValuesView):
+    def __iter__(self):
+        return (mat for _, mat in self._mapping.items())
+
+
+@dataclass
+class BlockTable:
+    """Laurent-matrix blocks indexed by pairs of representatives of D_J
+    inside W_ambient, stored by their positions in ``reps``.
+
+    ``cols[z][x]`` is the block at (x, z), or None where there is none, as
+    at every x not below z; a column may stop early.  Both routes to
+    the Howlett-Yin base change fill one: :func:`~wgraphs.hy.p_mu_table`
+    with the blocks p_{x,z}, :func:`~wgraphs.canon.rho_table` with the
+    nonzero blocks r_{x,z} of the bar involution and
+    :func:`~wgraphs.canon.pi_recursion` with the oracle's base change
+    pi_{x,z}; p and pi are stored for every x <= z.  ``entries`` is a
+    read-only view of the blocks keyed by group elements.
+    """
+
+    system: CoxeterSystem
+    gens: FrozenSet[int]
+    ambient: FrozenSet[int]
+    module: OmegaModule
+    reps: Tuple[Element, ...]
+    cols: List[List[Optional[LMat]]]
+
+    @property
+    def entries(self) -> Mapping[Tuple[Element, Element], LMat]:
+        return BlockView(self, self.pos_items, self._at)
+
+    def pos_items(self) -> Iterator[Tuple[Tuple[int, int], LMat]]:
+        """((x, z), block) by position, z up and x down."""
+        for zi, col in enumerate(self.cols):
+            for xi in range(len(col) - 1, -1, -1):
+                if col[xi] is not None:
+                    yield (xi, zi), col[xi]
+
+    def _at(self, key: Tuple[int, int]) -> Optional[LMat]:
+        col = self.cols[key[1]]
+        return col[key[0]] if key[0] < len(col) else None
+
+    @cached_property
+    def index(self) -> Dict[Element, int]:
+        """The position of each representative, built by the first lookup
+        by group element."""
+        return {x: i for i, x in enumerate(self.reps)}
+
+    @cached_property
+    def zero(self) -> LMat:
+        """The block of every absent key, one object per table."""
+        return LMat.zeros(self.module.rank)
 
 
 # -- builtin rank-1 modules ---------------------------------------------------

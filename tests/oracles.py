@@ -285,7 +285,7 @@ def rho_expanded(J, module, ambient=None, max_length=None, memo=None) -> dict:
 
 def check_rho_entrywise(rho) -> Report:
     """The composition identity sum_{x<=y<=z} r_{xy} bar(r_{yz}) = delta_{xz}
-    of a :class:`~wgraphs.canon.BlockTable`, one Laurent-matrix sum per pair
+    of a :class:`~wgraphs.wgraph.BlockTable`, one Laurent-matrix sum per pair
     x <= z: the reference for the integer product of ``canon.check_rho``."""
     report = Report("rho composition identity")
     reps = rho.reps
@@ -323,14 +323,14 @@ def check_invariants_fourcase(table) -> Report:
     system, reps, module = table.system, table.reps, table.module
     shape = (module.rank,) * 2
     zero = LMat.zeros(module.rank)
-    _, classes, shifted = table._arrays()
+    classes, shifted = table._arrays()
     bits = system.bruhat_ideals(reps, table.gens, table.ambient)
     c_mats = {u: module.iota_t(u) - LMat.identity(module.rank).scale(
         LaurentPoly.v(system.weight(u))) for u in module.gens}
     # by position: cols[z][x] = p(x, z), mu_lists[z][s] = [(y, mu(y, z, s))]
     cols: list = [{} for _ in reps]
     mu_lists: list = [{} for _ in reps]
-    for (xi, zi), mat in table.p_items():
+    for (xi, zi), mat in table.pos_items():
         cols[zi][xi] = mat
     for (xi, zi, s), mat in table.mu_pos.items():
         mu_lists[zi].setdefault(s, []).append((xi, mat))

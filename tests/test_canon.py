@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 
 from wgraphs.canon import (
-    BlockTable,
     CanonicalisationError,
     canonicalise_shadow,
     check_rho,
@@ -17,7 +16,7 @@ from wgraphs.formats import load_system
 from wgraphs.hy import induce, p_mu_table
 from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, _evaluate
-from wgraphs.wgraph import sign_module, trivial_module
+from wgraphs.wgraph import BlockTable, sign_module, trivial_module
 
 from oracles import check_rho_entrywise, iota_expand, rho_expanded
 
@@ -67,7 +66,7 @@ class TestRhoTable:
     def test_diagonal_identity(self, systems):
         rho = rho_table({0}, sign_module(systems["a2"], {0}))
         for z in rho.reps:
-            assert rho.at(z, z) == LMat.identity(1)
+            assert rho.entries[(z, z)] == LMat.identity(1)
 
     def test_empty_j_scalar_r(self, systems):
         a2 = systems["a2"]
@@ -76,13 +75,13 @@ class TestRhoTable:
             expansion = iota_expand(z)
             for x in rho.reps:
                 expected = expansion.get(x, LaurentPoly.zero())
-                assert rho.at(x, z) == LMat([[expected]])
+                assert rho.entries.get((x, z), rho.zero) == LMat([[expected]])
 
     def test_absent_pairs_share_one_zero(self, systems):
         a2 = systems["a2"]
         rho = rho_table(frozenset(), trivial_module(a2, frozenset()))
         top = rho.reps[-1]
-        zeros = [rho.at(top, x) for x in rho.reps[:-1]]
+        zeros = [rho.entries.get((top, x), rho.zero) for x in rho.reps[:-1]]
         assert zeros[0] == LMat.zeros(1) and all(z is zeros[0] for z in zeros)
 
     def test_a1_value(self):
@@ -90,7 +89,7 @@ class TestRhoTable:
 
         a1 = CoxeterSystem(((1,),))
         rho = rho_table(frozenset(), trivial_module(a1, frozenset()))
-        assert rho.at(a1.identity, a1.generator(0)) == LMat([[LaurentPoly({-1: 1, 1: -1})]])
+        assert rho.entries[(a1.identity, a1.generator(0))] == LMat([[LaurentPoly({-1: 1, 1: -1})]])
 
     @pytest.mark.parametrize("name,j", [("a2", frozenset()), ("a2", frozenset({0})),
                                         ("b2", frozenset({1})), ("i2_5", frozenset())])
@@ -119,13 +118,22 @@ def _rho_of(case):
     return rho_table(frozenset(), trivial_module(system, frozenset()), max_length=6)
 
 
+def _with_block(rho, x, y, mat):
+    """A copy of ``rho`` with ``mat`` stored at (x, y), by position, also
+    where x is not below y."""
+    xi, yi = rho.index[x], rho.index[y]
+    cols = [list(col) for col in rho.cols]
+    cols[yi].extend([None] * (xi + 1 - len(cols[yi])))
+    cols[yi][xi] = mat
+    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols)
+
+
 def _bumped(rho, x, y, i, j, g, c):
     """``rho`` with c v^g added at entry (i, j) of the block at (x, y)."""
     r = rho.module.rank
     rows = tuple(((j, c),) if k == i else () for k in range(r))
-    entries = dict(rho.entries)
-    entries[(x, y)] = rho.at(x, y) + LMat.from_coeffs((r, r), {g: rows})
-    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, entries)
+    bump = LMat.from_coeffs((r, r), {g: rows})
+    return _with_block(rho, x, y, rho.entries.get((x, y), rho.zero) + bump)
 
 
 class TestCheckRhoProduct:
@@ -188,8 +196,7 @@ class TestCheckRhoProduct:
         e, s = rho.reps
         f = LMat([[LaurentPoly({1: 2 ** (base + 1), 0: -(2 ** (2 * base) + 1)})]])
         assert _evaluate(f + f.bar(), base, 1) == ((),)
-        entries = {**rho.entries, (e, s): f}
-        bad = BlockTable(a1, rho.gens, rho.ambient, rho.module, rho.reps, entries)
+        bad = _with_block(rho, e, s, f)
         report = check_rho(bad)
         assert report.failures == check_rho_entrywise(bad).failures == ["composition fails at (e,1)"]
 
@@ -265,14 +272,14 @@ class TestPiRecursion:
     def test_diagonal(self, systems):
         pi = pi_recursion(rho_table({0}, sign_module(systems["a2"], {0})))
         for z in pi.reps:
-            assert pi.at(z, z) == LMat.identity(1)
+            assert pi.entries[(z, z)] == LMat.identity(1)
 
     def test_a1_value(self):
         from wgraphs.coxeter import CoxeterSystem
 
         a1 = CoxeterSystem(((1,),))
         pi = pi_recursion(rho_table(frozenset(), trivial_module(a1, frozenset())))
-        assert pi.at(a1.identity, a1.generator(0)) == LMat([[v(1, -1)]])
+        assert pi.entries[(a1.identity, a1.generator(0))] == LMat([[v(1, -1)]])
 
     def test_strictly_positive_above_diagonal(self, systems):
         pi = pi_recursion(rho_table(frozenset(), trivial_module(systems["b2"], frozenset())))
@@ -304,7 +311,7 @@ class TestPiRecursion:
             for y in rho.reps:
                 if system.bruhat_leq(x, y) and system.bruhat_leq(y, z):
                     if (y, z) in entries:
-                        total = total + rho.at(x, y) @ entries[(y, z)].bar()
+                        total = total + rho.entries.get((x, y), rho.zero) @ entries[(y, z)].bar()
             if total != entries[(x, z)]:
                 return False
         return True
@@ -343,73 +350,51 @@ class TestPiRecursion:
         module = trivial_module(a2, frozenset())
         rho = rho_table(frozenset(), module)
         full = pi_recursion(rho)
-        for top in a2.elements():
-            ideal = [y for y in rho.reps if a2.bruhat_leq(y, top)]
-            sub_entries = {
-                key: mat for key, mat in rho.entries.items()
-                if key[0] in ideal and key[1] in ideal
-            }
-            sub_rho = BlockTable(a2, rho.gens, rho.ambient, module, tuple(ideal), sub_entries)
-            sub_pi = pi_recursion(sub_rho)
-            expected = {
-                key: mat for key, mat in full.entries.items()
-                if key[0] in ideal and key[1] in ideal
-            }
-            assert sub_pi.entries == expected
+        bits = a2.bruhat_ideals(rho.reps)
+        for top in range(len(rho.reps)):
+            ideal = [y for y in range(top + 1) if bits[top] >> y & 1]
+
+            def restricted(table):
+                """The columns of ``table`` on the ideal, by position in it."""
+                return [[table.cols[z][x] if x < len(table.cols[z]) else None
+                         for x in ideal[:k + 1]] for k, z in enumerate(ideal)]
+
+            sub_rho = BlockTable(a2, rho.gens, rho.ambient, module,
+                                 tuple(rho.reps[y] for y in ideal), restricted(rho))
+            assert pi_recursion(sub_rho).cols == restricted(full)
 
     def test_bad_rho_rejected(self, systems):
         a2 = systems["a2"]
         module = trivial_module(a2, frozenset())
         rho = rho_table(frozenset(), module)
-        broken = dict(rho.entries)
         s = a2.generator(0)
-        broken[(a2.identity, s)] = LMat([[v(1)]])  # not antisymmetric
-        bad = BlockTable(a2, rho.gens, rho.ambient, module, rho.reps, broken)
+        bad = _with_block(rho, a2.identity, s, LMat([[v(1)]]))  # not antisymmetric
         with pytest.raises(CanonicalisationError):
             pi_recursion(bad)
 
 
 class TestGenericEngine:
+    """The engine on an abstract two-element poset a < b, given by position:
+    no Coxeter data."""
+
+    ITEMS = ["a", "b"]
+    IDEALS = [0b01, 0b11]  # a <= a; a, b <= b
+
     def test_two_element_poset(self):
-        rho = {
-            ("a", "a"): LMat.identity(1),
-            ("b", "b"): LMat.identity(1),
-            ("a", "b"): LMat([[LaurentPoly({1: 1, -1: -1})]]),
-        }
-        pi = canonicalise_shadow(
-            ["a", "b"],
-            lambda x, y: x == y or (x, y) == ("a", "b"),
-            lambda x, y: rho.get((x, y), LMat.zeros(1)),
-            1,
-        )
-        assert pi[("a", "b")] == LMat([[v(1)]])
+        cols = [[LMat.identity(1)], [LMat([[LaurentPoly({1: 1, -1: -1})]]), LMat.identity(1)]]
+        pi = canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+        assert pi[1][0] == LMat([[v(1)]])
+        assert pi == [[LMat.identity(1)], [LMat([[v(1)]]), LMat.identity(1)]]
 
     def test_rejects_non_involution(self):
-        rho = {
-            ("a", "a"): LMat.identity(1),
-            ("b", "b"): LMat.identity(1),
-            ("a", "b"): LMat([[v(1)]]),
-        }
-        with pytest.raises(CanonicalisationError):
-            canonicalise_shadow(
-                ["a", "b"],
-                lambda x, y: x == y or (x, y) == ("a", "b"),
-                lambda x, y: rho.get((x, y), LMat.zeros(1)),
-                1,
-            )
+        cols = [[LMat.identity(1)], [LMat([[v(1)]]), LMat.identity(1)]]
+        with pytest.raises(CanonicalisationError, match=r"correction term at \(a,b\)"):
+            canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
 
     def test_residual_catches_non_identity_diagonal(self):
         # rho(a, a) = 2 I: no correction term is wrong, only the residual
         # pi(a, a) = rho(a, a) bar(pi(a, a)) can catch it
-        rho = {
-            ("a", "a"): LMat.identity(1).scale(2),
-            ("b", "b"): LMat.identity(1),
-            ("a", "b"): LMat([[LaurentPoly({1: 1, -1: -1})]]),
-        }
+        cols = [[LMat.identity(1).scale(2)],
+                [LMat([[LaurentPoly({1: 1, -1: -1})]]), LMat.identity(1)]]
         with pytest.raises(CanonicalisationError, match="fixed-point residual"):
-            canonicalise_shadow(
-                ["a", "b"],
-                lambda x, y: x == y or (x, y) == ("a", "b"),
-                lambda x, y: rho.get((x, y), LMat.zeros(1)),
-                1,
-            )
+            canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)

@@ -45,7 +45,7 @@ def put_p(table, key, mat):
     """Store p(x, z) by position (x, z), also where x is not below z; None
     deletes it."""
     xi, zi = key
-    col = table.p_cols[zi]
+    col = table.cols[zi]
     col.extend([None] * (xi + 1 - len(col)))
     col[xi] = mat
 
@@ -117,7 +117,7 @@ class TestPValues:
 
         def corrupted(*args, **kwargs):
             table = real(*args, **kwargs)
-            put_p(table, changed, table.p_cols[3][0] + LMat.identity(1))
+            put_p(table, changed, table.cols[3][0] + LMat.identity(1))
             put_p(table, deleted, None)
             put_p(table, added, LMat.identity(1))
             put_p(table, added_zero, LMat.zeros(1))
@@ -133,63 +133,84 @@ class TestPValues:
 
 
 class TestBlockViews:
-    """p and mu are read-only views, keyed by group elements, of the blocks
-    the table stores by position."""
+    """p, mu and the oracle's entries are read-only views, keyed by group
+    elements, of the blocks the tables store by position."""
 
     @staticmethod
-    def _element_dicts(table):
+    def _pairs(table):
+        """The Element-keyed dict of a block table's columns, z up and x down."""
+        reps = table.reps
+        return {(reps[x], reps[z]): col[x] for z, col in enumerate(table.cols)
+                for x in range(len(col) - 1, -1, -1) if col[x] is not None}
+
+    @classmethod
+    def _element_dicts(cls, table):
         """The Element-keyed dicts the recursion used to fill: p(x, z) for z
         up, the diagonal first and then x down; mu in the order found."""
         reps = table.reps
-        p = {(reps[x], reps[z]): col[x] for z, col in enumerate(table.p_cols)
-             for x in range(z, -1, -1) if col[x] is not None}
         mu = {(reps[x], reps[z], s): mat for (x, z, s), mat in table.mu_pos.items()}
-        return p, mu
+        return cls._pairs(table), mu
+
+    @classmethod
+    def _views(cls, table, j, module):
+        """(view, the Element dict it must equal) for p, mu, rho and pi."""
+        from wgraphs.canon import pi_recursion, rho_table
+
+        rho = rho_table(j, module)
+        pi = pi_recursion(rho)
+        p, mu = cls._element_dicts(table)
+        return [(table.p, p), (table.mu, mu), (rho.entries, cls._pairs(rho)),
+                (pi.entries, cls._pairs(pi))]
 
     @pytest.mark.parametrize("name,j,make", [("b3", frozenset(), trivial_module),
                                              ("b3", frozenset({0}), sign_module),
                                              ("b2_unequal", frozenset({1}), trivial_module)])
     def test_views_equal_the_element_dicts(self, systems, name, j, make):
-        from wgraphs.canon import pi_recursion, rho_table
+        from oracles import rho_expanded
 
         module = make(systems[name], j)
         table = p_mu_table(j, module)
-        p, mu = self._element_dicts(table)
-        pi = pi_recursion(rho_table(j, module))
-        assert pi.entries == p == table.p and table.p == pi.entries  # the oracle's pairs
+        views = self._views(table, j, module)
+        (_, p), (_, mu), (rho, rho_dict), (pi, pi_dict) = views
+        assert pi == p == table.p and table.p == pi and pi_dict == p  # the oracle's pairs
+        assert rho == rho_dict == rho_expanded(j, module)
         assert dict(mu_inductive([j, systems[name].generator_set], module)) == mu
-        for view, want in ((table.p, p), (table.mu, mu)):
+        for view, want in views:
             assert view == want and len(view) == len(want) and list(view) == list(want)
             assert list(view.items()) == list(want.items())
             assert list(view.values()) == list(want.values())
             assert all(view[key] is mat and key in view for key, mat in want.items())
         # what the benchmark's recorder reads
         zero = LMat.zeros(module.rank)
-        keys = set(table.p) | set(pi.entries)
-        assert all(table.p.get(k, zero) == pi.entries.get(k, zero) for k in keys)
+        keys = set(table.p) | set(pi)
+        assert all(table.p.get(k, zero) == pi.get(k, zero) for k in keys)
         top, outside = table.reps[-1], systems[name].generator(min(j)) if j else None
         assert table.p.get((top, table.reps[0])) is None  # x not below z
         assert table.mu.get((top, top, 0)) is None
+        assert rho.get((top, table.reps[0])) is None and pi.get((top, table.reps[0])) is None
         if outside is not None:  # not a representative
             assert (outside, top) not in table.p and table.p.get((outside, top)) is None
+            assert (outside, top) not in rho and (outside, top) not in pi
 
     def test_views_are_read_only(self, systems):
-        table = p_mu_table(frozenset(), trivial_module(systems["a2"], frozenset()))
-        for view in (table.p, table.mu):
+        module = trivial_module(systems["a2"], frozenset())
+        table = p_mu_table(frozenset(), module)
+        views = self._views(table, frozenset(), module)
+        for view, _ in views:
             key = next(iter(view))
             with pytest.raises(TypeError):
                 view[key] = table.zero
             with pytest.raises(TypeError):
                 del view[key]
-        assert self._element_dicts(table) == (dict(table.p), dict(table.mu))
+        assert all(dict(view) == want for view, want in views)
 
     def test_views_iterate_without_hashing(self, systems, monkeypatch):
         """Iterating a view, its items or its values, and taking its length,
         read the position storage: only a lookup hashes group elements."""
         from wgraphs.coxeter import Element
 
-        table = p_mu_table(frozenset(), trivial_module(systems["b3"], frozenset()))
-        want = self._element_dicts(table)
+        module = trivial_module(systems["b3"], frozenset())
+        views = self._views(p_mu_table(frozenset(), module), frozenset(), module)
         calls = []
         real = Element.__hash__
 
@@ -198,18 +219,21 @@ class TestBlockViews:
             return real(self)
 
         monkeypatch.setattr(Element, "__hash__", counted)
-        for view, expected in zip((table.p, table.mu), want):
+        for view, expected in views:
             assert len(view) == len(expected) and len(view.items()) == len(expected)
             assert list(view) == list(expected)
             assert list(view.items()) == list(expected.items())
             assert list(view.values()) == list(expected.values())
         assert not calls
-        key = next(iter(want[0]))
-        assert table.p[key] is want[0][key] and (key, want[0][key]) in table.p.items() and calls
+        for view, expected in views:
+            key = next(iter(expected))
+            calls.clear()
+            assert view[key] is expected[key] and (key, expected[key]) in view.items() and calls
 
     def test_table_writer_hashes_no_element(self, monkeypatch):
         """Regular D4: the recursion, induce and the table writer hash group
-        elements only to index the representatives once."""
+        elements only to index the representatives once, and the writer
+        shares equal p-blocks without hashing a Laurent matrix."""
         from wgraphs.coxeter import Element
         from wgraphs.formats import dumps, table_to_json
 
@@ -225,9 +249,38 @@ class TestBlockViews:
         monkeypatch.setattr(Element, "__hash__", counted)
         table = p_mu_table(frozenset(), module)
         induce(frozenset(), module, table)
-        text = dumps(table_to_json(table))
+        lmat_hashes = []
+        real_lmat = LMat.__hash__
+
+        def counted_lmat(self):
+            lmat_hashes.append(1)
+            return real_lmat(self)
+
+        monkeypatch.setattr(LMat, "__hash__", counted_lmat)
+        doc = table_to_json(table)
+        assert not lmat_hashes
+        text = dumps(doc)
         assert len(calls) <= len(table.reps) == 192
         assert text.count("|") == 9817 + 2 * len(table.mu_pos)
+
+    def test_oracle_route_hashes_no_pair(self, monkeypatch):
+        """Regular D4: rho, pi and the comparison are stored, solved and
+        compared by position, so oracle_check hashes group elements at
+        most twice per representative."""
+        from wgraphs.coxeter import Element
+
+        module = trivial_module(load_system(str(ROOT / "perfbench/systems/d4.json")), frozenset())
+        calls = []
+        real = Element.__hash__
+
+        def counted(self):
+            calls.append(1)
+            return real(self)
+
+        monkeypatch.setattr(Element, "__hash__", counted)
+        report = oracle_check(frozenset(), module)
+        assert report.summary().endswith("ok [9817 checks]")
+        assert len(calls) <= 2 * 192
 
 
 class TestInduce:
@@ -339,10 +392,10 @@ class TestIntertwiningDefect:
         """(name, x of the changed block, table) for a changed, a deleted and an
         added p-block, the last at x not below z, and a changed mu-block."""
         reps = table.reps
-        _, classes, _ = table._arrays()
+        classes, _ = table._arrays()
         bits = table.system.bruhat_ideals(reps, table.gens, table.ambient)
         # keys by position, (x, z) and (x, z, s)
-        off = sorted((k for k, _ in table.p_items() if k[0] != k[1]), key=lambda k: (k[1], k[0]))
+        off = sorted((k for k, _ in table.pos_items() if k[0] != k[1]), key=lambda k: (k[1], k[0]))
         one = LMat.identity(table.module.rank)
         stray = (len(reps) - 1, 1)  # the longest representative is below no other
         assert not bits[1] >> len(reps) - 1 & 1
@@ -354,9 +407,9 @@ class TestIntertwiningDefect:
         for name, key in [("changed", changed), ("deleted", deleted), ("added", stray),
                           ("mu", mu_key)]:
             copy = PMuTable(table.system, table.gens, table.ambient, table.module, reps,
-                            [list(col) for col in table.p_cols], dict(table.mu_pos))
+                            [list(col) for col in table.cols], dict(table.mu_pos))
             if name == "changed":
-                put_p(copy, key, copy.p_cols[key[1]][key[0]] + one.scale(v(1)))
+                put_p(copy, key, copy.cols[key[1]][key[0]] + one.scale(v(1)))
             elif name == "deleted":
                 put_p(copy, key, None)
             elif name == "added":
@@ -406,7 +459,7 @@ class TestIntertwiningDefect:
 
         module, table = self._clean(*self.CASES[0])
         s = min(table.ambient)
-        _, classes, shifted = table._arrays()
+        classes, shifted = table._arrays()
         assert classes[s][0].tag == "plus"
         real = hy.induce
 
@@ -894,10 +947,8 @@ class TestSparseStorage:
         report, products, sums = run(lambda: check_rho(rho))
         assert report.ok and products == 0 and sums <= len(rho.entries)
         bits = system.bruhat_ideals(rho.reps)
-        index = {x: i for i, x in enumerate(rho.reps)}
-        pi, products, sums = run(lambda: canonicalise_shadow(
-            rho.reps, lambda x, z: bool(bits[index[z]] >> index[x] & 1), rho.at, 1))
-        assert pi == table.p and products == 0 and sums <= len(pi)
+        pi, products, sums = run(lambda: canonicalise_shadow(rho.reps, bits, rho.cols, 1))
+        assert pi == table.cols and products == 0 and sums <= len(table.p)
 
     def test_equal_unit_blocks_are_shared(self):
         a4 = CoxeterSystem(A4)
@@ -964,7 +1015,7 @@ class TestIndexKernel:
         yield "p_mu_table"
         # a table built without the recursion builds its arrays on first use
         fresh = PMuTable(system, table.gens, table.ambient, module, table.reps,
-                         table.p_cols, table.mu_pos)
+                         table.cols, table.mu_pos)
         assert fresh.check_invariants().ok
         yield "check_invariants"
         rho = rho_table(j, module)
@@ -983,7 +1034,7 @@ class TestIndexKernel:
             assert not any(counts.values()), (step, counts)
         table = p_mu_table(j, module)
         assert len(table.p) > 3 * len(table.reps) * system.rank  # many pairs to query
-        zeros = sum(c.tag == "zero" for row in table._arrays()[1].values() for c in row)
+        zeros = sum(c.tag == "zero" for row in table._arrays()[0].values() for c in row)
         assert (zeros == 0) == (not j)
 
     @pytest.mark.parametrize("name,j,make", [("b3", frozenset(), trivial_module),
