@@ -17,9 +17,10 @@ ideals of the element table, each built on its element's first query.
 
 Coset queries read a table of the minimal coset representatives D_J
 inside W_K, built the same way over the generators of K and memoised per
-(J, K); Deodhar's zero class s*x = x*t is read from the root images, so
-parabolic induction never enumerates W.  The table of J = {} and K = S is
-the element table itself.
+(J, K); Deodhar's zero class s*x = x*t is read from the root images.
+Every coset question is a walk through these tables (Deodhar classes,
+factorisations, double cosets) and forms no product.  The table of
+J = {} and K = S is the element table itself.
 
 Generator indices are 0-based internally.  A Coxeter matrix entry of 0
 encodes an infinite bond order.
@@ -550,7 +551,8 @@ class CoxeterSystem:
         word = tuple(word)
         for s in word:
             self._check_generator(s)
-        return Element(self._product((), word), self)
+        table, ident = self._walk((), word)
+        return Element(table.words[ident], self)
 
     def _check_generator(self, s: int) -> None:
         if not isinstance(s, int) or not 0 <= s < self.rank:
@@ -579,43 +581,33 @@ class CoxeterSystem:
         table = self._cache[key] = _ElementTable(self, radius, J, K)
         return table
 
-    def _walk(
-        self, start: Word, letters: Sequence[int], left: bool = False
-    ) -> Tuple[_ElementTable, int]:
+    def _walk(self, start: Word, letters: Sequence[int]) -> Tuple[_ElementTable, int]:
         """The table and the id of start*letters, for a canonical word start.
 
-        With ``left`` each letter multiplies on the left in turn, which gives
-        letters[::-1]*start.  A step out of the ball at length c with k
-        letters left regrows it to radius c + min(k, max(1, c)): at most
-        doubling, so a word that cancels does not build the ball its letter
-        count would reach.  Ids follow (length, word), so they survive
-        regrowth.
+        A step out of the ball at length c with k letters left regrows it to
+        radius c + min(k, max(1, c)): at most doubling, so a word that
+        cancels does not build the ball its letter count would reach.  Ids
+        follow (length, word), so they survive regrowth.
         """
         table = self._cache.get("table")
         ident = None if table is None else table.index.get(start)
         if ident is None:
             table = self._table(len(start))
             ident = table.index[start]
-        rows = table.lmult if left else table.rmult
         for done, s in enumerate(letters):
-            step = rows[s][ident]
+            step = table.rmult[s][ident]
             if step is None:
                 c, k = len(table.words[ident]), len(letters) - done
                 table = self._table(c + min(k, max(1, c)))
-                rows = table.lmult if left else table.rmult
-                step = rows[s][ident]
+                step = table.rmult[s][ident]
             ident = step
         return table, ident
-
-    def _product(self, start: Word, letters: Sequence[int], left: bool = False) -> Word:
-        """Canonical word of start*letters (of letters[::-1]*start with ``left``)."""
-        table, ident = self._walk(start, letters, left)
-        return table.words[ident]
 
     def mult(self, x: Element, y: Element) -> Element:
         self._check_same(x.system)
         self._check_same(y.system)
-        return Element(self._product(x.word, y.word), self)
+        table, ident = self._walk(x.word, y.word)
+        return Element(table.words[ident], self)
 
     def inverse(self, x: Element) -> Element:
         self._check_same(x.system)
@@ -730,14 +722,20 @@ class CoxeterSystem:
 
         Read from the table of D_J, grown to the ball that holds s*w.
         """
-        J = self._subset(J)
         self._check_generator(s)
+        table, i = self._position(self._subset(J), w, len(w.word) + 1)
+        return table.deodhar(s, i)
+
+    def _position(self, J: FrozenSet[int], w: Element,
+                  radius: int) -> Tuple[_ElementTable, int]:
+        """The table of D_J at this radius and w's position in it; ValueError
+        if w is not in D_J."""
         self._check_same(w.system)
-        table = self._table(len(w.word) + 1, J)
+        table = self._table(radius, J)
         i = table.index.get(w.word)
         if i is None:
             raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
-        return table.deodhar(s, i)
+        return table, i
 
     def position_arrays(self, J: Iterable[int], gens: Iterable[int],
                         reps: Sequence[Element]) -> tuple:
@@ -767,39 +765,49 @@ class CoxeterSystem:
             shifted[s] = [None if j is None or j >= n else j for j in table.lmult[s][:n]]
         return classes, shifted
 
-    def conjugate_generator(self, s: int, d: Element) -> Optional[int]:
-        """The index t with d^-1 s d = t, if that conjugate is a generator."""
-        self._check_generator(s)
-        t_elt = self.mult(self.mult(self.inverse(d), self.generator(s)), d)
-        if t_elt.length == 1:
-            return t_elt.word[0]
-        return None
-
     def double_coset_reps(
         self,
         K: Iterable[int],
         J: Iterable[int],
         max_length: Optional[int] = None,
     ) -> List[Element]:
-        """Minimal-length representatives of the W_K x W_J double cosets."""
+        """Minimal-length representatives of the W_K x W_J double cosets.
+
+        These are the x in the table of D_J on which no s in K is a minus
+        class, in (length, word) order.
+        """
         K = self._subset(K)
-        J = self._subset(J)
-        return [
-            x
-            for x in self.elements(max_length)
-            if not (self.right_descents(x) & J) and not (self.left_descents(x) & K)
-        ]
+        table = self._table(max_length, self._subset(J))
+        return [Element(w, self) for i, w in enumerate(table.words)
+                if (max_length is None or len(w) <= max_length)
+                and not any(table.deodhar(s, i) is _MINUS for s in K)]
 
     def factorize(self, J: Iterable[int], K: Iterable[int], w: Element) -> Tuple[Element, Element]:
         """Split w in D_J as x*y with x in D_K and y in D_J^K = D_J inside W_K.
 
-        Requires J <= K; the splitting is unique and length-additive.
+        Requires J <= K; the splitting is unique and length-additive.  w's
+        canonical word is read from its end, in the table of D_K: a letter s
+        of plus class on x lengthens x, and one of zero class, s*x = x*t,
+        lengthens y by t in the table of D_J^K, where t must be a plus class
+        on y, else w is not in D_J.  (A reduced word has no minus class.)
         """
         J = self._subset(J)
         K = self._subset(K)
         if not J <= K:
             raise ValueError("factorize requires J to be contained in K")
-        return self._peel(J, K, w, left=False)
+        self._check_same(w.system)
+        radius = len(w.word) + 1
+        outer, inner = self._table(radius, K), self._table(radius, J, K)
+        x = y = 0
+        for s in reversed(w.word):
+            cls = outer.deodhar(s, x)
+            if cls is _PLUS:
+                x = outer.lmult[s][x]
+            elif inner.deodhar(cls.conj, y) is _PLUS:
+                y = inner.lmult[cls.conj][y]
+            else:
+                raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
+        return Element(outer.words[x], self), Element(inner.words[y], self)
 
     def double_coset_decompose(
         self, K: Iterable[int], J: Iterable[int], x: Element
@@ -808,33 +816,19 @@ class CoxeterSystem:
 
         Then w lies in W_K, is a minimal coset representative for the
         conjugated subset K n aJa^-1 inside W_K, and l(wa) = l(w) + l(a).
+        The least minus class in K is stripped from x in the table of D_J
+        until none is left; the left descents in K of w*a are those of w,
+        so the stripped letters are w's canonical word.
         """
-        return self._peel(self._subset(J), self._subset(K), x, left=True)
-
-    def _peel(
-        self, J: FrozenSet[int], K: FrozenSet[int], w: Element, left: bool
-    ) -> Tuple[Element, Element]:
-        """Strip the least left (or right) descent in K from w until none is
-        left; return (stripped part, rest) for left, (rest, stripped part)
-        for right, so that the product of the pair is w."""
-        self._check_same(w.system)
-        if self.right_descents(w) & J:
-            raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
-        rest = w
+        K = sorted(self._subset(K))
+        table, i = self._position(self._subset(J), x, len(x.word) + 1)
         letters: List[int] = []
         while True:
-            descents = (self.left_descents(rest) if left else self.right_descents(rest)) & K
-            if not descents:
-                break
-            s = min(descents)
-            step = self.generator(s)
-            rest = self.mult(step, rest) if left else self.mult(rest, step)
+            s = next((s for s in K if table.deodhar(s, i) is _MINUS), None)
+            if s is None:
+                return Element(tuple(letters), self), Element(table.words[i], self)
             letters.append(s)
-        peeled = self.element(tuple(letters if left else reversed(letters)))
-        head, tail = (peeled, rest) if left else (rest, peeled)
-        if head.length + tail.length != w.length or self.mult(head, tail) != w:
-            raise AssertionError("coset factorization failed; this is a bug")
-        return head, tail
+            i = table.lmult[s][i]
 
     def __repr__(self) -> str:
         return f"CoxeterSystem(matrix={self.matrix!r}, weights={self.weights!r})"

@@ -468,14 +468,12 @@ def transitivity_check(
     seen = set()
     for w in table_ks.reps:
         for z in table_jk.reps:
-            wz = system.mult(w, z)
-            pos = table_js.index.get(wz)
-            if pos is None or wz.length != w.length + z.length:
+            pos = _plus_walk(table_js, w.word + z.word)
+            if pos is None:
                 report.fail(f"({w},{z}) does not map to a representative length-additively")
                 continue
             seen.add(pos)
-            for b in range(r):
-                perm.append(pos * r + b)
+            perm.extend(pos * r + b for b in range(r))
     report.require(
         len(seen) == len(table_js.reps), "reindexing (w,z) -> wz is not a bijection"
     )
@@ -486,6 +484,19 @@ def transitivity_check(
         report, nested, direct, perm, ambient, "{} differs between nested and direct induction"
     )
     return report
+
+
+def _plus_walk(table: PMuTable, word: Sequence[int]) -> Optional[int]:
+    """The position in ``table`` of the element with this word, if each
+    letter, read from the word's end, is a plus class: then the word is
+    reduced and the element lies in D_J.  Otherwise None."""
+    classes, shifted = table._arrays()
+    pos: Optional[int] = 0
+    for s in reversed(word):
+        if pos is None or classes[s][pos].tag != DEODHAR_PLUS:
+            return None
+        pos = shifted[s][pos]
+    return pos
 
 
 def _compare_action(
@@ -540,21 +551,23 @@ def mackey_check(
     reps = table.reps
     dcoset_reps = system.double_coset_reps(K, J)
 
-    # double-coset part of every representative
-    part: Dict[Element, Element] = {}
+    # double-coset part of every representative, by position in dcoset_reps
+    at = {d: i for i, d in enumerate(dcoset_reps)}
+    part: List[Optional[int]] = []
     for x in reps:
-        w, a = system.double_coset_decompose(K, J, x)
-        part[x] = a
-        if a not in dcoset_reps:
+        _, a = system.double_coset_decompose(K, J, x)
+        part.append(at.get(a))
+        if a not in at:
             report.fail(f"decomposition of {x} gave a non-minimal part {a}")
     if not report.ok:
         return report
 
-    for d in dcoset_reps:
+    below = system.bruhat_ideals(dcoset_reps, J)
+    for di, d in enumerate(dcoset_reps):
         members = {
             i * r + b
-            for i, x in enumerate(reps)
-            if system.bruhat_leq(part[x], d)
+            for i, a in enumerate(part)
+            if below[di] >> a & 1
             for b in range(r)
         }
         for s in sorted(K):
@@ -577,9 +590,8 @@ def mackey_check(
         compare = induce(conj.gens, conj, inner_table)
         slice_idx: List[int] = []
         for w in inner_table.reps:
-            wd = system.mult(w, d)
-            pos = table.index.get(wd)
-            if pos is None or part.get(wd) != d:
+            pos = _plus_walk(table, w.word + d.word)
+            if pos is None or part[pos] != di:
                 report.fail(f"{w}*{d} is not a representative with part exactly d")
                 continue
             slice_idx.extend(pos * r + b for b in range(r))

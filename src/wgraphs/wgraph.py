@@ -134,28 +134,21 @@ class OmegaModule:
     def conjugate(self, d: Element, K: Iterable[int]) -> "OmegaModule":
         """The module over the subset K n dJd^-1, with s acting as d^-1 s d did.
 
-        ``d`` must conjugate each relevant generator of K into J.
+        ``d`` must lie in D_J; s in K is kept when s*d = d*t for a t in J,
+        the zero class of :meth:`~wgraphs.coxeter.CoxeterSystem.deodhar_class`.
         """
-        K = self.system._subset(K)
-        new_gens = []
+        system = self.system
         relabel = {}
-        for s in K:
-            t = self.system.conjugate_generator(s, d)
-            if t is not None and t in self.gens:
-                new_gens.append(s)
-                relabel[s] = t
-        e = {}
-        x = {}
-        for s in new_gens:
-            t = relabel[s]
-            if self.system.weight(s) != self.system.weight(t):
-                raise ValueError("conjugate generators carry different weights")
-            e[s] = self.e_mat(t)
-            for g in range(self.system.weight(t)):
-                mat = self.x.get((t, g))
-                if mat is not None:
-                    x[(s, g)] = mat
-        return OmegaModule(self.system, new_gens, self.rank, e, x)
+        for s in system._subset(K):
+            cls = system.deodhar_class(self.gens, s, d)
+            if cls.tag == DEODHAR_ZERO:
+                if system.weight(s) != system.weight(cls.conj):
+                    raise ValueError("conjugate generators carry different weights")
+                relabel[s] = cls.conj
+        e = {s: self.e_mat(t) for s, t in relabel.items()}
+        x = {(s, g): self.x[(t, g)] for s, t in relabel.items()
+             for g in range(system.weight(t)) if (t, g) in self.x}
+        return OmegaModule(system, relabel, self.rank, e, x)
 
     def restrict(self, J: Iterable[int]) -> "OmegaModule":
         """Forget the generators outside J; the result is a module for J."""

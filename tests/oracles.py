@@ -3,20 +3,24 @@
 Everything here is deliberately computed WITHOUT the package's recursion
 machinery: concrete matrix/permutation models for the small groups, Tits
 rewriting for the word problem, a brute-force subword test for the Bruhat
-order, the bar involution expanded in the T-basis over the whole group
-(the reference for the one-letter recursion of ``wgraphs.canon.rho_table``),
-the composition identity of the involution's blocks summed as Laurent
-matrices pair by pair (the reference for ``wgraphs.canon.check_rho``),
+order, coset splittings by stripping descents through products (the
+reference for the coset-table walks of ``CoxeterSystem.factorize`` and
+``double_coset_decompose``), the bar involution expanded in the T-basis
+over the whole group (the reference for the one-letter recursion of
+``wgraphs.canon.rho_table``), the composition identity of the
+involution's blocks summed as Laurent matrices pair by pair (the
+reference for ``wgraphs.canon.check_rho``),
 the four-case p/mu recurrence evaluated one (x, z, s) triple at a time
 (the reference for the intertwining defect that
 ``wgraphs.hy.PMuTable.check_invariants`` reads its recurrence verdicts from),
 the textbook two-step Kazhdan-Lusztig recursion (R-polynomials, then
-P-polynomials, in the variable q), and a span-closure construction of
-cells.
+P-polynomials, in the variable q), a span-closure construction of
+cells, and the Robinson-Schensted symbols of type A.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Tuple
@@ -205,6 +209,35 @@ def bruhat_leq_subword(system, x, z) -> bool:
     return False
 
 
+# -- coset splittings by descent stripping -----------------------------------------
+
+
+def peel(system, J, K, w, left: bool) -> tuple:
+    """Strip the least left (or right) descent in K from w in D_J until none
+    is left, multiplying in W; return (stripped part, rest) for left and
+    (rest, stripped part) for right, so that the product of the pair is w.
+
+    Right peeling is ``factorize(J, K, w)`` for J <= K, left peeling is
+    ``double_coset_decompose(K, J, w)``.  ValueError if w is not in D_J.
+    """
+    if system.right_descents(w) & J:
+        raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
+    rest = w
+    letters = []
+    while True:
+        descents = (system.left_descents(rest) if left else system.right_descents(rest)) & K
+        if not descents:
+            break
+        s = min(descents)
+        step = system.generator(s)
+        rest = system.mult(step, rest) if left else system.mult(rest, step)
+        letters.append(s)
+    peeled = system.element(tuple(letters if left else reversed(letters)))
+    head, tail = (peeled, rest) if left else (rest, peeled)
+    assert head.length + tail.length == w.length and system.mult(head, tail) == w
+    return head, tail
+
+
 # -- the bar involution by T-basis expansion over W ---------------------------------
 
 
@@ -273,7 +306,7 @@ def rho_expanded(J, module, ambient=None, max_length=None, memo=None) -> dict:
         blocks: dict = {}
         for w, coeff in iota_expand(z, expansions).items():
             if w not in splits:
-                splits[w] = system.factorize(frozenset(), J, w)
+                splits[w] = peel(system, frozenset(), J, w, left=False)
             x, u = splits[w]
             if u not in hecke:
                 hecke[u] = hecke_matrix(module, u)
@@ -509,6 +542,40 @@ def closure_cells(module) -> List[frozenset]:
         blocks.append(frozenset(block))
         seen |= block
     return sorted(blocks, key=min)
+
+
+# -- Robinson-Schensted symbols --------------------------------------------------------
+
+
+def rs_symbols(perm) -> tuple:
+    """(P, Q): the insertion and recording tableaux of the one-line word ``perm``."""
+    P: List[list] = []
+    Q: List[list] = []
+    for k, a in enumerate(perm):
+        row = 0
+        while row < len(P) and a < P[row][-1]:  # bump the least entry above a
+            j = bisect.bisect(P[row], a)
+            a, P[row][j] = P[row][j], a
+            row += 1
+        if row == len(P):
+            P.append([])
+            Q.append([])
+        P[row].append(a)
+        Q[row].append(k)
+    return tuple(map(tuple, P)), tuple(map(tuple, Q))
+
+
+def rs_classes(elements, symbol: int) -> List[frozenset]:
+    """The positions of elements of type A_n with equal P- (symbol 0) or
+    Q-symbol (symbol 1), sorted by least position.  Generator i acts as the
+    transposition (i, i+1) on the right of the one-line form."""
+    classes: Dict[tuple, set] = {}
+    for v, x in enumerate(elements):
+        perm = list(range(x.system.rank + 1))
+        for i in x.word:
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        classes.setdefault(rs_symbols(perm)[symbol], set()).add(v)
+    return sorted(map(frozenset, classes.values()), key=min)
 
 
 # -- entrywise Laurent matrices ------------------------------------------------------

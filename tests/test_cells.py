@@ -12,7 +12,7 @@ from wgraphs.cells import (
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.wgraph import OmegaModule, sign_module
 
-from oracles import closure_cells, sparse
+from oracles import closure_cells, rs_classes, sparse
 
 
 def coxeter_matrix(rank, bonds):
@@ -39,6 +39,16 @@ class TestKnownCellCounts:
     def test_left_cell_count(self, rank, bonds, count):
         graph = kl_graph(CoxeterSystem(coxeter_matrix(rank, bonds)))[0]
         assert len(cell_partition(graph).blocks) == count
+
+    @pytest.mark.parametrize("rank,count", [(3, 10), (4, 26)], ids=["a3", "a4"])
+    def test_type_a_cells_are_q_symbol_classes(self, rank, count):
+        """Left cells are the classes of equal Robinson-Schensted Q-symbol,
+        not of equal P-symbol (generator i acting on the right)."""
+        bonds = {(s, s + 1): 3 for s in range(rank - 1)}
+        graph, elements = kl_graph(CoxeterSystem(coxeter_matrix(rank, bonds)))
+        blocks = list(cell_partition(graph).blocks)
+        assert len(blocks) == count
+        assert blocks == rs_classes(elements, 1) != rs_classes(elements, 0)
 
 
 class TestCellPartition:

@@ -11,7 +11,14 @@ from wgraphs.coxeter import (
 )
 from wgraphs.formats import load_system
 
-from oracles import bruhat_leq_subword, enumerate_model, eval_word, model_for, normalize_word
+from oracles import (
+    bruhat_leq_subword,
+    enumerate_model,
+    eval_word,
+    model_for,
+    normalize_word,
+    peel,
+)
 
 _ROOT = Path(__file__).resolve().parent.parent
 SYSTEM_FILES = sorted(
@@ -277,6 +284,23 @@ class TestBallGrowth:
         for s in range(8):
             system.deodhar_class((), s, w)
         assert _radius(system) == 9
+
+    def test_e8_coset_splits_grow_the_ball_by_one_length(self):
+        # factorize and double_coset_decompose read the tables of radius
+        # l(w) + 1, never the whole of D_K or D_J (all of E8 for K = {})
+        system = CoxeterSystem(_e8_matrix())
+        w, e = system.element((0, 2, 3, 1, 4)), system.identity
+        head, tail = system.element((0, 2, 3)), system.element((1, 4))
+        assert system.factorize((), (), w) == (w, e)
+        assert system.factorize((), range(8), w) == (e, w)
+        assert system.factorize((), (1, 4), w) == (head, tail)
+        assert system.double_coset_decompose((), (), w) == (e, w)
+        assert system.double_coset_decompose((0, 2, 3), (), w) == (head, tail)
+        with pytest.raises(ValueError, match="not a minimal coset representative"):
+            system.factorize((1,), (1, 4), w)
+        tables = [t for key, t in system._cache.items() if key == "table" or key[0] == "table"]
+        assert tables and all(t.max_length <= 6 for t in tables)
+        assert max(len(t.words) for t in tables) < 10 ** 4
 
     def test_deodhar_on_the_ball_edge(self):
         small, large = CoxeterSystem(AFFINE_A2), CoxeterSystem(AFFINE_A2)
@@ -686,6 +710,59 @@ class TestDoubleCosets:
             assert a3.mult(w, a) == x
             assert w.length + a.length == x.length
             assert set(w.word) <= K
+
+    @pytest.fixture(params=["a2", "a3", "b2", "b2_unequal", "b3", "i2_5", "affine_a1"])
+    def ball(self, request, systems):
+        """(system, max_length): a finite system whole, affine A1 up to length 4."""
+        if request.param == "affine_a1":
+            return load_system(str(_ROOT / "systems/affine_a1.json")), 4
+        return systems[request.param], None
+
+    @staticmethod
+    def _subsets(system):
+        return [frozenset(J) for size in range(system.rank + 1)
+                for J in itertools.combinations(range(system.rank), size)]
+
+    @staticmethod
+    def _filtered(elements, J=frozenset(), K=None, left=frozenset()):
+        """The elements inside W_K with no right descent in J and no left one in ``left``."""
+        return [x for x in elements if (K is None or set(x.word) <= K)
+                and not x.right_descents() & J and not x.left_descents() & left]
+
+    def test_factorize_against_references(self, ball):
+        """factorize equals right descent peeling and the one length-additive
+        split x*y found among all pairs, for every J <= K."""
+        system, radius = ball
+        elements = system.elements(radius)
+        for K in self._subsets(system):
+            d_k = self._filtered(elements, J=K)
+            for J in self._subsets(system):
+                if not J <= K:
+                    continue
+                d_jk = self._filtered(elements, J, K)
+                pairs = {system.mult(x, y): (x, y) for x in d_k for y in d_jk
+                         if radius is None or x.length + y.length <= radius}
+                for w in system.min_coset_reps(J, max_length=radius):
+                    got = system.factorize(J, K, w)
+                    assert got == peel(system, J, K, w, left=False) == pairs[w]
+                    assert got[0].length + got[1].length == w.length
+
+    def test_double_cosets_against_references(self, ball):
+        """double_coset_reps equals the descent filter over the elements, and
+        double_coset_decompose equals left descent peeling and the split
+        u*a with u in W_K and a a double coset representative."""
+        system, radius = ball
+        elements = system.elements(radius)
+        for K in self._subsets(system):
+            w_k = self._filtered(elements, K=K)
+            for J in self._subsets(system):
+                reps = system.double_coset_reps(K, J, max_length=radius)
+                assert reps == self._filtered(elements, J, left=K)
+                splits = {system.mult(u, a): (u, a) for a in reps for u in w_k
+                          if radius is None or u.length + a.length <= radius}
+                for x in system.min_coset_reps(J, max_length=radius):
+                    got = system.double_coset_decompose(K, J, x)
+                    assert got == peel(system, J, K, x, left=True) == splits[x]
 
     def test_factorize_rejects_bad_input(self, systems):
         a2 = systems["a2"]

@@ -904,6 +904,35 @@ class TestClassicalComparison:
         assert winners and all(name.startswith("v^(lz-lx)") for name in winners)
 
 
+class TestParabolicOrdinary:
+    """Deodhar's relations between the parabolic tables of the sign and the
+    trivial module and the ordinary table (of the regular module), for every
+    proper nonempty J, with w_J the longest element of W_J."""
+
+    @pytest.mark.parametrize("name", ["a3", "b2", "b2_unequal", "b3", "i2_5"])
+    def test_relations(self, systems, name):
+        system = systems[name]
+        ordinary = p_mu_table(frozenset(), trivial_module(system, frozenset())).p
+        zero = LMat.zeros(1)
+        for size in range(1, system.rank):
+            for J in map(frozenset, itertools.combinations(range(system.rank), size)):
+                w_j = system.parabolic_elements(J)
+                sign = p_mu_table(J, sign_module(system, J)).p
+                trivial = p_mu_table(J, trivial_module(system, J)).p
+                reps = system.min_coset_reps(J)
+                for x, z in itertools.product(reps, reps):
+                    # sign: p^J_{x,z} = p_{x w_J, z w_J}
+                    longest = (system.mult(x, w_j[-1]), system.mult(z, w_j[-1]))
+                    assert sign.get((x, z), zero) == ordinary.get(longest, zero)
+                    # trivial: p^J_{x,z} = sum over y in W_J of v^L(y) p_{xy,z}
+                    total = zero
+                    for y in w_j:
+                        term = ordinary.get((system.mult(x, y), z))
+                        if term is not None:
+                            total = total + term.scale(v(sum(map(system.weight, y.word))))
+                    assert trivial.get((x, z), zero) == total
+
+
 A4 = ((1, 3, 2, 2), (3, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1))
 
 
@@ -1063,6 +1092,34 @@ class TestNoWholeGroup:
         assert validate(induce(J, module, table)).ok
         report = oracle_check(J, module)
         assert report.ok and report.checks == 1463
+        assert "table" not in system._cache
+
+    @staticmethod
+    def _e6():
+        matrix = [[1 if s == t else 2 for t in range(6)] for s in range(6)]
+        for s, t in [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]:  # Bourbaki
+            matrix[s][t] = matrix[t][s] = 3
+        return CoxeterSystem(matrix)
+
+    def test_e6_coset_checks(self):
+        """E6 has 51,840 elements; Mackey from D5 = {1..5} to {2..6} and the
+        flag {1..5} < S split cosets in coset tables only."""
+        system = self._e6()
+        J, S = frozenset(range(5)), system.generator_set
+        module = sign_module(system, J)
+        report = mackey_check(J, frozenset(range(1, 6)), module)
+        assert str(report) == "Mackey filtration for K=[2, 3, 4, 5, 6]: ok [60 checks]"
+        mu = mu_inductive([J, S], module)
+        assert len(mu) == 37 and mu == p_mu_table(J, module).mu
+        assert "table" not in system._cache
+
+    def test_e6_transitivity(self):
+        """Induction from A4 = {1..4} through D5 = {1..5} to E6 reindexes by
+        walks in the coset table of {1..4}, so no ball of E6 is grown."""
+        system = self._e6()
+        J = frozenset(range(4))
+        report = transitivity_check(J, frozenset(range(5)), sign_module(system, J))
+        assert str(report) == "transitivity through K=[1, 2, 3, 4, 5]: ok [13 checks]"
         assert "table" not in system._cache
 
 

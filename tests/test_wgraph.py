@@ -205,6 +205,12 @@ class TestConjugateRestrict:
         conj = sign_module(a2, {0}).conjugate(d, {1})
         assert conj == sign_module(a2, {1})
 
+    def test_rejects_d_outside_d_j(self, systems):
+        """t = d^-1 s d is read from Deodhar's zero class, which needs d in D_J."""
+        a2 = systems["a2"]
+        with pytest.raises(ValueError, match="not a minimal coset representative"):
+            sign_module(a2, {0}).conjugate(a2.element((1, 0)), {1})
+
     def test_restrict_kl_graph(self, systems):
         module, _ = kl_module(systems["a2"])
         restricted = module.restrict({0})
