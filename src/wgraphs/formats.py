@@ -6,9 +6,10 @@ trailing newline), so identical inputs produce identical files.
 sort_keys=True)`` gives, in one pass over the document with the stdlib's C
 string escaper (the stdlib falls back to its pure-Python encoder whenever
 an indent is given), and joins a container that recurs at the same depth
-into one string on its second use.  :func:`table_to_json` hands equal
-p-blocks one shared value, so a table with few distinct blocks is built
-and written once per block.  Schema errors raise :class:`SchemaError`
+into one string on its second use.  :func:`table_to_json` hands each
+p-block object one shared value, so a table from
+:func:`~wgraphs.hy.p_mu_table`, which interns its blocks, is built and
+written once per distinct block.  Schema errors raise :class:`SchemaError`
 with the JSON path of the offending value; syntax errors keep the
 line/column information of the decoder.
 
@@ -360,19 +361,21 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 
 def table_to_json(table) -> dict:
     """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`, read
-    by position.  Equal p-blocks share one :func:`lmat_to_json` value, which
-    :func:`dumps` renders once; the document is read-only by convention.
-    Blocks are matched by their (exponent, rows) items, plain tuples."""
+    by position.  Each p-block object gets one :func:`lmat_to_json` value,
+    which :func:`dumps` renders once; the document is read-only by
+    convention.  Blocks are matched by identity, since
+    :func:`~wgraphs.hy.p_mu_table` interns them: equal blocks are one
+    object there, and distinct objects only cost repeated values here,
+    never different bytes."""
     names = [str(x) for x in table.reps]
     out = _mu_json(table.gens, (((names[xi], names[zi], s), mat)
                                 for (xi, zi, s), mat in table.mu_pos.items()))
-    shared: Dict[tuple, list] = {}
+    shared: Dict[int, list] = {}
     p_part = {}
     for (xi, zi), mat in table.pos_items():
-        key = tuple(mat.blocks.items())
-        value = shared.get(key)
+        value = shared.get(id(mat))
         if value is None:
-            value = shared[key] = lmat_to_json(mat)
+            value = shared[id(mat)] = lmat_to_json(mat)
         p_part[f"{names[xi]}|{names[zi]}"] = value
     out["p"] = p_part
     return out

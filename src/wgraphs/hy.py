@@ -31,7 +31,9 @@ recursion's own columns in the :class:`~wgraphs.wgraph.BlockTable` that
 the oracle of :mod:`wgraphs.canon` fills too, keyed by position like every
 consumer here; group elements key only the read-only views ``p`` and
 ``mu`` and name entries in messages and files.  The recursion never
-enumerates W.
+enumerates W.  It interns every value it stores, so equal blocks are one
+object, and memoises the closed forms of the p-step by the ids of their
+inputs; both dicts live for one call only.
 
 :func:`induce` assembles the induced module from a finished table;
 :func:`transitivity_check`, :func:`mackey_check` and
@@ -175,6 +177,12 @@ def p_mu_table(
     containing J (default: the whole group).  ``descent_choice`` picks the
     left descent used in the p-step ("min" or "max"); the result is
     independent of the choice, which is exercised by tests.
+
+    Equal stored values are one object (hash-consing), and the plus,
+    zero and minus closed forms of the p-step are memoised by the ids of
+    their inputs.  The ids are safe keys because every keyed object is
+    held by the table or the intern dict until the call returns; both
+    dicts are local to the call, so no object or id outlives it.
     """
     system = module.system
     J = system._subset(J)
@@ -200,6 +208,14 @@ def p_mu_table(
     cols, mu_pos = table.cols, table.mu_pos
     mu_lists: list = []
     low_p: list = []
+    # shared: the one object of each stored value; memo: p-steps by input ids
+    shared: Dict[frozenset, LMat] = {}
+    memo: Dict[tuple, LMat] = {}
+
+    def share(value: LMat) -> LMat:
+        return shared.setdefault(frozenset(value.blocks.items()), value)
+
+    share(identity)
 
     for zi, z in enumerate(reps):
         below_z = [y for y in range(zi + 1) if bits[zi] >> y & 1]
@@ -217,8 +233,8 @@ def p_mu_table(
         t = descents[0] if descent_choice == "min" else descents[-1]
         tz = shifted[t][zi]
         p_tz, row_t, up_t = cols[tz], classes[t], shifted[t]
-        minus_vt = LaurentPoly.v(system.weight(t), -1)
-        vt_inv = LaurentPoly.v(-system.weight(t))
+        lt = system.weight(t)
+        minus_vt, vt_inv = LaurentPoly.v(lt, -1), LaurentPoly.v(-lt)
         mu_tz = mu_lists[tz].get(t, ())
         # tz < z and x < z, so by the lifting property tx <= z and x <= tz
         # when tx > x (plus and zero classes), and tx <= tz when tx < x
@@ -226,17 +242,26 @@ def p_mu_table(
         for x in reversed(below_z[:-1]):
             cx = row_t[x]
             if cx.tag == DEODHAR_PLUS:
-                value = pz[up_t[x]].scale(minus_vt)
-            else:
-                if cx.tag == DEODHAR_ZERO:
+                key = (cx.tag, lt, id(pz[up_t[x]]))
+            elif cx.tag == DEODHAR_ZERO:
+                key = (cx.tag, cx.conj, id(p_tz[x]))
+            elif bits[tz] >> x & 1:
+                key = (cx.tag, lt, id(p_tz[up_t[x]]), id(p_tz[x]))
+            else:  # p(x, tz) = 0
+                key = None
+            value = memo.get(key) if key else p_tz[up_t[x]]
+            if value is None:  # the closed form, once per key
+                if cx.tag == DEODHAR_PLUS:
+                    value = pz[up_t[x]].scale(minus_vt)
+                elif cx.tag == DEODHAR_ZERO:
                     value = c_mats[cx.conj] @ p_tz[x]
-                elif bits[tz] >> x & 1:
-                    value = p_tz[up_t[x]] - p_tz[x].scale(vt_inv)
                 else:
-                    value = p_tz[up_t[x]]
+                    value = p_tz[up_t[x]] - p_tz[x].scale(vt_inv)
+                value = memo[key] = share(value)
+            if cx.tag != DEODHAR_PLUS:
                 terms = [(cols[y][x], mu_y) for y, mu_y in mu_tz if bits[y] >> x & 1]
                 if terms:
-                    value = value - _dot(shape, terms)
+                    value = share(value - _dot(shape, terms))
             pz[x] = value
         low_p.append(min([min(pz[x].blocks) for x in below_z[:-1] if pz[x].blocks],
                          default=maxsize))
@@ -270,7 +295,8 @@ def p_mu_table(
                 if not low:
                     continue
                 # the bar-symmetric matrix with alpha's blocks, all at exponents <= 0
-                value = LMat.from_coeffs(shape, {**low, **{-g: b for g, b in low.items() if g}})
+                value = share(LMat.from_coeffs(
+                    shape, {**low, **{-g: b for g, b in low.items() if g}}))
                 if any(not (-ls < g < ls) for g in value.exponents()):
                     raise RecursionInvariantError(
                         f"mu({reps[x]},{z},s={s+1}) has exponents outside (-{ls},{ls})"

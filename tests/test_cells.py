@@ -40,7 +40,7 @@ class TestKnownCellCounts:
         graph = kl_graph(CoxeterSystem(coxeter_matrix(rank, bonds)))[0]
         assert len(cell_partition(graph).blocks) == count
 
-    @pytest.mark.parametrize("rank,count", [(3, 10), (4, 26)], ids=["a3", "a4"])
+    @pytest.mark.parametrize("rank,count", [(3, 10), (4, 26), (5, 76)], ids=["a3", "a4", "a5"])
     def test_type_a_cells_are_q_symbol_classes(self, rank, count):
         """Left cells are the classes of equal Robinson-Schensted Q-symbol,
         not of equal P-symbol (generator i acting on the right)."""
@@ -49,6 +49,50 @@ class TestKnownCellCounts:
         blocks = list(cell_partition(graph).blocks)
         assert len(blocks) == count
         assert blocks == rs_classes(elements, 1) != rs_classes(elements, 0)
+
+
+def b_involutions(n):
+    """The number of involutions of W(B_n), the signed permutations of n
+    letters: a(n) = 2 a(n-1) + 2 (n-1) a(n-2), a(0) = 1, a(1) = 2 (n fixes
+    itself with either sign, or pairs with one of the n-1 others in two ways)."""
+    counts = [1, 2]
+    for k in range(2, n + 1):
+        counts.append(2 * counts[-1] + 2 * (k - 1) * counts[-2])
+    return counts[n]
+
+
+class TestAsymptoticCellCounts:
+    """B_n with weight b on the generator at the 4-bond end and 1 on the rest.
+
+    For b > n - 1, the asymptotic case, every left cell module of the
+    regular W-graph is irreducible (Bonnafe and Iancu, Left cells in type
+    B_n with unequal parameters, Represent. Theory 7, 2003).  Each
+    irreducible character chi occurs chi(1) times in the regular module,
+    so the number of left cells is the sum of chi(1) over the
+    irreducibles.  Every irreducible representation of a finite Coxeter
+    group can be realised over R (Frobenius-Schur indicator +1), so by
+    Frobenius-Schur that sum is the number of involutions.  Other weights
+    give other counts.
+    """
+
+    @staticmethod
+    def left_cells(weights):
+        n = len(weights)
+        bonds = {(0, 1): 4, **{(s, s + 1): 3 for s in range(1, n - 1)}}
+        system = CoxeterSystem(coxeter_matrix(n, bonds), weights)
+        return len(cell_partition(kl_graph(system)[0]).blocks)
+
+    @pytest.mark.parametrize("weights", [(2, 1), (3, 1), (3, 1, 1), (4, 1, 1, 1)],
+                             ids=["b2_21", "b2_31", "b3_311", "b4_4111"])
+    def test_asymptotic_counts_are_involutions(self, weights):
+        assert self.left_cells(weights) == b_involutions(len(weights))
+
+    @pytest.mark.parametrize("weights,count", [((2, 1, 1), 16), ((3, 1, 1, 1), 68),
+                                               ((1, 1, 1, 1), 50)],
+                             ids=["b3_211", "b4_3111", "b4_equal"])
+    def test_other_weights_differ(self, weights, count):
+        assert count != b_involutions(len(weights))
+        assert self.left_cells(weights) == count
 
 
 class TestCellPartition:

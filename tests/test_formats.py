@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from wgraphs.cells import cell_partition, kl_graph
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import SchemaError
 from wgraphs.hy import induce, mu_inductive, p_mu_table
+from wgraphs.matrix import LMat
 from wgraphs.wgraph import sign_module, to_wgraph, trivial_module
 
 _ROOT = Path(__file__).resolve().parent.parent
@@ -173,6 +175,19 @@ class TestTableFormat:
         p_part = formats.table_to_json(table)["p"]
         assert p_part == {f"{x}|{z}": formats.lmat_to_json(mat) for (x, z), mat in table.p.items()}
         assert len({id(value) for value in p_part.values()}) == len(set(table.p.values()))
+
+    def test_bytes_do_not_depend_on_interning(self):
+        """The writer shares values by block identity; a copy of regular D4's
+        table with every p-block a fresh object writes the same bytes."""
+        d4 = CoxeterSystem(((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)))
+        table = p_mu_table(frozenset(), trivial_module(d4, frozenset()))
+        copy = dataclasses.replace(table, cols=[
+            [None if mat is None else LMat._new(mat.shape, dict(mat.blocks)) for mat in col]
+            for col in table.cols])
+        assert len({id(mat) for _, mat in copy.pos_items()}) == len(copy.p) == 9817
+        assert len({id(mat) for _, mat in table.pos_items()}) == 60
+        assert (formats.dumps(formats.table_to_json(copy))
+                == formats.dumps(formats.table_to_json(table)))
 
     def test_mu_only_payload(self, systems):
         from wgraphs.hy import mu_inductive, p_mu_table as direct_table

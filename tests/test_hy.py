@@ -998,6 +998,38 @@ class TestSparseStorage:
         assert (induced.rank, len(mats), stored, nonzero) == (120, 8, 664, 664)
 
 
+class TestInterning:
+    """``p_mu_table`` interns the values it stores, within one call: one
+    object per distinct p- or mu-value, and no state kept between calls."""
+
+    @staticmethod
+    def case(systems, name):
+        if name == "a4":
+            return frozenset(), trivial_module(CoxeterSystem(A4), frozenset())
+        if name == "b3_211":
+            b3 = CoxeterSystem(((1, 4, 2), (4, 1, 3), (2, 3, 1)), (2, 1, 1))
+            return frozenset(), trivial_module(b3, frozenset())
+        # the regular W_{1,2}-graph of A3, a module of rank 6
+        a3, inner = systems["a3"], frozenset({0, 1})
+        trivial = trivial_module(a3, frozenset())
+        module = induce(frozenset(), trivial, p_mu_table(frozenset(), trivial, ambient=inner))
+        assert (module.gens, module.rank) == (inner, 6)
+        return inner, module
+
+    @pytest.mark.parametrize("name", ["a4", "b3_211", "a3_over_regular_a2"])
+    def test_one_object_per_value(self, systems, name):
+        J, module = self.case(systems, name)
+        table = p_mu_table(J, module)
+        def values(table):
+            return [mat for _, mat in table.pos_items()] + list(table.mu_pos.values())
+
+        ids = {id(mat) for mat in values(table)}
+        assert len(ids) == len(set(values(table))) < len(values(table))
+        assert table == p_mu_table(J, module, descent_choice="max")
+        again = p_mu_table(J, module)  # equal, and built from no object of the first call
+        assert again == table and not ids & {id(mat) for mat in values(again)}
+
+
 class TestIndexKernel:
     """Both triangular routes run on representative positions, read from the
     coset table: no product, descent or Bruhat query reaches the Coxeter
