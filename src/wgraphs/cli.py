@@ -78,6 +78,15 @@ def _print_report(report: Report) -> int:
     return 0 if report.ok else 1
 
 
+def _emit(payload, out: Optional[str]) -> None:
+    """Write the JSON text of ``payload`` to the file ``out``, or to stdout."""
+    if out:
+        with open(out, "w", encoding="utf-8") as handle:
+            formats.dump(payload, handle)
+    else:
+        formats.dump(payload, sys.stdout)
+
+
 def cmd_table(args) -> int:
     system = formats.load_system(args.system)
     J = parse_gens(system, args.J, "-J")
@@ -94,11 +103,7 @@ def cmd_table(args) -> int:
     else:
         table = hy.p_mu_table(J, module, max_length=args.max_length)
         payload = formats.table_to_json(table)
-    text = formats.dumps(payload)
-    if args.out:
-        formats.save_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(payload, args.out)
     return 0
 
 
@@ -108,12 +113,10 @@ def cmd_induce(args) -> int:
     module = resolve_module(system, args.module, J)
     table = hy.p_mu_table(J, module)
     graph = wgraph.to_wgraph(hy.induce(J, module, table), _vertex_names(table, module))
-    if args.out:
-        formats.save_text(args.out, formats.dumps(formats.wgraph_to_json(graph)))
+    if args.out or not args.dot:
+        _emit(formats.wgraph_to_json(graph), args.out)
     if args.dot:
         formats.save_text(args.dot, formats.wgraph_to_dot(graph))
-    if not args.out and not args.dot:
-        sys.stdout.write(formats.dumps(formats.wgraph_to_json(graph)))
     return 0
 
 
@@ -129,12 +132,7 @@ def cmd_cells(args) -> int:
         module = hy.induce(J, inner, table)
         names = _vertex_names(table, inner)
     partition = cells.cell_partition(module)
-    payload = formats.cells_to_json(partition, names)
-    text = formats.dumps(payload)
-    if args.out:
-        formats.save_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _emit(formats.cells_to_json(partition, names), args.out)
     if args.dot:
         formats.save_text(args.dot, formats.cells_to_dot(partition, names, module))
     return 0

@@ -6,8 +6,11 @@ trailing newline), so identical inputs produce identical files.
 sort_keys=True)`` gives, in one pass over the document with the stdlib's C
 string escaper (the stdlib falls back to its pure-Python encoder whenever
 an indent is given), and joins a container that recurs at the same depth
-into one string on its second use.  :func:`table_to_json` hands each
-p-block object one shared value, so a table from
+into one string on its second use; a dict value already joined is
+appended without a call.  :func:`dump` writes the same pieces to an open
+file without joining the document into one string.
+:func:`table_to_json` walks the table's columns and hands each p-block
+object one shared value, so a table from
 :func:`~wgraphs.hy.p_mu_table`, which interns its blocks, is built and
 written once per distinct block.  Schema errors raise :class:`SchemaError`
 with the JSON path of the offending value; syntax errors keep the
@@ -65,20 +68,33 @@ def dumps(obj) -> str:
     Takes str-keyed dicts, lists, tuples, str, int, bool and None; any other
     value (a float included) or key raises :class:`TypeError`.  A container
     reached twice at the same depth, such as a p-block shared by
-    :func:`table_to_json`, is rendered once.
+    :func:`table_to_json`, is rendered once.  Dict keys are sorted as
+    strings, not as (key, value) pairs.  :func:`dump` writes the same
+    pieces without joining them.
     """
+    return "".join(_pieces(obj))
+
+
+def dump(obj, handle) -> None:
+    """Write the text of :func:`dumps` to the text file ``handle``, piece by
+    piece, without joining the document into one string."""
+    handle.writelines(_pieces(obj))
+
+
+def _pieces(obj) -> List[str]:
     parts: List[str] = []
     _write(obj, "\n", parts, {})
     parts.append("\n")
-    return "".join(parts)
+    return parts
 
 
 def _write(value, newline: str, parts: List[str], seen: dict) -> None:
     """Append the pieces of ``value`` at the indent ``newline`` to ``parts``.
 
-    ``seen`` maps (id, indent) of each container written so far to the
-    span of ``parts`` that holds its text, or, once it is written a second
-    time, to that text joined into one string.
+    ``seen[newline]`` maps the id of each container written so far at that
+    indent to the span of ``parts`` that holds its text, or, once it is
+    written a second time, to that text joined into one string; a dict
+    value whose text is joined is appended without a call.
     """
     kind = type(value)
     if kind is str:
@@ -91,11 +107,13 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
         if not value:
             parts.append("{}" if kind is dict else "[]")
             return
-        key = (id(value), newline)
-        done = seen.get(key)
+        here = seen.get(newline)
+        if here is None:
+            here = seen[newline] = {}
+        done = here.get(id(value))
         if done is not None:
             if type(done) is tuple:  # the second use: join the span of the first
-                done = seen[key] = "".join(parts[done[0]:done[1]])
+                done = here[id(value)] = "".join(parts[done[0]:done[1]])
             parts.append(done)
             return
         start = len(parts)
@@ -103,9 +121,17 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
         lead = ("{" if kind is dict else "[") + inner
         separator = "," + inner
         if kind is dict:
-            for name, item in sorted(value.items()):  # a key that is no str raises here
-                parts.append(lead + _encode_str(name) + ": ")
-                _write(item, inner, parts, seen)
+            below = seen.get(inner)
+            if below is None:
+                below = seen[inner] = {}
+            for name in sorted(value):
+                item = value[name]
+                parts.append(lead + _encode_str(name) + ": ")  # a key that is no str raises here
+                done = below.get(id(item))
+                if type(done) is str:
+                    parts.append(done)
+                else:
+                    _write(item, inner, parts, seen)
                 lead = separator
             parts.append(newline + "}")
         else:
@@ -114,7 +140,7 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
                 _write(item, inner, parts, seen)
                 lead = separator
             parts.append(newline + "]")
-        seen[key] = (start, len(parts))
+        here[id(value)] = (start, len(parts))
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
@@ -361,7 +387,8 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 
 def table_to_json(table) -> dict:
     """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`, read
-    by position.  Each p-block object gets one :func:`lmat_to_json` value,
+    by position from its columns, z up and x down, each key built from the
+    names of x and z.  Each p-block object gets one :func:`lmat_to_json` value,
     which :func:`dumps` renders once; the document is read-only by
     convention.  Blocks are matched by identity, since
     :func:`~wgraphs.hy.p_mu_table` interns them: equal blocks are one
@@ -372,11 +399,15 @@ def table_to_json(table) -> dict:
                                 for (xi, zi, s), mat in table.mu_pos.items()))
     shared: Dict[int, list] = {}
     p_part = {}
-    for (xi, zi), mat in table.pos_items():
-        value = shared.get(id(mat))
-        if value is None:
-            value = shared[id(mat)] = lmat_to_json(mat)
-        p_part[f"{names[xi]}|{names[zi]}"] = value
+    for zi, col in enumerate(table.cols):  # z up, then x down
+        tail = "|" + names[zi]
+        for xi in range(len(col) - 1, -1, -1):
+            mat = col[xi]
+            if mat is not None:
+                value = shared.get(id(mat))
+                if value is None:
+                    value = shared[id(mat)] = lmat_to_json(mat)
+                p_part[names[xi] + tail] = value
     out["p"] = p_part
     return out
 

@@ -32,8 +32,9 @@ the oracle of :mod:`wgraphs.canon` fills too, keyed by position like every
 consumer here; group elements key only the read-only views ``p`` and
 ``mu`` and name entries in messages and files.  The recursion never
 enumerates W.  It interns every value it stores, so equal blocks are one
-object, and memoises the closed forms of the p-step by the ids of their
-inputs; both dicts live for one call only.
+object with one serial number, and memoises three steps by the serials of
+their inputs: the closed forms of the p-step, the p-step's term sums and
+the mu-step.  Its dicts live for one call only.
 
 :func:`induce` assembles the induced module from a finished table;
 :func:`transitivity_check`, :func:`mackey_check` and
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from itertools import chain
 from sys import maxsize
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -178,11 +180,24 @@ def p_mu_table(
     left descent used in the p-step ("min" or "max"); the result is
     independent of the choice, which is exercised by tests.
 
-    Equal stored values are one object (hash-consing), and the plus,
-    zero and minus closed forms of the p-step are memoised by the ids of
-    their inputs.  The ids are safe keys because every keyed object is
-    held by the table or the intern dict until the call returns; both
-    dicts are local to the call, so no object or id outlives it.
+    Equal stored values are one object (hash-consing), numbered in the
+    order they are first seen.  Three steps are memoised by those serial
+    numbers, so each distinct computation runs once:
+
+    * the plus, zero and minus closed forms of the p-step, by the Deodhar
+      tag, L(t) or the conjugate generator, and the p-blocks they read;
+    * the p-step's ``base - sum p(x, y) mu(y, tz, t)``, by the base and
+      both factors of every term;
+    * the mu-step, by the conjugate generator of s on x (None for a minus
+      class) and on z, L(s), p(x, z) and both factors of every window
+      term; a step that gives no mu caches the zero matrix.
+
+    A serial is looked up by ``id``, which is safe because every numbered
+    object is held by the intern dict until the call returns, so no id is
+    reused while the dicts live.  Serials are small ints shared by every
+    key that holds them, where a fresh ``id`` int per key would cost 32
+    bytes each.  All the dicts are local to the call, so no object,
+    id or serial outlives it.
     """
     system = module.system
     J = system._subset(J)
@@ -204,16 +219,27 @@ def p_mu_table(
     # the table's own storage: cols[z][x] = p(x, z) for x <= z, else None;
     # mu_lists[z][s] = [(y, mu(y, z, s))] over the nonzero blocks only, so the
     # sums over x <= y < z skip every y whose mu-block is zero; low_p[y] = the
-    # least exponent of p(x, y) over x < y (maxsize if there is none)
+    # least exponent of p(x, y) over x < y (maxsize if there is none), found
+    # for a y only once y gets a mu-block
     cols, mu_pos = table.cols, table.mu_pos
     mu_lists: list = []
-    low_p: list = []
-    # shared: the one object of each stored value; memo: p-steps by input ids
-    shared: Dict[frozenset, LMat] = {}
-    memo: Dict[tuple, LMat] = {}
+    low_p: Dict[int, int] = {}
+    # shared: the one object of each stored value, keyed by its blocks in
+    # exponent order as one flat tuple (g, block, g, block, ...), under a
+    # third of the memory of a frozenset of items; num: its serial number,
+    # by id; forms, sums and mus: the p-step's closed forms, its term sums
+    # and the mu-step, by the serials of their inputs (zero for no mu)
+    shared: Dict[tuple, LMat] = {}
+    num: Dict[int, int] = {}
+    forms: Dict[tuple, LMat] = {}
+    sums: Dict[tuple, LMat] = {}
+    mus: Dict[tuple, LMat] = {}
 
     def share(value: LMat) -> LMat:
-        return shared.setdefault(frozenset(value.blocks.items()), value)
+        key = tuple(chain.from_iterable(sorted(value.blocks.items())))
+        value = shared.setdefault(key, value)
+        num.setdefault(id(value), len(num))
+        return value
 
     share(identity)
 
@@ -225,7 +251,6 @@ def p_mu_table(
         mu_z: Dict[int, list] = {}
         mu_lists.append(mu_z)
         if len(below_z) == 1:
-            low_p.append(maxsize)
             continue
         # the left descents of z are its minus-classes; the least one is the
         # first letter of z's canonical word
@@ -242,14 +267,14 @@ def p_mu_table(
         for x in reversed(below_z[:-1]):
             cx = row_t[x]
             if cx.tag == DEODHAR_PLUS:
-                key = (cx.tag, lt, id(pz[up_t[x]]))
+                key = (cx.tag, lt, num[id(pz[up_t[x]])])
             elif cx.tag == DEODHAR_ZERO:
-                key = (cx.tag, cx.conj, id(p_tz[x]))
+                key = (cx.tag, cx.conj, num[id(p_tz[x])])
             elif bits[tz] >> x & 1:
-                key = (cx.tag, lt, id(p_tz[up_t[x]]), id(p_tz[x]))
+                key = (cx.tag, lt, num[id(p_tz[up_t[x]])], num[id(p_tz[x])])
             else:  # p(x, tz) = 0
                 key = None
-            value = memo.get(key) if key else p_tz[up_t[x]]
+            value = forms.get(key) if key else p_tz[up_t[x]]
             if value is None:  # the closed form, once per key
                 if cx.tag == DEODHAR_PLUS:
                     value = pz[up_t[x]].scale(minus_vt)
@@ -257,14 +282,21 @@ def p_mu_table(
                     value = c_mats[cx.conj] @ p_tz[x]
                 else:
                     value = p_tz[up_t[x]] - p_tz[x].scale(vt_inv)
-                value = memo[key] = share(value)
+                value = forms[key] = share(value)
             if cx.tag != DEODHAR_PLUS:
-                terms = [(cols[y][x], mu_y) for y, mu_y in mu_tz if bits[y] >> x & 1]
-                if terms:
-                    value = share(value - _dot(shape, terms))
+                # the key is built alone, since most keys hit and need no terms
+                key = [num[id(value)]]
+                for y, mu_y in mu_tz:
+                    if bits[y] >> x & 1:
+                        key += num[id(cols[y][x])], num[id(mu_y)]
+                if len(key) > 1:  # minus the terms, once per key
+                    key = tuple(key)
+                    total = sums.get(key)
+                    if total is None:
+                        terms = [(cols[y][x], mu_y) for y, mu_y in mu_tz if bits[y] >> x & 1]
+                        total = sums[key] = share(value - _dot(shape, terms))
+                    value = total
             pz[x] = value
-        low_p.append(min([min(pz[x].blocks) for x in below_z[:-1] if pz[x].blocks],
-                         default=maxsize))
 
         # mu-step: x ascending or descending does not matter for p, but the
         # recursion needs mu(y, z, s) for y above x first, so keep descending.
@@ -272,38 +304,55 @@ def p_mu_table(
         # alpha starts as -R, built by subtraction rather than negated.  A
         # term p(x, y) mu(y, z, s) reaches exponent 0 only if low_p[y] plus
         # the least exponent of mu(y, z, s) is <= 0; window[s] lists those.
+        # The value depends only on the classes (conj is None for a minus
+        # class), L(s), p(x, z) and the window's terms, which key mus.
         window: Dict[int, list] = {}
         steps = [(s, row, row[zi], system.weight(s), LaurentPoly.v(-system.weight(s), -1))
                  for s, row in classes.items() if row[zi].tag != DEODHAR_MINUS]
         for x in reversed(below_z[:-1]):
             pxz = pz[x]
+            pxz_num = num[id(pxz)]
             for s, row, cz, ls, minus_vs_inv in steps:
                 cx = row[x]
                 if cx.tag == DEODHAR_PLUS:
                     continue
-                if cx.tag == DEODHAR_ZERO:
-                    alpha = _dot(shape, [(c_mats[cx.conj], pxz)], 0)
-                else:  # -v_s^-1 p(x, z) reaches exponent 0 only from p's blocks g <= L(s)
-                    kept = {g: b for g, b in pxz.blocks.items() if g <= ls}
-                    alpha = LMat._new(shape, kept).scale(minus_vs_inv) if kept else zero
-                terms = [(cols[y][x], mu_y) for y, mu_y in window.get(s, ()) if bits[y] >> x & 1]
-                if cz.tag == DEODHAR_ZERO:
-                    terms.append((pxz, c_mats[cz.conj]))
-                if terms:
-                    alpha = alpha - _dot(shape, terms, 0)
-                low = alpha.blocks
-                if not low:
+                key = [cx.conj, ls, cz.conj, pxz_num]
+                for y, mu_y in window.get(s, ()):
+                    if bits[y] >> x & 1:
+                        key += num[id(cols[y][x])], num[id(mu_y)]
+                key = tuple(key)
+                value = mus.get(key)
+                if value is None:  # the step, once per key
+                    if cx.tag == DEODHAR_ZERO:
+                        alpha = _dot(shape, [(c_mats[cx.conj], pxz)], 0)
+                    else:  # -v_s^-1 p(x, z) reaches exponent 0 only from p's blocks g <= L(s)
+                        kept = {g: b for g, b in pxz.blocks.items() if g <= ls}
+                        alpha = LMat._new(shape, kept).scale(minus_vs_inv) if kept else zero
+                    terms = [(cols[y][x], mu_y) for y, mu_y in window.get(s, ())
+                             if bits[y] >> x & 1]
+                    if cz.tag == DEODHAR_ZERO:
+                        terms.append((pxz, c_mats[cz.conj]))
+                    if terms:
+                        alpha = alpha - _dot(shape, terms, 0)
+                    low = alpha.blocks
+                    value = zero
+                    if low:  # the bar-symmetric matrix with alpha's blocks, all at exponents <= 0
+                        value = share(LMat.from_coeffs(
+                            shape, {**low, **{-g: b for g, b in low.items() if g}}))
+                        if any(not (-ls < g < ls) for g in value.exponents()):
+                            raise RecursionInvariantError(
+                                f"mu({reps[x]},{z},s={s+1}) has exponents outside (-{ls},{ls})"
+                            )
+                    mus[key] = value
+                if not value.blocks:
                     continue
-                # the bar-symmetric matrix with alpha's blocks, all at exponents <= 0
-                value = share(LMat.from_coeffs(
-                    shape, {**low, **{-g: b for g, b in low.items() if g}}))
-                if any(not (-ls < g < ls) for g in value.exponents()):
-                    raise RecursionInvariantError(
-                        f"mu({reps[x]},{z},s={s+1}) has exponents outside (-{ls},{ls})"
-                    )
                 mu_pos[(x, zi, s)] = value
                 mu_z.setdefault(s, []).append((x, value))
-                if low_p[x] + min(value.blocks) <= 0:
+                low = low_p.get(x)
+                if low is None:
+                    low = low_p[x] = min([min(p.blocks) for p in cols[x][:-1]
+                                          if p is not None and p.blocks], default=maxsize)
+                if low + min(value.blocks) <= 0:
                     window.setdefault(s, []).append((x, value))
     return table
 

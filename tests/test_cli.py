@@ -54,6 +54,22 @@ class TestTable:
             run(["table", "--system", a2_path, "--flag", "1", "--jobs", "2"])
         assert "--jobs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["table", "--module", "regular"],
+                                         ["induce", "--module", "regular"],
+                                         ["cells"]])
+    def test_out_file_is_stdout_text(self, tmp_path, capsys, monkeypatch, system_dir, command):
+        """``--out`` writes the pieces of the document without joining them,
+        the same bytes that stdout gets."""
+        from wgraphs import formats
+
+        b3 = str(system_dir / "b3.json")
+        assert run(command + ["--system", b3]) == 0
+        text = capsys.readouterr().out
+        monkeypatch.setattr(formats, "dumps", None)  # --out must not join the document
+        out = tmp_path / "out.json"
+        assert run(command + ["--system", b3, "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == text and json.loads(text)
+
     def test_stdout_default(self, capsys, a2_path):
         assert run(["table", "--system", a2_path, "--module", "regular"]) == 0
         data = json.loads(capsys.readouterr().out)

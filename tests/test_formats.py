@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 from pathlib import Path
 
@@ -45,6 +46,9 @@ class TestWriter:
         doc = {"tree": tree, "twice": [shared, shared], "deeper": {"once": [shared]}}
         assert formats.dumps(doc) == stdlib_dumps(doc)
         assert formats.dumps(tree) == stdlib_dumps(tree)
+        handle = io.StringIO()
+        formats.dump(doc, handle)
+        assert handle.getvalue() == stdlib_dumps(doc)
 
     @given(_trees, st.integers(3, 6))
     def test_many_uses_and_nested_sharing(self, tree, times):

@@ -1195,3 +1195,94 @@ class TestMuWindow:
         table = p_mu_table(frozenset(), trivial_module(a4, frozenset()))
         assert len(table.mu) == 184
         assert windows and not any(windows)  # the p-step's full sums only
+
+
+class TestMemo:
+    """``p_mu_table`` memoises its p-step forms, term sums and mu-steps by
+    the serial numbers of their interned inputs, within one call."""
+
+    def test_work_count_regular_d4(self, monkeypatch):
+        """Regular D4 has 9,817 p-blocks over 60 values: each distinct sum and
+        product is formed once, so few products and matrices are built."""
+        import wgraphs.hy as hy
+
+        counts = {"dot": 0, "new": 0}
+        dot, new = hy._dot, LMat._new.__func__
+
+        def counted_dot(*args):
+            counts["dot"] += 1
+            return dot(*args)
+
+        def counted_new(cls, *args):
+            counts["new"] += 1
+            return new(cls, *args)
+
+        d4 = load_system(str(ROOT / "perfbench/systems/d4.json"))
+        d4.elements()
+        monkeypatch.setattr(hy, "_dot", counted_dot)
+        monkeypatch.setattr(LMat, "_new", classmethod(counted_new))
+        table = p_mu_table(frozenset(), trivial_module(d4, frozenset()))
+        assert (len(table.p), len(table.mu)) == (9817, 372)
+        assert counts["dot"] <= 150 and counts["new"] <= 600, counts
+
+    @staticmethod
+    def case(systems, name):
+        if name == "b3_211":
+            b3 = CoxeterSystem(((1, 4, 2), (4, 1, 3), (2, 3, 1)), (2, 1, 1))
+            return frozenset(), trivial_module(b3, frozenset())
+        if name == "i2_8_13":
+            i2 = load_system(str(ROOT / "perfbench/systems/i2_8_13.json"))
+            return frozenset(), trivial_module(i2, frozenset())
+        if name in ("b4_3111", "b4_2111_J2_trivial"):
+            weights = (3, 1, 1, 1) if name == "b4_3111" else (2, 1, 1, 1)
+            b4 = CoxeterSystem(((1, 4, 2, 2), (4, 1, 3, 2), (2, 3, 1, 3), (2, 2, 3, 1)), weights)
+            J = frozenset() if name == "b4_3111" else frozenset({1})
+            return J, trivial_module(b4, J)
+        if name == "a4_J1_sign":
+            return frozenset({0}), sign_module(CoxeterSystem(A4), frozenset({0}))
+        return TestInterning.case(systems, name)
+
+    @staticmethod
+    def paths(table) -> set:
+        """The keyed inputs of the mu-step that the table exercises: a window
+        term p(x, y) mu(y, z, s) with exponents adding up to <= 0, and a
+        zero class of s on x or on z."""
+        classes, _ = table._arrays()
+        bits = table.system.bruhat_ideals(table.reps, table.gens, table.ambient)
+        found = set()
+        for (yi, zi, s), mu in table.mu_pos.items():
+            for xi, p in enumerate(table.cols[yi][:yi]):
+                if (p is not None and p.blocks and classes[s][xi].tag != "plus"
+                        and min(p.blocks) + min(mu.blocks) <= 0):
+                    found.add("window")
+        for zi in range(len(table.reps)):
+            for s, row in classes.items():
+                for xi in range(zi):
+                    if (bits[zi] >> xi & 1 and row[zi].tag != "minus"
+                            and row[xi].tag != "plus"):
+                        found.update(f"zero {side}" for side, c in (("x", row[xi]), ("z", row[zi]))
+                                     if c.tag == "zero")
+        return found
+
+    CASES = {  # the oracle's check count, and the paths each case exercises
+        "b3_211": (847, {"window"}),
+        "i2_8_13": (129, {"window"}),
+        "b4_3111": (40249, {"window"}),
+        "a4_J1_sign": (1128, {"zero x", "zero z"}),
+        "a3_over_regular_a2": (10, {"zero x", "zero z"}),
+        # window terms and zero classes together; a term-sum key that leaves
+        # out the mu-factors gives a wrong table here
+        "b4_2111_J2_trivial": (11051, {"window", "zero x", "zero z"}),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_memo_paths(self, systems, name):
+        """Each memoised path gives the table of the other descent choice and
+        of the triangular oracle."""
+        checks, paths = self.CASES[name]
+        J, module = self.case(systems, name)
+        table = p_mu_table(J, module)
+        assert self.paths(table) == paths
+        assert table == p_mu_table(J, module, descent_choice="max")
+        report = oracle_check(J, module)
+        assert report.ok and report.checks == checks
