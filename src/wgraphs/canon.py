@@ -16,29 +16,25 @@ by the standard correction recursion: at each step the partial sum
 
 The engine :func:`canonicalise_shadow` is written against a bare poset
 given by position, with the order as bitsets and the blocks as columns;
-:func:`rho_table` / :func:`pi_recursion` instantiate it with Hecke data,
-and :func:`check_rho` and :func:`pi_recursion` read the Bruhat order of
-the representatives from
+:func:`pi_recursion` instantiates it with Hecke data, and it and
+:func:`check_rho` read the Bruhat order of the representatives from
 :meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  Both routes store
 their blocks in one :class:`~wgraphs.wgraph.BlockTable`, by the positions
-of the representatives: rho, pi and the direct recursion's p alike, so the
-oracle stores, solves and compares without hashing a group element, and
-one read-only view keys each table by group elements.  :func:`check_rho`
-verifies that the blocks compose to the identity by Kronecker substitution
-(:func:`~wgraphs.matrix._evaluate`): every block is evaluated once at
-v = 2^B, with B = (N^2 + 1).bit_length() for N the largest row sum of
-absolute coefficients, so that 2^B exceeds every coefficient of the
-defect, and the identity becomes one exact product of integer matrices,
-read block by block.  This path never
-touches the p/mu recursion in :mod:`wgraphs.hy`, which is what makes the
-two usable as cross-checks of each other.
+of the representatives, so the oracle stores, solves and compares without
+hashing a group element.  :func:`check_rho` and the engine decide every
+identity by Kronecker substitution (:func:`~wgraphs.matrix._evaluate`):
+each block is evaluated once at v = 2^B, with B taken from the
+coefficients, so sums of Laurent products become sums of integer
+products.  Neither calls the product kernel of the p/mu recursion in
+:mod:`wgraphs.hy`, which is what makes the two usable as cross-checks of
+each other.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
-from .matrix import LMat, _abs_row_sums, _dot, _evaluate, _mul_into
+from .matrix import LMat, _abs_row_sums, _block, _evaluate, _mul_into
 from .report import Report
 from .wgraph import BlockTable, OmegaModule, hecke_t_column
 
@@ -90,37 +86,37 @@ def rho_table(
     return BlockTable(system, J, ambient, module, tuple(reps), cols)
 
 
+def _stored(ideals: Sequence[int], cols: Sequence[Sequence[Optional[LMat]]]):
+    """The nonzero blocks stored at x <= y, as (x, y, block) by position, and
+    the largest |exponent| among them."""
+    placed = [(xi, yi, mat) for yi, col in enumerate(cols) for xi, mat in enumerate(col)
+              if mat is not None and ideals[yi] >> xi & 1 and mat.blocks]
+    return placed, max((abs(g) for _, _, mat in placed for g in mat.blocks), default=0)
+
+
 def check_rho(rho: BlockTable) -> Report:
     """The composition identity: sum_{x<=y<=z} r_{xy} bar(r_{yz}) = delta_{xz}.
 
     One check per pair x <= z, decided by one product of integers.  R is
     the block matrix of the stored r_{xy} with x <= y, E the largest
     |exponent| in it and N its largest row sum of absolute coefficients.
-    Every block with x <= y is evaluated once at v = 2^B into the rows of
-    the integer matrices of v^E R and v^E bar(R), and block (x, z) of
-    their product is D_{xz}(2^B) 2^(2EB) + delta_{xz} 2^(2EB), where D is
-    the defect R bar(R) - I.  Each coefficient of D is at most N^2 + 1 in
-    absolute value (a coefficient of an entry of R bar(R) is at most the
-    l1-norm of a row of R times the largest l1-norm of an entry of R), and
-    D has exponents >= -2E, so with B = (N^2 + 1).bit_length() the lemma of
-    :func:`~wgraphs.matrix._evaluate` makes block (x, z) equal to
-    delta_{xz} 2^(2EB) exactly when D_{xz} = 0.  B comes from the data, so
-    no width is fixed and nothing can overflow.
+    Each block is evaluated once at v = 2^B into the rows of v^E R and
+    v^E bar(R), and block (x, z) of their product is (D_{xz} +
+    delta_{xz})(2^B) 2^(2EB), D = R bar(R) - I.  D has exponents >= -2E
+    and coefficients at most N^2 + 1, so with B = (N^2 + 1).bit_length()
+    the lemma of :func:`~wgraphs.matrix._evaluate` makes block (x, z)
+    delta_{xz} 2^(2EB) exactly when D_{xz} = 0.
     """
     report = Report("rho composition identity")
     reps = rho.reps
     r = rho.module.rank
     bits = rho.system.bruhat_ideals(reps, rho.gens, rho.ambient)
     size = len(reps) * r
-    placed = []  # (x, y, r_{xy}) by position, x <= y
+    placed, shift = _stored(bits, rho.cols)  # (x, y, r_{xy}) by position, x <= y
     sums = [0] * size  # the rows of R, each summed in absolute value
-    for yi, col in enumerate(rho.cols):
-        for xi, mat in enumerate(col):
-            if mat is not None and bits[yi] >> xi & 1:
-                placed.append((xi, yi, mat))
-                for i, s in enumerate(_abs_row_sums(mat), xi * r):
-                    sums[i] += s
-    shift = max((abs(g) for _, _, mat in placed for g in mat.blocks), default=0)
+    for xi, _, mat in placed:
+        for i, s in enumerate(_abs_row_sums(mat), xi * r):
+            sums[i] += s
     width = (max(sums, default=0) ** 2 + 1).bit_length()
     upper: List[list] = [[] for _ in range(size)]  # v^E R at 2^B
     lower: List[list] = [[] for _ in range(size)]  # v^E bar(R) at 2^B, as v^-E R at 2^-B
@@ -167,45 +163,108 @@ def canonicalise_shadow(
     terms fail to be antisymmetric or the fixed-point equation has a
     nonzero residual (either means ``cols`` does not describe an
     involution); ``items`` only name the pair in its message.
+
+    Every sum alpha_x = sum_{x<y<=z} rho_{xy} bar(pi_{yz}) is a sum of
+    integer products: each rho_{xy} is evaluated once as v^E rho_{xy} at
+    v = 2^B and each new pi_{yz} once as v^E bar(pi_{yz}) (ints for 1x1
+    blocks, integer rows otherwise), so the sum is the value a of
+    v^(2E) alpha_x.  E is the largest |exponent| of rho, and nu(M), the
+    largest row sum of absolute coefficients, bounds every coefficient of
+    M, with nu(MN) <= nu(M) nu(N).  Exactness, with no width fixed:
+    pi_{zz} = 1, and by descending induction over x, alpha_x has exponents
+    <= E, so pi_{xz}, its positive part, has them in 1..E, and
+    nu(pi_{xz}) <= nu(alpha_x) < bound[x] = 1 + sum_{x<y} nu(rho_{xy})
+    bound[y].  B = max_x ((2 + nu(rho_{xx})) bound[x]).bit_length() + 1
+    puts the coefficients of alpha_x below 2^(B-1), so the digits of a at
+    and below v^0 sum to less than 2^(C-1), C = (2E + 1) B, and
+    (a + 2^(C-1)) >> C is v^-1 pi_{xz} at 2^B, whose balanced base-2^B
+    digits are the coefficients of pi_{xz}.  alpha_x is antisymmetric iff
+    alpha_x = pi_{xz} - bar(pi_{xz}), and the residual is zero iff
+    pi_{xz} = alpha_x + rho_{xx} bar(pi_{xz}).  Times v^(2E), each
+    difference has exponents >= 0 and coefficients below
+    (2 + nu(rho_{xx})) bound[x] < 2^B, so by the lemma of
+    :func:`~wgraphs.matrix._evaluate` both checks compare integers.
     """
-    shape = (rank, rank)
+    placed, top = _stored(ideals, cols)
+    above: List[list] = [[] for _ in ideals]  # above[x] = [(y, rho_{xy})], x < y
+    diag: list = [None] * len(ideals)  # rho_{xx}
+    for xi, yi, mat in placed:
+        if xi == yi:
+            diag[xi] = mat
+        else:
+            above[xi].append((yi, mat))
+    bound = [1] * len(ideals)
+    for x in reversed(range(len(ideals))):
+        bound[x] += sum([max(_abs_row_sums(mat)) * bound[y] for y, mat in above[x]])
+    width = 1 + max([((2 + (max(_abs_row_sums(d)) if d else 0)) * b).bit_length()
+                     for d, b in zip(diag, bound)], default=0)
+    unit, shape, cut = rank == 1, (rank, rank), (2 * top + 1) * width
+    half, sign, mask = 1 << cut - 1, 1 << width - 1, (1 << width) - 1
+    one = 1 << top * width  # v^E at 2^B
+
+    def value(mat: LMat):  # v^E mat at 2^B: an int for 1x1 blocks
+        rows = _evaluate(mat, width, top)
+        return (rows[0][0][1] if rows[0] else 0) if unit else rows
+
+    above = [[(y, value(mat)) for y, mat in row] for row in above]
+    diag = [value(mat) if mat else 0 for mat in diag]
+    made: Dict[int, tuple] = {}  # high -> (v^(2E) pi, v^E bar(pi), pi or its {g: c})
+
+    def solve(a: int, x: int, z: int) -> tuple:
+        """``made[high]`` for the value a of v^(2E) alpha_x at 2^B."""
+        high = (a + half) >> cut
+        got = made.get(high)
+        if got is None:
+            coeffs, g, rest = {}, 1, high
+            while rest:  # the balanced base-2^B digits
+                c = ((rest + sign) & mask) - sign
+                rest = (rest - c) >> width
+                if c:
+                    coeffs[g] = c
+                g += 1
+            low = sum([c << (top - g) * width for g, c in coeffs.items()])
+            got = made[high] = (high << cut, low, LMat.from_coeffs(
+                shape, {g: (((0, c),),) for g, c in coeffs.items()}) if unit else coeffs)
+        if a != got[0] - (got[1] << top * width):
+            raise CanonicalisationError(
+                f"correction term at ({items[x]},{items[z]}) is not antisymmetric")
+        return got
+
     identity = LMat.identity(rank)
-    rows: List[Dict[int, LMat]] = [{} for _ in ideals]  # rows[x][y] = rho_{xy} != 0, x <= y
-    for yi, col in enumerate(cols):
-        for xi, mat in enumerate(col):
-            if mat is not None and ideals[yi] >> xi & 1 and not mat.is_zero():
-                rows[xi][yi] = mat
+    unit_bar = one if unit else tuple(((i, one),) for i in range(rank))  # v^E bar(1)
     pi: List[List[Optional[LMat]]] = []
     for zi, below_bits in enumerate(ideals):
-        below = [y for y in range(zi + 1) if below_bits >> y & 1]
-        pz: List[Optional[LMat]] = [None] * (zi + 1)
-        pz[zi] = identity
+        pz: List[Optional[LMat]] = [None] * zi + [identity]
         pi.append(pz)
-        col = {zi: identity}  # col[y] = bar(pi_{yz})
-        alphas = {}  # alphas[x] = sum_{x<y<=z} rho_{xy} bar(pi_{yz})
-        for x in reversed(below):
-            alpha = _dot(shape, [(mat, col[y]) for y, mat in rows[x].items()
-                                 if y != x and below_bits >> y & 1])
-            alphas[x] = alpha
-            if x == zi:
+        bars: dict = {zi: unit_bar}  # bars[y] = v^E bar(pi_{yz}) at 2^B
+        # the x whose fixed-point residual is nonzero, descending; at z, rho_{zz} = 1
+        bad = [zi] if below_bits >> zi & 1 and diag[zi] != unit_bar else []
+        for x in reversed([y for y in range(zi) if below_bits >> y & 1]):
+            if unit:  # a is v^(2E) alpha_x at 2^B, val v^(2E) pi_{xz}
+                a = sum([r * bars[y] for y, r in above[x] if y in bars])
+                val, bars[x], pz[x] = solve(a, x, zi)
+                if a + diag[x] * bars[x] != val:
+                    bad.append(x)
                 continue
-            if not alpha.is_bar_antisymmetric():
-                raise CanonicalisationError(
-                    f"correction term at ({items[x]},{items[zi]}) is not antisymmetric"
-                )
-            _, _, pos = alpha.split()
-            pz[x] = pos
-            col[x] = pos.bar()
-        # fixed-point residual: pi_{xz} = sum_{x<=y<=z} rho_{xy} bar(pi_{yz}),
-        # the alpha of the correction step plus the diagonal term
-        for x in below:
-            total = alphas[x]
-            if x in rows[x]:
-                total = total + _dot(shape, [(rows[x][x], col[x])])
-            if total != pz[x]:
-                raise CanonicalisationError(
-                    f"fixed-point residual nonzero at ({items[x]},{items[zi]})"
-                )
+            acc: Dict[int, dict] = {}
+            for y, r in above[x]:
+                if y in bars:  # bars holds the y <= z processed so far, all above x
+                    _mul_into(acc, r, bars[y])
+            got = {(i, j): solve(a, x, zi) for i, row in acc.items() for j, a in row.items()}
+            val = {i: {j: got[i, j][0] for j in row} for i, row in acc.items()}
+            bars[x] = _block({i: {j: got[i, j][1] for j in row} for i, row in acc.items()}, rank)
+            blocks: Dict[int, dict] = {}  # pi_{xz}, {g: {i: {j: c}}}
+            for (i, j), (_, _, coeffs) in got.items():
+                for g, c in coeffs.items():
+                    blocks.setdefault(g, {}).setdefault(i, {})[j] = c
+            pz[x] = LMat.from_coeffs(shape, {g: _block(rows, rank) for g, rows in blocks.items()})
+            if diag[x]:
+                _mul_into(acc, diag[x], bars[x])
+            if _block(acc, rank) != _block(val, rank):
+                bad.append(x)
+        if bad:
+            raise CanonicalisationError(
+                f"fixed-point residual nonzero at ({items[bad[-1]]},{items[zi]})")
     return pi
 
 

@@ -827,9 +827,11 @@ def oracle_check(
     beyond the position arrays, the block table
     (:class:`~wgraphs.wgraph.BlockTable`) and the action of T_s on the
     induced module (:func:`~wgraphs.wgraph.hecke_t_column`), which
-    :func:`hecke_t_on_induced` uses too.  Both tables are stored by the
-    same positions, so their columns are compared directly: one check per
-    (x, z) stored on either side, in (z, x) order.
+    :func:`hecke_t_on_induced` uses too.  The oracle's composition check
+    and triangular sums are integer products, so they do not go through
+    the Laurent product kernel ``_dot`` of the recursion.  Both tables are
+    stored by the same positions, so their columns are compared directly:
+    one check per (x, z) stored on either side, in (z, x) order.
     """
     from .canon import pi_recursion, rho_table  # local import: keep the paths separate
 

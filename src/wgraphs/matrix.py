@@ -20,18 +20,20 @@ built at the end.  The accumulator is ``{exponent: coefficient}`` for 1x1
 factors and otherwise ``{exponent: {row: {column: value}}}`` over the rows
 some term touches, filled by multiplying stored rows for every pair of
 exponents.  ``a @ b`` is ``_dot`` of one pair; the triangular sums of the
-p/mu recursion and the canonicalisation oracle call it once per sum, not
-once per term.  A private bound ``top`` skips every pair of blocks whose
-exponents add up to more, so the mu-step forms only the exponents <= 0
-it reads.
+p/mu recursion call it once per sum, not once per term.  A private bound
+``top`` skips every pair of blocks whose exponents add up to more, so the
+mu-step forms only the exponents <= 0 it reads.
 
 An identity between Laurent matrices with small coefficients can be
-checked as one product of integers (Kronecker substitution): ``_evaluate``
+checked by products of integers (Kronecker substitution): ``_evaluate``
 gives the integer matrix of ``v^shift mat`` at ``v = 2^bits``, and a
 Laurent matrix whose exponents are >= -shift and whose coefficients are
 below ``2^bits`` in absolute value is zero exactly when that value is.
 ``_abs_row_sums`` gives the row sums of absolute coefficients from which a
-caller bounds the coefficients of a product and so derives ``bits``.
+caller bounds the coefficients of a product and so derives ``bits``.  The
+oracle's composition identity and triangular sums and the braid relations
+of a module are checked this way, with ``_mul_into`` as the integer
+product.
 """
 
 from __future__ import annotations
@@ -122,14 +124,6 @@ def _mul_into(acc: dict, a: IMat, b: IMat) -> None:
             for t, x in arow:
                 for j, y in b[t]:
                     orow[j] = orow.get(j, 0) + x * y
-
-
-def _negated(a: IMat, b) -> bool:
-    """Whether ``b`` is the matrix ``-a`` (False if ``b`` is None)."""
-    return b is not None and all(
-        len(ra) == len(rb) and all(j == k and x == -y for (j, x), (k, y) in zip(ra, rb))
-        for ra, rb in zip(a, b)
-    )
 
 
 def _merge_rows(ra: tuple, rb: tuple, op) -> tuple:
@@ -323,11 +317,6 @@ class LMat:
 
     def is_bar_symmetric(self) -> bool:
         return all(self.blocks.get(-g) == b for g, b in self.blocks.items())
-
-    def is_bar_antisymmetric(self) -> bool:
-        """``self == -self.bar()``, read off the blocks without building either."""
-        blocks = self.blocks
-        return all(_negated(b, blocks.get(-g)) for g, b in blocks.items())
 
     # -- misc --
 

@@ -37,7 +37,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from .coxeter import DEODHAR_MINUS, DEODHAR_ZERO, CoxeterSystem, DeodharClass, Element
 from .laurent import LaurentPoly
-from .matrix import IMat, LMat, _dot, imat, imat_mul, imat_zero
+from .matrix import IMat, LMat, _abs_row_sums, _dot, _evaluate, imat, imat_mul, imat_zero
 from .report import Report
 
 
@@ -375,7 +375,19 @@ def trivial_module(system: CoxeterSystem, gens: Iterable[int]) -> OmegaModule:
 
 
 def validate(module: OmegaModule) -> Report:
-    """Check all defining relations of the module by exact arithmetic."""
+    """Check all defining relations of the module by exact arithmetic.
+
+    The relations among the E_s and X_{s,g} are products of stored rows.
+    A braid relation T_s T_t T_s ... = T_t T_s T_t ... (m = m(s, t) factors
+    a side) is one comparison of two alternating products of the integer
+    matrices of v^L(s) T_s and v^L(t) T_t at v = 2^B.  Both sides carry the
+    same power v^K (the same factors for m even, L(s) = L(t) for m odd), so
+    the values are those of v^K times each side, whose difference has
+    exponents >= 0.  With nu the largest row sum of absolute coefficients
+    of T_s and T_t, each side's coefficients are at most nu^m, so
+    B = (2 nu^m).bit_length() and the lemma of
+    :func:`~wgraphs.matrix._evaluate` make the comparison exact.
+    """
     report = Report(f"module relations (J={sorted(s + 1 for s in module.gens)})")
     gens = sorted(module.gens)
     for s in gens:
@@ -400,11 +412,14 @@ def validate(module: OmegaModule) -> Report:
             m = module.system.order(s, t)
             if m == 0:
                 continue  # infinite bond: no braid relation
-            left = module.iota_t(s)
-            right = module.iota_t(t)
+            nu = max(_abs_row_sums(module.iota_t(s)) + _abs_row_sums(module.iota_t(t)),
+                     default=0)
+            bits = (2 * nu ** m).bit_length()
+            factors = [_evaluate(module.iota_t(u), bits, module.system.weight(u)) for u in (s, t)]
+            left, right = factors
             for j in range(1, m):
-                left = left @ module.iota_t(s if j % 2 == 0 else t)
-                right = right @ module.iota_t(t if j % 2 == 0 else s)
+                left = imat_mul(left, factors[j % 2])
+                right = imat_mul(right, factors[j % 2 == 0])
             report.require(
                 left == right, f"braid relation of length {m} fails for ({s+1},{t+1})"
             )

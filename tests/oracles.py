@@ -9,7 +9,10 @@ reference for the coset-table walks of ``CoxeterSystem.factorize`` and
 over the whole group (the reference for the one-letter recursion of
 ``wgraphs.canon.rho_table``), the composition identity of the
 involution's blocks summed as Laurent matrices pair by pair (the
-reference for ``wgraphs.canon.check_rho``),
+reference for ``wgraphs.canon.check_rho``), the triangular engine and the
+braid relations with Laurent-matrix sums and products (the references for
+the integer products of ``wgraphs.canon.canonicalise_shadow`` and
+``wgraphs.wgraph.validate``),
 the four-case p/mu recurrence evaluated one (x, z, s) triple at a time
 (the reference for the intertwining defect that
 ``wgraphs.hy.PMuTable.check_invariants`` reads its recurrence verdicts from),
@@ -25,6 +28,7 @@ import itertools
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Tuple
 
+from wgraphs.canon import CanonicalisationError
 from wgraphs.coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO
 from wgraphs.laurent import LaurentPoly
 from wgraphs.matrix import LMat, _dot
@@ -343,6 +347,70 @@ def check_rho_entrywise(rho) -> Report:
                 report.require(
                     total == expected, f"composition fails at ({names[xi]},{names[zi]})"
                 )
+    return report
+
+
+def canonicalise_shadow_lmat(items, ideals, cols, rank):
+    """``canon.canonicalise_shadow`` with every interval sum one Laurent-matrix
+    kernel call (``_dot``) and antisymmetry read off the Laurent matrix: the
+    reference for the engine's integer products.  Same columns, same
+    errors in the same order."""
+    shape = (rank, rank)
+    identity = LMat.identity(rank)
+    rows: List[Dict[int, LMat]] = [{} for _ in ideals]  # rows[x][y] = rho_{xy} != 0, x <= y
+    for yi, col in enumerate(cols):
+        for xi, mat in enumerate(col):
+            if mat is not None and ideals[yi] >> xi & 1 and not mat.is_zero():
+                rows[xi][yi] = mat
+    pi = []
+    for zi, below_bits in enumerate(ideals):
+        below = [y for y in range(zi + 1) if below_bits >> y & 1]
+        pz = [None] * (zi + 1)
+        pz[zi] = identity
+        pi.append(pz)
+        col = {zi: identity}  # col[y] = bar(pi_{yz})
+        alphas = {}  # alphas[x] = sum_{x<y<=z} rho_{xy} bar(pi_{yz})
+        for x in reversed(below):
+            alpha = _dot(shape, [(mat, col[y]) for y, mat in rows[x].items()
+                                 if y != x and below_bits >> y & 1])
+            alphas[x] = alpha
+            if x == zi:
+                continue
+            if alpha != -alpha.bar():
+                raise CanonicalisationError(
+                    f"correction term at ({items[x]},{items[zi]}) is not antisymmetric"
+                )
+            _, _, pos = alpha.split()
+            pz[x] = pos
+            col[x] = pos.bar()
+        # fixed-point residual: pi_{xz} = sum_{x<=y<=z} rho_{xy} bar(pi_{yz})
+        for x in below:
+            total = alphas[x]
+            if x in rows[x]:
+                total = total + _dot(shape, [(rows[x][x], col[x])])
+            if total != pz[x]:
+                raise CanonicalisationError(
+                    f"fixed-point residual nonzero at ({items[x]},{items[zi]})"
+                )
+    return pi
+
+
+def braid_relations_lmat(module) -> Report:
+    """The braid relations of an ``OmegaModule`` as chained n x n Laurent-matrix
+    products, one check per pair s < t with a finite bond: the reference for
+    the integer products of ``wgraph.validate``."""
+    report = Report("braid relations")
+    gens = sorted(module.gens)
+    for i, s in enumerate(gens):
+        for t in gens[i + 1:]:
+            m = module.system.order(s, t)
+            if m == 0:
+                continue
+            left, right = module.iota_t(s), module.iota_t(t)
+            for j in range(1, m):
+                left = left @ module.iota_t(s if j % 2 == 0 else t)
+                right = right @ module.iota_t(t if j % 2 == 0 else s)
+            report.require(left == right, f"braid relation of length {m} fails for ({s+1},{t+1})")
     return report
 
 

@@ -18,7 +18,7 @@ from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, _evaluate
 from wgraphs.wgraph import BlockTable, sign_module, trivial_module
 
-from oracles import check_rho_entrywise, iota_expand, rho_expanded
+from oracles import canonicalise_shadow_lmat, check_rho_entrywise, iota_expand, rho_expanded
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -182,7 +182,7 @@ class TestCheckRhoProduct:
 
         for name in ("__matmul__", "__add__", "__sub__", "__neg__", "scale"):
             monkeypatch.setattr(LMat, name, refuse)
-        monkeypatch.setattr(canon, "_dot", refuse)
+        assert not hasattr(canon, "_dot")
         report = check_rho(rho)
         assert report.ok and report.checks == 15
 
@@ -391,6 +391,25 @@ class TestGenericEngine:
         with pytest.raises(CanonicalisationError, match=r"correction term at \(a,b\)"):
             canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
 
+    def test_wide_coefficients(self):
+        """r_ab = 2^100 (v - v^-1): the width comes from the coefficients."""
+        cols = [[LMat.identity(1)],
+                [LMat([[LaurentPoly({1: 2 ** 100, -1: -2 ** 100})]]), LMat.identity(1)]]
+        pi = canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+        assert pi[1][0] == LMat([[LaurentPoly({1: 2 ** 100})]])
+
+    @pytest.mark.parametrize("base", [3, 8, 64])
+    def test_defect_that_vanishes_at_a_fixed_base(self, base):
+        """r_ab = f = 2^(b+1) v - (2^(2b) + 1): alpha = f is not antisymmetric,
+        but its defect f + bar(f) is zero at v = 2^b, so only a width taken
+        from the coefficients tells it from zero."""
+        f = LMat([[LaurentPoly({1: 2 ** (base + 1), 0: -(2 ** (2 * base) + 1)})]])
+        assert _evaluate(f + f.bar(), base, 1) == ((),)
+        cols = [[LMat.identity(1)], [f, LMat.identity(1)]]
+        with pytest.raises(CanonicalisationError,
+                           match=r"correction term at \(a,b\) is not antisymmetric"):
+            canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+
     def test_residual_catches_non_identity_diagonal(self):
         # rho(a, a) = 2 I: no correction term is wrong, only the residual
         # pi(a, a) = rho(a, a) bar(pi(a, a)) can catch it
@@ -398,3 +417,107 @@ class TestGenericEngine:
                 [LMat([[LaurentPoly({1: 1, -1: -1})]]), LMat.identity(1)]]
         with pytest.raises(CanonicalisationError, match="fixed-point residual"):
             canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+
+
+def _engine_outcome(engine, items, ideals, cols, rank):
+    """The columns an engine returns, or the message it raises."""
+    try:
+        return engine(items, ideals, cols, rank)
+    except CanonicalisationError as error:
+        return str(error)
+
+
+_TWO = ["a", "b"], [0b01, 0b11]
+
+
+def _unit(poly):
+    return LMat([[poly]])
+
+
+class TestEngineReference:
+    """The integer engine against ``oracles.canonicalise_shadow_lmat``, the
+    same recursion with Laurent-matrix sums: equal columns, equal errors."""
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-J1-sign", "b2_unequal",
+                                      "a4-induced-rank-12", "affine-a2-ball-6"])
+    def test_equal_columns(self, case):
+        rho = _rho_of(case)
+        bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
+        args = (rho.reps, bits, rho.cols, rho.module.rank)
+        pi = canonicalise_shadow(*args)
+        assert pi == canonicalise_shadow_lmat(*args)
+        assert any(mat is not None and not mat.is_zero()
+                   for col in pi for mat in col[:-1])
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-induced-rank-12"])
+    def test_equal_errors_on_corrupted_blocks(self, case):
+        """Seeded single-entry corruptions of rho, below and on the diagonal:
+        each engine returns the same columns or raises the same message."""
+        rho = _rho_of(case)
+        rng = random.Random(case)
+        bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
+        r = rho.module.rank
+        top = max(abs(g) for mat in rho.entries.values() for g in mat.blocks)
+        below = [key for key in rho.entries if key[0] != key[1]]
+        messages = set()
+        for _ in range(12):
+            x, y = rng.choice(below)
+            table = _bumped(rho, x, y, rng.randrange(r), rng.randrange(r),
+                            rng.randint(-top, top), rng.choice([1, -1, 2 ** 70]))
+            args = (table.reps, bits, table.cols, r)
+            outcome = _engine_outcome(canonicalise_shadow, *args)
+            assert outcome == _engine_outcome(canonicalise_shadow_lmat, *args)
+            messages.add(outcome.split(" at ")[0] if isinstance(outcome, str) else "ok")
+        z = rng.choice(rho.reps)
+        table = _bumped(rho, z, z, rng.randrange(r), rng.randrange(r), 0, 1)
+        args = (table.reps, bits, table.cols, r)
+        outcome = _engine_outcome(canonicalise_shadow, *args)
+        assert outcome == _engine_outcome(canonicalise_shadow_lmat, *args)
+        assert "residual" in outcome and "correction term" in messages
+
+    @pytest.mark.parametrize("cols", [
+        [[LMat.identity(1)], [_unit(LaurentPoly({1: 1, -1: -1})), LMat.identity(1)]],
+        [[LMat.identity(1)], [_unit(v(1)), LMat.identity(1)]],
+        [[LMat.identity(1).scale(2)], [_unit(LaurentPoly({1: 1, -1: -1})), LMat.identity(1)]],
+        [[LMat.identity(1)], [_unit(LaurentPoly({1: 2 ** 100, -1: -2 ** 100})), LMat.identity(1)]],
+        *([[LMat.identity(1)], [_unit(LaurentPoly({1: 2 ** (b + 1), 0: -(2 ** (2 * b) + 1)})),
+                                LMat.identity(1)]] for b in (3, 8, 64)),
+        [[LMat.identity(1)], [None, LMat.identity(1).scale(v(1))]],
+    ], ids=["involution", "not-antisymmetric", "diagonal-2", "wide", "base-3", "base-8",
+            "base-64", "diagonal-v"])
+    def test_two_element_posets(self, cols):
+        items, ideals = _TWO
+        assert _engine_outcome(canonicalise_shadow, items, ideals, cols, 1) == \
+            _engine_outcome(canonicalise_shadow_lmat, items, ideals, cols, 1)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_residual_off_the_diagonal(self, rank):
+        """With a <= a given, a non-identity rho_aa fails at (a, a) before any
+        column above it, so off the diagonal the residual can only fail where
+        the poset omits a <= a: then rho_aa is not read, pi_ab = v is the
+        positive part of alpha_a = v - v^-1, and alpha_a + 0 != pi_ab."""
+        delta = LMat.identity(rank).scale(LaurentPoly({1: 1, -1: -1}))
+        cols = [[LMat.identity(rank)], [delta, LMat.identity(rank)]]
+        for engine in (canonicalise_shadow, canonicalise_shadow_lmat):
+            with pytest.raises(CanonicalisationError,
+                               match=r"fixed-point residual nonzero at \(a,b\)"):
+                engine(["a", "b"], [0b00, 0b11], cols, rank)
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-induced-rank-12"])
+    def test_no_laurent_arithmetic(self, case, monkeypatch):
+        """No Laurent-matrix product, sum or kernel call: ``canon`` has no
+        ``_dot``, and the engine only evaluates blocks and multiplies
+        integers."""
+        import wgraphs.canon as canon
+
+        rho = _rho_of(case)
+        bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
+        expected = canonicalise_shadow_lmat(rho.reps, bits, rho.cols, rho.module.rank)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Laurent-matrix arithmetic in canonicalise_shadow")
+
+        for name in ("__matmul__", "__add__", "__sub__", "__neg__", "scale"):
+            monkeypatch.setattr(LMat, name, refuse)
+        assert not hasattr(canon, "_dot")
+        assert canonicalise_shadow(rho.reps, bits, rho.cols, rho.module.rank) == expected

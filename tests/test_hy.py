@@ -946,9 +946,11 @@ class TestSparseStorage:
 
     def test_sums_of_products_are_fused(self, systems, monkeypatch):
         """Regular B3: each sum of products is one kernel call, so the
-        recursion and the oracle apply no ``@`` and at most one ``+`` or
-        ``-`` per stored pair, not one per term; so does the rho recursion,
-        also with the zero classes of B3 over J = {1}."""
+        recursion applies no ``@`` and at most one ``+`` or ``-`` per stored
+        pair, not one per term; so does the rho recursion, also with the
+        zero classes of B3 over J = {1}.  The oracle's composition check and
+        triangular engine sum integer products and make no Laurent-matrix
+        kernel call at all."""
         from wgraphs.canon import canonicalise_shadow, check_rho, rho_table
 
         calls = dict.fromkeys(("__matmul__", "__add__", "__sub__"), 0)
@@ -974,10 +976,10 @@ class TestSparseStorage:
             assert products == 0 and sums <= len(rho.entries)
         rho = rho_table(frozenset(), module)
         report, products, sums = run(lambda: check_rho(rho))
-        assert report.ok and products == 0 and sums <= len(rho.entries)
+        assert report.ok and products == sums == 0
         bits = system.bruhat_ideals(rho.reps)
         pi, products, sums = run(lambda: canonicalise_shadow(rho.reps, bits, rho.cols, 1))
-        assert pi == table.cols and products == 0 and sums <= len(table.p)
+        assert pi == table.cols and products == sums == 0
 
     def test_equal_unit_blocks_are_shared(self):
         a4 = CoxeterSystem(A4)

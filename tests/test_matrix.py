@@ -349,14 +349,6 @@ class TestDot:
             with pytest.raises(ValueError):
                 _dot((n, m), [*pairs, bad], top)
 
-    @fewer
-    @given(grids())
-    @example(((v(1) - v(-1), v(-1)),))  # the v^-1 row is longer than the v row
-    def test_is_bar_antisymmetric(self, a):
-        x = LMat(a)
-        for y in (x, x - x.bar(), x + x.bar()):
-            assert y.is_bar_antisymmetric() == (y == -y.bar())
-
 
 class TestEvaluate:
     """Kronecker substitution: the integer matrix of v^shift mat at v = 2^bits."""

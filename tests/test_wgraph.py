@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
 
+from wgraphs.coxeter import CoxeterSystem
+from wgraphs.formats import load_system
 from wgraphs.laurent import LaurentPoly, v
-from wgraphs.matrix import LMat
+from wgraphs.matrix import LMat, _evaluate
 from wgraphs.wgraph import (
     OmegaModule,
     edges,
@@ -12,7 +16,9 @@ from wgraphs.wgraph import (
 )
 from wgraphs.hy import induce, p_mu_table
 
-from oracles import dense, hecke_matrix, sparse
+from oracles import braid_relations_lmat, dense, dense_mul, hecke_matrix, sparse
+
+_ROOT = Path(__file__).resolve().parent.parent
 
 
 def kl_module(system):
@@ -228,3 +234,88 @@ class TestConjugateRestrict:
     def test_restrict_to_everything_is_identity(self, systems):
         module, _ = kl_module(systems["a2"])
         assert module.restrict(module.gens) == module
+
+
+def _braid_modules(name):
+    """The modules whose braid relations are compared with the reference."""
+    if name in ("b3_211", "i2_8_13"):  # induced regular W-graphs
+        return kl_module(load_system(str(_ROOT / f"perfbench/systems/{name}.json")))[0]
+    d4 = load_system(str(_ROOT / "perfbench/systems/d4.json"))  # hy verify --check axioms
+    regular, k = trivial_module(d4, frozenset()), frozenset({0, 1, 2})
+    inner = induce(frozenset(), regular, p_mu_table(frozenset(), regular, ambient=k))
+    return induce(k, inner, p_mu_table(k, inner))
+
+
+def _with_x(module, s, g, i, c):
+    """A copy of ``module`` with c added to the first entry of row i of X_{s,g}."""
+    x = dict(module.x)
+    rows = [list(row) for row in x[(s, g)]]
+    j, old = rows[i][0]
+    rows[i][0] = (j, old + c)
+    x[(s, g)] = tuple(tuple(e for e in row if e[1]) for row in rows)
+    return OmegaModule(module.system, module.gens, module.rank, module.e, x)
+
+
+def _conjugated(module, n):
+    """P M P^-1 for P = 1 + n e_(0,1): every relation holds as in M, and the
+    entries grow to about n^2."""
+    r = module.rank
+    p = [[int(i == j) + (n if (i, j) == (0, 1) else 0) for j in range(r)] for i in range(r)]
+    q = [[int(i == j) - (n if (i, j) == (0, 1) else 0) for j in range(r)] for i in range(r)]
+
+    def conj(mat):
+        return sparse(dense_mul(dense_mul(p, dense(mat, r), r), q, r))
+
+    return OmegaModule(module.system, module.gens, r,
+                       {s: conj(module.e_mat(s)) for s in module.gens},
+                       {key: conj(mat) for key, mat in module.x.items()})
+
+
+def _braid_failures(report):
+    return [f for f in report.failures if "braid" in f]
+
+
+class TestBraidProducts:
+    """``validate`` decides each braid relation by one comparison of integer
+    matrices; ``oracles.braid_relations_lmat`` chains Laurent-matrix products.
+    Same verdicts, same failure texts."""
+
+    @pytest.mark.parametrize("name", ["b3_211", "i2_8_13", "d4-K123"])
+    def test_matches_reference(self, name):
+        module = _braid_modules(name)
+        report, reference = validate(module), braid_relations_lmat(module)
+        assert report.ok and reference.ok and reference.checks > 0
+        if name == "d4-K123":
+            assert module.rank == 192 and report.checks == 24
+            s, g = min(module.x)
+            bumped = _with_x(module, s, g, next(i for i, row in enumerate(module.x[(s, g)]) if row), 1)
+            reference = braid_relations_lmat(bumped)
+            assert not reference.ok and len(reference.failures) < reference.checks
+            assert _braid_failures(validate(bumped)) == reference.failures
+
+    def test_coefficients_beyond_64_bits(self, systems):
+        module = _conjugated(kl_module(systems["a2"])[0], 2 ** 70)
+        assert max(abs(c) for mat in module.x.values() for row in mat for _, c in row) >= 2 ** 64
+        assert validate(module).ok and braid_relations_lmat(module).ok
+        for c in (1, 2 ** 64, -(2 ** 140)):
+            s, g = min(module.x)
+            bumped = _with_x(module, s, g, next(i for i, row in enumerate(module.x[(s, g)]) if row), c)
+            reference = braid_relations_lmat(bumped)
+            assert not reference.ok
+            assert _braid_failures(validate(bumped)) == reference.failures
+
+    @pytest.mark.parametrize("base", [3, 8, 64])
+    def test_defect_that_vanishes_at_a_fixed_base(self, base):
+        """A1 x A1 with L = (2, 1) on rank 2, E_s = E_t = diag(1, 0),
+        X_(1,0) = -(4^b + 1) e_01 and X_(1,1) = 2^b e_01: entry (0, 1) of
+        T_s T_t - T_t T_s is 2^b (v^2 + v^-2) - (4^b + 1)(v + v^-1) + 2^(b+1),
+        nonzero but zero at v = 2^b, so only a width taken from the
+        coefficients tells it from zero."""
+        system = CoxeterSystem(((1, 2), (2, 1)), (2, 1))
+        e = {0: (((0, 1),), ()), 1: (((0, 1),), ())}
+        x = {(0, 0): (((1, -(4 ** base + 1)),), ()), (0, 1): (((1, 2 ** base),), ())}
+        module = OmegaModule(system, {0, 1}, 2, e, x)
+        defect = module.iota_t(0) @ module.iota_t(1) - module.iota_t(1) @ module.iota_t(0)
+        assert not defect.is_zero() and _evaluate(defect, base, 3) == ((), ())
+        assert _braid_failures(validate(module)) == braid_relations_lmat(module).failures == [
+            "braid relation of length 2 fails for (1,2)"]
