@@ -18,23 +18,23 @@ The engine :func:`canonicalise_shadow` is written against a bare poset
 given by position, with the order as bitsets and the blocks as columns;
 :func:`pi_recursion` instantiates it with Hecke data, and it and
 :func:`check_rho` read the Bruhat order of the representatives from
-:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  Both routes store
+:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  The engine's
+checks imply the composition identity, so :func:`pi_recursion` runs
+:func:`check_rho` only on a rho the engine rejects.  Both routes store
 their blocks in one :class:`~wgraphs.wgraph.BlockTable`, by the positions
 of the representatives, so the oracle stores, solves and compares without
 hashing a group element.  :func:`check_rho` and the engine decide every
-identity by Kronecker substitution (:func:`~wgraphs.matrix._evaluate`):
-each block is evaluated once at v = 2^B, with B taken from the
-coefficients, so sums of Laurent products become sums of integer
-products.  Neither calls the product kernel of the p/mu recursion in
-:mod:`wgraphs.hy`, which is what makes the two usable as cross-checks of
-each other.
+identity by integer products: each block is evaluated once at v = 2^B
+(Kronecker substitution, :func:`~wgraphs.matrix._evaluate`), with B taken
+from the coefficients.  Neither calls the product kernel of the p/mu
+recursion in :mod:`wgraphs.hy`, so the two cross-check each other.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
-from .matrix import LMat, _abs_row_sums, _block, _evaluate, _mul_into
+from .matrix import LMat, _abs_row_sums, _block, _evaluate, _mul_into, _placed_rows
 from .report import Report
 from .wgraph import BlockTable, OmegaModule, hecke_t_column
 
@@ -118,16 +118,9 @@ def check_rho(rho: BlockTable) -> Report:
         for i, s in enumerate(_abs_row_sums(mat), xi * r):
             sums[i] += s
     width = (max(sums, default=0) ** 2 + 1).bit_length()
-    upper: List[list] = [[] for _ in range(size)]  # v^E R at 2^B
-    lower: List[list] = [[] for _ in range(size)]  # v^E bar(R) at 2^B, as v^-E R at 2^-B
-    for xi, yi, mat in placed:
-        left = yi * r
-        for i, row in enumerate(_evaluate(mat, width, shift), xi * r):
-            upper[i] += [(j + left, c) for j, c in row]
-        for i, row in enumerate(_evaluate(mat, -width, -shift), xi * r):
-            lower[i] += [(j + left, c) for j, c in row]
-    product: Dict[int, dict] = {}
-    _mul_into(product, upper, lower)
+    product: Dict[int, dict] = {}  # v^E R times v^E bar(R) at 2^B, the second as v^-E R at 2^-B
+    _mul_into(product, _placed_rows(placed, r, size, width, shift),
+              _placed_rows(placed, r, size, -width, -shift))
     # the pairs (x, z) whose block differs from delta_{xz} 2^(2EB); every
     # entry of the product lies in a block with x <= y <= z
     one = 1 << 2 * shift * width
@@ -271,15 +264,22 @@ def canonicalise_shadow(
 def pi_recursion(rho: BlockTable) -> BlockTable:
     """Run the triangular recursion on Hecke rho data.
 
-    The composition identity of ``rho`` is verified first (a failed
-    identity signals an upstream bug, and the recursion would produce
-    garbage from such input).  The engine reads the Bruhat order from
-    position bitsets of the representatives and the blocks from rho's
-    columns, and the result is stored by the same positions.
+    The engine reads the Bruhat order from position bitsets of the
+    representatives and the blocks from rho's columns, and the result is
+    stored by the same positions.  If it raises, :func:`check_rho` runs,
+    and a failed composition identity is raised as its report, else the
+    engine's error.  A rho the engine accepts passes :func:`check_rho`, so
+    this is what checking first gives: with R rho's blocks at x <= y and
+    Pi the unitriangular result, the engine's exact checks give
+    Pi = R bar(Pi) at every x <= z, both sides vanish elsewhere, so
+    R = Pi bar(Pi)^-1 and R bar(R) = I.
     """
-    report = check_rho(rho)
-    if not report.ok:
-        raise CanonicalisationError(str(report))
     bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
-    cols = canonicalise_shadow(rho.reps, bits, rho.cols, rho.module.rank)
+    try:
+        cols = canonicalise_shadow(rho.reps, bits, rho.cols, rho.module.rank)
+    except CanonicalisationError:
+        report = check_rho(rho)
+        if not report.ok:
+            raise CanonicalisationError(str(report)) from None
+        raise
     return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols)

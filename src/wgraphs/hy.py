@@ -15,9 +15,7 @@ mu^s_{x,z} are computed here by the direct recursion:
 
 * mu^s_{x,z} is the bar-symmetric completion of the non-positive part of
   ``-R - sum_{x<y<z} p_{x,y} mu^s_{y,z}`` with R the four-case correction
-  term; its exponents are confined to (-L(s), L(s)).  Only exponents <= 0
-  of that sum are formed: its products stop at exponent 0, and the minus
-  class keeps the blocks of p_{x,z} up to L(s).
+  term; its exponents are confined to (-L(s), L(s)).
 
 All values are stored as exact Laurent matrices acting on M (elements of
 the parabolic W-graph algebra are never represented abstractly; the
@@ -25,16 +23,11 @@ recursion only ever multiplies by matrices it already has).  The
 recursion follows the well-founded order "z up, then x down" over the
 positions of the representatives in their (length, word) listing, so
 results are deterministic.  Deodhar classes and the positions of s*x are
-read from the coset table of (J, ambient), and x <= y is a bit test against
-:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`.  The table keeps the
-recursion's own columns in the :class:`~wgraphs.wgraph.BlockTable` that
-the oracle of :mod:`wgraphs.canon` fills too, keyed by position like every
-consumer here; group elements key only the read-only views ``p`` and
-``mu`` and name entries in messages and files.  The recursion never
-enumerates W.  It interns every value it stores, so equal blocks are one
-object with one serial number, and memoises three steps by the serials of
-their inputs: the closed forms of the p-step, the p-step's term sums and
-the mu-step.  Its dicts live for one call only.
+read from the coset table of (J, ambient), x <= y is a bit test against
+:meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`, and W is never
+enumerated.  The table is a :class:`~wgraphs.wgraph.BlockTable` keyed by
+position, like the oracle's in :mod:`wgraphs.canon`; group elements key
+only its read-only views ``p`` and ``mu``.
 
 :func:`induce` assembles the induced module from a finished table;
 :func:`transitivity_check`, :func:`mackey_check` and
@@ -46,8 +39,9 @@ through J <= K and K <= S lives in one place, :func:`_factor_mu`: the flag
 algorithm builds each level from it, and :func:`mu_factorize_check`
 compares every direct entry against it.  The defining identity of the
 construction, H_s P = P Omega_s for the base change P, is evaluated in one
-place too, :func:`_defects`: :func:`verify_h_linearity` reads one verdict
-per s from it and :meth:`PMuTable.check_invariants` one per (x, z, s).
+place too, :func:`_defects`, by integer products at v = 2^B with B taken
+from the coefficients: :func:`verify_h_linearity` reads one verdict per s
+from it and :meth:`PMuTable.check_invariants` one per (x, z, s).
 """
 
 from __future__ import annotations
@@ -60,9 +54,9 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO, CoxeterSystem, Element
 from .laurent import LaurentPoly
-from .matrix import LMat, _dot, imat_identity
+from .matrix import LMat, _abs_row_sums, _dot, _mul_into, _placed_rows, _scaled, imat_identity
 from .report import Report
-from .wgraph import BlockTable, BlockView, OmegaModule, hecke_t_column
+from .wgraph import BlockTable, BlockView, OmegaModule, sign_module
 
 
 class RecursionInvariantError(RuntimeError):
@@ -108,10 +102,10 @@ class PMuTable(BlockTable):
         block, and a message is formatted only on failure.  If they all
         hold, the recurrence is checked for every (x, z, s): it holds at
         (x, z, s) exactly when block (x, z) of the intertwining defect of s
-        vanishes (:func:`_defects`), so each nonzero defect block is one
-        failure, in (s, z, x) order.  A table on a ball of an infinite group
-        raises the ``ValueError`` of :func:`induce`, since some s*x lies
-        outside the ball.
+        vanishes, which :func:`_defects` decides exactly at v = 2^B, so each
+        nonzero defect block is one failure, in (s, z, x) order.  A table on
+        a ball of an infinite group raises the ``ValueError`` of
+        :func:`induce`, since some s*x lies outside the ball.
         """
         report = Report("p/mu table invariants")
         system, reps = self.system, self.reps
@@ -153,16 +147,6 @@ class PMuTable(BlockTable):
                 for zi, xi in blocks:
                     report.fail(f"recurrence fails at (x={reps[xi]}, z={reps[zi]}, s={s+1})")
         return report
-
-
-def _c_matrices(module: OmegaModule) -> Dict[int, LMat]:
-    """C_u = T_u - v_u acting on the module, for each inner generator u."""
-    out = {}
-    identity = LMat.identity(module.rank)
-    for u in module.gens:
-        vu = LaurentPoly.v(module.system.weight(u))
-        out[u] = module.iota_t(u) - identity.scale(vu)
-    return out
 
 
 def p_mu_table(
@@ -215,8 +199,8 @@ def p_mu_table(
     rank = module.rank
     shape = (rank, rank)
     identity, zero = LMat.identity(rank), LMat.zeros(rank)
-    c_mats = _c_matrices(module)
-    # the table's own storage: cols[z][x] = p(x, z) for x <= z, else None;
+    c_mats = {u: module.iota_t(u) - identity.scale(LaurentPoly.v(system.weight(u)))
+              for u in J}  # C_u = T_u - v_u on the module
     # mu_lists[z][s] = [(y, mu(y, z, s))] over the nonzero blocks only, so the
     # sums over x <= y < z skip every y whose mu-block is zero; low_p[y] = the
     # least exponent of p(x, y) over x < y (maxsize if there is none), found
@@ -444,27 +428,12 @@ def canonical_matrix(J: Iterable[int], module: OmegaModule, table: PMuTable) -> 
     Block upper-triangular with identity diagonal in the (length, word)
     listing of the representatives, hence invertible.
     """
-    system = module.system
-    J = system._subset(J)
+    J = module.system._subset(J)
     if J != table.gens or module != table.module:
         raise ValueError("table was computed for different (J, module) data")
     r = module.rank
     n = len(table.reps) * r
     return LMat.from_blocks((n, n), ((yi * r, zi * r, mat) for (yi, zi), mat in table.pos_items()))
-
-
-def hecke_t_on_induced(table: PMuTable, s: int) -> LMat:
-    """The matrix of T_s on the induced Hecke module in the tensor basis:
-    column x is :func:`~wgraphs.wgraph.hecke_t_column` of T_x (x) 1."""
-    r = table.module.rank
-    classes, shifted = table._arrays()
-    identity = LMat.identity(r)
-    placed = [(yi * r, xi * r, block)
-              for xi in range(len(table.reps))
-              for yi, block in enumerate(hecke_t_column(table.module, s, classes[s], shifted[s],
-                                                        [None] * xi + [identity]))
-              if block is not None]
-    return LMat.from_blocks((len(table.reps) * r,) * 2, placed)
 
 
 def verify_h_linearity(
@@ -478,8 +447,8 @@ def verify_h_linearity(
     The left side acts through the induced module structure, the right
     side through the T-basis structure constants of the induced Hecke
     module.  Exact equality for every generator is the defining property
-    of the construction: one check per s, that its defect (:func:`_defects`)
-    is zero.
+    of the construction: one check per s, that its defect is zero, decided
+    by :func:`_defects` at v = 2^B with a width B that makes it exact.
     """
     if table is None:
         table = p_mu_table(J, module, ambient)
@@ -492,23 +461,57 @@ def verify_h_linearity(
 def _defects(J: Iterable[int], module: OmegaModule,
              table: PMuTable) -> Dict[int, List[Tuple[int, int]]]:
     """For each ambient s, the positions (z, x), sorted, of the nonzero r x r
-    blocks of the intertwining defect D_s = (H_s - v_s) P - P (Omega_s - v_s).
+    blocks of the intertwining defect D_s = H_s P - P Omega_s.
 
-    P is :func:`canonical_matrix`, H_s is T_s on the induced Hecke module
-    (:func:`hecke_t_on_induced`) and Omega_s is T_s on the module that
-    :func:`induce` builds.  The scalars v_s cancel, so D_s costs two
-    products.  Block (x, z) of D_s is the four-case recurrence at (x, z, s),
-    left side minus right side: block (x, z) of C_s P, read by the Deodhar
-    class of s on x, minus block (x, z) of P C_s, read by its class on z.
+    P is :func:`canonical_matrix`, H_s is T_s on the induced Hecke module as
+    :func:`~wgraphs.wgraph.hecke_t_column` applies it, and Omega_s is T_s on
+    the module :func:`induce` builds, read from its E and X rows.  Block
+    (x, z) of D_s is the four-case recurrence at (x, z, s), left side minus
+    right side.  At v = 2^B, with each distinct p-block evaluated once into
+    v^-e P, e <= 0 the least exponent of P, two integer products give
+    v^(L(s)-e) D_s, which has no negative exponent.  With c the largest
+    |coefficient| and nu the largest row sum of absolute coefficients, D_s
+    has coefficients at most nu(H_s) c(P) + nu(P) c(Omega_s) <=
+    nu(P) (nu(H_s) + c(Omega_s)), where nu(H_s) <= max(3, nu(T_t)) over the
+    conjugate generators t.  B is one more than the bit length of that bound
+    over all s, so by the lemma of :func:`~wgraphs.matrix._evaluate` an
+    entry of the value is zero exactly when that entry of D_s is.
     """
     omega = induce(J, module, table)
-    cmat = canonical_matrix(J, module, table)
-    r, n = module.rank, cmat.nrows
-    out = {}
+    system, r, n = module.system, module.rank, omega.rank
+    classes, shifted = table._arrays()
+    placed = [(xi, zi, mat) for (xi, zi), mat in table.pos_items()]
+    blocks = {id(mat): mat for _, _, mat in placed}  # the distinct p-blocks
+    nu_p, sums = [0] * n, {key: _abs_row_sums(mat) for key, mat in blocks.items()}
+    for xi, _, mat in placed:
+        for i, a in enumerate(sums[id(mat)], xi * r):
+            nu_p[i] += a
+    c_omega = 1 + max([abs(c) for mat in chain(omega.e.values(), omega.x.values())
+                       for row in mat for _, c in row], default=0)
+    nu_h = max([3] + [a for u in module.gens for a in _abs_row_sums(module.iota_t(u))])
+    width = (max(nu_p, default=0) * (nu_h + c_omega)).bit_length() + 1
+    shift = max([0] + [-min(mat.blocks) for mat in blocks.values() if mat.blocks])
+    p_rows = _placed_rows(placed, r, n, width, shift)  # v^-e P at 2^B
+    one, out = LMat.identity(r), {}
     for s in sorted(table.ambient):
-        defect = _dot((n, n), [(hecke_t_on_induced(table, s), cmat), (cmat, -omega.iota_t(s))])
-        out[s] = sorted({(j // r, i // r) for b in defect.blocks.values()
-                         for i, row in enumerate(b) for j, _ in row})
+        ls = system.weight(s)
+        vs = 1 << ls * width  # v^L(s) at 2^B
+        # H_s: T_x (x) m goes to T_x (x) T_t m (zero), T_sx (x) m (+ delta T_x (x) m if minus)
+        delta = LMat.from_coeffs((r, r), {ls: one.blocks[0], -ls: _scaled(one.blocks[0], -1)})
+        placed_h = [(x, x, module.iota_t(c.conj)) if c.tag == DEODHAR_ZERO
+                    else (shifted[s][x], x, one) for x, c in enumerate(classes[s])]
+        placed_h += [(x, x, delta) for x, c in enumerate(classes[s]) if c.tag == DEODHAR_MINUS]
+        # -v^L(s) Omega_s at 2^B: Omega_s = v_s (1 - E_s) - v_s^-1 E_s + sum_g v^g X_(s,|g|)
+        o_rows = [{i: -vs * vs} for i in range(n)]
+        for factor, mat in [(vs * vs + 1, omega.e_mat(s))] + [
+                (-(vs << g * width) - (vs >> g * width) if g else -vs, omega.x_mat(s, g))
+                for g in range(ls)]:
+            for i, row in enumerate(mat):  # a row's columns are distinct
+                o_rows[i].update({j: o_rows[i].get(j, 0) + factor * c for j, c in row})
+        acc: Dict[int, dict] = {}  # v^(L(s)-e) D_s at 2^B, by row
+        _mul_into(acc, _placed_rows(placed_h, r, n, width, ls), p_rows)
+        _mul_into(acc, p_rows, [row.items() for row in o_rows])
+        out[s] = sorted({(j // r, i // r) for i, row in acc.items() for j, c in row.items() if c})
     return out
 
 
@@ -826,10 +829,9 @@ def oracle_check(
     positive-part recursion; it shares no code with the p/mu recursion
     beyond the position arrays, the block table
     (:class:`~wgraphs.wgraph.BlockTable`) and the action of T_s on the
-    induced module (:func:`~wgraphs.wgraph.hecke_t_column`), which
-    :func:`hecke_t_on_induced` uses too.  The oracle's composition check
-    and triangular sums are integer products, so they do not go through
-    the Laurent product kernel ``_dot`` of the recursion.  Both tables are
+    induced module (:func:`~wgraphs.wgraph.hecke_t_column`).  The oracle's
+    triangular sums are integer products, so they do not go through the
+    Laurent product kernel ``_dot`` of the recursion.  Both tables are
     stored by the same positions, so their columns are compared directly:
     one check per (x, z) stored on either side, in (z, x) order.
     """
@@ -864,20 +866,14 @@ def e_fix_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
     outside J must fix the basis vector at the identity representative
     exactly.
     """
-    from .wgraph import sign_module
-
     J = system._subset(J)
     report = Report(f"idempotent product fixes 1|m0 (J={sorted(s + 1 for s in J)})")
     module = sign_module(system, J)
-    table = p_mu_table(J, module)
-    induced = induce(J, module, table)
-    n = induced.rank
-    identity = LMat.identity(n)
-    product = identity
-    for s in sorted(system.generator_set):
-        e_s = LMat.from_coeffs((n, n), {0: induced.e_mat(s)})
-        product = product @ (e_s if s in J else identity - e_s)
-    # the nonzero entries (i, c) of column 0; columns are sorted, so each is first in its row
-    column = [(i, row[0][1]) for i, row in enumerate(product.coeff(0)) if row and row[0][0] == 0]
-    report.require(column == [(0, 1)], "E_J does not fix the generating vector")
+    induced = induce(J, module, p_mu_table(J, module))
+    e_0 = [1] + [0] * (induced.rank - 1)
+    column = e_0  # column 0 of the product: e_0 through each factor, the last first
+    for s in sorted(system.generator_set, reverse=True):
+        image = [sum([c * column[j] for j, c in row]) for row in induced.e_mat(s)]
+        column = image if s in J else [a - b for a, b in zip(column, image)]
+    report.require(column == e_0, "E_J does not fix the generating vector")
     return report

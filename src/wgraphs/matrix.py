@@ -15,25 +15,20 @@ matrices, the whole of every regular table, are coefficient arithmetic on
 are one object.
 
 Products have one kernel, ``_dot(shape, pairs)``: the sum of ``a @ b``
-over the pairs, every product added into one accumulator and one LMat
-built at the end.  The accumulator is ``{exponent: coefficient}`` for 1x1
-factors and otherwise ``{exponent: {row: {column: value}}}`` over the rows
-some term touches, filled by multiplying stored rows for every pair of
-exponents.  ``a @ b`` is ``_dot`` of one pair; the triangular sums of the
-p/mu recursion call it once per sum, not once per term.  A private bound
-``top`` skips every pair of blocks whose exponents add up to more, so the
-mu-step forms only the exponents <= 0 it reads.
+over the pairs, added into one accumulator (``{exponent: coefficient}``
+for 1x1 factors, else ``{exponent: {row: {column: value}}}``) from which
+one LMat is built; ``a @ b`` is ``_dot`` of one pair, and the triangular
+sums of the p/mu recursion call it once per sum.  A private bound ``top``
+skips every pair of blocks whose exponents add up to more, so the mu-step
+forms only the exponents <= 0 it reads.
 
-An identity between Laurent matrices with small coefficients can be
-checked by products of integers (Kronecker substitution): ``_evaluate``
-gives the integer matrix of ``v^shift mat`` at ``v = 2^bits``, and a
-Laurent matrix whose exponents are >= -shift and whose coefficients are
-below ``2^bits`` in absolute value is zero exactly when that value is.
-``_abs_row_sums`` gives the row sums of absolute coefficients from which a
-caller bounds the coefficients of a product and so derives ``bits``.  The
-oracle's composition identity and triangular sums and the braid relations
-of a module are checked this way, with ``_mul_into`` as the integer
-product.
+Identities between Laurent matrices are checked by products of integers
+(Kronecker substitution): ``_evaluate`` gives the integer matrix of
+``v^shift mat`` at ``v = 2^bits``, which decides the matrix when its
+coefficients are small (the lemma in its docstring); ``_abs_row_sums``
+bounds them, ``_placed_rows`` evaluates the blocks of a block matrix into
+rows, and ``_mul_into`` is the integer product.  The oracle's sums, the
+intertwining defect and the braid relations of a module are checked so.
 """
 
 from __future__ import annotations
@@ -386,8 +381,7 @@ def _abs_row_sums(mat: LMat) -> list:
     sums = [0] * mat.nrows
     for b in mat.blocks.values():
         for i, row in enumerate(b):
-            if row:
-                sums[i] += sum([abs(c) for _, c in row])
+            sums[i] += sum([abs(c) for _, c in row])
     return sums
 
 
@@ -413,9 +407,19 @@ def _evaluate(mat: LMat, bits: int, shift: int) -> IMat:
         e = bits * (g + shift)
         for i, row in enumerate(b):
             if row:
-                acc = rows.get(i)
-                if acc is None:
-                    acc = rows[i] = {}
+                acc = rows.setdefault(i, {})
                 for j, c in row:
                     acc[j] = acc.get(j, 0) + (c << e)
     return _block(rows, mat.nrows)
+
+
+def _placed_rows(placed: Iterable[tuple], rank: int, size: int, bits: int, shift: int) -> list:
+    """The rows of the size x size matrix with block (x, y) = ``_evaluate(b,
+    bits, shift)`` for each (x, y, b) in ``placed``, as lists of (column,
+    value) pairs; each block, kept alive by the caller, is evaluated once."""
+    rows, values = [[] for _ in range(size)], {}
+    for xi, yi, mat in placed:
+        value = values.get(id(mat)) or values.setdefault(id(mat), _evaluate(mat, bits, shift))
+        for i, row in enumerate(value, xi * rank):
+            rows[i] += [(j + yi * rank, c) for j, c in row]
+    return rows

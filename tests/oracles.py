@@ -16,6 +16,10 @@ the integer products of ``wgraphs.canon.canonicalise_shadow`` and
 the four-case p/mu recurrence evaluated one (x, z, s) triple at a time
 (the reference for the intertwining defect that
 ``wgraphs.hy.PMuTable.check_invariants`` reads its recurrence verdicts from),
+the same defect and the idempotent product of ``wgraphs.hy.e_fix_check``
+from n x n Laurent-matrix products (the references for their integer and
+vector forms), ``wgraphs.canon.pi_recursion`` with ``check_rho`` run before
+the engine (the reference for its engine-first order),
 the textbook two-step Kazhdan-Lusztig recursion (R-polynomials, then
 P-polynomials, in the variable q), a span-closure construction of
 cells, and the Robinson-Schensted symbols of type A.
@@ -28,11 +32,13 @@ import itertools
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Tuple
 
-from wgraphs.canon import CanonicalisationError
+from wgraphs import hy
+from wgraphs.canon import CanonicalisationError, canonicalise_shadow, check_rho
 from wgraphs.coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO
 from wgraphs.laurent import LaurentPoly
 from wgraphs.matrix import LMat, _dot
 from wgraphs.report import Report
+from wgraphs.wgraph import BlockTable, hecke_t_column, sign_module
 
 # -- model groups --------------------------------------------------------------
 
@@ -466,6 +472,71 @@ def check_invariants_fourcase(table) -> Report:
                     lhs == rhs,
                     f"recurrence fails at (x={names[xi]}, z={names[zi]}, s={s+1})",
                 )
+    return report
+
+
+def hecke_t_on_induced(table, s):
+    """The matrix of T_s on the induced Hecke module in the tensor basis:
+    column x is :func:`~wgraphs.wgraph.hecke_t_column` of T_x (x) 1."""
+    r = table.module.rank
+    classes, shifted = table._arrays()
+    identity = LMat.identity(r)
+    placed = [(yi * r, xi * r, block)
+              for xi in range(len(table.reps))
+              for yi, block in enumerate(hecke_t_column(table.module, s, classes[s], shifted[s],
+                                                        [None] * xi + [identity]))
+              if block is not None]
+    return LMat.from_blocks((len(table.reps) * r,) * 2, placed)
+
+
+def defects_lmat(J, module, table):
+    """The positions (z, x), sorted, of the nonzero blocks of the intertwining
+    defect D_s = H_s P - P Omega_s for each ambient s, from two products of
+    n x n Laurent matrices: P is ``hy.canonical_matrix``, H_s is
+    :func:`hecke_t_on_induced` and Omega_s is ``iota_t(s)`` of the module
+    ``hy.induce`` builds.  The reference for the integer products of
+    ``hy._defects``."""
+    omega = hy.induce(J, module, table)
+    cmat = hy.canonical_matrix(J, module, table)
+    r, n = module.rank, cmat.nrows
+    out = {}
+    for s in sorted(table.ambient):
+        defect = _dot((n, n), [(hecke_t_on_induced(table, s), cmat), (cmat, -omega.iota_t(s))])
+        out[s] = sorted({(j // r, i // r) for b in defect.blocks.values()
+                         for i, row in enumerate(b) for j, _ in row})
+    return out
+
+
+def pi_recursion_checked_first(rho):
+    """``canon.pi_recursion`` with the composition identity of ``rho``
+    checked before the engine runs: a failed ``check_rho`` is raised as its
+    report, else the engine's columns or error.  The reference for the
+    engine-first order of ``pi_recursion``."""
+    report = check_rho(rho)
+    if not report.ok:
+        raise CanonicalisationError(str(report))
+    bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
+    cols = canonicalise_shadow(rho.reps, bits, rho.cols, rho.module.rank)
+    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols)
+
+
+def e_fix_check_lmat(system, J) -> Report:
+    """``hy.e_fix_check`` as the product of the n x n Laurent matrices E_s
+    (s in J) and 1 - E_s (s not in J) on the module ``hy.induce`` builds,
+    with column 0 read from the product: the reference for the check's
+    vector walk."""
+    J = system._subset(J)
+    report = Report(f"idempotent product fixes 1|m0 (J={sorted(s + 1 for s in J)})")
+    module = sign_module(system, J)
+    induced = hy.induce(J, module, hy.p_mu_table(J, module))
+    n = induced.rank
+    identity = LMat.identity(n)
+    product = identity
+    for s in sorted(system.generator_set):
+        e_s = LMat.from_coeffs((n, n), {0: induced.e_mat(s)})
+        product = product @ (e_s if s in J else identity - e_s)
+    column = [(i, row[0][1]) for i, row in enumerate(product.coeff(0)) if row and row[0][0] == 0]
+    report.require(column == [(0, 1)], "E_J does not fix the generating vector")
     return report
 
 

@@ -18,7 +18,8 @@ from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, _evaluate
 from wgraphs.wgraph import BlockTable, sign_module, trivial_module
 
-from oracles import canonicalise_shadow_lmat, check_rho_entrywise, iota_expand, rho_expanded
+from oracles import (canonicalise_shadow_lmat, check_rho_entrywise, iota_expand,
+                     pi_recursion_checked_first, rho_expanded)
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -136,34 +137,43 @@ def _bumped(rho, x, y, i, j, g, c):
     return _with_block(rho, x, y, rho.entries.get((x, y), rho.zero) + bump)
 
 
+_CASES = ["b3_211", "a4-J1-sign", "b2_unequal", "a4-induced-rank-12", "affine-a2-ball-6"]
+
+
+def _seeded_tables(case):
+    """The rho of ``case`` and six seeded corruptions of it: one entry bumped
+    anywhere (twice), beyond the largest exponent E, by +-2^80, and on the
+    diagonal."""
+    rho = _rho_of(case)
+    rng = random.Random(case)
+    reps, r = rho.reps, rho.module.rank
+    top = max(abs(g) for mat in rho.entries.values() for g in mat.blocks)
+    below = [key for key in rho.entries if key[0] != key[1]]
+
+    def spot():
+        return rng.randrange(r), rng.randrange(r)
+
+    tables = [rho]
+    for c in (1, -1):  # one seeded entry anywhere, stored or not, comparable or not
+        x, y = rng.choice(reps), rng.choice(reps)
+        tables.append(_bumped(rho, x, y, *spot(), rng.randint(-top, top), c))
+    tables.append(_bumped(rho, *rng.choice(below), *spot(), top + 2, 1))  # beyond E
+    for c in (2 ** 80, -2 ** 80):
+        tables.append(_bumped(rho, *rng.choice(below), *spot(), rng.randint(-top, top), c))
+    z = rng.choice(reps)
+    tables.append(_bumped(rho, z, z, *spot(), 0, 1))  # a non-identity diagonal block
+    return tables
+
+
 class TestCheckRhoProduct:
     """The integer product of ``check_rho`` decides every pair exactly as the
     entrywise Laurent sums of the reference do: same outcome, same count,
     same failures in the same order."""
 
-    @pytest.mark.parametrize("case", ["b3_211", "a4-J1-sign", "b2_unequal",
-                                      "a4-induced-rank-12", "affine-a2-ball-6"])
+    @pytest.mark.parametrize("case", _CASES)
     def test_matches_entrywise_reference(self, case):
-        rho = _rho_of(case)
-        rng = random.Random(case)
-        reps, r = rho.reps, rho.module.rank
-        top = max(abs(g) for mat in rho.entries.values() for g in mat.blocks)
-        below = [key for key in rho.entries if key[0] != key[1]]
-
-        def spot():
-            return rng.randrange(r), rng.randrange(r)
-
-        tables = [rho]
-        for c in (1, -1):  # one seeded entry anywhere, stored or not, comparable or not
-            x, y = rng.choice(reps), rng.choice(reps)
-            tables.append(_bumped(rho, x, y, *spot(), rng.randint(-top, top), c))
-        tables.append(_bumped(rho, *rng.choice(below), *spot(), top + 2, 1))  # beyond E
-        for c in (2 ** 80, -2 ** 80):
-            tables.append(_bumped(rho, *rng.choice(below), *spot(), rng.randint(-top, top), c))
-        z = rng.choice(reps)
-        tables.append(_bumped(rho, z, z, *spot(), 0, 1))  # a non-identity diagonal block
         outcomes = []
-        for table in tables:
+        for table in _seeded_tables(case):
             report, reference = check_rho(table), check_rho_entrywise(table)
             assert (report.ok, report.checks, report.failures) == \
                 (reference.ok, reference.checks, reference.failures)
@@ -268,6 +278,14 @@ class TestRhoRecursion:
             rho_table(frozenset(), trivial_module(systems["a2"], frozenset()))
 
 
+def _recursion_outcome(run, rho):
+    """The columns ``run(rho)`` returns, or the message it raises."""
+    try:
+        return run(rho).cols
+    except CanonicalisationError as error:
+        return str(error)
+
+
 class TestPiRecursion:
     def test_diagonal(self, systems):
         pi = pi_recursion(rho_table({0}, sign_module(systems["a2"], {0})))
@@ -362,6 +380,7 @@ class TestPiRecursion:
             sub_rho = BlockTable(a2, rho.gens, rho.ambient, module,
                                  tuple(rho.reps[y] for y in ideal), restricted(rho))
             assert pi_recursion(sub_rho).cols == restricted(full)
+            assert pi_recursion_checked_first(sub_rho).cols == restricted(full)
 
     def test_bad_rho_rejected(self, systems):
         a2 = systems["a2"]
@@ -371,6 +390,48 @@ class TestPiRecursion:
         bad = _with_block(rho, a2.identity, s, LMat([[v(1)]]))  # not antisymmetric
         with pytest.raises(CanonicalisationError):
             pi_recursion(bad)
+        outcome = _recursion_outcome(pi_recursion, bad)  # check_rho's report, as when it ran first
+        assert outcome.startswith("rho composition identity: FAILED")
+        assert outcome == _recursion_outcome(pi_recursion_checked_first, bad)
+
+
+class TestEngineFirst:
+    """``pi_recursion`` runs the engine first and ``check_rho`` only on a rho
+    the engine rejects; ``oracles.pi_recursion_checked_first`` checks first.
+    Both give the same columns or raise the same text."""
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-J1-sign"])
+    def test_valid_rho_runs_no_check_rho(self, case, monkeypatch):
+        import wgraphs.canon as canon
+
+        rho = _rho_of(case)
+        expected = pi_recursion_checked_first(rho).cols
+        calls = []
+        real = canon.check_rho
+        monkeypatch.setattr(canon, "check_rho", lambda table: calls.append(table) or real(table))
+        assert pi_recursion(rho).cols == expected
+        assert calls == []
+
+    @pytest.mark.parametrize("case", _CASES)
+    def test_seeded_corruptions(self, case):
+        tables = _seeded_tables(case)
+        outcomes = [_recursion_outcome(pi_recursion, table) for table in tables]
+        assert outcomes == [_recursion_outcome(pi_recursion_checked_first, table)
+                            for table in tables]
+        assert not isinstance(outcomes[0], str)
+        assert any(isinstance(outcome, str) for outcome in outcomes)
+
+    def test_engine_error_when_check_rho_passes(self, systems):
+        """-R passes the composition identity, since (-R) bar(-R) = R bar(R),
+        but its diagonal is -1, so the engine's error is raised."""
+        a2 = systems["a2"]
+        rho = rho_table(frozenset(), trivial_module(a2, frozenset()))
+        cols = [[None if mat is None else mat.scale(-1) for mat in col] for col in rho.cols]
+        negated = BlockTable(a2, rho.gens, rho.ambient, rho.module, rho.reps, cols)
+        assert check_rho(negated).ok
+        outcome = _recursion_outcome(pi_recursion, negated)
+        assert outcome == "fixed-point residual nonzero at (e,e)"
+        assert outcome == _recursion_outcome(pi_recursion_checked_first, negated)
 
 
 class TestGenericEngine:

@@ -6,7 +6,7 @@ import pytest
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import load_system
 from wgraphs.laurent import LaurentPoly, v
-from wgraphs.matrix import LMat, imat_mul
+from wgraphs.matrix import LMat, _evaluate, imat_mul
 from wgraphs.wgraph import (
     OmegaModule,
     sign_module,
@@ -16,6 +16,7 @@ from wgraphs.wgraph import (
 )
 from wgraphs.hy import (
     PMuTable,
+    _defects,
     canonical_matrix,
     e_fix_check,
     induce,
@@ -32,7 +33,9 @@ from oracles import (
     KLOracle,
     check_invariants_fourcase,
     compose_perms,
+    defects_lmat,
     dense,
+    e_fix_check_lmat,
     eval_word,
     sparse,
     sym_group_generators,
@@ -499,6 +502,117 @@ class TestIntertwiningDefect:
             table.check_invariants()
 
 
+def _copy_with_p(table, key, mat):
+    """A copy of ``table`` with p-block ``mat`` at position ``key``."""
+    copy = PMuTable(table.system, table.gens, table.ambient, table.module, table.reps,
+                    [list(col) for col in table.cols], dict(table.mu_pos))
+    put_p(copy, key, mat)
+    return copy
+
+
+class TestDefectReference:
+    """``hy._defects``, decided by integer products, against
+    ``oracles.defects_lmat``, the same defect from n x n Laurent-matrix
+    products: the same (z, x) lists for every s."""
+
+    @staticmethod
+    def _a4_rank_12():
+        """A4, K = {1,2,3}, on the rank-12 module induced from J = {1} sign:
+        zero classes and rank > 1."""
+        system = load_system(str(ROOT / "perfbench/systems/a4.json"))
+        inner = sign_module(system, {0})
+        k = frozenset({0, 1, 2})
+        module = induce({0}, inner, p_mu_table({0}, inner, k))
+        return k, module, p_mu_table(k, module)
+
+    @pytest.mark.parametrize("path,j,make", TestIntertwiningDefect.CASES)
+    def test_cases_and_corruptions(self, path, j, make):
+        module, table = TestIntertwiningDefect._clean(path, j, make)
+        expected = defects_lmat(j, module, table)
+        assert _defects(j, module, table) == expected and not any(expected.values())
+        for name, _, copy in TestIntertwiningDefect._corrupted(table):
+            expected = defects_lmat(j, module, copy)
+            assert _defects(j, module, copy) == expected and any(expected.values()), name
+
+    def test_induced_module_with_zero_classes(self):
+        k, module, table = self._a4_rank_12()
+        assert module.rank == 12
+        classes, _ = table._arrays()
+        assert any(c.tag == "zero" for row in classes.values() for c in row)
+        expected = defects_lmat(k, module, table)
+        assert _defects(k, module, table) == expected and not any(expected.values())
+        key = next(key for key, _ in table.pos_items() if key[0] != key[1])  # and one changed
+        copy = _copy_with_p(table, key, table.cols[key[1]][key[0]]
+                            + LMat.identity(12).scale(v(1)))
+        expected = defects_lmat(k, module, copy)
+        assert _defects(k, module, copy) == expected and any(expected.values())
+
+    @pytest.mark.parametrize("path,j,make", [("perfbench/systems/h3.json", {0, 1}, sign_module),
+                                             ("systems/b2_unequal.json", {0}, trivial_module)])
+    def test_parabolic_modules(self, path, j, make):
+        system = load_system(str(ROOT / path))
+        module = make(system, frozenset(j))
+        table = p_mu_table(j, module)
+        expected = defects_lmat(j, module, table)
+        assert _defects(j, module, table) == expected and not any(expected.values())
+
+    def test_wide_coefficient(self):
+        """A p-block with a coefficient of 2^70: the width comes from it."""
+        module, table = TestIntertwiningDefect._clean(*TestIntertwiningDefect.CASES[0])
+        key = next(k for k, _ in table.pos_items() if k[0] != k[1])
+        bump = LMat.identity(1).scale(LaurentPoly({2: 2 ** 70}))
+        copy = _copy_with_p(table, key, table.cols[key[1]][key[0]] + bump)
+        expected = defects_lmat(frozenset(), module, copy)
+        assert _defects(frozenset(), module, copy) == expected and any(expected.values())
+
+    @staticmethod
+    def _a1_defects(g):
+        """Both defects of A1 (trivial module) with p(e, s) = -v + g: the
+        blocks of D_s are -g, g/v and g, nonzero for g != 0."""
+        module = trivial_module(CoxeterSystem(((1,),)), frozenset())
+        table = p_mu_table(frozenset(), module)
+        copy = _copy_with_p(table, (0, 1), table.cols[1][0] + g)
+        return _defects(frozenset(), module, copy), defects_lmat(frozenset(), module, copy)
+
+    @pytest.mark.parametrize("base", [3, 8, 64])
+    def test_defect_that_vanishes_at_a_fixed_base(self, base):
+        """g = v^2 - 2^b v is zero at v = 2^b, so only a width taken from the
+        coefficients tells the defect from zero."""
+        g = LMat([[LaurentPoly({2: 1, 1: -2 ** base})]])
+        assert _evaluate(g, base, 0) == ((),)
+        found, expected = self._a1_defects(g)
+        assert found == expected == {0: [(0, 0), (1, 0), (1, 1)]}
+
+    def test_negative_exponent(self):
+        """g = v^-2: P has an exponent below 0 and is shifted before it is
+        evaluated."""
+        found, expected = self._a1_defects(LMat([[v(-2)]]))
+        assert found == expected == {0: [(0, 0), (1, 0), (1, 1)]}
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-rank-12"])
+    def test_no_laurent_arithmetic(self, case, monkeypatch):
+        """With T_u on the module computed beforehand, the defect makes no
+        Laurent-matrix product, sum or scaling and no kernel call."""
+        import wgraphs.hy as hy
+
+        if case == "b3_211":
+            j = frozenset()
+            module, table = TestIntertwiningDefect._clean(*TestIntertwiningDefect.CASES[0])
+        else:
+            j, module, table = self._a4_rank_12()
+        expected = defects_lmat(j, module, table)
+        for u in module.gens:
+            module.iota_t(u)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("Laurent-matrix arithmetic in _defects")
+
+        for name in ("__matmul__", "__add__", "__sub__", "scale"):
+            monkeypatch.setattr(LMat, name, refuse)
+        monkeypatch.setattr(hy, "_dot", refuse)
+        assert hy._defects(j, module, table) == expected
+
+
 class TestFunctoriality:
     def test_scalar_map_commutes(self, systems):
         a2 = systems["a2"]
@@ -856,6 +970,35 @@ class TestEFix:
         for size in range(3):
             for j in itertools.combinations(range(2), size):
                 assert e_fix_check(a2, frozenset(j)).ok
+
+    @pytest.mark.parametrize("name", ["a3", "b3"])
+    def test_matches_the_product(self, systems, name):
+        system = systems[name]
+        for size in range(4):
+            for j in itertools.combinations(range(3), size):
+                report = e_fix_check(system, frozenset(j))
+                assert report.ok and report == e_fix_check_lmat(system, frozenset(j))
+
+    def test_broken_idempotent_fails(self, systems, monkeypatch):
+        """An induced E_1 with one extra entry, (1, 0): E_1 e_0 = e_0 + e_1,
+        so the product moves e_0, and the vector walk and the Laurent-matrix
+        product fail with the same text."""
+        import wgraphs.hy as hy
+
+        a2 = systems["a2"]
+        real = hy.induce
+
+        def broken(*args):
+            induced = real(*args)
+            e = dict(induced.e)
+            assert e[0][1] == ()
+            e[0] = (e[0][0], ((0, 1),)) + e[0][2:]
+            return OmegaModule(induced.system, induced.gens, induced.rank, e, induced.x)
+
+        monkeypatch.setattr(hy, "induce", broken)
+        report = e_fix_check(a2, frozenset({0}))
+        assert report.failures == ["E_J does not fix the generating vector"]
+        assert report == e_fix_check_lmat(a2, frozenset({0}))
 
 
 class TestClassicalComparison:
