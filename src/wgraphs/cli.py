@@ -92,6 +92,9 @@ def cmd_table(args) -> int:
     J = parse_gens(system, args.J, "-J")
     module = resolve_module(system, args.module, J)
     if args.flag is not None:
+        if args.max_length is not None:
+            raise SchemaError("--flag", "--max-length does not apply to the flag algorithm, "
+                                        "which needs whole coset tables")
         levels = [J]
         text = args.flag.strip()
         if text:

@@ -10,10 +10,11 @@ radius, or the whole group (finite groups only).  The table is built one
 length at a time from the exact images of the simple roots in Tits'
 geometric representation, which is faithful, so no word is rewritten
 (see :class:`_ElementTable`).  Canonical words, products, inverses and
-descents are walks through the table.  A walk that steps out of the ball
-regrows it to the radius the rest of the walk can reach: the current
-length plus the letters left.  Bruhat order is read from bitset lower
-ideals of the element table, each built on its element's first query.
+descents are walks through ``lmult``, the table's left multiplications,
+reading a word from its end.  A step out of the ball regrows it towards
+the radius the rest of the walk can reach (the current length plus the
+letters left), at most doubling it.  Bruhat order is read from bitset
+lower ideals of the element table, each built on its element's first query.
 
 Coset queries read a table of the minimal coset representatives D_J
 inside W_K, built the same way over the generators of K and memoised per
@@ -276,9 +277,7 @@ class _ElementTable:
     outside K are None.  s*x leaves D_J exactly when s*x = x*t for a t in
     J, and then ``conj[s]`` maps i to the Deodhar class (zero, t).
     ``ideals[i]`` is the Bruhat lower ideal of x inside D_J as a bitset
-    over positions, or None until :meth:`ideal` first builds it.  Only the
-    element table has ``rmult[s][i]`` (the position of x*s, or None) and
-    ``inverse``.
+    over positions, or None until :meth:`ideal` first builds it.
 
     The table is built one length at a time over s in K, without rewriting
     words.  An element x is keyed by the root ids of x(alpha_1), ...,
@@ -367,20 +366,6 @@ class _ElementTable:
                     lmult[s][new_id] = v
         self.complete = not layer  # BFS exhausted D_J n W_K
         self.lmult, self.conj = lmult, conj
-        if J or len(gens) < rank:
-            return
-        # the element table: w^-1 = s_k ... s_1 for w = s_1 ... s_k, and w*s = (s*w^-1)^-1
-        self.inverse = []
-        for word in words:
-            ident = 0
-            for s in word:
-                ident = lmult[s][ident]
-            self.inverse.append(ident)
-        inverse = self.inverse
-        self.rmult = [
-            [None if row[inverse[i]] is None else inverse[row[inverse[i]]] for i in range(len(words))]
-            for row in lmult
-        ]
 
     def deodhar(self, s: int, i: int) -> DeodharClass:
         """The Deodhar class of s in K on the element at position i."""
@@ -582,9 +567,10 @@ class CoxeterSystem:
         return table
 
     def _walk(self, start: Word, letters: Sequence[int]) -> Tuple[_ElementTable, int]:
-        """The table and the id of start*letters, for a canonical word start.
+        """The table and the id of letters*start, for a canonical word start.
 
-        A step out of the ball at length c with k letters left regrows it to
+        The letters are read from the end, each a step through ``lmult``.  A
+        step out of the ball at length c with k letters left regrows it to
         radius c + min(k, max(1, c)): at most doubling, so a word that
         cancels does not build the ball its letter count would reach.  Ids
         follow (length, word), so they survive regrowth.
@@ -594,42 +580,41 @@ class CoxeterSystem:
         if ident is None:
             table = self._table(len(start))
             ident = table.index[start]
-        for done, s in enumerate(letters):
-            step = table.rmult[s][ident]
+        for k in range(len(letters), 0, -1):
+            s = letters[k - 1]
+            step = table.lmult[s][ident]
             if step is None:
-                c, k = len(table.words[ident]), len(letters) - done
+                c = len(table.words[ident])
                 table = self._table(c + min(k, max(1, c)))
-                step = table.rmult[s][ident]
+                step = table.lmult[s][ident]
             ident = step
         return table, ident
 
     def mult(self, x: Element, y: Element) -> Element:
         self._check_same(x.system)
         self._check_same(y.system)
-        table, ident = self._walk(x.word, y.word)
+        table, ident = self._walk(y.word, x.word)
         return Element(table.words[ident], self)
 
     def inverse(self, x: Element) -> Element:
+        # s_1 ... s_k read from its end is the left product s_k ... s_1
         self._check_same(x.system)
-        table, ident = self._walk(x.word, ())
-        return Element(table.words[table.inverse[ident]], self)
+        table, ident = self._walk((), x.word[::-1])
+        return Element(table.words[ident], self)
 
     def left_descents(self, x: Element) -> FrozenSet[int]:
         self._check_same(x.system)
-        return self._descents(x, left=True)
+        return self._descents(*self._walk(x.word, ()))
 
     def right_descents(self, x: Element) -> FrozenSet[int]:
+        # the right descents of x are the left descents of x^-1
         self._check_same(x.system)
-        return self._descents(x, left=False)
+        return self._descents(*self._walk((), x.word[::-1]))
 
-    def _descents(self, x: Element, left: bool) -> FrozenSet[int]:
-        # ids grow with length, and a ball holds every shorter neighbour of
-        # its elements, so a neighbour missing from the table is longer
-        table, ident = self._walk(x.word, ())
-        rows = table.lmult if left else table.rmult
-        return frozenset(
-            s for s, row in enumerate(rows) if row[ident] is not None and row[ident] < ident
-        )
+    def _descents(self, table: _ElementTable, ident: int) -> FrozenSet[int]:
+        # the minus classes: a ball holds every shorter neighbour of its
+        # elements, so a neighbour missing from the table is longer
+        return frozenset(s for s in range(self.rank) if table.deodhar(s, ident) is _MINUS)
 
     # -- Bruhat order -----------------------------------------------------
 
@@ -688,10 +673,6 @@ class CoxeterSystem:
         if max_length is not None:
             words = [w for w in words if len(w) <= max_length]
         return [Element(w, self) for w in words]
-
-    def parabolic_elements(self, K: Iterable[int], max_length: Optional[int] = None) -> List[Element]:
-        """Elements of the standard parabolic subgroup generated by K."""
-        return self.min_coset_reps((), K, max_length)
 
     def _subset(self, J: Iterable[int]) -> FrozenSet[int]:
         J = frozenset(J)

@@ -436,8 +436,14 @@ def cells_to_json(partition: CellPartition, names: List[str]) -> dict:
 # -- DOT export ---------------------------------------------------------------------------------
 
 
+def _dot_escape(name: str) -> str:
+    """A vertex name for a quoted DOT string: backslashes and quotes escaped."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def wgraph_to_dot(graph: WGraph) -> str:
-    module, names = graph.module, graph.vertices
+    module = graph.module
+    names = [_dot_escape(name) for name in graph.vertices]
     lines = ["digraph wgraph {"]
     for i, name in enumerate(names):
         label_set = ",".join(str(s + 1) for s in sorted(module.vertex_label(i)))
@@ -452,6 +458,7 @@ def wgraph_to_dot(graph: WGraph) -> str:
 def cells_to_dot(
     partition: CellPartition, names: List[str], module: Optional[OmegaModule] = None
 ) -> str:
+    names = [_dot_escape(name) for name in names]
     lines = ["digraph cells {", "  compound=true;"]
     for b, block in enumerate(partition.blocks):
         lines.append(f"  subgraph cluster_{b} {{")

@@ -164,7 +164,7 @@ class TestCellPartition:
 class TestInducedCells:
     def test_whole_parabolic(self, systems):
         a2 = systems["a2"]
-        report = induced_cells_check(a2, {0}, a2.parabolic_elements({0}))
+        report = induced_cells_check(a2, {0}, a2.min_coset_reps((), {0}))
         assert report.ok
 
     def test_identity_cell(self, systems):

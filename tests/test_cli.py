@@ -1,9 +1,10 @@
 import json
+import re
 
 import pytest
 
 from wgraphs.cli import main, resolve_module
-from wgraphs.formats import SchemaError, load_json, load_system, wgraph_from_json
+from wgraphs.formats import SchemaError, load_json, load_system, wgraph_from_json, wgraph_to_dot
 
 from oracles import bruhat_leq_subword, sparse
 
@@ -203,6 +204,15 @@ class TestErrors:
         assert run(["table", "--system", path, "--module", "regular"]) == 2
         assert "max_length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["affine_a1", "a2"])
+    def test_flag_takes_no_cutoff(self, system_dir, name, capsys):
+        # the flag algorithm has no length cutoff: the pair is refused, not half read
+        path = str(system_dir / f"{name}.json")
+        assert run(["table", "--system", path, "--module", "regular", "--flag", "",
+                    "--max-length", "3"]) == 2
+        err = capsys.readouterr().err
+        assert "--flag" in err and "--max-length" in err
+
     def test_infinite_with_cutoff(self, tmp_path, system_dir):
         path = str(system_dir / "affine_a1.json")
         out = tmp_path / "ball.json"
@@ -311,3 +321,17 @@ class TestWGraphFiles:
         assert self.load(b2u_path, tmp_path, "zero", edges=_edges({"1": 3, "0": 0})) == plus
         zero_edge = _edges({"1": 3}) + [{"s": 2, "from": "a", "to": "b", "weights": {"0": 0}}]
         assert self.load(b2u_path, tmp_path, "zero-edge", edges=zero_edge) == plus
+
+    def test_dot_escapes_names(self, tmp_path, b2u_path):
+        # a vertex name may hold a quote or end in a backslash; neither may end its DOT string
+        path = _graph_file(tmp_path, "quoted", vertices=['a"b', "c\\"], edges=[
+            {"s": 2, "from": "c\\", "to": 'a"b', "weights": {"1": 3}}])
+        dot = tmp_path / "cells.dot"
+        assert run(["cells", "--system", b2u_path, "--wgraph", path, "--dot", str(dot),
+                    "--out", str(tmp_path / "cells.json")]) == 0
+        cells = dot.read_text()
+        graph = wgraph_to_dot(wgraph_from_json(load_system(b2u_path), load_json(path)))
+        assert '  "c\\\\" -> "a\\"b" [label="s2"];' in cells.splitlines()
+        assert '  "a\\"b" [label="a\\"b\\n{2}"];' in graph.splitlines()
+        for line in cells.splitlines() + graph.splitlines():
+            assert '"' not in re.sub(r'"(?:[^"\\]|\\.)*"', "", line)

@@ -1059,7 +1059,7 @@ class TestParabolicOrdinary:
         zero = LMat.zeros(1)
         for size in range(1, system.rank):
             for J in map(frozenset, itertools.combinations(range(system.rank), size)):
-                w_j = system.parabolic_elements(J)
+                w_j = system.min_coset_reps((), J)
                 sign = p_mu_table(J, sign_module(system, J)).p
                 trivial = p_mu_table(J, trivial_module(system, J)).p
                 reps = system.min_coset_reps(J)
