@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence
 
+from .coxeter import bit_positions
 from .matrix import LMat, _abs_row_sums, _block, _evaluate, _mul_into, _placed_rows
 from .report import Report
 from .wgraph import BlockTable, OmegaModule, hecke_t_column
@@ -127,12 +128,10 @@ def check_rho(rho: BlockTable) -> Report:
     failed = {(i // r, j // r) for i, row in product.items()
               for j, c in row.items() if c != (one if i == j else 0)}
     failed.update((i // r, i // r) for i in range(size) if i not in product.get(i, ()))
-    for zi, below in enumerate(bits):
-        for xi in range(zi + 1):
-            if below >> xi & 1:
-                report.checks += 1
-                if (xi, zi) in failed:
-                    report.fail(f"composition fails at ({reps[xi]},{reps[zi]})")
+    # failed pairs have x <= y <= z, so they are checked pairs, reported in (z, x) order
+    report.checks += sum([below.bit_count() for below in bits])
+    for xi, zi in sorted(failed, key=lambda pair: pair[::-1]):
+        report.fail(f"composition fails at ({reps[xi]},{reps[zi]})")
     return report
 
 
@@ -232,7 +231,7 @@ def canonicalise_shadow(
         bars: dict = {zi: unit_bar}  # bars[y] = v^E bar(pi_{yz}) at 2^B
         # the x whose fixed-point residual is nonzero, descending; at z, rho_{zz} = 1
         bad = [zi] if below_bits >> zi & 1 and diag[zi] != unit_bar else []
-        for x in reversed([y for y in range(zi) if below_bits >> y & 1]):
+        for x in reversed(bit_positions(below_bits & (1 << zi) - 1)):
             if unit:  # a is v^(2E) alpha_x at 2^B, val v^(2E) pi_{xz}
                 a = sum([r * bars[y] for y, r in above[x] if y in bars])
                 val, bars[x], pz[x] = solve(a, x, zi)

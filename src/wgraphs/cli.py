@@ -246,10 +246,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SchemaError, InvalidSystemError, EnumerationError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-    except OSError as err:
+    except (SchemaError, InvalidSystemError, EnumerationError, ValueError, OSError) as err:
+        if isinstance(err, EnumerationError) and args.command != "table":
+            err = (f"the group is infinite: `hy {args.command}` needs all of it; "
+                   "`hy table --max-length N` computes the table on the ball of radius N")
         print(f"error: {err}", file=sys.stderr)
         return 2
 

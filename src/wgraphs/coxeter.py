@@ -39,6 +39,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import (
     FrozenSet,
     Iterable,
@@ -308,6 +309,7 @@ class _ElementTable:
         self._build()
         self.ideals: List[Optional[int]] = [None] * len(self.words)
         self.ideals[0] = 1
+        self.digits: dict = {}  # s -> the gather indices of :meth:`ideal`
 
     def _add(self, word: Word) -> int:
         ident = len(self.words)
@@ -381,27 +383,36 @@ class _ElementTable:
         With s the first letter of z's canonical word (a left descent),
         I(z) = I(sz) u s.I(sz), where the images s*y outside D_J (the zero
         class) are left out.  Every element of s.I(sz) is no longer than z,
-        so a ball containing z contains the whole ideal.
+        so a ball containing z contains the whole ideal.  s.I(sz) = {j <= z :
+        s*x_j in I(sz)} (a j after z with s*x_j <= sz would lie below z by
+        the lifting property) is gathered from I(sz)'s n + 1 binary digits
+        through ``lmult[s]``, a missing s*x_j reading the leading 0: one
+        string and one ``int`` per z.
         """
-        ideals = self.ideals
+        ideals, words, n = self.ideals, self.words, len(self.words)
         chain = []
         while ideals[ident] is None:
             chain.append(ident)
-            ident = self.lmult[self.words[ident][0]][ident]
+            ident = self.lmult[words[ident][0]][ident]
         bits = ideals[ident]
         for z in reversed(chain):
-            left = self.lmult[self.words[z][0]]
-            shifted = 0
-            rest = bits
-            while rest:
-                low = rest & -rest
-                image = left[low.bit_length() - 1]
-                if image is not None:
-                    shifted |= 1 << image
-                rest ^= low
-            bits |= shifted
+            s = words[z][0]
+            digits = self.digits.get(s)
+            if digits is None:  # the index of the digit of s*x_j, for each j
+                digits = self.digits[s] = [~n if j is None else ~j for j in self.lmult[s]]
+            bits |= int("".join(itemgetter(*digits[z::-1])(f"{bits:0{n + 1}b}")), 2)
             ideals[z] = bits
         return bits
+
+
+_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def bit_positions(bits: int) -> List[int]:
+    """The positions of the set bits of ``bits``, ascending, from one scan of
+    its binary digits (a shift per position would copy the int each time)."""
+    digits = bin(bits)[:1:-1].encode().translate(_DIGITS)  # bytes 0 and 1
+    return list(itertools.compress(itertools.count(), digits))
 
 
 class CoxeterSystem:
@@ -657,11 +668,7 @@ class CoxeterSystem:
             if ident == i:  # elements[:i + 1] are positions 0..i of the table
                 out.append(ideal)
                 continue
-            bits = 0
-            for j in range(i + 1):
-                if ideal >> ids[j] & 1:
-                    bits |= 1 << j
-            out.append(bits)
+            out.append(sum([1 << j for j in range(i + 1) if ideal >> ids[j] & 1]))
         return out
 
     # -- enumeration -------------------------------------------------------

@@ -48,11 +48,13 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from sys import maxsize
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-from .coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO, CoxeterSystem, Element
+from .coxeter import (DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO, CoxeterSystem, Element,
+                      bit_positions)
 from .laurent import LaurentPoly
 from .matrix import LMat, _abs_row_sums, _dot, _mul_into, _placed_rows, _scaled, imat_identity
 from .report import Report
@@ -165,7 +167,8 @@ def p_mu_table(
     independent of the choice, which is exercised by tests.
 
     Equal stored values are one object (hash-consing), numbered in the
-    order they are first seen.  Three steps are memoised by those serial
+    order they are first seen, with the least exponent of each recorded
+    once by its serial number.  Three steps are memoised by those serial
     numbers, so each distinct computation runs once:
 
     * the plus, zero and minus closed forms of the p-step, by the Deodhar
@@ -182,6 +185,17 @@ def p_mu_table(
     key that holds them, where a fresh ``id`` int per key would cost 32
     bytes each.  All the dicts are local to the call, so no object,
     id or serial outlives it.
+
+    Work that cannot change a block is skipped.  For J = {}, T_w -> T_(w^-1)
+    is an anti-involution commuting with bar for any weights, so it maps
+    C_z to C_(z^-1) and p(x, z) = p(x^-1, z^-1) (Kazhdan-Lusztig 1979);
+    as x <= z iff x^-1 <= z^-1, the column of a z whose z^-1 is done is
+    read from that column (its mu-step still runs: inversion swaps left
+    and right descents).  In the mu-step, alpha's exponents <= 0 come from
+    p(x, z)'s blocks at g <= L(s), from C_u p(x, z) or p(x, z) C_u, where
+    C_u = T_u - v_u has exponents >= -L(u), and from window terms; so no
+    key is built for an s with an empty window and a p(x, z) whose least
+    exponent exceeds every weight, as it has no mu.
     """
     system = module.system
     J = system._subset(J)
@@ -201,20 +215,28 @@ def p_mu_table(
     identity, zero = LMat.identity(rank), LMat.zeros(rank)
     c_mats = {u: module.iota_t(u) - identity.scale(LaurentPoly.v(system.weight(u)))
               for u in J}  # C_u = T_u - v_u on the module
+    top = max(map(system.weight, ambient), default=0)  # the largest weight
+    minus_v_inv = {s: LaurentPoly.v(-system.weight(s), -1) for s in ambient}
+    # inverse[z]: the position of z^-1 for J = {}, z's word read forward
+    # through shifted (each prefix of z^-1 is in the listing); else z
+    inverse = range(len(reps)) if J else [
+        reduce(lambda i, s: shifted[s][i], z.word, 0) for z in reps]
     # mu_lists[z][s] = [(y, mu(y, z, s))] over the nonzero blocks only, so the
     # sums over x <= y < z skip every y whose mu-block is zero; low_p[y] = the
-    # least exponent of p(x, y) over x < y (maxsize if there is none), found
-    # for a y only once y gets a mu-block
+    # least exponent of p(x, y) over x < y (maxsize if there is none), read
+    # from lows for a y only once y gets a mu-block with a negative exponent
     cols, mu_pos = table.cols, table.mu_pos
     mu_lists: list = []
     low_p: Dict[int, int] = {}
     # shared: the one object of each stored value, keyed by its blocks in
     # exponent order as one flat tuple (g, block, g, block, ...), under a
     # third of the memory of a frozenset of items; num: its serial number,
-    # by id; forms, sums and mus: the p-step's closed forms, its term sums
-    # and the mu-step, by the serials of their inputs (zero for no mu)
+    # by id; lows: its least exponent, by serial (maxsize for zero); forms,
+    # sums and mus: the p-step's closed forms, its term sums and the
+    # mu-step, by the serials of their inputs (zero for no mu)
     shared: Dict[tuple, LMat] = {}
     num: Dict[int, int] = {}
+    lows: List[int] = []
     forms: Dict[tuple, LMat] = {}
     sums: Dict[tuple, LMat] = {}
     mus: Dict[tuple, LMat] = {}
@@ -222,13 +244,14 @@ def p_mu_table(
     def share(value: LMat) -> LMat:
         key = tuple(chain.from_iterable(sorted(value.blocks.items())))
         value = shared.setdefault(key, value)
-        num.setdefault(id(value), len(num))
+        if num.setdefault(id(value), len(num)) == len(lows):
+            lows.append(min(value.blocks, default=maxsize))
         return value
 
     share(identity)
 
     for zi, z in enumerate(reps):
-        below_z = [y for y in range(zi + 1) if bits[zi] >> y & 1]
+        below_z = bit_positions(bits[zi])
         pz = [None] * (zi + 1)
         pz[zi] = identity
         cols.append(pz)
@@ -236,51 +259,56 @@ def p_mu_table(
         mu_lists.append(mu_z)
         if len(below_z) == 1:
             continue
-        # the left descents of z are its minus-classes; the least one is the
-        # first letter of z's canonical word
-        descents = [s for s in sorted(ambient) if classes[s][zi].tag == DEODHAR_MINUS]
-        t = descents[0] if descent_choice == "min" else descents[-1]
-        tz = shifted[t][zi]
-        p_tz, row_t, up_t = cols[tz], classes[t], shifted[t]
-        lt = system.weight(t)
-        minus_vt, vt_inv = LaurentPoly.v(lt, -1), LaurentPoly.v(-lt)
-        mu_tz = mu_lists[tz].get(t, ())
-        # tz < z and x < z, so by the lifting property tx <= z and x <= tz
-        # when tx > x (plus and zero classes), and tx <= tz when tx < x
-        # (minus): only p(x, tz) in the minus case may be absent
-        for x in reversed(below_z[:-1]):
-            cx = row_t[x]
-            if cx.tag == DEODHAR_PLUS:
-                key = (cx.tag, lt, num[id(pz[up_t[x]])])
-            elif cx.tag == DEODHAR_ZERO:
-                key = (cx.tag, cx.conj, num[id(p_tz[x])])
-            elif bits[tz] >> x & 1:
-                key = (cx.tag, lt, num[id(p_tz[up_t[x]])], num[id(p_tz[x])])
-            else:  # p(x, tz) = 0
-                key = None
-            value = forms.get(key) if key else p_tz[up_t[x]]
-            if value is None:  # the closed form, once per key
+        if inverse[zi] < zi:  # p(x, z) = p(x^-1, z^-1), that column done
+            col = cols[inverse[zi]]
+            for x in below_z[:-1]:
+                pz[x] = col[inverse[x]]
+        else:
+            # the left descents of z are its minus-classes; the least one is the
+            # first letter of z's canonical word
+            t = z.word[0] if descent_choice == "min" else max(
+                s for s in ambient if classes[s][zi].tag == DEODHAR_MINUS)
+            tz = shifted[t][zi]
+            p_tz, row_t, up_t = cols[tz], classes[t], shifted[t]
+            lt = system.weight(t)
+            minus_vt, vt_inv = LaurentPoly.v(lt, -1), LaurentPoly.v(-lt)
+            mu_tz = mu_lists[tz].get(t, ())
+            # tz < z and x < z, so by the lifting property tx <= z and x <= tz
+            # when tx > x (plus and zero classes), and tx <= tz when tx < x
+            # (minus): only p(x, tz) in the minus case may be absent
+            for x in reversed(below_z[:-1]):
+                cx = row_t[x]
                 if cx.tag == DEODHAR_PLUS:
-                    value = pz[up_t[x]].scale(minus_vt)
+                    key = (cx.tag, lt, num[id(pz[up_t[x]])])
                 elif cx.tag == DEODHAR_ZERO:
-                    value = c_mats[cx.conj] @ p_tz[x]
-                else:
-                    value = p_tz[up_t[x]] - p_tz[x].scale(vt_inv)
-                value = forms[key] = share(value)
-            if cx.tag != DEODHAR_PLUS:
-                # the key is built alone, since most keys hit and need no terms
-                key = [num[id(value)]]
-                for y, mu_y in mu_tz:
-                    if bits[y] >> x & 1:
-                        key += num[id(cols[y][x])], num[id(mu_y)]
-                if len(key) > 1:  # minus the terms, once per key
-                    key = tuple(key)
-                    total = sums.get(key)
-                    if total is None:
-                        terms = [(cols[y][x], mu_y) for y, mu_y in mu_tz if bits[y] >> x & 1]
-                        total = sums[key] = share(value - _dot(shape, terms))
-                    value = total
-            pz[x] = value
+                    key = (cx.tag, cx.conj, num[id(p_tz[x])])
+                elif bits[tz] >> x & 1:
+                    key = (cx.tag, lt, num[id(p_tz[up_t[x]])], num[id(p_tz[x])])
+                else:  # p(x, tz) = 0
+                    key = None
+                value = forms.get(key) if key else p_tz[up_t[x]]
+                if value is None:  # the closed form, once per key
+                    if cx.tag == DEODHAR_PLUS:
+                        value = pz[up_t[x]].scale(minus_vt)
+                    elif cx.tag == DEODHAR_ZERO:
+                        value = c_mats[cx.conj] @ p_tz[x]
+                    else:
+                        value = p_tz[up_t[x]] - p_tz[x].scale(vt_inv)
+                    value = forms[key] = share(value)
+                if cx.tag != DEODHAR_PLUS:
+                    # the key is built alone, since most keys hit and need no terms
+                    key = [num[id(value)]]
+                    for y, mu_y in mu_tz:
+                        if bits[y] >> x & 1:
+                            key += num[id(cols[y][x])], num[id(mu_y)]
+                    if len(key) > 1:  # minus the terms, once per key
+                        key = tuple(key)
+                        total = sums.get(key)
+                        if total is None:
+                            terms = [(cols[y][x], mu_y) for y, mu_y in mu_tz if bits[y] >> x & 1]
+                            total = sums[key] = share(value - _dot(shape, terms))
+                        value = total
+                pz[x] = value
 
         # mu-step: x ascending or descending does not matter for p, but the
         # recursion needs mu(y, z, s) for y above x first, so keep descending.
@@ -291,14 +319,17 @@ def p_mu_table(
         # The value depends only on the classes (conj is None for a minus
         # class), L(s), p(x, z) and the window's terms, which key mus.
         window: Dict[int, list] = {}
-        steps = [(s, row, row[zi], system.weight(s), LaurentPoly.v(-system.weight(s), -1))
+        steps = [(s, row, row[zi], system.weight(s), minus_v_inv[s])
                  for s, row in classes.items() if row[zi].tag != DEODHAR_MINUS]
         for x in reversed(below_z[:-1]):
             pxz = pz[x]
             pxz_num = num[id(pxz)]
+            high = lows[pxz_num] > top  # then only window terms reach exponent 0
+            if high and not window:
+                continue
             for s, row, cz, ls, minus_vs_inv in steps:
                 cx = row[x]
-                if cx.tag == DEODHAR_PLUS:
+                if cx.tag == DEODHAR_PLUS or high and s not in window:
                     continue
                 key = [cx.conj, ls, cz.conj, pxz_num]
                 for y, mu_y in window.get(s, ()):
@@ -332,11 +363,14 @@ def p_mu_table(
                     continue
                 mu_pos[(x, zi, s)] = value
                 mu_z.setdefault(s, []).append((x, value))
+                least = min(value.blocks)
+                if least >= 0:  # low_p[x] > 0: p(y, x) is positive for y < x
+                    continue
                 low = low_p.get(x)
                 if low is None:
-                    low = low_p[x] = min([min(p.blocks) for p in cols[x][:-1]
-                                          if p is not None and p.blocks], default=maxsize)
-                if low + min(value.blocks) <= 0:
+                    serials = set(map(id, cols[x][:-1])) - {id(None)}
+                    low = low_p[x] = min([lows[num[i]] for i in serials], default=maxsize)
+                if low + least <= 0:
                     window.setdefault(s, []).append((x, value))
     return table
 

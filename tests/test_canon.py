@@ -196,6 +196,19 @@ class TestCheckRhoProduct:
         report = check_rho(rho)
         assert report.ok and report.checks == 15
 
+    def test_failures_in_column_order(self):
+        """Two bumped blocks, one at the top of the last column and one low
+        in an early column: their failures interleave, and the report names
+        them column by column, (z, x), as the entrywise reference does."""
+        rho = _rho_of("b2_unequal")
+        reps = rho.reps
+        bad = _bumped(_bumped(rho, reps[0], reps[-1], 0, 0, 1, 1), reps[1], reps[3], 0, 0, 1, 1)
+        report, reference = check_rho(bad), check_rho_entrywise(bad)
+        assert report.failures == reference.failures
+        early, late = (report.failures.index(f"composition fails at ({x},{z})")
+                       for x, z in [(reps[1], reps[3]), (reps[0], reps[-1])])
+        assert early < late
+
     @pytest.mark.parametrize("base", [3, 8, 64])
     def test_defect_that_vanishes_at_a_fixed_base(self, base):
         """A1 with r_(e,s) = f = 2^(b+1) v - (2^(2b) + 1): the defect at (e, s)

@@ -204,6 +204,16 @@ class TestErrors:
         assert run(["table", "--system", path, "--module", "regular"]) == 2
         assert "max_length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["cells"], ["induce", "-J", "1", "--module", "sign"],
+                                      ["verify", "--check", "axioms", "--module", "regular"]])
+    def test_infinite_names_the_option_it_has(self, system_dir, argv, capsys):
+        # only `hy table` takes --max-length, so the others point there
+        path = str(system_dir / "affine_a1.json")
+        assert run(argv + ["--system", path]) == 2
+        err = capsys.readouterr().err
+        assert f"`hy {argv[0]}` needs all of it" in err
+        assert "`hy table --max-length N`" in err and "explicit max_length" not in err
+
     @pytest.mark.parametrize("name", ["affine_a1", "a2"])
     def test_flag_takes_no_cutoff(self, system_dir, name, capsys):
         # the flag algorithm has no length cutoff: the pair is refused, not half read

@@ -449,6 +449,24 @@ class TestBruhat:
                         for j in range(i + 1):
                             assert bool(bits[i] >> j & 1) == system.bruhat_leq(reps[j], z)
 
+    @pytest.mark.parametrize("path", ["systems/affine_a1.json", "perfbench/systems/affine_a2.json"])
+    def test_ideals_on_a_regrown_ball(self, path):
+        """Ideals gathered on the ball of radius 4, where the boundary has
+        neighbours outside the ball, and again after it is regrown to 8."""
+        system, fresh = (load_system(str(_ROOT / path)) for _ in range(2))
+        small = system.elements(max_length=4)
+        bits = system.bruhat_ideals(small)
+        for i, z in enumerate(small):
+            for j, x in enumerate(small[:i + 1]):
+                assert bool(bits[i] >> j & 1) == bruhat_leq_subword(system, x, z)
+        ball = system.elements(max_length=8)  # regrows the cached table
+        regrown = system.bruhat_ideals(ball)
+        assert regrown[:len(small)] == bits
+        fresh_ball = fresh.elements(max_length=8)  # radius 8 from the start
+        for i, z in enumerate(fresh_ball):
+            for j, x in enumerate(fresh_ball):
+                assert bool(regrown[i] >> j & 1) == fresh.bruhat_leq(x, z)
+
     def test_bruhat_ideals_need_sorted_input(self, systems):
         a2 = systems["a2"]
         assert a2.bruhat_ideals([]) == []

@@ -1342,6 +1342,42 @@ class TestMuWindow:
         assert windows and not any(windows)  # the p-step's full sums only
 
 
+class TestInverseColumns:
+    """For J = {} a column whose z^-1 is done is copied through x -> x^-1,
+    since p(x, z) = p(x^-1, z^-1); the mu-step of such a column still runs."""
+
+    @staticmethod
+    def _case(name):
+        """(system, ambient, radius): unequal weights with non-empty windows,
+        a ball of an infinite group, and J = {} inside a parabolic of D4."""
+        if name == "d4_K123":
+            return load_system(str(ROOT / "perfbench/systems/d4.json")), {0, 1, 2}, None
+        path = "systems/b2_unequal.json" if name == "b2_unequal" else f"perfbench/systems/{name}.json"
+        return load_system(str(ROOT / path)), None, 8 if name == "affine_a2" else None
+
+    @pytest.mark.parametrize("name", ["b2_unequal", "b3_211", "i2_8_13", "affine_a2", "d4_K123"])
+    def test_copied_columns(self, name):
+        from wgraphs.canon import pi_recursion, rho_table
+
+        system, ambient, radius = self._case(name)
+        module = trivial_module(system, frozenset())
+        table = p_mu_table(frozenset(), module, ambient, max_length=radius)
+        index = {z.word: i for i, z in enumerate(table.reps)}
+        inv = [index[z.inverse().word] for z in table.reps]
+        assert any(i < zi for zi, i in enumerate(inv))  # some column is copied
+        for zi, col in enumerate(table.cols):
+            for xi, mat in enumerate(col):
+                if mat is not None:
+                    assert table.cols[inv[zi]][inv[xi]] is mat
+        high = p_mu_table(frozenset(), module, ambient, descent_choice="max", max_length=radius)
+        assert high.p == table.p and high.mu == table.mu
+        if radius is None:
+            assert oracle_check(frozenset(), module, ambient).ok
+            assert table.check_invariants().ok
+        else:  # the oracle route on the ball; the invariants need the whole group
+            assert pi_recursion(rho_table(frozenset(), module, max_length=radius)).cols == table.cols
+
+
 class TestMemo:
     """``p_mu_table`` memoises its p-step forms, term sums and mu-steps by
     the serial numbers of their interned inputs, within one call."""
