@@ -378,6 +378,26 @@ def p_mu_table(
 # -- the induced module -------------------------------------------------------
 
 
+def _idempotents(module: OmegaModule, classes: Mapping[int, Sequence]) -> Dict[int, tuple]:
+    """The idempotent E_s of the induced module, as rows, for each s in
+    ``classes``: block z is 1 on a minus class, E_(s^z) of the module on a
+    zero class and 0 on a plus class.  No p- or mu-block enters it."""
+    r = module.rank
+    e_out: Dict[int, tuple] = {}
+    for s, column in classes.items():
+        e_rows: list = []
+        for zi, cls in enumerate(column):
+            if cls.tag == DEODHAR_MINUS:
+                e_rows += [((i, 1),) for i in range(zi * r, zi * r + r)]
+            elif cls.tag == DEODHAR_ZERO:
+                e_rows += [tuple([(j + zi * r, c) for j, c in row])
+                           for row in module.e_mat(cls.conj)]
+            else:
+                e_rows += [()] * r
+        e_out[s] = tuple(e_rows)
+    return e_out
+
+
 def induce(
     J: Iterable[int],
     module: OmegaModule,
@@ -385,11 +405,11 @@ def induce(
 ) -> OmegaModule:
     """Assemble the induced module on the basis (coset rep, module basis).
 
-    The idempotent of s acts blockwise as 0 / E_{s^z} / 1 according to the
-    Deodhar class of the representative, and the edge operators place the
-    mu-blocks below the diagonal together with the length-increasing carry
-    (weight 1 at exponent 0) and, on zero-class representatives, the inner
-    edge matrices of the conjugated generator.
+    The idempotents are :func:`_idempotents` of the Deodhar classes.  The
+    edge operators place the mu-blocks below the diagonal together with the
+    length-increasing carry (weight 1 at exponent 0) on plus-class
+    representatives and, on zero-class ones, the inner edge matrices of the
+    conjugated generator.
     """
     system = module.system
     J = system._subset(J)
@@ -399,7 +419,6 @@ def induce(
     r = module.rank
     n = len(reps) * r
     classes, shifted = table._arrays()
-    ambient = table.ambient
 
     def put_block(target, bi, bj, mat) -> None:
         """Add ``mat`` at block (bi, bj) of ``target``, one {column: value} per row."""
@@ -413,28 +432,20 @@ def induce(
     for (xi, zi, s), mu in table.mu_pos.items():
         mu_by_gen.setdefault(s, []).append((xi, zi, mu))
     carry = imat_identity(r)
-    e_out: Dict[int, tuple] = {}
     x_out: Dict[Tuple[int, int], tuple] = {}
-    for s in sorted(ambient):
+    for s, column in classes.items():
         ls = system.weight(s)
-        e_rows = [()] * n  # each row comes from the one diagonal block it lies in
         x_mats = {g: [{} for _ in range(n)] for g in range(ls)}
-        for zi, cls in enumerate(classes[s]):
-            if cls.tag == DEODHAR_MINUS:
-                for i in range(zi * r, zi * r + r):
-                    e_rows[i] = ((i, 1),)
-                continue
+        for zi, cls in enumerate(column):
             if cls.tag == DEODHAR_ZERO:
                 conj = cls.conj
                 if system.weight(conj) != ls:
                     raise AssertionError("conjugate generators carry different weights")
-                for i, row in enumerate(module.e_mat(conj), zi * r):
-                    e_rows[i] = tuple([(j + zi * r, c) for j, c in row])
                 for g in range(ls):
                     inner = module.x.get((conj, g))
                     if inner is not None:
                         put_block(x_mats[g], zi, zi, inner)
-            else:  # plus: idempotent block is zero; carry to the longer rep
+            elif cls.tag == DEODHAR_PLUS:  # carry to the longer rep
                 szi = shifted[s][zi]
                 if szi is None:
                     sz = system.mult(system.generator(s), reps[zi])
@@ -450,10 +461,9 @@ def induce(
                                      f"outside (-{ls},{ls})")
                 if g >= 0:
                     put_block(x_mats[g], xi, zi, coeffs)
-        e_out[s] = tuple(e_rows)
         for g, rows in x_mats.items():
             x_out[(s, g)] = tuple(tuple([e for e in sorted(row.items()) if e[1]]) for row in rows)
-    return OmegaModule(system, ambient, n, e_out, x_out)
+    return OmegaModule(system, table.ambient, n, _idempotents(module, classes), x_out)
 
 
 def canonical_matrix(J: Iterable[int], module: OmegaModule, table: PMuTable) -> LMat:
@@ -898,16 +908,22 @@ def e_fix_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
     On the induction of the rank-1 module with all inner idempotents
     acting as 1, the product of E_s over s in J and (1 - E_s) over s
     outside J must fix the basis vector at the identity representative
-    exactly.
+    exactly.  No p/mu table is built: :func:`induce` takes its E_s from
+    :func:`_idempotents` of the table's classes and ``module.e_mat`` alone,
+    and ``p_mu_table(J, module)`` lists the same :meth:`min_coset_reps` and
+    reads its classes from the same :meth:`position_arrays`.  So the E_s
+    here are the rows of ``induce(J, module, p_mu_table(J, module))``, and
+    the walk multiplies the same matrices as on the induced module.
     """
     J = system._subset(J)
     report = Report(f"idempotent product fixes 1|m0 (J={sorted(s + 1 for s in J)})")
     module = sign_module(system, J)
-    induced = induce(J, module, p_mu_table(J, module))
-    e_0 = [1] + [0] * (induced.rank - 1)
+    reps = system.min_coset_reps(J)
+    e_mats = _idempotents(module, system.position_arrays(J, system.generator_set, reps)[0])
+    e_0 = [1] + [0] * (len(reps) * module.rank - 1)
     column = e_0  # column 0 of the product: e_0 through each factor, the last first
     for s in sorted(system.generator_set, reverse=True):
-        image = [sum([c * column[j] for j, c in row]) for row in induced.e_mat(s)]
+        image = [sum([c * column[j] for j, c in row]) for row in e_mats[s]]
         column = image if s in J else [a - b for a, b in zip(column, image)]
     report.require(column == e_0, "E_J does not fix the generating vector")
     return report

@@ -33,8 +33,8 @@ intertwining defect and the braid relations of a module are checked so.
 
 from __future__ import annotations
 
-from itertools import repeat
-from operator import add, sub
+from itertools import chain, repeat
+from operator import add, itemgetter, lt, sub
 from sys import maxsize
 from typing import Dict, Iterable, Mapping, Tuple
 
@@ -59,10 +59,14 @@ _UNITS = _Units()
 def imat(rows: Iterable[Iterable[Tuple[int, int]]], shape: Tuple[int, int]) -> IMat:
     """The matrix with these rows of ``(column, value)`` pairs; ``ValueError``
     unless there are ``shape[0]`` rows, each row's columns strictly increase
-    in ``range(shape[1])`` and no value is zero."""
+    in ``range(shape[1])`` and no value is zero.  Canonical tuple rows are
+    kept as they are; other input is normalised and checked row by row."""
     nrows, ncols = shape
     try:
-        out = tuple(tuple((j, c) for j, c in row) for row in rows)
+        out = tuple(rows)
+        if len(out) == nrows and _canonical(out, ncols):
+            return out
+        out = tuple(tuple((j, c) for j, c in row) for row in out)
     except TypeError:
         raise ValueError("a sparse row holds (column, value) pairs") from None
     if len(out) != nrows:
@@ -74,6 +78,22 @@ def imat(rows: Iterable[Iterable[Tuple[int, int]]], shape: Tuple[int, int]) -> I
         if not all(c for _, c in row):
             raise ValueError(f"row {i} holds an explicit zero")
     return out
+
+
+def _canonical(rows: tuple, ncols: int) -> bool:
+    """Whether ``rows`` is an IMat with ``ncols`` columns, in whole-matrix passes:
+    tuples of (int, nonzero) pairs whose keys i * ncols + j strictly increase."""
+    if not set(map(type, rows)) <= {tuple}:
+        return False
+    flat = list(chain.from_iterable(rows))
+    if not (set(map(type, flat)) <= {tuple} and set(map(len, flat)) <= {2}):
+        return False
+    cols = list(map(itemgetter(0), flat))
+    if not (set(map(type, cols)) <= {int} and all(map(itemgetter(1), flat))):
+        return False
+    starts = range(0, len(rows) * ncols, ncols or 1)  # i * ncols, once per entry of row i
+    keys = list(map(add, chain.from_iterable(map(repeat, starts, map(len, rows))), cols))
+    return not cols or 0 <= min(cols) and max(cols) < ncols and all(map(lt, keys, keys[1:]))
 
 
 def imat_zero(n: int) -> IMat:

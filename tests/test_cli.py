@@ -205,7 +205,8 @@ class TestErrors:
         assert "max_length" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [["cells"], ["induce", "-J", "1", "--module", "sign"],
-                                      ["verify", "--check", "axioms", "--module", "regular"]])
+                                      ["verify", "--check", "axioms", "--module", "regular"],
+                                      ["verify", "--check", "e-nonzero"]])
     def test_infinite_names_the_option_it_has(self, system_dir, argv, capsys):
         # only `hy table` takes --max-length, so the others point there
         path = str(system_dir / "affine_a1.json")

@@ -982,23 +982,60 @@ class TestEFix:
     def test_broken_idempotent_fails(self, systems, monkeypatch):
         """An induced E_1 with one extra entry, (1, 0): E_1 e_0 = e_0 + e_1,
         so the product moves e_0, and the vector walk and the Laurent-matrix
-        product fail with the same text."""
+        product on the module ``induce`` builds fail with the same text."""
         import wgraphs.hy as hy
 
         a2 = systems["a2"]
-        real = hy.induce
+        real = hy._idempotents
 
         def broken(*args):
-            induced = real(*args)
-            e = dict(induced.e)
+            e = real(*args)
             assert e[0][1] == ()
             e[0] = (e[0][0], ((0, 1),)) + e[0][2:]
-            return OmegaModule(induced.system, induced.gens, induced.rank, e, induced.x)
+            return e
 
-        monkeypatch.setattr(hy, "induce", broken)
+        monkeypatch.setattr(hy, "_idempotents", broken)
         report = e_fix_check(a2, frozenset({0}))
         assert report.failures == ["E_J does not fix the generating vector"]
         assert report == e_fix_check_lmat(a2, frozenset({0}))
+
+    @pytest.mark.parametrize("path", ["perfbench/systems/b4.json", "perfbench/systems/d4.json",
+                                      "perfbench/systems/b3_211.json",
+                                      "perfbench/systems/i2_8_13.json"])
+    def test_matches_the_full_table_route(self, path):
+        """The reference builds the p/mu table and ``induce``; the check reads
+        the idempotents from the Deodhar classes alone: equal on every J."""
+        system = load_system(str(ROOT / path))
+        for size in range(system.rank + 1):
+            for j in itertools.combinations(range(system.rank), size):
+                report = e_fix_check(system, frozenset(j))
+                assert report.ok and report == e_fix_check_lmat(system, frozenset(j)), j
+
+    def test_builds_no_table(self, systems, monkeypatch):
+        import wgraphs.hy as hy
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("e_fix_check built a table")
+
+        monkeypatch.setattr(hy, "p_mu_table", refuse)
+        monkeypatch.setattr(hy, "induce", refuse)
+        for j in ({0}, {1, 2}, {0, 1, 2}):
+            assert e_fix_check(systems["b3"], j).ok
+
+    def test_idempotents_are_those_of_induce(self):
+        """On the regular W_K-graph of D4, K = {1,2,3} (rank 24), the zero
+        classes carry the module's E-blocks of the conjugated generators."""
+        from wgraphs.hy import _idempotents
+
+        d4 = load_system(str(ROOT / "perfbench/systems/d4.json"))
+        k, trivial = frozenset({0, 1, 2}), trivial_module(d4, frozenset())
+        module = induce(frozenset(), trivial, p_mu_table(frozenset(), trivial, ambient=k))
+        table = p_mu_table(k, module)
+        classes, _ = table._arrays()
+        assert module.rank == 24 and any(
+            c.tag == "zero" and c.conj != s for s, column in classes.items() for c in column)
+        e = _idempotents(module, classes)
+        assert e == induce(k, module, table).e
 
 
 class TestClassicalComparison:

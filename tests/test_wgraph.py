@@ -66,12 +66,41 @@ class TestValidate:
         (((0, 1), (0, 1)), ()),  # repeated column
         (((0, 0),), ()),  # explicit zero
         ((1, 0), (0, 0)),  # dense rows
+        (((True, 1),), ()),  # bool column
+        (((0.0, 1),), ()),  # float column
+        (((0, 1, 2),), ()),  # three-entry pair
+        ([[(1, 1), (0, 1)]], [[]]),  # list rows, unsorted
+        lambda: (row for row in (((0, 1),), ((0, 0),))),  # generator of rows, explicit zero
     ])
     def test_sparse_input_checked(self, systems, mat):
         with pytest.raises(ValueError):
-            OmegaModule(systems["a2"], {0}, 2, {0: mat}, {})
+            OmegaModule(systems["a2"], {0}, 2, {0: mat() if callable(mat) else mat}, {})
         with pytest.raises(ValueError):
-            OmegaModule(systems["a2"], {0}, 2, {}, {(0, 0): mat})
+            OmegaModule(systems["a2"], {0}, 2, {}, {(0, 0): mat() if callable(mat) else mat})
+
+    @pytest.mark.parametrize("mat", [
+        [[(1, 1)], [[0, 2], (1, -1)]],  # list rows and list pairs
+        lambda: (iter(row) for row in (((1, 1),), ((0, 2), (1, -1)))),  # generator of rows
+        (((1, 1),), ((0, 2), (1, -1))),  # canonical: kept as given
+    ])
+    def test_sparse_input_normalised(self, systems, mat):
+        canonical = (((1, 1),), ((0, 2), (1, -1)))
+        given = mat() if callable(mat) else mat
+        module = OmegaModule(systems["a2"], {0}, 2, {0: given}, {})
+        assert module.e[0] == canonical and (module.e[0] is given) == (given == canonical)
+        assert all(type(row) is tuple and all(type(e) is tuple for e in row) for row in module.e[0])
+
+    @pytest.mark.parametrize("mat,message", [
+        ((((True, 1),), ()), "row 0 needs strictly increasing columns in 0..1"),
+        (((), ((1, 1), (1, 2))), "row 1 needs strictly increasing columns in 0..1"),
+        (((), ((0, 1), (1, 0))), "row 1 holds an explicit zero"),
+        ((((0, 1),),), "matrix has 1 rows, not 2"),
+        (((0, 1),), "a sparse row holds (column, value) pairs"),
+    ])
+    def test_sparse_input_message(self, systems, mat, message):
+        with pytest.raises(ValueError) as err:
+            OmegaModule(systems["a2"], {0}, 2, {0: mat}, {})
+        assert str(err.value) == message
 
 
 class TestConversions:
