@@ -22,6 +22,7 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from typing import List, Optional
 
@@ -182,11 +183,11 @@ def cmd_verify(args) -> int:
             report = hy.e_fix_check(system, J)
         else:
             report = Report("idempotent products fix 1|m0 for every J")
-            import itertools
-
             for size in range(system.rank + 1):
                 for combo in itertools.combinations(range(system.rank), size):
-                    report.merge(hy.e_fix_check(system, frozenset(combo)))
+                    # a fresh system per J, so no coset table outlives its check
+                    fresh = CoxeterSystem(system.matrix, system.weights)
+                    report.merge(hy.e_fix_check(fresh, frozenset(combo)))
         return _print_report(report)
     raise SchemaError("--check", f"unknown check {check!r}")
 

@@ -889,7 +889,5 @@ def _arm_length(edges, branch, first) -> int:
         nxt = [x for x in _neighbours(edges, cur) if x != prev]
         if not nxt:
             return length
-        if len(nxt) > 1:
-            return 10 ** 6  # second branch point: not a finite arm anyway
         prev, cur = cur, nxt[0]
         length += 1

@@ -166,10 +166,13 @@ def p_mu_table(
     left descent used in the p-step ("min" or "max"); the result is
     independent of the choice, which is exercised by tests.
 
-    Equal stored values are one object (hash-consing), numbered in the
-    order they are first seen, with the least exponent of each recorded
-    once by its serial number.  Three steps are memoised by those serial
-    numbers, so each distinct computation runs once:
+    Equal stored values are one object (hash-consing): an ``LMat`` is its
+    own intern key, and each distinct value gets a serial number in the
+    order it is first seen, with 0 for no block.  While the recursion runs
+    the columns hold serials, and ``values`` and ``lows`` give each
+    serial's object and least exponent; one pass at the end puts the
+    objects back.  Three steps are memoised by serials read straight from
+    the columns, so each distinct computation runs once:
 
     * the plus, zero and minus closed forms of the p-step, by the Deodhar
       tag, L(t) or the conjugate generator, and the p-blocks they read;
@@ -177,14 +180,9 @@ def p_mu_table(
       both factors of every term;
     * the mu-step, by the conjugate generator of s on x (None for a minus
       class) and on z, L(s), p(x, z) and both factors of every window
-      term; a step that gives no mu caches the zero matrix.
+      term; a step that gives no mu caches serial 0.
 
-    A serial is looked up by ``id``, which is safe because every numbered
-    object is held by the intern dict until the call returns, so no id is
-    reused while the dicts live.  Serials are small ints shared by every
-    key that holds them, where a fresh ``id`` int per key would cost 32
-    bytes each.  All the dicts are local to the call, so no object,
-    id or serial outlives it.
+    All the dicts are local to the call, so no serial outlives it.
 
     Work that cannot change a block is skipped.  For J = {}, T_w -> T_(w^-1)
     is an anti-involution commuting with bar for any weights, so it maps
@@ -221,39 +219,38 @@ def p_mu_table(
     # through shifted (each prefix of z^-1 is in the listing); else z
     inverse = range(len(reps)) if J else [
         reduce(lambda i, s: shifted[s][i], z.word, 0) for z in reps]
-    # mu_lists[z][s] = [(y, mu(y, z, s))] over the nonzero blocks only, so the
-    # sums over x <= y < z skip every y whose mu-block is zero; low_p[y] = the
-    # least exponent of p(x, y) over x < y (maxsize if there is none), read
-    # from lows for a y only once y gets a mu-block with a negative exponent
+    # mu_lists[z][s] = [(y, serial of mu(y, z, s))] over the nonzero blocks,
+    # so the sums over x <= y < z skip every y whose mu-block is zero;
+    # low_p[y] = the least exponent of p(x, y) over x < y (maxsize if none),
+    # read from lows for a y once y gets a mu-block with a negative exponent
     cols, mu_pos = table.cols, table.mu_pos
     mu_lists: list = []
     low_p: Dict[int, int] = {}
-    # shared: the one object of each stored value, keyed by its blocks in
-    # exponent order as one flat tuple (g, block, g, block, ...), under a
-    # third of the memory of a frozenset of items; num: its serial number,
-    # by id; lows: its least exponent, by serial (maxsize for zero); forms,
-    # sums and mus: the p-step's closed forms, its term sums and the
-    # mu-step, by the serials of their inputs (zero for no mu)
-    shared: Dict[tuple, LMat] = {}
-    num: Dict[int, int] = {}
-    lows: List[int] = []
-    forms: Dict[tuple, LMat] = {}
-    sums: Dict[tuple, LMat] = {}
-    mus: Dict[tuple, LMat] = {}
+    # shared: the serial of each stored value, keyed by the value itself;
+    # values and lows: its object and least exponent, by serial (None and
+    # maxsize for serial 0, no block); forms, sums and mus: the p-step's
+    # closed forms, its term sums and the mu-step, by the serials of their
+    # inputs (0 for no mu)
+    shared: Dict[LMat, int] = {}
+    values: List[Optional[LMat]] = [None]
+    lows: List[int] = [maxsize]
+    forms: Dict[tuple, int] = {}
+    sums: Dict[tuple, int] = {}
+    mus: Dict[tuple, int] = {}
 
-    def share(value: LMat) -> LMat:
-        key = tuple(chain.from_iterable(sorted(value.blocks.items())))
-        value = shared.setdefault(key, value)
-        if num.setdefault(id(value), len(num)) == len(lows):
+    def share(value: LMat) -> int:
+        serial = shared.setdefault(value, len(values))
+        if serial == len(values):
+            values.append(value)
             lows.append(min(value.blocks, default=maxsize))
-        return value
+        return serial
 
-    share(identity)
+    one = share(identity)
 
     for zi, z in enumerate(reps):
         below_z = bit_positions(bits[zi])
-        pz = [None] * (zi + 1)
-        pz[zi] = identity
+        pz = [0] * (zi + 1)
+        pz[zi] = one
         cols.append(pz)
         mu_z: Dict[int, list] = {}
         mu_lists.append(mu_z)
@@ -279,34 +276,35 @@ def p_mu_table(
             for x in reversed(below_z[:-1]):
                 cx = row_t[x]
                 if cx.tag == DEODHAR_PLUS:
-                    key = (cx.tag, lt, num[id(pz[up_t[x]])])
+                    key = (cx.tag, lt, pz[up_t[x]])
                 elif cx.tag == DEODHAR_ZERO:
-                    key = (cx.tag, cx.conj, num[id(p_tz[x])])
+                    key = (cx.tag, cx.conj, p_tz[x])
                 elif bits[tz] >> x & 1:
-                    key = (cx.tag, lt, num[id(p_tz[up_t[x]])], num[id(p_tz[x])])
+                    key = (cx.tag, lt, p_tz[up_t[x]], p_tz[x])
                 else:  # p(x, tz) = 0
                     key = None
                 value = forms.get(key) if key else p_tz[up_t[x]]
                 if value is None:  # the closed form, once per key
                     if cx.tag == DEODHAR_PLUS:
-                        value = pz[up_t[x]].scale(minus_vt)
+                        value = values[pz[up_t[x]]].scale(minus_vt)
                     elif cx.tag == DEODHAR_ZERO:
-                        value = c_mats[cx.conj] @ p_tz[x]
+                        value = c_mats[cx.conj] @ values[p_tz[x]]
                     else:
-                        value = p_tz[up_t[x]] - p_tz[x].scale(vt_inv)
+                        value = values[p_tz[up_t[x]]] - values[p_tz[x]].scale(vt_inv)
                     value = forms[key] = share(value)
                 if cx.tag != DEODHAR_PLUS:
                     # the key is built alone, since most keys hit and need no terms
-                    key = [num[id(value)]]
+                    key = [value]
                     for y, mu_y in mu_tz:
                         if bits[y] >> x & 1:
-                            key += num[id(cols[y][x])], num[id(mu_y)]
+                            key += cols[y][x], mu_y
                     if len(key) > 1:  # minus the terms, once per key
                         key = tuple(key)
                         total = sums.get(key)
                         if total is None:
-                            terms = [(cols[y][x], mu_y) for y, mu_y in mu_tz if bits[y] >> x & 1]
-                            total = sums[key] = share(value - _dot(shape, terms))
+                            terms = [(values[key[i]], values[key[i + 1]])
+                                     for i in range(1, len(key), 2)]
+                            total = sums[key] = share(values[value] - _dot(shape, terms))
                         value = total
                 pz[x] = value
 
@@ -323,55 +321,56 @@ def p_mu_table(
                  for s, row in classes.items() if row[zi].tag != DEODHAR_MINUS]
         for x in reversed(below_z[:-1]):
             pxz = pz[x]
-            pxz_num = num[id(pxz)]
-            high = lows[pxz_num] > top  # then only window terms reach exponent 0
+            high = lows[pxz] > top  # then only window terms reach exponent 0
             if high and not window:
                 continue
             for s, row, cz, ls, minus_vs_inv in steps:
                 cx = row[x]
                 if cx.tag == DEODHAR_PLUS or high and s not in window:
                     continue
-                key = [cx.conj, ls, cz.conj, pxz_num]
+                key = [cx.conj, ls, cz.conj, pxz]
                 for y, mu_y in window.get(s, ()):
                     if bits[y] >> x & 1:
-                        key += num[id(cols[y][x])], num[id(mu_y)]
+                        key += cols[y][x], mu_y
                 key = tuple(key)
-                value = mus.get(key)
-                if value is None:  # the step, once per key
+                serial = mus.get(key)
+                if serial is None:  # the step, once per key
+                    p = values[pxz]
                     if cx.tag == DEODHAR_ZERO:
-                        alpha = _dot(shape, [(c_mats[cx.conj], pxz)], 0)
+                        alpha = _dot(shape, [(c_mats[cx.conj], p)], 0)
                     else:  # -v_s^-1 p(x, z) reaches exponent 0 only from p's blocks g <= L(s)
-                        kept = {g: b for g, b in pxz.blocks.items() if g <= ls}
+                        kept = {g: b for g, b in p.blocks.items() if g <= ls}
                         alpha = LMat._new(shape, kept).scale(minus_vs_inv) if kept else zero
-                    terms = [(cols[y][x], mu_y) for y, mu_y in window.get(s, ())
-                             if bits[y] >> x & 1]
+                    terms = [(values[key[i]], values[key[i + 1]]) for i in range(4, len(key), 2)]
                     if cz.tag == DEODHAR_ZERO:
-                        terms.append((pxz, c_mats[cz.conj]))
+                        terms.append((p, c_mats[cz.conj]))
                     if terms:
                         alpha = alpha - _dot(shape, terms, 0)
                     low = alpha.blocks
-                    value = zero
+                    serial = 0
                     if low:  # the bar-symmetric matrix with alpha's blocks, all at exponents <= 0
-                        value = share(LMat.from_coeffs(
-                            shape, {**low, **{-g: b for g, b in low.items() if g}}))
+                        value = LMat.from_coeffs(
+                            shape, {**low, **{-g: b for g, b in low.items() if g}})
                         if any(not (-ls < g < ls) for g in value.exponents()):
                             raise RecursionInvariantError(
                                 f"mu({reps[x]},{z},s={s+1}) has exponents outside (-{ls},{ls})"
                             )
-                    mus[key] = value
-                if not value.blocks:
+                        serial = share(value)
+                    mus[key] = serial
+                if not serial:
                     continue
-                mu_pos[(x, zi, s)] = value
-                mu_z.setdefault(s, []).append((x, value))
-                least = min(value.blocks)
+                mu_pos[(x, zi, s)] = values[serial]
+                mu_z.setdefault(s, []).append((x, serial))
+                least = lows[serial]
                 if least >= 0:  # low_p[x] > 0: p(y, x) is positive for y < x
                     continue
                 low = low_p.get(x)
                 if low is None:
-                    serials = set(map(id, cols[x][:-1])) - {id(None)}
-                    low = low_p[x] = min([lows[num[i]] for i in serials], default=maxsize)
+                    low = low_p[x] = min(map(lows.__getitem__, set(cols[x][:-1])), default=maxsize)
                 if low + least <= 0:
-                    window.setdefault(s, []).append((x, value))
+                    window.setdefault(s, []).append((x, serial))
+    for col in cols:  # the objects back in place of their serials
+        col[:] = map(values.__getitem__, col)
     return table
 
 

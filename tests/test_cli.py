@@ -143,6 +143,20 @@ class TestVerify:
         assert run(["verify", "--system", b2, "--check", "oracle", "-J", "1",
                     "--module", "sign"]) == 0
 
+    def test_e_nonzero_one_subset(self, system_dir, systems, capsys):
+        from wgraphs.hy import e_fix_check
+
+        b3 = str(system_dir / "b3.json")
+        assert run(["verify", "--system", b3, "--check", "e-nonzero", "-J", "1,2"]) == 0
+        out = capsys.readouterr().out
+        assert out == f"{e_fix_check(systems['b3'], {0, 1})}\n"
+        assert out.endswith("(J=[1, 2]): ok [1 checks]\n")
+
+    def test_e_nonzero_every_subset(self, system_dir, capsys):
+        # one check per subset, each on a system of its own
+        assert run(["verify", "--system", str(system_dir / "b3.json"), "--check", "e-nonzero"]) == 0
+        assert capsys.readouterr().out == "idempotent products fix 1|m0 for every J: ok [8 checks]\n"
+
     def test_wgraph_axioms_one_check_per_relation(self, tmp_path, a2_path, capsys):
         # regular A2: 2 idempotence + 2 x (E X, X E) + commutation + braid = 8 checks,
         # none per edge: validate covers the label condition

@@ -66,7 +66,53 @@ def _d(n):
     return matrix
 
 
+def _diagram(n, *bonds):
+    """Coxeter matrix on n generators with bonds (s, t) labelled 3 or
+    (s, t, m) labelled m, and 2 elsewhere."""
+    matrix = [[1 if s == t else 2 for t in range(n)] for s in range(n)]
+    for s, t, *m in bonds:
+        matrix[s][t] = matrix[t][s] = m[0] if m else 3
+    return matrix
+
+
+# (name, Coxeter matrix, whether the group is finite): the affine types and
+# three hyperbolic paths are infinite, the finite types and a product are not
+CLASSIFIED = [
+    ("affine-A3", _diagram(4, (0, 1), (1, 2), (2, 3), (3, 0)), False),
+    ("affine-B4", _diagram(5, (0, 2), (1, 2), (2, 3), (3, 4, 4)), False),
+    ("affine-C3", _path(4, 3, 4), False),
+    ("affine-D4", _diagram(5, (0, 1), (0, 2), (0, 3), (0, 4)), False),
+    ("affine-D5", _diagram(6, (0, 2), (1, 2), (2, 3), (3, 4), (3, 5)), False),
+    ("affine-E6", _diagram(7, (0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)), False),
+    ("affine-E7", _diagram(8, *[(s, s + 1) for s in range(6)], (3, 7)), False),
+    ("affine-E8", _diagram(9, *[(s, s + 1) for s in range(7)], (2, 8)), False),
+    ("affine-F4", _path(3, 3, 4, 3), False),
+    ("affine-G2", _path(3, 6), False),
+    ("hyperbolic-5333", _path(5, 3, 3, 3), False),
+    ("hyperbolic-54", _path(5, 4), False),
+    ("hyperbolic-73", _path(7, 3), False),
+    ("A5", _path(3, 3, 3, 3), True),
+    ("B5", _path(4, 3, 3, 3), True),
+    ("D5", _d(5), True),
+    ("E6", [row[:6] for row in _e8_matrix()[:6]], True),
+    ("E7", [row[:7] for row in _e8_matrix()[:7]], True),
+    ("E8", _e8_matrix(), True),
+    ("F4", _path(3, 4, 3), True),
+    ("H3", _path(5, 3), True),
+    ("H4", _path(5, 3, 3), True),
+    ("I2(7)", _path(7), True),
+    ("A1xI2(9)", _diagram(3, (1, 2, 9)), True),
+]
+
+
 class TestNewSystem:
+    @pytest.mark.parametrize(("matrix", "finite"), [case[1:] for case in CLASSIFIED],
+                             ids=[case[0] for case in CLASSIFIED])
+    def test_finite_type_classifier(self, matrix, finite):
+        """An infinite group taken for finite would send every whole-group
+        query into an endless enumeration."""
+        assert CoxeterSystem(matrix).is_finite is finite
+
     def test_rank_one(self):
         system = CoxeterSystem(((1,),), (1,))
         assert system.rank == 1 and system.is_finite

@@ -1211,6 +1211,25 @@ class TestInterning:
         again = p_mu_table(J, module)  # equal, and built from no object of the first call
         assert again == table and not ids & {id(mat) for mat in values(again)}
 
+    @pytest.mark.parametrize("name", ["d4", "a3_over_regular_a2"])
+    def test_keys_read_from_the_columns(self, systems, monkeypatch, name):
+        """The columns hold serial numbers while the recursion runs, so every
+        memo key is read from them and no value is looked up by ``id``."""
+        import wgraphs.hy as hy
+
+        if name == "d4":
+            d4 = load_system(str(ROOT / "perfbench/systems/d4.json"))
+            J, module = frozenset(), trivial_module(d4, frozenset())
+        else:
+            J, module = self.case(systems, name)
+        expected = p_mu_table(J, module)
+
+        def no_id(obj):
+            raise AssertionError("p_mu_table looked a value up by id")
+
+        monkeypatch.setattr(hy, "id", no_id, raising=False)
+        assert p_mu_table(J, module) == expected
+
 
 class TestIndexKernel:
     """Both triangular routes run on representative positions, read from the
