@@ -32,12 +32,13 @@ recursion in :mod:`wgraphs.hy`, so the two cross-check each other.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence
+from array import array
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import bit_positions
 from .matrix import LMat, _abs_row_sums, _block, _evaluate, _mul_into, _placed_rows
 from .report import Report
-from .wgraph import BlockTable, OmegaModule, hecke_t_column
+from .wgraph import BlockTable, OmegaModule, hecke_t_column, interner, serial_array
 
 
 class CanonicalisationError(RuntimeError):
@@ -73,26 +74,31 @@ def rho_table(
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
     classes, shifted = system.position_arrays(J, ambient, reps)
     identity = LMat.identity(module.rank)
-    cols: List[List[Optional[LMat]]] = []  # cols[z][x] = r_{x,z}
+    cols: List[array] = []  # values[cols[z][x]] = r_{x,z}
+    values: List[Optional[LMat]] = [None]
+    share = interner(values)
     for zi, z in enumerate(reps):
         if z.word:
             s = z.word[0]
-            col = hecke_t_column(module, s, classes[s], shifted[s], cols[shifted[s][zi]],
-                                 inverse=True)
+            col = hecke_t_column(module, s, classes[s], shifted[s],
+                                 map(values.__getitem__, cols[shifted[s][zi]]), inverse=True)
         else:
             col = [identity]
         if col[zi] != identity:
             raise AssertionError(f"diagonal block r_({z},{z}) is not the identity")
-        cols.append(col)
-    return BlockTable(system, J, ambient, module, tuple(reps), cols)
+        cols.append(serial_array([0 if mat is None else share(mat) for mat in col], len(values)))
+    return BlockTable(system, J, ambient, module, tuple(reps), cols, values)
 
 
-def _stored(ideals: Sequence[int], cols: Sequence[Sequence[Optional[LMat]]]):
-    """The nonzero blocks stored at x <= y, as (x, y, block) by position, and
-    the largest |exponent| among them."""
-    placed = [(xi, yi, mat) for yi, col in enumerate(cols) for xi, mat in enumerate(col)
-              if mat is not None and ideals[yi] >> xi & 1 and mat.blocks]
-    return placed, max((abs(g) for _, _, mat in placed for g in mat.blocks), default=0)
+def _stored(ideals: Sequence[int], cols: Sequence[Sequence[int]], values: Sequence):
+    """The nonzero blocks stored at x <= y, as (x, y, serial) by position; the
+    largest row sum of absolute coefficients of each of their serials; and
+    the largest |exponent| among them.  Each serial is read once."""
+    nonzero = [mat is not None and bool(mat.blocks) for mat in values]
+    placed = [(xi, yi, serial) for yi, col in enumerate(cols) for xi, serial in enumerate(col)
+              if nonzero[serial] and ideals[yi] >> xi & 1]
+    sums = {serial: _abs_row_sums(values[serial]) for _, _, serial in placed}
+    return placed, sums, max((abs(g) for serial in sums for g in values[serial].blocks), default=0)
 
 
 def check_rho(rho: BlockTable) -> Report:
@@ -113,15 +119,15 @@ def check_rho(rho: BlockTable) -> Report:
     r = rho.module.rank
     bits = rho.system.bruhat_ideals(reps, rho.gens, rho.ambient)
     size = len(reps) * r
-    placed, shift = _stored(bits, rho.cols)  # (x, y, r_{xy}) by position, x <= y
+    placed, row_sums, shift = _stored(bits, rho.cols, rho.values)  # (x, y, serial), x <= y
     sums = [0] * size  # the rows of R, each summed in absolute value
-    for xi, _, mat in placed:
-        for i, s in enumerate(_abs_row_sums(mat), xi * r):
+    for xi, _, serial in placed:
+        for i, s in enumerate(row_sums[serial], xi * r):
             sums[i] += s
     width = (max(sums, default=0) ** 2 + 1).bit_length()
     product: Dict[int, dict] = {}  # v^E R times v^E bar(R) at 2^B, the second as v^-E R at 2^-B
-    _mul_into(product, _placed_rows(placed, r, size, width, shift),
-              _placed_rows(placed, r, size, -width, -shift))
+    _mul_into(product, _placed_rows(placed, rho.values, r, size, width, shift),
+              _placed_rows(placed, rho.values, r, size, -width, -shift))
     # the pairs (x, z) whose block differs from delta_{xz} 2^(2EB); every
     # entry of the product lies in a block with x <= y <= z
     one = 1 << 2 * shift * width
@@ -141,25 +147,28 @@ def check_rho(rho: BlockTable) -> Report:
 def canonicalise_shadow(
     items: Sequence[Hashable],
     ideals: Sequence[int],
-    cols: Sequence[Sequence[Optional[LMat]]],
+    cols: Sequence[Sequence[int]],
+    values: Sequence[Optional[LMat]],
     rank: int,
-) -> List[List[Optional[LMat]]]:
+) -> Tuple[List[array], List[Optional[LMat]]]:
     """Solve the triangular fixed-point problem over an abstract poset.
 
     The poset is given by position: ``items`` lists it in some linear
     extension, bit j of ``ideals[i]`` is set iff items[j] <= items[i], and
-    ``cols[z][x]`` is rho_{xz}, None where it is zero (blocks at x not
-    below z are not read).  Returns the columns of the solution:
-    ``pi[z][x]`` is pi_{xz} for every x <= z, possibly zero, and None
-    elsewhere.  Raises :class:`CanonicalisationError` if the correction
+    ``values[cols[z][x]]`` is rho_{xz}, serial 0 (``values[0]`` is None)
+    where it is zero; blocks at x not below z are not read.  Returns the
+    solution in the same form, as the columns and values of a
+    :class:`~wgraphs.wgraph.BlockTable`: ``pi_cols[z][x]`` names pi_{xz}
+    for every x <= z, possibly zero, and is 0 elsewhere; equal values of pi
+    share a serial.  Raises :class:`CanonicalisationError` if the correction
     terms fail to be antisymmetric or the fixed-point equation has a
     nonzero residual (either means ``cols`` does not describe an
     involution); ``items`` only name the pair in its message.
 
     Every sum alpha_x = sum_{x<y<=z} rho_{xy} bar(pi_{yz}) is a sum of
-    integer products: each rho_{xy} is evaluated once as v^E rho_{xy} at
-    v = 2^B and each new pi_{yz} once as v^E bar(pi_{yz}) (ints for 1x1
-    blocks, integer rows otherwise), so the sum is the value a of
+    integer products: each serial of rho is bounded and evaluated once, as
+    v^E rho_{xy} at v = 2^B, and each new pi_{yz} once as v^E bar(pi_{yz})
+    (ints for 1x1 blocks, integer rows otherwise), so the sum is the value a of
     v^(2E) alpha_x.  E is the largest |exponent| of rho, and nu(M), the
     largest row sum of absolute coefficients, bounds every coefficient of
     M, with nu(MN) <= nu(M) nu(N).  Exactness, with no width fixed:
@@ -177,19 +186,19 @@ def canonicalise_shadow(
     (2 + nu(rho_{xx})) bound[x] < 2^B, so by the lemma of
     :func:`~wgraphs.matrix._evaluate` both checks compare integers.
     """
-    placed, top = _stored(ideals, cols)
-    above: List[list] = [[] for _ in ideals]  # above[x] = [(y, rho_{xy})], x < y
-    diag: list = [None] * len(ideals)  # rho_{xx}
-    for xi, yi, mat in placed:
+    placed, sums, top = _stored(ideals, cols, values)
+    nu = {0: 0, **{serial: max(row_sums) for serial, row_sums in sums.items()}}
+    above: List[list] = [[] for _ in ideals]  # above[x] = [(y, serial of rho_{xy})], x < y
+    diag = [0] * len(ideals)  # the serial of rho_{xx}
+    for xi, yi, serial in placed:
         if xi == yi:
-            diag[xi] = mat
+            diag[xi] = serial
         else:
-            above[xi].append((yi, mat))
+            above[xi].append((yi, serial))
     bound = [1] * len(ideals)
     for x in reversed(range(len(ideals))):
-        bound[x] += sum([max(_abs_row_sums(mat)) * bound[y] for y, mat in above[x]])
-    width = 1 + max([((2 + (max(_abs_row_sums(d)) if d else 0)) * b).bit_length()
-                     for d, b in zip(diag, bound)], default=0)
+        bound[x] += sum([nu[serial] * bound[y] for y, serial in above[x]])
+    width = 1 + max([((2 + nu[d]) * b).bit_length() for d, b in zip(diag, bound)], default=0)
     unit, shape, cut = rank == 1, (rank, rank), (2 * top + 1) * width
     half, sign, mask = 1 << cut - 1, 1 << width - 1, (1 << width) - 1
     one = 1 << top * width  # v^E at 2^B
@@ -198,9 +207,13 @@ def canonicalise_shadow(
         rows = _evaluate(mat, width, top)
         return (rows[0][0][1] if rows[0] else 0) if unit else rows
 
-    above = [[(y, value(mat)) for y, mat in row] for row in above]
-    diag = [value(mat) if mat else 0 for mat in diag]
-    made: Dict[int, tuple] = {}  # high -> (v^(2E) pi, v^E bar(pi), pi or its {g: c})
+    evaluated = {0: 0, **{serial: value(values[serial]) for serial in sums}}
+    above = [[(y, evaluated[serial]) for y, serial in row] for row in above]
+    diag = [evaluated[serial] for serial in diag]
+    pi_values: List[Optional[LMat]] = [None]
+    share = interner(pi_values)
+    one_serial = share(LMat.identity(rank))
+    made: Dict[int, tuple] = {}  # high -> (v^(2E) pi, v^E bar(pi), the serial of pi or its {g: c})
 
     def solve(a: int, x: int, z: int) -> tuple:
         """``made[high]`` for the value a of v^(2E) alpha_x at 2^B."""
@@ -215,19 +228,17 @@ def canonicalise_shadow(
                     coeffs[g] = c
                 g += 1
             low = sum([c << (top - g) * width for g, c in coeffs.items()])
-            got = made[high] = (high << cut, low, LMat.from_coeffs(
-                shape, {g: (((0, c),),) for g, c in coeffs.items()}) if unit else coeffs)
+            got = made[high] = (high << cut, low, share(LMat.from_coeffs(
+                shape, {g: (((0, c),),) for g, c in coeffs.items()})) if unit else coeffs)
         if a != got[0] - (got[1] << top * width):
             raise CanonicalisationError(
                 f"correction term at ({items[x]},{items[z]}) is not antisymmetric")
         return got
 
-    identity = LMat.identity(rank)
     unit_bar = one if unit else tuple(((i, one),) for i in range(rank))  # v^E bar(1)
-    pi: List[List[Optional[LMat]]] = []
+    pi: List[array] = []
     for zi, below_bits in enumerate(ideals):
-        pz: List[Optional[LMat]] = [None] * zi + [identity]
-        pi.append(pz)
+        pz = [0] * zi + [one_serial]
         bars: dict = {zi: unit_bar}  # bars[y] = v^E bar(pi_{yz}) at 2^B
         # the x whose fixed-point residual is nonzero, descending; at z, rho_{zz} = 1
         bad = [zi] if below_bits >> zi & 1 and diag[zi] != unit_bar else []
@@ -249,7 +260,8 @@ def canonicalise_shadow(
             for (i, j), (_, _, coeffs) in got.items():
                 for g, c in coeffs.items():
                     blocks.setdefault(g, {}).setdefault(i, {})[j] = c
-            pz[x] = LMat.from_coeffs(shape, {g: _block(rows, rank) for g, rows in blocks.items()})
+            pz[x] = share(LMat.from_coeffs(shape, {g: _block(rows, rank)
+                                                   for g, rows in blocks.items()}))
             if diag[x]:
                 _mul_into(acc, diag[x], bars[x])
             if _block(acc, rank) != _block(val, rank):
@@ -257,7 +269,8 @@ def canonicalise_shadow(
         if bad:
             raise CanonicalisationError(
                 f"fixed-point residual nonzero at ({items[bad[-1]]},{items[zi]})")
-    return pi
+        pi.append(serial_array(pz, len(pi_values)))
+    return pi, pi_values
 
 
 def pi_recursion(rho: BlockTable) -> BlockTable:
@@ -275,10 +288,10 @@ def pi_recursion(rho: BlockTable) -> BlockTable:
     """
     bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
     try:
-        cols = canonicalise_shadow(rho.reps, bits, rho.cols, rho.module.rank)
+        cols, values = canonicalise_shadow(rho.reps, bits, rho.cols, rho.values, rho.module.rank)
     except CanonicalisationError:
         report = check_rho(rho)
         if not report.ok:
             raise CanonicalisationError(str(report)) from None
         raise
-    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols)
+    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols, values)

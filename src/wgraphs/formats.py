@@ -9,12 +9,12 @@ an indent is given), and joins a container that recurs at the same depth
 into one string on its second use; a dict value already joined is
 appended without a call.  :func:`dump` writes the same pieces to an open
 file without joining the document into one string.
-:func:`table_to_json` walks the table's columns and hands each p-block
-object one shared value, so a table from
-:func:`~wgraphs.hy.p_mu_table`, which interns its blocks, is built and
-written once per distinct block.  Schema errors raise :class:`SchemaError`
-with the JSON path of the offending value; syntax errors keep the
-line/column information of the decoder.
+:func:`table_to_json` makes one value per serial of the table's
+:class:`~wgraphs.wgraph.BlockTable` columns, and :func:`wgraph_to_json`
+one per distinct label and weight map, so each is built and written once.
+Schema errors raise :class:`SchemaError` with the JSON path of the
+offending value; syntax errors keep the line/column information of the
+decoder.
 
 Conventions, shared with the CLI:
 
@@ -67,10 +67,10 @@ def dumps(obj) -> str:
 
     Takes str-keyed dicts, lists, tuples, str, int, bool and None; any other
     value (a float included) or key raises :class:`TypeError`.  A container
-    reached twice at the same depth, such as a p-block shared by
-    :func:`table_to_json`, is rendered once.  Dict keys are sorted as
-    strings, not as (key, value) pairs.  :func:`dump` writes the same
-    pieces without joining them.
+    reached twice at the same depth, such as a p-value shared by
+    :func:`table_to_json` or a weight map shared by :func:`wgraph_to_json`,
+    is rendered once.  Dict keys are sorted as strings, not as (key, value)
+    pairs.  :func:`dump` writes the same pieces without joining them.
     """
     return "".join(_pieces(obj))
 
@@ -291,20 +291,20 @@ def _gen_key(system: CoxeterSystem, key: str, path: str) -> int:
 
 
 def wgraph_to_json(graph: WGraph) -> dict:
+    """The file form of a W-graph; equal labels share one list and equal
+    weight maps one dict, which :func:`dumps` renders once."""
     module, names = graph.module, graph.vertices
+    labels: Dict[FrozenSet[int], List[int]] = {}
+    weights: Dict[tuple, Dict[str, int]] = {}
     return {
         "J": gens_to_json(module.gens),
         "vertices": list(names),
-        "labels": [gens_to_json(module.vertex_label(i)) for i in range(module.rank)],
-        "edges": [
-            {
-                "s": s + 1,
-                "from": names[j],
-                "to": names[i],
-                "weights": {str(g): c for g, c in weights.items()},
-            }
-            for (s, i, j), weights in edges(module)
-        ],
+        "labels": [labels.get(label) or labels.setdefault(label, gens_to_json(label))
+                   for label in map(module.vertex_label, range(module.rank))],
+        "edges": [{"s": s + 1, "from": names[j], "to": names[i],
+                   "weights": weights.get(key := tuple(by_exp.items()))
+                   or weights.setdefault(key, {str(g): c for g, c in key})}
+                  for (s, i, j), by_exp in edges(module)],
     }
 
 
@@ -387,26 +387,24 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 
 def table_to_json(table) -> dict:
     """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`, read
-    by position from its columns, z up and x down, each key built from the
-    names of x and z.  Each p-block object gets one :func:`lmat_to_json` value,
-    which :func:`dumps` renders once; the document is read-only by
-    convention.  Blocks are matched by identity, since
-    :func:`~wgraphs.hy.p_mu_table` interns them: equal blocks are one
-    object there, and distinct objects only cost repeated values here,
-    never different bytes."""
+    by position from its serial columns, each key built from the names of
+    x and z.  Each serial gets one :func:`lmat_to_json` value and each
+    mu-block object one value, which :func:`dumps` renders once; the
+    document is read-only by convention.  Equal values under two serials
+    only cost a repeated rendering, never different bytes."""
     names = [str(x) for x in table.reps]
     out = _mu_json(table.gens, (((names[xi], names[zi], s), mat)
                                 for (xi, zi, s), mat in table.mu_pos.items()))
-    shared: Dict[int, list] = {}
+    values = table.values
+    rendered: List[Optional[list]] = [None] * len(values)  # by serial, made on first use
     p_part = {}
-    for zi, col in enumerate(table.cols):  # z up, then x down
+    for zi, col in enumerate(table.cols):
         tail = "|" + names[zi]
-        for xi in range(len(col) - 1, -1, -1):
-            mat = col[xi]
-            if mat is not None:
-                value = shared.get(id(mat))
+        for xi, serial in enumerate(col):
+            if serial:
+                value = rendered[serial]
                 if value is None:
-                    value = shared[id(mat)] = lmat_to_json(mat)
+                    value = rendered[serial] = lmat_to_json(values[serial])
                 p_part[names[xi] + tail] = value
     out["p"] = p_part
     return out
@@ -418,9 +416,12 @@ def mu_to_json(system: CoxeterSystem, gens: FrozenSet[int], mu: Mapping) -> dict
 
 
 def _mu_json(gens: FrozenSet[int], items: Iterable) -> dict:
+    """The mu part of a table document; each block object gets one value."""
+    shared: Dict[int, dict] = {}  # id of a block that ``items`` holds -> its JSON value
     return {"J": gens_to_json(gens), "mu": {
-        f"{x}|{z}|{s + 1}": {str(g): imat_to_json(b, mat.ncols) for g, b in mat.blocks.items()
-                             if g >= 0} for (x, z, s), mat in items}}
+        f"{x}|{z}|{s + 1}": shared.get(id(mat)) or shared.setdefault(id(mat), {
+            str(g): imat_to_json(b, mat.ncols) for g, b in mat.blocks.items() if g >= 0})
+        for (x, z, s), mat in items}}
 
 
 # -- cells ------------------------------------------------------------------------------------

@@ -49,7 +49,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import chain, zip_longest
 from sys import maxsize
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -58,7 +58,7 @@ from .coxeter import (DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO, CoxeterSystem, 
 from .laurent import LaurentPoly
 from .matrix import LMat, _abs_row_sums, _dot, _mul_into, _placed_rows, _scaled, imat_identity
 from .report import Report
-from .wgraph import BlockTable, BlockView, OmegaModule, sign_module
+from .wgraph import BlockTable, BlockView, OmegaModule, interner, serial_array, sign_module
 
 
 class RecursionInvariantError(RuntimeError):
@@ -70,9 +70,10 @@ class PMuTable(BlockTable):
     """The computed p- and mu-blocks for (J, M) inside an ambient subset,
     stored by the positions of the representatives in ``reps``.
 
-    ``cols[z][x]`` is p(x, z) for every x <= z, and None for the other
-    x < len(cols[z]); ``mu_pos[(x, z, s)]`` is stored only where it may
-    be nonzero (x < z, s not a plus-class for x nor a minus-class for z).
+    ``values[cols[z][x]]`` is p(x, z) for every x <= z, and the serial is 0
+    for the other x < len(cols[z]); ``mu_pos[(x, z, s)]`` is stored only
+    where it may be nonzero (x < z, s not a plus-class for x nor a
+    minus-class for z), and holds the object of its serial in ``values``.
     ``p`` and ``mu`` are read-only views of both keyed by group elements.
     """
 
@@ -167,12 +168,13 @@ def p_mu_table(
     independent of the choice, which is exercised by tests.
 
     Equal stored values are one object (hash-consing): an ``LMat`` is its
-    own intern key, and each distinct value gets a serial number in the
-    order it is first seen, with 0 for no block.  While the recursion runs
-    the columns hold serials, and ``values`` and ``lows`` give each
-    serial's object and least exponent; one pass at the end puts the
-    objects back.  Three steps are memoised by serials read straight from
-    the columns, so each distinct computation runs once:
+    own intern key, and each distinct p- or mu-value gets a serial number
+    in the table's ``values`` in the order it is first seen, with 0 for no
+    block.  The columns hold serials, in a list while the column is
+    computed and in a :func:`~wgraphs.wgraph.serial_array` as soon as its
+    mu-step ends, and ``lows`` gives each serial's least exponent.  Three
+    steps are memoised by serials read straight from the columns, so each
+    distinct computation runs once:
 
     * the plus, zero and minus closed forms of the p-step, by the Deodhar
       tag, L(t) or the conjugate generator, and the p-blocks they read;
@@ -182,7 +184,7 @@ def p_mu_table(
       class) and on z, L(s), p(x, z) and both factors of every window
       term; a step that gives no mu caches serial 0.
 
-    All the dicts are local to the call, so no serial outlives it.
+    The memo dicts are local to the call; the serials live on in the table.
 
     Work that cannot change a block is skipped.  For J = {}, T_w -> T_(w^-1)
     is an anti-involution commuting with bar for any weights, so it maps
@@ -205,7 +207,7 @@ def p_mu_table(
     if descent_choice not in ("min", "max"):
         raise ValueError("descent_choice must be 'min' or 'max'")
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
-    table = PMuTable(system, J, ambient, module, tuple(reps), [], {})
+    table = PMuTable(system, J, ambient, module, tuple(reps), [], [None], {})
     classes, shifted = table._arrays()
     bits = system.bruhat_ideals(reps, J, ambient)
     rank = module.rank
@@ -223,39 +225,34 @@ def p_mu_table(
     # so the sums over x <= y < z skip every y whose mu-block is zero;
     # low_p[y] = the least exponent of p(x, y) over x < y (maxsize if none),
     # read from lows for a y once y gets a mu-block with a negative exponent
-    cols, mu_pos = table.cols, table.mu_pos
-    mu_lists: list = []
+    cols, values, mu_pos = table.cols, table.values, table.mu_pos
+    mu_lists: list = [{}]  # the identity, at position 0, has no mu
     low_p: Dict[int, int] = {}
-    # shared: the serial of each stored value, keyed by the value itself;
-    # values and lows: its object and least exponent, by serial (None and
-    # maxsize for serial 0, no block); forms, sums and mus: the p-step's
-    # closed forms, its term sums and the mu-step, by the serials of their
-    # inputs (0 for no mu)
-    shared: Dict[LMat, int] = {}
-    values: List[Optional[LMat]] = [None]
+    # lows: the least exponent of each value, by serial (maxsize for serial
+    # 0, no block); forms, sums and mus: the p-step's closed forms, its term
+    # sums and the mu-step, by the serials of their inputs (0 for no mu)
+    intern = interner(values)
     lows: List[int] = [maxsize]
     forms: Dict[tuple, int] = {}
     sums: Dict[tuple, int] = {}
     mus: Dict[tuple, int] = {}
 
     def share(value: LMat) -> int:
-        serial = shared.setdefault(value, len(values))
-        if serial == len(values):
-            values.append(value)
+        serial = intern(value)
+        if serial == len(lows):
             lows.append(min(value.blocks, default=maxsize))
         return serial
 
     one = share(identity)
+    cols.append(serial_array([one], len(values)))  # p(e, e) = 1
 
-    for zi, z in enumerate(reps):
+    for zi in range(1, len(reps)):
+        z = reps[zi]
         below_z = bit_positions(bits[zi])
         pz = [0] * (zi + 1)
         pz[zi] = one
-        cols.append(pz)
         mu_z: Dict[int, list] = {}
         mu_lists.append(mu_z)
-        if len(below_z) == 1:
-            continue
         if inverse[zi] < zi:  # p(x, z) = p(x^-1, z^-1), that column done
             col = cols[inverse[zi]]
             for x in below_z[:-1]:
@@ -369,8 +366,9 @@ def p_mu_table(
                     low = low_p[x] = min(map(lows.__getitem__, set(cols[x][:-1])), default=maxsize)
                 if low + least <= 0:
                     window.setdefault(s, []).append((x, serial))
-    for col in cols:  # the objects back in place of their serials
-        col[:] = map(values.__getitem__, col)
+        # each column an array as soon as it is done, so no list of them all
+        # is held at once
+        cols.append(serial_array(pz, len(values)))
     return table
 
 
@@ -510,40 +508,47 @@ def _defects(J: Iterable[int], module: OmegaModule,
     :func:`~wgraphs.wgraph.hecke_t_column` applies it, and Omega_s is T_s on
     the module :func:`induce` builds, read from its E and X rows.  Block
     (x, z) of D_s is the four-case recurrence at (x, z, s), left side minus
-    right side.  At v = 2^B, with each distinct p-block evaluated once into
+    right side.  At v = 2^B, with each distinct p-serial evaluated once into
     v^-e P, e <= 0 the least exponent of P, two integer products give
-    v^(L(s)-e) D_s, which has no negative exponent.  With c the largest
-    |coefficient| and nu the largest row sum of absolute coefficients, D_s
-    has coefficients at most nu(H_s) c(P) + nu(P) c(Omega_s) <=
-    nu(P) (nu(H_s) + c(Omega_s)), where nu(H_s) <= max(3, nu(T_t)) over the
-    conjugate generators t.  B is one more than the bit length of that bound
-    over all s, so by the lemma of :func:`~wgraphs.matrix._evaluate` an
-    entry of the value is zero exactly when that entry of D_s is.
+    v^(L(s)-e) D_s, which has no negative exponent; it is formed one row
+    at a time.  With c the largest |coefficient| and nu the largest row sum
+    of absolute coefficients, D_s has coefficients at most nu(H_s) c(P) +
+    nu(P) c(Omega_s) <= nu(P) (nu(H_s) + c(Omega_s)), where nu(H_s) <=
+    max(3, nu(T_t)) over the conjugate generators t.  B is one more than
+    the bit length of that bound over all s, so by the lemma of
+    :func:`~wgraphs.matrix._evaluate` an entry of the value is zero exactly
+    when that entry of D_s is.
     """
     omega = induce(J, module, table)
     system, r, n = module.system, module.rank, omega.rank
     classes, shifted = table._arrays()
-    placed = [(xi, zi, mat) for (xi, zi), mat in table.pos_items()]
-    blocks = {id(mat): mat for _, _, mat in placed}  # the distinct p-blocks
-    nu_p, sums = [0] * n, {key: _abs_row_sums(mat) for key, mat in blocks.items()}
-    for xi, _, mat in placed:
-        for i, a in enumerate(sums[id(mat)], xi * r):
+    values = table.values
+    placed = [(xi, zi, serial) for zi, col in enumerate(table.cols)
+              for xi, serial in enumerate(col) if serial]
+    sums = {serial: _abs_row_sums(values[serial]) for _, _, serial in placed}
+    nu_p = [0] * n
+    for xi, _, serial in placed:
+        for i, a in enumerate(sums[serial], xi * r):
             nu_p[i] += a
     c_omega = 1 + max([abs(c) for mat in chain(omega.e.values(), omega.x.values())
                        for row in mat for _, c in row], default=0)
     nu_h = max([3] + [a for u in module.gens for a in _abs_row_sums(module.iota_t(u))])
     width = (max(nu_p, default=0) * (nu_h + c_omega)).bit_length() + 1
-    shift = max([0] + [-min(mat.blocks) for mat in blocks.values() if mat.blocks])
-    p_rows = _placed_rows(placed, r, n, width, shift)  # v^-e P at 2^B
-    one, out = LMat.identity(r), {}
+    shift = max([0] + [-min(values[serial].blocks) for serial in sums if values[serial].blocks])
+    p_rows = _placed_rows(placed, values, r, n, width, shift)  # v^-e P at 2^B
+    del placed
+    one, out, gens = LMat.identity(r), {}, sorted(module.gens)
     for s in sorted(table.ambient):
         ls = system.weight(s)
         vs = 1 << ls * width  # v^L(s) at 2^B
-        # H_s: T_x (x) m goes to T_x (x) T_t m (zero), T_sx (x) m (+ delta T_x (x) m if minus)
+        # H_s: T_x (x) m goes to T_x (x) T_t m (zero), T_sx (x) m (+ delta T_x (x) m if minus);
+        # its blocks by serial in h_values: 0 the identity, 1 delta, then the T_t
         delta = LMat.from_coeffs((r, r), {ls: one.blocks[0], -ls: _scaled(one.blocks[0], -1)})
-        placed_h = [(x, x, module.iota_t(c.conj)) if c.tag == DEODHAR_ZERO
-                    else (shifted[s][x], x, one) for x, c in enumerate(classes[s])]
-        placed_h += [(x, x, delta) for x, c in enumerate(classes[s]) if c.tag == DEODHAR_MINUS]
+        h_values = [one, delta] + [module.iota_t(t) for t in gens]
+        placed_h = [(x, x, 2 + gens.index(c.conj)) if c.tag == DEODHAR_ZERO
+                    else (shifted[s][x], x, 0) for x, c in enumerate(classes[s])]
+        placed_h += [(x, x, 1) for x, c in enumerate(classes[s]) if c.tag == DEODHAR_MINUS]
+        h_rows = _placed_rows(placed_h, h_values, r, n, width, ls)
         # -v^L(s) Omega_s at 2^B: Omega_s = v_s (1 - E_s) - v_s^-1 E_s + sum_g v^g X_(s,|g|)
         o_rows = [{i: -vs * vs} for i in range(n)]
         for factor, mat in [(vs * vs + 1, omega.e_mat(s))] + [
@@ -551,10 +556,14 @@ def _defects(J: Iterable[int], module: OmegaModule,
                 for g in range(ls)]:
             for i, row in enumerate(mat):  # a row's columns are distinct
                 o_rows[i].update({j: o_rows[i].get(j, 0) + factor * c for j, c in row})
-        acc: Dict[int, dict] = {}  # v^(L(s)-e) D_s at 2^B, by row
-        _mul_into(acc, _placed_rows(placed_h, r, n, width, ls), p_rows)
-        _mul_into(acc, p_rows, [row.items() for row in o_rows])
-        out[s] = sorted({(j // r, i // r) for i, row in acc.items() for j, c in row.items() if c})
+        o_rows = [row.items() for row in o_rows]
+        bad = set()
+        for i in range(n):  # row i of v^(L(s)-e) D_s at 2^B
+            acc: Dict[int, dict] = {}
+            _mul_into(acc, (h_rows[i],), p_rows)
+            _mul_into(acc, (p_rows[i],), o_rows)
+            bad.update((j // r, i // r) for j, c in acc.get(0, {}).items() if c)
+        out[s] = sorted(bad)
     return out
 
 
@@ -851,7 +860,7 @@ def mu_inductive(flag: Sequence[Iterable[int]], module: OmegaModule,
         cur_reps = system.min_coset_reps(J, K=k_cur)
         merged = _factor_mu(J, k_prev, cur_reps, inner_reps, merged, level)
         if k_cur != system.generator_set:
-            stitched = PMuTable(system, J, k_cur, module, tuple(cur_reps), [], merged)
+            stitched = PMuTable(system, J, k_cur, module, tuple(cur_reps), [], [None], merged)
             inner = induce(J, module, stitched)
         inner_reps = cur_reps
     return {(inner_reps[x], inner_reps[z], s): mat for (x, z, s), mat in merged.items()}
@@ -876,28 +885,34 @@ def oracle_check(
     triangular sums are integer products, so they do not go through the
     Laurent product kernel ``_dot`` of the recursion.  Both tables are
     stored by the same positions, so their columns are compared directly:
-    one check per (x, z) stored on either side, in (z, x) order.
+    one check per (x, z) stored on either side, in (z, x) order, and one
+    comparison of blocks per distinct pair of serials.
     """
     from .canon import pi_recursion, rho_table  # local import: keep the paths separate
 
     table = p_mu_table(J, module, ambient)
     pi = pi_recursion(rho_table(J, module, ambient))
     report = Report("oracle equivalence (direct recursion vs triangular oracle)")
-    reps = table.reps
-    for zi, (direct, oracle) in enumerate(zip(table.cols, pi.cols)):
-        for xi in range(max(len(direct), len(oracle))):
-            direct_val, oracle_val = table._at((xi, zi)), pi._at((xi, zi))
-            if direct_val is None and oracle_val is None:
+    reps, direct, oracle = table.reps, table.values, pi.values
+    verdicts: Dict[Tuple[int, int], Optional[str]] = {}  # (direct, oracle serial) -> failure
+
+    def verdict(pair: Tuple[int, int]) -> Optional[str]:
+        a, b = pair
+        if not a:
+            return None if oracle[b].is_zero() else "oracle has extra nonzero entry"
+        if not b:
+            return None if direct[a].is_zero() else "direct table has extra nonzero entry"
+        return None if direct[a] == oracle[b] else "p-blocks differ"
+
+    for zi, pair_col in enumerate(zip_longest(table.cols, pi.cols, fillvalue=())):
+        for xi, pair in enumerate(zip_longest(*pair_col, fillvalue=0)):
+            if pair == (0, 0):
                 continue
             report.checks += 1
-            if direct_val is None:
-                if not oracle_val.is_zero():
-                    report.fail(f"oracle has extra nonzero entry at {(reps[xi], reps[zi])}")
-            elif oracle_val is None:
-                if not direct_val.is_zero():
-                    report.fail(f"direct table has extra nonzero entry at {(reps[xi], reps[zi])}")
-            elif direct_val != oracle_val:
-                report.fail(f"p-blocks differ at {(reps[xi], reps[zi])}")
+            if pair not in verdicts:
+                verdicts[pair] = verdict(pair)
+            if verdicts[pair]:
+                report.fail(f"{verdicts[pair]} at {(reps[xi], reps[zi])}")
     return report
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 from itertools import chain, repeat
 from operator import add, itemgetter, lt, sub
 from sys import maxsize
-from typing import Dict, Iterable, Mapping, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .laurent import LaurentPoly
 
@@ -433,13 +433,15 @@ def _evaluate(mat: LMat, bits: int, shift: int) -> IMat:
     return _block(rows, mat.nrows)
 
 
-def _placed_rows(placed: Iterable[tuple], rank: int, size: int, bits: int, shift: int) -> list:
+def _placed_rows(placed: Iterable[tuple], values: Sequence, rank: int, size: int, bits: int,
+                 shift: int) -> list:
     """The rows of the size x size matrix with block (x, y) = ``_evaluate(b,
-    bits, shift)`` for each (x, y, b) in ``placed``, as lists of (column,
-    value) pairs; each block, kept alive by the caller, is evaluated once."""
-    rows, values = [[] for _ in range(size)], {}
-    for xi, yi, mat in placed:
-        value = values.get(id(mat)) or values.setdefault(id(mat), _evaluate(mat, bits, shift))
+    bits, shift)``, b = values[serial], for each (x, y, serial) in
+    ``placed``, as lists of (column, value) pairs; each serial is evaluated
+    once."""
+    rows, done = [[] for _ in range(size)], {}
+    for xi, yi, serial in placed:
+        value = done.get(serial) or done.setdefault(serial, _evaluate(values[serial], bits, shift))
         for i, row in enumerate(value, xi * rank):
             rows[i] += [(j + yi * rank, c) for j, c in row]
     return rows

@@ -30,6 +30,7 @@ the coset representatives, for the direct recursion and the oracle alike.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
@@ -37,7 +38,8 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from .coxeter import DEODHAR_MINUS, DEODHAR_ZERO, CoxeterSystem, DeodharClass, Element
 from .laurent import LaurentPoly
-from .matrix import IMat, LMat, _abs_row_sums, _dot, _evaluate, imat, imat_mul, imat_zero
+from .matrix import (IMat, LMat, _abs_row_sums, _dot, _evaluate, _mul_into, imat, imat_mul,
+                     imat_zero)
 from .report import Report
 
 
@@ -233,8 +235,8 @@ def hecke_t_column(
     ``shifted`` are the Deodhar classes of s on them and the positions of
     s*x (:meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`), and
     ``column`` lists blocks acting on M by position, None for a zero block,
-    as a :class:`BlockTable` column does.  By Deodhar's trichotomy, with
-    delta = v_s - v_s^-1 and T_s^-1 = T_s - delta,
+    as a :class:`BlockTable` column does read through its ``values``.  By
+    Deodhar's trichotomy, with delta = v_s - v_s^-1 and T_s^-1 = T_s - delta,
 
     * plus:  T_s (T_x (x) m) = T_sx (x) m,
     * minus: T_s (T_x (x) m) = T_sx (x) m + delta T_x (x) m,
@@ -312,14 +314,16 @@ class BlockTable:
     """Laurent-matrix blocks indexed by pairs of representatives of D_J
     inside W_ambient, stored by their positions in ``reps``.
 
-    ``cols[z][x]`` is the block at (x, z), or None where there is none, as
-    at every x not below z; a column may stop early.  Both routes to
-    the Howlett-Yin base change fill one: :func:`~wgraphs.hy.p_mu_table`
-    with the blocks p_{x,z}, :func:`~wgraphs.canon.rho_table` with the
-    nonzero blocks r_{x,z} of the bar involution and
-    :func:`~wgraphs.canon.pi_recursion` with the oracle's base change
-    pi_{x,z}; p and pi are stored for every x <= z.  ``entries`` is a
-    read-only view of the blocks keyed by group elements.
+    ``values`` holds each distinct block once, ``values[0]`` None, and
+    ``cols[z]`` is a :func:`serial_array`: ``values[cols[z][x]]`` is the
+    block at (x, z), serial 0 where there is none, as at every x not below
+    z; a column may stop early.  Both routes to the Howlett-Yin base
+    change fill one: :func:`~wgraphs.hy.p_mu_table` with the blocks
+    p_{x,z}, :func:`~wgraphs.canon.rho_table` with the nonzero blocks
+    r_{x,z} of the bar involution and :func:`~wgraphs.canon.pi_recursion`
+    with the oracle's base change pi_{x,z}; p and pi are stored for every
+    x <= z.  ``entries`` is a read-only view of the blocks keyed by group
+    elements.
     """
 
     system: CoxeterSystem
@@ -327,7 +331,8 @@ class BlockTable:
     ambient: FrozenSet[int]
     module: OmegaModule
     reps: Tuple[Element, ...]
-    cols: List[List[Optional[LMat]]]
+    cols: List[array]
+    values: List[Optional[LMat]]
 
     @property
     def entries(self) -> Mapping[Tuple[Element, Element], LMat]:
@@ -335,14 +340,15 @@ class BlockTable:
 
     def pos_items(self) -> Iterator[Tuple[Tuple[int, int], LMat]]:
         """((x, z), block) by position, z up and x down."""
+        values = self.values
         for zi, col in enumerate(self.cols):
             for xi in range(len(col) - 1, -1, -1):
-                if col[xi] is not None:
-                    yield (xi, zi), col[xi]
+                if col[xi]:
+                    yield (xi, zi), values[col[xi]]
 
     def _at(self, key: Tuple[int, int]) -> Optional[LMat]:
         col = self.cols[key[1]]
-        return col[key[0]] if key[0] < len(col) else None
+        return self.values[col[key[0]]] if key[0] < len(col) else None
 
     @cached_property
     def index(self) -> Dict[Element, int]:
@@ -354,6 +360,26 @@ class BlockTable:
     def zero(self) -> LMat:
         """The block of every absent key, one object per table."""
         return LMat.zeros(self.module.rank)
+
+
+def serial_array(serials: Iterable[int], count: int) -> array:
+    """``serials``, all below ``count``, as an array: typecode ``H`` if
+    they fit in 16 bits, else ``I``."""
+    return array("H" if count <= 1 << 16 else "I", serials)
+
+
+def interner(values: List[Optional[LMat]]) -> Callable[[LMat], int]:
+    """A function giving a block its serial in ``values``, which holds no
+    block yet: equal blocks get one serial, and a new block is appended."""
+    shared: Dict[LMat, int] = {}
+
+    def share(mat: LMat) -> int:
+        serial = shared.setdefault(mat, len(values))
+        if serial == len(values):
+            values.append(mat)
+        return serial
+
+    return share
 
 
 # -- builtin rank-1 modules ---------------------------------------------------
@@ -384,9 +410,10 @@ def validate(module: OmegaModule) -> Report:
     same power v^K (the same factors for m even, L(s) = L(t) for m odd), so
     the values are those of v^K times each side, whose difference has
     exponents >= 0.  With nu the largest row sum of absolute coefficients
-    of T_s and T_t, each side's coefficients are at most nu^m, so
-    B = (2 nu^m).bit_length() and the lemma of
-    :func:`~wgraphs.matrix._evaluate` make the comparison exact.
+    of any T_u and m the largest finite bond, each side's coefficients are
+    at most nu^m, so one width B = (2 nu^m).bit_length() and the lemma of
+    :func:`~wgraphs.matrix._evaluate` make every comparison exact; each T_u
+    is evaluated once.
     """
     report = Report(f"module relations (J={sorted(s + 1 for s in module.gens)})")
     gens = sorted(module.gens)
@@ -403,25 +430,28 @@ def validate(module: OmegaModule) -> Report:
             report.require(
                 not any(imat_mul(x_sg, e_s)), f"X_({s+1},{g}) E_{s+1} != 0"
             )
-    for i, s in enumerate(gens):
-        for t in gens[i + 1:]:
-            e_s, e_t = module.e_mat(s), module.e_mat(t)
-            report.require(
-                imat_mul(e_s, e_t) == imat_mul(e_t, e_s), f"E_{s+1} E_{t+1} != E_{t+1} E_{s+1}"
-            )
-            m = module.system.order(s, t)
-            if m == 0:
-                continue  # infinite bond: no braid relation
-            nu = max(_abs_row_sums(module.iota_t(s)) + _abs_row_sums(module.iota_t(t)),
-                     default=0)
-            bits = (2 * nu ** m).bit_length()
-            factors = [_evaluate(module.iota_t(u), bits, module.system.weight(u)) for u in (s, t)]
-            left, right = factors
+    pairs = [(s, t) for i, s in enumerate(gens) for t in gens[i + 1:]]
+    m = max([module.system.order(s, t) for s, t in pairs], default=0)
+    nu = max([a for u in gens for a in _abs_row_sums(module.iota_t(u))], default=0)
+    bits = (2 * nu ** m).bit_length()
+    factors = {u: _evaluate(module.iota_t(u), bits, module.system.weight(u)) for u in gens}
+    for s, t in pairs:
+        e_s, e_t = module.e_mat(s), module.e_mat(t)
+        report.require(
+            imat_mul(e_s, e_t) == imat_mul(e_t, e_s), f"E_{s+1} E_{t+1} != E_{t+1} E_{s+1}"
+        )
+        m = module.system.order(s, t)
+        if m == 0:
+            continue  # infinite bond: no braid relation
+        sides = []
+        for first, second in ((s, t), (t, s)):  # first second first ..., m factors
+            rows = factors[first]
             for j in range(1, m):
-                left = imat_mul(left, factors[j % 2])
-                right = imat_mul(right, factors[j % 2 == 0])
-            report.require(
-                left == right, f"braid relation of length {m} fails for ({s+1},{t+1})"
-            )
+                acc: Dict[int, dict] = {}
+                _mul_into(acc, rows, factors[second if j % 2 else first])
+                rows = [acc.get(i, {}).items() for i in range(module.rank)]
+            sides.append([{j: c for j, c in row if c} for row in rows])
+        report.require(
+            sides[0] == sides[1], f"braid relation of length {m} fails for ({s+1},{t+1})"
+        )
     return report
-

@@ -38,7 +38,7 @@ from wgraphs.coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO
 from wgraphs.laurent import LaurentPoly
 from wgraphs.matrix import LMat, _dot
 from wgraphs.report import Report
-from wgraphs.wgraph import BlockTable, hecke_t_column, sign_module
+from wgraphs.wgraph import BlockTable, hecke_t_column, interner, serial_array, sign_module
 
 # -- model groups --------------------------------------------------------------
 
@@ -356,16 +356,18 @@ def check_rho_entrywise(rho) -> Report:
     return report
 
 
-def canonicalise_shadow_lmat(items, ideals, cols, rank):
+def canonicalise_shadow_lmat(items, ideals, cols, values, rank):
     """``canon.canonicalise_shadow`` with every interval sum one Laurent-matrix
     kernel call (``_dot``) and antisymmetry read off the Laurent matrix: the
-    reference for the engine's integer products.  Same columns, same
-    errors in the same order."""
+    reference for the engine's integer products.  The same input; returns
+    the columns of blocks that ``block_columns`` reads from the engine's
+    result, and raises the same errors in the same order."""
     shape = (rank, rank)
     identity = LMat.identity(rank)
     rows: List[Dict[int, LMat]] = [{} for _ in ideals]  # rows[x][y] = rho_{xy} != 0, x <= y
     for yi, col in enumerate(cols):
-        for xi, mat in enumerate(col):
+        for xi, serial in enumerate(col):
+            mat = values[serial]
             if mat is not None and ideals[yi] >> xi & 1 and not mat.is_zero():
                 rows[xi][yi] = mat
     pi = []
@@ -516,8 +518,8 @@ def pi_recursion_checked_first(rho):
     if not report.ok:
         raise CanonicalisationError(str(report))
     bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
-    cols = canonicalise_shadow(rho.reps, bits, rho.cols, rho.module.rank)
-    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols)
+    cols, values = canonicalise_shadow(rho.reps, bits, rho.cols, rho.values, rho.module.rank)
+    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols, values)
 
 
 def e_fix_check_lmat(system, J) -> Report:
@@ -790,6 +792,37 @@ def ent_is_bar_symmetric(a):
 #
 # A reference for the sparse integer matrices of wgraphs.matrix (rows of
 # (column, value) pairs): a dense matrix is a tuple of row tuples of ints.
+
+
+# -- block tables by hand ---------------------------------------------------------
+#
+# A BlockTable stores serials into its values; these read its columns as
+# blocks, and store blocks given by hand, None for no block.
+
+
+def block_columns(cols, values):
+    """The columns of blocks that serial columns name, None for serial 0."""
+    return [[values[serial] for serial in col] for col in cols]
+
+
+def serial_columns(block_cols):
+    """(cols, values) of a BlockTable holding ``block_cols``: each distinct
+    block gets one serial, and None is serial 0."""
+    values = [None]
+    share = interner(values)
+    serials = [[0 if mat is None else share(mat) for mat in col] for col in block_cols]
+    return [serial_array(col, len(values)) for col in serials], values
+
+
+def store_block(table, key, mat):
+    """Store ``mat`` at position ``key`` = (x, z) of ``table`` under a new
+    serial, also where x is not below z; None deletes the block there."""
+    xi, zi = key
+    col = table.cols[zi]
+    col.extend([0] * (xi + 1 - len(col)))
+    col[xi] = 0 if mat is None else len(table.values)
+    if mat is not None:
+        table.values.append(mat)
 
 
 def dense(mat, ncols):

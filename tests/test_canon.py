@@ -18,8 +18,8 @@ from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, _evaluate
 from wgraphs.wgraph import BlockTable, sign_module, trivial_module
 
-from oracles import (canonicalise_shadow_lmat, check_rho_entrywise, iota_expand,
-                     pi_recursion_checked_first, rho_expanded)
+from oracles import (block_columns, canonicalise_shadow_lmat, check_rho_entrywise, iota_expand,
+                     pi_recursion_checked_first, rho_expanded, serial_columns, store_block)
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -122,11 +122,10 @@ def _rho_of(case):
 def _with_block(rho, x, y, mat):
     """A copy of ``rho`` with ``mat`` stored at (x, y), by position, also
     where x is not below y."""
-    xi, yi = rho.index[x], rho.index[y]
-    cols = [list(col) for col in rho.cols]
-    cols[yi].extend([None] * (xi + 1 - len(cols[yi])))
-    cols[yi][xi] = mat
-    return BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps, cols)
+    copy = BlockTable(rho.system, rho.gens, rho.ambient, rho.module, rho.reps,
+                      [col[:] for col in rho.cols], list(rho.values))
+    store_block(copy, (rho.index[x], rho.index[y]), mat)
+    return copy
 
 
 def _bumped(rho, x, y, i, j, g, c):
@@ -291,10 +290,15 @@ class TestRhoRecursion:
             rho_table(frozenset(), trivial_module(systems["a2"], frozenset()))
 
 
+def _blocks(table):
+    """The columns of a block table, as blocks."""
+    return block_columns(table.cols, table.values)
+
+
 def _recursion_outcome(run, rho):
-    """The columns ``run(rho)`` returns, or the message it raises."""
+    """The columns ``run(rho)`` returns, as blocks, or the message it raises."""
     try:
-        return run(rho).cols
+        return _blocks(run(rho))
     except CanonicalisationError as error:
         return str(error)
 
@@ -386,14 +390,14 @@ class TestPiRecursion:
             ideal = [y for y in range(top + 1) if bits[top] >> y & 1]
 
             def restricted(table):
-                """The columns of ``table`` on the ideal, by position in it."""
-                return [[table.cols[z][x] if x < len(table.cols[z]) else None
-                         for x in ideal[:k + 1]] for k, z in enumerate(ideal)]
+                """The columns of ``table`` on the ideal, by position in it, as blocks."""
+                return [[table._at((x, z)) for x in ideal[:k + 1]] for k, z in enumerate(ideal)]
 
-            sub_rho = BlockTable(a2, rho.gens, rho.ambient, module,
-                                 tuple(rho.reps[y] for y in ideal), restricted(rho))
-            assert pi_recursion(sub_rho).cols == restricted(full)
-            assert pi_recursion_checked_first(sub_rho).cols == restricted(full)
+            sub_reps = tuple(rho.reps[y] for y in ideal)
+            sub_rho = BlockTable(a2, rho.gens, rho.ambient, module, sub_reps,
+                                 *serial_columns(restricted(rho)))
+            assert _blocks(pi_recursion(sub_rho)) == restricted(full)
+            assert _blocks(pi_recursion_checked_first(sub_rho)) == restricted(full)
 
     def test_bad_rho_rejected(self, systems):
         a2 = systems["a2"]
@@ -418,11 +422,11 @@ class TestEngineFirst:
         import wgraphs.canon as canon
 
         rho = _rho_of(case)
-        expected = pi_recursion_checked_first(rho).cols
+        expected = _blocks(pi_recursion_checked_first(rho))
         calls = []
         real = canon.check_rho
         monkeypatch.setattr(canon, "check_rho", lambda table: calls.append(table) or real(table))
-        assert pi_recursion(rho).cols == expected
+        assert _blocks(pi_recursion(rho)) == expected
         assert calls == []
 
     @pytest.mark.parametrize("case", _CASES)
@@ -439,8 +443,8 @@ class TestEngineFirst:
         but its diagonal is -1, so the engine's error is raised."""
         a2 = systems["a2"]
         rho = rho_table(frozenset(), trivial_module(a2, frozenset()))
-        cols = [[None if mat is None else mat.scale(-1) for mat in col] for col in rho.cols]
-        negated = BlockTable(a2, rho.gens, rho.ambient, rho.module, rho.reps, cols)
+        values = [None if mat is None else mat.scale(-1) for mat in rho.values]
+        negated = BlockTable(a2, rho.gens, rho.ambient, rho.module, rho.reps, rho.cols, values)
         assert check_rho(negated).ok
         outcome = _recursion_outcome(pi_recursion, negated)
         assert outcome == "fixed-point residual nonzero at (e,e)"
@@ -456,20 +460,20 @@ class TestGenericEngine:
 
     def test_two_element_poset(self):
         cols = [[LMat.identity(1)], [LMat([[LaurentPoly({1: 1, -1: -1})]]), LMat.identity(1)]]
-        pi = canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+        pi = _on_blocks(self.ITEMS, self.IDEALS, cols, 1)
         assert pi[1][0] == LMat([[v(1)]])
         assert pi == [[LMat.identity(1)], [LMat([[v(1)]]), LMat.identity(1)]]
 
     def test_rejects_non_involution(self):
         cols = [[LMat.identity(1)], [LMat([[v(1)]]), LMat.identity(1)]]
         with pytest.raises(CanonicalisationError, match=r"correction term at \(a,b\)"):
-            canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+            _on_blocks(self.ITEMS, self.IDEALS, cols, 1)
 
     def test_wide_coefficients(self):
         """r_ab = 2^100 (v - v^-1): the width comes from the coefficients."""
         cols = [[LMat.identity(1)],
                 [LMat([[LaurentPoly({1: 2 ** 100, -1: -2 ** 100})]]), LMat.identity(1)]]
-        pi = canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+        pi = _on_blocks(self.ITEMS, self.IDEALS, cols, 1)
         assert pi[1][0] == LMat([[LaurentPoly({1: 2 ** 100})]])
 
     @pytest.mark.parametrize("base", [3, 8, 64])
@@ -482,7 +486,7 @@ class TestGenericEngine:
         cols = [[LMat.identity(1)], [f, LMat.identity(1)]]
         with pytest.raises(CanonicalisationError,
                            match=r"correction term at \(a,b\) is not antisymmetric"):
-            canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+            _on_blocks(self.ITEMS, self.IDEALS, cols, 1)
 
     def test_residual_catches_non_identity_diagonal(self):
         # rho(a, a) = 2 I: no correction term is wrong, only the residual
@@ -490,15 +494,21 @@ class TestGenericEngine:
         cols = [[LMat.identity(1).scale(2)],
                 [LMat([[LaurentPoly({1: 1, -1: -1})]]), LMat.identity(1)]]
         with pytest.raises(CanonicalisationError, match="fixed-point residual"):
-            canonicalise_shadow(self.ITEMS, self.IDEALS, cols, 1)
+            _on_blocks(self.ITEMS, self.IDEALS, cols, 1)
 
 
-def _engine_outcome(engine, items, ideals, cols, rank):
-    """The columns an engine returns, or the message it raises."""
+def _on_blocks(items, ideals, cols, rank):
+    """``canonicalise_shadow`` on columns of blocks, its result read back as blocks."""
+    return block_columns(*canonicalise_shadow(items, ideals, *serial_columns(cols), rank))
+
+
+def _engine_outcome(engine, items, ideals, cols, values, rank):
+    """The columns of blocks an engine returns, or the message it raises."""
     try:
-        return engine(items, ideals, cols, rank)
+        pi = engine(items, ideals, cols, values, rank)
     except CanonicalisationError as error:
         return str(error)
+    return block_columns(*pi) if engine is canonicalise_shadow else pi
 
 
 _TWO = ["a", "b"], [0b01, 0b11]
@@ -517,8 +527,8 @@ class TestEngineReference:
     def test_equal_columns(self, case):
         rho = _rho_of(case)
         bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
-        args = (rho.reps, bits, rho.cols, rho.module.rank)
-        pi = canonicalise_shadow(*args)
+        args = (rho.reps, bits, rho.cols, rho.values, rho.module.rank)
+        pi = block_columns(*canonicalise_shadow(*args))
         assert pi == canonicalise_shadow_lmat(*args)
         assert any(mat is not None and not mat.is_zero()
                    for col in pi for mat in col[:-1])
@@ -538,13 +548,13 @@ class TestEngineReference:
             x, y = rng.choice(below)
             table = _bumped(rho, x, y, rng.randrange(r), rng.randrange(r),
                             rng.randint(-top, top), rng.choice([1, -1, 2 ** 70]))
-            args = (table.reps, bits, table.cols, r)
+            args = (table.reps, bits, table.cols, table.values, r)
             outcome = _engine_outcome(canonicalise_shadow, *args)
             assert outcome == _engine_outcome(canonicalise_shadow_lmat, *args)
             messages.add(outcome.split(" at ")[0] if isinstance(outcome, str) else "ok")
         z = rng.choice(rho.reps)
         table = _bumped(rho, z, z, rng.randrange(r), rng.randrange(r), 0, 1)
-        args = (table.reps, bits, table.cols, r)
+        args = (table.reps, bits, table.cols, table.values, r)
         outcome = _engine_outcome(canonicalise_shadow, *args)
         assert outcome == _engine_outcome(canonicalise_shadow_lmat, *args)
         assert "residual" in outcome and "correction term" in messages
@@ -561,8 +571,9 @@ class TestEngineReference:
             "base-64", "diagonal-v"])
     def test_two_element_posets(self, cols):
         items, ideals = _TWO
-        assert _engine_outcome(canonicalise_shadow, items, ideals, cols, 1) == \
-            _engine_outcome(canonicalise_shadow_lmat, items, ideals, cols, 1)
+        args = (items, ideals, *serial_columns(cols), 1)
+        assert _engine_outcome(canonicalise_shadow, *args) == \
+            _engine_outcome(canonicalise_shadow_lmat, *args)
 
     @pytest.mark.parametrize("rank", [1, 2])
     def test_residual_off_the_diagonal(self, rank):
@@ -575,7 +586,7 @@ class TestEngineReference:
         for engine in (canonicalise_shadow, canonicalise_shadow_lmat):
             with pytest.raises(CanonicalisationError,
                                match=r"fixed-point residual nonzero at \(a,b\)"):
-                engine(["a", "b"], [0b00, 0b11], cols, rank)
+                engine(["a", "b"], [0b00, 0b11], *serial_columns(cols), rank)
 
     @pytest.mark.parametrize("case", ["b3_211", "a4-induced-rank-12"])
     def test_no_laurent_arithmetic(self, case, monkeypatch):
@@ -586,7 +597,8 @@ class TestEngineReference:
 
         rho = _rho_of(case)
         bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
-        expected = canonicalise_shadow_lmat(rho.reps, bits, rho.cols, rho.module.rank)
+        args = (rho.reps, bits, rho.cols, rho.values, rho.module.rank)
+        expected = canonicalise_shadow_lmat(*args)
 
         def refuse(*args, **kwargs):
             raise AssertionError("Laurent-matrix arithmetic in canonicalise_shadow")
@@ -594,4 +606,4 @@ class TestEngineReference:
         for name in ("__matmul__", "__add__", "__sub__", "__neg__", "scale"):
             monkeypatch.setattr(LMat, name, refuse)
         assert not hasattr(canon, "_dot")
-        assert canonicalise_shadow(rho.reps, bits, rho.cols, rho.module.rank) == expected
+        assert block_columns(*canonicalise_shadow(*args)) == expected

@@ -13,7 +13,7 @@ from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import SchemaError
 from wgraphs.hy import induce, mu_inductive, p_mu_table
 from wgraphs.matrix import LMat
-from wgraphs.wgraph import sign_module, to_wgraph, trivial_module
+from wgraphs.wgraph import serial_array, sign_module, to_wgraph, trivial_module
 
 _ROOT = Path(__file__).resolve().parent.parent
 SYSTEM_FILES = sorted(
@@ -58,6 +58,19 @@ class TestWriter:
         outer = {"a": inner, "b": inner, "c": [inner] * times}
         doc = {"row": [outer] * times, "pair": {"x": outer, "y": outer}, "inner": [inner] * times}
         assert formats.dumps(doc) == stdlib_dumps(doc)
+
+    @pytest.mark.parametrize("doc", [
+        [True, 1, False, 0], {"a": True, "b": 1, "c": [False, 0, "0", None]},
+        [[1, "a"]] * 4 + [{"k": [1, "a"]}], [[]] * 3 + [{}] * 2,
+    ], ids=["bools-and-ints", "dict-leaves", "one-list-four-times", "empty-containers"])
+    def test_leaves_and_repeated_items(self, doc):
+        """bool leaves are not written as ints, and a list object that recurs
+        within one list (``[x] * 4`` is one object four times) is rendered
+        once and repeated."""
+        assert formats.dumps(doc) == stdlib_dumps(doc)
+        handle = io.StringIO()
+        formats.dump(doc, handle)
+        assert handle.getvalue() == stdlib_dumps(doc)
 
     @pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1: "x"}, {"a": {(1,): 2}}, {1, 2}])
     def test_rejects_other_types(self, value):
@@ -181,13 +194,18 @@ class TestTableFormat:
         assert len({id(value) for value in p_part.values()}) == len(set(table.p.values()))
 
     def test_bytes_do_not_depend_on_interning(self):
-        """The writer shares values by block identity; a copy of regular D4's
-        table with every p-block a fresh object writes the same bytes."""
+        """The writer makes one value per serial; a copy of regular D4's
+        table with every p-block a fresh object under its own serial writes
+        the same bytes."""
         d4 = CoxeterSystem(((1, 3, 2, 2), (3, 1, 3, 3), (2, 3, 1, 2), (2, 3, 2, 1)))
         table = p_mu_table(frozenset(), trivial_module(d4, frozenset()))
-        copy = dataclasses.replace(table, cols=[
-            [None if mat is None else LMat._new(mat.shape, dict(mat.blocks)) for mat in col]
-            for col in table.cols])
+        values = [None]
+        cols = [[0] * len(col) for col in table.cols]
+        for (xi, zi), mat in table.pos_items():
+            values.append(LMat._new(mat.shape, dict(mat.blocks)))
+            cols[zi][xi] = len(values) - 1
+        copy = dataclasses.replace(table, values=values,
+                                   cols=[serial_array(col, len(values)) for col in cols])
         assert len({id(mat) for _, mat in copy.pos_items()}) == len(copy.p) == 9817
         assert len({id(mat) for _, mat in table.pos_items()}) == 60
         assert (formats.dumps(formats.table_to_json(copy))

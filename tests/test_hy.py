@@ -1,4 +1,6 @@
 import itertools
+from array import array
+from itertools import chain, compress
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, _evaluate, imat_mul
 from wgraphs.wgraph import (
     OmegaModule,
+    serial_array,
     sign_module,
     to_wgraph,
     trivial_module,
@@ -30,6 +33,7 @@ from wgraphs.hy import (
 )
 
 from oracles import (
+    block_columns,
     KLOracle,
     check_invariants_fourcase,
     compose_perms,
@@ -38,19 +42,11 @@ from oracles import (
     e_fix_check_lmat,
     eval_word,
     sparse,
+    store_block,
     sym_group_generators,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
-
-
-def put_p(table, key, mat):
-    """Store p(x, z) by position (x, z), also where x is not below z; None
-    deletes it."""
-    xi, zi = key
-    col = table.cols[zi]
-    col.extend([None] * (xi + 1 - len(col)))
-    col[xi] = mat
 
 
 class TestPValues:
@@ -120,10 +116,10 @@ class TestPValues:
 
         def corrupted(*args, **kwargs):
             table = real(*args, **kwargs)
-            put_p(table, changed, table.cols[3][0] + LMat.identity(1))
-            put_p(table, deleted, None)
-            put_p(table, added, LMat.identity(1))
-            put_p(table, added_zero, LMat.zeros(1))
+            store_block(table, changed, table._at((0, 3)) + LMat.identity(1))
+            store_block(table, deleted, None)
+            store_block(table, added, LMat.identity(1))
+            store_block(table, added_zero, LMat.zeros(1))
             return table
 
         monkeypatch.setattr(hy, "p_mu_table", corrupted)
@@ -143,8 +139,8 @@ class TestBlockViews:
     def _pairs(table):
         """The Element-keyed dict of a block table's columns, z up and x down."""
         reps = table.reps
-        return {(reps[x], reps[z]): col[x] for z, col in enumerate(table.cols)
-                for x in range(len(col) - 1, -1, -1) if col[x] is not None}
+        return {(reps[x], reps[z]): table.values[col[x]] for z, col in enumerate(table.cols)
+                for x in range(len(col) - 1, -1, -1) if col[x]}
 
     @classmethod
     def _element_dicts(cls, table):
@@ -410,13 +406,14 @@ class TestIntertwiningDefect:
         for name, key in [("changed", changed), ("deleted", deleted), ("added", stray),
                           ("mu", mu_key)]:
             copy = PMuTable(table.system, table.gens, table.ambient, table.module, reps,
-                            [list(col) for col in table.cols], dict(table.mu_pos))
+                            [col[:] for col in table.cols], list(table.values),
+                            dict(table.mu_pos))
             if name == "changed":
-                put_p(copy, key, copy.cols[key[1]][key[0]] + one.scale(v(1)))
+                store_block(copy, key, copy._at(key) + one.scale(v(1)))
             elif name == "deleted":
-                put_p(copy, key, None)
+                store_block(copy, key, None)
             elif name == "added":
-                put_p(copy, key, one.scale(v(1)))
+                store_block(copy, key, one.scale(v(1)))
             else:  # in range, bar-symmetric, away from the zero classes
                 copy.mu_pos[key] = copy.mu_pos[key] + one
             out.append((name, str(reps[key[0]]), copy))
@@ -505,8 +502,8 @@ class TestIntertwiningDefect:
 def _copy_with_p(table, key, mat):
     """A copy of ``table`` with p-block ``mat`` at position ``key``."""
     copy = PMuTable(table.system, table.gens, table.ambient, table.module, table.reps,
-                    [list(col) for col in table.cols], dict(table.mu_pos))
-    put_p(copy, key, mat)
+                    [col[:] for col in table.cols], list(table.values), dict(table.mu_pos))
+    store_block(copy, key, mat)
     return copy
 
 
@@ -542,7 +539,7 @@ class TestDefectReference:
         expected = defects_lmat(k, module, table)
         assert _defects(k, module, table) == expected and not any(expected.values())
         key = next(key for key, _ in table.pos_items() if key[0] != key[1])  # and one changed
-        copy = _copy_with_p(table, key, table.cols[key[1]][key[0]]
+        copy = _copy_with_p(table, key, table._at(key)
                             + LMat.identity(12).scale(v(1)))
         expected = defects_lmat(k, module, copy)
         assert _defects(k, module, copy) == expected and any(expected.values())
@@ -561,7 +558,7 @@ class TestDefectReference:
         module, table = TestIntertwiningDefect._clean(*TestIntertwiningDefect.CASES[0])
         key = next(k for k, _ in table.pos_items() if k[0] != k[1])
         bump = LMat.identity(1).scale(LaurentPoly({2: 2 ** 70}))
-        copy = _copy_with_p(table, key, table.cols[key[1]][key[0]] + bump)
+        copy = _copy_with_p(table, key, table._at(key) + bump)
         expected = defects_lmat(frozenset(), module, copy)
         assert _defects(frozenset(), module, copy) == expected and any(expected.values())
 
@@ -571,7 +568,7 @@ class TestDefectReference:
         blocks of D_s are -g, g/v and g, nonzero for g != 0."""
         module = trivial_module(CoxeterSystem(((1,),)), frozenset())
         table = p_mu_table(frozenset(), module)
-        copy = _copy_with_p(table, (0, 1), table.cols[1][0] + g)
+        copy = _copy_with_p(table, (0, 1), table._at((0, 1)) + g)
         return _defects(frozenset(), module, copy), defects_lmat(frozenset(), module, copy)
 
     @pytest.mark.parametrize("base", [3, 8, 64])
@@ -1158,8 +1155,10 @@ class TestSparseStorage:
         report, products, sums = run(lambda: check_rho(rho))
         assert report.ok and products == sums == 0
         bits = system.bruhat_ideals(rho.reps)
-        pi, products, sums = run(lambda: canonicalise_shadow(rho.reps, bits, rho.cols, 1))
-        assert pi == table.cols and products == sums == 0
+        pi, products, sums = run(lambda: canonicalise_shadow(rho.reps, bits, rho.cols,
+                                                             rho.values, 1))
+        assert block_columns(*pi) == block_columns(table.cols, table.values)
+        assert products == sums == 0
 
     def test_equal_unit_blocks_are_shared(self):
         a4 = CoxeterSystem(A4)
@@ -1178,6 +1177,66 @@ class TestSparseStorage:
         stored = sum(len(row) for mat in mats for row in mat)
         nonzero = sum(1 for mat in mats for row in dense(mat, induced.rank) for c in row if c)
         assert (induced.rank, len(mats), stored, nonzero) == (120, 8, 664, 664)
+
+
+class TestSerialColumns:
+    """A table's columns are arrays of serial numbers into one ``values``
+    list, whose slot 0 means no block; both routes fill this one form."""
+
+    @staticmethod
+    def _tables(name):
+        """The direct and the oracle's table of the regular module of ``name``."""
+        from wgraphs.canon import pi_recursion, rho_table
+
+        module = trivial_module(TestInverseColumns._case(name)[0], frozenset())
+        rho = rho_table(frozenset(), module)
+        return p_mu_table(frozenset(), module), rho, pi_recursion(rho)
+
+    @pytest.mark.parametrize("name", ["b2_unequal", "b3_211", "d4"])
+    def test_columns_are_serial_arrays(self, name):
+        for table in self._tables(name):
+            values = table.values
+            assert values[0] is None and None not in values[1:]
+            assert len(set(values[1:])) == len(values) - 1  # no two serials name equal values
+            assert len(values) <= 1 << 16
+            assert all(isinstance(col, array) and col.typecode == "H" for col in table.cols)
+            assert set(chain.from_iterable(table.cols)) <= set(range(len(values)))
+
+    def test_typecode_follows_the_count(self):
+        assert serial_array([0, 1], 1 << 16).typecode == "H"
+        column = serial_array([0, 1 << 16, 7], (1 << 16) + 1)
+        assert column.typecode == "I" and list(column) == [0, 1 << 16, 7]
+
+    @pytest.mark.parametrize("name", ["b3_211", "d4"])
+    def test_inverse_columns_as_serials(self, name):
+        """For J = {}, column z is column z^-1 read through x -> x^-1, serial
+        for serial, and every slot at an x not below z is 0."""
+        table = self._tables(name)[0]
+        index = {z.word: i for i, z in enumerate(table.reps)}
+        inv = [index[z.inverse().word] for z in table.reps]
+        bits = table.system.bruhat_ideals(table.reps)
+        for zi, col in enumerate(table.cols):
+            below = [xi for xi in range(zi + 1) if bits[zi] >> xi & 1]
+            assert list(compress(range(len(col)), col)) == below
+            assert [table.cols[inv[zi]][inv[xi]] for xi in below] == [col[xi] for xi in below]
+
+    def test_one_value_under_two_serials_writes_the_same_bytes(self):
+        from wgraphs import formats
+
+        table = self._tables("d4")[0]
+        serial = max(range(1, len(table.values)),
+                     key=lambda k: sum(col.count(k) for col in table.cols))
+        twin = LMat._new(table.values[serial].shape, dict(table.values[serial].blocks))
+        cols = [col[:] for col in table.cols]
+        for col in cols[::2]:  # every other column names the twin
+            for xi, k in enumerate(col):
+                if k == serial:
+                    col[xi] = len(table.values)
+        copy = PMuTable(table.system, table.gens, table.ambient, table.module, table.reps,
+                        cols, table.values + [twin], table.mu_pos)
+        assert copy.p == table.p and {id(mat) for mat in copy.p.values()} >= {id(twin)}
+        assert (formats.dumps(formats.table_to_json(copy))
+                == formats.dumps(formats.table_to_json(table)))
 
 
 class TestInterning:
@@ -1207,7 +1266,8 @@ class TestInterning:
 
         ids = {id(mat) for mat in values(table)}
         assert len(ids) == len(set(values(table))) < len(values(table))
-        assert table == p_mu_table(J, module, descent_choice="max")
+        high = p_mu_table(J, module, descent_choice="max")  # equal blocks, other serials
+        assert high.p == table.p and high.mu == table.mu
         again = p_mu_table(J, module)  # equal, and built from no object of the first call
         assert again == table and not ids & {id(mat) for mat in values(again)}
 
@@ -1277,7 +1337,7 @@ class TestIndexKernel:
         yield "p_mu_table"
         # a table built without the recursion builds its arrays on first use
         fresh = PMuTable(system, table.gens, table.ambient, module, table.reps,
-                         table.cols, table.mu_pos)
+                         table.cols, table.values, table.mu_pos)
         assert fresh.check_invariants().ok
         yield "check_invariants"
         rho = rho_table(j, module)
@@ -1422,16 +1482,17 @@ class TestInverseColumns:
         inv = [index[z.inverse().word] for z in table.reps]
         assert any(i < zi for zi, i in enumerate(inv))  # some column is copied
         for zi, col in enumerate(table.cols):
-            for xi, mat in enumerate(col):
-                if mat is not None:
-                    assert table.cols[inv[zi]][inv[xi]] is mat
+            for xi, serial in enumerate(col):
+                if serial:
+                    assert table.cols[inv[zi]][inv[xi]] == serial
         high = p_mu_table(frozenset(), module, ambient, descent_choice="max", max_length=radius)
         assert high.p == table.p and high.mu == table.mu
         if radius is None:
             assert oracle_check(frozenset(), module, ambient).ok
             assert table.check_invariants().ok
         else:  # the oracle route on the ball; the invariants need the whole group
-            assert pi_recursion(rho_table(frozenset(), module, max_length=radius)).cols == table.cols
+            pi = pi_recursion(rho_table(frozenset(), module, max_length=radius))
+            assert block_columns(pi.cols, pi.values) == block_columns(table.cols, table.values)
 
 
 class TestMemo:
@@ -1488,7 +1549,7 @@ class TestMemo:
         bits = table.system.bruhat_ideals(table.reps, table.gens, table.ambient)
         found = set()
         for (yi, zi, s), mu in table.mu_pos.items():
-            for xi, p in enumerate(table.cols[yi][:yi]):
+            for xi, p in enumerate(map(table.values.__getitem__, table.cols[yi][:yi])):
                 if (p is not None and p.blocks and classes[s][xi].tag != "plus"
                         and min(p.blocks) + min(mu.blocks) <= 0):
                     found.add("window")
@@ -1520,6 +1581,7 @@ class TestMemo:
         J, module = self.case(systems, name)
         table = p_mu_table(J, module)
         assert self.paths(table) == paths
-        assert table == p_mu_table(J, module, descent_choice="max")
+        high = p_mu_table(J, module, descent_choice="max")  # equal blocks, other serials
+        assert high.p == table.p and high.mu == table.mu
         report = oracle_check(J, module)
         assert report.ok and report.checks == checks
