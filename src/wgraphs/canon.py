@@ -26,13 +26,16 @@ of the representatives, so the oracle stores, solves and compares without
 hashing a group element.  :func:`check_rho` and the engine decide every
 identity by integer products: each block is evaluated once at v = 2^B
 (Kronecker substitution, :func:`~wgraphs.matrix._evaluate`), with B taken
-from the coefficients.  Neither calls the product kernel of the p/mu
+from the coefficients; the engine certifies its B step by step and widens
+it only where the data asks.  Neither calls the product kernel of the p/mu
 recursion in :mod:`wgraphs.hy`, so the two cross-check each other.
 """
 
 from __future__ import annotations
 
 from array import array
+from bisect import bisect
+from math import inf
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import bit_positions
@@ -60,9 +63,13 @@ def rho_table(
     r_{.,1} is the identity, and for z != 1 with first letter s,
     iota(T_z (x) m) = T_s^-1 iota(T_sz (x) m), so the column at z is
     T_s^-1 = T_s - (v_s - v_s^-1) applied to the column at s*z by
-    :func:`~wgraphs.wgraph.hecke_t_column`.  Deodhar classes and the
-    positions of s*x come from
-    :meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`.
+    :func:`~wgraphs.wgraph.hecke_t_column`, on serials: each distinct block
+    is interned once, and the column step's products, diagonal terms and
+    sums are memoised by serial for the whole call.  Deodhar classes and
+    the positions of s*x come from
+    :meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`.  r_{x,z} = 0
+    unless x <= z, so a column stops at z; a nonzero block after it is
+    an error.
     """
     system = module.system
     J = system._subset(J)
@@ -73,20 +80,22 @@ def rho_table(
         raise ValueError("J must be contained in the ambient subset")
     reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
     classes, shifted = system.position_arrays(J, ambient, reps)
-    identity = LMat.identity(module.rank)
-    cols: List[array] = []  # values[cols[z][x]] = r_{x,z}
-    values: List[Optional[LMat]] = [None]
+    values: List[Optional[LMat]] = [None]  # values[cols[z][x]] = r_{x,z}
     share = interner(values)
-    for zi, z in enumerate(reps):
-        if z.word:
-            s = z.word[0]
-            col = hecke_t_column(module, s, classes[s], shifted[s],
-                                 map(values.__getitem__, cols[shifted[s][zi]]), inverse=True)
-        else:
-            col = [identity]
-        if col[zi] != identity:
+    one = share(LMat.identity(module.rank))
+    cols: List[array] = [serial_array([one], len(values))]
+    memo: Tuple[dict, dict, dict] = ({}, {}, {})
+    for zi, z in enumerate(reps[1:], 1):
+        s = z.word[0]
+        col = hecke_t_column(module, s, classes[s], shifted[s], cols[shifted[s][zi]], values,
+                             share, memo, inverse=True)
+        if col[zi] != one:
             raise AssertionError(f"diagonal block r_({z},{z}) is not the identity")
-        cols.append(serial_array([0 if mat is None else share(mat) for mat in col], len(values)))
+        if any(col[zi + 1:]):
+            after = next(xi for xi in range(zi + 1, len(col)) if col[xi])
+            raise AssertionError(f"nonzero block r_({reps[after]},{z}) after z")
+        del col[zi + 1:]
+        cols.append(serial_array(col, len(values)))
     return BlockTable(system, J, ambient, module, tuple(reps), cols, values)
 
 
@@ -97,7 +106,8 @@ def _stored(ideals: Sequence[int], cols: Sequence[Sequence[int]], values: Sequen
     nonzero = [mat is not None and bool(mat.blocks) for mat in values]
     placed = [(xi, yi, serial) for yi, col in enumerate(cols) for xi, serial in enumerate(col)
               if nonzero[serial] and ideals[yi] >> xi & 1]
-    sums = {serial: _abs_row_sums(values[serial]) for _, _, serial in placed}
+    sums = {serial: _abs_row_sums(values[serial])
+            for serial in dict.fromkeys([serial for _, _, serial in placed])}
     return placed, sums, max((abs(g) for serial in sums for g in values[serial].blocks), default=0)
 
 
@@ -166,54 +176,64 @@ def canonicalise_shadow(
     involution); ``items`` only name the pair in its message.
 
     Every sum alpha_x = sum_{x<y<=z} rho_{xy} bar(pi_{yz}) is a sum of
-    integer products: each serial of rho is bounded and evaluated once, as
-    v^E rho_{xy} at v = 2^B, and each new pi_{yz} once as v^E bar(pi_{yz})
-    (ints for 1x1 blocks, integer rows otherwise), so the sum is the value a of
-    v^(2E) alpha_x.  E is the largest |exponent| of rho, and nu(M), the
-    largest row sum of absolute coefficients, bounds every coefficient of
-    M, with nu(MN) <= nu(M) nu(N).  Exactness, with no width fixed:
-    pi_{zz} = 1, and by descending induction over x, alpha_x has exponents
-    <= E, so pi_{xz}, its positive part, has them in 1..E, and
-    nu(pi_{xz}) <= nu(alpha_x) < bound[x] = 1 + sum_{x<y} nu(rho_{xy})
-    bound[y].  B = max_x ((2 + nu(rho_{xx})) bound[x]).bit_length() + 1
-    puts the coefficients of alpha_x below 2^(B-1), so the digits of a at
-    and below v^0 sum to less than 2^(C-1), C = (2E + 1) B, and
-    (a + 2^(C-1)) >> C is v^-1 pi_{xz} at 2^B, whose balanced base-2^B
-    digits are the coefficients of pi_{xz}.  alpha_x is antisymmetric iff
-    alpha_x = pi_{xz} - bar(pi_{xz}), and the residual is zero iff
-    pi_{xz} = alpha_x + rho_{xx} bar(pi_{xz}).  Times v^(2E), each
-    difference has exponents >= 0 and coefficients below
-    (2 + nu(rho_{xx})) bound[x] < 2^B, so by the lemma of
-    :func:`~wgraphs.matrix._evaluate` both checks compare integers.
+    integer products: each serial of rho is bounded and evaluated once per
+    width B, as v^E rho_{xy} at v = 2^B, and each new pi_{yz} once as
+    v^E bar(pi_{yz}) (ints for 1x1 blocks, integer rows otherwise), so the
+    sum is the value a of v^(2E) alpha_x.  E is the largest |exponent| of
+    rho, and nu(M), the largest row sum of absolute coefficients, bounds
+    every coefficient of M, with nu(MN) <= nu(M) nu(N).
+
+    The width is certified step by step.  Let R_x = sum_{x<y} nu(rho_{xy}),
+    and within column z let M be the largest nu(pi_{yz}) decoded so far
+    (1 for pi_{zz} = 1).  Before x is solved, the engine requires
+    bound = (2 + nu(rho_{xx})) (1 + R_x M) < 2^(B-1).  If it fails, the
+    column restarts at B = bound.bit_length() + 1; the earlier columns are
+    kept.  The first B puts every bound with M = 1 below 2^(B-1), and B only
+    grows.  Exactness, by descending induction over x in column z: every
+    pi_{yz} with x < y <= z is exact, so nu(alpha_x) <= R_x M < bound/2,
+    and alpha_x has exponents >= -2E and, as pi_{zz} = 1 and the other
+    pi_{yz} have exponents in 1..E, <= E.  Its coefficients are below
+    2^(B-1), so the digits of a at and below v^0 sum to less than 2^(C-1),
+    C = (2E + 1) B, and (a + 2^(C-1)) >> C is v^-1 pi_{xz} at 2^B, whose
+    balanced base-2^B digits are the coefficients of pi_{xz}: pi_{xz} is
+    exact, and its exponents are in 1..E.  alpha_x is
+    antisymmetric iff alpha_x = pi_{xz} - bar(pi_{xz}); times v^(2E) the
+    difference has exponents >= 0 and coefficients at most 2 nu(alpha_x) <
+    2^B, so by the lemma of :func:`~wgraphs.matrix._evaluate` that check
+    compares integers, and so does rho_{zz} = 1, as v^E (rho_{zz} - 1) has
+    coefficients below 2 + nu(rho_{zz}) < 2^(B-1).
+
+    The fixed-point residual pi_{xz} - alpha_x - rho_{xx} bar(pi_{xz}) is
+    (1 - rho_{xx}) bar(pi_{xz}) once alpha_x is antisymmetric.  Where
+    x <= x is stated, rho_{xx} = 1 was checked in column x, which comes
+    before z, so the residual is zero and only the diagonal (z, z) is
+    checked.  Where it is not, rho_{xx} is not read, and the residual
+    -bar(pi_{xz}) is nonzero iff pi_{xz} is.
     """
     placed, sums, top = _stored(ideals, cols, values)
     nu = {0: 0, **{serial: max(row_sums) for serial, row_sums in sums.items()}}
-    above: List[list] = [[] for _ in ideals]  # above[x] = [(y, serial of rho_{xy})], x < y
-    diag = [0] * len(ideals)  # the serial of rho_{xx}
+    size = len(ideals)
+    upper: List[list] = [[] for _ in ideals]  # upper[x] = [(y, serial of rho_{xy})], x < y
+    diagonal = [0] * size  # the serial of rho_{xx}
+    rowsum = [0] * size  # R_x
     for xi, yi, serial in placed:
         if xi == yi:
-            diag[xi] = serial
+            diagonal[xi] = serial
         else:
-            above[xi].append((yi, serial))
-    bound = [1] * len(ideals)
-    for x in reversed(range(len(ideals))):
-        bound[x] += sum([nu[serial] * bound[y] for y, serial in above[x]])
-    width = 1 + max([((2 + nu[d]) * b).bit_length() for d, b in zip(diag, bound)], default=0)
-    unit, shape, cut = rank == 1, (rank, rank), (2 * top + 1) * width
-    half, sign, mask = 1 << cut - 1, 1 << width - 1, (1 << width) - 1
-    one = 1 << top * width  # v^E at 2^B
+            upper[xi].append((yi, serial))
+            rowsum[xi] += nu[serial]
+    scale = [2 + nu[serial] for serial in diagonal]
+    ys = [[y for y, _ in row] for row in upper]  # ascending
+    loose = [x for x, below in enumerate(ideals) if not below >> x & 1]  # x <= x not stated
+    unit, shape = rank == 1, (rank, rank)
 
     def value(mat: LMat):  # v^E mat at 2^B: an int for 1x1 blocks
         rows = _evaluate(mat, width, top)
         return (rows[0][0][1] if rows[0] else 0) if unit else rows
 
-    evaluated = {0: 0, **{serial: value(values[serial]) for serial in sums}}
-    above = [[(y, evaluated[serial]) for y, serial in row] for row in above]
-    diag = [evaluated[serial] for serial in diag]
     pi_values: List[Optional[LMat]] = [None]
     share = interner(pi_values)
     one_serial = share(LMat.identity(rank))
-    made: Dict[int, tuple] = {}  # high -> (v^(2E) pi, v^E bar(pi), the serial of pi or its {g: c})
 
     def solve(a: int, x: int, z: int) -> tuple:
         """``made[high]`` for the value a of v^(2E) alpha_x at 2^B."""
@@ -228,48 +248,72 @@ def canonicalise_shadow(
                     coeffs[g] = c
                 g += 1
             low = sum([c << (top - g) * width for g, c in coeffs.items()])
-            got = made[high] = (high << cut, low, share(LMat.from_coeffs(
-                shape, {g: (((0, c),),) for g, c in coeffs.items()})) if unit else coeffs)
-        if a != got[0] - (got[1] << top * width):
+            got = made[high] = (
+                (high << cut) - (low << top * width), low,
+                share(LMat.from_coeffs(shape, {g: (((0, c),),) for g, c in coeffs.items()}))
+                if unit else coeffs, sum(map(abs, coeffs.values())))
+        if a != got[0]:
             raise CanonicalisationError(
                 f"correction term at ({items[x]},{items[z]}) is not antisymmetric")
         return got
 
-    unit_bar = one if unit else tuple(((i, one),) for i in range(rank))  # v^E bar(1)
     pi: List[array] = []
-    for zi, below_bits in enumerate(ideals):
+    width, wanted = 0, 1 + max([(c * (1 + r)).bit_length() for c, r in zip(scale, rowsum)],
+                               default=2)
+    while len(pi) < size:
+        zi = len(pi)
+        if width != wanted:  # evaluate rho at the new width, decode afresh
+            width = wanted
+            cut = (2 * top + 1) * width
+            half, sign, mask = 1 << cut - 1, 1 << width - 1, (1 << width) - 1
+            one = 1 << top * width  # v^E at 2^B
+            unit_bar = one if unit else tuple(((i, one),) for i in range(rank))  # v^E bar(1)
+            evaluated = {0: 0, **{serial: value(values[serial]) for serial in sums}}
+            above = [[(y, evaluated[serial]) for y, serial in row] for row in upper]
+            diag = [evaluated[serial] for serial in diagonal]
+            # cap[x]: the largest M with (2 + nu(rho_xx)) (1 + R_x M) < 2^(B-1)
+            cap = [((sign - 1) // c - 1) // r if r else inf for c, r in zip(scale, rowsum)]
+            made: Dict[int, tuple] = {}  # high -> (a, v^E bar(pi), serial of pi or {g: c}, nu)
+        below_bits = ideals[zi]
         pz = [0] * zi + [one_serial]
         bars: dict = {zi: unit_bar}  # bars[y] = v^E bar(pi_{yz}) at 2^B
-        # the x whose fixed-point residual is nonzero, descending; at z, rho_{zz} = 1
-        bad = [zi] if below_bits >> zi & 1 and diag[zi] != unit_bar else []
+        largest = 1  # M
         for x in reversed(bit_positions(below_bits & (1 << zi) - 1)):
-            if unit:  # a is v^(2E) alpha_x at 2^B, val v^(2E) pi_{xz}
-                a = sum([r * bars[y] for y, r in above[x] if y in bars])
-                val, bars[x], pz[x] = solve(a, x, zi)
-                if a + diag[x] * bars[x] != val:
-                    bad.append(x)
+            if largest > cap[x]:
+                wanted = (scale[x] * (1 + rowsum[x] * largest)).bit_length() + 1
+                break
+            terms = above[x][:bisect(ys[x], zi)]  # the y <= z in position
+            if unit:  # a is v^(2E) alpha_x at 2^B
+                a = sum([r * bars[y] for y, r in terms if y in bars])
+                _, bars[x], pz[x], got = solve(a, x, zi)
+                if got > largest:
+                    largest = got
                 continue
             acc: Dict[int, dict] = {}
-            for y, r in above[x]:
+            for y, r in terms:
                 if y in bars:  # bars holds the y <= z processed so far, all above x
                     _mul_into(acc, r, bars[y])
             got = {(i, j): solve(a, x, zi) for i, row in acc.items() for j, a in row.items()}
-            val = {i: {j: got[i, j][0] for j in row} for i, row in acc.items()}
             bars[x] = _block({i: {j: got[i, j][1] for j in row} for i, row in acc.items()}, rank)
             blocks: Dict[int, dict] = {}  # pi_{xz}, {g: {i: {j: c}}}
-            for (i, j), (_, _, coeffs) in got.items():
+            row_nu = [0] * rank
+            for (i, j), (_, _, coeffs, entry_nu) in got.items():
+                row_nu[i] += entry_nu
                 for g, c in coeffs.items():
                     blocks.setdefault(g, {}).setdefault(i, {})[j] = c
             pz[x] = share(LMat.from_coeffs(shape, {g: _block(rows, rank)
                                                    for g, rows in blocks.items()}))
-            if diag[x]:
-                _mul_into(acc, diag[x], bars[x])
-            if _block(acc, rank) != _block(val, rank):
-                bad.append(x)
-        if bad:
-            raise CanonicalisationError(
-                f"fixed-point residual nonzero at ({items[bad[-1]]},{items[zi]})")
-        pi.append(serial_array(pz, len(pi_values)))
+            largest = max(largest, *row_nu)
+        else:
+            # the x whose fixed-point residual is nonzero: z if rho_{zz} != 1, and
+            # the loose x whose pi_{xz} is nonzero
+            bad = [x for x in loose if x != zi and x in bars and (bars[x] if unit else any(bars[x]))]
+            if below_bits >> zi & 1 and diag[zi] != unit_bar:
+                bad.append(zi)
+            if bad:
+                raise CanonicalisationError(
+                    f"fixed-point residual nonzero at ({items[min(bad)]},{items[zi]})")
+            pi.append(serial_array(pz, len(pi_values)))
     return pi, pi_values
 
 

@@ -164,6 +164,8 @@ class _Roots:
 
     ``images[s]`` maps a root id to the id of its image under s; it is
     filled on demand by :meth:`reflect`.  The simple roots are ids 0..n-1.
+    A system keeps one in its cache, so every table build shares the
+    cyclotomic data and the images found so far.
     """
 
     def __init__(self, system: "CoxeterSystem"):
@@ -321,7 +323,9 @@ class _ElementTable:
         rank = self.system.rank
         gens = sorted(self.K)
         J = sorted(self.J)
-        roots = _Roots(self.system)  # dropped when the build returns, with the keys
+        roots = self.system._cache.get("roots")
+        if roots is None:
+            roots = self.system._cache["roots"] = _Roots(self.system)
         words = self.words
         lmult: List = [[None] if s in self.K else None for s in range(rank)]
         conj: List[dict] = [{} for _ in range(rank)]

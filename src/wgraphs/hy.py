@@ -525,7 +525,8 @@ def _defects(J: Iterable[int], module: OmegaModule,
     values = table.values
     placed = [(xi, zi, serial) for zi, col in enumerate(table.cols)
               for xi, serial in enumerate(col) if serial]
-    sums = {serial: _abs_row_sums(values[serial]) for _, _, serial in placed}
+    sums = {serial: _abs_row_sums(values[serial])
+            for serial in dict.fromkeys([serial for _, _, serial in placed])}
     nu_p = [0] * n
     for xi, _, serial in placed:
         for i, a in enumerate(sums[serial], xi * r):

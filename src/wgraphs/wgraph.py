@@ -225,47 +225,70 @@ def hecke_t_column(
     s: int,
     classes: Sequence[DeodharClass],
     shifted: Sequence[Optional[int]],
-    column: Sequence[Optional[LMat]],
+    column: Sequence[int],
+    values: Sequence[Optional[LMat]],
+    share: Callable[[LMat], int],
+    memo: Tuple[dict, dict, dict],
     inverse: bool = False,
-) -> List[Optional[LMat]]:
-    """T_s, or T_s^-1 with ``inverse``, on the vector sum_x T_x (x) column[x].
+) -> List[int]:
+    """T_s, or T_s^-1 with ``inverse``, on the vector sum_x T_x (x) values[column[x]].
 
     The induced module H (x)_{H_J} M has the basis T_x (x) m, for x in a
     listing of representatives of D_J and m in ``module``; ``classes`` and
     ``shifted`` are the Deodhar classes of s on them and the positions of
     s*x (:meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`), and
-    ``column`` lists blocks acting on M by position, None for a zero block,
-    as a :class:`BlockTable` column does read through its ``values``.  By
-    Deodhar's trichotomy, with delta = v_s - v_s^-1 and T_s^-1 = T_s - delta,
+    ``column`` lists serial numbers of blocks acting on M by position, 0 for
+    a zero block, as a :class:`BlockTable` column does.  By Deodhar's
+    trichotomy, with delta = v_s - v_s^-1 and T_s^-1 = T_s - delta,
 
     * plus:  T_s (T_x (x) m) = T_sx (x) m,
     * minus: T_s (T_x (x) m) = T_sx (x) m + delta T_x (x) m,
     * zero:  T_s (T_x (x) m) = T_x (x) T_t m, t the conjugate generator.
 
-    Returns the image as a column over all the representatives, None where
-    its block is zero.
+    Returns the image as serials over all the representatives, 0 where its
+    block is zero; ``share`` gives a new block its serial in ``values``.
+    The three block operations (T_t or T_t^-1 times a block of the zero
+    class, a block times the diagonal factor, the sum of two blocks) are memoised by serial in the
+    three dicts of ``memo``, which serve one ``values`` and one direction.
     """
     ls = module.system.weight(s)
     # the diagonal factor: delta for T_s (minus), -delta for T_s^-1 (plus)
     diagonal = LaurentPoly({-ls: 1, ls: -1} if inverse else {ls: 1, -ls: -1})
     shape = (module.rank, module.rank)
-    out: List[Optional[LMat]] = [None] * len(classes)
-    for x, block in enumerate(column):
-        if block is None:
+    products, terms, sums = memo
+    out = [0] * len(classes)
+
+    def plus(a: int, b: int) -> int:
+        if not a:
+            return b
+        got = sums.get((a, b))
+        if got is None:
+            total = values[a] + values[b]
+            got = sums[a, b] = share(total) if total.blocks else 0
+        return got
+
+    for x, serial in enumerate(column):
+        if not serial:
             continue
         cls = classes[x]
-        if cls.tag == DEODHAR_ZERO:
-            out[x] = _dot(shape, [(module.iota_t(cls.conj, inverse), block)])
+        if cls.tag == DEODHAR_ZERO:  # no s*y lands on x
+            got = products.get((cls.conj, serial))
+            if got is None:
+                got = products[cls.conj, serial] = share(
+                    _dot(shape, [(module.iota_t(cls.conj, inverse), values[serial])]))
+            out[x] = got
             continue
         sx = shifted[x]
         if sx is None:
             raise ValueError(f"s*x for s={s + 1} and the representative at position {x} "
                              "is not among the representatives")
-        out[sx] = block if out[sx] is None else out[sx] + block
+        out[sx] = plus(out[sx], serial)
         if (cls.tag == DEODHAR_MINUS) != inverse:  # minus under T_s, plus under T_s^-1
-            term = block.scale(diagonal)
-            out[x] = term if out[x] is None else out[x] + term
-    return [None if mat is None or mat.is_zero() else mat for mat in out]
+            got = terms.get((ls, serial))
+            if got is None:
+                got = terms[ls, serial] = share(values[serial].scale(diagonal))
+            out[x] = plus(out[x], got)
+    return out
 
 
 class BlockView(Mapping):
@@ -320,10 +343,10 @@ class BlockTable:
     z; a column may stop early.  Both routes to the Howlett-Yin base
     change fill one: :func:`~wgraphs.hy.p_mu_table` with the blocks
     p_{x,z}, :func:`~wgraphs.canon.rho_table` with the nonzero blocks
-    r_{x,z} of the bar involution and :func:`~wgraphs.canon.pi_recursion`
-    with the oracle's base change pi_{x,z}; p and pi are stored for every
-    x <= z.  ``entries`` is a read-only view of the blocks keyed by group
-    elements.
+    r_{x,z} of the bar involution, its columns stopping at z, and
+    :func:`~wgraphs.canon.pi_recursion` with the oracle's base change
+    pi_{x,z}; p and pi are stored for every x <= z.  ``entries`` is a
+    read-only view of the blocks keyed by group elements.
     """
 
     system: CoxeterSystem
@@ -405,13 +428,16 @@ def validate(module: OmegaModule) -> Report:
 
     The relations among the E_s and X_{s,g} are products of stored rows.
     A braid relation T_s T_t T_s ... = T_t T_s T_t ... (m = m(s, t) factors
-    a side) is one comparison of two alternating products of the integer
-    matrices of v^L(s) T_s and v^L(t) T_t at v = 2^B.  Both sides carry the
-    same power v^K (the same factors for m even, L(s) = L(t) for m odd), so
-    the values are those of v^K times each side, whose difference has
-    exponents >= 0.  With nu the largest row sum of absolute coefficients
-    of any T_u and m the largest finite bond, each side's coefficients are
-    at most nu^m, so one width B = (2 nu^m).bit_length() and the lemma of
+    a side) is one comparison of two products of the integer matrices of
+    v^L(s) T_s and v^L(t) T_t at v = 2^B, built from shared powers of
+    P = (v^L(s) T_s)(v^L(t) T_t): P^k v^L(s) T_s against v^L(t) T_t P^k for
+    m = 2k + 1, P^k against Q^k, Q = (v^L(t) T_t)(v^L(s) T_s), for m = 2k.
+    Both sides carry the same power v^K (the same factors for m even,
+    L(s) = L(t) for m odd), so the values are those of v^K times each side,
+    whose difference has exponents >= 0.  With nu the largest row sum of
+    absolute coefficients of any T_u and m the largest finite bond, each
+    side's coefficients are at most nu^m, so one width
+    B = (2 nu^m).bit_length() and the lemma of
     :func:`~wgraphs.matrix._evaluate` make every comparison exact; each T_u
     is evaluated once.
     """
@@ -435,6 +461,18 @@ def validate(module: OmegaModule) -> Report:
     nu = max([a for u in gens for a in _abs_row_sums(module.iota_t(u))], default=0)
     bits = (2 * nu ** m).bit_length()
     factors = {u: _evaluate(module.iota_t(u), bits, module.system.weight(u)) for u in gens}
+
+    def product(a, b) -> list:
+        acc: Dict[int, dict] = {}
+        _mul_into(acc, a, b)
+        return [acc.get(i, {}).items() for i in range(module.rank)]
+
+    def power(a, b, k: int) -> list:  # (ab)^k
+        pair = out = product(a, b)
+        for _ in range(k - 1):
+            out = product(out, pair)
+        return out
+
     for s, t in pairs:
         e_s, e_t = module.e_mat(s), module.e_mat(t)
         report.require(
@@ -443,15 +481,11 @@ def validate(module: OmegaModule) -> Report:
         m = module.system.order(s, t)
         if m == 0:
             continue  # infinite bond: no braid relation
-        sides = []
-        for first, second in ((s, t), (t, s)):  # first second first ..., m factors
-            rows = factors[first]
-            for j in range(1, m):
-                acc: Dict[int, dict] = {}
-                _mul_into(acc, rows, factors[second if j % 2 else first])
-                rows = [acc.get(i, {}).items() for i in range(module.rank)]
-            sides.append([{j: c for j, c in row if c} for row in rows])
-        report.require(
-            sides[0] == sides[1], f"braid relation of length {m} fails for ({s+1},{t+1})"
-        )
+        shared = power(factors[s], factors[t], m // 2)
+        if m % 2:  # (st)^k s = t (st)^k
+            sides = product(shared, factors[s]), product(factors[t], shared)
+        else:  # (st)^k = (ts)^k
+            sides = shared, power(factors[t], factors[s], m // 2)
+        left, right = ([{j: c for j, c in row if c} for row in side] for side in sides)
+        report.require(left == right, f"braid relation of length {m} fails for ({s+1},{t+1})")
     return report

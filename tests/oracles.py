@@ -12,7 +12,8 @@ involution's blocks summed as Laurent matrices pair by pair (the
 reference for ``wgraphs.canon.check_rho``), the triangular engine and the
 braid relations with Laurent-matrix sums and products (the references for
 the integer products of ``wgraphs.canon.canonicalise_shadow`` and
-``wgraphs.wgraph.validate``),
+``wgraphs.wgraph.validate``), the engine's certified widths replayed with
+Laurent matrices,
 the four-case p/mu recurrence evaluated one (x, z, s) triple at a time
 (the reference for the intertwining defect that
 ``wgraphs.hy.PMuTable.check_invariants`` reads its recurrence verdicts from),
@@ -36,7 +37,7 @@ from wgraphs import hy
 from wgraphs.canon import CanonicalisationError, canonicalise_shadow, check_rho
 from wgraphs.coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO
 from wgraphs.laurent import LaurentPoly
-from wgraphs.matrix import LMat, _dot
+from wgraphs.matrix import LMat, _abs_row_sums, _dot
 from wgraphs.report import Report
 from wgraphs.wgraph import BlockTable, hecke_t_column, interner, serial_array, sign_module
 
@@ -403,6 +404,47 @@ def canonicalise_shadow_lmat(items, ideals, cols, values, rank):
     return pi
 
 
+def certified_widths(ideals, cols, values, rank, columns=None):
+    """The widths, in order, at which ``canon.canonicalise_shadow`` evaluates
+    rho on the first ``columns`` columns (all by default): the certificate
+    of its docstring replayed with Laurent matrices.  R_x sums nu(rho_{xy})
+    over the stated x < y, M is the largest nu(pi_{yz}) of the column so
+    far, pi_{yz} the positive part of alpha_y; a column whose bound
+    (2 + nu(rho_{xx})) (1 + R_x M) reaches 2^(B-1) restarts at the width
+    one above the bound's bit length."""
+    def nu(mat):
+        return max(_abs_row_sums(mat))
+
+    rows = [{} for _ in ideals]  # rows[x][y] = rho_{xy} != 0, x <= y stated
+    for yi, col in enumerate(cols):
+        for xi, serial in enumerate(col):
+            mat = values[serial]
+            if mat is not None and not mat.is_zero() and ideals[yi] >> xi & 1:
+                rows[xi][yi] = mat
+    scale = [2 + (nu(row[x]) if x in row else 0) for x, row in enumerate(rows)]
+    total = [sum(nu(mat) for y, mat in row.items() if y != x) for x, row in enumerate(rows)]
+    width = 1 + max((c * (1 + r)).bit_length() for c, r in zip(scale, total))
+    widths = [width]
+    for zi in range(len(ideals) if columns is None else columns):
+        below = [x for x in range(zi) if ideals[zi] >> x & 1]
+        restart = True
+        while restart:
+            restart, largest, bars = False, 1, {zi: LMat.identity(rank)}
+            for x in reversed(below):
+                bound = scale[x] * (1 + total[x] * largest)
+                if bound >= 1 << width - 1:
+                    width = bound.bit_length() + 1
+                    widths.append(width)
+                    restart = True
+                    break
+                alpha = _dot((rank, rank), [(mat, bars[y]) for y, mat in rows[x].items()
+                                            if y != x and y in bars])
+                positive = alpha.split()[2]
+                bars[x] = positive.bar()
+                largest = max(largest, nu(positive))
+    return widths
+
+
 def braid_relations_lmat(module) -> Report:
     """The braid relations of an ``OmegaModule`` as chained n x n Laurent-matrix
     products, one check per pair s < t with a finite bond: the reference for
@@ -482,12 +524,14 @@ def hecke_t_on_induced(table, s):
     column x is :func:`~wgraphs.wgraph.hecke_t_column` of T_x (x) 1."""
     r = table.module.rank
     classes, shifted = table._arrays()
-    identity = LMat.identity(r)
-    placed = [(yi * r, xi * r, block)
+    values = [None]
+    share, memo = interner(values), ({}, {}, {})
+    one = share(LMat.identity(r))
+    placed = [(yi * r, xi * r, values[serial])
               for xi in range(len(table.reps))
-              for yi, block in enumerate(hecke_t_column(table.module, s, classes[s], shifted[s],
-                                                        [None] * xi + [identity]))
-              if block is not None]
+              for yi, serial in enumerate(hecke_t_column(table.module, s, classes[s], shifted[s],
+                                                         [0] * xi + [one], values, share, memo))
+              if serial]
     return LMat.from_blocks((len(table.reps) * r,) * 2, placed)
 
 

@@ -18,8 +18,9 @@ from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, _evaluate
 from wgraphs.wgraph import BlockTable, sign_module, trivial_module
 
-from oracles import (block_columns, canonicalise_shadow_lmat, check_rho_entrywise, iota_expand,
-                     pi_recursion_checked_first, rho_expanded, serial_columns, store_block)
+from oracles import (block_columns, canonicalise_shadow_lmat, certified_widths, check_rho_entrywise,
+                     iota_expand, pi_recursion_checked_first, rho_expanded, serial_columns,
+                     store_block)
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -280,6 +281,45 @@ class TestRhoRecursion:
         module = sign_module(b3, {0})
         rho = rho_table({0}, module, ambient={0, 1})
         assert rho.entries == rho_expanded({0}, module, ambient={0, 1})
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-J1-sign", "a4-induced-rank-12"])
+    def test_columns_stop_at_z(self, case):
+        rho = _rho_of(case)
+        assert [len(col) for col in rho.cols] == list(range(1, len(rho.reps) + 1))
+
+    def test_block_after_z_rejected(self, systems, monkeypatch):
+        """A nonzero block that the T_s^-1 step puts after z is an error naming
+        (x, z), not a block dropped with the slots after z."""
+        import wgraphs.canon as canon
+
+        real = canon.hecke_t_column
+
+        def misplaced(*args, **kwargs):
+            col = real(*args, **kwargs)
+            col[-1] = col[-1] or 1
+            return col
+
+        monkeypatch.setattr(canon, "hecke_t_column", misplaced)
+        with pytest.raises(AssertionError, match=r"nonzero block r_\(121,1\) after z"):
+            rho_table(frozenset(), trivial_module(systems["a2"], frozenset()))
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-J1-sign"])
+    def test_block_operations_once_per_serial(self, case, monkeypatch):
+        """The products, diagonal terms and sums of the column step are
+        memoised by serial: regular B3 (2,1,1) stores 847 blocks over 70
+        values and A4 J = {1} sign 1,128 over 39, and the Laurent-matrix
+        products, scalings and sums number fewer than twice the values."""
+        import wgraphs.wgraph as wgraph
+
+        calls = []
+        monkeypatch.setattr(wgraph, "_dot", lambda *args, _real=wgraph._dot: calls.append(1)
+                            or _real(*args))
+        for name in ("scale", "__add__"):
+            monkeypatch.setattr(LMat, name, lambda *args, _real=getattr(LMat, name):
+                                calls.append(1) or _real(*args))
+        rho = _rho_of(case)
+        stored = sum(map(bool, itertools.chain.from_iterable(rho.cols)))
+        assert len(calls) < 2 * len(rho.values) < stored / 5
 
     def test_missing_shorter_rep_rejected(self, systems, monkeypatch):
         """A listing without s*z cannot feed the column at z."""
@@ -607,3 +647,88 @@ class TestEngineReference:
             monkeypatch.setattr(LMat, name, refuse)
         assert not hasattr(canon, "_dot")
         assert block_columns(*canonicalise_shadow(*args)) == expected
+
+
+def _chain(rank, ideal_a, r_ab, r_ac, r_bc):
+    """A chain a < b < c, with a <= a stated iff ``ideal_a``; each rho block
+    is a Laurent polynomial times the identity of this rank."""
+    def block(poly):
+        return None if poly is None else LMat.identity(rank).scale(poly)
+
+    ideals = [ideal_a, 0b011, 0b111]
+    cols = [[block(1)], [block(r_ab), block(1)], [block(r_ac), block(r_bc), block(1)]]
+    return (["a", "b", "c"], ideals, *serial_columns(cols), rank)
+
+
+def _family(j, k, l):
+    """rho_ab = j delta, rho_bc = k delta, rho_ac = jk (v^-2 - 1) + l delta,
+    delta = v - v^-1: pi_bc = k v, alpha_a = l delta in column c, pi_ac = l v,
+    R_a = 2j + 2jk + 2l, and M = k when a is solved in column c."""
+    delta = LaurentPoly({1: 1, -1: -1})
+    return delta * j, LaurentPoly({-2: j * k, 0: -j * k}) + delta * l, delta * k
+
+
+class TestAdaptiveWidth:
+    """The engine starts at the width of the bounds with M = 1 and restarts
+    a column at the width its failing bound asks for; the widths it runs at
+    are those of ``oracles.certified_widths``, and its result or error is
+    that of the Laurent-matrix reference."""
+
+    @staticmethod
+    def _run(args, monkeypatch):
+        """The engine's outcome, and the widths it evaluated rho at, in order."""
+        import wgraphs.canon as canon
+
+        widths, evaluate = [], canon._evaluate
+
+        def recorded(mat, bits, shift):
+            if not widths or widths[-1] != bits:
+                widths.append(bits)
+            return evaluate(mat, bits, shift)
+
+        monkeypatch.setattr(canon, "_evaluate", recorded)
+        return _engine_outcome(canonicalise_shadow, *args), widths
+
+    @pytest.mark.parametrize("case", ["b3_211", "a4-J1-sign", "b2_unequal",
+                                      "a4-induced-rank-12", "affine-a2-ball-6"])
+    def test_hecke_columns_restart(self, case, monkeypatch):
+        rho = _rho_of(case)
+        bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
+        args = (rho.reps, bits, rho.cols, rho.values, rho.module.rank)
+        outcome, widths = self._run(args, monkeypatch)
+        assert outcome == canonicalise_shadow_lmat(*args)
+        assert widths == certified_widths(*args[1:]) and len(widths) > 1
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_largest_m_without_restart(self, rank, monkeypatch):
+        """j, k, l = 1, 2, 2: R_a = 10 and B = 7, so at (a, c) the bound
+        3 (1 + 10 M) is 63 < 64 for M = 2 = k: no restart, where a bound
+        one larger would ask for one."""
+        args = _chain(rank, 0b001, *_family(1, 2, 2))
+        outcome, widths = self._run(args, monkeypatch)
+        assert widths == certified_widths(*args[1:]) == [7]
+        assert outcome == canonicalise_shadow_lmat(*args)
+        assert outcome[2][0] == LMat.identity(rank).scale(v(1) * 2)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_start_too_small_restarts(self, rank, monkeypatch):
+        """j, k, l = 1, 3, 2: R_a = 12 and B = 7 from M = 1, but at (a, c)
+        M = 3 and the bound is 111 >= 64: the column restarts at B = 8 and
+        pi is the reference's."""
+        args = _chain(rank, 0b001, *_family(1, 3, 2))
+        outcome, widths = self._run(args, monkeypatch)
+        assert widths == certified_widths(*args[1:]) == [7, 8]
+        assert outcome == canonicalise_shadow_lmat(*args)
+        assert outcome[2][0] == LMat.identity(rank).scale(v(1) * 2)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_bound_equal_to_the_limit_restarts(self, rank, monkeypatch):
+        """a <= a not stated, so 2 + nu(rho_aa) is 2; rho_ac = 5v and
+        pi_bc = 3v: B = 6, and at (a, c) the bound 2 (1 + 5 * 3) is 32 =
+        2^(B-1) exactly, which restarts the column at B = 7 before the
+        correction term fails."""
+        args = _chain(rank, 0b000, None, v(1) * 5, LaurentPoly({1: 3, -1: -3}))
+        outcome, widths = self._run(args, monkeypatch)
+        assert widths == certified_widths(*args[1:], columns=3) == [6, 7]
+        assert outcome == _engine_outcome(canonicalise_shadow_lmat, *args)
+        assert outcome == "correction term at (a,c) is not antisymmetric"

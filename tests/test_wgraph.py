@@ -322,6 +322,23 @@ class TestBraidProducts:
             assert not reference.ok and len(reference.failures) < reference.checks
             assert _braid_failures(validate(bumped)) == reference.failures
 
+    def test_sides_from_shared_products(self, systems, monkeypatch):
+        """Regular B3 (bonds 4, 2 and 3): (st)^2 against (ts)^2, st against ts,
+        and (st)s against t(st) take 4 + 2 + 3 integer products, not
+        6 + 2 + 4; an X entry bumped by 1 fails only with the reference's
+        braid messages."""
+        import wgraphs.wgraph as wgraph
+
+        calls = []
+        real = wgraph._mul_into
+        monkeypatch.setattr(wgraph, "_mul_into", lambda *args: calls.append(1) or real(*args))
+        module = kl_module(systems["b3"])[0]
+        report = validate(module)
+        assert report.ok and len(calls) == 9
+        for s, g in sorted(module.x):
+            bumped = _with_x(module, s, g, next(i for i, row in enumerate(module.x[(s, g)]) if row), 1)
+            assert validate(bumped).failures == braid_relations_lmat(bumped).failures != []
+
     def test_coefficients_beyond_64_bits(self, systems):
         module = _conjugated(kl_module(systems["a2"])[0], 2 ** 70)
         assert max(abs(c) for mat in module.x.values() for row in mat for _, c in row) >= 2 ** 64
