@@ -2,7 +2,8 @@
 
 A basis vector y dominates x whenever x occurs in the image of y under
 some edge operator; cells are the strongly connected components of that
-arc digraph, and the cell preorder is arc reachability.  Down-closed
+arc digraph, and the cell preorder is arc reachability, closed in one
+pass over the components in Tarjan's completion order.  Down-closed
 unions of cells span exactly the submodules with monomial idempotent
 action, which is what :func:`induced_cells_check` exercises for sets of
 the form D_J * C.
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .coxeter import CoxeterSystem, Element
+from .coxeter import CoxeterSystem, Element, bit_positions
 from .report import Report
 from .wgraph import OmegaModule, edges, trivial_module
 
@@ -48,49 +49,37 @@ def cell_partition(module: OmegaModule) -> CellPartition:
     if not module.has_diagonal_idempotents():
         raise ValueError("cell partition requires diagonal idempotents (W-graph form)")
     arcs = action_arcs(module)
-    comp = _tarjan_scc(module.rank, arcs)
-    n_blocks = max(comp.values()) + 1 if comp else 0
-    members: List[Set[int]] = [set() for _ in range(n_blocks)]
-    for vertex, block in comp.items():
-        members[block].add(vertex)
+    components = _tarjan_scc(module.rank, arcs)
+    comp = {x: c for c, vertices in enumerate(components) for x in vertices}
+    # Tarjan completes a component only after every component it reaches, so
+    # one pass in completion order closes the preorder: below[c] is the
+    # bitset of the components reachable from c
+    below = [0] * len(components)
+    for c, vertices in enumerate(components):
+        for d in {comp[x] for y in vertices for x in arcs[y]} - {c}:
+            below[c] |= below[d] | 1 << d
     # deterministic order: by minimal vertex
-    ordering = sorted(range(n_blocks), key=lambda b: min(members[b]))
+    ordering = sorted(range(len(components)), key=lambda c: min(components[c]))
     renumber = {old: new for new, old in enumerate(ordering)}
-    blocks = tuple(frozenset(members[old]) for old in ordering)
-    # block-level reachability (transitive)
-    block_arcs: Dict[int, Set[int]] = {i: set() for i in range(n_blocks)}
-    for y, targets in arcs.items():
-        for x in targets:
-            a, b = renumber[comp[x]], renumber[comp[y]]
-            if a != b:
-                block_arcs[b].add(a)
-    reach: Set[Tuple[int, int]] = set()
-    for start in range(n_blocks):
-        stack = list(block_arcs[start])
-        seen: Set[int] = set()
-        while stack:
-            cur = stack.pop()
-            if cur in seen:
-                continue
-            seen.add(cur)
-            reach.add((cur, start))
-            stack.extend(block_arcs[cur])
-    return CellPartition(blocks, frozenset(reach))
+    blocks = tuple(frozenset(components[old]) for old in ordering)
+    order = frozenset((renumber[d], renumber[c])
+                      for c, bits in enumerate(below) for d in bit_positions(bits))
+    return CellPartition(blocks, order)
 
 
-def _tarjan_scc(n: int, arcs: Dict[int, Set[int]]) -> Dict[int, int]:
-    """Iterative Tarjan; returns vertex -> component id."""
+def _tarjan_scc(n: int, arcs: Dict[int, Set[int]]) -> List[List[int]]:
+    """Iterative Tarjan; returns the components' vertex lists in the order
+    the components complete."""
     index: Dict[int, int] = {}
     low: Dict[int, int] = {}
     on_stack: Set[int] = set()
     stack: List[int] = []
-    comp: Dict[int, int] = {}
+    components: List[List[int]] = []
     counter = 0
-    n_comp = 0
     for root in range(n):
         if root in index:
             continue
-        work = [(root, iter(sorted(arcs[root])))]
+        work = [(root, iter(arcs[root]))]
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
@@ -104,7 +93,7 @@ def _tarjan_scc(n: int, arcs: Dict[int, Set[int]]) -> Dict[int, int]:
                     counter += 1
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(sorted(arcs[w]))))
+                    work.append((w, iter(arcs[w])))
                     advanced = True
                     break
                 if w in on_stack:
@@ -116,14 +105,12 @@ def _tarjan_scc(n: int, arcs: Dict[int, Set[int]]) -> Dict[int, int]:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
             if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp[w] = n_comp
-                    if w == v:
-                        break
-                n_comp += 1
-    return comp
+                component = [stack.pop()]
+                while component[-1] != v:
+                    component.append(stack.pop())
+                on_stack.difference_update(component)
+                components.append(component)
+    return components
 
 
 def down_set_vertices(partition: CellPartition, block_ids: Iterable[int]) -> Set[int]:

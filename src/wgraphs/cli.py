@@ -16,7 +16,7 @@ subset), or a path to a module/W-graph JSON file.
 
 Outputs are byte-stable: rerunning a command with the same inputs writes
 identical files.  Exit codes: 0 success, 1 a verification failed, 2 usage
-or input errors.
+or input errors, or an input too large for the memory.
 """
 
 from __future__ import annotations
@@ -252,6 +252,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             err = (f"the group is infinite: `hy {args.command}` needs all of it; "
                    "`hy table --max-length N` computes the table on the ball of radius N")
         print(f"error: {err}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory: the input is too large; on an infinite group "
+              "`hy table --max-length N` computes the table on a smaller ball", file=sys.stderr)
         return 2
 
 

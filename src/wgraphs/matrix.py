@@ -7,8 +7,7 @@ matrices are equal tuples; the shape is carried by the module or LMat.
 A Laurent matrix :class:`LMat` is the sum ``sum_g v^g A_g`` stored as its
 shape and the dict ``{g: A_g}`` of IMat blocks, with no all-zero block.
 The bar involution negates the keys, the support split partitions them,
-``coeff(g)`` looks one up and scaling by a monomial shifts them (by a
-wider factor, it adds the shifted copies that land on one key).  Sums
+``coeff(g)`` looks one up and scaling by a monomial shifts them.  Sums
 merge blocks row by row, so only nonzero entries are touched.  1x1
 matrices, the whole of every regular table, are coefficient arithmetic on
 ``{g: c}``, and their blocks come from one table keyed by c: equal ones
@@ -17,10 +16,11 @@ are one object.
 Products have one kernel, ``_dot(shape, pairs)``: the sum of ``a @ b``
 over the pairs, added into one accumulator (``{exponent: coefficient}``
 for 1x1 factors, else ``{exponent: {row: {column: value}}}``) from which
-one LMat is built; ``a @ b`` is ``_dot`` of one pair, and the triangular
-sums of the p/mu recursion call it once per sum.  A private bound ``top``
-skips every pair of blocks whose exponents add up to more, so the mu-step
-forms only the exponents <= 0 it reads.
+one LMat is built; ``a @ b`` is ``_dot`` of one pair, ``scale`` by a
+factor f that is not a monomial is ``_dot`` against the scalar matrix
+f * 1, and the triangular sums of the p/mu recursion call it once per
+sum.  A private bound ``top`` skips every pair of blocks whose exponents
+add up to more, so the mu-step forms only the exponents <= 0 it reads.
 
 Identities between Laurent matrices are checked by products of integers
 (Kronecker substitution): ``_evaluate`` gives the integer matrix of
@@ -269,43 +269,21 @@ class LMat:
         return _dot((self.shape[0], other.shape[1]), [(self, other)])
 
     def scale(self, factor) -> "LMat":
+        """The matrix times the Laurent polynomial ``factor``.  A monomial
+        c v^h shifts the keys by h (and scales each block when c != 1); any
+        other factor f is the product ``_dot`` with the scalar matrix f * 1."""
         coeffs = LaurentPoly.coerce(factor).coeffs
-        if len(coeffs) == 1:  # a monomial c v^h shifts the keys by h
-            (h, c), = coeffs.items()
-            blocks = self.blocks.items()
-            if c == 1:
-                return LMat._new(self.shape, {g + h: b for g, b in blocks})
-            if self.shape == (1, 1):  # coefficient arithmetic
-                return LMat._new((1, 1), {g + h: _UNITS[c * b[0][0][1]] for g, b in blocks})
-            return LMat._new(self.shape, {g + h: _scaled(b, c) for g, b in blocks})
-        if self.shape == (1, 1):  # a product of two Laurent polynomials
-            acc: Dict[int, int] = {}
-            for g, b in self.blocks.items():
-                x = b[0][0][1]
-                for h, c in coeffs.items():
-                    acc[g + h] = acc.get(g + h, 0) + c * x
-            return LMat._new((1, 1), {g: _UNITS[c] for g, c in acc.items() if c})
-        terms: Dict[int, list] = {}  # the shifted blocks c A_g landing on g + h
-        for g, b in self.blocks.items():
-            for h, c in coeffs.items():
-                terms.setdefault(g + h, []).append((c, b))
-        blocks = {}
-        for g, parts in terms.items():
-            if len(parts) == 1:
-                c, b = parts[0]
-                block = b if c == 1 else _scaled(b, c)
-            else:
-                rows: Dict[int, dict] = {}
-                for c, b in parts:
-                    for i, row in enumerate(b):
-                        if row:
-                            out = rows.setdefault(i, {})
-                            for j, x in row:
-                                out[j] = out.get(j, 0) + c * x
-                block = _block(rows, self.nrows)
-            if any(block):
-                blocks[g] = block
-        return LMat._new(self.shape, blocks)
+        if len(coeffs) != 1:
+            n = self.ncols
+            scalar = {h: tuple(((i, c),) for i in range(n)) for h, c in coeffs.items()}
+            return _dot(self.shape, [(self, LMat.from_coeffs((n, n), scalar))])
+        (h, c), = coeffs.items()
+        blocks = self.blocks.items()
+        if c == 1:
+            return LMat._new(self.shape, {g + h: b for g, b in blocks})
+        if self.shape == (1, 1):  # coefficient arithmetic
+            return LMat._new((1, 1), {g + h: _UNITS[c * b[0][0][1]] for g, b in blocks})
+        return LMat._new(self.shape, {g + h: _scaled(b, c) for g, b in blocks})
 
     # -- Laurent structure, by exponent --
 

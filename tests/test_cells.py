@@ -33,8 +33,9 @@ class TestKnownCellCounts:
             (4, {(0, 1): 3, (1, 2): 3, (2, 3): 3}, 26),  # A4
             (3, {(0, 1): 5, (1, 2): 3}, 22),  # H3
             (4, {(0, 1): 3, (1, 2): 3, (1, 3): 3}, 36),  # D4
+            (4, {(0, 1): 3, (1, 2): 4, (2, 3): 3}, 72),  # F4 (Takahashi, 1990)
         ],
-        ids=["a3", "a4", "h3", "d4"],
+        ids=["a3", "a4", "h3", "d4", "f4"],
     )
     def test_left_cell_count(self, rank, bonds, count):
         graph = kl_graph(CoxeterSystem(coxeter_matrix(rank, bonds)))[0]

@@ -238,6 +238,19 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "--flag" in err and "--max-length" in err
 
+    def test_out_of_memory_exits_two(self, a2_path, monkeypatch, capsys):
+        # status 1 is a failed verification, so running out of memory is not a traceback
+        from wgraphs import hy
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(hy, "p_mu_table", exhausted)
+        assert run(["table", "--system", a2_path]) == 2
+        assert capsys.readouterr().err == (
+            "error: out of memory: the input is too large; on an infinite group "
+            "`hy table --max-length N` computes the table on a smaller ball\n")
+
     def test_infinite_with_cutoff(self, tmp_path, system_dir):
         path = str(system_dir / "affine_a1.json")
         out = tmp_path / "ball.json"
