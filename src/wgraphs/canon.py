@@ -34,8 +34,6 @@ recursion in :mod:`wgraphs.hy`, so the two cross-check each other.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect
-from math import inf
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .coxeter import bit_positions
@@ -177,11 +175,15 @@ def canonicalise_shadow(
 
     Every sum alpha_x = sum_{x<y<=z} rho_{xy} bar(pi_{yz}) is a sum of
     integer products: each serial of rho is bounded and evaluated once per
-    width B, as v^E rho_{xy} at v = 2^B, and each new pi_{yz} once as
-    v^E bar(pi_{yz}) (ints for 1x1 blocks, integer rows otherwise), so the
-    sum is the value a of v^(2E) alpha_x.  E is the largest |exponent| of
-    rho, and nu(M), the largest row sum of absolute coefficients, bounds
-    every coefficient of M, with nu(MN) <= nu(M) nu(N).
+    width B into one list, as v^E rho_{xy} at v = 2^B, and each new pi_{yz}
+    once as v^E bar(pi_{yz}) (ints for 1x1 blocks, integer rows otherwise),
+    so the sum is the value a of v^(2E) alpha_x.  The sums are pushed: once
+    pi_{yz} is known and nonzero, rho_{xy} bar(pi_{yz}) is added into the
+    sum of each x in rho's column y (x <= y stated, x < y).  The y pushed,
+    z and then each x solved, are the y <= z stated, each before every x
+    below it, so when x is solved its sum holds exactly the terms above.
+    E is the largest |exponent| of rho, and nu(M), the largest row sum of
+    absolute coefficients, bounds every coefficient of M, nu(MN) <= nu(M) nu(N).
 
     The width is certified step by step.  Let R_x = sum_{x<y} nu(rho_{xy}),
     and within column z let M be the largest nu(pi_{yz}) decoded so far
@@ -213,23 +215,18 @@ def canonicalise_shadow(
     placed, sums, top = _stored(ideals, cols, values)
     nu = {0: 0, **{serial: max(row_sums) for serial, row_sums in sums.items()}}
     size = len(ideals)
-    upper: List[list] = [[] for _ in ideals]  # upper[x] = [(y, serial of rho_{xy})], x < y
+    lower: List[list] = [[] for _ in ideals]  # lower[y] = [(x, serial of rho_{xy})], x < y
     diagonal = [0] * size  # the serial of rho_{xx}
     rowsum = [0] * size  # R_x
     for xi, yi, serial in placed:
         if xi == yi:
             diagonal[xi] = serial
         else:
-            upper[xi].append((yi, serial))
+            lower[yi].append((xi, serial))
             rowsum[xi] += nu[serial]
     scale = [2 + nu[serial] for serial in diagonal]
-    ys = [[y for y, _ in row] for row in upper]  # ascending
     loose = [x for x, below in enumerate(ideals) if not below >> x & 1]  # x <= x not stated
     unit, shape = rank == 1, (rank, rank)
-
-    def value(mat: LMat):  # v^E mat at 2^B: an int for 1x1 blocks
-        rows = _evaluate(mat, width, top)
-        return (rows[0][0][1] if rows[0] else 0) if unit else rows
 
     pi_values: List[Optional[LMat]] = [None]
     share = interner(pi_values)
@@ -257,6 +254,14 @@ def canonicalise_shadow(
                 f"correction term at ({items[x]},{items[z]}) is not antisymmetric")
         return got
 
+    def push(y: int, bar) -> None:  # add rho_{xy} bar into alpha[x], each stored x < y
+        if unit:
+            for x, serial in lower[y]:
+                alpha[x] += ev[serial] * bar
+        else:
+            for x, serial in lower[y]:
+                _mul_into(alpha[x], ev[serial], bar)
+
     pi: List[array] = []
     width, wanted = 0, 1 + max([(c * (1 + r)).bit_length() for c, r in zip(scale, rowsum)],
                                default=2)
@@ -268,47 +273,48 @@ def canonicalise_shadow(
             half, sign, mask = 1 << cut - 1, 1 << width - 1, (1 << width) - 1
             one = 1 << top * width  # v^E at 2^B
             unit_bar = one if unit else tuple(((i, one),) for i in range(rank))  # v^E bar(1)
-            evaluated = {0: 0, **{serial: value(values[serial]) for serial in sums}}
-            above = [[(y, evaluated[serial]) for y, serial in row] for row in upper]
-            diag = [evaluated[serial] for serial in diagonal]
-            # cap[x]: the largest M with (2 + nu(rho_xx)) (1 + R_x M) < 2^(B-1)
-            cap = [((sign - 1) // c - 1) // r if r else inf for c, r in zip(scale, rowsum)]
+            ev = [0] * len(values)  # ev[serial] = v^E rho at 2^B: an int for 1x1 blocks
+            for serial in sums:
+                rows = _evaluate(values[serial], width, top)
+                ev[serial] = (rows[0][0][1] if rows[0] else 0) if unit else rows
             made: Dict[int, tuple] = {}  # high -> (a, v^E bar(pi), serial of pi or {g: c}, nu)
         below_bits = ideals[zi]
         pz = [0] * zi + [one_serial]
-        bars: dict = {zi: unit_bar}  # bars[y] = v^E bar(pi_{yz}) at 2^B
+        # alpha[x]: v^(2E) alpha_x at 2^B, pushed from each solved y above x
+        alpha = [0] * zi if unit else [{} for _ in range(zi)]
+        push(zi, unit_bar)
         largest = 1  # M
         for x in reversed(bit_positions(below_bits & (1 << zi) - 1)):
-            if largest > cap[x]:
-                wanted = (scale[x] * (1 + rowsum[x] * largest)).bit_length() + 1
+            bound = scale[x] * (1 + rowsum[x] * largest)
+            if bound >= sign:
+                wanted = bound.bit_length() + 1
                 break
-            terms = above[x][:bisect(ys[x], zi)]  # the y <= z in position
-            if unit:  # a is v^(2E) alpha_x at 2^B
-                a = sum([r * bars[y] for y, r in terms if y in bars])
-                _, bars[x], pz[x], got = solve(a, x, zi)
+            if unit:
+                _, bar, pz[x], got = solve(alpha[x], x, zi)
                 if got > largest:
                     largest = got
-                continue
-            acc: Dict[int, dict] = {}
-            for y, r in terms:
-                if y in bars:  # bars holds the y <= z processed so far, all above x
-                    _mul_into(acc, r, bars[y])
-            got = {(i, j): solve(a, x, zi) for i, row in acc.items() for j, a in row.items()}
-            bars[x] = _block({i: {j: got[i, j][1] for j in row} for i, row in acc.items()}, rank)
-            blocks: Dict[int, dict] = {}  # pi_{xz}, {g: {i: {j: c}}}
-            row_nu = [0] * rank
-            for (i, j), (_, _, coeffs, entry_nu) in got.items():
-                row_nu[i] += entry_nu
-                for g, c in coeffs.items():
-                    blocks.setdefault(g, {}).setdefault(i, {})[j] = c
-            pz[x] = share(LMat.from_coeffs(shape, {g: _block(rows, rank)
-                                                   for g, rows in blocks.items()}))
-            largest = max(largest, *row_nu)
+            else:
+                # v^E bar(pi_{xz}) at 2^B as {i: {j: value}}, nonzero; pi_{xz} as {g: {i: {j: c}}}
+                bar, blocks, row_nu = {}, {}, [0] * rank
+                for i, row in alpha[x].items():
+                    for j, a in row.items():
+                        _, low, coeffs, entry_nu = solve(a, x, zi)
+                        if low:
+                            bar.setdefault(i, {})[j] = low
+                        row_nu[i] += entry_nu
+                        for g, c in coeffs.items():
+                            blocks.setdefault(g, {}).setdefault(i, {})[j] = c
+                pz[x] = share(LMat.from_coeffs(shape, {g: _block(rows, rank)
+                                                       for g, rows in blocks.items()}))
+                largest = max(largest, *row_nu)
+                bar = [bar.get(i, {}).items() for i in range(rank)] if bar else 0
+            if bar:
+                push(x, bar)
         else:
             # the x whose fixed-point residual is nonzero: z if rho_{zz} != 1, and
             # the loose x whose pi_{xz} is nonzero
-            bad = [x for x in loose if x != zi and x in bars and (bars[x] if unit else any(bars[x]))]
-            if below_bits >> zi & 1 and diag[zi] != unit_bar:
+            bad = [x for x in loose if x < zi and pz[x] and pi_values[pz[x]].blocks]
+            if below_bits >> zi & 1 and ev[diagonal[zi]] != unit_bar:
                 bad.append(zi)
             if bad:
                 raise CanonicalisationError(

@@ -56,7 +56,8 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 from .coxeter import (DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO, CoxeterSystem, Element,
                       bit_positions)
 from .laurent import LaurentPoly
-from .matrix import LMat, _abs_row_sums, _dot, _mul_into, _placed_rows, _scaled, imat_identity
+from .matrix import (LMat, _abs_row_sums, _block, _dot, _mul_into, _placed_rows, _scaled,
+                     imat_identity)
 from .report import Report
 from .wgraph import BlockTable, BlockView, OmegaModule, interner, serial_array, sign_module
 
@@ -418,12 +419,13 @@ def induce(
     classes, shifted = table._arrays()
 
     def put_block(target, bi, bj, mat) -> None:
-        """Add ``mat`` at block (bi, bj) of ``target``, one {column: value} per row."""
+        """Add ``mat`` at block (bi, bj) of ``target``, {row: {column: value}}."""
         for i, row in enumerate(mat, bi * r):
-            trow = target[i]
-            for j, c in row:
-                j += bj * r
-                trow[j] = trow.get(j, 0) + c
+            if row:
+                trow = target.setdefault(i, {})
+                for j, c in row:
+                    j += bj * r
+                    trow[j] = trow.get(j, 0) + c
 
     mu_by_gen: Dict[int, List[Tuple[int, int, LMat]]] = {}
     for (xi, zi, s), mu in table.mu_pos.items():
@@ -432,7 +434,7 @@ def induce(
     x_out: Dict[Tuple[int, int], tuple] = {}
     for s, column in classes.items():
         ls = system.weight(s)
-        x_mats = {g: [{} for _ in range(n)] for g in range(ls)}
+        x_mats: Dict[int, dict] = {g: {} for g in range(ls)}
         for zi, cls in enumerate(column):
             if cls.tag == DEODHAR_ZERO:
                 conj = cls.conj
@@ -459,7 +461,7 @@ def induce(
                 if g >= 0:
                     put_block(x_mats[g], xi, zi, coeffs)
         for g, rows in x_mats.items():
-            x_out[(s, g)] = tuple(tuple([e for e in sorted(row.items()) if e[1]]) for row in rows)
+            x_out[(s, g)] = _block(rows, n)
     return OmegaModule(system, table.ambient, n, _idempotents(module, classes), x_out)
 
 
@@ -560,8 +562,7 @@ def _defects(J: Iterable[int], module: OmegaModule,
         o_rows = [row.items() for row in o_rows]
         bad = set()
         for i in range(n):  # row i of v^(L(s)-e) D_s at 2^B
-            acc: Dict[int, dict] = {}
-            _mul_into(acc, (h_rows[i],), p_rows)
+            acc = _mul_into({}, (h_rows[i],), p_rows)
             _mul_into(acc, (p_rows[i],), o_rows)
             bad.update((j // r, i // r) for j, c in acc.get(0, {}).items() if c)
         out[s] = sorted(bad)

@@ -7,11 +7,11 @@ matrices are equal tuples; the shape is carried by the module or LMat.
 A Laurent matrix :class:`LMat` is the sum ``sum_g v^g A_g`` stored as its
 shape and the dict ``{g: A_g}`` of IMat blocks, with no all-zero block.
 The bar involution negates the keys, the support split partitions them,
-``coeff(g)`` looks one up and scaling by a monomial shifts them.  Sums
-merge blocks row by row, so only nonzero entries are touched.  1x1
-matrices, the whole of every regular table, are coefficient arithmetic on
-``{g: c}``, and their blocks come from one table keyed by c: equal ones
-are one object.
+``coeff(g)`` looks one up and scaling by a monomial shifts them.  A sum
+touches only the rows that its second term stores, so only nonzero
+entries are touched.  1x1 matrices, the whole of every regular table, are
+coefficient arithmetic on ``{g: c}``, and their blocks come from one table
+keyed by c: equal ones are one object.
 
 Products have one kernel, ``_dot(shape, pairs)``: the sum of ``a @ b``
 over the pairs, added into one accumulator (``{exponent: coefficient}``
@@ -28,12 +28,12 @@ Identities between Laurent matrices are checked by products of integers
 coefficients are small (the lemma in its docstring); ``_abs_row_sums``
 bounds them, ``_placed_rows`` evaluates the blocks of a block matrix into
 rows, and ``_mul_into`` is the integer product.  The oracle's sums, the
-intertwining defect and the braid relations of a module are checked so.
+intertwining defect and all relations of a module are checked so.
 """
 
 from __future__ import annotations
 
-from itertools import chain, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, itemgetter, lt, sub
 from sys import maxsize
 from typing import Dict, Iterable, Mapping, Sequence, Tuple
@@ -104,23 +104,12 @@ def imat_identity(n: int) -> IMat:
     return tuple(((i, 1),) for i in range(n))
 
 
-def imat_mul(a: IMat, b: IMat) -> IMat:
-    acc: dict = {}
-    _mul_into(acc, a, b)
-    return _block(acc, len(a))
-
-
-def _row(acc: dict) -> tuple:
-    """The sparse row of a ``{column: value}`` accumulator."""
-    return tuple([e for e in sorted(acc.items()) if e[1]])
-
-
 def _block(acc: dict, n: int) -> IMat:
-    """The n-row matrix of a ``{row: {column: value}}`` accumulator; absent
-    rows are zero."""
+    """The n-row matrix of a ``{row: {column: value}}`` accumulator, its zero
+    values dropped; absent rows are zero."""
     rows = [()] * n
-    for i, r in acc.items():
-        rows[i] = _row(r)
+    for i, r in acc.items():  # a one-entry row needs no sort
+        rows[i] = tuple([e for e in (sorted(r.items()) if len(r) > 1 else r.items()) if e[1]])
     return tuple(rows)
 
 
@@ -128,9 +117,9 @@ def _scaled(a: IMat, c) -> IMat:
     return tuple(tuple([(j, c * x) for j, x in row]) for row in a)
 
 
-def _mul_into(acc: dict, a: IMat, b: IMat) -> None:
+def _mul_into(acc: dict, a: IMat, b: IMat) -> dict:
     """Add the product of two matrices to ``acc``, ``{row: {column: value}}``
-    over the rows of ``a`` that hold an entry."""
+    over the rows of ``a`` that hold an entry, and return ``acc``."""
     for i, arow in enumerate(a):
         if arow:
             orow = acc.get(i)
@@ -139,16 +128,7 @@ def _mul_into(acc: dict, a: IMat, b: IMat) -> None:
             for t, x in arow:
                 for j, y in b[t]:
                     orow[j] = orow.get(j, 0) + x * y
-
-
-def _merge_rows(ra: tuple, rb: tuple, op) -> tuple:
-    """The entrywise ``op`` (add or sub) of two sparse rows."""
-    if not rb or not ra:
-        return ra or (rb if op is add else tuple([(j, -y) for j, y in rb]))
-    acc = dict(ra)
-    for j, y in rb:
-        acc[j] = op(acc.get(j, 0), y)
-    return _row(acc)
+    return acc
 
 
 # -- Laurent matrices -----------------------------------------------------
@@ -248,8 +228,14 @@ class LMat:
                 c = _UNITS[c] if c else ()
             elif a is None:
                 c = b if op is add else _scaled(b, -1)
-            else:
-                c = tuple(map(_merge_rows, a, b, repeat(op)))
+            else:  # entrywise, on the rows that b stores
+                c = list(a)
+                for i in compress(count(), b):
+                    row = dict(c[i])
+                    for j, y in b[i]:
+                        row[j] = op(row.get(j, 0), y)
+                    c[i] = tuple([e for e in sorted(row.items()) if e[1]])
+                c = tuple(c)
             if any(c):
                 blocks[g] = c
             else:

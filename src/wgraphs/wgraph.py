@@ -38,8 +38,7 @@ from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from .coxeter import DEODHAR_MINUS, DEODHAR_ZERO, CoxeterSystem, DeodharClass, Element
 from .laurent import LaurentPoly
-from .matrix import (IMat, LMat, _abs_row_sums, _dot, _evaluate, _mul_into, imat, imat_mul,
-                     imat_zero)
+from .matrix import IMat, LMat, _abs_row_sums, _dot, _evaluate, _mul_into, imat, imat_zero
 from .report import Report
 
 
@@ -426,66 +425,72 @@ def trivial_module(system: CoxeterSystem, gens: Iterable[int]) -> OmegaModule:
 def validate(module: OmegaModule) -> Report:
     """Check all defining relations of the module by exact arithmetic.
 
-    The relations among the E_s and X_{s,g} are products of stored rows.
-    A braid relation T_s T_t T_s ... = T_t T_s T_t ... (m = m(s, t) factors
-    a side) is one comparison of two products of the integer matrices of
-    v^L(s) T_s and v^L(t) T_t at v = 2^B, built from shared powers of
-    P = (v^L(s) T_s)(v^L(t) T_t): P^k v^L(s) T_s against v^L(t) T_t P^k for
-    m = 2k + 1, P^k against Q^k, Q = (v^L(t) T_t)(v^L(s) T_s), for m = 2k.
-    Both sides carry the same power v^K (the same factors for m even,
-    L(s) = L(t) for m odd), so the values are those of v^K times each side,
-    whose difference has exponents >= 0.  With nu the largest row sum of
-    absolute coefficients of any T_u and m the largest finite bond, each
-    side's coefficients are at most nu^m, so one width
-    B = (2 nu^m).bit_length() and the lemma of
-    :func:`~wgraphs.matrix._evaluate` make every comparison exact; each T_u
-    is evaluated once.
+    Each relation is decided on one accumulator of its left side minus its
+    right side, which must be all zero; no row is sorted.  For E_s^2 = E_s,
+    E_s X_{s,g} = X_{s,g}, X_{s,g} E_s = 0 and E_s E_t = E_t E_s the sides
+    are products of the stored rows.  A braid relation T_s T_t T_s ... =
+    T_t T_s T_t ... (m = m(s, t) factors a side) is one accumulator of
+    products of the integer matrices of v^L(s) T_s and v^L(t) T_t at
+    v = 2^B, built from shared powers of P = (v^L(s) T_s)(v^L(t) T_t):
+    P^k v^L(s) T_s minus v^L(t) T_t P^k for m = 2k + 1, Q^k minus P^k,
+    Q = (v^L(t) T_t)(v^L(s) T_s), for m = 2k.  Both sides carry the same
+    power v^K (the same factors for m even, L(s) = L(t) for m odd), so the
+    values are those of v^K times each side, whose difference has
+    exponents >= 0.  With nu the largest row sum of absolute coefficients
+    of any T_u and m the largest finite bond, each side's coefficients are
+    at most nu^m, so one width B = (2 nu^m).bit_length() and the lemma of
+    :func:`~wgraphs.matrix._evaluate` make every comparison exact; each
+    T_u is evaluated once.
     """
     report = Report(f"module relations (J={sorted(s + 1 for s in module.gens)})")
     gens = sorted(module.gens)
+
+    def rows(acc: dict) -> list:
+        return [acc.get(i, {}).items() for i in range(module.rank)]
+
+    def differs(acc: dict, right=()) -> bool:  # acc minus the rows ``right`` is not zero
+        for i, row in enumerate(right):
+            if row:
+                left = acc.setdefault(i, {})
+                for j, c in row:
+                    left[j] = left.get(j, 0) - c
+        return any(map(any, map(dict.values, acc.values())))
+
     for s in gens:
         e_s = module.e_mat(s)
-        report.require(imat_mul(e_s, e_s) == e_s, f"E_{s+1}^2 != E_{s+1}")
+        report.require(not differs(_mul_into({}, e_s, e_s), e_s), f"E_{s+1}^2 != E_{s+1}")
         for g in range(module.system.weight(s)):
             x_sg = module.x.get((s, g))
             if x_sg is None:
                 continue
-            report.require(
-                imat_mul(e_s, x_sg) == x_sg, f"E_{s+1} X_({s+1},{g}) != X_({s+1},{g})"
-            )
-            report.require(
-                not any(imat_mul(x_sg, e_s)), f"X_({s+1},{g}) E_{s+1} != 0"
-            )
+            report.require(not differs(_mul_into({}, e_s, x_sg), x_sg),
+                           f"E_{s+1} X_({s+1},{g}) != X_({s+1},{g})")
+            report.require(not differs(_mul_into({}, x_sg, e_s)), f"X_({s+1},{g}) E_{s+1} != 0")
     pairs = [(s, t) for i, s in enumerate(gens) for t in gens[i + 1:]]
     m = max([module.system.order(s, t) for s, t in pairs], default=0)
     nu = max([a for u in gens for a in _abs_row_sums(module.iota_t(u))], default=0)
     bits = (2 * nu ** m).bit_length()
     factors = {u: _evaluate(module.iota_t(u), bits, module.system.weight(u)) for u in gens}
 
-    def product(a, b) -> list:
-        acc: Dict[int, dict] = {}
-        _mul_into(acc, a, b)
-        return [acc.get(i, {}).items() for i in range(module.rank)]
-
-    def power(a, b, k: int) -> list:  # (ab)^k
-        pair = out = product(a, b)
+    def power(a, b, k: int) -> Dict[int, dict]:  # (ab)^k
+        pair = rows(out := _mul_into({}, a, b))
         for _ in range(k - 1):
-            out = product(out, pair)
+            out = _mul_into({}, rows(out), pair)
         return out
 
     for s, t in pairs:
         e_s, e_t = module.e_mat(s), module.e_mat(t)
-        report.require(
-            imat_mul(e_s, e_t) == imat_mul(e_t, e_s), f"E_{s+1} E_{t+1} != E_{t+1} E_{s+1}"
-        )
+        report.require(not differs(_mul_into({}, e_s, e_t), rows(_mul_into({}, e_t, e_s))),
+                       f"E_{s+1} E_{t+1} != E_{t+1} E_{s+1}")
         m = module.system.order(s, t)
         if m == 0:
             continue  # infinite bond: no braid relation
-        shared = power(factors[s], factors[t], m // 2)
-        if m % 2:  # (st)^k s = t (st)^k
-            sides = product(shared, factors[s]), product(factors[t], shared)
-        else:  # (st)^k = (ts)^k
-            sides = shared, power(factors[t], factors[s], m // 2)
-        left, right = ([{j: c for j, c in row if c} for row in side] for side in sides)
-        report.require(left == right, f"braid relation of length {m} fails for ({s+1},{t+1})")
+        shared = rows(power(factors[s], factors[t], m // 2))
+        if m % 2:  # (st)^k s - t (st)^k
+            left, right = _mul_into({}, shared, factors[s]), _mul_into({}, factors[t], shared)
+            right = rows(right)
+        else:  # (ts)^k - (st)^k
+            left, right = power(factors[t], factors[s], m // 2), shared
+        report.require(not differs(left, right),
+                       f"braid relation of length {m} fails for ({s+1},{t+1})")
     return report

@@ -37,7 +37,7 @@ from wgraphs import hy
 from wgraphs.canon import CanonicalisationError, canonicalise_shadow, check_rho
 from wgraphs.coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO
 from wgraphs.laurent import LaurentPoly
-from wgraphs.matrix import LMat, _abs_row_sums, _dot
+from wgraphs.matrix import LMat, _abs_row_sums, _block, _dot, _mul_into
 from wgraphs.report import Report
 from wgraphs.wgraph import BlockTable, hecke_t_column, interner, serial_array, sign_module
 
@@ -883,6 +883,12 @@ def dense(mat, ncols):
 def sparse(rows):
     """The (column, value) rows of a dense matrix."""
     return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in rows)
+
+
+def imat_mul(a, b):
+    """The product of two sparse integer matrices, as the canonical rows that
+    ``matrix._block`` reads off a ``matrix._mul_into`` accumulator."""
+    return _block(_mul_into({}, a, b), len(a))
 
 
 def dense_mul(a, b, ncols):

@@ -116,6 +116,11 @@ def _rho_of(case):
         inner = sign_module(system, {0})
         k = frozenset({0, 1, 2})
         return rho_table(k, induce({0}, inner, p_mu_table({0}, inner, k)))
+    if case == "a4-induced-trivial-rank-3":  # some pi_{yz} = 0 with y <= z
+        system = load_system(str(_ROOT / "perfbench/systems/a4.json"))
+        inner = trivial_module(system, {0})
+        k = frozenset({0, 1})
+        return rho_table(k, induce({0}, inner, p_mu_table({0}, inner, k)))
     system = load_system(str(_ROOT / "perfbench/systems/affine_a2.json"))
     return rho_table(frozenset(), trivial_module(system, frozenset()), max_length=6)
 
@@ -647,6 +652,53 @@ class TestEngineReference:
             monkeypatch.setattr(LMat, name, refuse)
         assert not hasattr(canon, "_dot")
         assert block_columns(*canonicalise_shadow(*args)) == expected
+
+
+class TestPushOrder:
+    """Once pi_{yz} is solved, the engine pushes rho_{xy} bar(pi_{yz}) into the
+    sum of every x with rho_{xy} stored, and pushes nothing for a zero pi_{yz}:
+    it forms exactly the products the interval sums need."""
+
+    @pytest.mark.parametrize("case", ["a4-induced-rank-12", "a4-induced-trivial-rank-3"])
+    def test_products_only(self, case, monkeypatch):
+        """The products of the completed columns are the pairs (x, y), x < y,
+        with rho_{xy} stored, y <= z and pi_{yz} != 0; a column restarted at a
+        wider B forms its products again from the start.  The rank-3 module
+        has pi_{yz} = 0 at some y <= z below which rho is stored."""
+        import wgraphs.canon as canon
+
+        rho = _rho_of(case)
+        bits = rho.system.bruhat_ideals(rho.reps, rho.gens, rho.ambient)
+        args = (rho.reps, bits, rho.cols, rho.values, rho.module.rank)
+        counts = {"column": 0, "kept": 0, "restarted": 0}
+        mul_into, evaluate, serial_array = canon._mul_into, canon._evaluate, canon.serial_array
+
+        def counted_mul_into(*mul_args):
+            counts["column"] += 1
+            return mul_into(*mul_args)
+
+        def counted_evaluate(*eval_args):  # rho is evaluated afresh only before a (re)start
+            counts["restarted"] += counts["column"]
+            counts["column"] = 0
+            return evaluate(*eval_args)
+
+        def counted_serial_array(*array_args):  # a column is complete
+            counts["kept"] += counts["column"]
+            counts["column"] = 0
+            return serial_array(*array_args)
+
+        monkeypatch.setattr(canon, "_mul_into", counted_mul_into)
+        monkeypatch.setattr(canon, "_evaluate", counted_evaluate)
+        monkeypatch.setattr(canon, "serial_array", counted_serial_array)
+        pi = block_columns(*canonicalise_shadow(*args))
+        assert pi == canonicalise_shadow_lmat(*args)
+        stored = [[x for x, serial in enumerate(col[:y]) if serial and bits[y] >> x & 1
+                   and not rho.values[serial].is_zero()] for y, col in enumerate(rho.cols)]
+        expected = sum(len(stored[y]) for z, col in enumerate(pi) for y, mat in enumerate(col)
+                       if bits[z] >> y & 1 and mat is not None and not mat.is_zero())
+        assert counts["kept"] == expected
+        if case == "a4-induced-rank-12":
+            assert counts["restarted"] > 0
 
 
 def _chain(rank, ideal_a, r_ab, r_ac, r_bc):

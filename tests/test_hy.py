@@ -8,7 +8,7 @@ import pytest
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import load_system
 from wgraphs.laurent import LaurentPoly, v
-from wgraphs.matrix import LMat, _evaluate, imat_mul
+from wgraphs.matrix import LMat, _evaluate
 from wgraphs.wgraph import (
     OmegaModule,
     serial_array,
@@ -41,6 +41,7 @@ from oracles import (
     dense,
     e_fix_check_lmat,
     eval_word,
+    imat_mul,
     sparse,
     store_block,
     sym_group_generators,

@@ -13,7 +13,6 @@ from wgraphs.matrix import (
     _evaluate,
     imat,
     imat_identity,
-    imat_mul,
     imat_zero,
 )
 
@@ -31,6 +30,7 @@ from oracles import (
     ent_scale,
     ent_split,
     ent_sub,
+    imat_mul,
     sparse,
 )
 

@@ -285,12 +285,12 @@ def _with_x(module, s, g, i, c):
     return OmegaModule(module.system, module.gens, module.rank, module.e, x)
 
 
-def _conjugated(module, n):
-    """P M P^-1 for P = 1 + n e_(0,1): every relation holds as in M, and the
-    entries grow to about n^2."""
+def _conjugated(module, n, at=(0, 1)):
+    """P M P^-1 for P = 1 + n e_at, ``at`` off the diagonal: every relation
+    holds as in M, and the entries grow to about n^2."""
     r = module.rank
-    p = [[int(i == j) + (n if (i, j) == (0, 1) else 0) for j in range(r)] for i in range(r)]
-    q = [[int(i == j) - (n if (i, j) == (0, 1) else 0) for j in range(r)] for i in range(r)]
+    p = [[int(i == j) + (n if (i, j) == at else 0) for j in range(r)] for i in range(r)]
+    q = [[int(i == j) - (n if (i, j) == at else 0) for j in range(r)] for i in range(r)]
 
     def conj(mat):
         return sparse(dense_mul(dense_mul(p, dense(mat, r), r), q, r))
@@ -304,9 +304,51 @@ def _braid_failures(report):
     return [f for f in report.failures if "braid" in f]
 
 
+def _broken(module, relation):
+    """``module`` with one E/X relation of generator 1, or for "commute" of
+    the pair (1, 2), broken and the stored keys kept: E_1 doubled, 1 - E_1 or
+    E_1 added to X_(1,0), or E_2 and X_(2,0) conjugated by 1 + e_(2,1)."""
+    r = module.rank
+    e, x = dict(module.e), dict(module.x)
+    e1, x1 = dense(module.e[0], r), dense(module.x[(0, 0)], r)
+    if relation == "square":
+        e[0] = sparse([[2 * c for c in row] for row in e1])
+    elif relation == "fix":
+        x[(0, 0)] = sparse([[c + int(i == j) - d for j, (c, d) in enumerate(zip(*rows))]
+                            for i, rows in enumerate(zip(x1, e1))])
+    elif relation == "kill":
+        x[(0, 0)] = sparse([[c + d for c, d in zip(*rows)] for rows in zip(x1, e1)])
+    else:
+        shifted = _conjugated(module, 1, at=(2, 1))
+        e[1], x[(1, 0)] = shifted.e[1], shifted.x[(1, 0)]
+    return OmegaModule(module.system, module.gens, r, e, x)
+
+
+class TestRelationFailures:
+    """``validate`` decides the E/X relations on accumulators of products of
+    the stored rows.  On regular A2 conjugated so that no E_s is diagonal,
+    each relation broken in turn fails with its exact message, and the count
+    of checks stays that of the valid module."""
+
+    @pytest.mark.parametrize("relation,failures", [
+        ("square", ["E_1^2 != E_1", "E_1 X_(1,0) != X_(1,0)"]),
+        ("fix", ["E_1 X_(1,0) != X_(1,0)"]),
+        ("kill", ["X_(1,0) E_1 != 0"]),
+        ("commute", ["E_1 E_2 != E_2 E_1"]),
+    ])
+    def test_exact_message(self, systems, relation, failures):
+        base = kl_module(systems["a2"])[0]
+        valid = validate(_conjugated(base, 3))
+        module = _conjugated(_broken(base, relation), 3)
+        assert valid.ok and valid.checks == 8 and not module.has_diagonal_idempotents()
+        report = validate(module)
+        assert report.checks == valid.checks
+        assert [f for f in report.failures if "braid" not in f] == failures
+
+
 class TestBraidProducts:
-    """``validate`` decides each braid relation by one comparison of integer
-    matrices; ``oracles.braid_relations_lmat`` chains Laurent-matrix products.
+    """``validate`` decides each braid relation on one accumulator of integer
+    products; ``oracles.braid_relations_lmat`` chains Laurent-matrix products.
     Same verdicts, same failure texts."""
 
     @pytest.mark.parametrize("name", ["b3_211", "i2_8_13", "d4-K123"])
@@ -326,15 +368,19 @@ class TestBraidProducts:
         """Regular B3 (bonds 4, 2 and 3): (st)^2 against (ts)^2, st against ts,
         and (st)s against t(st) take 4 + 2 + 3 integer products, not
         6 + 2 + 4; an X entry bumped by 1 fails only with the reference's
-        braid messages."""
+        braid messages.  The E/X relations take products of the stored
+        matrices: E_s^2, E_s X_(s,0) and X_(s,0) E_s for each of the three s,
+        and both sides of E_s E_t for each of the three pairs, 15 in all."""
         import wgraphs.wgraph as wgraph
 
-        calls = []
-        real = wgraph._mul_into
-        monkeypatch.setattr(wgraph, "_mul_into", lambda *args: calls.append(1) or real(*args))
         module = kl_module(systems["b3"])[0]
+        stored = [*module.e.values(), *module.x.values()]
+        calls = []  # whether each product multiplies a stored E or X
+        real = wgraph._mul_into
+        monkeypatch.setattr(wgraph, "_mul_into", lambda acc, a, b: calls.append(
+            any(a is mat for mat in stored)) or real(acc, a, b))
         report = validate(module)
-        assert report.ok and len(calls) == 9
+        assert report.ok and calls.count(False) == 9 and calls.count(True) == 15
         for s, g in sorted(module.x):
             bumped = _with_x(module, s, g, next(i for i, row in enumerate(module.x[(s, g)]) if row), 1)
             assert validate(bumped).failures == braid_relations_lmat(bumped).failures != []
