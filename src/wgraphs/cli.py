@@ -248,8 +248,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         return args.func(args)
     except (SchemaError, InvalidSystemError, EnumerationError, ValueError, OSError) as err:
-        if isinstance(err, EnumerationError) and args.command != "table":
-            err = (f"the group is infinite: `hy {args.command}` needs all of it; "
+        command = "table --flag" if getattr(args, "flag", None) is not None else args.command
+        if isinstance(err, EnumerationError) and command != "table":
+            err = (f"the group is infinite: `hy {command}` needs all of it; "
                    "`hy table --max-length N` computes the table on the ball of radius N")
         print(f"error: {err}", file=sys.stderr)
         return 2

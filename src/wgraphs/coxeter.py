@@ -11,10 +11,10 @@ length at a time from the exact images of the simple roots in Tits'
 geometric representation, which is faithful, so no word is rewritten
 (see :class:`_ElementTable`).  Canonical words, products, inverses and
 descents are walks through ``lmult``, the table's left multiplications,
-reading a word from its end.  A step out of the ball regrows it towards
-the radius the rest of the walk can reach (the current length plus the
-letters left), at most doubling it.  Bruhat order is read from bitset
-lower ideals of the element table, each built on its element's first query.
+reading a word from its end.  A step out of the ball grows it by one
+length, in place: tables only grow, so positions read before stay valid.
+Bruhat order is read from bitset lower ideals of the element table, each
+built on its element's first query.
 
 Coset queries read a table of the minimal coset representatives D_J
 inside W_K, built the same way over the generators of K and memoised per
@@ -282,71 +282,58 @@ class _ElementTable:
     ``ideals[i]`` is the Bruhat lower ideal of x inside D_J as a bitset
     over positions, or None until :meth:`ideal` first builds it.
 
-    The table is built one length at a time over s in K, without rewriting
-    words.  An element x is keyed by the root ids of x(alpha_1), ...,
-    x(alpha_n) (see :class:`_Roots`); Tits' representation is faithful, so
-    the key determines x, and the key of s*x is the image of x's key under
-    the reflection s.  By Deodhar's lemma, s*x for x in D_J is shorter
-    (minus, an earlier layer), or a new element of D_J (plus), or x*t for
-    some t in J (zero).  The zero case holds exactly when
-    x(alpha_t) = alpha_s: x^-1 s x = t says x(alpha_t) = +-alpha_s, and x
-    in D_J has x(alpha_t) > 0.  So the zero class and its conjugate t are
-    read from the key, without a product.  The elements of length k+1 are
-    the new keys s*v with v of length k.  The canonical word of such an
+    The table grows one length at a time over s in K, without rewriting
+    words, and never shrinks: :meth:`grow` appends layers in place, so a
+    position, an ideal bitset or a row read before a growth stays valid.
+    An element x is keyed by the root ids of x(alpha_1), ..., x(alpha_n)
+    (see :class:`_Roots`); Tits' representation is faithful, so the key
+    determines x, and the key of s*x is the image of x's key under the
+    reflection s.  Only the last layer's keys are kept.  By Deodhar's
+    lemma, s*x for x in D_J is shorter (minus, an earlier layer), or a new
+    element of D_J (plus), or x*t for some t in J (zero).  The zero case
+    holds exactly when x(alpha_t) = alpha_s: x^-1 s x = t says
+    x(alpha_t) = +-alpha_s, and x in D_J has x(alpha_t) > 0.  So the zero
+    classes and their conjugates t are read from the key, without a
+    product, as the layer is added.  The elements of length k+1 are the
+    new keys s*v with v of length k.  The canonical word of such an
     element u is the least ``(s,) + words[v]`` over its factorisations
     u = s*v, because the ShortLex-minimal reduced word starts with the
     least left descent.  s*u lies in D_J n W_K for every left descent s of
     u, so these are the element table's words.
     """
 
-    def __init__(self, system: "CoxeterSystem", max_length: Optional[int],
-                 J: FrozenSet[int] = frozenset(), K: Optional[FrozenSet[int]] = None):
-        self.system = system
-        self.max_length = max_length
-        self.J = J
-        self.K = system.generator_set if K is None else K
-        self.words: List[Word] = []
-        self.index: dict = {}
-        self.complete = False  # True iff the ball is all of D_J n W_K
-        self._build()
-        self.ideals: List[Optional[int]] = [None] * len(self.words)
-        self.ideals[0] = 1
+    def __init__(self, system: "CoxeterSystem", J: FrozenSet[int], K: FrozenSet[int]):
+        rank = system.rank
+        self.gens = sorted(K)
+        self.zero = {t: DeodharClass(DEODHAR_ZERO, conj=t) for t in sorted(J)}
+        self.roots = system._cache.get("roots")
+        if self.roots is None:
+            self.roots = system._cache["roots"] = _Roots(system)
+        self.words: List[Word] = [()]
+        self.index: dict = {(): 0}
+        self.lmult: List = [[None] if s in K else None for s in range(rank)]
+        # the identity's zero classes: s*e = e*s for s in J
+        self.conj: List[dict] = [{0: self.zero[s]} if s in J else {} for s in range(rank)]
+        self.ideals: List[Optional[int]] = [1]
         self.digits: dict = {}  # s -> the gather indices of :meth:`ideal`
+        self.keys: List[Tuple[int, ...]] = [tuple(range(rank))]  # root-id keys of the last layer
 
-    def _add(self, word: Word) -> int:
-        ident = len(self.words)
-        self.words.append(word)
-        self.index[word] = ident
-        return ident
+    @property
+    def complete(self) -> bool:
+        """Whether the table holds all of D_J n W_K (the last layer is empty)."""
+        return not self.keys
 
-    def _build(self) -> None:
-        rank = self.system.rank
-        gens = sorted(self.K)
-        J = sorted(self.J)
-        roots = self.system._cache.get("roots")
-        if roots is None:
-            roots = self.system._cache["roots"] = _Roots(self.system)
+    def grow(self, radius: Optional[int]) -> None:
+        """Append layers until the table holds the ball of this radius, or
+        all of D_J n W_K for ``None``."""
         words = self.words
-        lmult: List = [[None] if s in self.K else None for s in range(rank)]
-        conj: List[dict] = [{} for _ in range(rank)]
-        zero = {t: DeodharClass(DEODHAR_ZERO, conj=t) for t in J}
-        self._add(())
-        keys = {0: tuple(range(rank))}  # root-id keys of the current layer
-        layer = [0]
-        while layer:
-            edge = self.max_length is not None and len(words[layer[0]]) >= self.max_length
+        while self.keys and (radius is None or len(words[-1]) < radius):
+            lmult, conj, roots, gens = self.lmult, self.conj, self.roots, self.gens
             found: dict = {}  # key -> [least word, key, [(s, v), ...]]
-            for v in layer:
-                key = keys[v]
-                simple = {key[t]: t for t in J}  # the simple roots alpha_s = v(alpha_t)
+            for v, key in enumerate(self.keys, len(words) - len(self.keys)):
                 for s in gens:
-                    if lmult[s][v] is not None:
-                        continue  # s*v is shorter, recorded when v was found
-                    if s in simple:
-                        conj[s][v] = zero[simple[s]]
-                        continue
-                    if edge:
-                        continue
+                    if lmult[s][v] is not None or v in conj[s]:
+                        continue  # s*v is shorter, or v*t for a t in J
                     image = roots.images[s]
                     longer = tuple([image[r] if r in image else roots.reflect(s, r) for r in key])
                     word = (s,) + words[v]
@@ -357,21 +344,22 @@ class _ElementTable:
                         if word < entry[0]:
                             entry[0] = word
                         entry[2].append((s, v))
-            if edge:
-                break
-            keys = {}
-            layer = []
+            self.keys = []
+            zero = self.zero.items()
             for word, key, parents in sorted(found.values()):
-                new_id = self._add(word)
-                keys[new_id] = key
-                layer.append(new_id)
+                new_id = self.index[word] = len(words)
+                words.append(word)
+                self.keys.append(key)
                 for s in gens:
                     lmult[s].append(None)
                 for s, v in parents:
                     lmult[s][v] = new_id
                     lmult[s][new_id] = v
-        self.complete = not layer  # BFS exhausted D_J n W_K
-        self.lmult, self.conj = lmult, conj
+                for t, cls in zero:  # zero classes: u(alpha_t) is a simple root alpha_s
+                    if key[t] < len(key):
+                        conj[key[t]][new_id] = cls
+            self.ideals += [None] * len(self.keys)
+            self.digits.clear()  # the gather indices depend on the table's size
 
     def deodhar(self, s: int, i: int) -> DeodharClass:
         """The Deodhar class of s in K on the element at position i."""
@@ -560,47 +548,41 @@ class CoxeterSystem:
 
     def _table(self, radius: Optional[int] = None, J: FrozenSet[int] = frozenset(),
                K: Optional[FrozenSet[int]] = None) -> _ElementTable:
-        """The cached table of D_J inside W_K, rebuilt if it misses the ball of
-        this radius.
+        """The cached table of D_J inside W_K, grown to the ball of this radius.
 
         ``None`` asks for the whole subgroup; K = None means S.  The table of
         J = {} and K = S is the element table, cached under ``"table"``.
+        Each table is built once per system and only grows.
         """
         K = self.generator_set if K is None else K
         J = J & K  # D_J n W_K = D_(J n K) n W_K
         key = "table" if not J and K == self.generator_set else ("table", J, K)
         table = self._cache.get(key)
-        if table is not None and (
-            table.complete or (radius is not None and radius <= table.max_length)
-        ):
-            return table
-        if radius is None and not self.is_finite:
+        if table is None:
+            table = self._cache[key] = _ElementTable(self, J, K)
+        if radius is None and not table.complete and not self.is_finite:
             raise EnumerationError(
                 "the group is infinite: enumeration requires an explicit max_length"
             )
-        table = self._cache[key] = _ElementTable(self, radius, J, K)
+        table.grow(radius)
         return table
 
     def _walk(self, start: Word, letters: Sequence[int]) -> Tuple[_ElementTable, int]:
-        """The table and the id of letters*start, for a canonical word start.
+        """The element table and the id of letters*start, for a canonical word start.
 
         The letters are read from the end, each a step through ``lmult``.  A
-        step out of the ball at length c with k letters left regrows it to
-        radius c + min(k, max(1, c)): at most doubling, so a word that
-        cancels does not build the ball its letter count would reach.  Ids
-        follow (length, word), so they survive regrowth.
+        step out of the ball grows it by one length, so a word that cancels
+        does not build the ball its letter count would reach.
         """
         table = self._cache.get("table")
         ident = None if table is None else table.index.get(start)
         if ident is None:
             table = self._table(len(start))
             ident = table.index[start]
-        for k in range(len(letters), 0, -1):
-            s = letters[k - 1]
+        for s in reversed(letters):
             step = table.lmult[s][ident]
             if step is None:
-                c = len(table.words[ident])
-                table = self._table(c + min(k, max(1, c)))
+                table.grow(len(table.words[ident]) + 1)
                 step = table.lmult[s][ident]
             ident = step
         return table, ident
@@ -679,11 +661,7 @@ class CoxeterSystem:
 
     def elements(self, max_length: Optional[int] = None) -> List[Element]:
         """All elements (finite group) or the ball of radius max_length."""
-        table = self._table(max_length)
-        words = table.words
-        if max_length is not None:
-            words = [w for w in words if len(w) <= max_length]
-        return [Element(w, self) for w in words]
+        return self.min_coset_reps((), max_length=max_length)
 
     def _subset(self, J: Iterable[int]) -> FrozenSet[int]:
         J = frozenset(J)
@@ -703,6 +681,8 @@ class CoxeterSystem:
         (length, word): the listing of the table of D_J inside W_K, which
         never enumerates W_K.  K = None and K = S both mean the whole group.
         """
+        if max_length is not None and max_length < 0:
+            raise ValueError(f"max_length must be at least 0, not {max_length}")
         table = self._table(max_length, self._subset(J), None if K is None else self._subset(K))
         words = table.words
         if max_length is not None:

@@ -220,14 +220,21 @@ class TestErrors:
 
     @pytest.mark.parametrize("argv", [["cells"], ["induce", "-J", "1", "--module", "sign"],
                                       ["verify", "--check", "axioms", "--module", "regular"],
-                                      ["verify", "--check", "e-nonzero"]])
+                                      ["verify", "--check", "e-nonzero"],
+                                      ["table", "--module", "regular", "--flag", ""]])
     def test_infinite_names_the_option_it_has(self, system_dir, argv, capsys):
-        # only `hy table` takes --max-length, so the others point there
+        # only `hy table` without --flag takes --max-length, so the others point there
         path = str(system_dir / "affine_a1.json")
         assert run(argv + ["--system", path]) == 2
         err = capsys.readouterr().err
-        assert f"`hy {argv[0]}` needs all of it" in err
+        command = "table --flag" if "--flag" in argv else argv[0]
+        assert f"`hy {command}` needs all of it" in err
         assert "`hy table --max-length N`" in err and "explicit max_length" not in err
+
+    def test_negative_cutoff(self, system_dir, capsys):
+        path = str(system_dir / "affine_a1.json")
+        assert run(["table", "--system", path, "--module", "regular", "--max-length", "-1"]) == 2
+        assert capsys.readouterr().err == "error: max_length must be at least 0, not -1\n"
 
     @pytest.mark.parametrize("name", ["affine_a1", "a2"])
     def test_flag_takes_no_cutoff(self, system_dir, name, capsys):

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from wgraphs import coxeter
 from wgraphs.coxeter import (
     CoxeterSystem,
     EnumerationError,
@@ -48,8 +49,8 @@ def _e8_matrix():
 
 
 def _radius(system):
-    """Radius of the system's cached element table."""
-    return system._cache["table"].max_length
+    """Radius of the system's cached element table (a ball, not the whole group)."""
+    return len(system._cache["table"].words[-1])
 
 
 def _descents_by_rewriting(system, word):
@@ -190,7 +191,8 @@ class TestRootEnumeration:
     def test_table_against_rewriting(self, matrix, weights, radius, size):
         system = CoxeterSystem(matrix, weights)
         table = system._table(radius)
-        words = table.words
+        # the queries below grow the table: compare against it as built
+        words, lmult = list(table.words), [list(row) for row in table.lmult]
         assert len(words) == size and table.complete == (radius is None)
         assert [(len(w), w) for w in words] == sorted((len(w), w) for w in words)
         assert all(table.index[w] == i for i, w in enumerate(words))
@@ -202,7 +204,7 @@ class TestRootEnumeration:
             for s in range(system.rank):
                 left = normalize_word(system, (s,) + word)
                 right = normalize_word(system, word + (s,))
-                got = table.lmult[s][i]
+                got = lmult[s][i]
                 if got is None:
                     assert radius is not None and len(left) > radius
                 else:
@@ -243,9 +245,9 @@ class TestRootEnumeration:
 class TestBallGrowth:
     """Word queries grow the element table on demand and match Tits rewriting.
 
-    A walk that steps out of the ball at length c with k letters left
-    regrows it to radius c + min(k, max(1, c)); the same words come from a
-    fresh system, from a small ball that grows and from a large ball.
+    A walk that steps out of the ball grows it by one length, in place;
+    the same words come from a fresh system, from a small ball that grows
+    and from a large ball.
     """
 
     WORDS = [(0, 0), (1, 0, 1), (0, 1, 2, 1, 0, 2), (2, 1, 0, 1, 2, 1), (0, 1, 2, 0, 1, 2, 0)]
@@ -332,7 +334,7 @@ class TestBallGrowth:
             x = system.element(xw)
             assert system.bruhat_leq(x, w) == bruhat_leq_subword(system, x, w) == (xw in below)
         table = system._cache["table"]
-        assert not table.complete and table.max_length == 9 and len(table.words) == 17866
+        assert not table.complete and _radius(system) == 9 and len(table.words) == 17866
 
     def test_e8_deodhar_grows_the_ball_by_one_length(self):
         # s*w for w on the edge of the ball of radius 8 needs radius 9, and no
@@ -358,10 +360,18 @@ class TestBallGrowth:
         with pytest.raises(ValueError, match="not a minimal coset representative"):
             system.factorize((1,), (1, 4), w)
         tables = [t for key, t in system._cache.items() if key == "table" or key[0] == "table"]
-        assert tables and all(t.max_length <= 6 for t in tables)
+        assert tables and all(len(t.words[-1]) <= 6 for t in tables)
         assert max(len(t.words) for t in tables) < 10 ** 4
 
-    def test_deodhar_on_the_ball_edge(self):
+    def test_deodhar_on_the_ball_edge(self, monkeypatch):
+        builds = []
+        real = coxeter._ElementTable.__init__
+
+        def counted(self, system, J, K):
+            builds.append((id(system), J, K))
+            real(self, system, J, K)
+
+        monkeypatch.setattr(coxeter._ElementTable, "__init__", counted)
         small, large = CoxeterSystem(AFFINE_A2), CoxeterSystem(AFFINE_A2)
         ball = small.elements(max_length=8)
         large.elements(max_length=12)
@@ -374,6 +384,25 @@ class TestBallGrowth:
                 for s in range(3):
                     assert small.deodhar_class(J, s, x) == large.deodhar_class(J, s, y)
         assert _radius(small) == 9 and _radius(large) == 12
+        # the tables grow: one build per system and (J, K), none per length
+        assert len(builds) == len(set(builds)) == 2 * len(subsets)
+
+    @pytest.mark.parametrize("matrix", [AFFINE_A2, _path(5, 4)],
+                             ids=["affine_a2", "hyperbolic_5_4"])
+    def test_grown_in_steps_equals_grown_at_once(self, matrix):
+        # ideals gathered on the smaller balls stay valid as the table grows
+        stepped, fresh = CoxeterSystem(matrix), CoxeterSystem(matrix)
+        for J, K in [((), None), ((0,), None), ((0, 2), None), ((1,), (0, 1))]:
+            J, K = frozenset(J), None if K is None else frozenset(K)
+            for radius in (1, 3, 4):
+                table = stepped._table(radius, J, K)
+                for i in range(len(table.words)):
+                    table.ideal(i)
+            grown, once = stepped._table(7, J, K), fresh._table(7, J, K)
+            assert grown.words == once.words
+            assert grown.lmult == once.lmult and grown.conj == once.conj
+            assert ([grown.ideal(i) for i in range(len(grown.words))]
+                    == [once.ideal(i) for i in range(len(once.words))])
 
 
 @pytest.mark.parametrize("name", ["a1", "a2", "a3", "b2", "b3", "i2_5"])
@@ -498,20 +527,20 @@ class TestBruhat:
     @pytest.mark.parametrize("path", ["systems/affine_a1.json", "perfbench/systems/affine_a2.json"])
     def test_ideals_on_a_regrown_ball(self, path):
         """Ideals gathered on the ball of radius 4, where the boundary has
-        neighbours outside the ball, and again after it is regrown to 8."""
+        neighbours outside the ball, and again after it grows to 8."""
         system, fresh = (load_system(str(_ROOT / path)) for _ in range(2))
         small = system.elements(max_length=4)
         bits = system.bruhat_ideals(small)
         for i, z in enumerate(small):
             for j, x in enumerate(small[:i + 1]):
                 assert bool(bits[i] >> j & 1) == bruhat_leq_subword(system, x, z)
-        ball = system.elements(max_length=8)  # regrows the cached table
-        regrown = system.bruhat_ideals(ball)
-        assert regrown[:len(small)] == bits
+        ball = system.elements(max_length=8)  # grows the cached table
+        grown = system.bruhat_ideals(ball)
+        assert grown[:len(small)] == bits
         fresh_ball = fresh.elements(max_length=8)  # radius 8 from the start
         for i, z in enumerate(fresh_ball):
             for j, x in enumerate(fresh_ball):
-                assert bool(regrown[i] >> j & 1) == fresh.bruhat_leq(x, z)
+                assert bool(grown[i] >> j & 1) == fresh.bruhat_leq(x, z)
 
     def test_bruhat_ideals_need_sorted_input(self, systems):
         a2 = systems["a2"]

@@ -954,6 +954,15 @@ class TestInfiniteWithCutoff:
         for key, mat in small.mu.items():
             assert large.mu[key] == mat
 
+    def test_negative_cutoff_is_refused(self):
+        from wgraphs.canon import rho_table
+
+        inf_dihedral = CoxeterSystem(((1, 0), (0, 1)))
+        module = trivial_module(inf_dihedral, frozenset())
+        for build in (p_mu_table, rho_table):
+            with pytest.raises(ValueError, match="max_length must be at least 0, not -1"):
+                build(frozenset(), module, max_length=-1)
+
     def test_induce_needs_whole_group(self):
         inf_dihedral = CoxeterSystem(((1, 0), (0, 1)))
         module = trivial_module(inf_dihedral, frozenset())
@@ -1321,9 +1330,9 @@ class TestIndexKernel:
         builds = []
         real = coxeter._ElementTable.__init__
 
-        def counted(self, system, max_length, J=frozenset(), K=None):
-            builds.append((J, system.generator_set if K is None else K))
-            real(self, system, max_length, J, K)
+        def counted(self, system, J, K):
+            builds.append((J, K))
+            real(self, system, J, K)
 
         monkeypatch.setattr(coxeter._ElementTable, "__init__", counted)
         return builds
