@@ -419,7 +419,7 @@ class CoxeterSystem:
     caches grow on demand and never change an answer.
     """
 
-    __slots__ = ("matrix", "weights", "_cache")
+    __slots__ = ("matrix", "weights", "generator_set", "_cache")
 
     def __init__(self, matrix: Iterable[Iterable[int]], weights: Iterable[int] | None = None):
         self.matrix: Tuple[Tuple[int, ...], ...] = tuple(
@@ -429,6 +429,7 @@ class CoxeterSystem:
         self.weights: Tuple[int, ...] = (
             (1,) * n if weights is None else tuple(int(w) for w in weights)
         )
+        self.generator_set: FrozenSet[int] = frozenset(range(n))
         self._cache: dict = {}
         self._validate()
 
@@ -475,10 +476,6 @@ class CoxeterSystem:
 
     def weight(self, s: int) -> int:
         return self.weights[s]
-
-    @property
-    def generator_set(self) -> FrozenSet[int]:
-        return frozenset(range(self.rank))
 
     def _check_same(self, other: "CoxeterSystem") -> None:
         if self is other:
@@ -692,10 +689,11 @@ class CoxeterSystem:
     def deodhar_class(self, J: Iterable[int], s: int, w: Element) -> DeodharClass:
         """Deodhar's trichotomy for left multiplication of a coset rep by s.
 
-        Read from the table of D_J, grown to the ball that holds s*w.
+        Read from the table of D_J grown to the ball of radius l(w), where
+        an s*w missing from the ball is longer.
         """
         self._check_generator(s)
-        table, i = self._position(self._subset(J), w, len(w.word) + 1)
+        table, i = self._position(self._subset(J), w, len(w.word))
         return table.deodhar(s, i)
 
     def _position(self, J: FrozenSet[int], w: Element,
@@ -768,7 +766,7 @@ class CoxeterSystem:
         if not J <= K:
             raise ValueError("factorize requires J to be contained in K")
         self._check_same(w.system)
-        radius = len(w.word) + 1
+        radius = len(w.word)  # x and y are no longer than w
         outer, inner = self._table(radius, K), self._table(radius, J, K)
         x = y = 0
         for s in reversed(w.word):
@@ -793,7 +791,7 @@ class CoxeterSystem:
         so the stripped letters are w's canonical word.
         """
         K = sorted(self._subset(K))
-        table, i = self._position(self._subset(J), x, len(x.word) + 1)
+        table, i = self._position(self._subset(J), x, len(x.word))
         letters: List[int] = []
         while True:
             s = next((s for s in K if table.deodhar(s, i) is _MINUS), None)

@@ -27,7 +27,9 @@ read from the coset table of (J, ambient), x <= y is a bit test against
 :meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`, and W is never
 enumerated.  The table is a :class:`~wgraphs.wgraph.BlockTable` keyed by
 position, like the oracle's in :mod:`wgraphs.canon`; group elements key
-only its read-only views ``p`` and ``mu``.
+only its read-only views ``p`` and ``mu``.  Two steps are memoised, the
+p-step and the mu-step, each by the serials of all of its inputs, and only
+their results are interned, so a serial always names a stored block.
 
 :func:`induce` assembles the induced module from a finished table;
 :func:`transitivity_check`, :func:`mackey_check` and
@@ -173,19 +175,20 @@ def p_mu_table(
     in the table's ``values`` in the order it is first seen, with 0 for no
     block.  The columns hold serials, in a list while the column is
     computed and in a :func:`~wgraphs.wgraph.serial_array` as soon as its
-    mu-step ends, and ``lows`` gives each serial's least exponent.  Three
-    steps are memoised by serials read straight from the columns, so each
-    distinct computation runs once:
+    mu-step ends, and ``lows`` gives each serial's least exponent.  Two
+    steps are memoised, each by all of its inputs as serials read straight
+    from the columns, so each distinct computation runs once:
 
-    * the plus, zero and minus closed forms of the p-step, by the Deodhar
-      tag, L(t) or the conjugate generator, and the p-blocks they read;
-    * the p-step's ``base - sum p(x, y) mu(y, tz, t)``, by the base and
-      both factors of every term;
+    * the p-step, by the Deodhar tag, L(t) or the conjugate generator, the
+      p-blocks its closed form reads (0 for an absent p(x, tz)) and both
+      factors of every term; the closed form and the terms are formed
+      together, and only the result is interned;
     * the mu-step, by the conjugate generator of s on x (None for a minus
       class) and on z, L(s), p(x, z) and both factors of every window
       term; a step that gives no mu caches serial 0.
 
-    The memo dicts are local to the call; the serials live on in the table.
+    So every serial names a block stored in a column or in ``mu_pos``.  The
+    memo dicts are local to the call; the serials live on in the table.
 
     Work that cannot change a block is skipped.  For J = {}, T_w -> T_(w^-1)
     is an anti-involution commuting with bar for any weights, so it maps
@@ -218,6 +221,7 @@ def p_mu_table(
               for u in J}  # C_u = T_u - v_u on the module
     top = max(map(system.weight, ambient), default=0)  # the largest weight
     minus_v_inv = {s: LaurentPoly.v(-system.weight(s), -1) for s in ambient}
+    v_inv = {s: identity.scale(LaurentPoly.v(-system.weight(s))) for s in ambient}
     # inverse[z]: the position of z^-1 for J = {}, z's word read forward
     # through shifted (each prefix of z^-1 is in the listing); else z
     inverse = range(len(reps)) if J else [
@@ -230,12 +234,11 @@ def p_mu_table(
     mu_lists: list = [{}]  # the identity, at position 0, has no mu
     low_p: Dict[int, int] = {}
     # lows: the least exponent of each value, by serial (maxsize for serial
-    # 0, no block); forms, sums and mus: the p-step's closed forms, its term
-    # sums and the mu-step, by the serials of their inputs (0 for no mu)
+    # 0, no block); ps and mus: the p-step and the mu-step, by the
+    # serials of their inputs (0 for no block, or no mu)
     intern = interner(values)
     lows: List[int] = [maxsize]
-    forms: Dict[tuple, int] = {}
-    sums: Dict[tuple, int] = {}
+    ps: Dict[tuple, int] = {}
     mus: Dict[tuple, int] = {}
 
     def share(value: LMat) -> int:
@@ -266,44 +269,41 @@ def p_mu_table(
             tz = shifted[t][zi]
             p_tz, row_t, up_t = cols[tz], classes[t], shifted[t]
             lt = system.weight(t)
-            minus_vt, vt_inv = LaurentPoly.v(lt, -1), LaurentPoly.v(-lt)
             mu_tz = mu_lists[tz].get(t, ())
             # tz < z and x < z, so by the lifting property tx <= z and x <= tz
             # when tx > x (plus and zero classes), and tx <= tz when tx < x
-            # (minus): only p(x, tz) in the minus case may be absent
+            # (minus): only p(x, tz) in the minus case may be absent, serial 0
+            # in column tz or past its end.  The key is the step's whole input:
+            # the closed form's, then both factors of every term, from key[3]
+            # (zero class) or key[4] (minus)
             for x in reversed(below_z[:-1]):
                 cx = row_t[x]
                 if cx.tag == DEODHAR_PLUS:
                     key = (cx.tag, lt, pz[up_t[x]])
-                elif cx.tag == DEODHAR_ZERO:
-                    key = (cx.tag, cx.conj, p_tz[x])
-                elif bits[tz] >> x & 1:
-                    key = (cx.tag, lt, p_tz[up_t[x]], p_tz[x])
-                else:  # p(x, tz) = 0
-                    key = None
-                value = forms.get(key) if key else p_tz[up_t[x]]
-                if value is None:  # the closed form, once per key
-                    if cx.tag == DEODHAR_PLUS:
-                        value = values[pz[up_t[x]]].scale(minus_vt)
-                    elif cx.tag == DEODHAR_ZERO:
-                        value = c_mats[cx.conj] @ values[p_tz[x]]
-                    else:
-                        value = values[p_tz[up_t[x]]] - values[p_tz[x]].scale(vt_inv)
-                    value = forms[key] = share(value)
-                if cx.tag != DEODHAR_PLUS:
-                    # the key is built alone, since most keys hit and need no terms
-                    key = [value]
+                else:
+                    key = [cx.tag, cx.conj, p_tz[x]] if cx.tag == DEODHAR_ZERO else [
+                        cx.tag, lt, p_tz[up_t[x]], p_tz[x] if x <= tz else 0]
                     for y, mu_y in mu_tz:
                         if bits[y] >> x & 1:
                             key += cols[y][x], mu_y
-                    if len(key) > 1:  # minus the terms, once per key
-                        key = tuple(key)
-                        total = sums.get(key)
-                        if total is None:
-                            terms = [(values[key[i]], values[key[i + 1]])
-                                     for i in range(1, len(key), 2)]
-                            total = sums[key] = share(values[value] - _dot(shape, terms))
-                        value = total
+                    key = tuple(key)
+                value = ps.get(key)
+                if value is None:  # the step, once per key
+                    if cx.tag == DEODHAR_PLUS:
+                        value = values[key[2]].scale(LaurentPoly.v(lt, -1))
+                    else:
+                        zero_class = cx.tag == DEODHAR_ZERO
+                        terms = [(values[key[i]], values[key[i + 1]])
+                                 for i in range(4 - zero_class, len(key), 2)]
+                        if zero_class:
+                            value = c_mats[cx.conj] @ values[key[2]]
+                        else:  # p(tx, tz) - v_t^-1 p(x, tz) - the terms
+                            value = values[key[2]]
+                            if key[3]:
+                                terms.append((values[key[3]], v_inv[t]))
+                        if terms:
+                            value = value - _dot(shape, terms)
+                    value = ps[key] = share(value)
                 pz[x] = value
 
         # mu-step: x ascending or descending does not matter for p, but the

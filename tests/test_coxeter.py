@@ -336,19 +336,20 @@ class TestBallGrowth:
         table = system._cache["table"]
         assert not table.complete and _radius(system) == 9 and len(table.words) == 17866
 
-    def test_e8_deodhar_grows_the_ball_by_one_length(self):
-        # s*w for w on the edge of the ball of radius 8 needs radius 9, and no
-        # more: the ball grows exponentially, so a larger radius costs far more
+    def test_e8_deodhar_does_not_grow_the_ball(self):
+        # the class of s on w at the edge of the ball of radius 8 is read in
+        # that ball: its zero classes are recorded as the edge is added and a
+        # missing s*w is longer, so no layer is added (radius 9 has 17,866)
         system = CoxeterSystem(_e8_matrix())
         w = system.elements(max_length=8)[-1]
         assert w.length == 8
         for s in range(8):
             system.deodhar_class((), s, w)
-        assert _radius(system) == 9
+        assert _radius(system) == 8 and len(system._cache["table"].words) == 9866
 
-    def test_e8_coset_splits_grow_the_ball_by_one_length(self):
+    def test_e8_coset_splits_read_the_ball_of_w(self):
         # factorize and double_coset_decompose read the tables of radius
-        # l(w) + 1, never the whole of D_K or D_J (all of E8 for K = {})
+        # l(w), never the whole of D_K or D_J (all of E8 for K = {})
         system = CoxeterSystem(_e8_matrix())
         w, e = system.element((0, 2, 3, 1, 4)), system.identity
         head, tail = system.element((0, 2, 3)), system.element((1, 4))
@@ -360,7 +361,7 @@ class TestBallGrowth:
         with pytest.raises(ValueError, match="not a minimal coset representative"):
             system.factorize((1,), (1, 4), w)
         tables = [t for key, t in system._cache.items() if key == "table" or key[0] == "table"]
-        assert tables and all(len(t.words[-1]) <= 6 for t in tables)
+        assert tables and all(len(t.words[-1]) <= 5 for t in tables)
         assert max(len(t.words) for t in tables) < 10 ** 4
 
     def test_deodhar_on_the_ball_edge(self, monkeypatch):
@@ -383,7 +384,7 @@ class TestBallGrowth:
                     continue
                 for s in range(3):
                     assert small.deodhar_class(J, s, x) == large.deodhar_class(J, s, y)
-        assert _radius(small) == 9 and _radius(large) == 12
+        assert _radius(small) == 8 and _radius(large) == 12
         # the tables grow: one build per system and (J, K), none per length
         assert len(builds) == len(set(builds)) == 2 * len(subsets)
 
@@ -598,6 +599,7 @@ class TestCosets:
 
     def test_full_k_is_whole_group(self, systems):
         a3 = systems["a3"]
+        assert a3.generator_set is a3.generator_set == frozenset(range(3))  # built once
         for J in (frozenset(), {0}, {0, 2}):
             assert a3.min_coset_reps(J, K=a3.generator_set) == a3.min_coset_reps(J)
         affine = CoxeterSystem(((1, 3, 3), (3, 1, 3), (3, 3, 1)))

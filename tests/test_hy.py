@@ -1204,13 +1204,19 @@ class TestSerialColumns:
 
     @pytest.mark.parametrize("name", ["b2_unequal", "b3_211", "d4"])
     def test_columns_are_serial_arrays(self, name):
-        for table in self._tables(name):
+        tables = self._tables(name)
+        for table in tables:
             values = table.values
             assert values[0] is None and None not in values[1:]
             assert len(set(values[1:])) == len(values) - 1  # no two serials name equal values
             assert len(values) <= 1 << 16
             assert all(isinstance(col, array) and col.typecode == "H" for col in table.cols)
             assert set(chain.from_iterable(table.cols)) <= set(range(len(values)))
+        # the direct route gives a serial only to a block that it stores, in
+        # a column or in mu_pos
+        direct = tables[0]
+        stored, mu = set(chain.from_iterable(direct.cols)), set(map(id, direct.mu_pos.values()))
+        assert all(i in stored or id(v) in mu for i, v in enumerate(direct.values[1:], 1))
 
     def test_typecode_follows_the_count(self):
         assert serial_array([0, 1], 1 << 16).typecode == "H"
@@ -1506,8 +1512,8 @@ class TestInverseColumns:
 
 
 class TestMemo:
-    """``p_mu_table`` memoises its p-step forms, term sums and mu-steps by
-    the serial numbers of their interned inputs, within one call."""
+    """``p_mu_table`` memoises its p-steps and its mu-steps, each by the
+    serial numbers of all of its interned inputs, within one call."""
 
     def test_work_count_regular_d4(self, monkeypatch):
         """Regular D4 has 9,817 p-blocks over 60 values: each distinct sum and
