@@ -5,8 +5,8 @@ some edge operator; cells are the strongly connected components of that
 arc digraph, and the cell preorder is arc reachability, closed in one
 pass over the components in Tarjan's completion order.  Down-closed
 unions of cells span exactly the submodules with monomial idempotent
-action, which is what :func:`induced_cells_check` exercises for sets of
-the form D_J * C.
+action.  :func:`induced_cells_check` reads Geck's induction of cells off
+the regular W-graph induced from a parabolic subgroup, by position.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .coxeter import CoxeterSystem, Element, bit_positions
+from .hy import induce, p_mu_table
 from .report import Report
-from .wgraph import OmegaModule, edges, trivial_module
+from .wgraph import OmegaModule, leaks, trivial_module
 
 
 @dataclass(frozen=True)
@@ -34,9 +35,11 @@ class CellPartition:
 def action_arcs(module: OmegaModule) -> Dict[int, Set[int]]:
     """arcs[y] = set of x hit by some edge operator applied to y."""
     arcs: Dict[int, Set[int]] = {i: set() for i in range(module.rank)}
-    for (_, i, j), _ in edges(module):
-        if i != j:
-            arcs[j].add(i)
+    for mat in module.x.values():
+        for i, row in enumerate(mat):
+            for j, _ in row:
+                if i != j:
+                    arcs[j].add(i)
     return arcs
 
 
@@ -128,24 +131,7 @@ def down_set_vertices(partition: CellPartition, block_ids: Iterable[int]) -> Set
 
 def span_is_stable(module: OmegaModule, vertices: Set[int]) -> bool:
     """Whether the coordinate span of the vertices is closed under the action."""
-    outside = [i for i in range(module.rank) if i not in vertices]
-    for s in module.gens:
-        mats = [module.e_mat(s)]
-        mats.extend(module.x_mat(s, g) for g in range(module.system.weight(s)))
-        for mat in mats:
-            for i in outside:
-                if any(j in vertices for j, _ in mat[i]):
-                    return False
-    return True
-
-
-def kl_graph(system: CoxeterSystem) -> Tuple[OmegaModule, List[Element]]:
-    """The regular W-graph module, with its basis listed as group elements."""
-    from .hy import induce, p_mu_table  # local import to avoid a cycle
-
-    module = trivial_module(system, frozenset())
-    table = p_mu_table(frozenset(), module)
-    return induce(frozenset(), module, table), list(table.reps)
+    return not any(leaks(mat, vertices) for s in module.gens for mat in module.matrices(s))
 
 
 def induced_cells_check(
@@ -155,42 +141,32 @@ def induced_cells_check(
 ) -> Report:
     """Check the induction-of-cells statement for the set D_J * C.
 
-    ``cell_union`` must be a union of left cells of the regular W-graph of
-    the parabolic subgroup W_J; the translated set D_J * C is then checked
-    to be a union of left cells of the regular W-graph of the full group.
+    ``cell_union`` must be a union of left cells of the regular W-graph M
+    of the parabolic subgroup W_J.  By transitivity, M induced to W is the
+    regular W-graph of W with (d, c) at d * c, and :func:`~wgraphs.hy.induce`
+    puts (d, c) at position d |W_J| + c; so D_J * C is read off by position
+    and checked to be a union of left cells.
     """
     J = system._subset(J)
     cset = set(cell_union)
     report = Report(f"induction of cells from J={sorted(s + 1 for s in J)}")
-
-    from .hy import induce, p_mu_table  # local import to avoid a cycle
-
-    inner_module = trivial_module(system, frozenset())
-    inner_table = p_mu_table(frozenset(), inner_module, ambient=J)
-    inner_graph = induce(frozenset(), inner_module, inner_table)
-    inner_elements = list(inner_table.reps)
-    inner_pos = {w: i for i, w in enumerate(inner_elements)}
-    missing = [w for w in cset if w not in inner_pos]
+    regular = trivial_module(system, frozenset())
+    inner_table = p_mu_table(frozenset(), regular, ambient=J)
+    inner = induce(frozenset(), regular, inner_table)
+    index = inner_table.index
+    missing = [w for w in cset if w not in index]
     if missing:
         raise ValueError(f"elements outside the parabolic subgroup: {missing}")
-    inner_cells = cell_partition(inner_graph)
-    c_idx = {inner_pos[w] for w in cset}
-    for block in inner_cells.blocks:
+    c_idx = {index[w] for w in cset}
+    for block in cell_partition(inner).blocks:
         if block & c_idx and not block <= c_idx:
             raise ValueError("the given set is not a union of cells of the parabolic graph")
 
-    graph, elements = kl_graph(system)
-    pos = {w: i for i, w in enumerate(elements)}
-    translated = {
-        pos[system.mult(d, c)]
-        for d in system.min_coset_reps(J)
-        for c in cset
-    }
-    big_cells = cell_partition(graph)
-    for block in big_cells.blocks:
-        overlap = block & translated
+    graph = induce(J, inner, p_mu_table(J, inner))
+    translated = {base + c for base in range(0, graph.rank, inner.rank) for c in c_idx}
+    for block in cell_partition(graph).blocks:
         report.require(
-            not overlap or block <= translated,
+            block <= translated or block.isdisjoint(translated),
             f"cell {sorted(block)} is cut by the translated set",
         )
     return report

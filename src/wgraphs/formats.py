@@ -456,9 +456,7 @@ def wgraph_to_dot(graph: WGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cells_to_dot(
-    partition: CellPartition, names: List[str], module: Optional[OmegaModule] = None
-) -> str:
+def cells_to_dot(partition: CellPartition, names: List[str], module: OmegaModule) -> str:
     names = [_dot_escape(name) for name in names]
     lines = ["digraph cells {", "  compound=true;"]
     for b, block in enumerate(partition.blocks):
@@ -467,8 +465,7 @@ def cells_to_dot(
         for i in sorted(block):
             lines.append(f'    "{names[i]}";')
         lines.append("  }")
-    if module is not None:
-        for (s, i, j), _ in edges(module):
-            lines.append(f'  "{names[j]}" -> "{names[i]}" [label="s{s + 1}"];')
+    for (s, i, j), _ in edges(module):
+        lines.append(f'  "{names[j]}" -> "{names[i]}" [label="s{s + 1}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

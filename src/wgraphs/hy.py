@@ -61,7 +61,7 @@ from .laurent import LaurentPoly
 from .matrix import (LMat, _abs_row_sums, _block, _dot, _mul_into, _placed_rows, _scaled,
                      imat_identity)
 from .report import Report
-from .wgraph import BlockTable, BlockView, OmegaModule, interner, serial_array, sign_module
+from .wgraph import BlockTable, BlockView, OmegaModule, interner, leaks, serial_array, sign_module
 
 
 class RecursionInvariantError(RuntimeError):
@@ -644,12 +644,8 @@ def _compare_action(
     for j, big_j in enumerate(idx):
         at.setdefault(big_j, []).append(j)
     for s in sorted(gens):
-        names = [(f"E_{s+1}", small.e_mat(s), big.e_mat(s))]
-        names.extend(
-            (f"X_({s+1},{g})", small.x_mat(s, g), big.x_mat(s, g))
-            for g in range(small.system.weight(s))
-        )
-        for name, lhs, rhs in names:
+        names = [f"E_{s+1}"] + [f"X_({s+1},{g})" for g in range(small.system.weight(s))]
+        for name, lhs, rhs in zip(names, small.matrices(s), big.matrices(s)):
             same = all(row == tuple(sorted((j, c) for b, c in rhs[i] for j in at.get(b, ())))
                        for row, i in zip(lhs, idx))
             report.require(same, message.format(name))
@@ -701,18 +697,9 @@ def mackey_check(
             for b in range(r)
         }
         for s in sorted(K):
-            mats = [induced.e_mat(s)]
-            mats.extend(induced.x_mat(s, g) for g in range(system.weight(s)))
-            for mat in mats:
-                stable = not any(
-                    j in members
-                    for i, row in enumerate(mat)
-                    if i not in members
-                    for j, _ in row
-                )
-                report.require(
-                    stable, f"span up to d={d} is not stable under generator {s+1}"
-                )
+            for mat in induced.matrices(s):
+                report.require(not leaks(mat, members),
+                               f"span up to d={d} is not stable under generator {s+1}")
 
         # subquotient at exactly d vs induction of the conjugated module
         conj = module.conjugate(d, K)
@@ -879,9 +866,9 @@ def oracle_check(
     The oracle route builds the involution's blocks by the one-letter
     recursion on D_J (:func:`~wgraphs.canon.rho_table`) and runs the generic
     positive-part recursion; it shares no code with the p/mu recursion
-    beyond the position arrays, the block table
-    (:class:`~wgraphs.wgraph.BlockTable`) and the action of T_s on the
-    induced module (:func:`~wgraphs.wgraph.hecke_t_column`).  The oracle's
+    beyond the position arrays and the block table
+    (:class:`~wgraphs.wgraph.BlockTable`).  Only the oracle applies T_s to
+    the induced module (:func:`~wgraphs.wgraph.hecke_t_column`), and its
     triangular sums are integer products, so they do not go through the
     Laurent product kernel ``_dot`` of the recursion.  Both tables are
     stored by the same positions, so their columns are compared directly:

@@ -31,7 +31,7 @@ the coset representatives, for the direct recursion and the oracle alike.
 from __future__ import annotations
 
 from array import array
-from collections.abc import ItemsView, Mapping, ValuesView
+from collections.abc import Container, ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -100,6 +100,10 @@ class OmegaModule:
         if s not in self.gens:
             raise ValueError(f"generator {s+1} not in J")
         return self.x.get((s, abs(gamma))) or imat_zero(self.rank)
+
+    def matrices(self, s: int) -> List[IMat]:
+        """[E_s, X_(s,0), ..., X_(s,L(s)-1)]."""
+        return [self.e_mat(s)] + [self.x_mat(s, g) for g in range(self.system.weight(s))]
 
     def iota_t(self, s: int, inverse: bool = False) -> LMat:
         """The Laurent matrix of the Hecke generator T_s acting on the module,
@@ -187,15 +191,12 @@ class WGraph:
     vertices: Tuple[str, ...]
 
 
-def to_wgraph(module: OmegaModule, vertices: Optional[Iterable[str]] = None) -> WGraph:
+def to_wgraph(module: OmegaModule, vertices: Iterable[str]) -> WGraph:
     """Name the basis vectors of a module with diagonal idempotents."""
     if not module.has_diagonal_idempotents():
         raise ValueError("module idempotents are not diagonal 0/1 matrices")
-    n = module.rank
-    names = tuple(str(v) for v in vertices) if vertices is not None else tuple(
-        str(i) for i in range(n)
-    )
-    if len(names) != n:
+    names = tuple(str(v) for v in vertices)
+    if len(names) != module.rank:
         raise ValueError("need one vertex name per basis element")
     if len(set(names)) != len(names):
         raise ValueError("vertex names must be distinct")
@@ -214,6 +215,12 @@ def edges(module: OmegaModule) -> List[Tuple[Tuple[int, int, int], Dict[int, int
             for j, c in row:
                 out.setdefault((s, i, j), {})[g] = c
     return sorted(out.items())
+
+
+def leaks(mat: IMat, vertices: Container[int]) -> bool:
+    """Whether ``mat`` maps a vertex in ``vertices`` outside their span:
+    some row outside them holds a column inside them."""
+    return any(j in vertices for i, row in enumerate(mat) if i not in vertices for j, _ in row)
 
 
 # -- the induced Hecke module -------------------------------------------------

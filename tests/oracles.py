@@ -23,7 +23,10 @@ vector forms), ``wgraphs.canon.pi_recursion`` with ``check_rho`` run before
 the engine (the reference for its engine-first order),
 the textbook two-step Kazhdan-Lusztig recursion (R-polynomials, then
 P-polynomials, in the variable q), a span-closure construction of
-cells, and the Robinson-Schensted symbols of type A.
+cells, the regular W-graph of the whole group with the set D_J * C found
+by products in W (the reference for the positional reading of
+``wgraphs.cells.induced_cells_check``), and the Robinson-Schensted
+symbols of type A.
 """
 
 from __future__ import annotations
@@ -35,11 +38,13 @@ from typing import Callable, Dict, Iterable, List, Tuple
 
 from wgraphs import hy
 from wgraphs.canon import CanonicalisationError, canonicalise_shadow, check_rho
+from wgraphs.cells import cell_partition
 from wgraphs.coxeter import DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO
 from wgraphs.laurent import LaurentPoly
 from wgraphs.matrix import LMat, _abs_row_sums, _block, _dot, _mul_into
 from wgraphs.report import Report
-from wgraphs.wgraph import BlockTable, hecke_t_column, interner, serial_array, sign_module
+from wgraphs.wgraph import (BlockTable, hecke_t_column, interner, serial_array, sign_module,
+                            trivial_module)
 
 # -- model groups --------------------------------------------------------------
 
@@ -727,6 +732,40 @@ def closure_cells(module) -> List[frozenset]:
         blocks.append(frozenset(block))
         seen |= block
     return sorted(blocks, key=min)
+
+
+def kl_graph(system):
+    """The regular W-graph module, with its basis listed as group elements."""
+    module = trivial_module(system, frozenset())
+    table = hy.p_mu_table(frozenset(), module)
+    return hy.induce(frozenset(), module, table), list(table.reps)
+
+
+def induced_cells_by_products(system, J, cell_union) -> Report:
+    """``wgraphs.cells.induced_cells_check`` with each d * c found by
+    multiplying in W and looked up among the elements of :func:`kl_graph`."""
+    J = system._subset(J)
+    cset = set(cell_union)
+    report = Report(f"induction of cells from J={sorted(s + 1 for s in J)}")
+    inner_module = trivial_module(system, frozenset())
+    inner_table = hy.p_mu_table(frozenset(), inner_module, ambient=J)
+    inner_graph = hy.induce(frozenset(), inner_module, inner_table)
+    inner_pos = {w: i for i, w in enumerate(inner_table.reps)}
+    missing = [w for w in cset if w not in inner_pos]
+    if missing:
+        raise ValueError(f"elements outside the parabolic subgroup: {missing}")
+    c_idx = {inner_pos[w] for w in cset}
+    for block in cell_partition(inner_graph).blocks:
+        if block & c_idx and not block <= c_idx:
+            raise ValueError("the given set is not a union of cells of the parabolic graph")
+    graph, elements = kl_graph(system)
+    pos = {w: i for i, w in enumerate(elements)}
+    translated = {pos[system.mult(d, c)] for d in system.min_coset_reps(J) for c in cset}
+    for block in cell_partition(graph).blocks:
+        overlap = block & translated
+        report.require(not overlap or block <= translated,
+                       f"cell {sorted(block)} is cut by the translated set")
+    return report
 
 
 # -- Robinson-Schensted symbols --------------------------------------------------------

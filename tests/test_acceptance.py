@@ -13,7 +13,7 @@ import pytest
 
 from wgraphs import formats
 from wgraphs.canon import pi_recursion, rho_table
-from wgraphs.cells import cell_partition, induced_cells_check, kl_graph
+from wgraphs.cells import cell_partition, induced_cells_check
 from wgraphs.hy import (
     e_fix_check,
     induce,
@@ -25,7 +25,8 @@ from wgraphs.hy import (
 )
 from wgraphs.wgraph import sign_module, trivial_module, validate
 
-from oracles import KLOracle, closure_cells, compose_perms, eval_word, sym_group_generators
+from oracles import (KLOracle, closure_cells, compose_perms, eval_word, kl_graph,
+                     sym_group_generators)
 
 SWEEP_GROUPS = ["a2", "a3", "b2", "i2_5"]
 

@@ -1,4 +1,5 @@
 import itertools
+from pathlib import Path
 
 import pytest
 
@@ -6,13 +7,16 @@ from wgraphs.cells import (
     cell_partition,
     down_set_vertices,
     induced_cells_check,
-    kl_graph,
     span_is_stable,
 )
 from wgraphs.coxeter import CoxeterSystem
-from wgraphs.wgraph import OmegaModule, sign_module
+from wgraphs.formats import load_system
+from wgraphs.hy import induce, p_mu_table
+from wgraphs.wgraph import OmegaModule, sign_module, trivial_module
 
-from oracles import closure_cells, rs_classes, sparse
+from oracles import closure_cells, induced_cells_by_products, kl_graph, rs_classes, sparse
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def coxeter_matrix(rank, bonds):
@@ -191,3 +195,47 @@ class TestInducedCells:
         a2 = systems["a2"]
         with pytest.raises(ValueError):
             induced_cells_check(a2, {0}, [a2.generator(1)])
+
+
+SWEEP_SYSTEMS = ["systems/a3.json", "systems/b3.json", "perfbench/systems/b3_211.json",
+                 "systems/b2_unequal.json", "perfbench/systems/i2_8_13.json"]
+
+
+class TestInducedCellsByPosition:
+    """D_J * C read by position off the induced regular W-graph agrees
+    with the products in W over the regular W-graph of the whole group."""
+
+    @pytest.mark.parametrize("path", SWEEP_SYSTEMS)
+    def test_every_cell_of_every_parabolic(self, path):
+        system = load_system(str(ROOT / path))
+        regular = trivial_module(system, frozenset())
+        calls = 0
+        for size in range(system.rank + 1):
+            for J in itertools.combinations(range(system.rank), size):
+                table = p_mu_table(frozenset(), regular, ambient=J)
+                inner = induce(frozenset(), regular, table)
+                for block in cell_partition(inner).blocks:
+                    cell = [table.reps[i] for i in block]
+                    got = induced_cells_check(system, J, cell)
+                    want = induced_cells_by_products(system, J, cell)
+                    assert (got.ok, got.checks, got.title) == (want.ok, want.checks, want.title)
+                    assert got.ok
+                    calls += 1
+        assert calls
+
+
+class TestStabilityRule:
+    """A coordinate span is stable exactly when it is a down-closed union of cells."""
+
+    @pytest.mark.parametrize("name", ["a2", "b2"])
+    def test_every_vertex_subset(self, systems, name):
+        graph, _ = kl_graph(systems[name])
+        partition = cell_partition(graph)
+        outcomes = set()
+        for bits in range(1 << graph.rank):
+            vertices = {i for i in range(graph.rank) if bits >> i & 1}
+            inside = [b for b, block in enumerate(partition.blocks) if block <= vertices]
+            closed = down_set_vertices(partition, inside) == vertices
+            assert span_is_stable(graph, vertices) == closed, sorted(vertices)
+            outcomes.add(closed)
+        assert outcomes == {False, True}

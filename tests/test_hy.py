@@ -490,6 +490,26 @@ class TestIntertwiningDefect:
         report = table.check_invariants()  # the range check comes first; no recurrence
         assert report.failures == [f"mu({x},{z},s={s+1}) has exponents outside (-1,1)"]
 
+    @pytest.mark.parametrize("mutation,message", [
+        ("diagonal", "p(12,12) is not the identity"),
+        ("support", "p(e,12) has non-positive support"),
+        ("mu", "mu(1,2,s=1) stored outside its support condition"),
+    ])
+    def test_structural_messages(self, systems, mutation, message):
+        """Each structural check of regular A2, broken alone, fails with its message."""
+        table = p_mu_table(frozenset(), trivial_module(systems["a2"], frozenset()))
+        pos = {str(w): i for i, w in enumerate(table.reps)}
+        one = LMat.identity(1)
+        if mutation == "diagonal":
+            copy = _copy_with_p(table, (pos["12"], pos["12"]), one.scale(LaurentPoly({0: 2})))
+        elif mutation == "support":
+            copy = _copy_with_p(table, (pos["e"], pos["12"]), one)
+        else:
+            copy = _copy_with_p(table, (0, 0), one)  # p(e,e) is 1 already: a plain copy
+            copy.mu_pos[(pos["1"], pos["2"], 0)] = one
+        report = copy.check_invariants()
+        assert not report.ok and report.failures == [message]
+
     def test_ball_raises(self):
         """On a ball of an infinite group s*x can leave the ball, so the
         induced module and with it the recurrence are not defined there."""

@@ -37,6 +37,16 @@ class TestValidate:
         report = validate(module)
         assert not report.ok and "E_1^2" in report.failures[0]
 
+    def test_infinite_bond(self, systems):
+        """An infinite bond has no braid relation: only the E/X relations are checked."""
+        system = load_system(str(_ROOT / "systems/affine_a1.json"))
+        for make in (sign_module, trivial_module):
+            assert str(validate(make(system, {0, 1}))).endswith("ok [3 checks]")
+        # the W-graph of the infinite dihedral group: labels {1} and {2}, one edge each way
+        e = {0: sparse(((1, 0), (0, 0))), 1: sparse(((0, 0), (0, 1)))}
+        x = {(0, 0): sparse(((0, 1), (0, 0))), (1, 0): sparse(((0, 0), (1, 0)))}
+        assert str(validate(OmegaModule(system, {0, 1}, 2, e, x))).endswith("ok [7 checks]")
+
     def test_kl_graph_a2_valid(self, systems):
         module, _ = kl_module(systems["a2"])
         assert validate(module).ok
@@ -136,7 +146,7 @@ class TestConversions:
     def test_to_wgraph_needs_diagonal(self, systems):
         module = OmegaModule(systems["a2"], {0}, 2, {0: sparse(((0, 1), (1, 0)))}, {})
         with pytest.raises(ValueError):
-            to_wgraph(module)
+            to_wgraph(module, ["a", "b"])
 
     @pytest.mark.parametrize("e", [((1, 1), (0, 1)), ((1, 0), (1, 1)), ((2, 0), (0, 0))])
     def test_has_diagonal_idempotents_rejects(self, systems, e):
