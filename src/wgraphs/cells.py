@@ -6,7 +6,8 @@ arc digraph, and the cell preorder is arc reachability, closed in one
 pass over the components in Tarjan's completion order.  Down-closed
 unions of cells span exactly the submodules with monomial idempotent
 action.  :func:`induced_cells_check` reads Geck's induction of cells off
-the regular W-graph induced from a parabolic subgroup, by position.
+the top of the tower {} <= J <= S of :func:`~wgraphs.hy.induce_along`, by
+position, for every left cell of W_J at once.
 """
 
 from __future__ import annotations
@@ -14,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
-from .coxeter import CoxeterSystem, Element, bit_positions
-from .hy import induce, p_mu_table
+from .coxeter import CoxeterSystem, bit_positions
+from .hy import induce_along
 from .report import Report
 from .wgraph import OmegaModule, leaks, trivial_module
 
@@ -134,39 +135,27 @@ def span_is_stable(module: OmegaModule, vertices: Set[int]) -> bool:
     return not any(leaks(mat, vertices) for s in module.gens for mat in module.matrices(s))
 
 
-def induced_cells_check(
-    system: CoxeterSystem,
-    J: Iterable[int],
-    cell_union: Iterable[Element],
-) -> Report:
-    """Check the induction-of-cells statement for the set D_J * C.
+def induced_cells_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
+    """Check Geck's induction of cells: D_J * C is a union of left cells of
+    W for every left cell C of the regular W-graph M of W_J.
 
-    ``cell_union`` must be a union of left cells of the regular W-graph M
-    of the parabolic subgroup W_J.  By transitivity, M induced to W is the
-    regular W-graph of W with (d, c) at d * c, and :func:`~wgraphs.hy.induce`
-    puts (d, c) at position d |W_J| + c; so D_J * C is read off by position
-    and checked to be a union of left cells.
+    :func:`~wgraphs.hy.induce_along` induces the regular module up the tower
+    {} <= J <= S.  By transitivity its top is the regular W-graph of W with
+    the block (d, c) at d * c, at position d |W_J| + c, so D_J * C is read
+    off by position.  One check per (C, cell of W), C in the order of M's
+    blocks: the cell of W lies in D_J * C or misses it.
     """
     J = system._subset(J)
-    cset = set(cell_union)
     report = Report(f"induction of cells from J={sorted(s + 1 for s in J)}")
-    regular = trivial_module(system, frozenset())
-    inner_table = p_mu_table(frozenset(), regular, ambient=J)
-    inner = induce(frozenset(), regular, inner_table)
-    index = inner_table.index
-    missing = [w for w in cset if w not in index]
-    if missing:
-        raise ValueError(f"elements outside the parabolic subgroup: {missing}")
-    c_idx = {index[w] for w in cset}
-    for block in cell_partition(inner).blocks:
-        if block & c_idx and not block <= c_idx:
-            raise ValueError("the given set is not a union of cells of the parabolic graph")
-
-    graph = induce(J, inner, p_mu_table(J, inner))
-    translated = {base + c for base in range(0, graph.rank, inner.rank) for c in c_idx}
-    for block in cell_partition(graph).blocks:
-        report.require(
-            block <= translated or block.isdisjoint(translated),
-            f"cell {sorted(block)} is cut by the translated set",
-        )
+    regular = trivial_module(system, ())
+    (_, level), graph, _ = induce_along([(), J, system.generator_set], regular)
+    inner = cell_partition(level.module).blocks
+    cell_of = {c: i for i, block in enumerate(inner) for c in block}
+    # the cells of M that each cell of W meets through its vertices (d, c)
+    blocks = cell_partition(graph).blocks
+    meets = [{cell_of[v % level.module.rank] for v in block} for block in blocks]
+    for i in range(len(inner)):
+        for block, cells in zip(blocks, meets):
+            report.require(cells == {i} or i not in cells,
+                           f"cell {sorted(block)} is cut by the translated set")
     return report

@@ -173,10 +173,8 @@ def cmd_verify(args) -> int:
     if check == "mu-factorize":
         K = parse_gens(system, args.K, "-K")
         module = resolve_module(system, args.module, J)
+        (table_jk, table_ks), _, _ = hy.induce_along([J, K, system.generator_set], module)
         table_js = hy.p_mu_table(J, module)
-        table_jk = hy.p_mu_table(J, module, ambient=K)
-        inner = hy.induce(J, module, table_jk)
-        table_ks = hy.p_mu_table(K, inner)
         return _print_report(hy.mu_factorize_check(J, K, table_js, table_jk, table_ks))
     if check == "e-nonzero":
         if args.J is not None:

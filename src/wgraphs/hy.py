@@ -31,8 +31,10 @@ only its read-only views ``p`` and ``mu``.  Two steps are memoised, the
 p-step and the mu-step, each by the serials of all of its inputs, and only
 their results are interned, so a serial always names a stored block.
 
-:func:`induce` assembles the induced module from a finished table;
-:func:`transitivity_check`, :func:`mackey_check` and
+:func:`induce` assembles the induced module from a finished table, and
+:func:`induce_along` the one tower of nested inductions, which
+:func:`transitivity_check` and :func:`~wgraphs.cells.induced_cells_check`
+read; :func:`transitivity_check`, :func:`mackey_check` and
 :func:`mu_factorize_check` verify the structural identities relating
 inductions along chains of parabolic subgroups, and :func:`mu_inductive`
 computes mu-data along a flag of subgroups, one level at a time, by
@@ -571,6 +573,35 @@ def _defects(J: Iterable[int], module: OmegaModule,
 # -- transitivity --------------------------------------------------------------
 
 
+def induce_along(flag: Sequence[Iterable[int]], module: OmegaModule) -> tuple:
+    """Induce ``module`` up the tower J = K_0 <= K_1 <= ... <= K_n, J its
+    generator subset; neighbouring levels may be equal.
+
+    Level i runs ``p_mu_table(K_(i-1), M_(i-1), ambient=K_i)`` and
+    :func:`induce`.  Returns ``(tables, M_n, at)``: the level tables, the top
+    module and, for each block (w_n, block of M_(n-1)) of M_n in
+    :func:`induce`'s order, the position of w_n...w_1 in
+    ``min_coset_reps(J, K=K_n)``, None when that word is not a
+    length-additive element of D_J.  By transitivity (Howlett-Yin II), M_n
+    is the induction of ``module`` to K_n with its blocks moved by ``at``.
+    """
+    system = module.system
+    levels = [system._subset(k) for k in flag]
+    if not levels or levels[0] != module.gens:
+        raise ValueError("flag must start at the module's generator subset")
+    if not all(lower <= upper for lower, upper in zip(levels, levels[1:])):
+        raise ValueError("need J <= K: each level of the flag must contain the one before")
+    arrays = system.position_arrays(levels[0], levels[-1],
+                                    system.min_coset_reps(levels[0], K=levels[-1]))
+    tables: List[PMuTable] = []
+    at: List[Optional[int]] = [0]
+    for lower, upper in zip(levels, levels[1:]):
+        tables.append(p_mu_table(lower, module, ambient=upper))
+        at = [_plus_walk(arrays, w.word, pos) for w in tables[-1].reps for pos in at]
+        module = induce(lower, module, tables[-1])
+    return tables, module, at
+
+
 def transitivity_check(
     J: Iterable[int],
     K: Iterable[int],
@@ -578,50 +609,30 @@ def transitivity_check(
 ) -> Report:
     """Induce in two stages through K, reindex along (w, z) -> wz, compare."""
     system = module.system
-    J = system._subset(J)
     K = system._subset(K)
-    if not J <= K:
-        raise ValueError("need J <= K")
     report = Report(f"transitivity through K={sorted(s + 1 for s in K)}")
-
-    table_jk = p_mu_table(J, module, ambient=K)
-    inner = induce(J, module, table_jk)
-    table_ks = p_mu_table(K, inner)
-    nested = induce(K, inner, table_ks)
-
-    table_js = p_mu_table(J, module)
-    direct = induce(J, module, table_js)
-
+    _, nested, at = induce_along([J, K, system.generator_set], module)
+    direct = induce(J, module, p_mu_table(J, module))
     r = module.rank
-    perm: List[int] = []
-    seen = set()
-    for w in table_ks.reps:
-        for z in table_jk.reps:
-            pos = _plus_walk(table_js, w.word + z.word)
-            if pos is None:
-                report.fail(f"({w},{z}) does not map to a representative length-additively")
-                continue
-            seen.add(pos)
-            perm.extend(pos * r + b for b in range(r))
-    report.require(
-        len(seen) == len(table_js.reps), "reindexing (w,z) -> wz is not a bijection"
-    )
+    # at has |D_J| entries, so hitting each position of D_J once makes a bijection
+    report.require(set(at) == set(range(direct.rank // r)),
+                   "reindexing (w,z) -> wz is not a bijection")
     if not report.ok:
         return report
 
     _compare_action(
-        report, nested, direct, perm, system.generator_set,
-        "{} differs between nested and direct induction"
+        report, nested, direct, [pos * r + b for pos in at for b in range(r)],
+        system.generator_set, "{} differs between nested and direct induction"
     )
     return report
 
 
-def _plus_walk(table: PMuTable, word: Sequence[int]) -> Optional[int]:
-    """The position in ``table`` of the element with this word, if each
-    letter, read from the word's end, is a plus class: then the word is
-    reduced and the element lies in D_J.  Otherwise None."""
-    classes, shifted = table._arrays()
-    pos: Optional[int] = 0
+def _plus_walk(arrays: tuple, word: Sequence[int], pos: Optional[int] = 0) -> Optional[int]:
+    """The position of word * x, for x at ``pos`` in the listing of the
+    ``(classes, shifted)`` position arrays, if each letter, read from the
+    word's end, is a plus class: then the product is length-additive and
+    lies in D_J.  Otherwise, or for ``pos`` None, None."""
+    classes, shifted = arrays
     for s in reversed(word):
         if pos is None or classes[s][pos].tag != DEODHAR_PLUS:
             return None
@@ -707,7 +718,7 @@ def mackey_check(
         compare = induce(conj.gens, conj, inner_table)
         slice_idx: List[int] = []
         for w in inner_table.reps:
-            pos = _plus_walk(table, w.word + d.word)
+            pos = _plus_walk(table._arrays(), w.word + d.word)
             if pos is None or part[pos] != di:
                 report.fail(f"{w}*{d} is not a representative with part exactly d")
                 continue

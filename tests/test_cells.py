@@ -11,7 +11,8 @@ from wgraphs.cells import (
 )
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import load_system
-from wgraphs.hy import induce, p_mu_table
+from wgraphs.hy import induce_along
+from wgraphs.report import Report
 from wgraphs.wgraph import OmegaModule, sign_module, trivial_module
 
 from oracles import closure_cells, induced_cells_by_products, kl_graph, rs_classes, sparse
@@ -166,35 +167,38 @@ class TestCellPartition:
                     assert (a, d) in order
 
 
+def translated(system, J, cell):
+    """D_J * C and the left cells of W, as sets of element names, read off
+    the top of the tower {} <= J <= S through its positions; ``cell`` holds
+    element names of W_J."""
+    regular = trivial_module(system, frozenset())
+    (inner, _), graph, at = induce_along([(), J, system.generator_set], regular)
+    names = [str(w) for w in system.min_coset_reps(())]
+    n = len(inner.reps)
+    image = {names[pos] for k, pos in enumerate(at) if str(inner.reps[k % n]) in cell}
+    return image, {frozenset(names[at[v]] for v in block)
+                   for block in cell_partition(graph).blocks}
+
+
 class TestInducedCells:
     def test_whole_parabolic(self, systems):
-        a2 = systems["a2"]
-        report = induced_cells_check(a2, {0}, a2.min_coset_reps((), {0}))
-        assert report.ok
+        """One check per (left cell of W_J, left cell of W): 2 x 4 in A2."""
+        report = induced_cells_check(systems["a2"], {0})
+        assert str(report) == "induction of cells from J=[1]: ok [8 checks]"
 
     def test_identity_cell(self, systems):
-        a2 = systems["a2"]
-        assert induced_cells_check(a2, {0}, [a2.identity]).ok
+        image, cells = translated(systems["a2"], {0}, {"e"})
+        assert image == {"e", "2", "12"}
+        assert {frozenset({"e"}), frozenset({"2", "12"})} <= cells
 
     def test_generator_cell(self, systems):
-        a2 = systems["a2"]
-        assert induced_cells_check(a2, {0}, [a2.generator(0)]).ok
+        image, cells = translated(systems["a2"], {0}, {"1"})
+        assert image == {"1", "21", "121"}
+        assert {frozenset({"1", "21"}), frozenset({"121"})} <= cells
 
     def test_a3(self, systems):
-        a3 = systems["a3"]
-        assert induced_cells_check(a3, {0}, [a3.identity]).ok
-        assert induced_cells_check(a3, {0}, [a3.generator(0)]).ok
-
-    def test_rejects_non_cell_union(self, systems):
-        a3 = systems["a3"]
-        # {e, s} is not a union of cells of W_{{0,1}} (the cell of s is {s, ts})
-        with pytest.raises(ValueError):
-            induced_cells_check(a3, {0, 1}, [a3.identity, a3.generator(0)])
-
-    def test_rejects_outside_elements(self, systems):
-        a2 = systems["a2"]
-        with pytest.raises(ValueError):
-            induced_cells_check(a2, {0}, [a2.generator(1)])
+        report = induced_cells_check(systems["a3"], {0})
+        assert str(report) == "induction of cells from J=[1]: ok [20 checks]"
 
 
 SWEEP_SYSTEMS = ["systems/a3.json", "systems/b3.json", "perfbench/systems/b3_211.json",
@@ -202,26 +206,32 @@ SWEEP_SYSTEMS = ["systems/a3.json", "systems/b3.json", "perfbench/systems/b3_211
 
 
 class TestInducedCellsByPosition:
-    """D_J * C read by position off the induced regular W-graph agrees
-    with the products in W over the regular W-graph of the whole group."""
+    """D_J * C read by position off the top of the tower {} <= J <= S is the
+    set of products d * c in W, as element names, since each block (d, c)
+    sits at d * c; and the one-pass check agrees with the products over the
+    regular W-graph of the whole group, merged over the left cells C of W_J."""
 
     @pytest.mark.parametrize("path", SWEEP_SYSTEMS)
     def test_every_cell_of_every_parabolic(self, path):
         system = load_system(str(ROOT / path))
         regular = trivial_module(system, frozenset())
-        calls = 0
+        names = [str(w) for w in system.min_coset_reps(())]
         for size in range(system.rank + 1):
             for J in itertools.combinations(range(system.rank), size):
-                table = p_mu_table(frozenset(), regular, ambient=J)
-                inner = induce(frozenset(), regular, table)
-                for block in cell_partition(inner).blocks:
-                    cell = [table.reps[i] for i in block]
-                    got = induced_cells_check(system, J, cell)
-                    want = induced_cells_by_products(system, J, cell)
-                    assert (got.ok, got.checks, got.title) == (want.ok, want.checks, want.title)
-                    assert got.ok
-                    calls += 1
-        assert calls
+                (inner, level), _, at = induce_along([(), J, system.generator_set], regular)
+                n = len(inner.reps)
+                for k, pos in enumerate(at):  # the block (d, c) sits at d * c
+                    d, c = level.reps[k // n], inner.reps[k % n]
+                    assert names[pos] == str(system.mult(d, c)), (J, k)
+                want = Report(f"induction of cells from J={[s + 1 for s in J]}")
+                for block in cell_partition(level.module).blocks:
+                    report = induced_cells_by_products(system, J, [inner.reps[i] for i in block])
+                    want.checks += report.checks
+                    want.failures += report.failures
+                got = induced_cells_check(system, J)
+                assert (got.title, got.checks, got.failures) == (
+                    want.title, want.checks, want.failures)
+                assert got.ok
 
 
 class TestStabilityRule:

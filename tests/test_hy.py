@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from wgraphs.cells import cell_partition
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import load_system
 from wgraphs.laurent import LaurentPoly, v
@@ -23,6 +24,7 @@ from wgraphs.hy import (
     canonical_matrix,
     e_fix_check,
     induce,
+    induce_along,
     mackey_check,
     mu_factorize_check,
     mu_inductive,
@@ -689,6 +691,38 @@ class TestTransitivity:
         """One check per E_s and per X_(s,g)."""
         report = transitivity_check({0}, k, sign_module(systems["a3"], {0}))
         assert report.ok and report.checks == 7, str(report)
+
+
+TOWER_SYSTEMS = ["systems/a3.json", "systems/b3.json", "perfbench/systems/h3.json",
+                 "perfbench/systems/b3_211.json", "perfbench/systems/i2_8_13.json"]
+
+
+class TestInduceAlong:
+    """The tower {} <= K <= S through a maximal parabolic K gives the regular
+    W-graph of W, relabelled by its positions."""
+
+    @pytest.mark.parametrize("path,drop", [(path, s) for path in TOWER_SYSTEMS
+                                           for s in range(load_system(str(ROOT / path)).rank)])
+    def test_one_step_tower_cells(self, path, drop):
+        system = load_system(str(ROOT / path))
+        regular = trivial_module(system, frozenset())
+        direct = p_mu_table(frozenset(), regular)
+        names = [str(w) for w in direct.reps]
+        want = {frozenset(names[v] for v in block)
+                for block in cell_partition(induce(frozenset(), regular, direct)).blocks}
+        K = system.generator_set - {drop}
+        tables, top, at = induce_along([(), K, system.generator_set], regular)
+        assert [t.ambient for t in tables] == [K, system.generator_set]
+        assert sorted(at) == list(range(len(names)))  # a bijection onto D_{}
+        assert {frozenset(names[at[v]] for v in block)
+                for block in cell_partition(top).blocks} == want
+
+    def test_chain_is_validated(self, systems):
+        regular = trivial_module(systems["a3"], frozenset())
+        with pytest.raises(ValueError, match="start at the module's generator subset"):
+            induce_along([{0}, {0, 1}], regular)
+        with pytest.raises(ValueError, match="contain the one before"):
+            induce_along([(), {0, 1}, {1}], regular)
 
 
 class TestMackey:
