@@ -7,7 +7,8 @@ pass over the components in Tarjan's completion order.  Down-closed
 unions of cells span exactly the submodules with monomial idempotent
 action.  :func:`induced_cells_check` reads Geck's induction of cells off
 the top of the tower {} <= J <= S of :func:`~wgraphs.hy.induce_along`, by
-position, for every left cell of W_J at once.
+position, for every left cell of W_J at once; :func:`inner_cells` gives
+the left cell of W_J that each vertex comes from.
 """
 
 from __future__ import annotations
@@ -135,26 +136,40 @@ def span_is_stable(module: OmegaModule, vertices: Set[int]) -> bool:
     return not any(leaks(mat, vertices) for s in module.gens for mat in module.matrices(s))
 
 
+def inner_cells(system: CoxeterSystem, J: Iterable[int]) -> Tuple[OmegaModule, List[int]]:
+    """The top of the tower {} <= J <= S of :func:`~wgraphs.hy.induce_along`
+    on the regular module, and for each of its vertices the left cell of
+    the regular W-graph M of W_J that it comes from.
+
+    By transitivity the top is the regular W-graph of W with the block
+    (d, c) at d * c, at position d |W_J| + c; its inner cell is the index,
+    among the blocks of ``cell_partition(M)``, of the cell holding c.
+    """
+    regular = trivial_module(system, ())
+    (_, level), graph, _ = induce_along([(), J, system.generator_set], regular)
+    n = level.module.rank
+    cell_of = [0] * n
+    for i, block in enumerate(cell_partition(level.module).blocks):
+        for c in block:
+            cell_of[c] = i
+    return graph, [cell_of[v % n] for v in range(graph.rank)]
+
+
 def induced_cells_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
     """Check Geck's induction of cells: D_J * C is a union of left cells of
     W for every left cell C of the regular W-graph M of W_J.
 
-    :func:`~wgraphs.hy.induce_along` induces the regular module up the tower
-    {} <= J <= S.  By transitivity its top is the regular W-graph of W with
-    the block (d, c) at d * c, at position d |W_J| + c, so D_J * C is read
-    off by position.  One check per (C, cell of W), C in the order of M's
-    blocks: the cell of W lies in D_J * C or misses it.
+    D_J * C is the set of vertices whose :func:`inner_cells` entry is C.
+    One check per (C, cell of W), C in the order of M's blocks: the cell
+    of W lies in D_J * C or misses it.
     """
     J = system._subset(J)
     report = Report(f"induction of cells from J={sorted(s + 1 for s in J)}")
-    regular = trivial_module(system, ())
-    (_, level), graph, _ = induce_along([(), J, system.generator_set], regular)
-    inner = cell_partition(level.module).blocks
-    cell_of = {c: i for i, block in enumerate(inner) for c in block}
-    # the cells of M that each cell of W meets through its vertices (d, c)
+    graph, inner = inner_cells(system, J)
+    # the cells of M that each cell of W meets; d = e meets every cell of M
     blocks = cell_partition(graph).blocks
-    meets = [{cell_of[v % level.module.rank] for v in block} for block in blocks]
-    for i in range(len(inner)):
+    meets = [{inner[v] for v in block} for block in blocks]
+    for i in range(max(inner) + 1):
         for block, cells in zip(blocks, meets):
             report.require(cells == {i} or i not in cells,
                            f"cell {sorted(block)} is cut by the translated set")

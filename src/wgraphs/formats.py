@@ -9,9 +9,15 @@ an indent is given), and joins a container that recurs at the same depth
 into one string on its second use; a dict value already joined is
 appended without a call.  :func:`dump` writes the same pieces to an open
 file without joining the document into one string.
-:func:`table_to_json` makes one value per serial of the table's
-:class:`~wgraphs.wgraph.BlockTable` columns, and :func:`wgraph_to_json`
-one per distinct label and weight map, so each is built and written once.
+
+The p-part of :func:`table_to_json` is a :class:`PView`, a read-only
+mapping keyed by "x|z" over the table's serial columns; no p-dict is
+built.  The writer renders it from the columns, each serial's text and
+each name once, and puts the keys in order without a sort: no element
+name contains "|", so the string order of "x|z" is the order of the
+pairs (x + "|", z).  :func:`dump` writes it one x-row at a time.
+:func:`wgraph_to_json` makes one value per distinct label and weight
+map, so each is built and written once.
 Schema errors raise :class:`SchemaError` with the JSON path of the
 offending value; syntax errors keep the line/column information of the
 decoder.
@@ -32,13 +38,16 @@ Conventions, shared with the CLI:
 from __future__ import annotations
 
 import json
+from array import array
+from collections.abc import Mapping
+from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
 
 from .cells import CellPartition
 from .coxeter import CoxeterSystem
 from .matrix import IMat, LMat
-from .wgraph import OmegaModule, WGraph, edges, to_wgraph
+from .wgraph import OmegaModule, WGraph, edges, serial_array, to_wgraph
 
 
 class SchemaError(ValueError):
@@ -65,27 +74,40 @@ _CONSTANTS = {None: "null", True: "true", False: "false"}
 def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
-    Takes str-keyed dicts, lists, tuples, str, int, bool and None; any other
-    value (a float included) or key raises :class:`TypeError`.  A container
-    reached twice at the same depth, such as a p-value shared by
-    :func:`table_to_json` or a weight map shared by :func:`wgraph_to_json`,
-    is rendered once.  Dict keys are sorted as strings, not as (key, value)
-    pairs.  :func:`dump` writes the same pieces without joining them.
+    Takes str-keyed dicts, lists, tuples, str, int, bool, None and the
+    :class:`PView` of :func:`table_to_json`, written as the dict it views;
+    any other value (a float included) or key raises :class:`TypeError`.
+    A container reached twice at the same depth, such as a weight map
+    shared by :func:`wgraph_to_json`, is rendered once.  Dict keys are
+    sorted as strings, not as (key, value) pairs.
     """
-    return "".join(_pieces(obj))
+    parts: List[str] = []
+    _write(obj, "\n", parts, {})
+    parts.append("\n")
+    return "".join(parts)
 
 
 def dump(obj, handle) -> None:
     """Write the text of :func:`dumps` to the text file ``handle``, piece by
-    piece, without joining the document into one string."""
-    handle.writelines(_pieces(obj))
-
-
-def _pieces(obj) -> List[str]:
-    parts: List[str] = []
+    piece, without joining the document into one string; a :class:`PView`
+    that is a value of the document itself is written one row at a time."""
+    parts = _Stream(handle)
     _write(obj, "\n", parts, {})
     parts.append("\n")
-    return parts
+    parts.flush()
+
+
+class _Stream(list):
+    """The pieces of :func:`dump`, of which the first ``written`` are
+    written to ``handle``."""
+
+    def __init__(self, handle) -> None:
+        super().__init__()
+        self.handle, self.written = handle, 0
+
+    def flush(self) -> None:
+        self.handle.writelines(islice(self, self.written, None))
+        self.written = len(self)
 
 
 def _write(value, newline: str, parts: List[str], seen: dict) -> None:
@@ -94,7 +116,9 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
     ``seen[newline]`` maps the id of each container written so far at that
     indent to the span of ``parts`` that holds its text, or, once it is
     written a second time, to that text joined into one string; a dict
-    value whose text is joined is appended without a call.
+    value whose text is joined is appended without a call.  A
+    :class:`PView` that :func:`dump` meets as a value of the document
+    itself, inside no container that may repeat, goes to the file.
     """
     kind = type(value)
     if kind is str:
@@ -141,6 +165,15 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
                 lead = separator
             parts.append(newline + "]")
         here[id(value)] = (start, len(parts))
+    elif kind is PView:
+        if type(parts) is _Stream and newline == "\n  ":
+            parts.flush()
+            write = parts.handle.write
+            for row in _view_rows(value, newline):
+                write("".join(row))
+        else:
+            for row in _view_rows(value, newline):
+                parts += row
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
@@ -386,28 +419,105 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
 
 
 def table_to_json(table) -> dict:
-    """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`, read
-    by position from its serial columns, each key built from the names of
-    x and z.  Each serial gets one :func:`lmat_to_json` value and each
-    mu-block object one value, which :func:`dumps` renders once; the
-    document is read-only by convention.  Equal values under two serials
-    only cost a repeated rendering, never different bytes."""
+    """Serialise the p- and mu-blocks of a :class:`wgraphs.hy.PMuTable`.
+
+    The "p" value is a :class:`PView` over the table's serial columns,
+    which :func:`dumps` and :func:`dump` write without building its dict;
+    each mu-block object gets one value.  The document is read-only by
+    convention."""
     names = [str(x) for x in table.reps]
     out = _mu_json(table.gens, (((names[xi], names[zi], s), mat)
                                 for (xi, zi, s), mat in table.mu_pos.items()))
-    values = table.values
-    rendered: List[Optional[list]] = [None] * len(values)  # by serial, made on first use
-    p_part = {}
-    for zi, col in enumerate(table.cols):
-        tail = "|" + names[zi]
-        for xi, serial in enumerate(col):
-            if serial:
-                value = rendered[serial]
-                if value is None:
-                    value = rendered[serial] = lmat_to_json(values[serial])
-                p_part[names[xi] + tail] = value
-    out["p"] = p_part
+    out["p"] = PView(names, table.cols, table.values)
     return out
+
+
+class PView(Mapping):
+    """The p-part of a table document: a read-only view, keyed by "x|z"
+    with x and z among ``names``, of the blocks in the serial columns
+    ``cols`` of a :class:`~wgraphs.wgraph.BlockTable`.  A value is the
+    :func:`lmat_to_json` value of its block, one object per serial, made
+    on first lookup; ``dict(view)`` is the p-dict of the document."""
+
+    def __init__(self, names: List[str], cols: List, blocks: List[Optional[LMat]]):
+        assert not any("|" in name for name in names), "an element name contains '|'"
+        self.names, self.cols, self.blocks = names, cols, blocks
+        self._index = {name: i for i, name in enumerate(names)}
+        self._json: Dict[int, list] = {}
+
+    def __getitem__(self, key: str) -> list:
+        try:
+            x, z = map(self._index.__getitem__, key.split("|"))
+            serial = self.cols[z][x]
+        except (ValueError, KeyError, IndexError):  # not two names, or no block
+            serial = 0
+        if not serial:
+            raise KeyError(key)
+        value = self._json.get(serial)
+        if value is None:
+            value = self._json[serial] = lmat_to_json(self.blocks[serial])
+        return value
+
+    def __iter__(self) -> Iterator[str]:
+        names = self.names
+        for zi, col in enumerate(self.cols):
+            tail = "|" + names[zi]
+            for xi, serial in enumerate(col):
+                if serial:
+                    yield names[xi] + tail
+
+    def __len__(self) -> int:
+        return sum(len(col) - col.count(0) for col in self.cols)
+
+
+class _Texts(dict):
+    """The text of each serial's p-value at the indent ``newline``, written
+    by :func:`_write` on first lookup."""
+
+    def __init__(self, blocks: List[Optional[LMat]], newline: str):
+        super().__init__()
+        self.blocks, self.newline = blocks, newline
+
+    def __missing__(self, serial: int) -> str:
+        parts: List[str] = []
+        _write(lmat_to_json(self.blocks[serial]), self.newline, parts, {})
+        text = self[serial] = "".join(parts)
+        return text
+
+
+def _view_rows(view: PView, newline: str) -> Iterator[List[str]]:
+    """The text of ``view`` at the indent ``newline``: one list of pieces
+    per row x, rows in key order, then the closing brace.
+
+    Keys sort as the pairs (x + "|", z), so the names are sorted twice.
+    The columns, in z-order, are laid into a grid whose row x holds the
+    serial at x of each; each piece is an escaped name or a serial's text,
+    each made once."""
+    names, n = view.names, len(view.names)
+    inner = newline + "  "
+    quoted = [_encode_str(name) for name in names]
+    zorder = sorted(range(n), key=names.__getitem__)
+    keys = [quoted[z][1:] + ": " for z in zorder]  # 'z": ', after '"x|'
+    grid = serial_array((), len(view.blocks))  # every serial fits its typecode
+    grid.frombytes(bytes(grid.itemsize * n * n))
+    for j, z in enumerate(zorder):
+        col = view.cols[z]
+        if col.typecode != grid.typecode:  # made before the serials outgrew 16 bits
+            col = array(grid.typecode, col)
+        grid[j:j + n * len(col):n] = col
+    texts = _Texts(view.blocks, inner)
+    opened = False
+    for x in sorted(range(n), key=[name + "|" for name in names].__getitem__):
+        serials = grid[x * n:x * n + n]
+        present = list(filter(None, serials))
+        if present:
+            row = ["," + inner + quoted[x][:-1] + "|"] * (3 * len(present))
+            row[1::3] = compress(keys, serials)
+            row[2::3] = map(texts.__getitem__, present)
+            if not opened:
+                row[0], opened = "{" + row[0][1:], True
+            yield row
+    yield [newline + "}" if opened else "{}"]
 
 
 def mu_to_json(system: CoxeterSystem, gens: FrozenSet[int], mu: Mapping) -> dict:

@@ -585,14 +585,27 @@ def induce_along(flag: Sequence[Iterable[int]], module: OmegaModule) -> tuple:
     length-additive element of D_J.  By transitivity (Howlett-Yin II), M_n
     is the induction of ``module`` to K_n with its blocks moved by ``at``.
     """
+    levels = _levels(flag, module)
     system = module.system
-    levels = [system._subset(k) for k in flag]
+    arrays = system.position_arrays(levels[0], levels[-1],
+                                    system.min_coset_reps(levels[0], K=levels[-1]))
+    return _induce_levels(levels, module, arrays)
+
+
+def _levels(flag: Sequence[Iterable[int]], module: OmegaModule) -> List[FrozenSet[int]]:
+    """The levels of ``flag`` as generator subsets, checked to rise from
+    the module's generator subset."""
+    levels = [module.system._subset(k) for k in flag]
     if not levels or levels[0] != module.gens:
         raise ValueError("flag must start at the module's generator subset")
     if not all(lower <= upper for lower, upper in zip(levels, levels[1:])):
         raise ValueError("need J <= K: each level of the flag must contain the one before")
-    arrays = system.position_arrays(levels[0], levels[-1],
-                                    system.min_coset_reps(levels[0], K=levels[-1]))
+    return levels
+
+
+def _induce_levels(levels: List[FrozenSet[int]], module: OmegaModule, arrays: tuple) -> tuple:
+    """:func:`induce_along` on checked ``levels``, walking ``arrays``, the
+    position arrays of (J, K_n) on ``min_coset_reps(J, K=K_n)``."""
     tables: List[PMuTable] = []
     at: List[Optional[int]] = [0]
     for lower, upper in zip(levels, levels[1:]):
@@ -611,8 +624,11 @@ def transitivity_check(
     system = module.system
     K = system._subset(K)
     report = Report(f"transitivity through K={sorted(s + 1 for s in K)}")
-    _, nested, at = induce_along([J, K, system.generator_set], module)
-    direct = induce(J, module, p_mu_table(J, module))
+    levels = _levels([J, K, system.generator_set], module)  # before any table is built
+    table = p_mu_table(J, module)
+    # the walks read the direct table's position arrays: one build for both
+    _, nested, at = _induce_levels(levels, module, table._arrays())
+    direct = induce(J, module, table)
     r = module.rank
     # at has |D_J| entries, so hitting each position of D_J once makes a bijection
     report.require(set(at) == set(range(direct.rank // r)),

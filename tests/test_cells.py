@@ -7,6 +7,7 @@ from wgraphs.cells import (
     cell_partition,
     down_set_vertices,
     induced_cells_check,
+    inner_cells,
     span_is_stable,
 )
 from wgraphs.coxeter import CoxeterSystem
@@ -208,8 +209,9 @@ SWEEP_SYSTEMS = ["systems/a3.json", "systems/b3.json", "perfbench/systems/b3_211
 class TestInducedCellsByPosition:
     """D_J * C read by position off the top of the tower {} <= J <= S is the
     set of products d * c in W, as element names, since each block (d, c)
-    sits at d * c; and the one-pass check agrees with the products over the
-    regular W-graph of the whole group, merged over the left cells C of W_J."""
+    sits at d * c; the inner cell of each vertex is the cell of c for every
+    d; and the one-pass check agrees with the products over the regular
+    W-graph of the whole group, merged over the left cells C of W_J."""
 
     @pytest.mark.parametrize("path", SWEEP_SYSTEMS)
     def test_every_cell_of_every_parabolic(self, path):
@@ -223,6 +225,13 @@ class TestInducedCellsByPosition:
                 for k, pos in enumerate(at):  # the block (d, c) sits at d * c
                     d, c = level.reps[k // n], inner.reps[k % n]
                     assert names[pos] == str(system.mult(d, c)), (J, k)
+                # each product d * c, as an element name, carries the cell of c
+                blocks = cell_partition(level.module).blocks
+                cell_at = {str(system.mult(d, inner.reps[c])): i
+                           for i, block in enumerate(blocks) for c in block for d in level.reps}
+                graph, inner_cell = inner_cells(system, J)
+                assert graph.rank == len(at) == len(names)
+                assert inner_cell == [cell_at[names[pos]] for pos in at], J
                 want = Report(f"induction of cells from J={[s + 1 for s in J]}")
                 for block in cell_partition(level.module).blocks:
                     report = induced_cells_by_products(system, J, [inner.reps[i] for i in block])
