@@ -31,17 +31,18 @@ only its read-only views ``p`` and ``mu``.  Two steps are memoised, the
 p-step and the mu-step, each by the serials of all of its inputs, and only
 their results are interned, so a serial always names a stored block.
 
-:func:`induce` assembles the induced module from a finished table, and
-:func:`induce_along` the one tower of nested inductions, which
-:func:`transitivity_check` and :func:`~wgraphs.cells.induced_cells_check`
-read; :func:`transitivity_check`, :func:`mackey_check` and
-:func:`mu_factorize_check` verify the structural identities relating
-inductions along chains of parabolic subgroups, and :func:`mu_inductive`
-computes mu-data along a flag of subgroups, one level at a time, by
-inducing transitively.  The rule by which mu-blocks of J <= S factor
-through J <= K and K <= S lives in one place, :func:`_factor_mu`: the flag
-algorithm builds each level from it, and :func:`mu_factorize_check`
-compares every direct entry against it.  The defining identity of the
+:func:`induce` assembles the induced module from a finished table.  Nested
+induction is one tower: :func:`_tower` builds the level tables, each on the
+module induced from the level below, and :func:`_tower_positions` walks
+block u*n + v (block v below, under level representative u) to its place
+in D_J.  :func:`induce_along` also induces the top, for
+:func:`transitivity_check` and :func:`~wgraphs.cells.induced_cells_check`.
+The flag algorithm :func:`mu_inductive` reads the levels alone: the rule by
+which mu-blocks of J <= S factor through J <= K and K <= S, by tower index,
+lives in one place, :func:`_factor_mu`, and :func:`mu_factorize_check`
+compares every direct entry against it.  :func:`transitivity_check`,
+:func:`mackey_check` and :func:`mu_factorize_check` verify the identities of
+inductions along parabolic chains.  The defining identity of the
 construction, H_s P = P Omega_s for the base change P, is evaluated in one
 place too, :func:`_defects`, by integer products at v = 2^B with B taken
 from the coefficients: :func:`verify_h_linearity` reads one verdict per s
@@ -55,7 +56,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, zip_longest
 from sys import maxsize
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .coxeter import (DEODHAR_MINUS, DEODHAR_PLUS, DEODHAR_ZERO, CoxeterSystem, Element,
                       bit_positions)
@@ -577,19 +578,19 @@ def induce_along(flag: Sequence[Iterable[int]], module: OmegaModule) -> tuple:
     """Induce ``module`` up the tower J = K_0 <= K_1 <= ... <= K_n, J its
     generator subset; neighbouring levels may be equal.
 
-    Level i runs ``p_mu_table(K_(i-1), M_(i-1), ambient=K_i)`` and
-    :func:`induce`.  Returns ``(tables, M_n, at)``: the level tables, the top
-    module and, for each block (w_n, block of M_(n-1)) of M_n in
-    :func:`induce`'s order, the position of w_n...w_1 in
-    ``min_coset_reps(J, K=K_n)``, None when that word is not a
-    length-additive element of D_J.  By transitivity (Howlett-Yin II), M_n
-    is the induction of ``module`` to K_n with its blocks moved by ``at``.
+    Returns ``(tables, M_n, at)``: the level tables of :func:`_tower`, the
+    top module M_n induced from the last of them, and the
+    :func:`_tower_positions` of its blocks in ``min_coset_reps(J, K=K_n)``.
+    By transitivity (Howlett-Yin II), M_n is the induction of ``module`` to
+    K_n with its blocks moved by ``at``.
     """
     levels = _levels(flag, module)
+    tables = list(_tower(levels, module))
+    top = induce(tables[-1].gens, tables[-1].module, tables[-1]) if tables else module
     system = module.system
-    arrays = system.position_arrays(levels[0], levels[-1],
-                                    system.min_coset_reps(levels[0], K=levels[-1]))
-    return _induce_levels(levels, module, arrays)
+    reps = system.min_coset_reps(levels[0], K=levels[-1])
+    return tables, top, _tower_positions(
+        [t.reps for t in tables], system.position_arrays(levels[0], levels[-1], reps))
 
 
 def _levels(flag: Sequence[Iterable[int]], module: OmegaModule) -> List[FrozenSet[int]]:
@@ -603,16 +604,28 @@ def _levels(flag: Sequence[Iterable[int]], module: OmegaModule) -> List[FrozenSe
     return levels
 
 
-def _induce_levels(levels: List[FrozenSet[int]], module: OmegaModule, arrays: tuple) -> tuple:
-    """:func:`induce_along` on checked ``levels``, walking ``arrays``, the
-    position arrays of (J, K_n) on ``min_coset_reps(J, K=K_n)``."""
-    tables: List[PMuTable] = []
-    at: List[Optional[int]] = [0]
+def _tower(levels: List[FrozenSet[int]], module: OmegaModule) -> Iterator[PMuTable]:
+    """The tables of checked ``levels``: level i is ``p_mu_table(K_(i-1),
+    M_(i-1), ambient=K_i)``, M_0 = ``module``, and M_i = :func:`induce` of
+    level i is built only when level i + 1 is asked for, never the top."""
+    table = None
     for lower, upper in zip(levels, levels[1:]):
-        tables.append(p_mu_table(lower, module, ambient=upper))
-        at = [_plus_walk(arrays, w.word, pos) for w in tables[-1].reps for pos in at]
-        module = induce(lower, module, tables[-1])
-    return tables, module, at
+        if table is not None:
+            module = induce(table.gens, module, table)
+        table = p_mu_table(lower, module, ambient=upper)
+        yield table
+
+
+def _tower_positions(listings: Sequence[Sequence[Element]], arrays: tuple) -> List[Optional[int]]:
+    """The blocks of the tower in D_J, from the representatives of each level
+    in ``listings``: block v of M_(i-1) under representative u of level i is
+    block u*n + v of M_i, n the number of blocks of M_(i-1), and each block
+    w_n...w_1 of M_n goes to its :func:`_plus_walk` position in the listing
+    of ``arrays``, the position arrays of (J, K_n)."""
+    at: List[Optional[int]] = [0]
+    for reps in listings:
+        at = [_plus_walk(arrays, w.word, pos) for w in reps for pos in at]
+    return at
 
 
 def transitivity_check(
@@ -624,11 +637,8 @@ def transitivity_check(
     system = module.system
     K = system._subset(K)
     report = Report(f"transitivity through K={sorted(s + 1 for s in K)}")
-    levels = _levels([J, K, system.generator_set], module)  # before any table is built
-    table = p_mu_table(J, module)
-    # the walks read the direct table's position arrays: one build for both
-    _, nested, at = _induce_levels(levels, module, table._arrays())
-    direct = induce(J, module, table)
+    _, nested, at = induce_along([J, K, system.generator_set], module)
+    direct = induce(J, module, p_mu_table(J, module))
     r = module.rank
     # at has |D_J| entries, so hitting each position of D_J once makes a bijection
     report.require(set(at) == set(range(direct.rank // r)),
@@ -750,16 +760,16 @@ def mackey_check(
 # -- the mu factorization corollary ---------------------------------------------
 
 
-def _factor_mu(J: FrozenSet[int], K: FrozenSet[int], reps: Sequence[Element],
-               inner_reps: Sequence[Element], inner_mu: Dict[Tuple[int, int, int], LMat],
-               level: PMuTable) -> Dict[Tuple[int, int, int], LMat]:
-    """The nonzero mu-blocks of J inside ``level.ambient``, factored through K,
-    by position in ``reps``.
+def _factor_mu(inner_mu: Dict[Tuple[int, int, int], LMat], level: PMuTable,
+               r: int) -> Dict[Tuple[int, int, int], LMat]:
+    """The nonzero mu-blocks of J inside ``level.ambient``, factored through
+    K = ``level.gens``, by block of the tower (:func:`_tower_positions`).
 
-    ``inner_mu`` holds the mu-blocks of J inside K by position in
-    ``inner_reps``, and ``level`` is the table of K on the module induced
-    from them.  Every representative in ``reps`` factors as uv with u in
-    D_K and v in D_J^K.  The block at (uv, xy, s) is
+    ``level`` is the table of K on M, the module induced from J up to K of
+    a module of rank ``r``, and ``inner_mu`` holds the mu-blocks of J inside
+    K by block of M, n = rank(M) / r of them.  Block v of M under the
+    level's representative u is block u*n + v, which by transitivity is uv
+    in D_J.  The block at (u*n + v, x*n + y, s) is
 
     * for u = x: the inner block at (v, y) for the conjugated generator
       when s is a zero-class for x, else 0;
@@ -770,14 +780,8 @@ def _factor_mu(J: FrozenSet[int], K: FrozenSet[int], reps: Sequence[Element],
     sub-block that is nonzero where uv is not below xy shows up as an
     entry the direct table does not have.
     """
-    system = level.system
-    r = level.module.rank // len(inner_reps)
+    n = level.module.rank // r
     classes, _ = level._arrays()
-    inner_index = {v: i for i, v in enumerate(inner_reps)}
-    uv = [[None] * len(inner_reps) for _ in level.reps]  # uv[u][v] = the position of uv
-    for w_pos, w in enumerate(reps):
-        u, v = system.factorize(J, K, w)
-        uv[level.index[u]][inner_index[v]] = w_pos
     inner_by_gen: Dict[int, List[Tuple[int, int, LMat]]] = {}
     for (v, y, t), mat in inner_mu.items():
         inner_by_gen.setdefault(t, []).append((v, y, mat))
@@ -786,7 +790,7 @@ def _factor_mu(J: FrozenSet[int], K: FrozenSet[int], reps: Sequence[Element],
         for s, row in classes.items():
             if row[x].tag == DEODHAR_ZERO:
                 for v, y, mat in inner_by_gen.get(row[x].conj, ()):
-                    out[(uv[x][v], uv[x][y], s)] = mat
+                    out[(x * n + v, x * n + y, s)] = mat
     for (u, x, s), mat in level.mu_pos.items():
         # spots[(v, y)][g] = the rows of the (v, y) sub-block of mat's v^g block
         spots: Dict[Tuple[int, int], Dict[int, list]] = {}
@@ -796,7 +800,7 @@ def _factor_mu(J: FrozenSet[int], K: FrozenSet[int], reps: Sequence[Element],
                     by_exp = spots.setdefault((i // r, j // r), {})
                     by_exp.setdefault(g, [[] for _ in range(r)])[i % r].append((j % r, c))
         for (v, y), by_exp in spots.items():
-            out[(uv[u][v], uv[x][y], s)] = LMat.from_coeffs(
+            out[(u * n + v, x * n + y, s)] = LMat.from_coeffs(
                 (r, r), {g: tuple(map(tuple, rows)) for g, rows in by_exp.items()}
             )
     return out
@@ -811,26 +815,30 @@ def mu_factorize_check(
 ) -> Report:
     """Factor mu over S through mu over K acting on the inner induction.
 
-    ``table_ks`` must be computed on the module induced from (J, M) up to
-    K (the module ``table_jk`` describes).  Every entry of ``table_js``
-    must equal the entry :func:`_factor_mu` assembles from ``table_jk``
-    and ``table_ks``: one check per (w, z, s).
+    ``table_jk`` and ``table_ks`` are the two levels of the tower J <= K <= S,
+    S the ambient of ``table_js``: ``table_ks`` is computed on the module
+    induced from ``table_jk``.  :func:`_factor_mu` assembles the blocks of
+    the tower from them, and :func:`_tower_positions` moves each to its
+    position in ``table_js``, every entry of which must equal the assembled
+    one: one check per (w, z, s).
     """
     system = table_js.system
-    J = system._subset(J)
-    K = system._subset(K)
+    J, K, S = system._subset(J), system._subset(K), table_js.ambient
     report = Report("mu factorization along J <= K")
+    levels = (table_js.gens, table_jk.gens, table_jk.ambient, table_ks.gens, table_ks.ambient)
+    if levels != (J, J, K, K, S):
+        raise ValueError("need the tables of J <= S, J <= K and K <= S")
     r = table_js.module.rank
     if table_ks.module.rank != len(table_jk.reps) * r:
         raise ValueError("table_ks is not computed on the induced module of table_jk")
-    factored = _factor_mu(J, K, table_js.reps, table_jk.reps, table_jk.mu_pos, table_ks)
-    reps, ambient = table_js.reps, table_js.ambient
-    # both sides by position (z, w, s), the order of the checks
-    direct, assembled = ({(zi, wi, s): mat for (wi, zi, s), mat in mu.items() if s in ambient}
-                         for mu in (table_js.mu_pos, factored))
+    factored = _factor_mu(table_jk.mu_pos, table_ks, r)
+    at = _tower_positions([table_jk.reps, table_ks.reps], table_js._arrays())
+    # both sides by position (z, w, s) in D_J, the order of the checks
+    direct = {(zi, wi, s): mat for (wi, zi, s), mat in table_js.mu_pos.items()}
+    assembled = {(at[zi], at[wi], s): mat for (wi, zi, s), mat in factored.items()}
+    reps, zero = table_js.reps, table_js.zero
     # one check per (w, z, s); a triple stored on neither side is zero on both
-    report.checks += len(reps) ** 2 * len(ambient)
-    zero = table_js.zero
+    report.checks += len(reps) ** 2 * len(S)
     for zi, wi, s in sorted(direct.keys() | assembled.keys()):
         if direct.get((zi, wi, s), zero) != assembled.get((zi, wi, s), zero):
             report.fail(f"mu({reps[wi]},{reps[zi]},s={s+1}) does not factor through K")
@@ -844,40 +852,30 @@ def mu_inductive(flag: Sequence[Iterable[int]], module: OmegaModule,
                  jobs: int = 1) -> Dict[Tuple[Element, Element, int], LMat]:
     """Compute all mu-blocks for (J, S) along a flag J = K_0 < ... < K_n = S.
 
-    Level i runs the direct recursion from K_{i-1} to K_i once, on the
-    module induced from J up to K_{i-1}, and :func:`_factor_mu` scatters
-    its blocks and the mu-blocks of J inside K_{i-1} onto the
-    representatives of J inside K_i.  Induction is transitive, so the
-    module for the next level is induced from the factored blocks and no
-    level recomputes a lower table; each level's blocks stay keyed by
-    position.  The output equals the mu-part of :func:`p_mu_table`.
+    The levels are those of the tower :func:`_tower` over the flag, each
+    table built once, on the module induced from the level below; the top
+    module is not induced.  :func:`_factor_mu` scatters each level's blocks
+    and the mu-blocks of J inside K_(i-1) onto the blocks of the tower, and
+    :func:`_tower_positions` moves the last level's onto D_J.  The output
+    equals the mu-part of :func:`p_mu_table`.
 
     ``jobs`` has no effect; it is accepted for existing callers and goes
     with the next change to the benchmark.
     """
     system = module.system
-    levels = [system._subset(k) for k in flag]
-    if len(levels) < 2:
-        raise ValueError("flag must contain at least J and the full generator set")
-    if levels[0] != module.gens:
-        raise ValueError("flag must start at the module's generator subset")
-    if levels[-1] != system.generator_set:
-        raise ValueError("flag must end at the full generator set")
-    for lower, upper in zip(levels, levels[1:]):
-        if not lower < upper:
-            raise ValueError("flag subsets must strictly increase")
-    J = levels[0]
-    merged: Dict[Tuple[int, int, int], LMat] = {}
-    inner, inner_reps = module, [system.identity]
-    for k_prev, k_cur in zip(levels, levels[1:]):
-        level = p_mu_table(k_prev, inner, ambient=k_cur)
-        cur_reps = system.min_coset_reps(J, K=k_cur)
-        merged = _factor_mu(J, k_prev, cur_reps, inner_reps, merged, level)
-        if k_cur != system.generator_set:
-            stitched = PMuTable(system, J, k_cur, module, tuple(cur_reps), [], [None], merged)
-            inner = induce(J, module, stitched)
-        inner_reps = cur_reps
-    return {(inner_reps[x], inner_reps[z], s): mat for (x, z, s), mat in merged.items()}
+    levels = _levels(flag, module)
+    if len(levels) < 2 or levels[-1] != system.generator_set:
+        raise ValueError("flag must run from J to the full generator set")
+    if len(set(levels)) < len(levels):
+        raise ValueError("flag subsets must strictly increase")
+    listings, mu = [], {}  # the representatives of each level; mu by tower index
+    for table in _tower(levels, module):
+        listings.append(table.reps)
+        mu = _factor_mu(mu, table, module.rank)
+    del table  # the last level and its module are freed before the walk's arrays
+    reps = system.min_coset_reps(levels[0])
+    at = _tower_positions(listings, system.position_arrays(levels[0], levels[-1], reps))
+    return {(reps[at[x]], reps[at[z]], s): mat for (x, z, s), mat in mu.items()}
 
 
 # -- cross-checks used by the CLI -------------------------------------------------

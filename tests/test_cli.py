@@ -245,6 +245,15 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "--flag" in err and "--max-length" in err
 
+    def test_flag_not_nested(self, system_dir, capsys):
+        # {1} <= {2} fails: the flag's levels must each contain the one before
+        assert run(["table", "--system", str(system_dir / "a3.json"), "-J", "1",
+                    "--module", "sign", "--flag", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: need J <= K: each level of the flag must contain "
+                                "the one before\n")
+
     def test_out_of_memory_exits_two(self, a2_path, monkeypatch, capsys):
         # status 1 is a failed verification, so running out of memory is not a traceback
         from wgraphs import hy

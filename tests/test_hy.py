@@ -818,13 +818,16 @@ class TestMuFactorize:
                                           ("a3", frozenset({0}), frozenset({0, 1}))])
     def test_corollary(self, systems, name, j, k):
         system = systems[name]
-        module = trivial_module(system, j) if not j else sign_module(system, j)
-        table_js = p_mu_table(j, module)
-        table_jk = p_mu_table(j, module, ambient=k)
-        inner = induce(j, module, table_jk)
-        table_ks = p_mu_table(k, inner)
-        report = mu_factorize_check(j, k, table_js, table_jk, table_ks)
-        assert report.ok, str(report)
+        # at J = {1}, also sign + trivial: the level blocks split into 2 x 2 sub-blocks
+        modules = [trivial_module(system, j)] if not j else [
+            sign_module(system, j), OmegaModule(system, j, 2, {0: sparse(((1, 0), (0, 0)))}, {})]
+        for module in modules:
+            table_js = p_mu_table(j, module)
+            table_jk = p_mu_table(j, module, ambient=k)
+            inner = induce(j, module, table_jk)
+            table_ks = p_mu_table(k, inner)
+            report = mu_factorize_check(j, k, table_js, table_jk, table_ks)
+            assert report.ok, str(report)
 
     @staticmethod
     def a3_tables(systems):
@@ -862,6 +865,16 @@ class TestMuFactorize:
         assert report.checks == 432
         assert report.failures == [f"mu({reps[w]},{reps[z]},s={s+1}) does not factor through K"
                                    for w, z, s in bad]
+
+    def test_tables_must_form_the_tower(self, systems):
+        j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
+        with pytest.raises(ValueError, match="need the tables"):
+            mu_factorize_check(j, frozenset({0, 2}), table_js, table_jk, table_ks)
+        with pytest.raises(ValueError, match="need the tables"):
+            mu_factorize_check(j, k, table_js, table_ks, table_jk)
+        sign_k = p_mu_table(k, sign_module(systems["a3"], k))  # rank 1, not 3
+        with pytest.raises(ValueError, match="not computed on the induced module"):
+            mu_factorize_check(j, k, table_js, table_jk, sign_k)
 
     def test_doubled_level_entry_fails(self, systems):
         j, k, table_js, table_jk, table_ks = self.a3_tables(systems)
@@ -926,6 +939,14 @@ class TestMuInductive:
         for module in (sign_module(a3, j), summed):
             direct = p_mu_table(j, module)
             assert mu_inductive(flag, module) == direct.mu
+        # rank 2 over three levels: each level splits the blocks of the one below
+        a4 = CoxeterSystem([[1 if i == k else 3 if abs(i - k) == 1 else 2 for k in range(4)]
+                            for i in range(4)])
+        summed = OmegaModule(a4, j, 2, {0: sparse(((1, 0), (0, 0)))}, {})
+        direct = p_mu_table(j, summed)
+        assert len(direct.mu_pos) == 116
+        flag = [j, frozenset({0, 1}), frozenset({0, 1, 2}), a4.generator_set]
+        assert mu_inductive(flag, summed) == direct.mu
 
     def test_one_table_per_level(self, systems, table_calls):
         b3 = systems["b3"]
@@ -937,29 +958,33 @@ class TestMuInductive:
         assert all(system is b3 for _, _, system in calls)
         assert built == []
 
-    def test_one_factorization_per_rep(self, systems, monkeypatch):
-        """Each level factorizes each of its representatives exactly once."""
+    def test_tower_index_rule(self, systems):
+        """At each level, block u*n + v of the tower is the product of the
+        level's representative u with block v's element, which factorize
+        splits back into them, and the factored mu-blocks, moved onto D_J,
+        are those of J inside the level's ambient."""
+        from wgraphs.hy import _factor_mu, _tower_positions
+
         a3 = systems["a3"]
         module = trivial_module(a3, frozenset())
         flag = [frozenset(), frozenset({0}), frozenset({0, 1}), a3.generator_set]
-        seen = []
-        real = CoxeterSystem.factorize
-
-        def counting(self, J, K, w):
-            seen.append((frozenset(J), frozenset(K), w))
-            return real(self, J, K, w)
-
-        monkeypatch.setattr(CoxeterSystem, "factorize", counting)
-        flagged = mu_inductive(flag, module)
-        monkeypatch.undo()
-        expected = [
-            (flag[0], lower, w)
-            for lower, upper in zip(flag, flag[1:])
-            for w in a3.min_coset_reps(flag[0], K=upper)
-        ]
-        assert sorted(seen, key=repr) == sorted(expected, key=repr)
-        assert len(set(seen)) == len(seen)
-        assert flagged == p_mu_table(flag[0], module).mu
+        tables, _, _ = induce_along(flag, module)
+        J, mu, elements = flag[0], {}, [a3.identity]  # the element of each block
+        for i, level in enumerate(tables, 1):
+            reps = a3.min_coset_reps(J, K=flag[i])
+            at = _tower_positions([t.reps for t in tables[:i]],
+                                  a3.position_arrays(J, flag[i], reps))
+            n = len(elements)
+            assert len(at) == len(level.reps) * n == len(reps)
+            for u, rep in enumerate(level.reps):
+                for v, inner in enumerate(elements):
+                    w = reps[at[u * n + v]]
+                    assert w == a3.mult(rep, inner)
+                    assert a3.factorize(J, flag[i - 1], w) == (rep, inner)
+            mu = _factor_mu(mu, level, module.rank)
+            moved = {(reps[at[x]], reps[at[z]], s): mat for (x, z, s), mat in mu.items()}
+            assert moved == p_mu_table(J, module, ambient=flag[i]).mu
+            elements = [reps[pos] for pos in at]
 
     def test_jobs_do_not_change_output(self, systems, table_calls):
         """``jobs`` is accepted and ignored: same blocks, same tables."""
