@@ -63,9 +63,9 @@ def rho_table(
     T_s^-1 = T_s - (v_s - v_s^-1) applied to the column at s*z by
     :func:`~wgraphs.wgraph.hecke_t_column`, on serials: each distinct block
     is interned once, and the column step's products, diagonal terms and
-    sums are memoised by serial for the whole call.  Deodhar classes and
-    the positions of s*x come from
-    :meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`.  r_{x,z} = 0
+    sums are memoised by serial for the whole call.  The representatives,
+    Deodhar classes and positions of s*x come from one
+    :meth:`~wgraphs.coxeter.CoxeterSystem.coset_listing`.  r_{x,z} = 0
     unless x <= z, so a column stops at z; a nonzero block after it is
     an error.
     """
@@ -76,8 +76,7 @@ def rho_table(
     ambient = system.generator_set if ambient is None else system._subset(ambient)
     if not J <= ambient:
         raise ValueError("J must be contained in the ambient subset")
-    reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
-    classes, shifted = system.position_arrays(J, ambient, reps)
+    reps, (classes, shifted) = system.coset_listing(J, K=ambient, max_length=max_length)
     values: List[Optional[LMat]] = [None]  # values[cols[z][x]] = r_{x,z}
     share = interner(values)
     one = share(LMat.identity(module.rank))

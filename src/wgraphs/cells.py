@@ -6,9 +6,10 @@ arc digraph, and the cell preorder is arc reachability, closed in one
 pass over the components in Tarjan's completion order.  Down-closed
 unions of cells span exactly the submodules with monomial idempotent
 action.  :func:`induced_cells_check` reads Geck's induction of cells off
-the top of the tower {} <= J <= S of :func:`~wgraphs.hy.induce_along`, by
-position, for every left cell of W_J at once; :func:`inner_cells` gives
-the left cell of W_J that each vertex comes from.
+the top of the tower {} <= J <= S of :func:`~wgraphs.hy.induce_along`, the
+induction of its last table, for every left cell of W_J at once;
+:func:`inner_cells` gives the left cell of W_J that each vertex comes from
+by its block alone, so W itself is never enumerated.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 from .coxeter import CoxeterSystem, bit_positions
-from .hy import induce_along
+from .hy import induce, induce_along
 from .report import Report
 from .wgraph import OmegaModule, leaks, trivial_module
 
@@ -138,15 +139,17 @@ def span_is_stable(module: OmegaModule, vertices: Set[int]) -> bool:
 
 def inner_cells(system: CoxeterSystem, J: Iterable[int]) -> Tuple[OmegaModule, List[int]]:
     """The top of the tower {} <= J <= S of :func:`~wgraphs.hy.induce_along`
-    on the regular module, and for each of its vertices the left cell of
-    the regular W-graph M of W_J that it comes from.
+    on the regular module, :func:`~wgraphs.hy.induce` of its last table,
+    and for each of its vertices the left cell of the regular W-graph M of
+    W_J that it comes from.
 
     By transitivity the top is the regular W-graph of W with the block
     (d, c) at d * c, at position d |W_J| + c; its inner cell is the index,
     among the blocks of ``cell_partition(M)``, of the cell holding c.
     """
     regular = trivial_module(system, ())
-    (_, level), graph, _ = induce_along([(), J, system.generator_set], regular)
+    level = induce_along([(), J, system.generator_set], regular)[-1]
+    graph = induce(level.gens, level.module, level)
     n = level.module.rank
     cell_of = [0] * n
     for i, block in enumerate(cell_partition(level.module).blocks):

@@ -173,7 +173,7 @@ def cmd_verify(args) -> int:
     if check == "mu-factorize":
         K = parse_gens(system, args.K, "-K")
         module = resolve_module(system, args.module, J)
-        (table_jk, table_ks), _, _ = hy.induce_along([J, K, system.generator_set], module)
+        table_jk, table_ks = hy.induce_along([J, K, system.generator_set], module)
         table_js = hy.p_mu_table(J, module)
         return _print_report(hy.mu_factorize_check(J, K, table_js, table_jk, table_ks))
     if check == "e-nonzero":

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from operator import itemgetter
@@ -678,13 +679,34 @@ class CoxeterSystem:
         (length, word): the listing of the table of D_J inside W_K, which
         never enumerates W_K.  K = None and K = S both mean the whole group.
         """
+        table, n = self._listing(J, K, max_length)
+        return [Element(w, self) for w in table.words[:n]]
+
+    def coset_listing(self, J: Iterable[int], K: Optional[Iterable[int]] = None,
+                      max_length: Optional[int] = None) -> tuple:
+        """``(reps, (classes, shifted))``: :meth:`min_coset_reps` of (J, K)
+        with its position arrays, all read from one coset table.
+
+        For each s in K, ``classes[s]`` lists the Deodhar class of s on each
+        representative and ``shifted[s]`` the position of s*x (None in the
+        zero case or outside the listing), without a product.
+        """
+        table, n = self._listing(J, K, max_length)
+        classes = {s: [table.deodhar(s, i) for i in range(n)] for s in table.gens}
+        shifted = {s: [None if j is None or j >= n else j for j in table.lmult[s][:n]]
+                   for s in table.gens}
+        return [Element(w, self) for w in table.words[:n]], (classes, shifted)
+
+    def _listing(self, J: Iterable[int], K: Optional[Iterable[int]],
+                 max_length: Optional[int]) -> Tuple[_ElementTable, int]:
+        """The table of D_J inside W_K, grown to ``max_length``, and the
+        number of its words no longer than that, which list by length."""
         if max_length is not None and max_length < 0:
             raise ValueError(f"max_length must be at least 0, not {max_length}")
         table = self._table(max_length, self._subset(J), None if K is None else self._subset(K))
-        words = table.words
-        if max_length is not None:
-            words = [w for w in words if len(w) <= max_length]
-        return [Element(w, self) for w in words]
+        if max_length is None:
+            return table, len(table.words)
+        return table, bisect_right(table.words, max_length, key=len)
 
     def deodhar_class(self, J: Iterable[int], s: int, w: Element) -> DeodharClass:
         """Deodhar's trichotomy for left multiplication of a coset rep by s.
@@ -706,34 +728,6 @@ class CoxeterSystem:
         if i is None:
             raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
         return table, i
-
-    def position_arrays(self, J: Iterable[int], gens: Iterable[int],
-                        reps: Sequence[Element]) -> tuple:
-        """(classes, shifted) for the listing ``reps`` of D_J inside W_gens.
-
-        ``reps`` must be :meth:`min_coset_reps` of (J, gens), for the whole
-        subgroup or a ball; otherwise ValueError.  For each s in ``gens``,
-        ``classes[s]`` lists the Deodhar class of s on each representative
-        and ``shifted[s]`` the position of s*x (None in the zero case or
-        outside the listing).  All are read from the memoised coset table,
-        without a product.
-        """
-        K = self._subset(gens)
-        for x in reps:
-            self._check_same(x.system)
-        radius = len(reps[-1].word) if reps else 0
-        table = self._table(radius, self._subset(J), K)
-        n = len(reps)
-        listing = [w for w in table.words[:n + 1] if len(w) <= radius]
-        if [x.word for x in reps] != listing:
-            missing = sorted(set(listing) - {x.word for x in reps})
-            raise ValueError(f"{Element(missing[0], self)} is not among the representatives"
-                             if missing else "reps are not D_J in (length, word) order")
-        classes, shifted = {}, {}
-        for s in sorted(K):
-            classes[s] = [table.deodhar(s, i) for i in range(n)]
-            shifted[s] = [None if j is None or j >= n else j for j in table.lmult[s][:n]]
-        return classes, shifted
 
     def double_coset_reps(
         self,

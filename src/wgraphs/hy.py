@@ -23,7 +23,9 @@ recursion only ever multiplies by matrices it already has).  The
 recursion follows the well-founded order "z up, then x down" over the
 positions of the representatives in their (length, word) listing, so
 results are deterministic.  Deodhar classes and the positions of s*x are
-read from the coset table of (J, ambient), x <= y is a bit test against
+the table's ``arrays``, read with the representatives from one coset table
+of (J, ambient) by :meth:`~wgraphs.coxeter.CoxeterSystem.coset_listing`,
+x <= y is a bit test against
 :meth:`~wgraphs.coxeter.CoxeterSystem.bruhat_ideals`, and W is never
 enumerated.  The table is a :class:`~wgraphs.wgraph.BlockTable` keyed by
 position, like the oracle's in :mod:`wgraphs.canon`; group elements key
@@ -33,10 +35,11 @@ their results are interned, so a serial always names a stored block.
 
 :func:`induce` assembles the induced module from a finished table.  Nested
 induction is one tower: :func:`_tower` builds the level tables, each on the
-module induced from the level below, and :func:`_tower_positions` walks
-block u*n + v (block v below, under level representative u) to its place
-in D_J.  :func:`induce_along` also induces the top, for
-:func:`transitivity_check` and :func:`~wgraphs.cells.induced_cells_check`.
+module induced from the level below, and :func:`induce_along` returns them.
+A caller that reads the top induces the last table; one that reads
+positions calls :func:`_tower_positions`, which walks block u*n + v (block
+v below, under level representative u) to its place in D_J along arrays
+the caller already has.
 The flag algorithm :func:`mu_inductive` reads the levels alone: the rule by
 which mu-blocks of J <= S factor through J <= K and K <= S, by tower index,
 lives in one place, :func:`_factor_mu`, and :func:`mu_factorize_check`
@@ -81,26 +84,18 @@ class PMuTable(BlockTable):
     where it may be nonzero (x < z, s not a plus-class for x nor a
     minus-class for z), and holds the object of its serial in ``values``.
     ``p`` and ``mu`` are read-only views of both keyed by group elements.
+    ``arrays`` = (classes, shifted) are the position arrays that come with
+    ``reps`` from :meth:`~wgraphs.coxeter.CoxeterSystem.coset_listing`.
     """
 
     mu_pos: Dict[Tuple[int, int, int], LMat]
-    _array_cache: Optional[tuple] = field(default=None, repr=False, compare=False)
+    arrays: tuple = field(repr=False, compare=False)
 
     p = BlockTable.entries  # the p-blocks, keyed by (x, z)
 
     @property
     def mu(self) -> Mapping[Tuple[Element, Element, int], LMat]:
         return BlockView(self, self.mu_pos.items, self.mu_pos.get)
-
-    def _arrays(self) -> tuple:
-        """(classes, shifted): for each ambient s, the lists of the Deodhar
-        class of s on each representative and of the position of s*x (None
-        in the zero case or outside the representatives).  Built on first
-        use by :meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`.
-        """
-        if self._array_cache is None:
-            self._array_cache = self.system.position_arrays(self.gens, self.ambient, self.reps)
-        return self._array_cache
 
     # -- invariants ---------------------------------------------------------
 
@@ -119,7 +114,7 @@ class PMuTable(BlockTable):
         report = Report("p/mu table invariants")
         system, reps = self.system, self.reps
         identity = LMat.identity(self.module.rank)
-        classes, _ = self._arrays()
+        classes, _ = self.arrays
         bits = system.bruhat_ideals(reps, self.gens, self.ambient)
         for (xi, zi), mat in self.pos_items():
             report.checks += 1
@@ -213,9 +208,9 @@ def p_mu_table(
         raise ValueError("J must be contained in the ambient subset")
     if descent_choice not in ("min", "max"):
         raise ValueError("descent_choice must be 'min' or 'max'")
-    reps = system.min_coset_reps(J, K=ambient, max_length=max_length)
-    table = PMuTable(system, J, ambient, module, tuple(reps), [], [None], {})
-    classes, shifted = table._arrays()
+    reps, arrays = system.coset_listing(J, K=ambient, max_length=max_length)
+    table = PMuTable(system, J, ambient, module, tuple(reps), [], [None], {}, arrays)
+    classes, shifted = arrays
     bits = system.bruhat_ideals(reps, J, ambient)
     rank = module.rank
     shape = (rank, rank)
@@ -419,7 +414,7 @@ def induce(
     reps = table.reps
     r = module.rank
     n = len(reps) * r
-    classes, shifted = table._arrays()
+    classes, shifted = table.arrays
 
     def put_block(target, bi, bj, mat) -> None:
         """Add ``mat`` at block (bi, bj) of ``target``, {row: {column: value}}."""
@@ -525,7 +520,7 @@ def _defects(J: Iterable[int], module: OmegaModule,
     """
     omega = induce(J, module, table)
     system, r, n = module.system, module.rank, omega.rank
-    classes, shifted = table._arrays()
+    classes, shifted = table.arrays
     values = table.values
     placed = [(xi, zi, serial) for zi, col in enumerate(table.cols)
               for xi, serial in enumerate(col) if serial]
@@ -574,23 +569,15 @@ def _defects(J: Iterable[int], module: OmegaModule,
 # -- transitivity --------------------------------------------------------------
 
 
-def induce_along(flag: Sequence[Iterable[int]], module: OmegaModule) -> tuple:
-    """Induce ``module`` up the tower J = K_0 <= K_1 <= ... <= K_n, J its
-    generator subset; neighbouring levels may be equal.
+def induce_along(flag: Sequence[Iterable[int]], module: OmegaModule) -> List[PMuTable]:
+    """The level tables of :func:`_tower` up J = K_0 <= K_1 <= ... <= K_n,
+    J the generator subset of ``module``; neighbouring levels may be equal.
 
-    Returns ``(tables, M_n, at)``: the level tables of :func:`_tower`, the
-    top module M_n induced from the last of them, and the
-    :func:`_tower_positions` of its blocks in ``min_coset_reps(J, K=K_n)``.
-    By transitivity (Howlett-Yin II), M_n is the induction of ``module`` to
-    K_n with its blocks moved by ``at``.
+    By transitivity (Howlett-Yin II), :func:`induce` of the last table is
+    the induction of ``module`` to K_n, with its blocks moved to D_J by
+    :func:`_tower_positions` of the tables' representatives.
     """
-    levels = _levels(flag, module)
-    tables = list(_tower(levels, module))
-    top = induce(tables[-1].gens, tables[-1].module, tables[-1]) if tables else module
-    system = module.system
-    reps = system.min_coset_reps(levels[0], K=levels[-1])
-    return tables, top, _tower_positions(
-        [t.reps for t in tables], system.position_arrays(levels[0], levels[-1], reps))
+    return list(_tower(_levels(flag, module), module))
 
 
 def _levels(flag: Sequence[Iterable[int]], module: OmegaModule) -> List[FrozenSet[int]]:
@@ -637,8 +624,11 @@ def transitivity_check(
     system = module.system
     K = system._subset(K)
     report = Report(f"transitivity through K={sorted(s + 1 for s in K)}")
-    _, nested, at = induce_along([J, K, system.generator_set], module)
-    direct = induce(J, module, p_mu_table(J, module))
+    tables = induce_along([J, K, system.generator_set], module)
+    nested = induce(tables[-1].gens, tables[-1].module, tables[-1])
+    table = p_mu_table(J, module)
+    direct = induce(J, module, table)
+    at = _tower_positions([t.reps for t in tables], table.arrays)
     r = module.rank
     # at has |D_J| entries, so hitting each position of D_J once makes a bijection
     report.require(set(at) == set(range(direct.rank // r)),
@@ -744,7 +734,7 @@ def mackey_check(
         compare = induce(conj.gens, conj, inner_table)
         slice_idx: List[int] = []
         for w in inner_table.reps:
-            pos = _plus_walk(table._arrays(), w.word + d.word)
+            pos = _plus_walk(table.arrays, w.word + d.word)
             if pos is None or part[pos] != di:
                 report.fail(f"{w}*{d} is not a representative with part exactly d")
                 continue
@@ -781,7 +771,7 @@ def _factor_mu(inner_mu: Dict[Tuple[int, int, int], LMat], level: PMuTable,
     entry the direct table does not have.
     """
     n = level.module.rank // r
-    classes, _ = level._arrays()
+    classes, _ = level.arrays
     inner_by_gen: Dict[int, List[Tuple[int, int, LMat]]] = {}
     for (v, y, t), mat in inner_mu.items():
         inner_by_gen.setdefault(t, []).append((v, y, mat))
@@ -832,7 +822,7 @@ def mu_factorize_check(
     if table_ks.module.rank != len(table_jk.reps) * r:
         raise ValueError("table_ks is not computed on the induced module of table_jk")
     factored = _factor_mu(table_jk.mu_pos, table_ks, r)
-    at = _tower_positions([table_jk.reps, table_ks.reps], table_js._arrays())
+    at = _tower_positions([table_jk.reps, table_ks.reps], table_js.arrays)
     # both sides by position (z, w, s) in D_J, the order of the checks
     direct = {(zi, wi, s): mat for (wi, zi, s), mat in table_js.mu_pos.items()}
     assembled = {(at[zi], at[wi], s): mat for (wi, zi, s), mat in factored.items()}
@@ -873,8 +863,8 @@ def mu_inductive(flag: Sequence[Iterable[int]], module: OmegaModule,
         listings.append(table.reps)
         mu = _factor_mu(mu, table, module.rank)
     del table  # the last level and its module are freed before the walk's arrays
-    reps = system.min_coset_reps(levels[0])
-    at = _tower_positions(listings, system.position_arrays(levels[0], levels[-1], reps))
+    reps, arrays = system.coset_listing(levels[0])
+    at = _tower_positions(listings, arrays)
     return {(reps[at[x]], reps[at[z]], s): mat for (x, z, s), mat in mu.items()}
 
 
@@ -936,16 +926,16 @@ def e_fix_check(system: CoxeterSystem, J: Iterable[int]) -> Report:
     outside J must fix the basis vector at the identity representative
     exactly.  No p/mu table is built: :func:`induce` takes its E_s from
     :func:`_idempotents` of the table's classes and ``module.e_mat`` alone,
-    and ``p_mu_table(J, module)`` lists the same :meth:`min_coset_reps` and
-    reads its classes from the same :meth:`position_arrays`.  So the E_s
+    and ``p_mu_table(J, module)`` takes its listing and classes from the
+    same :meth:`~wgraphs.coxeter.CoxeterSystem.coset_listing`.  So the E_s
     here are the rows of ``induce(J, module, p_mu_table(J, module))``, and
     the walk multiplies the same matrices as on the induced module.
     """
     J = system._subset(J)
     report = Report(f"idempotent product fixes 1|m0 (J={sorted(s + 1 for s in J)})")
     module = sign_module(system, J)
-    reps = system.min_coset_reps(J)
-    e_mats = _idempotents(module, system.position_arrays(J, system.generator_set, reps)[0])
+    reps, (classes, _) = system.coset_listing(J)
+    e_mats = _idempotents(module, classes)
     e_0 = [1] + [0] * (len(reps) * module.rank - 1)
     column = e_0  # column 0 of the product: e_0 through each factor, the last first
     for s in sorted(system.generator_set, reverse=True):

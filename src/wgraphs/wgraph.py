@@ -242,7 +242,7 @@ def hecke_t_column(
     The induced module H (x)_{H_J} M has the basis T_x (x) m, for x in a
     listing of representatives of D_J and m in ``module``; ``classes`` and
     ``shifted`` are the Deodhar classes of s on them and the positions of
-    s*x (:meth:`~wgraphs.coxeter.CoxeterSystem.position_arrays`), and
+    s*x (:meth:`~wgraphs.coxeter.CoxeterSystem.coset_listing`), and
     ``column`` lists serial numbers of blocks acting on M by position, 0 for
     a zero block, as a :class:`BlockTable` column does.  By Deodhar's
     trichotomy, with delta = v_s - v_s^-1 and T_s^-1 = T_s - delta,

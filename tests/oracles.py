@@ -479,7 +479,7 @@ def check_invariants_fourcase(table) -> Report:
     system, reps, module = table.system, table.reps, table.module
     shape = (module.rank,) * 2
     zero = LMat.zeros(module.rank)
-    classes, shifted = table._arrays()
+    classes, shifted = table.arrays
     bits = system.bruhat_ideals(reps, table.gens, table.ambient)
     c_mats = {u: module.iota_t(u) - LMat.identity(module.rank).scale(
         LaurentPoly.v(system.weight(u))) for u in module.gens}
@@ -528,7 +528,7 @@ def hecke_t_on_induced(table, s):
     """The matrix of T_s on the induced Hecke module in the tensor basis:
     column x is :func:`~wgraphs.wgraph.hecke_t_column` of T_x (x) 1."""
     r = table.module.rank
-    classes, shifted = table._arrays()
+    classes, shifted = table.arrays
     values = [None]
     share, memo = interner(values), ({}, {}, {})
     one = share(LMat.identity(r))

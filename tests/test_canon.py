@@ -16,7 +16,7 @@ from wgraphs.formats import load_system
 from wgraphs.hy import induce, p_mu_table
 from wgraphs.laurent import LaurentPoly, v
 from wgraphs.matrix import LMat, _evaluate
-from wgraphs.wgraph import BlockTable, sign_module, trivial_module
+from wgraphs.wgraph import BlockTable, hecke_t_column, interner, sign_module, trivial_module
 
 from oracles import (block_columns, canonicalise_shadow_lmat, certified_widths, check_rho_entrywise,
                      iota_expand, pi_recursion_checked_first, rho_expanded, serial_columns,
@@ -326,13 +326,20 @@ class TestRhoRecursion:
         stored = sum(map(bool, itertools.chain.from_iterable(rho.cols)))
         assert len(calls) < 2 * len(rho.values) < stored / 5
 
-    def test_missing_shorter_rep_rejected(self, systems, monkeypatch):
-        """A listing without s*z cannot feed the column at z."""
-        real = CoxeterSystem.min_coset_reps
-        monkeypatch.setattr(CoxeterSystem, "min_coset_reps", lambda self, *args, **kwargs: [
-            x for x in real(self, *args, **kwargs) if x.length != 1])
-        with pytest.raises(ValueError, match="not among the representatives"):
-            rho_table(frozenset(), trivial_module(systems["a2"], frozenset()))
+    def test_missing_shorter_rep_rejected(self, systems):
+        """T_s and T_s^-1 cannot move the block at x when s*x is missing from
+        the listing: a plus class whose ``shifted`` entry is None is refused."""
+        a2 = systems["a2"]
+        reps, (classes, shifted) = a2.coset_listing(frozenset())
+        values = [None]
+        share = interner(values)
+        column = [share(LMat.identity(1))] + [0] * (len(reps) - 1)
+        assert classes[0][0].tag == "plus"
+        up = [None] + shifted[0][1:]
+        for inverse in (False, True):
+            with pytest.raises(ValueError, match="not among the representatives"):
+                hecke_t_column(trivial_module(a2, frozenset()), 0, classes[0], up, column,
+                               values, share, ({}, {}, {}), inverse=inverse)
 
 
 def _blocks(table):

@@ -12,7 +12,7 @@ from wgraphs.cells import (
 )
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import load_system
-from wgraphs.hy import induce_along
+from wgraphs.hy import _tower_positions, induce, induce_along
 from wgraphs.report import Report
 from wgraphs.wgraph import OmegaModule, sign_module, trivial_module
 
@@ -173,8 +173,11 @@ def translated(system, J, cell):
     the top of the tower {} <= J <= S through its positions; ``cell`` holds
     element names of W_J."""
     regular = trivial_module(system, frozenset())
-    (inner, _), graph, at = induce_along([(), J, system.generator_set], regular)
-    names = [str(w) for w in system.min_coset_reps(())]
+    inner, level = induce_along([(), J, system.generator_set], regular)
+    graph = induce(level.gens, level.module, level)
+    reps, arrays = system.coset_listing(())
+    at = _tower_positions([inner.reps, level.reps], arrays)
+    names = [str(w) for w in reps]
     n = len(inner.reps)
     image = {names[pos] for k, pos in enumerate(at) if str(inner.reps[k % n]) in cell}
     return image, {frozenset(names[at[v]] for v in block)
@@ -201,6 +204,19 @@ class TestInducedCells:
         report = induced_cells_check(systems["a3"], {0})
         assert str(report) == "induction of cells from J=[1]: ok [20 checks]"
 
+    def test_no_element_table(self):
+        """On F4 through B3, the top is induced from the coset tables of
+        W_J and of D_J alone: W's element table is never built."""
+        f4 = coxeter_matrix(4, {(0, 1): 3, (1, 2): 4, (2, 3): 3})
+        system = CoxeterSystem(f4)
+        graph, inner = inner_cells(system, {0, 1, 2})
+        assert (graph.rank, max(inner) + 1) == (1152, 14)
+        assert "table" not in system._cache
+        system = CoxeterSystem(f4)
+        report = induced_cells_check(system, {0, 1, 2})
+        assert str(report) == "induction of cells from J=[1, 2, 3]: ok [1008 checks]"
+        assert "table" not in system._cache
+
 
 SWEEP_SYSTEMS = ["systems/a3.json", "systems/b3.json", "perfbench/systems/b3_211.json",
                  "systems/b2_unequal.json", "perfbench/systems/i2_8_13.json"]
@@ -217,10 +233,12 @@ class TestInducedCellsByPosition:
     def test_every_cell_of_every_parabolic(self, path):
         system = load_system(str(ROOT / path))
         regular = trivial_module(system, frozenset())
-        names = [str(w) for w in system.min_coset_reps(())]
+        reps, arrays = system.coset_listing(())
+        names = [str(w) for w in reps]
         for size in range(system.rank + 1):
             for J in itertools.combinations(range(system.rank), size):
-                (inner, level), _, at = induce_along([(), J, system.generator_set], regular)
+                inner, level = induce_along([(), J, system.generator_set], regular)
+                at = _tower_positions([inner.reps, level.reps], arrays)
                 n = len(inner.reps)
                 for k, pos in enumerate(at):  # the block (d, c) sits at d * c
                     d, c = level.reps[k // n], inner.reps[k % n]

@@ -138,6 +138,19 @@ class TestVerify:
         assert run(["verify", "--system", a2_path] + argv_tail) == 0
         assert "ok" in capsys.readouterr().out
 
+    def test_mu_factorize_induces_one_module(self, system_dir, monkeypatch, capsys):
+        """The check reads the tables of the tower and the direct table: the
+        only module it induces is the one between the two levels."""
+        import wgraphs.hy as hy
+
+        tables, real = [], hy.induce
+        monkeypatch.setattr(hy, "induce", lambda J, module, table: tables.append(table)
+                            or real(J, module, table))
+        assert run(["verify", "--system", str(system_dir / "a3.json"), "--check", "mu-factorize",
+                    "-J", "1", "-K", "1,2", "--module", "sign"]) == 0
+        assert capsys.readouterr().out == "mu factorization along J <= K: ok [432 checks]\n"
+        assert [(t.gens, t.ambient) for t in tables] == [({0}, {0, 1})]
+
     def test_oracle_b2(self, system_dir):
         b2 = str(system_dir / "b2.json")
         assert run(["verify", "--system", b2, "--check", "oracle", "-J", "1",

@@ -668,22 +668,20 @@ class TestCosetTable:
         for size in range(system.rank + 1):
             for J in map(frozenset, itertools.combinations(range(system.rank), size)):
                 for K in [full] + [full - {u} for u in sorted(full - J)]:
-                    reps = system.min_coset_reps(J, K, radius)
+                    reps, (got_classes, got_shifted) = system.coset_listing(J, K, radius)
                     words, classes, shifted = self._reference(elements, rows, J, K, radius)
                     assert [x.word for x in reps] == words
-                    got_classes, got_shifted = system.position_arrays(J, K, reps)
+                    assert system.min_coset_reps(J, K, radius) == reps
                     assert got_shifted == shifted
                     assert {s: [(c.tag, c.conj) for c in row]
                             for s, row in got_classes.items()} == classes
 
-    def test_position_arrays_need_the_listing(self, systems):
+    def test_bruhat_ideals_need_d_j_in_order(self, systems):
         b3 = systems["b3"]
         reps = b3.min_coset_reps({0})
-        for bad in (reps[:2] + reps[3:], reps[::-1], reps + [b3.element((0,))]):
+        for bad in (reps[::-1], reps + [b3.element((0,))]):
             with pytest.raises(ValueError):
-                b3.position_arrays({0}, b3.generator_set, bad)
-        with pytest.raises(ValueError, match="2 is not among"):
-            b3.position_arrays({0}, b3.generator_set, reps[:1] + reps[2:])
+                b3.bruhat_ideals(bad, {0})
         with pytest.raises(ValueError):
             b3.bruhat_ideals(reps, {1})
 
@@ -693,9 +691,8 @@ class TestCosetTable:
             matrix[s][t] = matrix[t][s] = 3
         system = CoxeterSystem(matrix)
         J = frozenset(range(7))
-        reps = system.min_coset_reps(J)
+        reps, (classes, shifted) = system.coset_listing(J)
         assert len(reps) == 240 and reps[-1].length == 57
-        classes, shifted = system.position_arrays(J, system.generator_set, reps)
         # the longest representative: every s is a left descent or a zero class
         assert all(row[-1].tag != "plus" for row in classes.values())
         for row in shifted.values():  # s*(s*x) = x outside the zero class

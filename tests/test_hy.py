@@ -21,6 +21,7 @@ from wgraphs.wgraph import (
 from wgraphs.hy import (
     PMuTable,
     _defects,
+    _tower_positions,
     canonical_matrix,
     e_fix_check,
     induce,
@@ -394,7 +395,7 @@ class TestIntertwiningDefect:
         """(name, x of the changed block, table) for a changed, a deleted and an
         added p-block, the last at x not below z, and a changed mu-block."""
         reps = table.reps
-        classes, _ = table._arrays()
+        classes, _ = table.arrays
         bits = table.system.bruhat_ideals(reps, table.gens, table.ambient)
         # keys by position, (x, z) and (x, z, s)
         off = sorted((k for k, _ in table.pos_items() if k[0] != k[1]), key=lambda k: (k[1], k[0]))
@@ -410,7 +411,7 @@ class TestIntertwiningDefect:
                           ("mu", mu_key)]:
             copy = PMuTable(table.system, table.gens, table.ambient, table.module, reps,
                             [col[:] for col in table.cols], list(table.values),
-                            dict(table.mu_pos))
+                            dict(table.mu_pos), table.arrays)
             if name == "changed":
                 store_block(copy, key, copy._at(key) + one.scale(v(1)))
             elif name == "deleted":
@@ -462,7 +463,7 @@ class TestIntertwiningDefect:
 
         module, table = self._clean(*self.CASES[0])
         s = min(table.ambient)
-        classes, shifted = table._arrays()
+        classes, shifted = table.arrays
         assert classes[s][0].tag == "plus"
         real = hy.induce
 
@@ -525,7 +526,8 @@ class TestIntertwiningDefect:
 def _copy_with_p(table, key, mat):
     """A copy of ``table`` with p-block ``mat`` at position ``key``."""
     copy = PMuTable(table.system, table.gens, table.ambient, table.module, table.reps,
-                    [col[:] for col in table.cols], list(table.values), dict(table.mu_pos))
+                    [col[:] for col in table.cols], list(table.values), dict(table.mu_pos),
+                    table.arrays)
     store_block(copy, key, mat)
     return copy
 
@@ -557,7 +559,7 @@ class TestDefectReference:
     def test_induced_module_with_zero_classes(self):
         k, module, table = self._a4_rank_12()
         assert module.rank == 12
-        classes, _ = table._arrays()
+        classes, _ = table.arrays
         assert any(c.tag == "zero" for row in classes.values() for c in row)
         expected = defects_lmat(k, module, table)
         assert _defects(k, module, table) == expected and not any(expected.values())
@@ -692,6 +694,23 @@ class TestTransitivity:
         report = transitivity_check({0}, k, sign_module(systems["a3"], {0}))
         assert report.ok and report.checks == 7, str(report)
 
+    def test_one_listing_per_table(self, monkeypatch):
+        """A4, J = {1}, K = {1,2,3}, sign: the listings of the two levels and
+        of the direct table are built once each, and the walk to D_J reads
+        the direct table's arrays."""
+        system = CoxeterSystem(A4)
+        J, K, S = frozenset({0}), frozenset({0, 1, 2}), system.generator_set
+        calls, real = [], CoxeterSystem.coset_listing
+
+        def counted(self, J, K=None, max_length=None):
+            calls.append((frozenset(J), self.generator_set if K is None else frozenset(K)))
+            return real(self, J, K, max_length)
+
+        monkeypatch.setattr(CoxeterSystem, "coset_listing", counted)
+        report = transitivity_check(J, K, sign_module(system, J))
+        assert str(report) == "transitivity through K=[1, 2, 3]: ok [9 checks]"
+        assert calls == [(J, K), (K, S), (J, S)]
+
 
 TOWER_SYSTEMS = ["systems/a3.json", "systems/b3.json", "perfbench/systems/h3.json",
                  "perfbench/systems/b3_211.json", "perfbench/systems/i2_8_13.json"]
@@ -711,8 +730,10 @@ class TestInduceAlong:
         want = {frozenset(names[v] for v in block)
                 for block in cell_partition(induce(frozenset(), regular, direct)).blocks}
         K = system.generator_set - {drop}
-        tables, top, at = induce_along([(), K, system.generator_set], regular)
+        tables = induce_along([(), K, system.generator_set], regular)
         assert [t.ambient for t in tables] == [K, system.generator_set]
+        top = induce(K, tables[-1].module, tables[-1])
+        at = _tower_positions([t.reps for t in tables], system.coset_listing(())[1])
         assert sorted(at) == list(range(len(names)))  # a bijection onto D_{}
         assert {frozenset(names[at[v]] for v in block)
                 for block in cell_partition(top).blocks} == want
@@ -963,17 +984,16 @@ class TestMuInductive:
         level's representative u with block v's element, which factorize
         splits back into them, and the factored mu-blocks, moved onto D_J,
         are those of J inside the level's ambient."""
-        from wgraphs.hy import _factor_mu, _tower_positions
+        from wgraphs.hy import _factor_mu
 
         a3 = systems["a3"]
         module = trivial_module(a3, frozenset())
         flag = [frozenset(), frozenset({0}), frozenset({0, 1}), a3.generator_set]
-        tables, _, _ = induce_along(flag, module)
+        tables = induce_along(flag, module)
         J, mu, elements = flag[0], {}, [a3.identity]  # the element of each block
         for i, level in enumerate(tables, 1):
-            reps = a3.min_coset_reps(J, K=flag[i])
-            at = _tower_positions([t.reps for t in tables[:i]],
-                                  a3.position_arrays(J, flag[i], reps))
+            reps, arrays = a3.coset_listing(J, K=flag[i])
+            at = _tower_positions([t.reps for t in tables[:i]], arrays)
             n = len(elements)
             assert len(at) == len(level.reps) * n == len(reps)
             for u, rep in enumerate(level.reps):
@@ -1117,7 +1137,7 @@ class TestEFix:
         k, trivial = frozenset({0, 1, 2}), trivial_module(d4, frozenset())
         module = induce(frozenset(), trivial, p_mu_table(frozenset(), trivial, ambient=k))
         table = p_mu_table(k, module)
-        classes, _ = table._arrays()
+        classes, _ = table.arrays
         assert module.rank == 24 and any(
             c.tag == "zero" and c.conj != s for s, column in classes.items() for c in column)
         e = _idempotents(module, classes)
@@ -1328,7 +1348,7 @@ class TestSerialColumns:
                 if k == serial:
                     col[xi] = len(table.values)
         copy = PMuTable(table.system, table.gens, table.ambient, table.module, table.reps,
-                        cols, table.values + [twin], table.mu_pos)
+                        cols, table.values + [twin], table.mu_pos, table.arrays)
         assert copy.p == table.p and {id(mat) for mat in copy.p.values()} >= {id(twin)}
         assert (formats.dumps(formats.table_to_json(copy))
                 == formats.dumps(formats.table_to_json(table)))
@@ -1430,9 +1450,9 @@ class TestIndexKernel:
 
         table = p_mu_table(j, module)
         yield "p_mu_table"
-        # a table built without the recursion builds its arrays on first use
+        # a table built without the recursion, on the same listing and arrays
         fresh = PMuTable(system, table.gens, table.ambient, module, table.reps,
-                         table.cols, table.values, table.mu_pos)
+                         table.cols, table.values, table.mu_pos, table.arrays)
         assert fresh.check_invariants().ok
         yield "check_invariants"
         rho = rho_table(j, module)
@@ -1451,7 +1471,7 @@ class TestIndexKernel:
             assert not any(counts.values()), (step, counts)
         table = p_mu_table(j, module)
         assert len(table.p) > 3 * len(table.reps) * system.rank  # many pairs to query
-        zeros = sum(c.tag == "zero" for row in table._arrays()[0].values() for c in row)
+        zeros = sum(c.tag == "zero" for row in table.arrays[0].values() for c in row)
         assert (zeros == 0) == (not j)
 
     @pytest.mark.parametrize("name,j,make", [("b3", frozenset(), trivial_module),
@@ -1640,7 +1660,7 @@ class TestMemo:
         """The keyed inputs of the mu-step that the table exercises: a window
         term p(x, y) mu(y, z, s) with exponents adding up to <= 0, and a
         zero class of s on x or on z."""
-        classes, _ = table._arrays()
+        classes, _ = table.arrays
         bits = table.system.bruhat_ideals(table.reps, table.gens, table.ambient)
         found = set()
         for (yi, zi, s), mu in table.mu_pos.items():
