@@ -19,8 +19,9 @@ built on its element's first query.
 Coset queries read a table of the minimal coset representatives D_J
 inside W_K, built the same way over the generators of K and memoised per
 (J, K); Deodhar's zero class s*x = x*t is read from the root images.
-Every coset question is a walk through these tables (Deodhar classes,
-factorisations, double cosets) and forms no product.  The table of
+Every coset question is a walk through these tables and forms no
+product: Deodhar classes here, the towers and double-coset parts of
+``wgraphs.hy`` over the arrays of :meth:`coset_listing`.  The table of
 J = {} and K = S is the element table itself.
 
 Generator indices are 0-based internally.  A Coxeter matrix entry of 0
@@ -715,84 +716,13 @@ class CoxeterSystem:
         an s*w missing from the ball is longer.
         """
         self._check_generator(s)
-        table, i = self._position(self._subset(J), w, len(w.word))
-        return table.deodhar(s, i)
-
-    def _position(self, J: FrozenSet[int], w: Element,
-                  radius: int) -> Tuple[_ElementTable, int]:
-        """The table of D_J at this radius and w's position in it; ValueError
-        if w is not in D_J."""
         self._check_same(w.system)
-        table = self._table(radius, J)
+        J = self._subset(J)
+        table = self._table(len(w.word), J)
         i = table.index.get(w.word)
         if i is None:
             raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
-        return table, i
-
-    def double_coset_reps(
-        self,
-        K: Iterable[int],
-        J: Iterable[int],
-        max_length: Optional[int] = None,
-    ) -> List[Element]:
-        """Minimal-length representatives of the W_K x W_J double cosets.
-
-        These are the x in the table of D_J on which no s in K is a minus
-        class, in (length, word) order.
-        """
-        K = self._subset(K)
-        table = self._table(max_length, self._subset(J))
-        return [Element(w, self) for i, w in enumerate(table.words)
-                if (max_length is None or len(w) <= max_length)
-                and not any(table.deodhar(s, i) is _MINUS for s in K)]
-
-    def factorize(self, J: Iterable[int], K: Iterable[int], w: Element) -> Tuple[Element, Element]:
-        """Split w in D_J as x*y with x in D_K and y in D_J^K = D_J inside W_K.
-
-        Requires J <= K; the splitting is unique and length-additive.  w's
-        canonical word is read from its end, in the table of D_K: a letter s
-        of plus class on x lengthens x, and one of zero class, s*x = x*t,
-        lengthens y by t in the table of D_J^K, where t must be a plus class
-        on y, else w is not in D_J.  (A reduced word has no minus class.)
-        """
-        J = self._subset(J)
-        K = self._subset(K)
-        if not J <= K:
-            raise ValueError("factorize requires J to be contained in K")
-        self._check_same(w.system)
-        radius = len(w.word)  # x and y are no longer than w
-        outer, inner = self._table(radius, K), self._table(radius, J, K)
-        x = y = 0
-        for s in reversed(w.word):
-            cls = outer.deodhar(s, x)
-            if cls is _PLUS:
-                x = outer.lmult[s][x]
-            elif inner.deodhar(cls.conj, y) is _PLUS:
-                y = inner.lmult[cls.conj][y]
-            else:
-                raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
-        return Element(outer.words[x], self), Element(inner.words[y], self)
-
-    def double_coset_decompose(
-        self, K: Iterable[int], J: Iterable[int], x: Element
-    ) -> Tuple[Element, Element]:
-        """Write x in D_J as w*a with a the minimal W_K-W_J double coset rep.
-
-        Then w lies in W_K, is a minimal coset representative for the
-        conjugated subset K n aJa^-1 inside W_K, and l(wa) = l(w) + l(a).
-        The least minus class in K is stripped from x in the table of D_J
-        until none is left; the left descents in K of w*a are those of w,
-        so the stripped letters are w's canonical word.
-        """
-        K = sorted(self._subset(K))
-        table, i = self._position(self._subset(J), x, len(x.word))
-        letters: List[int] = []
-        while True:
-            s = next((s for s in K if table.deodhar(s, i) is _MINUS), None)
-            if s is None:
-                return Element(tuple(letters), self), Element(table.words[i], self)
-            letters.append(s)
-            i = table.lmult[s][i]
+        return table.deodhar(s, i)
 
     def __repr__(self) -> str:
         return f"CoxeterSystem(matrix={self.matrix!r}, weights={self.weights!r})"

@@ -691,7 +691,10 @@ def mackey_check(
     For each minimal double-coset representative d, the span of the basis
     vectors whose double-coset part is <= d must be closed under the
     restricted action, and the subquotient must match the induction (from
-    the conjugated subset, of the conjugated module) inside W_K.
+    the conjugated subset, of the conjugated module) inside W_K.  The parts
+    and the walks w*d are read from the table's ``coset_listing`` arrays: the
+    representatives d are the positions with no minus class in K, in
+    listing order, and their Bruhat order is the table's ideal bitsets.
     """
     system = module.system
     J = system._subset(J)
@@ -702,47 +705,44 @@ def mackey_check(
     induced = induce(J, module, table)
     r = module.rank
     reps = table.reps
-    dcoset_reps = system.double_coset_reps(K, J)
+    classes, shifted = table.arrays
 
-    # double-coset part of every representative, by position in dcoset_reps
-    at = {d: i for i, d in enumerate(dcoset_reps)}
-    part: List[Optional[int]] = []
-    for x in reps:
-        _, a = system.double_coset_decompose(K, J, x)
-        part.append(at.get(a))
-        if a not in at:
-            report.fail(f"decomposition of {x} gave a non-minimal part {a}")
-    if not report.ok:
-        return report
+    # double-coset part of every representative, by position: strip the
+    # least minus class in K, which leads to an earlier position
+    part: List[int] = []
+    for x in range(len(reps)):
+        s = next((s for s in sorted(K) if classes[s][x].tag == DEODHAR_MINUS), None)
+        part.append(x if s is None else part[shifted[s][x]])
 
-    below = system.bruhat_ideals(dcoset_reps, J)
-    for di, d in enumerate(dcoset_reps):
+    bits = system.bruhat_ideals(reps, J)
+    for d in (x for x, a in enumerate(part) if a == x):
+        rep = reps[d]
         members = {
             i * r + b
             for i, a in enumerate(part)
-            if below[di] >> a & 1
+            if bits[d] >> a & 1
             for b in range(r)
         }
         for s in sorted(K):
             for mat in induced.matrices(s):
                 report.require(not leaks(mat, members),
-                               f"span up to d={d} is not stable under generator {s+1}")
+                               f"span up to d={rep} is not stable under generator {s+1}")
 
         # subquotient at exactly d vs induction of the conjugated module
-        conj = module.conjugate(d, K)
+        conj = module.conjugate(rep, K)
         inner_table = p_mu_table(conj.gens, conj, ambient=K)
         compare = induce(conj.gens, conj, inner_table)
         slice_idx: List[int] = []
         for w in inner_table.reps:
-            pos = _plus_walk(table.arrays, w.word + d.word)
-            if pos is None or part[pos] != di:
-                report.fail(f"{w}*{d} is not a representative with part exactly d")
+            pos = _plus_walk(table.arrays, w.word, d)
+            if pos is None or part[pos] != d:
+                report.fail(f"{w}*{rep} is not a representative with part exactly d")
                 continue
             slice_idx.extend(pos * r + b for b in range(r))
         if not report.ok:
             return report
         _compare_action(
-            report, compare, induced, slice_idx, K, f"subquotient at d={d}: {{}} mismatch"
+            report, compare, induced, slice_idx, K, f"subquotient at d={rep}: {{}} mismatch"
         )
     return report
 

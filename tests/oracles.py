@@ -4,8 +4,8 @@ Everything here is deliberately computed WITHOUT the package's recursion
 machinery: concrete matrix/permutation models for the small groups, Tits
 rewriting for the word problem, a brute-force subword test for the Bruhat
 order, coset splittings by stripping descents through products (the
-reference for the coset-table walks of ``CoxeterSystem.factorize`` and
-``double_coset_decompose``), the bar involution expanded in the T-basis
+reference for the stripping by position in ``wgraphs.hy.mackey_check``
+and for the tower's index rule), the bar involution expanded in the T-basis
 over the whole group (the reference for the one-letter recursion of
 ``wgraphs.canon.rho_table``), the composition identity of the
 involution's blocks summed as Laurent matrices pair by pair (the
@@ -233,8 +233,10 @@ def peel(system, J, K, w, left: bool) -> tuple:
     is left, multiplying in W; return (stripped part, rest) for left and
     (rest, stripped part) for right, so that the product of the pair is w.
 
-    Right peeling is ``factorize(J, K, w)`` for J <= K, left peeling is
-    ``double_coset_decompose(K, J, w)``.  ValueError if w is not in D_J.
+    Right peeling for J <= K splits w into a representative of D_K and one
+    of D_J inside W_K, the tower's index rule; left peeling splits off the
+    W_K-W_J double coset part that Mackey strips by position.  ValueError
+    if w is not in D_J.
     """
     if system.right_descents(w) & J:
         raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")

@@ -348,18 +348,16 @@ class TestBallGrowth:
         assert _radius(system) == 8 and len(system._cache["table"].words) == 9866
 
     def test_e8_coset_splits_read_the_ball_of_w(self):
-        # factorize and double_coset_decompose read the tables of radius
-        # l(w), never the whole of D_K or D_J (all of E8 for K = {})
+        # Deodhar classes of w on D_J read the tables of radius l(w), never
+        # the whole of D_J (all of E8 for J = {})
         system = CoxeterSystem(_e8_matrix())
-        w, e = system.element((0, 2, 3, 1, 4)), system.identity
-        head, tail = system.element((0, 2, 3)), system.element((1, 4))
-        assert system.factorize((), (), w) == (w, e)
-        assert system.factorize((), range(8), w) == (e, w)
-        assert system.factorize((), (1, 4), w) == (head, tail)
-        assert system.double_coset_decompose((), (), w) == (e, w)
-        assert system.double_coset_decompose((0, 2, 3), (), w) == (head, tail)
+        w = system.element((0, 2, 3, 1, 4))
+        assert [system.deodhar_class((), s, w).tag for s in range(8)] == ["minus"] + ["plus"] * 7
+        classes = [system.deodhar_class((0, 2, 3), s, w) for s in range(4)]
+        assert [(c.tag, c.conj) for c in classes] == [
+            ("minus", None), ("plus", None), ("zero", 0), ("zero", 2)]
         with pytest.raises(ValueError, match="not a minimal coset representative"):
-            system.factorize((1,), (1, 4), w)
+            system.deodhar_class((1,), 0, w)
         tables = [t for key, t in system._cache.items() if key == "table" or key[0] == "table"]
         assert tables and all(len(t.words[-1]) <= 5 for t in tables)
         assert max(len(t.words) for t in tables) < 10 ** 4
@@ -739,23 +737,6 @@ class TestDeodhar:
 
 
 class TestDoubleCosets:
-    def test_a2_example(self, systems):
-        a2 = systems["a2"]
-        reps = a2.double_coset_reps({0}, {0})
-        assert [str(x) for x in reps] == ["e", "2"]
-
-    def test_factorize_inside_parabolic(self, systems):
-        a2 = systems["a2"]
-        for w in a2.min_coset_reps((), {0}):
-            x, y = a2.factorize(frozenset(), {0}, w)
-            assert x.is_identity() and y == w
-
-    def test_factorize_example(self, systems):
-        a2 = systems["a2"]
-        ts = a2.element((1, 0))
-        x, y = a2.factorize(frozenset(), {0}, ts)
-        assert (str(x), str(y)) == ("2", "1")
-
     @pytest.mark.parametrize("name", ["a2", "a3", "b2"])
     def test_factorization_bijection(self, systems, name):
         """D_K x D_J^K -> D_J is a length-additive bijection for J <= K."""
@@ -780,7 +761,7 @@ class TestDoubleCosets:
                         pairs[xy] = (x, y)
                 assert set(pairs) == set(d_j)
                 for w in d_j:
-                    assert system.factorize(J, K, w) == pairs[w]
+                    assert peel(system, J, K, w, left=False) == pairs[w]
 
     @pytest.mark.parametrize("name", ["a2", "a3", "b2"])
     def test_class_partition_of_products(self, systems, name):
@@ -809,18 +790,6 @@ class TestDoubleCosets:
                                 inner = system.deodhar_class(J, outer.conj, y)
                                 assert got == inner.tag
 
-    def test_double_coset_decompose(self, systems):
-        a3 = systems["a3"]
-        J = frozenset({0})
-        K = frozenset({1, 2})
-        reps = set(a3.double_coset_reps(K, J))
-        for x in a3.min_coset_reps(J):
-            w, a = a3.double_coset_decompose(K, J, x)
-            assert a in reps
-            assert a3.mult(w, a) == x
-            assert w.length + a.length == x.length
-            assert set(w.word) <= K
-
     @pytest.fixture(params=["a2", "a3", "b2", "b2_unequal", "b3", "i2_5", "affine_a1"])
     def ball(self, request, systems):
         """(system, max_length): a finite system whole, affine A1 up to length 4."""
@@ -840,8 +809,9 @@ class TestDoubleCosets:
                 and not x.right_descents() & J and not x.left_descents() & left]
 
     def test_factorize_against_references(self, ball):
-        """factorize equals right descent peeling and the one length-additive
-        split x*y found among all pairs, for every J <= K."""
+        """Right descent peeling, the reference for the tower's index rule,
+        equals the one length-additive split x*y found among all pairs, for
+        every J <= K."""
         system, radius = ball
         elements = system.elements(radius)
         for K in self._subsets(system):
@@ -853,38 +823,22 @@ class TestDoubleCosets:
                 pairs = {system.mult(x, y): (x, y) for x in d_k for y in d_jk
                          if radius is None or x.length + y.length <= radius}
                 for w in system.min_coset_reps(J, max_length=radius):
-                    got = system.factorize(J, K, w)
-                    assert got == peel(system, J, K, w, left=False) == pairs[w]
-                    assert got[0].length + got[1].length == w.length
+                    assert peel(system, J, K, w, left=False) == pairs[w]
 
     def test_double_cosets_against_references(self, ball):
-        """double_coset_reps equals the descent filter over the elements, and
-        double_coset_decompose equals left descent peeling and the split
-        u*a with u in W_K and a a double coset representative."""
+        """Left descent peeling, the reference for Mackey's stripping, equals
+        the split u*a with u in W_K and a in the descent filter of the
+        W_K-W_J double coset representatives."""
         system, radius = ball
         elements = system.elements(radius)
         for K in self._subsets(system):
             w_k = self._filtered(elements, K=K)
             for J in self._subsets(system):
-                reps = system.double_coset_reps(K, J, max_length=radius)
-                assert reps == self._filtered(elements, J, left=K)
+                reps = self._filtered(elements, J, left=K)
                 splits = {system.mult(u, a): (u, a) for a in reps for u in w_k
                           if radius is None or u.length + a.length <= radius}
                 for x in system.min_coset_reps(J, max_length=radius):
-                    got = system.double_coset_decompose(K, J, x)
-                    assert got == peel(system, J, K, x, left=True) == splits[x]
-
-    def test_factorize_rejects_bad_input(self, systems):
-        a2 = systems["a2"]
-        with pytest.raises(ValueError):
-            a2.factorize({0, 1}, {0}, a2.identity)  # J not inside K
-        with pytest.raises(ValueError):
-            a2.factorize({0}, {0, 1}, a2.element((0,)))  # not in D_J
-
-    def test_double_coset_decompose_rejects_non_minimal(self, systems):
-        a3 = systems["a3"]
-        with pytest.raises(ValueError):
-            a3.double_coset_decompose({1, 2}, {0}, a3.element((1, 0)))
+                    assert peel(system, J, K, x, left=True) == splits[x]
 
 
 class TestInfinite:
