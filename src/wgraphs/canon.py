@@ -39,7 +39,7 @@ from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 from .coxeter import bit_positions
 from .matrix import LMat, _abs_row_sums, _block, _evaluate, _mul_into, _placed_rows
 from .report import Report
-from .wgraph import BlockTable, OmegaModule, hecke_t_column, interner, serial_array
+from .wgraph import BlockTable, OmegaModule, hecke_t_column, interner, serial_array, table_subsets
 
 
 class CanonicalisationError(RuntimeError):
@@ -70,12 +70,7 @@ def rho_table(
     an error.
     """
     system = module.system
-    J = system._subset(J)
-    if J != module.gens:
-        raise ValueError("module is defined for a different generator subset")
-    ambient = system.generator_set if ambient is None else system._subset(ambient)
-    if not J <= ambient:
-        raise ValueError("J must be contained in the ambient subset")
+    J, ambient = table_subsets(J, module, ambient)
     reps, (classes, shifted) = system.coset_listing(J, K=ambient, max_length=max_length)
     values: List[Optional[LMat]] = [None]  # values[cols[z][x]] = r_{x,z}
     share = interner(values)

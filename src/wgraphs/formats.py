@@ -6,9 +6,8 @@ trailing newline), so identical inputs produce identical files.
 sort_keys=True)`` gives, in one pass over the document with the stdlib's C
 string escaper (the stdlib falls back to its pure-Python encoder whenever
 an indent is given), and joins a container that recurs at the same depth
-into one string on its second use; a dict value already joined is
-appended without a call.  :func:`dump` writes the same pieces to an open
-file without joining the document into one string.
+into one string on its second use.  :func:`dump` writes the same pieces
+to an open file without joining the document into one string.
 
 The p-part of :func:`table_to_json` is a :class:`PView`, a read-only
 mapping keyed by "x|z" over the table's serial columns; no p-dict is
@@ -115,8 +114,7 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
 
     ``seen[newline]`` maps the id of each container written so far at that
     indent to the span of ``parts`` that holds its text, or, once it is
-    written a second time, to that text joined into one string; a dict
-    value whose text is joined is appended without a call.  A
+    written a second time, to that text joined into one string.  A
     :class:`PView` that :func:`dump` meets as a value of the document
     itself, inside no container that may repeat, goes to the file.
     """
@@ -145,17 +143,9 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
         lead = ("{" if kind is dict else "[") + inner
         separator = "," + inner
         if kind is dict:
-            below = seen.get(inner)
-            if below is None:
-                below = seen[inner] = {}
             for name in sorted(value):
-                item = value[name]
                 parts.append(lead + _encode_str(name) + ": ")  # a key that is no str raises here
-                done = below.get(id(item))
-                if type(done) is str:
-                    parts.append(done)
-                else:
-                    _write(item, inner, parts, seen)
+                _write(value[name], inner, parts, seen)
                 lead = separator
             parts.append(newline + "}")
         else:

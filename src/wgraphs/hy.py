@@ -45,7 +45,8 @@ which mu-blocks of J <= S factor through J <= K and K <= S, by tower index,
 lives in one place, :func:`_factor_mu`, and :func:`mu_factorize_check`
 compares every direct entry against it.  :func:`transitivity_check`,
 :func:`mackey_check` and :func:`mu_factorize_check` verify the identities of
-inductions along parabolic chains.  The defining identity of the
+inductions along parabolic chains, the first two with an induced module
+cut by :meth:`~wgraphs.wgraph.OmegaModule.restrict`.  The defining identity of the
 construction, H_s P = P Omega_s for the base change P, is evaluated in one
 place too, :func:`_defects`, by integer products at v = 2^B with B taken
 from the coefficients: :func:`verify_h_linearity` reads one verdict per s
@@ -67,7 +68,8 @@ from .laurent import LaurentPoly
 from .matrix import (LMat, _abs_row_sums, _block, _dot, _mul_into, _placed_rows, _scaled,
                      imat_identity)
 from .report import Report
-from .wgraph import BlockTable, BlockView, OmegaModule, interner, leaks, serial_array, sign_module
+from .wgraph import (BlockTable, BlockView, OmegaModule, interner, leaks, serial_array, sign_module,
+                     table_subsets)
 
 
 class RecursionInvariantError(RuntimeError):
@@ -200,12 +202,7 @@ def p_mu_table(
     exponent exceeds every weight, as it has no mu.
     """
     system = module.system
-    J = system._subset(J)
-    if J != module.gens:
-        raise ValueError("module is defined for a different generator subset")
-    ambient = system.generator_set if ambient is None else system._subset(ambient)
-    if not J <= ambient:
-        raise ValueError("J must be contained in the ambient subset")
+    J, ambient = table_subsets(J, module, ambient)
     if descent_choice not in ("min", "max"):
         raise ValueError("descent_choice must be 'min' or 'max'")
     reps, arrays = system.coset_listing(J, K=ambient, max_length=max_length)
@@ -434,12 +431,9 @@ def induce(
         ls = system.weight(s)
         x_mats: Dict[int, dict] = {g: {} for g in range(ls)}
         for zi, cls in enumerate(column):
-            if cls.tag == DEODHAR_ZERO:
-                conj = cls.conj
-                if system.weight(conj) != ls:
-                    raise AssertionError("conjugate generators carry different weights")
+            if cls.tag == DEODHAR_ZERO:  # s and its conjugate carry one weight
                 for g in range(ls):
-                    inner = module.x.get((conj, g))
+                    inner = module.x.get((cls.conj, g))
                     if inner is not None:
                         put_block(x_mats[g], zi, zi, inner)
             elif cls.tag == DEODHAR_PLUS:  # carry to the longer rep
@@ -635,11 +629,8 @@ def transitivity_check(
                    "reindexing (w,z) -> wz is not a bijection")
     if not report.ok:
         return report
-
-    _compare_action(
-        report, nested, direct, [pos * r + b for pos in at for b in range(r)],
-        system.generator_set, "{} differs between nested and direct induction"
-    )
+    walked = direct.restrict(system.generator_set, [pos * r + b for pos in at for b in range(r)])
+    _compare_action(report, nested, walked, "{} differs between nested and direct induction")
     return report
 
 
@@ -656,26 +647,13 @@ def _plus_walk(arrays: tuple, word: Sequence[int], pos: Optional[int] = 0) -> Op
     return pos
 
 
-def _compare_action(
-    report: Report,
-    small: OmegaModule,
-    big: OmegaModule,
-    idx: Sequence[int],
-    gens: Iterable[int],
-    message: str,
-) -> None:
-    """Require E_s and X_(s,g) of ``small`` to equal those of ``big`` on rows
-    and columns ``idx``, one check per matrix; ``message`` names the
-    matrix at its ``{}``."""
-    at: Dict[int, List[int]] = {}  # column of big -> the columns of small it is
-    for j, big_j in enumerate(idx):
-        at.setdefault(big_j, []).append(j)
-    for s in sorted(gens):
+def _compare_action(report: Report, small: OmegaModule, big: OmegaModule, message: str) -> None:
+    """Require each E_s and X_(s,g) of ``small`` to equal that of ``big``,
+    one check per matrix; ``message`` names the matrix at its ``{}``."""
+    for s in sorted(small.gens):
         names = [f"E_{s+1}"] + [f"X_({s+1},{g})" for g in range(small.system.weight(s))]
         for name, lhs, rhs in zip(names, small.matrices(s), big.matrices(s)):
-            same = all(row == tuple(sorted((j, c) for b, c in rhs[i] for j in at.get(b, ())))
-                       for row, i in zip(lhs, idx))
-            report.require(same, message.format(name))
+            report.require(lhs == rhs, message.format(name))
 
 
 # -- Mackey filtration ----------------------------------------------------------
@@ -690,8 +668,8 @@ def mackey_check(
 
     For each minimal double-coset representative d, the span of the basis
     vectors whose double-coset part is <= d must be closed under the
-    restricted action, and the subquotient must match the induction (from
-    the conjugated subset, of the conjugated module) inside W_K.  The parts
+    restricted action, and the subquotient, ``induced.restrict(K, slice)``,
+    must match the induction of the conjugated module inside W_K.  The parts
     and the walks w*d are read from the table's ``coset_listing`` arrays: the
     representatives d are the positions with no minus class in K, in
     listing order, and their Bruhat order is the table's ideal bitsets.
@@ -741,9 +719,8 @@ def mackey_check(
             slice_idx.extend(pos * r + b for b in range(r))
         if not report.ok:
             return report
-        _compare_action(
-            report, compare, induced, slice_idx, K, f"subquotient at d={rep}: {{}} mismatch"
-        )
+        _compare_action(report, compare, induced.restrict(K, slice_idx),
+                        f"subquotient at d={rep}: {{}} mismatch")
     return report
 
 

@@ -23,9 +23,11 @@ idempotents the relations
 ``E_s X_{s,g} = X_{s,g}`` and ``X_{s,g} E_s = 0`` are the label condition:
 an s-edge leaves a vertex without s in its label and enters one with it.
 
+:meth:`OmegaModule.restrict` keeps some generators and cuts to a vertex list.
 On the induced Hecke module, :func:`hecke_t_column` applies T_s, and a
 :class:`BlockTable` holds the blocks of a base change by the positions of
-the coset representatives, for the direct recursion and the oracle alike.
+the coset representatives, for the direct recursion and the oracle alike,
+whose subsets :func:`table_subsets` checks.
 """
 
 from __future__ import annotations
@@ -146,23 +148,32 @@ class OmegaModule:
         relabel = {}
         for s in system._subset(K):
             cls = system.deodhar_class(self.gens, s, d)
-            if cls.tag == DEODHAR_ZERO:
-                if system.weight(s) != system.weight(cls.conj):
-                    raise ValueError("conjugate generators carry different weights")
+            if cls.tag == DEODHAR_ZERO:  # s, t conjugate: joined by odd bonds, so L(s) = L(t)
                 relabel[s] = cls.conj
         e = {s: self.e_mat(t) for s, t in relabel.items()}
         x = {(s, g): self.x[(t, g)] for s, t in relabel.items()
              for g in range(system.weight(t)) if (t, g) in self.x}
         return OmegaModule(system, relabel, self.rank, e, x)
 
-    def restrict(self, J: Iterable[int]) -> "OmegaModule":
-        """Forget the generators outside J; the result is a module for J."""
+    def restrict(self, J: Iterable[int], vertices: Optional[Sequence[int]] = None) -> "OmegaModule":
+        """Forget the generators outside J; the result is a module for J.
+
+        With ``vertices``, distinct basis positions, each E_s and X_(s,g)
+        kept is cut to the rows and columns ``vertices``, renumbered in
+        their order: the subquotient on their span, where it is one."""
         J = self.system._subset(J)
         if not J <= self.gens:
             raise ValueError("can only restrict to a subset of the module's generators")
         e = {s: mat for s, mat in self.e.items() if s in J}
         x = {(s, g): mat for (s, g), mat in self.x.items() if s in J}
-        return OmegaModule(self.system, J, self.rank, e, x)
+        if vertices is None:
+            return OmegaModule(self.system, J, self.rank, e, x)
+        at = {v: i for i, v in enumerate(vertices)}
+        if len(at) != len(vertices) or not all(0 <= v < self.rank for v in at):
+            raise ValueError("vertices must be distinct basis positions")
+        e, x = ({k: tuple(tuple(sorted((at[j], c) for j, c in mat[v] if j in at)) for v in vertices)
+                 for k, mat in mats.items()} for mats in (e, x))
+        return OmegaModule(self.system, J, len(at), e, x)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, OmegaModule):
@@ -389,6 +400,19 @@ class BlockTable:
     def zero(self) -> LMat:
         """The block of every absent key, one object per table."""
         return LMat.zeros(self.module.rank)
+
+
+def table_subsets(J: Iterable[int], module: OmegaModule,
+                  ambient: Optional[Iterable[int]]) -> Tuple[FrozenSet[int], FrozenSet[int]]:
+    """(J, ambient) of a table on ``module``, checked; ambient defaults to every generator."""
+    system = module.system
+    J = system._subset(J)
+    if J != module.gens:
+        raise ValueError("module is defined for a different generator subset")
+    ambient = system.generator_set if ambient is None else system._subset(ambient)
+    if not J <= ambient:
+        raise ValueError("J must be contained in the ambient subset")
+    return J, ambient
 
 
 def serial_array(serials: Iterable[int], count: int) -> array:

@@ -735,6 +735,29 @@ class TestDeodhar:
                             wt = system.mult(w, system.generator(cls.conj))
                             assert wt == sw
 
+    @pytest.mark.parametrize("matrix,weights", [
+        ([[1, 4, 2], [4, 1, 3], [2, 3, 1]], (2, 1, 1)),
+        ([[1, 4, 2, 2], [4, 1, 3, 2], [2, 3, 1, 3], [2, 2, 3, 1]], (3, 1, 1, 1)),
+        ([[1, 3, 2, 2], [3, 1, 4, 2], [2, 4, 1, 3], [2, 2, 3, 1]], (2, 2, 1, 1)),
+        ([[1, 8], [8, 1]], (1, 3)),
+    ])
+    def test_zero_class_keeps_the_weight(self, matrix, weights):
+        """s*x = x*t makes s and t conjugate, hence joined by odd bonds, which
+        force equal weights: every zero class of every listing of D_J inside
+        W_K has L(s) = L(t), so induction and conjugation never meet two."""
+        system = CoxeterSystem(matrix, weights)
+        subsets = [frozenset(c) for size in range(system.rank + 1)
+                   for c in itertools.combinations(range(system.rank), size)]
+        zeros = 0
+        for J, K in itertools.product(subsets, repeat=2):
+            if J <= K:
+                classes = system.coset_listing(J, K)[1][0]
+                for s, row in classes.items():
+                    conj = [cls.conj for cls in row if cls.tag == "zero"]
+                    assert all(system.weight(t) == system.weight(s) for t in conj)
+                    zeros += len(conj)
+        assert zeros > 0 and len(set(weights)) > 1
+
 
 class TestDoubleCosets:
     @pytest.mark.parametrize("name", ["a2", "a3", "b2"])

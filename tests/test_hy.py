@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from wgraphs import hy
 from wgraphs.cells import cell_partition
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import load_system
@@ -712,6 +713,35 @@ class TestTransitivity:
         assert str(report) == "transitivity through K=[1, 2, 3]: ok [9 checks]"
         assert calls == [(J, K), (K, S), (J, S)]
 
+    @pytest.mark.parametrize("path,checks", [("systems/a3.json", 378),
+                                             ("perfbench/systems/b3_211.json", 432),
+                                             ("perfbench/systems/i2_8_13.json", 126)])
+    def test_every_pair_of_subsets(self, path, checks):
+        """Every J <= K with the sign and trivial modules: the nested induction
+        is the direct one cut to the walked order, with pinned check totals."""
+        system = load_system(str(ROOT / path))
+        subsets = [frozenset(c) for size in range(system.rank + 1)
+                   for c in itertools.combinations(range(system.rank), size)]
+        total = 0
+        for J, K in itertools.product(subsets, repeat=2):
+            for make in (sign_module, trivial_module):
+                if J <= K:
+                    report = transitivity_check(J, K, make(system, J))
+                    assert report.ok, str(report)
+                    total += report.checks
+        assert total == checks
+
+    @pytest.mark.parametrize("J,K,s,make,failures", [
+        ({0}, {0, 1}, 1, sign_module, ["X_(2,0) differs between nested and direct induction"]),
+        ((), {0, 1}, 0, trivial_module, ["X_(1,0) differs between nested and direct induction"]),
+    ])
+    def test_doubled_entry_of_direct_module(self, systems, monkeypatch, J, K, s, make, failures):
+        """A3: one X entry of the direct module doubled fails exactly its matrix."""
+        J = frozenset(J)
+        _double_in_direct_module(monkeypatch, systems["a3"], J, s, first=True)
+        report = transitivity_check(J, K, make(systems["a3"], J))
+        assert report.failures == failures and report.checks == 7
+
 
 TOWER_SYSTEMS = ["systems/a3.json", "systems/b3.json", "perfbench/systems/h3.json",
                  "perfbench/systems/b3_211.json", "perfbench/systems/i2_8_13.json"]
@@ -798,6 +828,38 @@ class TestMackey:
                 assert report.ok, str(report)
                 total += report.checks
         assert total == checks
+
+    @pytest.mark.parametrize("J,K,s,make,first,failures,checks", [
+        ({0}, {1, 2}, 1, sign_module, True, ["subquotient at d=e: X_(2,0) mismatch"], 12),
+        ({0}, {1, 2}, 1, sign_module, False, ["subquotient at d=123: X_(2,0) mismatch"], 24),
+        ((), {0, 1}, 0, trivial_module, False, ["subquotient at d=321: X_(1,0) mismatch"], 32),
+    ])
+    def test_doubled_entry_inside_a_slice(self, systems, monkeypatch, J, K, s, make, first,
+                                          failures, checks):
+        """A3: one X entry inside a double coset's slice doubled fails that
+        slice's matrix alone; the check stops at the next slice."""
+        J = frozenset(J)
+        _double_in_direct_module(monkeypatch, systems["a3"], J, s, first)
+        report = mackey_check(J, K, make(systems["a3"], J))
+        assert report.failures == failures and report.checks == checks
+
+
+def _double_in_direct_module(monkeypatch, system, J, s, first):
+    """Make ``induce`` of J inside all of W double one entry of X_(s,0): the
+    first of its first nonzero row, or the last of its last."""
+    real = induce
+
+    def doubled(gens, module, table):
+        out = real(gens, module, table)
+        if table.gens != J or table.ambient != system.generator_set:
+            return out
+        rows = list(out.x[(s, 0)])
+        i = [i for i, row in enumerate(rows) if row][0 if first else -1]
+        j, c = rows[i][0 if first else -1]
+        rows[i] = tuple((k, 2 * c if k == j else d) for k, d in rows[i])
+        return OmegaModule(system, out.gens, out.rank, out.e, {**out.x, (s, 0): tuple(rows)})
+
+    monkeypatch.setattr(hy, "induce", doubled)
 
 
 def transport(system, d, inner):

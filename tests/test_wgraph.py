@@ -274,6 +274,32 @@ class TestConjugateRestrict:
         module, _ = kl_module(systems["a2"])
         assert module.restrict(module.gens) == module
 
+    def test_restrict_to_vertices(self, systems):
+        """Each kept E and X is cut to vertices x vertices and renumbered in
+        the order given; entries in a row or column outside them are dropped."""
+        module, _ = kl_module(systems["a2"])
+        vertices = [4, 1, 2]
+        cut = module.restrict({1}, vertices)
+        assert cut.rank == 3 and cut.gens == frozenset({1})
+        full = [module.e_mat(1), module.x_mat(1, 0)]
+        for mat, kept in zip(full, [cut.e_mat(1), cut.x_mat(1, 0)]):
+            rows = dense(mat, module.rank)
+            assert dense(kept, 3) == tuple(tuple(rows[i][j] for j in vertices) for i in vertices)
+        # the X of the regular W-graph has entries that leave the vertices
+        assert sum(map(len, full[1])) > sum(len(full[1][i]) for i in vertices) > 0
+        assert sum(map(len, cut.x_mat(1, 0))) < sum(len(full[1][i]) for i in vertices)
+
+    @pytest.mark.parametrize("vertices", [[0, 3, 0], [0, 6], [-1]])
+    def test_restrict_rejects_repeated_or_missing_vertex(self, systems, vertices):
+        module, _ = kl_module(systems["a2"])
+        with pytest.raises(ValueError, match="distinct basis positions"):
+            module.restrict({0}, vertices)
+
+    def test_restrict_to_every_vertex_in_order(self, systems):
+        module, _ = kl_module(systems["b2"])
+        for J in (frozenset(), frozenset({1}), module.gens):
+            assert module.restrict(J, range(module.rank)) == module.restrict(J)
+
 
 def _braid_modules(name):
     """The modules whose braid relations are compared with the reference."""
