@@ -20,9 +20,9 @@ Coset queries read a table of the minimal coset representatives D_J
 inside W_K, built the same way over the generators of K and memoised per
 (J, K); Deodhar's zero class s*x = x*t is read from the root images.
 Every coset question is a walk through these tables and forms no
-product: Deodhar classes here, the towers and double-coset parts of
-``wgraphs.hy`` over the arrays of :meth:`coset_listing`.  The table of
-J = {} and K = S is the element table itself.
+product: ``wgraphs.hy`` reads the Deodhar classes and the positions of s*x
+from :meth:`coset_listing` for its towers, double-coset parts and
+conjugated modules.  The table of J = {} and K = S is the element table.
 
 Generator indices are 0-based internally.  A Coxeter matrix entry of 0
 encodes an infinite bond order.
@@ -690,7 +690,8 @@ class CoxeterSystem:
 
         For each s in K, ``classes[s]`` lists the Deodhar class of s on each
         representative and ``shifted[s]`` the position of s*x (None in the
-        zero case or outside the listing), without a product.
+        zero case or outside the listing), without a product.  With
+        ``max_length`` the table grows only to that ball: a missing s*x is longer.
         """
         table, n = self._listing(J, K, max_length)
         classes = {s: [table.deodhar(s, i) for i in range(n)] for s in table.gens}
@@ -708,21 +709,6 @@ class CoxeterSystem:
         if max_length is None:
             return table, len(table.words)
         return table, bisect_right(table.words, max_length, key=len)
-
-    def deodhar_class(self, J: Iterable[int], s: int, w: Element) -> DeodharClass:
-        """Deodhar's trichotomy for left multiplication of a coset rep by s.
-
-        Read from the table of D_J grown to the ball of radius l(w), where
-        an s*w missing from the ball is longer.
-        """
-        self._check_generator(s)
-        self._check_same(w.system)
-        J = self._subset(J)
-        table = self._table(len(w.word), J)
-        i = table.index.get(w.word)
-        if i is None:
-            raise ValueError(f"{w} is not a minimal coset representative for J={sorted(J)}")
-        return table.deodhar(s, i)
 
     def __repr__(self) -> str:
         return f"CoxeterSystem(matrix={self.matrix!r}, weights={self.weights!r})"

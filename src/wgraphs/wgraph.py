@@ -138,21 +138,16 @@ class OmegaModule:
     def vertex_label(self, i: int) -> FrozenSet[int]:
         return frozenset(s for s in self.gens if (i, 1) in self.e_mat(s)[i])
 
-    def conjugate(self, d: Element, K: Iterable[int]) -> "OmegaModule":
-        """The module over the subset K n dJd^-1, with s acting as d^-1 s d did.
-
-        ``d`` must lie in D_J; s in K is kept when s*d = d*t for a t in J,
-        the zero class of :meth:`~wgraphs.coxeter.CoxeterSystem.deodhar_class`.
-        """
+    def conjugate(self, relabel: Mapping[int, int]) -> "OmegaModule":
+        """The module over the keys of ``relabel``, with s acting as t =
+        ``relabel[s]`` did: over K n dJd^-1 for the zero classes s*d = d*t
+        of a d in D_J.  Each s and t must carry one weight."""
         system = self.system
-        relabel = {}
-        for s in system._subset(K):
-            cls = system.deodhar_class(self.gens, s, d)
-            if cls.tag == DEODHAR_ZERO:  # s, t conjugate: joined by odd bonds, so L(s) = L(t)
-                relabel[s] = cls.conj
         e = {s: self.e_mat(t) for s, t in relabel.items()}
-        x = {(s, g): self.x[(t, g)] for s, t in relabel.items()
-             for g in range(system.weight(t)) if (t, g) in self.x}
+        for s in system._subset(relabel):
+            if system.weight(s) != system.weight(relabel[s]):
+                raise ValueError(f"generators {s+1} and {relabel[s]+1} carry different weights")
+        x = {(s, g): mat for s, t in relabel.items() for (u, g), mat in self.x.items() if u == t}
         return OmegaModule(system, relabel, self.rank, e, x)
 
     def restrict(self, J: Iterable[int], vertices: Optional[Sequence[int]] = None) -> "OmegaModule":

@@ -5,10 +5,11 @@ machinery: concrete matrix/permutation models for the small groups, Tits
 rewriting for the word problem, a brute-force subword test for the Bruhat
 order, coset splittings by stripping descents through products (the
 reference for the stripping by position in ``wgraphs.hy.mackey_check``
-and for the tower's index rule), the bar involution expanded in the T-basis
-over the whole group (the reference for the one-letter recursion of
-``wgraphs.canon.rho_table``), the composition identity of the
-involution's blocks summed as Laurent matrices pair by pair (the
+and for the tower's index rule), the zero classes s*d = d*t found by
+products (the map along which Mackey conjugates a module), the bar
+involution expanded in the T-basis over the whole group (the reference for
+the one-letter recursion of ``wgraphs.canon.rho_table``), the composition
+identity of the involution's blocks summed as Laurent matrices pair by pair (the
 reference for ``wgraphs.canon.check_rho``), the triangular engine and the
 braid relations with Laurent-matrix sums and products (the references for
 the integer products of ``wgraphs.canon.canonicalise_shadow`` and
@@ -254,6 +255,15 @@ def peel(system, J, K, w, left: bool) -> tuple:
     head, tail = (peeled, rest) if left else (rest, peeled)
     assert head.length + tail.length == w.length and system.mult(head, tail) == w
     return head, tail
+
+
+def zero_classes(system, J, K, d) -> dict:
+    """The map s -> t of s in K and t in J with s*d = d*t, by products: the
+    generator map along which ``wgraphs.hy.mackey_check`` conjugates a
+    module at the double-coset representative d."""
+    gen = system.generator
+    return {s: t for s in sorted(K) for t in sorted(J)
+            if system.mult(gen(s), d) == system.mult(d, gen(t))}
 
 
 # -- the bar involution by T-basis expansion over W ---------------------------------

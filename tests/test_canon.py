@@ -270,8 +270,9 @@ class TestRhoRecursion:
         module = induce({0}, inner, p_mu_table({0}, inner, k))
         rho = rho_table(k, module)
         assert module.rank == 12 and len(rho.reps) == 5
-        assert any(a4.deodhar_class(k, s, x).tag == DEODHAR_ZERO
-                   for x in rho.reps for s in range(4))
+        reps, (classes, _) = a4.coset_listing(k)
+        assert reps == list(rho.reps)
+        assert any(c.tag == DEODHAR_ZERO for row in classes.values() for c in row)
         assert rho.entries == rho_expanded(k, module)
 
     @pytest.mark.parametrize("max_length", [6, 8])

@@ -61,6 +61,13 @@ def _descents_by_rewriting(system, word):
     )
 
 
+def _classes(system, J, max_length=None):
+    """The Deodhar class of s on w, keyed by (s, w), read by position from
+    ``coset_listing(J, max_length=...)``: w runs over D_J up to that length."""
+    reps, (classes, _) = system.coset_listing(J, max_length=max_length)
+    return {(s, w): row[i] for s, row in classes.items() for i, w in enumerate(reps)}
+
+
 def _d(n):
     matrix = _path(*([3] * (n - 2) + [2]))
     matrix[n - 3][n - 1] = matrix[n - 1][n - 3] = 3
@@ -319,13 +326,14 @@ class TestBallGrowth:
         assert system.inverse(w).word == normalize_word(system, word[::-1])
         assert (w.left_descents(), w.right_descents()) == _descents_by_rewriting(system, w.word)
         J = frozenset(range(8)) - w.right_descents()
+        classes = _classes(system, J, max_length=w.length)
         for s in range(8):
             sw = normalize_word(system, (s,) + w.word)
             assert system.mult(system.generator(s), w).word == sw
             # Deodhar: sw < w, or sw = wt with t in J, or sw is a coset rep
             conj = [t for t in sorted(J) if normalize_word(system, w.word + (t,)) == sw]
             expected = "minus" if len(sw) < w.length else "zero" if conj else "plus"
-            got = system.deodhar_class(J, s, w)
+            got = classes[s, w]
             assert (got.tag, got.conj) == (expected, conj[0] if conj else None)
         below = {normalize_word(system, sub) for k in range(9)
                  for sub in itertools.combinations(w.word, k)}
@@ -343,8 +351,9 @@ class TestBallGrowth:
         system = CoxeterSystem(_e8_matrix())
         w = system.elements(max_length=8)[-1]
         assert w.length == 8
-        for s in range(8):
-            system.deodhar_class((), s, w)
+        classes = system.coset_listing((), max_length=8)[1][0]
+        minus = {s for s in range(8) if classes[s][-1].tag == "minus"}
+        assert minus == _descents_by_rewriting(system, w.word)[0]
         assert _radius(system) == 8 and len(system._cache["table"].words) == 9866
 
     def test_e8_coset_splits_read_the_ball_of_w(self):
@@ -352,12 +361,12 @@ class TestBallGrowth:
         # the whole of D_J (all of E8 for J = {})
         system = CoxeterSystem(_e8_matrix())
         w = system.element((0, 2, 3, 1, 4))
-        assert [system.deodhar_class((), s, w).tag for s in range(8)] == ["minus"] + ["plus"] * 7
-        classes = [system.deodhar_class((0, 2, 3), s, w) for s in range(4)]
-        assert [(c.tag, c.conj) for c in classes] == [
+        classes = _classes(system, (), max_length=w.length)
+        assert [classes[s, w].tag for s in range(8)] == ["minus"] + ["plus"] * 7
+        classes = _classes(system, (0, 2, 3), max_length=w.length)
+        assert [(classes[s, w].tag, classes[s, w].conj) for s in range(4)] == [
             ("minus", None), ("plus", None), ("zero", 0), ("zero", 2)]
-        with pytest.raises(ValueError, match="not a minimal coset representative"):
-            system.deodhar_class((1,), 0, w)
+        assert w not in system.coset_listing((1,), max_length=w.length)[0]
         tables = [t for key, t in system._cache.items() if key == "table" or key[0] == "table"]
         assert tables and all(len(t.words[-1]) <= 5 for t in tables)
         assert max(len(t.words) for t in tables) < 10 ** 4
@@ -372,16 +381,13 @@ class TestBallGrowth:
 
         monkeypatch.setattr(coxeter._ElementTable, "__init__", counted)
         small, large = CoxeterSystem(AFFINE_A2), CoxeterSystem(AFFINE_A2)
-        ball = small.elements(max_length=8)
+        small.elements(max_length=8)
         large.elements(max_length=12)
         subsets = [frozenset(J) for k in range(4) for J in itertools.combinations(range(3), k)]
-        for x in ball:
-            y = large.element(x.word)
+        for length in range(9):  # a table of D_J (J nonempty) is read at its edge
             for J in subsets:
-                if x.right_descents() & J:
-                    continue
-                for s in range(3):
-                    assert small.deodhar_class(J, s, x) == large.deodhar_class(J, s, y)
+                assert small.coset_listing(J, max_length=length) == large.coset_listing(
+                    J, max_length=length)
         assert _radius(small) == 8 and _radius(large) == 12
         # the tables grow: one build per system and (J, K), none per length
         assert len(builds) == len(set(builds)) == 2 * len(subsets)
@@ -701,17 +707,10 @@ class TestCosetTable:
 class TestDeodhar:
     def test_a2_examples(self, systems):
         a2 = systems["a2"]
-        t = a2.generator(1)
-        st = a2.element((0, 1))
-        assert a2.deodhar_class({0}, 0, a2.identity).tag == "zero"
-        assert a2.deodhar_class({0}, 0, a2.identity).conj == 0
-        assert a2.deodhar_class({0}, 0, t).tag == "plus"
-        assert a2.deodhar_class({0}, 0, st).tag == "minus"
-
-    def test_rejects_non_representative(self, systems):
-        a2 = systems["a2"]
-        with pytest.raises(ValueError):
-            a2.deodhar_class({0}, 1, a2.generator(0))
+        reps, (classes, _) = a2.coset_listing({0})
+        assert [x.word for x in reps] == [(), (1,), (0, 1)]
+        assert [(c.tag, c.conj) for c in classes[0]] == [("zero", 0), ("plus", None),
+                                                        ("minus", None)]
 
     @pytest.mark.parametrize("name", ["a2", "a3", "b2"])
     def test_totality_and_exclusivity(self, systems, name):
@@ -720,10 +719,11 @@ class TestDeodhar:
         for size in range(system.rank + 1):
             for J in itertools.combinations(range(system.rank), size):
                 J = frozenset(J)
-                d_j = set(system.min_coset_reps(J))
+                classes = _classes(system, J)
+                d_j = {w for _, w in classes}
                 for w in d_j:
                     for s in range(system.rank):
-                        cls = system.deodhar_class(J, s, w)
+                        cls = classes[s, w]
                         sw = system.mult(system.generator(s), w)
                         if cls.tag == "minus":
                             assert sw.length < w.length and sw in d_j
@@ -795,6 +795,7 @@ class TestDoubleCosets:
             for size in range(system.rank + 1)
             for J in itertools.combinations(range(system.rank), size)
         ]
+        classes = {J: _classes(system, J) for J in subsets}
         for J in subsets:
             for K in subsets:
                 if not J <= K:
@@ -803,14 +804,14 @@ class TestDoubleCosets:
                     for y in system.min_coset_reps(J, K=K):
                         xy = system.mult(x, y)
                         for s in range(system.rank):
-                            outer = system.deodhar_class(K, s, x)
-                            got = system.deodhar_class(J, s, xy).tag
+                            outer = classes[K][s, x]
+                            got = classes[J][s, xy].tag
                             if outer.tag == "plus":
                                 assert got == "plus"
                             elif outer.tag == "minus":
                                 assert got == "minus"
                             else:
-                                inner = system.deodhar_class(J, outer.conj, y)
+                                inner = classes[J][outer.conj, y]
                                 assert got == inner.tag
 
     @pytest.fixture(params=["a2", "a3", "b2", "b2_unequal", "b3", "i2_5", "affine_a1"])

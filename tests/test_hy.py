@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from wgraphs import hy
-from wgraphs.cells import cell_partition
+from wgraphs.cells import cell_partition, induced_cells_check
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import load_system
 from wgraphs.laurent import LaurentPoly, v
@@ -50,6 +50,7 @@ from oracles import (
     sparse,
     store_block,
     sym_group_generators,
+    zero_classes,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -521,7 +522,7 @@ class TestIntertwiningDefect:
         system = load_system(str(ROOT / "systems/affine_a1.json"))
         module = trivial_module(system, frozenset())
         table = p_mu_table(frozenset(), module, max_length=4)
-        with pytest.raises(ValueError, match="carry target 12121 is not among the representatives"):
+        with pytest.raises(ValueError, match=r"carry target s\*x for s=1 and x=2121 is not among"):
             table.check_invariants()
 
 
@@ -738,7 +739,7 @@ class TestTransitivity:
     def test_doubled_entry_of_direct_module(self, systems, monkeypatch, J, K, s, make, failures):
         """A3: one X entry of the direct module doubled fails exactly its matrix."""
         J = frozenset(J)
-        _double_in_direct_module(monkeypatch, systems["a3"], J, s, first=True)
+        _double_in_direct_module(monkeypatch, systems["a3"], J, s, ends=(0,))
         report = transitivity_check(J, K, make(systems["a3"], J))
         assert report.failures == failures and report.checks == 7
 
@@ -830,23 +831,33 @@ class TestMackey:
         assert total == checks
 
     @pytest.mark.parametrize("J,K,s,make,first,failures,checks", [
-        ({0}, {1, 2}, 1, sign_module, True, ["subquotient at d=e: X_(2,0) mismatch"], 12),
+        ({0}, {1, 2}, 1, sign_module, True, ["subquotient at d=e: X_(2,0) mismatch"], 24),
         ({0}, {1, 2}, 1, sign_module, False, ["subquotient at d=123: X_(2,0) mismatch"], 24),
         ((), {0, 1}, 0, trivial_module, False, ["subquotient at d=321: X_(1,0) mismatch"], 32),
     ])
     def test_doubled_entry_inside_a_slice(self, systems, monkeypatch, J, K, s, make, first,
                                           failures, checks):
         """A3: one X entry inside a double coset's slice doubled fails that
-        slice's matrix alone; the check stops at the next slice."""
+        slice's matrix alone; the later slices are still compared."""
         J = frozenset(J)
-        _double_in_direct_module(monkeypatch, systems["a3"], J, s, first)
+        _double_in_direct_module(monkeypatch, systems["a3"], J, s, (0,) if first else (-1,))
         report = mackey_check(J, K, make(systems["a3"], J))
         assert report.failures == failures and report.checks == checks
 
+    def test_doubled_entries_in_two_slices(self, systems, monkeypatch):
+        """A3, J = {1}, K = {2,3}: a failure at d = e does not hide the one at
+        d = 123; each double coset is compared on its own."""
+        J = frozenset({0})
+        _double_in_direct_module(monkeypatch, systems["a3"], J, 1, (0, -1))
+        report = mackey_check(J, {1, 2}, sign_module(systems["a3"], J))
+        assert report.failures == ["subquotient at d=e: X_(2,0) mismatch",
+                                   "subquotient at d=123: X_(2,0) mismatch"]
+        assert report.checks == 24
 
-def _double_in_direct_module(monkeypatch, system, J, s, first):
-    """Make ``induce`` of J inside all of W double one entry of X_(s,0): the
-    first of its first nonzero row, or the last of its last."""
+
+def _double_in_direct_module(monkeypatch, system, J, s, ends):
+    """Make ``induce`` of J inside all of W double entries of X_(s,0): for
+    ``ends`` 0 the first of its first nonzero row, for -1 the last of its last."""
     real = induce
 
     def doubled(gens, module, table):
@@ -854,9 +865,10 @@ def _double_in_direct_module(monkeypatch, system, J, s, first):
         if table.gens != J or table.ambient != system.generator_set:
             return out
         rows = list(out.x[(s, 0)])
-        i = [i for i, row in enumerate(rows) if row][0 if first else -1]
-        j, c = rows[i][0 if first else -1]
-        rows[i] = tuple((k, 2 * c if k == j else d) for k, d in rows[i])
+        for end in ends:
+            i = [i for i, row in enumerate(rows) if row][end]
+            j, c = rows[i][end]
+            rows[i] = tuple((k, 2 * c if k == j else d) for k, d in rows[i])
         return OmegaModule(system, out.gens, out.rank, out.e, {**out.x, (s, 0): tuple(rows)})
 
     monkeypatch.setattr(hy, "induce", doubled)
@@ -889,7 +901,7 @@ class TestMackeyHeadStart:
         for d in a3.min_coset_reps(J):
             if a3.left_descents(d) & K:  # not a double coset representative
                 continue
-            conj = module.conjugate(d, K)
+            conj = module.conjugate(zero_classes(a3, J, K, d))
             inner = p_mu_table(conj.gens, conj, ambient=K)
             predicted = transport(a3, d, inner)
             for key, mat in predicted.items():
@@ -905,7 +917,7 @@ class TestMackeyHeadStart:
         module = sign_module(a3, J)
         direct = p_mu_table(J, module)
         d = a3.element((0, 1))
-        conj = module.conjugate(d, K)
+        conj = module.conjugate(zero_classes(a3, J, K, d))
         inner = p_mu_table(conj.gens, conj, ambient=K)
         predicted = transport(a3, d, inner)
         assert predicted
@@ -1494,7 +1506,7 @@ class TestIndexKernel:
     coset table: no product, descent or Bruhat query reaches the Coxeter
     system, and the table of (J, ambient) is built once."""
 
-    QUERIES = ("bruhat_leq", "deodhar_class", "mult", "left_descents", "right_descents")
+    QUERIES = ("bruhat_leq", "mult", "inverse", "left_descents", "right_descents")
 
     @pytest.fixture()
     def counts(self, monkeypatch):
@@ -1565,6 +1577,29 @@ class TestIndexKernel:
         for _ in self._steps(system, j, module):
             pass
         assert builds == [(j, system.generator_set)]
+
+    @pytest.mark.parametrize("path,J,K,make", [
+        ("systems/a3.json", {0}, {1, 2}, sign_module),
+        ("perfbench/systems/b3_211.json", (), {1, 2}, trivial_module),
+    ], ids=["a3-J1-K23-sign", "b3_211-regular"])
+    def test_checks_form_no_product(self, counts, path, J, K, make):
+        """Every ``hy verify`` check, ``induce`` with ``cell_partition``,
+        ``induced_cells_check`` and ``mu_inductive`` read positions alone; the
+        nested checks go through L = J u {1, 2}."""
+        system = load_system(str(ROOT / path))
+        J, S = frozenset(J), system.generator_set
+        L = J | {0, 1}
+        module = make(system, J)
+        table = p_mu_table(J, module)
+        induced = induce(J, module, table)
+        assert cell_partition(induced).blocks
+        reports = [validate(induced), verify_h_linearity(J, module), oracle_check(J, module),
+                   transitivity_check(J, L, module), mackey_check(J, K, module),
+                   mu_factorize_check(J, L, table, *induce_along([J, L, S], module)),
+                   e_fix_check(system, J), induced_cells_check(system, L)]
+        assert all(report.ok for report in reports), [str(r) for r in reports]
+        assert mu_inductive([J, L, S], module) == table.mu
+        assert not any(counts.values()), counts
 
 
 class TestNoWholeGroup:

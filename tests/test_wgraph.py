@@ -16,7 +16,7 @@ from wgraphs.wgraph import (
 )
 from wgraphs.hy import induce, p_mu_table
 
-from oracles import braid_relations_lmat, dense, dense_mul, hecke_matrix, sparse
+from oracles import braid_relations_lmat, dense, dense_mul, hecke_matrix, sparse, zero_classes
 
 _ROOT = Path(__file__).resolve().parent.parent
 
@@ -231,7 +231,7 @@ class TestConjugateRestrict:
     def test_identity_conjugation(self, systems):
         a2 = systems["a2"]
         module = sign_module(a2, {0})
-        conj = module.conjugate(a2.identity, {0})
+        conj = module.conjugate(zero_classes(a2, {0}, {0}, a2.identity))
         assert conj == module
 
     def test_cross_conjugation(self, systems):
@@ -239,7 +239,9 @@ class TestConjugateRestrict:
         # d = st maps t back into J = {s}: d^-1 t d = s
         d = a2.element((0, 1))
         module = sign_module(a2, {0})
-        conj = module.conjugate(d, {1})
+        relabel = zero_classes(a2, {0}, {1}, d)
+        assert relabel == {1: 0}
+        conj = module.conjugate(relabel)
         assert conj.gens == frozenset({1})
         assert dense(conj.e_mat(1), 1) == ((1,),)
         assert validate(conj).ok
@@ -247,14 +249,15 @@ class TestConjugateRestrict:
     def test_conjugate_of_sign_is_sign(self, systems):
         a2 = systems["a2"]
         d = a2.element((0, 1))
-        conj = sign_module(a2, {0}).conjugate(d, {1})
+        conj = sign_module(a2, {0}).conjugate(zero_classes(a2, {0}, {1}, d))
         assert conj == sign_module(a2, {1})
 
-    def test_rejects_d_outside_d_j(self, systems):
-        """t = d^-1 s d is read from Deodhar's zero class, which needs d in D_J."""
-        a2 = systems["a2"]
-        with pytest.raises(ValueError, match="not a minimal coset representative"):
-            sign_module(a2, {0}).conjugate(a2.element((1, 0)), {1})
+    def test_rejects_unequal_weights(self, systems):
+        """No zero class pairs generators of different weights; a map given
+        by hand can, and is refused."""
+        b2 = systems["b2_unequal"]
+        with pytest.raises(ValueError, match="generators 1 and 2 carry different weights"):
+            sign_module(b2, {1}).conjugate({0: 1})
 
     def test_restrict_kl_graph(self, systems):
         module, _ = kl_module(systems["a2"])
