@@ -14,9 +14,9 @@ mapping keyed by "x|z" over the table's serial columns; no p-dict is
 built.  The writer renders it from the columns, each serial's text and
 each name once, and puts the keys in order without a sort: no element
 name contains "|", so the string order of "x|z" is the order of the
-pairs (x + "|", z).  :func:`dump` writes it one x-row at a time.
-:func:`wgraph_to_json` makes one value per distinct label and weight
-map, so each is built and written once.
+pairs (x + "|", z); each p-value is rendered from its blocks.  The edges
+of :func:`wgraph_to_json` are an :class:`EdgeView`, each rendered from one
+template.  :func:`dump` writes a view one x-row or one edge at a time.
 Schema errors raise :class:`SchemaError` with the JSON path of the
 offending value; syntax errors keep the line/column information of the
 decoder.
@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import json
 from array import array
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from itertools import compress, islice
 from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Tuple
@@ -74,11 +74,11 @@ def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"``, byte for byte.
 
     Takes str-keyed dicts, lists, tuples, str, int, bool, None and the
-    :class:`PView` of :func:`table_to_json`, written as the dict it views;
-    any other value (a float included) or key raises :class:`TypeError`.
-    A container reached twice at the same depth, such as a weight map
-    shared by :func:`wgraph_to_json`, is rendered once.  Dict keys are
-    sorted as strings, not as (key, value) pairs.
+    views :class:`PView` and :class:`EdgeView`, written as the dict or list
+    they view; any other value (a float included) or key raises
+    :class:`TypeError`.  A container reached twice at the same depth, such
+    as a label list shared by :func:`wgraph_to_json`, is rendered once.
+    Dict keys are sorted as strings, not as (key, value) pairs.
     """
     parts: List[str] = []
     _write(obj, "\n", parts, {})
@@ -88,8 +88,8 @@ def dumps(obj) -> str:
 
 def dump(obj, handle) -> None:
     """Write the text of :func:`dumps` to the text file ``handle``, piece by
-    piece, without joining the document into one string; a :class:`PView`
-    that is a value of the document itself is written one row at a time."""
+    piece, without joining the document into one string; a view that is a
+    value of the document itself is written one row or edge at a time."""
     parts = _Stream(handle)
     _write(obj, "\n", parts, {})
     parts.append("\n")
@@ -114,9 +114,9 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
 
     ``seen[newline]`` maps the id of each container written so far at that
     indent to the span of ``parts`` that holds its text, or, once it is
-    written a second time, to that text joined into one string.  A
-    :class:`PView` that :func:`dump` meets as a value of the document
-    itself, inside no container that may repeat, goes to the file.
+    written a second time, to that text joined into one string.  A view
+    that :func:`dump` meets as a value of the document itself, inside no
+    container that may repeat, goes to the file.
     """
     kind = type(value)
     if kind is str:
@@ -155,15 +155,14 @@ def _write(value, newline: str, parts: List[str], seen: dict) -> None:
                 lead = separator
             parts.append(newline + "]")
         here[id(value)] = (start, len(parts))
-    elif kind is PView:
+    elif kind is PView or kind is EdgeView:
+        pieces = (_view_rows if kind is PView else _edge_rows)(value, newline)
         if type(parts) is _Stream and newline == "\n  ":
             parts.flush()
-            write = parts.handle.write
-            for row in _view_rows(value, newline):
-                write("".join(row))
+            for piece in pieces:
+                parts.handle.write(piece)
         else:
-            for row in _view_rows(value, newline):
-                parts += row
+            parts += pieces
     else:
         raise TypeError(f"cannot write {kind.__name__} as JSON")
 
@@ -314,21 +313,53 @@ def _gen_key(system: CoxeterSystem, key: str, path: str) -> int:
 
 
 def wgraph_to_json(graph: WGraph) -> dict:
-    """The file form of a W-graph; equal labels share one list and equal
-    weight maps one dict, which :func:`dumps` renders once."""
+    """The file form of a W-graph; equal labels share one list, which
+    :func:`dumps` renders once, and "edges" is an :class:`EdgeView`."""
     module, names = graph.module, graph.vertices
     labels: Dict[FrozenSet[int], List[int]] = {}
-    weights: Dict[tuple, Dict[str, int]] = {}
     return {
         "J": gens_to_json(module.gens),
         "vertices": list(names),
         "labels": [labels.get(label) or labels.setdefault(label, gens_to_json(label))
                    for label in map(module.vertex_label, range(module.rank))],
-        "edges": [{"s": s + 1, "from": names[j], "to": names[i],
-                   "weights": weights.get(key := tuple(by_exp.items()))
-                   or weights.setdefault(key, {str(g): c for g, c in key})}
-                  for (s, i, j), by_exp in edges(module)],
+        "edges": EdgeView(names, edges(module)),
     }
+
+
+class EdgeView(Sequence):
+    """The edges of a W-graph document: a read-only view of the list
+    ``items`` of :func:`wgraphs.wgraph.edges` between the vertices
+    ``names``.  Item k, made on lookup, is the k-th edge's dict {"s",
+    "from", "to", "weights"}; ``list(view)`` is the document's edge list."""
+
+    def __init__(self, names: Sequence[str], items: list):
+        self.names, self.items = names, items
+
+    def __getitem__(self, k: int) -> dict:
+        (s, i, j), by_exp = self.items[k]
+        return {"s": s + 1, "from": self.names[j], "to": self.names[i],
+                "weights": {str(g): c for g, c in by_exp.items()}}
+
+    def __len__(self) -> int:
+        return len(self.items)
+
+
+def _edge_rows(view: EdgeView, newline: str) -> Iterator[str]:
+    """The text of ``view`` at the indent ``newline``: one piece per edge,
+    from one template, then the closing bracket."""
+    inner, key = newline + "  ", newline + "    "
+    quoted = [_encode_str(name) for name in view.names]
+    head = "[" + inner + "{" + key + '"from": '
+    tails: Dict[tuple, str] = {}  # a weight map's items -> its text, to the closing brace
+    for (s, i, j), by_exp in view.items:
+        tail = tails.get(items := tuple(by_exp.items()))
+        if tail is None:
+            parts: List[str] = []
+            _write({str(g): c for g, c in items}, key, parts, {})
+            tail = tails[items] = f',{key}"weights": {"".join(parts)}{inner}}}'
+        yield f'{head}{quoted[j]},{key}"s": {s + 1},{key}"to": {quoted[i]}{tail}'
+        head = "," + inner + "{" + key + '"from": '
+    yield newline + "]" if view.items else "[]"
 
 
 def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGraph:
@@ -357,7 +388,7 @@ def wgraph_from_json(system: CoxeterSystem, data, path: str = "wgraph") -> WGrap
     # each (s, from, to) may be given once, so edge k is the k-th key
     weights_at: Dict[Tuple[int, int, int], Dict[int, int]] = {}
     raw_edges = data.get("edges", [])
-    _expect(isinstance(raw_edges, list), f"{path}.edges", "expected a list")
+    _expect(isinstance(raw_edges, (list, EdgeView)), f"{path}.edges", "expected a list")
     for k, edge in enumerate(raw_edges):
         epath = f"{path}.edges[{k}]"
         _expect(isinstance(edge, dict), epath, "expected an object")
@@ -461,28 +492,37 @@ class PView(Mapping):
 
 
 class _Texts(dict):
-    """The text of each serial's p-value at the indent ``newline``, written
-    by :func:`_write` on first lookup."""
+    """The text of each serial's p-value at the indent ``newline``, made on
+    first lookup from the blocks of its :class:`LMat`: the text that
+    :func:`_write` gives its :func:`lmat_to_json` value, with no dict."""
 
     def __init__(self, blocks: List[Optional[LMat]], newline: str):
-        super().__init__()
         self.blocks, self.newline = blocks, newline
 
     def __missing__(self, serial: int) -> str:
-        parts: List[str] = []
-        _write(lmat_to_json(self.blocks[serial]), self.newline, parts, {})
-        text = self[serial] = "".join(parts)
+        mat, newline = self.blocks[serial], self.newline
+        inner, key = newline + "  ", newline + "    "
+        entries: List[List[List[str]]] = [[[] for _ in range(mat.ncols)] for _ in range(mat.nrows)]
+        for g, block in mat.blocks.items():
+            for row, coeffs in zip(entries, block):
+                for j, c in coeffs:
+                    row[j].append(f'{key}  "{g}": {c}')
+        # '"' sorts before "-" and every digit, so the terms sort as their keys
+        rows = [inner + ("[" + ",".join([key + ("{" + ",".join(sorted(terms)) + key + "}"
+                                                if terms else "{}") for terms in row])
+                         + inner + "]" if row else "[]") for row in entries]
+        text = self[serial] = "[" + ",".join(rows) + newline + "]" if rows else "[]"
         return text
 
 
-def _view_rows(view: PView, newline: str) -> Iterator[List[str]]:
-    """The text of ``view`` at the indent ``newline``: one list of pieces
-    per row x, rows in key order, then the closing brace.
+def _view_rows(view: PView, newline: str) -> Iterator[str]:
+    """The text of ``view`` at the indent ``newline``: one piece per row
+    x, rows in key order, then the closing brace.
 
     Keys sort as the pairs (x + "|", z), so the names are sorted twice.
     The columns, in z-order, are laid into a grid whose row x holds the
-    serial at x of each; each piece is an escaped name or a serial's text,
-    each made once."""
+    serial at x of each; each escaped name and each serial's text is made
+    once."""
     names, n = view.names, len(view.names)
     inner = newline + "  "
     quoted = [_encode_str(name) for name in names]
@@ -506,8 +546,8 @@ def _view_rows(view: PView, newline: str) -> Iterator[List[str]]:
             row[2::3] = map(texts.__getitem__, present)
             if not opened:
                 row[0], opened = "{" + row[0][1:], True
-            yield row
-    yield [newline + "}" if opened else "{}"]
+            yield "".join(row)
+    yield newline + "}" if opened else "{}"
 
 
 def mu_to_json(system: CoxeterSystem, gens: FrozenSet[int], mu: Mapping) -> dict:

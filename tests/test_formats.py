@@ -3,10 +3,11 @@ import functools
 import io
 import json
 from array import array
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wgraphs import formats
@@ -14,8 +15,9 @@ from wgraphs.cells import cell_partition
 from wgraphs.coxeter import CoxeterSystem
 from wgraphs.formats import SchemaError
 from wgraphs.hy import induce, mu_inductive, p_mu_table
+from wgraphs.laurent import LaurentPoly
 from wgraphs.matrix import LMat
-from wgraphs.wgraph import serial_array, sign_module, to_wgraph, trivial_module
+from wgraphs.wgraph import edges, serial_array, sign_module, to_wgraph, trivial_module
 
 from oracles import kl_graph
 
@@ -107,12 +109,17 @@ def _documents(path: str) -> dict:
     }
 
 
+def _expand(view):
+    """A view as the stdlib can write it: the dict of a mapping, the list of a sequence."""
+    return dict(view) if isinstance(view, Mapping) else list(view)
+
+
 @pytest.mark.parametrize("path", SYSTEM_FILES)
 def test_every_output_matches_stdlib(path):
     for kind, doc in _documents(path).items():
-        # the p-part of a table is a view, which the stdlib writes as its dict
+        # the p-part of a table and the edges of a W-graph are views
         assert formats.dumps(doc) == json.dumps(doc, indent=2, sort_keys=True,
-                                                default=dict) + "\n", kind
+                                                default=_expand) + "\n", kind
 
 
 @pytest.mark.parametrize("path", SYSTEM_FILES)
@@ -172,14 +179,58 @@ class TestModuleFormat:
             )
 
 
+def _regular_wgraph(system):
+    module = trivial_module(system, frozenset())
+    table = p_mu_table(frozenset(), module)
+    return to_wgraph(induce(frozenset(), module, table), [str(w) for w in table.reps])
+
+
 class TestWGraphFormat:
+    @pytest.mark.parametrize("name", ["b3", "b3_211"])
+    def test_edge_view(self, systems, name):
+        """The view's items are the edge dicts made from ``wgraph.edges``,
+        and the reader takes the view and their list alike."""
+        system = (systems["b3"] if name == "b3"
+                  else formats.load_system(str(_ROOT / "perfbench/systems/b3_211.json")))
+        graph = _regular_wgraph(system)
+        names = graph.vertices
+        listed = [{"s": s + 1, "from": names[j], "to": names[i],
+                   "weights": {str(g): c for g, c in by_exp.items()}}
+                  for (s, i, j), by_exp in edges(graph.module)]
+        doc = formats.wgraph_to_json(graph)
+        view = doc["edges"]
+        assert list(view) == listed and len(view) == len(listed) > 0
+        assert view[-1] == listed[-1] and view[-len(listed)] == listed[0]
+        with pytest.raises(IndexError):
+            view[len(listed)]
+        assert formats.wgraph_from_json(system, doc) == graph
+        assert formats.wgraph_from_json(system, {**doc, "edges": listed}) == graph
+
+    def test_dump_writes_the_edges_one_at_a_time(self, systems):
+        """:func:`dump` writes regular B3's edges in one write each and the
+        closing bracket, each far shorter than the document, and the pieces
+        join to the text of dumps."""
+        doc = formats.wgraph_to_json(_regular_wgraph(systems["b3"]))
+        pieces, writes = [], []
+
+        class Handle:
+            def write(self, text):
+                pieces.append(text)
+                writes.append(text)
+
+            def writelines(self, texts):
+                pieces.extend(texts)
+
+        formats.dump(doc, Handle())
+        text = "".join(pieces)
+        assert text == formats.dumps(doc)
+        assert len(writes) == len(doc["edges"]) + 1
+        assert max(map(len, pieces)) <= len(text) // 10
+
     def test_round_trip(self, systems):
-        a2 = systems["a2"]
-        module = trivial_module(a2, frozenset())
-        table = p_mu_table(frozenset(), module)
-        graph = to_wgraph(induce(frozenset(), module, table), [str(w) for w in table.reps])
+        graph = _regular_wgraph(systems["a2"])
         data = formats.wgraph_to_json(graph)
-        assert formats.wgraph_from_json(a2, data) == graph
+        assert formats.wgraph_from_json(systems["a2"], data) == graph
 
     def test_unknown_vertex(self, systems):
         data = {
@@ -193,10 +244,7 @@ class TestWGraphFormat:
         assert "edges[0].to" in str(err.value)
 
     def test_dot_output_is_deterministic(self, systems):
-        a2 = systems["a2"]
-        module = trivial_module(a2, frozenset())
-        table = p_mu_table(frozenset(), module)
-        graph = to_wgraph(induce(frozenset(), module, table), [str(w) for w in table.reps])
+        graph = _regular_wgraph(systems["a2"])
         assert formats.wgraph_to_dot(graph) == formats.wgraph_to_dot(graph)
         assert formats.wgraph_to_dot(graph).startswith("digraph wgraph {")
 
@@ -277,6 +325,21 @@ class TestTableFormat:
         assert text == formats.dumps(doc)
         assert len(rows) == len(table.reps) + 1 == 49
         assert max(map(len, pieces)) < len(text) // 10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 3).flatmap(lambda m: st.lists(st.lists(
+        st.dictionaries(st.integers(-12, 12), st.integers(-10**40, 10**40), max_size=4),
+        min_size=m, max_size=m), max_size=3)))
+    @example([[{}, {}], [{}, {}]])  # the zero matrix
+    @example([[{1: 1, 10: -2, 2: 3, -1: 4, -10: 10**40}, {}], [{}, {}]])  # an empty row
+    def test_p_value_text(self, rows):
+        """A serial's text, made from the blocks, is the writer's text of
+        its :func:`lmat_to_json` value: exponents in string order."""
+        mat = LMat([[LaurentPoly(entry) for entry in row] for row in rows])
+        for newline in ("\n", "\n    "):
+            parts = []
+            formats._write(formats.lmat_to_json(mat), newline, parts, {})
+            assert formats._Texts([None, mat], newline)[1] == "".join(parts)
 
     def test_view_lookup(self, systems):
         table = p_mu_table(frozenset(), trivial_module(systems["a2"], frozenset()))
